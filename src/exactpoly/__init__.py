@@ -1,8 +1,9 @@
 """Exact-arithmetic polytope combinatorics.
 
-Facet enumeration over arbitrary-precision rationals, dual-graph widths of
-prismatoids, the width-6 counterexample to the d-step property in dimension
-five, and the constructions that turn it into non-Hirsch polytopes.
+Exact facet enumeration (integer arithmetic inside, rationals at the edges),
+dual-graph widths of prismatoids, the width-6 counterexample to the d-step
+property in dimension five, and the constructions that turn it into
+non-Hirsch polytopes.
 """
 
 from .geometry import Inequality, OrthMap, affine_rank, evaluate, hyperplane_through

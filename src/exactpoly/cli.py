@@ -1,8 +1,11 @@
 """Command-line surface.
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 infeasible operation.  All numeric output is exact rational text; identical
-invocations (same inputs, same seed) produce byte-identical output.
+3 infeasible operation (degenerate geometry, a listed point that is not a
+vertex, no prismatoid structure).  `main` maps these errors to their codes in
+one place, so no input ends in a traceback for them.  All numeric output is
+exact rational text; identical invocations (same inputs, same seed) produce
+byte-identical output.
 """
 from __future__ import annotations
 
@@ -25,13 +28,15 @@ from .geometry import GeometryError
 from .graphs import Graph
 from .plotting import torus_svg
 from .polytopes import (
+    NotAVertex,
     VPolytope,
+    certify_vertices,
     dual_graph,
     facet_enumeration,
     polar,
     vertex_graph,
 )
-from .prismatoids import make_prismatoid, width
+from .prismatoids import NotAPrismatoid, make_prismatoid, width
 from .rationals import format_rat
 
 
@@ -77,6 +82,7 @@ def _cmd_width(args) -> int:
 def _cmd_diameter(args) -> int:
     poly = _load(args.input)
     hull = facet_enumeration(poly)
+    certify_vertices(poly, hull)
     g = vertex_graph(poly, hull)
     print(g.diameter())
     return 0
@@ -274,9 +280,12 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except (FormatError,) as exc:
+    except FormatError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except (GeometryError, NotAVertex, NotAPrismatoid) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

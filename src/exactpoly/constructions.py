@@ -325,7 +325,7 @@ def strong_dstep_step(
         # halving the step until the prismatoid verifies with larger width
         for _ in range(redraws):
             raw = [Rat(rng.randrange(-8, 9), 32) for _ in range(amb - 1)] + [Rat(1)]
-            proj = dot(base_normal, raw) / nn
+            proj = Rat(dot(base_normal, raw), nn)
             direction = tuple(raw[j] - proj * base_normal[j] for j in range(amb))
             scale = Rat(1)
             half = Rat(1, 2)

@@ -11,7 +11,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import Inequality, OrthMap, affine_rank, smul, vadd, vsub
+from .geometry import Inequality, OrthMap, affine_rank, integer_points, smul, vadd, vsub
 from .graphs import Graph
 from .polytopes import (
     Hull,
@@ -220,9 +220,11 @@ class SymmetryGroup:
 
 
 def _vertex_permutation(m: OrthMap, poly: VPolytope):
-    index = {p: i for i, p in enumerate(poly.vertices)}
+    # a linear map commutes with scaling, so it can act on integer points
+    pts, _ = integer_points(poly.vertices)
+    index = {p: i for i, p in enumerate(pts)}
     perm = []
-    for p in poly.vertices:
+    for p in pts:
         q = m.apply_point(p)
         if q not in index:
             raise ValueError("map does not permute the vertex set")

@@ -45,6 +45,8 @@ def read_poly(text: str) -> VPolytope:
     lines = _reader(text)
     if not lines or lines[0] != "POLY 1":
         raise FormatError("missing POLY 1 header")
+    if len(lines) < 3:
+        raise FormatError("truncated header")
     d = _expect(lines[1], "dim")
     n = _expect(lines[2], "vertices")
     if len(lines) < 3 + n:
@@ -82,6 +84,8 @@ def read_hpoly(text: str) -> HPolytope:
     lines = _reader(text)
     if not lines or lines[0] != "HPOLY 1":
         raise FormatError("missing HPOLY 1 header")
+    if len(lines) < 3:
+        raise FormatError("truncated header")
     d = _expect(lines[1], "dim")
     m = _expect(lines[2], "inequalities")
     ineqs, eqs = [], []

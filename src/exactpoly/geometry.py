@@ -1,16 +1,19 @@
-"""Points, linear inequalities, and orthogonal maps, all in exact rationals.
+"""Points, linear inequalities, and orthogonal maps, all exact.
 
-Points are plain tuples of rationals; the ambient dimension is the tuple
-length.  An inequality `coeffs . x <= offset` is canonicalized to coprime
-integer entries by a positive scaling, so that facet identity is plain
-equality of canonical forms.
+Points are plain tuples of rationals or ints; the ambient dimension is the
+tuple length.  An inequality `coeffs . x <= offset` is canonicalized to
+coprime `int` entries by a positive scaling, so that facet identity is plain
+equality of canonical forms.  Affine ranks and hyperplanes are computed on
+integer rows by the fraction-free elimination of `linalg`.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from operator import mul
 
-from .linalg import echelon, identity, mat_mul, mat_vec, matrix_rank, nullspace, transpose
-from .rationals import Rat, ZERO, primitive_ints
+from .linalg import echelon, identity, mat_mul, mat_vec, nullspace, transpose
+from .rationals import Rat, common_denominator, primitive_ints
 
 
 class GeometryError(ValueError):
@@ -26,10 +29,7 @@ class DegenerateInput(GeometryError):
 
 
 def dot(a, b):
-    s = a[0] * b[0]
-    for i in range(1, len(a)):
-        s += a[i] * b[i]
-    return s
+    return sum(map(mul, a, b))
 
 
 def vsub(a, b):
@@ -44,8 +44,11 @@ def smul(c, a):
     return tuple(c * x for x in a)
 
 
-def as_point(values):
-    return tuple(Rat(v) for v in values)
+def integer_points(points):
+    """(points scaled by the lcm of all their denominators, as int tuples;
+    that lcm).  Affine ranks, incidences and facet normals are unchanged."""
+    scale = common_denominator([v for p in points for v in p])
+    return [tuple(v.numerator * (scale // v.denominator) for v in p) for p in points], scale
 
 
 def check_same_dim(points):
@@ -77,15 +80,19 @@ class Inequality:
         return self.offset - dot(self.coeffs, point)
 
     def canonical(self) -> "Inequality":
-        """Positive rescaling to coprime integers (direction preserved)."""
-        ints = primitive_ints(list(self.coeffs) + [self.offset])
-        return Inequality(tuple(Rat(v) for v in ints[:-1]), Rat(ints[-1]))
+        """Positive rescaling to coprime ints (direction preserved); an
+        inequality that already is canonical is returned as it is."""
+        vals = self.coeffs + (self.offset,)
+        if all(type(v) is int for v in vals) and math.gcd(*vals) == 1:
+            return self
+        ints = primitive_ints(vals)
+        return Inequality(tuple(ints[:-1]), ints[-1])
 
     @property
     def key(self):
         """Canonical integer tuple, usable for sorting and set membership."""
         c = self.canonical()
-        return tuple(int(v.numerator) for v in c.coeffs) + (int(c.offset.numerator),)
+        return c.coeffs + (c.offset,)
 
     def negated(self) -> "Inequality":
         return Inequality(tuple(-c for c in self.coeffs), -self.offset)
@@ -125,7 +132,7 @@ def hyperplane_through(points) -> Inequality:
     caller's business.
     """
     d = check_same_dim(points)
-    rows = [list(p) + [Rat(-1)] for p in points]
+    rows = [list(p) + [-1] for p in points]
     basis = nullspace(rows)
     if len(basis) != 1:
         raise DegenerateInput(
@@ -151,7 +158,8 @@ class OrthMap:
 
     @classmethod
     def from_rows(cls, rows) -> "OrthMap":
-        return cls(tuple(tuple(Rat(v) for v in row) for row in rows))
+        """Integral entries are stored as ints, any others as rationals."""
+        return cls(tuple(tuple(_exact(v) for v in row) for row in rows))
 
     @classmethod
     def identity(cls, n) -> "OrthMap":
@@ -178,4 +186,9 @@ class OrthMap:
 
     @property
     def key(self):
-        return tuple(tuple((int(v.numerator), int(v.denominator)) for v in row) for row in self.rows)
+        return tuple(tuple((v.numerator, v.denominator) for v in row) for row in self.rows)
+
+
+def _exact(v):
+    q = Rat(v)
+    return q.numerator if q.denominator == 1 else q

@@ -1,4 +1,12 @@
-"""Exact Gaussian elimination over the rationals.
+"""Exact linear algebra by fraction-free (Bareiss) elimination over `int`.
+
+Each input row is first scaled by the lcm of its denominators, which leaves
+the rank, the pivot columns and the kernel unchanged.  Elimination then stays
+in Python `int`: Bareiss's update (Bareiss 1968, "Sylvester's identity and
+multistep integer-preserving Gaussian elimination") divides exactly by the
+previous pivot, so no rational ever forms and entries stay minors of the
+input.  Kernel vectors come out as integer vectors by back-substitution, and
+`solve_square` forms its rational solution from one of them with `Rat(a, b)`.
 
 Pivoting rule everywhere: first nonzero entry in column order, scanning rows
 top-down.  Deterministic, so every derived quantity (ranks, hyperplanes,
@@ -6,106 +14,110 @@ nullspaces) is bit-reproducible.
 """
 from __future__ import annotations
 
-from .rationals import Rat, ZERO
+from .rationals import Rat, clear_denominators
 
 
 def echelon(rows):
-    """Reduce `rows` (list of lists, modified in place) to row-echelon form.
+    """Reduce `rows` in place to a fraction-free row-echelon form of ints.
 
-    Returns the list of pivot column indices.
+    Every row is first replaced by its integer scaling.  Returns the list of
+    pivot column indices.  The pivot of the last pivot row is the determinant
+    of the pivot minor (rows in their final order, pivot columns).
     """
-    if not rows:
-        return []
-    n_cols = len(rows[0])
+    for i, row in enumerate(rows):
+        rows[i] = clear_denominators(row)
+    n_rows = len(rows)
     pivots = []
+    prev = 1
     r = 0
-    for c in range(n_cols):
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
+    for c in range(len(rows[0]) if rows else 0):
+        for i in range(r, n_rows):
+            if rows[i][c]:
                 break
         else:
             continue
         if i != r:
             rows[r], rows[i] = rows[i], rows[r]
-        piv = rows[r][c]
-        for i in range(r + 1, len(rows)):
-            f = rows[i][c]
-            if f == 0:
-                continue
-            ratio = f / piv
-            row_i, row_r = rows[i], rows[r]
-            for j in range(c, n_cols):
-                row_i[j] -= row_r[j] * ratio
+        row_r = rows[r]
+        piv = row_r[c]
+        for i in range(r + 1, n_rows):
+            row_i = rows[i]
+            f = row_i[c]
+            row_i[c] = 0
+            # Sylvester's identity: the division by the previous pivot is exact
+            for j in range(c + 1, len(row_r)):
+                row_i[j] = (piv * row_i[j] - f * row_r[j]) // prev
         pivots.append(c)
+        prev = piv
         r += 1
-        if r == len(rows):
+        if r == n_rows:
             break
     return pivots
 
 
 def matrix_rank(rows) -> int:
-    return len(echelon([list(r) for r in rows]))
+    return len(echelon(list(rows)))
 
 
 def nullspace(rows):
-    """Basis of {x : rows @ x = 0}, one vector per free column, in column order."""
+    """Integer basis of {x : rows @ x = 0}, one vector per free column, in
+    column order.  The vector of free column `fc` is zero at the other free
+    columns and holds the pivot determinant at `fc`: it is the rational basis
+    vector with a 1 at `fc`, scaled to integers by the same factor for all."""
     if not rows:
         return []
     n_cols = len(rows[0])
-    work = [list(r) for r in rows]
+    work = list(rows)
     pivots = echelon(work)
+    det = work[len(pivots) - 1][pivots[-1]] if pivots else 1
     pivot_set = set(pivots)
-    free = [c for c in range(n_cols) if c not in pivot_set]
     basis = []
-    for fc in free:
-        x = [ZERO] * n_cols
-        x[fc] = Rat(1)
-        # back-substitute pivot variables
+    for fc in range(n_cols):
+        if fc in pivot_set:
+            continue
+        x = [0] * n_cols
+        x[fc] = det
+        # back-substitution is exact: by Cramer's rule every entry is an
+        # integer once the free coordinate is the pivot determinant
         for r in range(len(pivots) - 1, -1, -1):
             pc = pivots[r]
-            s = ZERO
             row = work[r]
+            s = 0
             for c in range(pc + 1, n_cols):
-                if x[c] != 0 and row[c] != 0:
+                if x[c]:
                     s += row[c] * x[c]
-            x[pc] = -s / row[pc]
+            x[pc] = -s // row[pc]
         basis.append(tuple(x))
     return basis
 
 
 def solve_square(a_rows, rhs):
-    """Solve A x = b for square nonsingular A; raises on singular input."""
+    """Solve A x = b for square nonsingular A; raises on singular input.
+
+    x is the kernel vector of [A | -b] whose last coordinate is 1."""
     n = len(a_rows)
-    work = [list(r) + [rhs[i]] for i, r in enumerate(a_rows)]
-    pivots = echelon(work)
-    if len(pivots) != n or any(p >= n for p in pivots):
+    basis = nullspace([list(r) + [-rhs[i]] for i, r in enumerate(a_rows)])
+    if len(basis) != 1 or basis[0][n] == 0:
         raise ValueError("singular system")
-    x = [ZERO] * n
-    for r in range(n - 1, -1, -1):
-        pc = pivots[r]
-        s = work[r][n]
-        row = work[r]
-        for c in range(pc + 1, n):
-            s -= row[c] * x[c]
-        x[pc] = s / row[pc]
-    return x
+    x = basis[0]
+    return [Rat(x[i], x[n]) for i in range(n)]
 
 
 def mat_vec(rows, v):
-    return tuple(sum((row[j] * v[j] for j in range(len(v))), ZERO) for row in rows)
+    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in rows)
 
 
 def mat_mul(a_rows, b_rows):
     n, k = len(a_rows), len(b_rows[0])
     m = len(b_rows)
     return tuple(
-        tuple(sum((a_rows[i][t] * b_rows[t][j] for t in range(m)), ZERO) for j in range(k))
+        tuple(sum(a_rows[i][t] * b_rows[t][j] for t in range(m)) for j in range(k))
         for i in range(n)
     )
 
 
 def identity(n):
-    return tuple(tuple(Rat(1) if i == j else ZERO for j in range(n)) for i in range(n))
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
 
 
 def transpose(rows):

@@ -2,17 +2,24 @@
 combinatorics: dual and vertex graphs, simplicity tests, polar duality, faces
 by linear functional.
 
-The enumerator is an incremental beneath-beyond hull over exact rationals.
-Points are inserted in input order after a starting simplex is chosen
-greedily; degenerate insertions (point on existing facet hyperplanes) extend
-those facets' incidence instead of creating duplicates.  Non-full-dimensional
-input is handled by chart coordinates inside the affine hull, whose equality
-constraints are reported separately.  Output facets are sorted by canonical
-coefficients, so every run is bit-reproducible.
+The enumerator is an incremental beneath-beyond hull in exact integer
+arithmetic.  Non-full-dimensional input is first mapped to rational chart
+coordinates inside the affine hull, whose equality constraints are reported
+separately.  The (charted) points are then scaled once to integers by the lcm
+of their denominators, and everything inside the hull stays in `int`: facets
+as primitive (coeffs, offset) vectors, slacks, ridge ranks, new hyperplanes
+and the final self-verification pass (every point against every facet,
+incidence, facet rank).  Points are inserted in input order after a starting
+simplex is chosen greedily; degenerate insertions (point on existing facet
+hyperplanes) extend those facets' incidence instead of creating duplicates.
+Only at the end is each facet mapped back to a canonical inequality at the
+input's scale.  Output facets are sorted by canonical coefficients, so every
+run is bit-reproducible.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import mul
 from typing import NamedTuple, Optional
 
 from .geometry import (
@@ -24,11 +31,12 @@ from .geometry import (
     dot,
     hyperplane_through,
     canonical_hyperplane,
+    integer_points,
     vsub,
 )
 from .graphs import Graph
-from .linalg import echelon, nullspace, solve_square
-from .rationals import Rat, ZERO
+from .linalg import echelon, matrix_rank, nullspace, solve_square
+from .rationals import Rat, ZERO, format_rat
 
 
 class DuplicatePoints(DegenerateInput):
@@ -151,8 +159,10 @@ def _affine_basis(points):
     rows = []
     base = points[0]
     for i in range(1, len(points)):
-        cand = rows + [list(vsub(points[i], base))]
-        if len(echelon([list(r) for r in cand])) == len(cand):
+        if len(rows) == len(base):
+            break
+        cand = rows + [vsub(points[i], base)]
+        if matrix_rank(cand) == len(cand):
             rows = cand
             idx.append(i)
     return idx
@@ -162,14 +172,14 @@ class _Chart:
     """Exact coordinates inside the affine hull of a point set."""
 
     def __init__(self, points):
-        base_idx = _affine_basis(points)
-        self.base_point = points[base_idx[0]]
-        self.dim = len(base_idx) - 1
+        self.basis = _affine_basis(points)
+        self.base_point = points[self.basis[0]]
+        self.dim = len(self.basis) - 1
         d = len(self.base_point)
         self.full = self.dim == d
         if self.full:
             return
-        dirs = [vsub(points[i], self.base_point) for i in base_idx[1:]]
+        dirs = [vsub(points[i], self.base_point) for i in self.basis[1:]]
         # rows of D^T are the direction vectors; pivot columns pick coordinates
         # that already determine chart coordinates exactly.
         self.pivot_cols = echelon([list(v) for v in dirs])
@@ -179,7 +189,7 @@ class _Chart:
             sorted(
                 (
                     canonical_hyperplane(Inequality(vec, dot(vec, self.base_point)))
-                    for vec in nullspace([list(v) for v in dirs])
+                    for vec in nullspace(dirs)
                 ),
                 key=lambda e: e.key,
             )
@@ -203,34 +213,41 @@ class _Chart:
 
 
 class _Facet:
-    __slots__ = ("ineq", "mask")
+    """A facet in the integer scale of the hull: coeffs . x <= offset with
+    primitive int entries, and the mask of its tight points."""
+
+    __slots__ = ("coeffs", "offset", "mask")
 
     def __init__(self, ineq, mask):
-        self.ineq = ineq
+        self.coeffs = ineq.coeffs
+        self.offset = ineq.offset
         self.mask = mask
 
 
-def _oriented(ineq: Inequality, inside_point) -> Inequality:
-    s = ineq.slack(inside_point)
+def _oriented(ineq: Inequality, inside, weight) -> Inequality:
+    """`ineq` or its negation, whichever has `inside / weight` strictly on
+    its feasible side."""
+    s = ineq.offset * weight - dot(ineq.coeffs, inside)
     if s == 0:
         raise DegenerateInput("reference point on candidate facet hyperplane")
     return ineq if s > 0 else ineq.negated()
 
 
-def _hull_full_dim(points, k):
-    """Facets of the hull of full-dimensional charted points (dim k >= 1)."""
+def _hull_full_dim(points, simplex):
+    """Facets of the hull of full-dimensional integer points, as (primitive
+    int Inequality, tight mask) pairs; `simplex` indexes an affine basis.
+
+    Everything here is `int` arithmetic: slacks, ridge ranks, new
+    hyperplanes and the verification pass."""
     n = len(points)
-    simplex = _affine_basis(points)
-    assert len(simplex) == k + 1
-    inv_k1 = Rat(1, k + 1)
-    interior = tuple(
-        sum((points[i][j] for i in simplex), ZERO) * inv_k1 for j in range(k)
-    )
+    k = len(simplex) - 1
+    # the vertex sum of the starting simplex is k + 1 times an interior point
+    inside = tuple(sum(points[i][j] for i in simplex) for j in range(k))
 
     facets = {}
     for drop in simplex:
         rest = [i for i in simplex if i != drop]
-        h = _oriented(hyperplane_through([points[i] for i in rest]), points[drop])
+        h = _oriented(hyperplane_through([points[i] for i in rest]), inside, k + 1)
         facets[h.key] = _Facet(h, bits(rest))
 
     processed = list(simplex)
@@ -242,7 +259,7 @@ def _hull_full_dim(points, k):
         above = []
         kept = {}
         for key, f in facets.items():
-            s = f.ineq.slack(p)
+            s = f.offset - sum(map(mul, f.coeffs, p))
             if s < 0:
                 above.append(f)
             else:
@@ -260,33 +277,39 @@ def _hull_full_dim(points, k):
                     cpts = [points[j] for j in iter_bits(common)]
                     if k > 2 and affine_rank(cpts) != k - 2:
                         continue
-                    h = _oriented(hyperplane_through(cpts + [p]), interior)
+                    h = _oriented(hyperplane_through(cpts + [p]), inside, k + 1)
                     hkey = h.key
                     if hkey in kept or hkey in new:
                         continue
+                    c, off = h.coeffs, h.offset
                     mask = 1 << i
                     for j in processed:
-                        if h.slack(points[j]) == 0:
+                        if off == sum(map(mul, c, points[j])):
                             mask |= 1 << j
                     new[hkey] = _Facet(h, mask)
             kept.update(new)
             facets = kept
         processed.append(i)
 
-    ordered = sorted(facets.values(), key=lambda f: f.ineq.key)
     # full verification: every point inside every facet, every facet spans a
     # hyperplane of tight points
-    for f in ordered:
+    for f in facets.values():
+        c, off, fmask = f.coeffs, f.offset, f.mask
         for i, p in enumerate(points):
-            s = f.ineq.slack(p)
+            s = off - sum(map(mul, c, p))
             if s < 0:
                 raise DegenerateInput("hull verification failed: point outside facet")
-            if (s == 0) != bool(f.mask >> i & 1):
+            if (s == 0) != bool(fmask >> i & 1):
                 raise DegenerateInput("hull verification failed: incidence mismatch")
-        tight = [points[j] for j in iter_bits(f.mask)]
+        tight = [points[j] for j in iter_bits(fmask)]
         if len(tight) < k or affine_rank(tight) != k - 1:
             raise DegenerateInput("hull verification failed: facet rank")
-    return ordered
+    return [(Inequality(f.coeffs, f.offset), f.mask) for f in facets.values()]
+
+
+def _unscaled(h: Inequality, scale) -> Inequality:
+    """A facet of points scaled by `scale`, as one of the points themselves."""
+    return h if scale == 1 else Inequality(h.coeffs, Rat(h.offset, scale))
 
 
 def facet_enumeration(poly: VPolytope) -> Hull:
@@ -295,16 +318,21 @@ def facet_enumeration(poly: VPolytope) -> Hull:
     Facets are canonical inequalities sorted lexicographically by
     coefficients; for non-full-dimensional input the affine hull's equality
     constraints are reported in `hrep.equalities` and facets cut within it.
+    The charted points are scaled once to integers by the lcm of their
+    denominators; the facets come back to the input's scale at the end.
     """
     pts = poly.vertices
     _check_duplicates(pts)
     chart = _Chart(pts)
     if chart.dim < 1:
         raise DegenerateInput("affine rank < 1: a single point has no facets")
-    charted = [chart.to_chart(p) for p in pts]
-    raw = _hull_full_dim(charted, chart.dim)
+    scaled, scale = integer_points([chart.to_chart(p) for p in pts])
     lifted = sorted(
-        ((chart.lift_ineq(f.ineq), f.mask) for f in raw), key=lambda t: t[0].key
+        (
+            (chart.lift_ineq(_unscaled(h, scale)), mask)
+            for h, mask in _hull_full_dim(scaled, chart.basis)
+        ),
+        key=lambda t: t[0].key,
     )
     hrep = HPolytope(
         ambient_dim=poly.ambient_dim,
@@ -341,21 +369,25 @@ def facet_enumeration_bruteforce(poly: VPolytope) -> tuple:
     return tuple(found[k] for k in sorted(found))
 
 
+def _tight_ranks(poly: VPolytope, hull: Hull):
+    """Per input point: the rank of the equalities and the facet normals
+    tight at it (the ambient dimension exactly for a vertex)."""
+    eq_rows = [e.coeffs for e in hull.hrep.equalities]
+    ineqs = hull.hrep.inequalities
+    for vmask in hull.incidence.vertex_masks:
+        yield matrix_rank(eq_rows + [ineqs[f].coeffs for f in iter_bits(vmask)])
+
+
 def certify_vertices(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     """Confirm every listed point is an extreme point; raises NotAVertex."""
     if hull is None:
         hull = facet_enumeration(poly)
     d = poly.ambient_dim
-    eq_rows = [list(e.coeffs) for e in hull.hrep.equalities]
-    inc = hull.incidence
-    for i in range(poly.n_vertices):
-        rows = eq_rows + [
-            list(hull.hrep.inequalities[f].coeffs) for f in iter_bits(inc.vertex_masks[i])
-        ]
-        rank = len(echelon(rows)) if rows else 0
+    for i, rank in enumerate(_tight_ranks(poly, hull)):
         if rank != d:
             raise NotAVertex(
-                f"point {poly.label_of(i)} = {poly.vertices[i]} is not a vertex "
+                f"point {poly.label_of(i)} = ({', '.join(map(format_rat, poly.vertices[i]))}) "
+                f"is not a vertex "
                 f"(tight normals have rank {rank} < {d})"
             )
     return poly
@@ -364,16 +396,7 @@ def certify_vertices(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
 def extreme_indices(poly: VPolytope, hull: Hull):
     """Indices of the points that are vertices of the hull."""
     d = poly.ambient_dim
-    eq_rows = [list(e.coeffs) for e in hull.hrep.equalities]
-    out = []
-    for i in range(poly.n_vertices):
-        rows = eq_rows + [
-            list(hull.hrep.inequalities[f].coeffs)
-            for f in iter_bits(hull.incidence.vertex_masks[i])
-        ]
-        if rows and len(echelon(rows)) == d:
-            out.append(i)
-    return tuple(out)
+    return tuple(i for i, rank in enumerate(_tight_ranks(poly, hull)) if rank == d)
 
 
 def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
@@ -381,7 +404,7 @@ def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
     k = hull.dim
     inc = hull.incidence
     m = inc.n_facets
-    pts = poly.vertices
+    pts, _ = integer_points(poly.vertices)
     edges = []
     masks = inc.facet_masks
     for a in range(m):
@@ -462,7 +485,7 @@ def polar(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     for q in ineqs:
         if q.offset <= 0:
             raise DegenerateInput("origin not interior after centroid shift")
-    verts = tuple(tuple(a / q.offset for a in q.coeffs) for q in ineqs)
+    verts = tuple(tuple(Rat(a, q.offset) for a in q.coeffs) for q in ineqs)
     return VPolytope(verts)
 
 

@@ -32,7 +32,7 @@ def _parallel(q1, q2) -> bool:
     i = next(j for j, v in enumerate(c1) if v != 0)
     if c2[i] == 0:
         return False
-    r = c2[i] / c1[i]
+    r = Rat(c2[i], c1[i])
     return all(c2[j] == r * c1[j] for j in range(len(c1)))
 
 

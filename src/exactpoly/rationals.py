@@ -1,33 +1,23 @@
-"""Exact rational scalars.
+"""Exact rational scalars at the edges of the engine.
 
-Every number in this package is an arbitrary-precision rational kept in
-lowest terms with a positive denominator.  gmpy2's mpq provides that
-representation an order of magnitude faster than fractions.Fraction; the
-fallback keeps the package importable without it.
+`Rat` is `fractions.Fraction`: arbitrary precision, lowest terms, positive
+denominator.  Rationals are what the file formats read and write, what
+points and the excess arithmetic hold, and what a chart or a polar produces.
+Inside the engine the hot arithmetic is on Python `int`: a point set is
+scaled to integers once (`common_denominator`), and canonical inequalities
+are primitive integer vectors (`primitive_ints`).  Code that divides values
+which may both be `int` writes `Rat(a, b)`, never `a / b`, which would give a
+float.
 """
 from __future__ import annotations
 
 import math
 import re
-
-try:
-    from gmpy2 import mpq as Rat
-except ImportError:  # pragma: no cover
-    from fractions import Fraction as Rat
+from fractions import Fraction as Rat
 
 ZERO = Rat(0)
-ONE = Rat(1)
 
 _LITERAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
-
-
-def rat(num, den=None):
-    """Build a rational from ints, rationals, or a literal string."""
-    if den is None:
-        if isinstance(num, str):
-            return parse_rat(num)
-        return Rat(num)
-    return Rat(num) / Rat(den)
 
 
 def parse_rat(text):
@@ -50,27 +40,21 @@ def format_rat(q) -> str:
     return f"{n}" if d == 1 else f"{n}/{d}"
 
 
-def as_int(q) -> int:
-    """The integer value of an integral rational."""
-    if q.denominator != 1:
-        raise ValueError(f"not an integer: {format_rat(q)}")
-    return int(q.numerator)
+def common_denominator(values) -> int:
+    """The lcm of the denominators of ints and rationals (1 for ints)."""
+    return math.lcm(*(v.denominator for v in values))
 
 
 def clear_denominators(values):
     """Scale a rational sequence by the lcm of denominators; returns ints."""
-    lcm = 1
-    for v in values:
-        lcm = lcm * v.denominator // math.gcd(lcm, int(v.denominator))
-    return [int(v.numerator) * (lcm // int(v.denominator)) for v in values]
+    lcm = common_denominator(values)
+    return [v.numerator * (lcm // v.denominator) for v in values]
 
 
 def primitive_ints(values):
     """Clear denominators and divide by the gcd (sign preserved)."""
     ints = clear_denominators(values)
-    g = 0
-    for v in ints:
-        g = math.gcd(g, v)
-    if g == 0:
+    g = math.gcd(*ints)
+    if g <= 1:
         return ints
     return [v // g for v in ints]

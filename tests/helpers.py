@@ -1,5 +1,6 @@
 """Shared generators and property drivers for the randomized suites."""
 import random
+from fractions import Fraction
 
 from exactpoly.constructions import suspension_facet_map
 from exactpoly.polytopes import (
@@ -92,3 +93,58 @@ def check_suspension_distances(poly, hull, v):
             for a in lifts(f1):
                 for b in lifts(f2):
                     assert dist_new[a][b] >= dist_old[f2]
+
+
+# ---------------------------------------------------------------------------
+# reference elimination: textbook Gauss-Jordan over Fraction, kept independent
+# of the engine's fraction-free integer elimination
+
+
+def reference_rref(rows):
+    """(pivot columns, reduced row echelon form) over Fraction, with the
+    engine's pivoting rule: first nonzero entry in column order, scanning
+    rows top-down."""
+    work = [[Fraction(v) for v in row] for row in rows]
+    n_cols = len(work[0]) if work else 0
+    pivots = []
+    r = 0
+    for c in range(n_cols):
+        piv = next((i for i in range(r, len(work)) if work[i][c] != 0), None)
+        if piv is None:
+            continue
+        work[r], work[piv] = work[piv], work[r]
+        lead = work[r][c]
+        work[r] = [v / lead for v in work[r]]
+        for i in range(len(work)):
+            f = work[i][c]
+            if i != r and f != 0:
+                work[i] = [a - f * b for a, b in zip(work[i], work[r])]
+        pivots.append(c)
+        r += 1
+    return pivots, work
+
+
+def reference_nullspace(rows):
+    """Kernel basis: one vector per free column, 1 there, 0 at the other
+    free columns."""
+    pivots, work = reference_rref(rows)
+    n_cols = len(rows[0]) if rows else 0
+    basis = []
+    for fc in range(n_cols):
+        if fc in pivots:
+            continue
+        x = [Fraction(0)] * n_cols
+        x[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            x[pc] = -work[r][fc]
+        basis.append(tuple(x))
+    return basis
+
+
+def reference_solve(a_rows, rhs):
+    """The solution of A x = b, or None when A is singular."""
+    n = len(a_rows)
+    pivots, work = reference_rref([list(r) + [b] for r, b in zip(a_rows, rhs)])
+    if pivots != list(range(n)):
+        return None
+    return [work[i][n] for i in range(n)]

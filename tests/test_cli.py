@@ -1,4 +1,8 @@
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -45,6 +49,12 @@ class TestFileFormats:
     def test_poly_header_required(self):
         with pytest.raises(FormatError):
             read_poly("dim 2\nvertices 1\n0 0\n")
+
+    def test_poly_truncated_header(self):
+        with pytest.raises(FormatError):
+            read_poly("POLY 1\n")
+        with pytest.raises(FormatError):
+            read_poly("POLY 1\ndim 2\n")
 
     def test_poly_row_width_checked(self):
         with pytest.raises(FormatError):
@@ -179,3 +189,38 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "0 failures" in out
+
+
+SRC = Path(__file__).resolve().parent.parent / "src"
+
+
+def run_cli(tmp_path, command, text):
+    """Run `python -m exactpoly.cli command file` in a fresh interpreter."""
+    src = tmp_path / "input.poly"
+    src.write_text(text)
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    return subprocess.run(
+        [sys.executable, "-m", "exactpoly.cli", command, str(src)],
+        capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
+    )
+
+
+class TestExitCodes:
+    """Bad input ends with a documented exit code and an `error:` line, never
+    a traceback: 2 for parse errors, 3 for infeasible geometry."""
+
+    @pytest.mark.parametrize(
+        "command, text, code",
+        [
+            ("hull", "POLY 1\n", 2),
+            ("hull", "POLY 1\ndim 2\nvertices 1\n0 0\n", 3),
+            ("diameter", "POLY 1\ndim 2\nvertices 3\n0 0\n1 1\n2 2\n", 3),
+            ("width", "POLY 1\ndim 2\nvertices 4\n0 0\n1 0\n0 1\n1/4 1/4\n", 3),
+        ],
+        ids=["truncated-header", "single-point", "collinear-diameter", "non-vertex-width"],
+    )
+    def test_exit_code_without_traceback(self, tmp_path, command, text, code):
+        done = run_cli(tmp_path, command, text)
+        assert done.returncode == code, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ")

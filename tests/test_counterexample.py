@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -23,10 +24,18 @@ from exactpoly.counterexample import (
     vertices48,
 )
 from exactpoly.constructions import suspension_facet_map
+from exactpoly.fileformats import write_hpoly, write_incidence, write_poly
 from exactpoly.geometry import OrthMap
 from exactpoly.graphs import Graph
 from exactpoly.linalg import echelon
-from exactpoly.polytopes import VPolytope, dual_graph, facet_enumeration, is_simple, is_simplicial
+from exactpoly.polytopes import (
+    VPolytope,
+    dual_graph,
+    facet_enumeration,
+    is_simple,
+    is_simplicial,
+    polar,
+)
 from exactpoly.prismatoids import has_dstep_property, make_prismatoid, width
 from exactpoly.rationals import Rat
 
@@ -82,6 +91,25 @@ class TestCensus:
     def test_not_simple_not_simplicial(self, q48_pr):
         assert not is_simple(q48_pr.polytope, q48_pr.hull)
         assert not is_simplicial(q48_pr.polytope, q48_pr.hull)
+
+
+class TestByteIdentity:
+    """sha256 digests of the q48 artifacts, recorded when elimination still
+    ran over Fraction: the integer core must reproduce them byte for byte."""
+
+    HULL_TEXT = "723d730b3c71b042281d78384f0b8818891b0b2cddccea4008d937240313ece1"
+    POLAR_POLY = "9de216e22f13b5c6aa2bab55d848a53e2ba455356a8bc5ef1fb5cd04f994d9d5"
+
+    @staticmethod
+    def digest(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    def test_hull_and_incidence_text(self, q48_hull):
+        text = write_hpoly(q48_hull.hrep) + write_incidence(q48_hull)
+        assert self.digest(text) == self.HULL_TEXT
+
+    def test_polar_poly_text(self, q48, q48_hull):
+        assert self.digest(write_poly(polar(q48, q48_hull))) == self.POLAR_POLY
 
 
 class TestSymmetry:

@@ -19,6 +19,7 @@ from exactpoly.polytopes import (
     vertex_graph,
 )
 from exactpoly.geometry import affine_rank
+from exactpoly.linalg import solve_square
 from exactpoly.rationals import Rat
 from helpers import check_hull_against_oracle, random_polytope
 
@@ -130,6 +131,86 @@ class TestOracleEquivalence:
             check_hull_against_oracle(poly)
             runs += 1
 
+    def test_rational_instances_match_bruteforce(self):
+        # non-integer points: the hull scales them by the lcm of their
+        # denominators, the oracle works on them as they are
+        rng = random.Random(43)
+        runs = 0
+        while runs < 40:
+            dim = rng.randint(2, 4)
+            n = rng.randint(dim + 1, 9)
+            pts = set()
+            while len(pts) < n:
+                pts.add(tuple(Rat(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)))
+            poly = VPolytope(tuple(sorted(pts)))
+            if affine_rank(poly.vertices) != dim:
+                continue
+            check_hull_against_oracle(poly)
+            runs += 1
+
+
+def _no_floats(obj):
+    if isinstance(obj, float):
+        return False
+    if isinstance(obj, (tuple, list)):
+        return all(_no_floats(x) for x in obj)
+    return True
+
+
+def _hrep_values(hull):
+    return [q.coeffs + (q.offset,) for q in hull.hrep.inequalities + hull.hrep.equalities]
+
+
+class TestIntegerTypedInput:
+    """Points typed as plain `int` never turn into floats on the way through."""
+
+    def test_full_dimensional(self):
+        pts = ((0, 0, 0), (4, 0, 0), (0, 3, 0), (0, 0, 5), (3, 3, 3))
+        poly = VPolytope(pts)
+        hull = facet_enumeration(poly)
+        assert _no_floats(_hrep_values(hull))
+        assert certify_vertices(poly, hull) is poly
+        pol = polar(poly)
+        assert _no_floats(pol.vertices)
+        assert all(type(v) is Rat for p in pol.vertices for v in p)
+        hull_pol = facet_enumeration(pol)
+        assert hull_pol.incidence.n_facets == len(pts)
+        assert _no_floats(_hrep_values(hull_pol))
+
+    def test_lower_dimensional_needs_a_chart(self):
+        # a quadrilateral in the plane x + y + z = 6 of 3-space
+        pts = ((6, 0, 0), (0, 6, 0), (0, 0, 6), (4, 4, -2))
+        poly = VPolytope(pts)
+        hull = facet_enumeration(poly)
+        assert hull.dim == 2
+        assert [e.key for e in hull.hrep.equalities] == [(1, 1, 1, 6)]
+        assert hull.incidence.n_facets == 4
+        assert _no_floats(_hrep_values(hull))
+        assert certify_vertices(poly, hull) is poly
+
+    def test_solve_square_on_ints(self):
+        x = solve_square([[2, 1], [1, 3]], [1, 2])
+        assert x == [Rat(1, 5), Rat(3, 5)]
+        assert all(type(v) is Rat for v in x)
+
+
+class TestRationalChart:
+    def test_rational_polygon_lifted_to_a_plane(self):
+        # the copy at x3 = 1/3 of a rational polygon has the polygon's
+        # incidence and its facets extended by a zero coefficient
+        polygon = VPolytope((pt(0, 0), pt(Rat(7, 2), 0), pt(Rat(9, 2), Rat(5, 3)),
+                             pt(2, Rat(11, 3)), pt(Rat(-1, 4), Rat(3, 2))))
+        flat = VPolytope(tuple(p + (Rat(1, 3),) for p in polygon.vertices))
+        hull2 = facet_enumeration(polygon)
+        hull3 = facet_enumeration(flat)
+        assert hull3.dim == 2
+        assert [e.key for e in hull3.hrep.equalities] == [(0, 0, 3, 1)]
+        assert hull3.incidence.facet_masks == hull2.incidence.facet_masks
+        assert [q.key for q in hull3.hrep.inequalities] == [
+            q.key[:2] + (0,) + q.key[2:] for q in hull2.hrep.inequalities
+        ]
+        certify_vertices(flat, hull3)
+
 
 class TestCertifyVertices:
     def test_center_of_square_rejected(self):
@@ -229,7 +310,7 @@ class TestPolar:
         # match polar facets to cube vertices by normals
         scale = {}
         for fp, q in enumerate(hull_p.hrep.inequalities):
-            target = tuple(a / q.offset for a in q.coeffs)
+            target = tuple(Rat(a, q.offset) for a in q.coeffs)
             scale[fp] = c.vertices.index(target)
         for fp, vc in scale.items():
             for vp in range(p.n_vertices):
