@@ -11,10 +11,11 @@ import random
 from dataclasses import dataclass
 from typing import Callable, Optional
 
-from .geometry import dot, smul, vadd, vsub
+from .geometry import DegenerateInput, dot, smul, vadd, vsub
 from .graphs import Graph
 from .polytopes import (
     Hull,
+    HullBuilder,
     VPolytope,
     bits,
     certify_vertices,
@@ -27,6 +28,11 @@ from .prismatoids import Prismatoid, make_prismatoid, width
 from .rationals import Rat, ZERO
 
 MAX_HALVINGS = 64
+
+# the checks a moved apex must pass in `strong_dstep_step`, in order
+REJECTION_CAUSES = (
+    "not a vertex", "base facet missing", "not a prismatoid", "width not increased"
+)
 
 
 class ConstructionFailed(RuntimeError):
@@ -200,8 +206,40 @@ def push_vertex_with_hull(
 ):
     if not 0 <= v < poly.n_vertices:
         raise ValueError(f"vertex index {v} out of range")
+    return _push(
+        poly, v, _fixed_builder(poly, v), target_region, seed, point, genericity,
+        max_halvings, old_hull,
+    )
+
+
+def _fixed_builder(poly: VPolytope, v: int) -> Optional[HullBuilder]:
+    """The hull builder of every vertex but v, or None when those vertices
+    are not full-dimensional."""
+    pts = list(poly.vertices)
+    pts[v] = None
+    try:
+        return HullBuilder(pts)
+    except DegenerateInput:
+        return None
+
+
+def _moved(poly: VPolytope, v: int, point, fixed: Optional[HullBuilder]):
+    """(poly with vertex v at `point`, its verified hull): one insertion into
+    a copy of `fixed`, or a facet enumeration when there is no builder."""
+    verts = list(poly.vertices)
+    verts[v] = point
+    new_poly = VPolytope(tuple(verts), poly.labels)
+    if fixed is None:
+        return new_poly, facet_enumeration(new_poly)
+    builder = fixed.copy()
+    builder.insert(v, point)
+    return new_poly, builder.hull()
+
+
+def _push(poly, v, fixed, target_region, seed, point, genericity, max_halvings, old_hull):
+    """`push_vertex_with_hull` over the builder `fixed` of every vertex but v."""
     if old_hull is None:
-        old_hull = facet_enumeration(poly)
+        _, old_hull = _moved(poly, v, poly.vertices[v], fixed)
     region = tuple(target_region) if target_region is not None else tuple(
         range(poly.n_vertices)
     )
@@ -222,11 +260,8 @@ def push_vertex_with_hull(
         if cand in poly.vertices:
             last_error = "candidate coincides with a vertex"
             continue
-        verts = list(poly.vertices)
-        verts[v] = cand
-        new_poly = VPolytope(tuple(verts), poly.labels)
         try:
-            new_hull = facet_enumeration(new_poly)
+            new_poly, new_hull = _moved(poly, v, cand, fixed)
             certify_vertices(new_poly, new_hull)
         except ValueError:
             last_error = "pushed point is not a vertex"
@@ -320,7 +355,10 @@ def strong_dstep_step(
     expected_plus_mask = bits(new_plus)
     expected_minus_mask = bits(new_minus)
 
-    def move_apex(poly, apex, redraws=4):
+    # why move_apex rejected its candidates, over the whole search
+    rejected = dict.fromkeys(REJECTION_CAUSES, 0)
+
+    def move_apex(poly, apex, fixed, redraws=4):
         # pull the apex out of the base hyperplane, parallel to the bases,
         # halving the step until the prismatoid verifies with larger width
         for _ in range(redraws):
@@ -332,25 +370,26 @@ def strong_dstep_step(
             for _ in range(max_halvings + 1):
                 moved = vadd(poly.vertices[apex], smul(scale, direction))
                 scale *= half
-                verts = list(poly.vertices)
-                verts[apex] = moved
-                cand = VPolytope(tuple(verts), poly.labels)
                 try:
-                    hull_c = facet_enumeration(cand)
+                    cand, hull_c = _moved(poly, apex, moved, fixed)
                     certify_vertices(cand, hull_c)
                 except ValueError:
+                    rejected["not a vertex"] += 1
                     continue
                 masks = hull_c.incidence.facet_masks
                 if expected_plus_mask not in masks or expected_minus_mask not in masks:
+                    rejected["base facet missing"] += 1
                     continue
                 bp = masks.index(expected_plus_mask)
                 bm = masks.index(expected_minus_mask)
                 try:
                     new_pr = make_prismatoid(cand, hull_c, bp, bm)
                 except ValueError:
+                    rejected["not a prismatoid"] += 1
                     continue
                 new_width = width(new_pr)
                 if new_width < old_width + 1:
+                    rejected["width not increased"] += 1
                     continue
                 rec = StepRecord(new_pr.dim, new_pr.n_vertices, new_pr.n_facets, new_width)
                 return new_pr, rec
@@ -358,21 +397,26 @@ def strong_dstep_step(
 
     # the apex-genericity condition of the inductive proof is a means to the
     # width gain; the final gate is always the verified width increase, so a
-    # failed genericity push falls back to a plain push or the raw apex
+    # failed genericity push falls back to a plain push or the raw apex.  The
+    # push and the apex move change only the apex, so one builder of the
+    # other vertices serves both.
     apex_order = list(new_plus)
     rng.shuffle(apex_order)
     for apex in apex_order:
+        fixed = _fixed_builder(S, apex)
         cond = apex_condition(apex)
         attempts = [(S, hull_S)] if cond(S, hull_S, apex) else []
         if not attempts:
             for strictness in (cond, None):
                 try:
                     attempts.append(
-                        push_vertex_with_hull(
+                        _push(
                             S,
                             apex,
+                            fixed,
                             target_region=new_plus,
                             seed=rng.randrange(1 << 30),
+                            point=None,
                             genericity=strictness,
                             max_halvings=max_halvings,
                             old_hull=hull_S,
@@ -383,10 +427,13 @@ def strong_dstep_step(
                     continue
             else:
                 attempts.append((S, hull_S))
-        result = move_apex(attempts[0][0], apex)
+        result = move_apex(attempts[0][0], apex, fixed)
         if result is not None:
             return result
-    raise ConstructionFailed("perturbation search exhausted")
+    raise ConstructionFailed(
+        f"perturbation search exhausted after {sum(rejected.values())} candidates: "
+        + ", ".join(f"{cause} {rejected[cause]}" for cause in REJECTION_CAUSES)
+    )
 
 
 def strong_dstep_iterate(pr: Prismatoid, max_steps: int, seed: int = 0):

@@ -1,12 +1,13 @@
 """Exact linear algebra by fraction-free (Bareiss) elimination over `int`.
 
-Each input row is first scaled by the lcm of its denominators, which leaves
-the rank, the pivot columns and the kernel unchanged.  Elimination then stays
-in Python `int`: Bareiss's update (Bareiss 1968, "Sylvester's identity and
-multistep integer-preserving Gaussian elimination") divides exactly by the
-previous pivot, so no rational ever forms and entries stay minors of the
-input.  Kernel vectors come out as integer vectors by back-substitution, and
-`solve_square` forms its rational solution from one of them with `Rat(a, b)`.
+Each rational input row is first scaled by the lcm of its denominators,
+which leaves the rank, the pivot columns and the kernel unchanged; a row of
+`int`s is only copied.  Elimination then stays in Python `int`: Bareiss's
+update (Bareiss 1968, "Sylvester's identity and multistep integer-preserving
+Gaussian elimination") divides exactly by the previous pivot, so no rational
+ever forms and entries stay minors of the input.  Kernel vectors come out
+as integer vectors by back-substitution, and `solve_square` forms its
+rational solution from one of them with `Rat(a, b)`.
 
 Pivoting rule everywhere: first nonzero entry in column order, scanning rows
 top-down.  Deterministic, so every derived quantity (ranks, hyperplanes,
@@ -20,12 +21,14 @@ from .rationals import Rat, clear_denominators
 def echelon(rows):
     """Reduce `rows` in place to a fraction-free row-echelon form of ints.
 
-    Every row is first replaced by its integer scaling.  Returns the list of
-    pivot column indices.  The pivot of the last pivot row is the determinant
-    of the pivot minor (rows in their final order, pivot columns).
+    Every row is first replaced by an integer copy: a row of `int`s as it
+    is, any other scaled by the lcm of its denominators, so the caller's row
+    objects are never mutated.  Returns the list of pivot column indices.
+    The pivot of the last pivot row is the determinant of the pivot minor
+    (rows in their final order, pivot columns).
     """
     for i, row in enumerate(rows):
-        rows[i] = clear_denominators(row)
+        rows[i] = list(row) if all(type(v) is int for v in row) else clear_denominators(row)
     n_rows = len(rows)
     pivots = []
     prev = 1

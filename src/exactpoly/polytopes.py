@@ -2,22 +2,29 @@
 combinatorics: dual and vertex graphs, simplicity tests, polar duality, faces
 by linear functional.
 
-The enumerator is an incremental beneath-beyond hull in exact integer
+The enumerator is `HullBuilder`, an incremental hull in exact integer
 arithmetic.  Non-full-dimensional input is first mapped to rational chart
 coordinates inside the affine hull, whose equality constraints are reported
-separately.  The (charted) points are then scaled once to integers by the lcm
-of their denominators, and everything inside the hull stays in `int`: facets
-as primitive (coeffs, offset) vectors, slacks, ridge ranks, new hyperplanes
-and the final self-verification pass (every point against every facet,
-incidence, facet rank).  Points are inserted in input order after a starting
-simplex is chosen greedily; degenerate insertions (point on existing facet
-hyperplanes) extend those facets' incidence instead of creating duplicates.
-Only at the end is each facet mapped back to a canonical inequality at the
-input's scale.  Output facets are sorted by canonical coefficients, so every
-run is bit-reproducible.
+separately.  Each point is kept in homogeneous integer form: its numerators
+over its own positive denominator.  A facet is a primitive integer
+(coeffs, offset) at the input's scale, with the mask of its tight points.
+Points are inserted in input order after a starting simplex is chosen
+greedily, each by one double-description step (Fukuda & Prodon 1996,
+"Double description method revisited"): two facets meet in a ridge iff no
+third facet holds all their common points, and the new facet through a
+horizon ridge is a positive integer combination of the two facets there, so
+no elimination runs inside the loop.  A point on existing facet hyperplanes
+extends those facets' incidence.  The builder copies cheaply, so the
+perturbation searches build the hull of their fixed points once and insert
+one moved point per candidate.  Every hull that is returned has passed the
+full self-verification pass: no repeated facet, every point against every
+facet with exact incidence, and the rank of every facet's tight points.
+Output facets are sorted by canonical coefficients, so every run is
+bit-reproducible.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple, Optional
@@ -31,12 +38,11 @@ from .geometry import (
     dot,
     hyperplane_through,
     canonical_hyperplane,
-    integer_points,
     vsub,
 )
 from .graphs import Graph
 from .linalg import echelon, matrix_rank, nullspace, solve_square
-from .rationals import Rat, ZERO, format_rat
+from .rationals import Rat, ZERO, common_denominator, format_rat
 
 
 class DuplicatePoints(DegenerateInput):
@@ -177,6 +183,7 @@ class _Chart:
         self.dim = len(self.basis) - 1
         d = len(self.base_point)
         self.full = self.dim == d
+        self.equalities = ()
         if self.full:
             return
         dirs = [vsub(points[i], self.base_point) for i in self.basis[1:]]
@@ -212,104 +219,152 @@ class _Chart:
         return Inequality(tuple(coeffs), offset).canonical()
 
 
-class _Facet:
-    """A facet in the integer scale of the hull: coeffs . x <= offset with
-    primitive int entries, and the mask of its tight points."""
-
-    __slots__ = ("coeffs", "offset", "mask")
-
-    def __init__(self, ineq, mask):
-        self.coeffs = ineq.coeffs
-        self.offset = ineq.offset
-        self.mask = mask
+def _homogeneous(p):
+    """(w, w p_1, ..., w p_k) in `int`, w the lcm of the denominators of p."""
+    w = common_denominator(p)
+    return (w,) + tuple(v.numerator * (w // v.denominator) for v in p)
 
 
-def _oriented(ineq: Inequality, inside, weight) -> Inequality:
-    """`ineq` or its negation, whichever has `inside / weight` strictly on
-    its feasible side."""
-    s = ineq.offset * weight - dot(ineq.coeffs, inside)
-    if s == 0:
-        raise DegenerateInput("reference point on candidate facet hyperplane")
-    return ineq if s > 0 else ineq.negated()
+def _primitive(row):
+    g = math.gcd(*row)
+    return row if g == 1 else tuple(v // g for v in row)
 
 
-def _hull_full_dim(points, simplex):
-    """Facets of the hull of full-dimensional integer points, as (primitive
-    int Inequality, tight mask) pairs; `simplex` indexes an affine basis.
+class HullBuilder:
+    """Incremental hull of full-dimensional points, one double-description
+    step per inserted point.
 
-    Everything here is `int` arithmetic: slacks, ridge ranks, new
-    hyperplanes and the verification pass."""
-    n = len(points)
-    k = len(simplex) - 1
-    # the vertex sum of the starting simplex is k + 1 times an interior point
-    inside = tuple(sum(points[i][j] for i in simplex) for j in range(k))
+    Slot i holds point i in homogeneous integer form q = (w, w p) with w > 0,
+    or None until `insert(i, p)` fills it; bit i of a facet mask means point i
+    is tight.  A facet `a . x <= b` is kept as the primitive integer row
+    h = (b, -a), so h . q is w times the slack of p: each point keeps its own
+    denominator, and a point with new denominators inserts without rescaling
+    the rest.  `copy()` is cheap, so a search can build the hull of its fixed
+    points once and insert one moved point per candidate.
+    """
 
-    facets = {}
-    for drop in simplex:
-        rest = [i for i in simplex if i != drop]
-        h = _oriented(hyperplane_through([points[i] for i in rest]), inside, k + 1)
-        facets[h.key] = _Facet(h, bits(rest))
+    __slots__ = ("dim", "points", "rows", "masks")
 
-    processed = list(simplex)
-    in_simplex = set(simplex)
-    for i in range(n):
-        if i in in_simplex:
-            continue
-        p = points[i]
-        above = []
-        kept = {}
-        for key, f in facets.items():
-            s = f.offset - sum(map(mul, f.coeffs, p))
+    def __init__(self, points, basis=None):
+        """Hull of the non-None `points`, started from the simplex on the
+        indices `basis` (default: a greedy affine basis) and then inserted in
+        index order.  Raises DegenerateInput when they are not
+        full-dimensional."""
+        self.points = [None if p is None else _homogeneous(p) for p in points]
+        present = [i for i, p in enumerate(points) if p is not None]
+        if not present:
+            raise DegenerateInput("a hull needs points")
+        if basis is None:
+            basis = [present[j] for j in _affine_basis([points[i] for i in present])]
+        k = len(basis) - 1
+        if k != len(points[present[0]]):
+            raise DegenerateInput("hull points are not full-dimensional")
+        self.dim = k
+        self.rows = []
+        self.masks = []
+        for drop in basis:
+            rest = [i for i in basis if i != drop]
+            (h,) = nullspace([self.points[i] for i in rest])
+            if sum(map(mul, h, self.points[drop])) < 0:
+                h = tuple(-v for v in h)
+            self.rows.append(_primitive(h))
+            self.masks.append(bits(rest))
+        in_basis = set(basis)
+        for i in present:
+            if i not in in_basis:
+                self._add(i)
+
+    def copy(self) -> "HullBuilder":
+        twin = HullBuilder.__new__(HullBuilder)
+        twin.dim = self.dim
+        twin.points = list(self.points)
+        twin.rows = list(self.rows)
+        twin.masks = list(self.masks)
+        return twin
+
+    def insert(self, i: int, point) -> None:
+        """Fill the empty slot i with `point` and update the facets."""
+        if len(point) != self.dim:
+            raise DimensionMismatch(f"point of dimension {len(point)}, hull of {self.dim}")
+        if self.points[i] is not None:
+            raise ValueError(f"hull slot {i} is already filled")
+        self.points[i] = _homogeneous(point)
+        self._add(i)
+
+    def _add(self, i):
+        """The double-description step for the point in slot i.
+
+        A facet with negative slack is visible and goes; one with zero slack
+        extends to the point.  A visible facet fa and a facet fk with positive
+        slack share a ridge iff no third facet holds all their common points
+        (Fukuda & Prodon 1996, "Double description method revisited"); the
+        new facet through that ridge and the point is s_k fa - s_a fk, a
+        positive combination, so it is oriented, and its tight points are the
+        common ones plus the point."""
+        q = self.points[i]
+        bit = 1 << i
+        rows, masks = self.rows, self.masks
+        visible, beyond = [], []
+        for f, h in enumerate(rows):
+            s = sum(map(mul, h, q))
             if s < 0:
-                above.append(f)
+                visible.append((f, s))
+            elif s > 0:
+                beyond.append((f, s))
             else:
+                masks[f] |= bit
+        if not visible:
+            return
+        k = self.dim
+        new_rows, new_masks = [], []
+        for a, sa in visible:
+            ha, ma = rows[a], masks[a]
+            for b, sb in beyond:
+                common = ma & masks[b]
+                if common.bit_count() < k - 1:
+                    continue
+                if sum(m & common == common for m in masks) > 2:
+                    continue
+                new_rows.append(_primitive(tuple(sb * x - sa * y for x, y in zip(ha, rows[b]))))
+                new_masks.append(common | bit)
+        gone = {a for a, _ in visible}
+        self.rows = [h for f, h in enumerate(rows) if f not in gone] + new_rows
+        self.masks = [m for f, m in enumerate(masks) if f not in gone] + new_masks
+
+    def hull(self, chart: Optional[_Chart] = None) -> Hull:
+        """The hull, after the full verification pass: no repeated facet,
+        every point inside every facet with exactly the recorded incidence,
+        and the tight points of every facet spanning a hyperplane.  `chart`
+        lifts the facets out of chart coordinates (default: the points are
+        the polytope's own)."""
+        pts = self.points
+        if None in pts:
+            raise ValueError(f"hull slot {pts.index(None)} is empty")
+        _check_duplicates(pts)
+        if len(set(self.rows)) != len(self.rows):
+            raise DegenerateInput("hull verification failed: repeated facet")
+        facets = []
+        for h, fmask in zip(self.rows, self.masks):
+            tight = 0
+            for i, q in enumerate(pts):
+                s = sum(map(mul, h, q))
+                if s < 0:
+                    raise DegenerateInput("hull verification failed: point outside facet")
                 if s == 0:
-                    f.mask |= 1 << i
-                kept[key] = f
-        if above:
-            new = {}
-            for fa in above:
-                amask = fa.mask
-                for key, fk in kept.items():
-                    common = amask & fk.mask
-                    if common.bit_count() < k - 1:
-                        continue
-                    cpts = [points[j] for j in iter_bits(common)]
-                    if k > 2 and affine_rank(cpts) != k - 2:
-                        continue
-                    h = _oriented(hyperplane_through(cpts + [p]), inside, k + 1)
-                    hkey = h.key
-                    if hkey in kept or hkey in new:
-                        continue
-                    c, off = h.coeffs, h.offset
-                    mask = 1 << i
-                    for j in processed:
-                        if off == sum(map(mul, c, points[j])):
-                            mask |= 1 << j
-                    new[hkey] = _Facet(h, mask)
-            kept.update(new)
-            facets = kept
-        processed.append(i)
-
-    # full verification: every point inside every facet, every facet spans a
-    # hyperplane of tight points
-    for f in facets.values():
-        c, off, fmask = f.coeffs, f.offset, f.mask
-        for i, p in enumerate(points):
-            s = off - sum(map(mul, c, p))
-            if s < 0:
-                raise DegenerateInput("hull verification failed: point outside facet")
-            if (s == 0) != bool(fmask >> i & 1):
+                    tight |= 1 << i
+            if tight != fmask:
                 raise DegenerateInput("hull verification failed: incidence mismatch")
-        tight = [points[j] for j in iter_bits(fmask)]
-        if len(tight) < k or affine_rank(tight) != k - 1:
-            raise DegenerateInput("hull verification failed: facet rank")
-    return [(Inequality(f.coeffs, f.offset), f.mask) for f in facets.values()]
-
-
-def _unscaled(h: Inequality, scale) -> Inequality:
-    """A facet of points scaled by `scale`, as one of the points themselves."""
-    return h if scale == 1 else Inequality(h.coeffs, Rat(h.offset, scale))
+            if matrix_rank([pts[j] for j in iter_bits(fmask)]) != self.dim:
+                raise DegenerateInput("hull verification failed: facet rank")
+            ineq = Inequality(tuple(-v for v in h[1:]), h[0])
+            facets.append((ineq if chart is None else chart.lift_ineq(ineq), fmask))
+        facets.sort(key=lambda t: t[0].key)
+        hrep = HPolytope(
+            ambient_dim=self.dim if chart is None else len(chart.base_point),
+            inequalities=tuple(t[0] for t in facets),
+            equalities=() if chart is None else chart.equalities,
+        )
+        return Hull(hrep, FacetIncidence([t[1] for t in facets], len(pts)), self.dim)
 
 
 def facet_enumeration(poly: VPolytope) -> Hull:
@@ -318,29 +373,14 @@ def facet_enumeration(poly: VPolytope) -> Hull:
     Facets are canonical inequalities sorted lexicographically by
     coefficients; for non-full-dimensional input the affine hull's equality
     constraints are reported in `hrep.equalities` and facets cut within it.
-    The charted points are scaled once to integers by the lcm of their
-    denominators; the facets come back to the input's scale at the end.
+    This is `HullBuilder` run over the charted points in input order.
     """
     pts = poly.vertices
     _check_duplicates(pts)
     chart = _Chart(pts)
     if chart.dim < 1:
         raise DegenerateInput("affine rank < 1: a single point has no facets")
-    scaled, scale = integer_points([chart.to_chart(p) for p in pts])
-    lifted = sorted(
-        (
-            (chart.lift_ineq(_unscaled(h, scale)), mask)
-            for h, mask in _hull_full_dim(scaled, chart.basis)
-        ),
-        key=lambda t: t[0].key,
-    )
-    hrep = HPolytope(
-        ambient_dim=poly.ambient_dim,
-        inequalities=tuple(t[0] for t in lifted),
-        equalities=() if chart.full else chart.equalities,
-    )
-    inc = FacetIncidence([t[1] for t in lifted], poly.n_vertices)
-    return Hull(hrep, inc, chart.dim)
+    return HullBuilder([chart.to_chart(p) for p in pts], chart.basis).hull(chart)
 
 
 def facet_enumeration_bruteforce(poly: VPolytope) -> tuple:
@@ -400,20 +440,29 @@ def extreme_indices(poly: VPolytope, hull: Hull):
 
 
 def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
-    """Facets sharing a ridge: common tight points of affine rank dim - 2."""
+    """Facets sharing a ridge: a and b are adjacent iff the facets holding
+    all their common points are exactly a and b (the combinatorial test of
+    the double description method, read through the transposed incidence)."""
     k = hull.dim
     inc = hull.incidence
     m = inc.n_facets
-    pts, _ = integer_points(poly.vertices)
-    edges = []
     masks = inc.facet_masks
+    vmasks = inc.vertex_masks
+    edges = []
     for a in range(m):
         ma = masks[a]
         for b in range(a + 1, m):
             common = ma & masks[b]
             if common.bit_count() < k - 1:
                 continue
-            if k == 2 or affine_rank([pts[i] for i in iter_bits(common)]) == k - 2:
+            pair = 1 << a | 1 << b
+            # with no common points (a segment) every facet holds them all
+            face = (1 << m) - 1
+            for j in iter_bits(common):
+                face &= vmasks[j]
+                if face == pair:
+                    break
+            if face == pair:
                 edges.append((a, b))
     return Graph(m, edges)
 

@@ -1,8 +1,10 @@
 """Shared generators and property drivers for the randomized suites."""
 import random
 from fractions import Fraction
+from itertools import combinations
 
 from exactpoly.constructions import suspension_facet_map
+from exactpoly.geometry import affine_rank
 from exactpoly.polytopes import (
     VPolytope,
     certify_vertices,
@@ -10,6 +12,7 @@ from exactpoly.polytopes import (
     extreme_indices,
     facet_enumeration,
     facet_enumeration_bruteforce,
+    iter_bits,
 )
 from exactpoly.prismatoids import make_prismatoid
 from exactpoly.rationals import Rat
@@ -67,6 +70,20 @@ def check_hull_against_oracle(poly):
     got = tuple(q.key for q in hull.hrep.inequalities)
     want = tuple(q.key for q in oracle)
     assert got == want, f"hull/oracle mismatch: {got} vs {want}"
+
+
+def reference_dual_graph_edges(poly, hull):
+    """Facet pairs whose common points span a ridge, by elimination: affine
+    rank dim - 2, where no points at all have rank -1 (the two endpoints of a
+    segment meet in the empty face)."""
+    k = hull.dim
+    masks = hull.incidence.facet_masks
+    edges = []
+    for a, b in combinations(range(len(masks)), 2):
+        common = [poly.vertices[j] for j in iter_bits(masks[a] & masks[b])]
+        if (affine_rank(common) if common else -1) == k - 2:
+            edges.append((a, b))
+    return tuple(edges)
 
 
 def check_suspension_distances(poly, hull, v):

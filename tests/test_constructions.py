@@ -1,8 +1,10 @@
 import random
+import re
 
 import pytest
 
 from exactpoly.constructions import (
+    REJECTION_CAUSES,
     BlendGraph,
     ConstructionFailed,
     PushFailed,
@@ -189,6 +191,21 @@ class TestStrongDStep:
         assert (rec.dim, rec.n_vertices) == (4, 9)
         assert rec.width >= 3
         assert new_pr.asimpliciality == pr.asimpliciality - 1
+
+    def test_exhausted_search_counts_rejections(self):
+        # no candidate can reach width 100: every apex move is rejected, and
+        # the message accounts for each one by cause
+        pr = cube_prismatoid()
+        with pytest.raises(ConstructionFailed) as exc:
+            strong_dstep_step(pr, seed=3, max_halvings=1, known_width=100)
+        msg = str(exc.value)
+        m = re.fullmatch(r"perturbation search exhausted after (\d+) candidates: (.*)", msg)
+        assert m, msg
+        counts = dict(re.fullmatch(r"(.*) (\d+)", part).groups() for part in m[2].split(", "))
+        assert tuple(counts) == REJECTION_CAUSES
+        # 4 apexes, 4 redraws each, 2 step lengths per redraw
+        assert int(m[1]) == sum(map(int, counts.values())) == 4 * 4 * 2
+        assert int(counts["width not increased"]) > 0
 
     def test_simplex_bases_rejected(self):
         with pytest.raises(ConstructionFailed):

@@ -104,3 +104,20 @@ def test_solve_square_matches_reference(system):
     got = solve_square(rows, rhs)
     assert got == want
     assert all(type(v) is Fraction for v in got)
+
+
+@settings(max_examples=200, deadline=None)
+@given(matrices(entry=st.one_of(SMALL, HUGE)), matrices())
+def test_caller_rows_never_mutated(int_rows, mixed_rows):
+    # all-int rows are copied, not rescaled; rational rows are scaled into
+    # new lists: in both cases the caller's row objects keep their values
+    for rows in (int_rows, mixed_rows):
+        originals = [list(r) for r in rows]
+        objects = list(rows)
+        work = list(rows)
+        echelon(work)
+        matrix_rank(rows)
+        nullspace(rows)
+        assert all(a is b for a, b in zip(rows, objects))
+        assert [list(r) for r in rows] == originals
+        assert all(w is not r for w in work for r in objects)
