@@ -19,7 +19,6 @@ from .polytopes import (
     VPolytope,
     bits,
     certify_vertices,
-    dual_graph,
     facet_enumeration,
     iter_bits,
     vertex_graph,
@@ -49,35 +48,21 @@ class PushFailed(ConstructionFailed):
 
 def one_point_suspension(poly: VPolytope, v: int) -> VPolytope:
     """Replace vertex v by two new vertices u = (v, 1) and w = (v, -1) one
-    dimension up, embedding the polytope at last coordinate 0."""
-    S, _, _, _ = one_point_suspension_indexed(poly, v)
-    return S
+    dimension up, embedding the polytope at last coordinate 0.
 
-
-def one_point_suspension_indexed(poly: VPolytope, v: int):
-    """Suspension plus bookkeeping: (polytope, old->new index map, u, w)."""
+    Index layout: old vertex i != v becomes vertex i - (i > v), and u and w
+    are the last two vertices.
+    """
     if not 0 <= v < poly.n_vertices:
         raise ValueError(f"vertex index {v} out of range")
-    zero, one = ZERO, Rat(1)
-    verts = []
-    idx_map = {}
-    labels = [] if poly.labels else None
-    for i, p in enumerate(poly.vertices):
-        if i == v:
-            continue
-        idx_map[i] = len(verts)
-        verts.append(p + (zero,))
-        if labels is not None:
-            labels.append(poly.labels[i])
-    u_idx, w_idx = len(verts), len(verts) + 1
+    rest = [i for i in range(poly.n_vertices) if i != v]
     vp = poly.vertices[v]
-    verts.append(vp + (one,))
-    verts.append(vp + (-one,))
-    if labels is not None:
+    verts = [poly.vertices[i] + (ZERO,) for i in rest] + [vp + (Rat(1),), vp + (Rat(-1),)]
+    labels = None
+    if poly.labels:
         lbl = poly.labels[v]
-        labels.extend([f"u({lbl})", f"w({lbl})"])
-    S = VPolytope(tuple(verts), tuple(labels) if labels is not None else None)
-    return S, idx_map, u_idx, w_idx
+        labels = tuple(poly.labels[i] for i in rest) + (f"u({lbl})", f"w({lbl})")
+    return VPolytope(tuple(verts), labels)
 
 
 def suspension_facet_map(poly: VPolytope, hull: Hull, v: int):
@@ -88,56 +73,23 @@ def suspension_facet_map(poly: VPolytope, hull: Hull, v: int):
     (S, hull_S, mapping) where mapping[new_facet_mask] = (old_facet, kind)
     with kind in {"s", "u", "w"}; raises if the enumerated facets differ.
     """
-    S, idx_map, u_idx, w_idx = one_point_suspension_indexed(poly, v)
+    S = one_point_suspension(poly, v)
+    u_bit, w_bit = 1 << (S.n_vertices - 2), 1 << (S.n_vertices - 1)
     expected = {}
     inc = hull.incidence
     for f in range(inc.n_facets):
         m = inc.facet_masks[f]
+        new = bits(j - (j > v) for j in iter_bits(m) if j != v)
         if m >> v & 1:
-            new = bits(idx_map[j] for j in iter_bits(m) if j != v)
-            expected[new | 1 << u_idx | 1 << w_idx] = (f, "s")
+            expected[new | u_bit | w_bit] = (f, "s")
         else:
-            new = bits(idx_map[j] for j in iter_bits(m))
-            expected[new | 1 << u_idx] = (f, "u")
-            expected[new | 1 << w_idx] = (f, "w")
+            expected[new | u_bit] = (f, "u")
+            expected[new | w_bit] = (f, "w")
     hull_S = facet_enumeration(S)
     got = set(hull_S.incidence.facet_masks)
     if got != set(expected):
         raise ConstructionFailed("suspension facets do not match the expected pattern")
-    return S, hull_S, expected, idx_map, u_idx, w_idx
-
-
-def ops_distance_check(
-    poly: VPolytope,
-    v: int,
-    f1: int,
-    f2: int,
-    hull: Optional[Hull] = None,
-    lifts: tuple = ("u", "u"),
-) -> bool:
-    """Dual distance between lifted facets is >= the distance downstairs.
-
-    The lift of a facet through v is its suspension; otherwise the pyramid
-    with apex u or w as requested.  Always true; exposed as a property check.
-    """
-    if hull is None:
-        hull = facet_enumeration(poly)
-    S, hull_S, expected, idx_map, u_idx, w_idx = suspension_facet_map(poly, hull, v)
-    lifted = {}
-    for mask, (f, kind) in expected.items():
-        lifted[(f, kind)] = mask
-    mask_to_new = {m: i for i, m in enumerate(hull_S.incidence.facet_masks)}
-
-    def lift(f, choice):
-        if (f, "s") in lifted:
-            return mask_to_new[lifted[(f, "s")]]
-        return mask_to_new[lifted[(f, choice)]]
-
-    g_old = dual_graph(poly, hull)
-    g_new = dual_graph(S, hull_S)
-    d_old = g_old.distance(f1, f2)
-    d_new = g_new.distance(lift(f1, lifts[0]), lift(f2, lifts[1]))
-    return d_new >= d_old
+    return S, hull_S, expected
 
 
 # ---------------------------------------------------------------------------
@@ -328,9 +280,10 @@ def strong_dstep_step(
     # suspend over the base-minus vertex lying on the fewest facets
     vmasks = pr.hull.incidence.vertex_masks
     v = min(minus_set, key=lambda i: (vmasks[i].bit_count(), i))
-    S, idx_map, u_idx, w_idx = one_point_suspension_indexed(pr.polytope, v)
-    new_plus = sorted(idx_map[i] for i in plus_set)
-    new_minus = sorted(idx_map[i] for i in minus_set if i != v) + [u_idx, w_idx]
+    S = one_point_suspension(pr.polytope, v)
+    u_idx, w_idx = S.n_vertices - 2, S.n_vertices - 1
+    new_plus = sorted(i - (i > v) for i in plus_set)
+    new_minus = sorted(i - (i > v) for i in minus_set if i != v) + [u_idx, w_idx]
     hull_S = facet_enumeration(S)
     plus_mask = bits(new_plus)
     pyramid_masks = {plus_mask | 1 << u_idx, plus_mask | 1 << w_idx}

@@ -4,23 +4,43 @@ This module embeds the vertex coordinates, the 22 representative facet
 inequality families (expanded by sign patterns to all 322 facets), the
 symmetry groups of order 32 and 64, and the verification suite showing that
 the polytope is a prismatoid of width 6 — i.e. without the d-step property —
-whose polar is a 5-spindle of length 6.
+whose polar is a 5-spindle of length 6 and whose bases have a Minkowski sum
+without the pair d-step property.
+
+`Certificate` derives each artifact the suite shares (hull, labels, dual
+graph, groups, facet permutations and orbits, base hulls, base Minkowski
+sum) once, on first use; every `check_*` section takes it, and the section
+runner turns a section that raises into one FAIL line.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .geometry import Inequality, OrthMap, affine_rank, integer_points, smul, vadd, vsub
 from .graphs import Graph
+from .normalfans import (
+    cone_contains_strictly,
+    direction_key,
+    facet_normals,
+    is_combinatorial_cube,
+    minkowski_sum,
+    normal_cone,
+    normal_map_interiority_check,
+    pair_dstep_property,
+    torus_membership_check,
+    transversality_check,
+)
 from .polytopes import (
     Hull,
     VPolytope,
     dual_graph,
     facet_enumeration,
     iter_bits,
+    polar,
 )
-from .prismatoids import Prismatoid, make_prismatoid
+from .prismatoids import is_spindle, make_prismatoid
 from .rationals import Rat, format_rat
 from .report import Report
 
@@ -139,6 +159,21 @@ def base_minus() -> VPolytope:
     )
 
 
+def _signed(coefs):
+    """The 16 sign patterns of `coefs`, in `_SIGNS` order."""
+    return tuple(tuple(Rat(c * s) for c, s in zip(coefs, signs)) for signs in _SIGNS)
+
+
+def gplus_vertices():
+    """The 32 facet normals of the top base, on the torus (26, 5)."""
+    return _signed((5, 1, 2, 1)) + _signed((1, 5, 1, 2))
+
+
+def gminus_vertices():
+    """The 32 facet normals of the bottom base."""
+    return _signed((1, 2, 5, 1)) + _signed((2, 1, 1, 5))
+
+
 @dataclass(frozen=True)
 class FacetLabel:
     letter: str
@@ -188,21 +223,6 @@ def expected_facets():
     if len(out) != EXPECTED_FACET_COUNT:
         raise AssertionError(f"expanded {len(out)} facets, expected {EXPECTED_FACET_COUNT}")
     return out
-
-
-_PRISMATOID_CACHE = {}
-
-
-def width6_prismatoid(refresh: bool = False) -> Prismatoid:
-    """The verified width-6 prismatoid (hull cached per process)."""
-    if refresh or "pr" not in _PRISMATOID_CACHE:
-        poly = vertices48()
-        hull = facet_enumeration(poly)
-        keys = [q.key for q in hull.hrep.inequalities]
-        bp = keys.index((0, 0, 0, 0, 1, 1))
-        bm = keys.index((0, 0, 0, 0, -1, 1))
-        _PRISMATOID_CACHE["pr"] = make_prismatoid(poly, hull, bp, bm)
-    return _PRISMATOID_CACHE["pr"]
 
 
 # ---------------------------------------------------------------------------
@@ -305,9 +325,9 @@ def facet_labels(hull: Hull):
     return tuple(labels)
 
 
-def facet_permutation(m: OrthMap, hull: Hull):
-    """The permutation a symmetry induces on the facet list."""
-    index = {q.key: i for i, q in enumerate(hull.hrep.inequalities)}
+def facet_permutation(m: OrthMap, hull: Hull, index: dict):
+    """The permutation a symmetry induces on the facet list; `index` maps
+    each facet key of `hull` to its position."""
     perm = []
     for q in hull.hrep.inequalities:
         img = m.apply_ineq(q)
@@ -317,10 +337,11 @@ def facet_permutation(m: OrthMap, hull: Hull):
     return tuple(perm)
 
 
-def facet_orbits(group: SymmetryGroup, hull: Hull):
-    """Partition of facet indices under the group, sorted by smallest member."""
-    perms = [facet_permutation(m, hull) for m in group.maps]
-    n = hull.incidence.n_facets
+def facet_orbits(group: SymmetryGroup, facet_perms: dict):
+    """Partition of facet indices under the group, sorted by smallest member;
+    `facet_perms` maps each map key to its facet permutation."""
+    perms = [facet_perms[m.key] for m in group.maps]
+    n = len(perms[0])
     seen = [False] * n
     orbits = []
     for start in range(n):
@@ -362,13 +383,78 @@ def orbit_adjacency_graph(hull: Hull, graph: Graph, orbits):
 # verification checks
 
 
-def _label_index(hull: Hull, labels) -> dict:
-    return {str(lbl): i for i, lbl in enumerate(labels)}
+class Certificate:
+    """The artifacts the verification sections share, each derived once on
+    first use: from `vertices48()`, or from `poly` (for mutation tests)."""
+
+    def __init__(self, poly: Optional[VPolytope] = None):
+        self.poly = vertices48() if poly is None else poly
+
+    @cached_property
+    def hull(self) -> Hull:
+        return facet_enumeration(self.poly)
+
+    @cached_property
+    def labels(self):
+        return facet_labels(self.hull)
+
+    @cached_property
+    def by_label(self) -> dict:
+        """Facet label text -> facet index."""
+        return {str(lbl): i for i, lbl in enumerate(self.labels)}
+
+    @cached_property
+    def pr(self):
+        return make_prismatoid(self.poly, self.hull, self.by_label["A"], self.by_label["L"])
+
+    @cached_property
+    def graph(self) -> Graph:
+        return dual_graph(self.poly, self.hull)
+
+    @cached_property
+    def groups(self):
+        """(full group of order 64, base-preserving subgroup of order 32)."""
+        return symmetry_groups(self.poly)
+
+    @cached_property
+    def facet_perms(self) -> dict:
+        """Map key -> facet permutation, for every element of the full group
+        (the base-preserving maps are among them)."""
+        index = {q.key: i for i, q in enumerate(self.hull.hrep.inequalities)}
+        return {m.key: facet_permutation(m, self.hull, index) for m in self.groups[0].maps}
+
+    @cached_property
+    def orbits(self):
+        return facet_orbits(self.groups[0], self.facet_perms)
+
+    @cached_property
+    def orbits_plus(self):
+        return facet_orbits(self.groups[1], self.facet_perms)
+
+    @cached_property
+    def qplus(self) -> VPolytope:
+        return base_plus()
+
+    @cached_property
+    def qminus(self) -> VPolytope:
+        return base_minus()
+
+    @cached_property
+    def hull_plus(self) -> Hull:
+        return facet_enumeration(self.qplus)
+
+    @cached_property
+    def hull_minus(self) -> Hull:
+        return facet_enumeration(self.qminus)
+
+    @cached_property
+    def base_sum(self):
+        return minkowski_sum(self.qplus, self.qminus)
 
 
-def check_facet_census(hull: Hull) -> Report:
+def check_facet_census(ctx: Certificate) -> Report:
     rep = Report("facet census")
-    got = {q.key for q in hull.hrep.inequalities}
+    got = {q.key for q in ctx.hull.hrep.inequalities}
     want = set(expected_facets())
     rep.add("facet count", len(got) == EXPECTED_FACET_COUNT, f"{len(got)}")
     rep.add(
@@ -379,11 +465,11 @@ def check_facet_census(hull: Hull) -> Report:
     return rep
 
 
-def check_representative_facets(poly: VPolytope, hull: Hull, labels) -> Report:
+def check_representative_facets(ctx: Certificate) -> Report:
     """Tight vertex sets of the five representative facets, their ranks, and
     the facet shapes (three simplices, one 6-vertex, one 7-vertex facet)."""
     rep = Report("representative facets")
-    by_label = _label_index(hull, labels)
+    poly, hull, by_label = ctx.poly, ctx.hull, ctx.by_label
     lbl_of_vertex = poly.labels
     for name, (tight_labels, key) in REPRESENTATIVE_FACETS.items():
         f = by_label[name]
@@ -403,11 +489,10 @@ def check_representative_facets(poly: VPolytope, hull: Hull, labels) -> Report:
     return rep
 
 
-def check_prism_collinearities(poly: Optional[VPolytope] = None) -> Report:
+def check_prism_collinearities(ctx: Certificate) -> Report:
     """The three rays of the representative prism collide at o, and the
     quadrilateral identity 2 v9+ + 4 v13+ = 3 v17+ + 3 v21+ holds."""
-    if poly is None:
-        poly = vertices48()
+    poly = ctx.poly
     rep = Report("prism structure")
     idx = {lbl: i for i, lbl in enumerate(poly.labels)}
 
@@ -430,13 +515,13 @@ def check_prism_collinearities(poly: Optional[VPolytope] = None) -> Report:
     return rep
 
 
-def check_symmetries(poly: VPolytope, hull: Hull) -> Report:
+def check_symmetries(ctx: Certificate) -> Report:
     rep = Report("symmetry groups")
-    sigma, sigma_plus = symmetry_groups(poly)
+    sigma, sigma_plus = ctx.groups
     rep.add("order of full group", sigma.order == 64, str(sigma.order))
     rep.add("order of base-preserving subgroup", sigma_plus.order == 32, str(sigma_plus.order))
     swap = base_swap_map()
-    perm = _vertex_permutation(swap, poly)
+    perm = _vertex_permutation(swap, ctx.poly)
     ok = all(perm[i] == i + 24 for i in range(24))
     rep.add("base swap sends i+ to i-", ok, "")
     sq = swap.compose(swap)
@@ -446,18 +531,17 @@ def check_symmetries(poly: VPolytope, hull: Hull) -> Report:
         "square is a nontrivial base-preserving element",
     )
     try:
-        for m in sigma.maps:
-            facet_permutation(m, hull)
-        rep.add("every element permutes the facet set", True, "64 maps")
+        perms = ctx.facet_perms
+        rep.add("every element permutes the facet set", True, f"{len(perms)} maps")
     except ValueError as exc:
         rep.add("every element permutes the facet set", False, str(exc))
     return rep
 
 
-def check_orbits(poly: VPolytope, hull: Hull, labels) -> Report:
+def check_orbits(ctx: Certificate) -> Report:
     rep = Report("facet orbits")
-    sigma, sigma_plus = symmetry_groups(poly)
-    orb_plus = facet_orbits(sigma_plus, hull)
+    labels = ctx.labels
+    orb_plus = ctx.orbits_plus
     sizes = sorted(len(o) for o in orb_plus)
     rep.add(
         "orbit sizes under the base-preserving group",
@@ -472,25 +556,25 @@ def check_orbits(poly: VPolytope, hull: Hull, labels) -> Report:
             len(letters) == 1,
             "".join(sorted(letters)),
         )
-    orb_full = facet_orbits(sigma, hull)
-    pairing = sorted("".join(sorted({letter_of[f] for f in o})) for o in orb_full)
+    pairing = sorted("".join(sorted({letter_of[f] for f in o})) for o in ctx.orbits)
     want = sorted("".join(sorted(pair)) for pair in SIGMA_ORBIT_PAIRS)
     rep.add("six full-group orbits pair the letters", pairing == want, " ".join(pairing))
     return rep
 
 
-def check_neighbor_lists(poly: VPolytope, hull: Hull, labels, graph: Graph) -> Report:
+def check_neighbor_lists(ctx: Certificate) -> Report:
     rep = Report("representative neighbor lists")
-    by_label = _label_index(hull, labels)
+    labels = ctx.labels
     for name, wanted in REPRESENTATIVE_NEIGHBORS.items():
-        f = by_label[name]
-        got = tuple(sorted(str(labels[g]) for g in graph.adj[f]))
+        f = ctx.by_label[name]
+        got = tuple(sorted(str(labels[g]) for g in ctx.graph.adj[f]))
         rep.add(f"neighbors of {name}", got == tuple(sorted(wanted)), " ".join(got))
     return rep
 
 
-def check_width(pr: Prismatoid, graph: Graph) -> Report:
+def check_width(ctx: Certificate) -> Report:
     rep = Report("width")
+    pr, graph = ctx.pr, ctx.graph
     dist = graph.distance(pr.base_plus, pr.base_minus)
     rep.add("dual distance between bases", dist == 6, str(dist))
     path = graph.shortest_path(pr.base_plus, pr.base_minus)
@@ -500,15 +584,13 @@ def check_width(pr: Prismatoid, graph: Graph) -> Report:
     return rep
 
 
-def check_orbit_quotient(poly: VPolytope, hull: Hull, labels, graph: Graph) -> Report:
+def check_orbit_quotient(ctx: Certificate) -> Report:
     """Quotient adjacency by base-preserving orbits, its A-to-L distance, and
     the bi-dimension bands."""
     rep = Report("orbit quotient")
-    _, sigma_plus = symmetry_groups(poly)
-    orbits = facet_orbits(sigma_plus, hull)
-    q, which = orbit_adjacency_graph(hull, graph, orbits)
-    name_of = {oi: str(labels[orbit[0]].letter) for oi, orbit in enumerate(orbits)}
-    by_label = _label_index(hull, labels)
+    poly, hull, labels, by_label = ctx.poly, ctx.hull, ctx.labels, ctx.by_label
+    orbits = ctx.orbits_plus
+    q, which = orbit_adjacency_graph(hull, ctx.graph, orbits)
     a_node = which[by_label["A"]]
     l_node = which[by_label["L"]]
     rep.add("quotient distance A to L", q.distance(a_node, l_node) == 6, str(q.distance(a_node, l_node)))
@@ -530,46 +612,161 @@ def check_orbit_quotient(poly: VPolytope, hull: Hull, labels, graph: Graph) -> R
     return rep
 
 
-def verify_counterexample(full: bool = True, poly: Optional[VPolytope] = None) -> Report:
-    """The complete verification suite; `full` adds the normal-fan sections."""
-    from . import normalfans
-
-    rep = Report("width-6 prismatoid")
-    if poly is None:
-        poly = vertices48()
-    hull = facet_enumeration(poly)
-    rep.merge(check_facet_census(hull))
-    if not rep.passed:
-        return rep
-    labels = facet_labels(hull)
-    keys = [q.key for q in hull.hrep.inequalities]
-    pr = make_prismatoid(
-        poly, hull, keys.index((0, 0, 0, 0, 1, 1)), keys.index((0, 0, 0, 0, -1, 1))
-    )
-    graph = dual_graph(poly, hull)
-    rep.merge(check_representative_facets(poly, hull, labels))
-    rep.merge(check_prism_collinearities(poly))
-    rep.merge(check_symmetries(poly, hull))
-    rep.merge(check_orbits(poly, hull, labels))
-    rep.merge(check_neighbor_lists(poly, hull, labels, graph))
-    rep.merge(check_width(pr, graph))
-    rep.merge(check_orbit_quotient(poly, hull, labels, graph))
-    rep.merge(normalfans.check_spindle_polar(poly, hull))
-    if full:
-        rep.merge(normalfans.check_base_structure())
-        rep.merge(normalfans.check_minkowski_section(pr, graph, labels))
+def check_spindle_polar(ctx: Certificate) -> Report:
+    """The polar is a 5-spindle with 48 facets, 322 vertices, length 6."""
+    rep = Report("polar spindle")
+    pol = polar(ctx.poly)
+    hull_pol = facet_enumeration(pol)
+    rep.add("polar vertex count", pol.n_vertices == 322, str(pol.n_vertices))
+    rep.add("polar facet count", hull_pol.incidence.n_facets == 48, str(hull_pol.incidence.n_facets))
+    found = is_spindle(pol, hull_pol)
+    rep.add("polar is a spindle", found is not None, "")
+    if found:
+        rep.add("spindle length", found[2] == 6, str(found[2]))
     return rep
+
+
+def check_base_structure(ctx: Certificate) -> Report:
+    """Facet structure of the two bases: 32 facets each of the stated shape,
+    cube vertex figures, torus membership, and the worked cone containment."""
+    rep = Report("base structure")
+    qp, qm, hull_p, hull_m = ctx.qplus, ctx.qminus, ctx.hull_plus, ctx.hull_minus
+    rep.add("top base has 32 facets", hull_p.incidence.n_facets == 32, str(hull_p.incidence.n_facets))
+    want_p = {(q + (Rat(90),)) for q in gplus_vertices()}
+    got_p = {tuple(q.coeffs) + (q.offset,) for q in hull_p.hrep.inequalities}
+    rep.add("top base facets match the two families", got_p == want_p, "")
+    rep.add(
+        "every top-base vertex on exactly 8 facets",
+        all(m.bit_count() == 8 for m in hull_p.incidence.vertex_masks),
+        "",
+    )
+    cube_ok = all(
+        is_combinatorial_cube(normal_cone(hull_p, v).generators)
+        for v in range(qp.n_vertices)
+    )
+    rep.add("vertex figures of the top base are 3-cubes", cube_ok, "24 vertices")
+    rep.merge(torus_membership_check(facet_normals(hull_p)))
+    want_m = {(q + (Rat(90),)) for q in gminus_vertices()}
+    got_m = {tuple(q.coeffs) + (q.offset,) for q in hull_m.hrep.inequalities}
+    rep.add("bottom base facets match the swapped families", got_m == want_m, "")
+
+    # the worked example: (5,1,2,1) sits strictly inside the cone of the
+    # bottom-base vertex at (45,0,0,0), whose generators are (2,±1,±1,±5)
+    v_dir = (Rat(5), Rat(1), Rat(2), Rat(1))
+    c_idx = qm.vertices.index((Rat(45), Rat(0), Rat(0), Rat(0)))
+    rep.add(
+        "(5,1,2,1) strictly inside the cone of (45,0,0,0)",
+        cone_contains_strictly(qm, c_idx, v_dir),
+        "",
+    )
+    gens = set(normal_cone(hull_m, c_idx).generators)
+    want_gens = {
+        (Rat(2), Rat(a), Rat(b), Rat(5 * c))
+        for a in (1, -1)
+        for b in (1, -1)
+        for c in (1, -1)
+    }
+    rep.add("cone of (45,0,0,0) generated by (2,±1,±1,±5)", gens == want_gens, "")
+    return rep
+
+
+def check_minkowski_section(ctx: Certificate) -> Report:
+    """The sum of the bases: 320 facets, dual graph equal to the prismatoid's
+    minus its bases, failed pair d-step with minimum sequence 5, transversal,
+    and the interiority statements."""
+    rep = Report("base Minkowski sum")
+    pr, ms = ctx.pr, ctx.base_sum
+    rep.add("sum facet count", ms.n_facets == 320, str(ms.n_facets))
+
+    # dual-graph identity under matching of normals restricted to x1..x4
+    sum_index = {direction_key(mf.normal): f for f, mf in enumerate(ms.facets)}
+    inc = pr.hull.incidence
+    bases = {pr.base_plus, pr.base_minus}
+    mapping = {}
+    ok = len(sum_index) == ms.n_facets
+    for f in range(inc.n_facets):
+        if f in bases:
+            continue
+        key = direction_key(pr.hull.hrep.inequalities[f].coeffs[:4])
+        if key not in sum_index:
+            ok = False
+            break
+        mapping[f] = sum_index[key]
+    ok = ok and len(mapping) == 320 and len(set(mapping.values())) == 320
+    rep.add("restricted normals biject onto sum facets", ok, f"{len(mapping)} matched")
+    if ok:
+        sum_graph = dual_graph(ms.polytope, ms.hull)
+        edges_q = {
+            (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
+            for a, b in ctx.graph.edges
+            if a not in bases and b not in bases
+        }
+        edges_s = set(sum_graph.edges)
+        rep.add(
+            "dual graph of the sum equals the prismatoid's minus its bases",
+            edges_q == edges_s,
+            f"{len(edges_s)} edges",
+        )
+        has_prop, min_facets = pair_dstep_property(ctx.qplus, ctx.qminus, pr.dim, ms=ms)
+        rep.add("pair d-step property fails", not has_prop, "")
+        rep.add("minimum facet sequence length", min_facets == 5, str(min_facets))
+        # bi-dimension bands per family letter
+        bands_ok = True
+        for f, lbl in enumerate(ctx.labels):
+            if lbl.letter in ("A", "L"):
+                continue
+            if ms.facets[mapping[f]].bi_dimension != FAMILY_BIDIMENSION[lbl.letter]:
+                bands_ok = False
+                break
+        rep.add("sum bi-dimensions match the family bands", bands_ok, "")
+    rep.merge(transversality_check(pr))
+    orbit = (4, 5, 6, 7)  # vertices 5..8 of either base
+    rep.merge(
+        normal_map_interiority_check(
+            ctx.qplus, ctx.hull_plus, ctx.qminus, ctx.hull_minus, orbit, orbit
+        )
+    )
+    return rep
+
+
+def _run_sections(title: str, ctx: Certificate, sections) -> Report:
+    """Run the sections in order. A section that raises becomes one FAIL line
+    and the rest still run, except that a failed census ends the run: every
+    later section assumes the 322 labelled facets."""
+    rep = Report(title)
+    for section in sections:
+        try:
+            rep.merge(section(ctx))
+        except Exception as exc:  # a broken section must not end the report
+            rep.add(f"{section.__name__} raised", False, f"{type(exc).__name__}: {exc}")
+        if section is check_facet_census and not rep.passed:
+            break
+    return rep
+
+
+def verify_counterexample(full: bool = True) -> Report:
+    """The complete verification suite; `full` adds the base-structure and
+    Minkowski-sum sections."""
+    sections = [
+        check_facet_census,
+        check_representative_facets,
+        check_prism_collinearities,
+        check_symmetries,
+        check_orbits,
+        check_neighbor_lists,
+        check_width,
+        check_orbit_quotient,
+        check_spindle_polar,
+    ]
+    if full:
+        sections += [check_base_structure, check_minkowski_section]
+    return _run_sections("width-6 prismatoid", Certificate(), sections)
 
 
 def verify_quick(poly: VPolytope) -> Report:
-    """Cheap subset used by mutation tests: census only."""
-    rep = Report("width-6 prismatoid (quick)")
-    try:
-        hull = facet_enumeration(poly)
-    except ValueError as exc:
-        rep.add("facet enumeration", False, str(exc))
-        return rep
-    rep.merge(check_facet_census(hull))
-    if rep.passed:
-        rep.merge(check_prism_collinearities(poly))
-    return rep
+    """Cheap subset used by mutation tests: census and prism identities."""
+    return _run_sections(
+        "width-6 prismatoid (quick)",
+        Certificate(poly),
+        [check_facet_census, check_prism_collinearities],
+    )

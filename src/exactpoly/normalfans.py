@@ -1,5 +1,7 @@
 """Normal cones, Minkowski sums with bi-dimension bookkeeping, the pair
-d-step property, transversality, and flat-torus coordinates for plotting.
+d-step property, transversality, the interiority of two normal maps, cube
+vertex figures, and flat-torus coordinates for plotting.  These are general
+tools; the width-6 sections built from them live in `counterexample`.
 
 All cone work is exact and polyhedral: a direction lies strictly inside the
 normal cone of a vertex exactly when that vertex is the unique maximizer of
@@ -25,9 +27,8 @@ from .polytopes import (
     face_maximizing,
     facet_enumeration,
     iter_bits,
-    polar,
 )
-from .prismatoids import Prismatoid, is_spindle
+from .prismatoids import Prismatoid
 from .rationals import Rat, primitive_ints
 from .report import Report
 
@@ -348,39 +349,7 @@ def torus_plot_data(hull: Hull, graph, prefix: str):
 
 
 # ---------------------------------------------------------------------------
-# sections of the width-6 verification that live at the normal-fan level
-
-
-def gplus_vertices():
-    """The 32 facet normals of the top base, on the torus (26, 5)."""
-    pts = []
-    for s0 in (1, -1):
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    pts.append((Rat(5 * s0), Rat(s1), Rat(2 * s2), Rat(s3)))
-    for s0 in (1, -1):
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    pts.append((Rat(s0), Rat(5 * s1), Rat(s2), Rat(2 * s3)))
-    return tuple(pts)
-
-
-def gminus_vertices():
-    """The 32 facet normals of the bottom base."""
-    pts = []
-    for s0 in (1, -1):
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    pts.append((Rat(s0), Rat(2 * s1), Rat(5 * s2), Rat(s3)))
-    for s0 in (1, -1):
-        for s1 in (1, -1):
-            for s2 in (1, -1):
-                for s3 in (1, -1):
-                    pts.append((Rat(2 * s0), Rat(s1), Rat(s2), Rat(5 * s3)))
-    return tuple(pts)
+# vertex figures
 
 
 def is_combinatorial_cube(points) -> bool:
@@ -394,127 +363,3 @@ def is_combinatorial_cube(points) -> bool:
         and all(m.bit_count() == 4 for m in inc.facet_masks)
         and all(m.bit_count() == 3 for m in inc.vertex_masks)
     )
-
-
-def check_base_structure() -> Report:
-    """Facet structure of the two bases: 32 facets each of the stated shape,
-    cube vertex figures, torus membership, and the worked cone containment."""
-    from .counterexample import base_minus, base_plus
-
-    rep = Report("base structure")
-    qp = base_plus()
-    qm = base_minus()
-    hull_p = facet_enumeration(qp)
-    hull_m = facet_enumeration(qm)
-    rep.add("top base has 32 facets", hull_p.incidence.n_facets == 32, str(hull_p.incidence.n_facets))
-    want_p = {(q + (Rat(90),)) for q in gplus_vertices()}
-    got_p = {tuple(q.coeffs) + (q.offset,) for q in hull_p.hrep.inequalities}
-    rep.add("top base facets match the two families", got_p == want_p, "")
-    rep.add(
-        "every top-base vertex on exactly 8 facets",
-        all(m.bit_count() == 8 for m in hull_p.incidence.vertex_masks),
-        "",
-    )
-    cube_ok = all(
-        is_combinatorial_cube(normal_cone(hull_p, v).generators)
-        for v in range(qp.n_vertices)
-    )
-    rep.add("vertex figures of the top base are 3-cubes", cube_ok, "24 vertices")
-    rep.merge(torus_membership_check(facet_normals(hull_p)))
-    want_m = {(q + (Rat(90),)) for q in gminus_vertices()}
-    got_m = {tuple(q.coeffs) + (q.offset,) for q in hull_m.hrep.inequalities}
-    rep.add("bottom base facets match the swapped families", got_m == want_m, "")
-
-    # the worked example: (5,1,2,1) sits strictly inside the cone of the
-    # bottom-base vertex at (45,0,0,0), whose generators are (2,±1,±1,±5)
-    v_dir = (Rat(5), Rat(1), Rat(2), Rat(1))
-    c_idx = qm.vertices.index((Rat(45), Rat(0), Rat(0), Rat(0)))
-    rep.add(
-        "(5,1,2,1) strictly inside the cone of (45,0,0,0)",
-        cone_contains_strictly(qm, c_idx, v_dir),
-        "",
-    )
-    gens = set(normal_cone(hull_m, c_idx).generators)
-    want_gens = {
-        (Rat(2), Rat(a), Rat(b), Rat(5 * c))
-        for a in (1, -1)
-        for b in (1, -1)
-        for c in (1, -1)
-    }
-    rep.add("cone of (45,0,0,0) generated by (2,±1,±1,±5)", gens == want_gens, "")
-    return rep
-
-
-def check_spindle_polar(poly: VPolytope, hull: Hull) -> Report:
-    """The polar is a 5-spindle with 48 facets, 322 vertices, length 6."""
-    rep = Report("polar spindle")
-    pol = polar(poly, hull)
-    hull_pol = facet_enumeration(pol)
-    rep.add("polar vertex count", pol.n_vertices == 322, str(pol.n_vertices))
-    rep.add("polar facet count", hull_pol.incidence.n_facets == 48, str(hull_pol.incidence.n_facets))
-    found = is_spindle(pol, hull_pol)
-    rep.add("polar is a spindle", found is not None, "")
-    if found:
-        rep.add("spindle length", found[2] == 6, str(found[2]))
-    return rep
-
-
-def check_minkowski_section(pr: Prismatoid, graph, labels) -> Report:
-    """The sum of the bases: 320 facets, dual graph equal to the prismatoid's
-    minus its bases, failed pair d-step with minimum sequence 5, transversal,
-    and the interiority statements."""
-    from .counterexample import FAMILY_BIDIMENSION, base_minus, base_plus
-
-    rep = Report("base Minkowski sum")
-    qp = base_plus()
-    qm = base_minus()
-    ms = minkowski_sum(qp, qm)
-    rep.add("sum facet count", ms.n_facets == 320, str(ms.n_facets))
-
-    # dual-graph identity under matching of normals restricted to x1..x4
-    sum_index = {direction_key(mf.normal): f for f, mf in enumerate(ms.facets)}
-    inc = pr.hull.incidence
-    bases = {pr.base_plus, pr.base_minus}
-    mapping = {}
-    ok = len(sum_index) == ms.n_facets
-    for f in range(inc.n_facets):
-        if f in bases:
-            continue
-        key = direction_key(pr.hull.hrep.inequalities[f].coeffs[:4])
-        if key not in sum_index:
-            ok = False
-            break
-        mapping[f] = sum_index[key]
-    ok = ok and len(mapping) == 320 and len(set(mapping.values())) == 320
-    rep.add("restricted normals biject onto sum facets", ok, f"{len(mapping)} matched")
-    if ok:
-        sum_graph = dual_graph(ms.polytope, ms.hull)
-        edges_q = {
-            (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
-            for a, b in graph.edges
-            if a not in bases and b not in bases
-        }
-        edges_s = set(sum_graph.edges)
-        rep.add(
-            "dual graph of the sum equals the prismatoid's minus its bases",
-            edges_q == edges_s,
-            f"{len(edges_s)} edges",
-        )
-        has_prop, min_facets = pair_dstep_property(qp, qm, pr.dim, ms=ms)
-        rep.add("pair d-step property fails", not has_prop, "")
-        rep.add("minimum facet sequence length", min_facets == 5, str(min_facets))
-        # bi-dimension bands per family letter
-        bands_ok = True
-        for f, lbl in enumerate(labels):
-            if lbl.letter in ("A", "L"):
-                continue
-            if ms.facets[mapping[f]].bi_dimension != FAMILY_BIDIMENSION[lbl.letter]:
-                bands_ok = False
-                break
-        rep.add("sum bi-dimensions match the family bands", bands_ok, "")
-    rep.merge(transversality_check(pr))
-    hull_p = facet_enumeration(qp)
-    hull_m = facet_enumeration(qm)
-    orbit = (4, 5, 6, 7)  # vertices 5..8 of either base
-    rep.merge(normal_map_interiority_check(qp, hull_p, qm, hull_m, orbit, orbit))
-    return rep

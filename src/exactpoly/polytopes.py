@@ -508,7 +508,7 @@ def centroid(points):
     return tuple(sum((p[j] for p in points), ZERO) / n for j in range(d))
 
 
-def polar(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
+def polar(poly: VPolytope) -> VPolytope:
     """Polar polytope after translating the vertex centroid to the origin.
 
     Vertices of the polar are facet normals scaled so normal . x = 1 on the
@@ -517,20 +517,10 @@ def polar(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     """
     c = centroid(poly.vertices)
     shifted = VPolytope(tuple(vsub(p, c) for p in poly.vertices), poly.labels)
-    h = facet_enumeration(shifted) if hull is None else None
-    if h is None:
-        # caller passed the hull of the *unshifted* polytope; shift offsets
-        ineqs = tuple(
-            Inequality(q.coeffs, q.offset - dot(q.coeffs, c)).canonical()
-            for q in hull.hrep.inequalities
-        )
-        if hull.hrep.equalities:
-            raise DegenerateInput("polar requires a full-dimensional polytope")
-        ineqs = tuple(sorted(ineqs, key=lambda q: q.key))
-    else:
-        if h.hrep.equalities:
-            raise DegenerateInput("polar requires a full-dimensional polytope")
-        ineqs = h.hrep.inequalities
+    h = facet_enumeration(shifted)
+    if h.hrep.equalities:
+        raise DegenerateInput("polar requires a full-dimensional polytope")
+    ineqs = h.hrep.inequalities
     for q in ineqs:
         if q.offset <= 0:
             raise DegenerateInput("origin not interior after centroid shift")

@@ -1,4 +1,4 @@
-"""Check reports: ordered PASS/FAIL lines with an exit code."""
+"""Check reports: ordered PASS/FAIL lines."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -30,10 +30,6 @@ class Report:
     @property
     def passed(self) -> bool:
         return all(c.passed for c in self.checks)
-
-    @property
-    def exit_code(self) -> int:
-        return 0 if self.passed else 1
 
     def lines(self):
         return [c.line() for c in self.checks]

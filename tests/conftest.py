@@ -1,61 +1,58 @@
 import pytest
 
-from exactpoly.counterexample import (
-    base_minus,
-    base_plus,
-    facet_labels,
-    vertices48,
-    width6_prismatoid,
-)
-from exactpoly.normalfans import minkowski_sum
-from exactpoly.polytopes import dual_graph, facet_enumeration
+from exactpoly.counterexample import Certificate
 
 
 @pytest.fixture(scope="session")
-def q48():
-    return vertices48()
+def certificate():
+    return Certificate()
 
 
 @pytest.fixture(scope="session")
-def q48_pr():
-    return width6_prismatoid()
+def q48(certificate):
+    return certificate.poly
 
 
 @pytest.fixture(scope="session")
-def q48_hull(q48_pr):
-    return q48_pr.hull
+def q48_pr(certificate):
+    return certificate.pr
 
 
 @pytest.fixture(scope="session")
-def q48_labels(q48_hull):
-    return facet_labels(q48_hull)
+def q48_hull(certificate):
+    return certificate.hull
 
 
 @pytest.fixture(scope="session")
-def q48_dual(q48_pr):
-    return dual_graph(q48_pr.polytope, q48_pr.hull)
+def q48_labels(certificate):
+    return certificate.labels
 
 
 @pytest.fixture(scope="session")
-def qplus():
-    return base_plus()
+def q48_dual(certificate):
+    return certificate.graph
 
 
 @pytest.fixture(scope="session")
-def qplus_hull(qplus):
-    return facet_enumeration(qplus)
+def qplus(certificate):
+    return certificate.qplus
 
 
 @pytest.fixture(scope="session")
-def qminus():
-    return base_minus()
+def qplus_hull(certificate):
+    return certificate.hull_plus
 
 
 @pytest.fixture(scope="session")
-def qminus_hull(qminus):
-    return facet_enumeration(qminus)
+def qminus(certificate):
+    return certificate.qminus
 
 
 @pytest.fixture(scope="session")
-def base_sum(qplus, qminus):
-    return minkowski_sum(qplus, qminus)
+def qminus_hull(certificate):
+    return certificate.hull_minus
+
+
+@pytest.fixture(scope="session")
+def base_sum(certificate):
+    return certificate.base_sum

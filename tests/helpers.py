@@ -86,20 +86,25 @@ def reference_dual_graph_edges(poly, hull):
     return tuple(edges)
 
 
-def check_suspension_distances(poly, hull, v):
-    """Lifted dual distances dominate the originals, for every facet pair and
-    both pyramid lifts."""
-    S, hull_S, expected, idx_map, u_idx, w_idx = suspension_facet_map(poly, hull, v)
-    by_kind = {}
+def _suspension_lifts(poly, hull, v):
+    """(S, hull_S, lifts): lifts(f) is the tuple of new facet indices over
+    facet f, its suspension if f contains v, else its pyramids over u and w."""
+    S, hull_S, expected = suspension_facet_map(poly, hull, v)
     mask_to_new = {m: i for i, m in enumerate(hull_S.incidence.facet_masks)}
-    for mask, (f, kind) in expected.items():
-        by_kind[(f, kind)] = mask_to_new[mask]
+    by_kind = {key: mask_to_new[mask] for mask, key in expected.items()}
 
     def lifts(f):
         if (f, "s") in by_kind:
             return (by_kind[(f, "s")],)
         return (by_kind[(f, "u")], by_kind[(f, "w")])
 
+    return S, hull_S, lifts
+
+
+def check_suspension_distances(poly, hull, v):
+    """Lifted dual distances dominate the originals, for every facet pair and
+    both pyramid lifts."""
+    S, hull_S, lifts = _suspension_lifts(poly, hull, v)
     g_old = dual_graph(poly, hull)
     g_new = dual_graph(S, hull_S)
     dist_new = [g_new.bfs_distances(i) for i in range(g_new.n)]
@@ -110,6 +115,22 @@ def check_suspension_distances(poly, hull, v):
             for a in lifts(f1):
                 for b in lifts(f2):
                     assert dist_new[a][b] >= dist_old[f2]
+
+
+def lifted_distance_dominates(poly, v, f1, f2, choice=("u", "u")):
+    """Dual distance between the lifts of f1 and f2 in the suspension at v is
+    at least their distance in poly; choice picks the pyramid apex of each
+    facet that does not contain v."""
+    hull = facet_enumeration(poly)
+    S, hull_S, lifts = _suspension_lifts(poly, hull, v)
+
+    def lift(f, apex):
+        options = lifts(f)
+        return options[0] if len(options) == 1 else options["uw".index(apex)]
+
+    d_old = dual_graph(poly, hull).distance(f1, f2)
+    d_new = dual_graph(S, hull_S).distance(lift(f1, choice[0]), lift(f2, choice[1]))
+    return d_new >= d_old
 
 
 # ---------------------------------------------------------------------------

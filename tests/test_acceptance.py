@@ -6,23 +6,20 @@ import random
 
 from exactpoly.constructions import blend_graph, family_parameters, hirsch_excess, strong_dstep_iterate
 from exactpoly.counterexample import (
+    check_base_structure,
     check_facet_census,
+    check_minkowski_section,
     check_neighbor_lists,
     check_orbit_quotient,
     check_orbits,
     check_prism_collinearities,
     check_representative_facets,
+    check_spindle_polar,
     check_symmetries,
     check_width,
-    facet_orbits,
     symmetry_groups,
 )
-from exactpoly.normalfans import (
-    check_base_structure,
-    check_minkowski_section,
-    check_spindle_polar,
-    pair_dstep_property,
-)
+from exactpoly.normalfans import pair_dstep_property
 from exactpoly.polytopes import VPolytope, certify_vertices, facet_enumeration, polar
 from exactpoly.prismatoids import width
 from exactpoly.rationals import Rat, primitive_ints
@@ -45,45 +42,45 @@ def _announce(num, name):
     print(f"ACCEPTANCE {num} {name}: PASS")
 
 
-def test_01_facet_census(q48_hull):
-    rep = check_facet_census(q48_hull)
+def test_01_facet_census(certificate):
+    rep = check_facet_census(certificate)
     _require(rep)
     _announce(1, "facet census 322 = expanded inequality table")
 
 
-def test_02_width_six(q48_pr, q48_dual):
-    rep = check_width(q48_pr, q48_dual)
+def test_02_width_six(certificate):
+    rep = check_width(certificate)
     _require(rep)
     _announce(2, "width 6: six steps suffice, five do not")
 
 
-def test_03_orbit_structure(q48, q48_hull, q48_labels, q48_dual):
+def test_03_orbit_structure(q48, certificate):
     sigma, sigma_plus = symmetry_groups(q48)
     assert sigma.order == 64 and sigma_plus.order == 32
-    _require(check_orbits(q48, q48_hull, q48_labels))
-    _require(check_symmetries(q48, q48_hull))
-    _require(check_neighbor_lists(q48, q48_hull, q48_labels, q48_dual))
-    _require(check_orbit_quotient(q48, q48_hull, q48_labels, q48_dual))
+    _require(check_orbits(certificate))
+    _require(check_symmetries(certificate))
+    _require(check_neighbor_lists(certificate))
+    _require(check_orbit_quotient(certificate))
     _announce(3, "orbits 64/32, neighbor lists, quotient distance 6")
 
 
-def test_04_representative_incidences(q48, q48_hull, q48_labels):
-    _require(check_representative_facets(q48, q48_hull, q48_labels))
+def test_04_representative_incidences(certificate):
+    _require(check_representative_facets(certificate))
     _announce(4, "representative tight sets, ranks, and shapes")
 
 
-def test_05_geometry_identities(q48):
-    _require(check_prism_collinearities(q48))
+def test_05_geometry_identities(certificate):
+    _require(check_prism_collinearities(certificate))
     _announce(5, "three-ray collision at o and quadrilateral identity")
 
 
-def test_06_base_structure():
-    _require(check_base_structure())
+def test_06_base_structure(certificate):
+    _require(check_base_structure(certificate))
     _announce(6, "top base: 32 facets, cube vertex figures, torus normals")
 
 
-def test_07_minkowski_and_pair_dstep(q48_pr, q48_dual, q48_labels):
-    _require(check_minkowski_section(q48_pr, q48_dual, q48_labels))
+def test_07_minkowski_and_pair_dstep(certificate):
+    _require(check_minkowski_section(certificate))
     _announce(7, "sum has 320 facets, dual identity, no pair d-step, interiority")
 
 

@@ -1,3 +1,4 @@
+import hashlib
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from exactpoly import counterexample
 from exactpoly.cli import main
 from exactpoly.fileformats import (
     FormatError,
@@ -189,6 +191,43 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "FAIL" not in out
         assert "0 failures" in out
+
+
+class TestVerifyReport:
+    # sha256 of stdout, recorded while every section still built its own
+    # groups, orbits and base hulls: sharing them must not change the report
+    DIGESTS = {
+        "verify": "6a0a1be501586a10bc3ab255db21d84b8e6222c201587fc95c6da2983564710d",
+        "verify --fast": "a65a29ca2c9ef8c9c5df17c935d38c48615ba4068e0d292ed4e9cee178d6fd32",
+    }
+
+    @pytest.mark.parametrize("command", sorted(DIGESTS))
+    def test_stdout_digest(self, capsys, command):
+        assert main(command.split()) == 0
+        out = capsys.readouterr().out
+        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[command]
+
+    def test_raising_section_becomes_fail_line(self, capsys, monkeypatch):
+        assert main(["verify", "--fast"]) == 0
+        clean = capsys.readouterr().out.splitlines()
+
+        def no_groups(poly=None):
+            raise RuntimeError("no groups")
+
+        monkeypatch.setattr(counterexample, "symmetry_groups", no_groups)
+        assert main(["verify", "--fast"]) == 1
+        captured = capsys.readouterr()
+        checks = [line for line in captured.out.splitlines() if line.startswith("CHECK ")]
+        assert [line for line in checks if " FAIL " in line] == [
+            f"CHECK width-6 prismatoid: {name} raised FAIL RuntimeError: no groups"
+            for name in ("check_symmetries", "check_orbits", "check_orbit_quotient")
+        ]
+        # every section that needs no group reports exactly as before
+        uses_groups = ("CHECK symmetry groups:", "CHECK facet orbits:", "CHECK orbit quotient:")
+        assert [line for line in checks if " FAIL " not in line] == [
+            line for line in clean if line.startswith("CHECK ") and not line.startswith(uses_groups)
+        ]
+        assert "Traceback" not in captured.out + captured.err
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -13,7 +13,6 @@ from exactpoly.constructions import (
     hirsch_excess,
     is_hirsch,
     one_point_suspension,
-    ops_distance_check,
     power,
     product,
     push_vertex,
@@ -32,7 +31,11 @@ from exactpoly.polytopes import (
 )
 from exactpoly.prismatoids import make_prismatoid, width
 from exactpoly.rationals import Rat
-from helpers import check_suspension_distances, random_polytope
+from helpers import (
+    check_suspension_distances,
+    lifted_distance_dominates,
+    random_polytope,
+)
 
 
 def pt(*coords):
@@ -98,7 +101,7 @@ class TestOnePointSuspension:
             poly, hull = random_polytope(rng, dim, 8)
             v = rng.randrange(poly.n_vertices)
             # raises if the enumerated facets differ from the expected pattern
-            S, hull_S, expected, _, _, _ = suspension_facet_map(poly, hull, v)
+            S, hull_S, expected = suspension_facet_map(poly, hull, v)
             assert S.n_vertices == poly.n_vertices + 1
             assert hull_S.dim == dim + 1
             assert len(expected) == hull_S.incidence.n_facets
@@ -113,14 +116,15 @@ class TestSuspensionDistances:
         p = pentagon()
         hull = facet_enumeration(p)
         check_suspension_distances(p, hull, 0)
+        check_suspension_distances(p, hull, 1)
 
     def test_same_facet_trivial(self):
         p = pentagon()
-        assert ops_distance_check(p, 1, 2, 2)
+        assert lifted_distance_dominates(p, 1, 2, 2)
 
     def test_explicit_pair(self):
         p = pentagon()
-        assert ops_distance_check(p, 0, 0, 2, lifts=("u", "w"))
+        assert lifted_distance_dominates(p, 0, 0, 2, choice=("u", "w"))
 
     def test_random_suite(self):
         rng = random.Random(17)

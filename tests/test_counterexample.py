@@ -75,8 +75,8 @@ class TestCensus:
     def test_322_facets(self, q48_hull):
         assert q48_hull.incidence.n_facets == 322
 
-    def test_census_report(self, q48_hull):
-        assert_report(check_facet_census(q48_hull))
+    def test_census_report(self, certificate):
+        assert_report(check_facet_census(certificate))
 
     def test_labels_bijective(self, q48_hull, q48_labels):
         assert len(q48_labels) == 322
@@ -108,8 +108,8 @@ class TestByteIdentity:
         text = write_hpoly(q48_hull.hrep) + write_incidence(q48_hull)
         assert self.digest(text) == self.HULL_TEXT
 
-    def test_polar_poly_text(self, q48, q48_hull):
-        assert self.digest(write_poly(polar(q48, q48_hull))) == self.POLAR_POLY
+    def test_polar_poly_text(self, q48):
+        assert self.digest(write_poly(polar(q48))) == self.POLAR_POLY
 
 
 class TestSymmetry:
@@ -133,17 +133,17 @@ class TestSymmetry:
         assert sq.key == want.key
         assert sq.key != OrthMap.identity(5).key
 
-    def test_symmetry_report(self, q48, q48_hull):
-        assert_report(check_symmetries(q48, q48_hull))
+    def test_symmetry_report(self, certificate):
+        assert_report(check_symmetries(certificate))
 
 
 class TestOrbits:
-    def test_orbit_report(self, q48, q48_hull, q48_labels):
-        assert_report(check_orbits(q48, q48_hull, q48_labels))
+    def test_orbit_report(self, certificate):
+        assert_report(check_orbits(certificate))
 
-    def test_orbit_of_representative_has_32(self, q48, q48_hull, q48_labels):
+    def test_orbit_of_representative_has_32(self, q48, certificate, q48_labels):
         _, sigma_plus = symmetry_groups(q48)
-        orbits = facet_orbits(sigma_plus, q48_hull)
+        orbits = facet_orbits(sigma_plus, certificate.facet_perms)
         by_label = {str(l): i for i, l in enumerate(q48_labels)}
         b = by_label["B++++"]
         orbit = next(o for o in orbits if b in o)
@@ -154,8 +154,8 @@ class TestOrbits:
 
 
 class TestDualGraphStructure:
-    def test_neighbor_lists(self, q48, q48_hull, q48_labels, q48_dual):
-        assert_report(check_neighbor_lists(q48, q48_hull, q48_labels, q48_dual))
+    def test_neighbor_lists(self, certificate):
+        assert_report(check_neighbor_lists(certificate))
 
     def test_neighbors_match_table(self, q48_labels, q48_dual):
         by_label = {str(l): i for i, l in enumerate(q48_labels)}
@@ -166,22 +166,22 @@ class TestDualGraphStructure:
     def test_width_is_six(self, q48_pr, q48_dual):
         assert width(q48_pr, q48_dual) == 6
 
-    def test_width_report(self, q48_pr, q48_dual):
-        assert_report(check_width(q48_pr, q48_dual))
+    def test_width_report(self, certificate):
+        assert_report(check_width(certificate))
 
     def test_no_dstep_property(self, q48_pr, q48_dual):
         assert not has_dstep_property(q48_pr, q48_dual)
 
-    def test_quotient_report(self, q48, q48_hull, q48_labels, q48_dual):
-        assert_report(check_orbit_quotient(q48, q48_hull, q48_labels, q48_dual))
+    def test_quotient_report(self, certificate):
+        assert_report(check_orbit_quotient(certificate))
 
 
 class TestTables:
-    def test_representative_facets(self, q48, q48_hull, q48_labels):
-        assert_report(check_representative_facets(q48, q48_hull, q48_labels))
+    def test_representative_facets(self, certificate):
+        assert_report(check_representative_facets(certificate))
 
-    def test_collinearities(self, q48):
-        assert_report(check_prism_collinearities(q48))
+    def test_collinearities(self, certificate):
+        assert_report(check_prism_collinearities(certificate))
 
 
 class TestWidthInvariance:
@@ -231,7 +231,7 @@ class TestSuspensionOfCounterexample:
         # dual distance >= 6 from both pyramids over the top base
         poly, hull = q48_pr.polytope, q48_pr.hull
         v = q48_pr.base_minus_vertices()[4]  # the vertex labeled 5-
-        S, hull_S, expected, idx_map, u_idx, w_idx = suspension_facet_map(poly, hull, v)
+        S, hull_S, expected = suspension_facet_map(poly, hull, v)
         mask_to_new = {m: i for i, m in enumerate(hull_S.incidence.facet_masks)}
         lift = {}
         for mask, (f, kind) in expected.items():
@@ -244,9 +244,15 @@ class TestSuspensionOfCounterexample:
 
 
 class TestMutation:
-    @pytest.mark.parametrize("cell", [(0, 0), (12, 2), (40, 3)])
-    def test_single_coordinate_mutations_fail(self, cell):
-        mutated = vertices48(mutate={cell: 1})
+    # -36 on (0, 0) moves vertex 1+ onto 2+: the hull raises on the repeated
+    # point, and the report must show that as a FAIL line
+    @pytest.mark.parametrize(
+        "cell, delta",
+        [((0, 0), 1), ((12, 2), 1), ((40, 3), 1), ((0, 0), -36)],
+        ids=["cell0", "cell1", "cell2", "duplicate-vertex"],
+    )
+    def test_single_coordinate_mutations_fail(self, cell, delta):
+        mutated = vertices48(mutate={cell: delta})
         rep = verify_quick(mutated)
         assert not rep.passed
 

@@ -3,17 +3,19 @@ import random
 
 import pytest
 
-from exactpoly.counterexample import FAMILY_BIDIMENSION
-from exactpoly.geometry import DegenerateInput
-from exactpoly.normalfans import (
+from exactpoly.counterexample import (
+    FAMILY_BIDIMENSION,
     check_base_structure,
     check_minkowski_section,
     check_spindle_polar,
+    gminus_vertices,
+    gplus_vertices,
+)
+from exactpoly.geometry import DegenerateInput
+from exactpoly.normalfans import (
     cone_contains_strictly,
     direction_key,
     facet_normals,
-    gminus_vertices,
-    gplus_vertices,
     interior_owner,
     intermediate_slice,
     is_combinatorial_cube,
@@ -84,8 +86,8 @@ class TestBaseStructure:
         assert got == set(gplus_vertices())
         assert all(q.offset == 90 for q in qplus_hull.hrep.inequalities)
 
-    def test_base_report(self):
-        assert_report(check_base_structure())
+    def test_base_report(self, certificate):
+        assert_report(check_base_structure(certificate))
 
     def test_eight_facets_per_vertex_cube_figure(self, qplus, qplus_hull):
         for v in range(qplus.n_vertices):
@@ -136,8 +138,8 @@ class TestMinkowskiSum:
         bands = Counter(mf.bi_dimension for mf in base_sum.facets)
         assert bands == {(3, 0): 32, (2, 1): 128, (1, 2): 128, (0, 3): 32}
 
-    def test_minkowski_section_report(self, q48_pr, q48_dual, q48_labels):
-        assert_report(check_minkowski_section(q48_pr, q48_dual, q48_labels))
+    def test_minkowski_section_report(self, certificate):
+        assert_report(check_minkowski_section(certificate))
 
     def test_dimension_mismatch(self):
         with pytest.raises(DegenerateInput):
@@ -262,8 +264,8 @@ class TestInteriority:
 
 
 class TestSpindle:
-    def test_polar_spindle_report(self, q48, q48_hull):
-        assert_report(check_spindle_polar(q48, q48_hull))
+    def test_polar_spindle_report(self, certificate):
+        assert_report(check_spindle_polar(certificate))
 
 
 class TestTorus:

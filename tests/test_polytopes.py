@@ -301,7 +301,7 @@ class TestPolar:
     def test_incidence_transpose(self):
         c = cube()
         hull = facet_enumeration(c)
-        p = polar(c, hull)
+        p = polar(c)
         hull_p = facet_enumeration(p)
         # facets of the polar correspond to vertices of the cube: the polar
         # facet tight on polar-vertex i is the cube facet i and vice versa
