@@ -90,6 +90,7 @@ def _cmd_diameter(args) -> int:
 
 def _cmd_polar(args) -> int:
     poly = _load(args.input)
+    certify_vertices(poly)
     pol = polar(poly)
     _emit(write_poly(pol), args.out)
     return 0

@@ -239,10 +239,10 @@ class SymmetryGroup:
         return len(self.maps)
 
 
-def _vertex_permutation(m: OrthMap, poly: VPolytope):
-    # a linear map commutes with scaling, so it can act on integer points
-    pts, _ = integer_points(poly.vertices)
-    index = {p: i for i, p in enumerate(pts)}
+def _vertex_permutation(m: OrthMap, pts, index):
+    """The permutation of the integer points `pts` (with `index`, point ->
+    position) that the linear map m induces; a linear map commutes with
+    scaling, so it can act on integer copies of the vertices."""
     perm = []
     for p in pts:
         q = m.apply_point(p)
@@ -250,6 +250,11 @@ def _vertex_permutation(m: OrthMap, poly: VPolytope):
             raise ValueError("map does not permute the vertex set")
         perm.append(index[q])
     return tuple(perm)
+
+
+def _integer_index(poly: VPolytope):
+    pts, _ = integer_points(poly.vertices)
+    return pts, {p: i for i, p in enumerate(pts)}
 
 
 def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
@@ -266,7 +271,8 @@ def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
                     nxt.append(prod)
         frontier = nxt
     maps = tuple(sorted(seen.values(), key=lambda m: m.key))
-    return SymmetryGroup(maps, tuple(_vertex_permutation(m, poly) for m in maps))
+    pts, index = _integer_index(poly)
+    return SymmetryGroup(maps, tuple(_vertex_permutation(m, pts, index) for m in maps))
 
 
 def base_swap_map() -> OrthMap:
@@ -521,7 +527,7 @@ def check_symmetries(ctx: Certificate) -> Report:
     rep.add("order of full group", sigma.order == 64, str(sigma.order))
     rep.add("order of base-preserving subgroup", sigma_plus.order == 32, str(sigma_plus.order))
     swap = base_swap_map()
-    perm = _vertex_permutation(swap, ctx.poly)
+    perm = _vertex_permutation(swap, *_integer_index(ctx.poly))
     ok = all(perm[i] == i + 24 for i in range(24))
     rep.add("base swap sends i+ to i-", ok, "")
     sq = swap.compose(swap)

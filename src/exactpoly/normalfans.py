@@ -15,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
-from .geometry import DegenerateInput, affine_rank
+from .geometry import DegenerateInput, affine_rank, integer_points
 from .polytopes import (
     Face,
     FacetIncidence,
@@ -120,12 +120,15 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
         for m in hull_all.incidence.facet_masks
     )
     hull = Hull(hull_all.hrep, FacetIncidence(masks, poly.n_vertices), hull_all.dim)
+    # faces and their dimensions do not change under scaling, so the normals
+    # are maximized over integer copies of the summands
+    a_int, b_int = (VPolytope(tuple(integer_points(x.vertices)[0])) for x in (a, b))
     facets = tuple(
         MinkowskiFacet(
             normal=tuple(q.coeffs),
             offset=q.offset,
-            face_plus=face_maximizing(a, q.coeffs),
-            face_minus=face_maximizing(b, q.coeffs),
+            face_plus=face_maximizing(a_int, q.coeffs),
+            face_minus=face_maximizing(b_int, q.coeffs),
         )
         for q in hull.hrep.inequalities
     )

@@ -19,8 +19,17 @@ perturbation searches build the hull of their fixed points once and insert
 one moved point per candidate.  Every hull that is returned has passed the
 full self-verification pass: no repeated facet, every point against every
 facet with exact incidence, and the rank of every facet's tight points.
+The points are packed into one big integer per coordinate, so each facet
+meets all of them in a few integer operations.  A builder and its copies
+share the ranks already proved, keyed by the exact tight points, so a
+search eliminates only for facets it has not seen.
 Output facets are sorted by canonical coefficients, so every run is
 bit-reproducible.
+
+Vertices are certified by a face test, not by elimination: the facets
+through a point meet in the smallest face containing it (every face is the
+intersection of the facets that contain it), so the point is a vertex iff
+the AND of their masks is its own bit.
 """
 from __future__ import annotations
 
@@ -230,6 +239,41 @@ def _primitive(row):
     return row if g == 1 else tuple(v // g for v in row)
 
 
+def _tight_masks(points, rows):
+    """Per row h: the mask of the points q with h . q == 0, or None when some
+    point has h . q < 0.  Exact, with a few big-integer operations per row:
+    column j of the points is packed into one integer with point i in the
+    w-bit digit i, so sum_j h_j column_j holds every h . q at once.  w bounds
+    every |h . q| below 2^(w-1), so after adding 2^(w-1) to each digit no
+    digit borrows or carries: its top bit is set iff h . q >= 0, and its low
+    bits are zero iff h . q == 0."""
+    n = len(points)
+    w = (
+        max(max(map(abs, q)) for q in points).bit_length()
+        + max(sum(map(abs, h)) for h in rows).bit_length()
+        + 1
+    )
+    columns = []
+    for j in range(len(points[0])):
+        c = 0
+        for q in reversed(points):
+            c = (c << w) + q[j]
+        columns.append(c)
+    ones = ((1 << (w * n)) - 1) // ((1 << w) - 1)  # a 1 in every digit
+    top = ones << (w - 1)
+    low = top - ones
+    for h in rows:
+        d = sum(map(mul, h, columns)) + top
+        if d & top != top:
+            yield None
+            continue
+        # adding 2^(w-1) - 1 to the low bits of a digit carries into its
+        # top bit iff they are not all zero
+        zeros = top & ~((d & low) + low)
+        # the top bit of digit i is bit w i + w - 1
+        yield bits(b // w for b in iter_bits(zeros))
+
+
 class HullBuilder:
     """Incremental hull of full-dimensional points, one double-description
     step per inserted point.
@@ -241,9 +285,14 @@ class HullBuilder:
     denominator, and a point with new denominators inserts without rescaling
     the rest.  `copy()` is cheap, so a search can build the hull of its fixed
     points once and insert one moved point per candidate.
+
+    `proven` holds the tuples of homogeneous points already shown to have
+    rank `dim`.  A builder shares it with all its copies, so a facet of the
+    fixed points has its rank computed once per search, not once per
+    candidate; a hit is the same elimination on the same exact input.
     """
 
-    __slots__ = ("dim", "points", "rows", "masks")
+    __slots__ = ("dim", "points", "rows", "masks", "proven")
 
     def __init__(self, points, basis=None):
         """Hull of the non-None `points`, started from the simplex on the
@@ -262,6 +311,7 @@ class HullBuilder:
         self.dim = k
         self.rows = []
         self.masks = []
+        self.proven = set()
         for drop in basis:
             rest = [i for i in basis if i != drop]
             (h,) = nullspace([self.points[i] for i in rest])
@@ -280,6 +330,7 @@ class HullBuilder:
         twin.points = list(self.points)
         twin.rows = list(self.rows)
         twin.masks = list(self.masks)
+        twin.proven = self.proven
         return twin
 
     def insert(self, i: int, point) -> None:
@@ -334,28 +385,28 @@ class HullBuilder:
     def hull(self, chart: Optional[_Chart] = None) -> Hull:
         """The hull, after the full verification pass: no repeated facet,
         every point inside every facet with exactly the recorded incidence,
-        and the tight points of every facet spanning a hyperplane.  `chart`
-        lifts the facets out of chart coordinates (default: the points are
-        the polytope's own)."""
+        and the tight points of every facet spanning a hyperplane (an
+        elimination unless this builder or a copy proved it for the same
+        points before).  `chart` lifts the facets out of chart coordinates
+        (default: the points are the polytope's own)."""
         pts = self.points
+        proven = self.proven
         if None in pts:
             raise ValueError(f"hull slot {pts.index(None)} is empty")
         _check_duplicates(pts)
         if len(set(self.rows)) != len(self.rows):
             raise DegenerateInput("hull verification failed: repeated facet")
         facets = []
-        for h, fmask in zip(self.rows, self.masks):
-            tight = 0
-            for i, q in enumerate(pts):
-                s = sum(map(mul, h, q))
-                if s < 0:
-                    raise DegenerateInput("hull verification failed: point outside facet")
-                if s == 0:
-                    tight |= 1 << i
+        for h, fmask, tight in zip(self.rows, self.masks, _tight_masks(pts, self.rows)):
+            if tight is None:
+                raise DegenerateInput("hull verification failed: point outside facet")
             if tight != fmask:
                 raise DegenerateInput("hull verification failed: incidence mismatch")
-            if matrix_rank([pts[j] for j in iter_bits(fmask)]) != self.dim:
-                raise DegenerateInput("hull verification failed: facet rank")
+            tight_pts = tuple(pts[j] for j in iter_bits(fmask))
+            if tight_pts not in proven:
+                if matrix_rank(tight_pts) != self.dim:
+                    raise DegenerateInput("hull verification failed: facet rank")
+                proven.add(tight_pts)
             ineq = Inequality(tuple(-v for v in h[1:]), h[0])
             facets.append((ineq if chart is None else chart.lift_ineq(ineq), fmask))
         facets.sort(key=lambda t: t[0].key)
@@ -409,34 +460,40 @@ def facet_enumeration_bruteforce(poly: VPolytope) -> tuple:
     return tuple(found[k] for k in sorted(found))
 
 
-def _tight_ranks(poly: VPolytope, hull: Hull):
-    """Per input point: the rank of the equalities and the facet normals
-    tight at it (the ambient dimension exactly for a vertex)."""
-    eq_rows = [e.coeffs for e in hull.hrep.equalities]
-    ineqs = hull.hrep.inequalities
-    for vmask in hull.incidence.vertex_masks:
-        yield matrix_rank(eq_rows + [ineqs[f].coeffs for f in iter_bits(vmask)])
+def _smallest_faces(hull: Hull):
+    """Per input point: the AND of the masks of the facets through it (all
+    points when no facet is), the smallest face containing it.  A point is a
+    vertex iff this is its own bit.  A point that is not a vertex never
+    passes, even with facets missing from the list: it lies in the relative
+    interior of a face with at least two vertices, and every valid facet
+    tight at it contains that whole face."""
+    inc = hull.incidence
+    fmasks = inc.facet_masks
+    everything = (1 << inc.n_vertices) - 1
+    for vmask in inc.vertex_masks:
+        face = everything
+        for f in iter_bits(vmask):
+            face &= fmasks[f]
+        yield face
 
 
 def certify_vertices(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     """Confirm every listed point is an extreme point; raises NotAVertex."""
     if hull is None:
         hull = facet_enumeration(poly)
-    d = poly.ambient_dim
-    for i, rank in enumerate(_tight_ranks(poly, hull)):
-        if rank != d:
+    for i, face in enumerate(_smallest_faces(hull)):
+        if face != 1 << i:
             raise NotAVertex(
                 f"point {poly.label_of(i)} = ({', '.join(map(format_rat, poly.vertices[i]))}) "
                 f"is not a vertex "
-                f"(tight normals have rank {rank} < {d})"
+                f"({face.bit_count()} input points lie on the smallest face containing it)"
             )
     return poly
 
 
 def extreme_indices(poly: VPolytope, hull: Hull):
     """Indices of the points that are vertices of the hull."""
-    d = poly.ambient_dim
-    return tuple(i for i, rank in enumerate(_tight_ranks(poly, hull)) if rank == d)
+    return tuple(i for i, face in enumerate(_smallest_faces(hull)) if face == 1 << i)
 
 
 def dual_graph(poly: VPolytope, hull: Hull) -> Graph:

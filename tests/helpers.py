@@ -86,6 +86,19 @@ def reference_dual_graph_edges(poly, hull):
     return tuple(edges)
 
 
+def reference_extreme_indices(poly, hull):
+    """The points at which the equalities and the tight facet normals have
+    rank equal to the ambient dimension, by the Fraction elimination below."""
+    eq_rows = [e.coeffs for e in hull.hrep.equalities]
+    ineqs = hull.hrep.inequalities
+    d = poly.ambient_dim
+    return tuple(
+        i
+        for i, vmask in enumerate(hull.incidence.vertex_masks)
+        if len(reference_rref(eq_rows + [ineqs[f].coeffs for f in iter_bits(vmask)])[0]) == d
+    )
+
+
 def _suspension_lifts(poly, hull, v):
     """(S, hull_S, lifts): lifts(f) is the tuple of new facet indices over
     facet f, its suspension if f contains v, else its pyramids over u and w."""

@@ -255,8 +255,12 @@ class TestExitCodes:
             ("hull", "POLY 1\ndim 2\nvertices 1\n0 0\n", 3),
             ("diameter", "POLY 1\ndim 2\nvertices 3\n0 0\n1 1\n2 2\n", 3),
             ("width", "POLY 1\ndim 2\nvertices 4\n0 0\n1 0\n0 1\n1/4 1/4\n", 3),
+            ("polar", "POLY 1\ndim 2\nvertices 5\n1 1\n1 -1\n-1 1\n-1 -1\n0 0\n", 3),
         ],
-        ids=["truncated-header", "single-point", "collinear-diameter", "non-vertex-width"],
+        ids=[
+            "truncated-header", "single-point", "collinear-diameter", "non-vertex-width",
+            "square-center-polar",
+        ],
     )
     def test_exit_code_without_traceback(self, tmp_path, command, text, code):
         done = run_cli(tmp_path, command, text)

@@ -1,4 +1,6 @@
-"""The double-description hull builder against full facet enumeration.
+"""The double-description hull builder against full facet enumeration, its
+packed slack check against plain dot products, and the face test for
+vertices against a rank reference.
 
 A builder of the fixed points plus one inserted point must give exactly the
 hull that `facet_enumeration` gives for the whole set, whether the point
@@ -6,6 +8,9 @@ lands outside the hull, inside it, on a facet hyperplane, or brings
 denominators the fixed points do not have.  The inputs lean toward the cases
 that are not in general position: {-1,0,1} grids, where many points share
 each facet hyperplane, and prisms, whose side facets are not simplices.
+The facet ranks a builder has proved are shared with its copies, so the
+corruption tests check that a proof made for one copy never vouches for a
+different facet in another.
 """
 import itertools
 from fractions import Fraction
@@ -17,14 +22,25 @@ from exactpoly.constructions import PushFailed, push_vertex_with_hull
 from exactpoly.geometry import DegenerateInput, DimensionMismatch
 from exactpoly.polytopes import (
     DuplicatePoints,
+    FacetIncidence,
+    HPolytope,
+    Hull,
     HullBuilder,
+    NotAVertex,
     VPolytope,
+    _tight_masks,
     bits,
+    certify_vertices,
     dual_graph,
+    extreme_indices,
     facet_enumeration,
     iter_bits,
 )
-from helpers import check_hull_against_oracle, reference_dual_graph_edges
+from helpers import (
+    check_hull_against_oracle,
+    reference_dual_graph_edges,
+    reference_extreme_indices,
+)
 
 COORD = st.integers(-3, 3)
 WEIGHT = st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7)
@@ -151,6 +167,99 @@ def test_builder_refuses_bad_use():
     assert builder.hull().incidence.n_facets == 4
 
 
+@st.composite
+def packed_slack_inputs(draw):
+    """Homogeneous points (w > 0) and rows with small and very large
+    entries; a row may be shifted to be tight at one point, then nudged."""
+    k = draw(st.integers(1, 5))
+    big = st.integers(-(2**70), 2**70)
+    entry = st.one_of(st.integers(-3, 3), big)
+    pts = draw(st.lists(
+        st.tuples(st.integers(1, 2**40), *[entry] * k), min_size=1, max_size=12
+    ))
+    rows = []
+    for _ in range(draw(st.integers(1, 6))):
+        h = [draw(entry) for _ in range(k)]
+        if draw(st.booleans()):
+            # w_t h0 + h . x_t == 0 for h0 = -(h . x_t) after scaling h by w_t
+            t = pts[draw(st.integers(0, len(pts) - 1))]
+            h = [t[0] * v for v in h]
+            h0 = -sum(a * b for a, b in zip(h, t[1:])) // t[0] + draw(st.integers(-1, 1))
+        else:
+            h0 = draw(entry)
+        rows.append((h0, *h))
+    return pts, rows
+
+
+@settings(max_examples=200, deadline=None)
+@given(packed_slack_inputs())
+def test_tight_masks_match_plain_dot_products(data):
+    pts, rows = data
+    want = []
+    for h in rows:
+        slacks = [sum(a * b for a, b in zip(h, q)) for q in pts]
+        want.append(None if min(slacks) < 0 else bits(i for i, s in enumerate(slacks) if s == 0))
+    assert list(_tight_masks(pts, rows)) == want
+
+
+# ---------------------------------------------------------------------------
+# the face test for vertices
+
+
+@st.composite
+def certify_inputs(draw):
+    """Point sets that may hold non-vertices: the centroid (interior) and
+    midpoints of two points (on an edge, inside a face or interior), and may
+    be embedded in one dimension more, where the hull needs a chart."""
+    pts = list(draw(point_sets()))
+    dim = len(pts[0])
+    for _ in range(draw(st.integers(0, 3))):
+        if draw(st.booleans()):
+            extra = tuple(sum(Fraction(p[j]) for p in pts) / len(pts) for j in range(dim))
+        else:
+            i, j = draw(st.lists(st.integers(0, len(pts) - 1), min_size=2, max_size=2, unique=True))
+            extra = tuple((Fraction(a) + b) / 2 for a, b in zip(pts[i], pts[j]))
+        if extra not in pts:
+            pts.append(extra)
+    if draw(st.booleans()):
+        # the graph of an affine function, as a new coordinate at position c
+        c = draw(st.integers(0, dim))
+        coeffs = [draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(dim + 1)]
+        pts = [
+            p[:c] + (coeffs[0] + sum(a * x for a, x in zip(coeffs[1:], p)),) + p[c:]
+            for p in pts
+        ]
+    return pts
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(certify_inputs(), st.data())
+def test_face_test_matches_rank_reference(pts, data):
+    poly = VPolytope(tuple(pts))
+    hull = facet_enumeration(poly)
+    want = reference_extreme_indices(poly, hull)
+    assert extreme_indices(poly, hull) == want
+    outside = [i for i in range(len(pts)) if i not in want]
+    if outside:
+        with pytest.raises(NotAVertex, match=f"^point {outside[0]} = .* is not a vertex"):
+            certify_vertices(poly, hull)
+    else:
+        assert certify_vertices(poly, hull) is poly
+    # with facets left out (each still valid, with exact incidence) the test
+    # may miss vertices but never accepts a point that is not one
+    keep = [f for f in range(hull.incidence.n_facets) if data.draw(st.booleans())]
+    partial = Hull(
+        HPolytope(
+            hull.hrep.ambient_dim,
+            tuple(hull.hrep.inequalities[f] for f in keep),
+            hull.hrep.equalities,
+        ),
+        FacetIncidence([hull.incidence.facet_masks[f] for f in keep], len(pts)),
+        hull.dim,
+    )
+    assert set(extreme_indices(poly, partial)) <= set(want)
+
+
 # ---------------------------------------------------------------------------
 # the verification pass refuses a corrupted builder
 
@@ -174,6 +283,65 @@ def test_corrupted_copy_raises(f, point, how):
         twin.hull()
     # the original is untouched by the corruption of its copy
     _same_hull(builder.hull(), facet_enumeration(VPolytope(tuple(pts))))
+
+
+def _supporting_row(pts, point, axis, how):
+    """(row, mask) of a valid, exactly incident row that is no facet of the
+    cube: a . x <= b tight at the vertex `point` alone, or along its edge in
+    direction `axis`."""
+    a = list(pts[point])
+    if how == "edge":
+        a[axis] = 0
+    b = sum(map(abs, a))
+    tight = bits(i for i, p in enumerate(pts) if sum(x * y for x, y in zip(a, p)) == b)
+    return (b,) + tuple(-v for v in a), tight
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    st.integers(0, 5),
+    st.integers(0, 7),
+    st.sampled_from(("mask", "offset+", "offset-", "vertex", "edge")),
+)
+def test_rank_proofs_of_a_twin_never_vouch_for_a_corrupted_copy(f, point, how):
+    pts, builder = _cube_builder()
+    twin = builder.copy()
+    twin.hull()
+    # the twin proved the rank of all six cube facets, for every copy
+    assert builder.proven is twin.proven and len(builder.proven) == 6
+    bad = builder.copy()
+    if how == "mask":
+        bad.masks[f] ^= 1 << point
+    elif how.startswith("offset"):
+        h = bad.rows[f]
+        bad.rows[f] = (h[0] + (1 if how == "offset+" else -1),) + h[1:]
+    else:
+        row, tight = _supporting_row(pts, point, f % 3, how)
+        bad.rows.append(row)
+        bad.masks.append(tight)
+    with pytest.raises(DegenerateInput, match="hull verification failed"):
+        bad.hull()
+    _same_hull(twin.hull(), facet_enumeration(VPolytope(tuple(pts))))
+
+
+def test_rank_proofs_are_keyed_by_points_not_slots():
+    # slot 8 above the top face makes y + z <= 2 a triangle facet through
+    # slots 6, 7 and 8; at the midpoint of the edge from slot 6 to slot 7 the
+    # same three slots are collinear, so the same row and mask, supporting
+    # but no facet, must fail the rank test although the slots were proved
+    pts, _ = _cube_builder()
+    fixed = HullBuilder(pts + [None])
+    above = fixed.copy()
+    above.insert(8, (0, 0, 2))
+    row = (2, 0, -1, -1)
+    assert row in above.rows and above.masks[above.rows.index(row)] == bits([6, 7, 8])
+    above.hull()
+    on_edge = fixed.copy()
+    on_edge.insert(8, (0, 1, 1))
+    on_edge.rows.append(row)
+    on_edge.masks.append(bits([6, 7, 8]))
+    with pytest.raises(DegenerateInput, match="facet rank"):
+        on_edge.hull()
 
 
 def test_supporting_hyperplane_of_a_vertex_fails_facet_rank():
