@@ -134,6 +134,8 @@ def _cmd_family(args) -> int:
 
 
 def _cmd_plot_torus(args) -> int:
+    if args.svg_size <= 0:
+        raise CliError(f"--svg-size must be positive, not {args.svg_size}", 2)
     layers = []
     data_lines = []
     if args.maps in ("plus", "both"):
@@ -162,6 +164,8 @@ def _write_polytope(poly: VPolytope, args) -> None:
 
 
 def _cmd_construct(args) -> int:
+    if args.operation in ("product", "blend") and args.second is None:
+        raise CliError(f"construct {args.operation} needs a second input polytope", 2)
     try:
         if args.operation == "ops":
             poly = _load(args.input)

@@ -305,8 +305,7 @@ def strong_dstep_step(
     base_normal = pr.hull.hrep.inequalities[plus_facet].coeffs + (ZERO,)
     nn = dot(base_normal, base_normal)
     amb = S.ambient_dim
-    expected_plus_mask = bits(new_plus)
-    expected_minus_mask = bits(new_minus)
+    minus_mask = bits(new_minus)
 
     # why move_apex rejected its candidates, over the whole search
     rejected = dict.fromkeys(REJECTION_CAUSES, 0)
@@ -330,11 +329,11 @@ def strong_dstep_step(
                     rejected["not a vertex"] += 1
                     continue
                 masks = hull_c.incidence.facet_masks
-                if expected_plus_mask not in masks or expected_minus_mask not in masks:
+                if plus_mask not in masks or minus_mask not in masks:
                     rejected["base facet missing"] += 1
                     continue
-                bp = masks.index(expected_plus_mask)
-                bm = masks.index(expected_minus_mask)
+                bp = masks.index(plus_mask)
+                bm = masks.index(minus_mask)
                 try:
                     new_pr = make_prismatoid(cand, hull_c, bp, bm)
                 except ValueError:
@@ -358,29 +357,25 @@ def strong_dstep_step(
     for apex in apex_order:
         fixed = _fixed_builder(S, apex)
         cond = apex_condition(apex)
-        attempts = [(S, hull_S)] if cond(S, hull_S, apex) else []
-        if not attempts:
+        start = S
+        if not cond(S, hull_S, apex):
             for strictness in (cond, None):
                 try:
-                    attempts.append(
-                        _push(
-                            S,
-                            apex,
-                            fixed,
-                            target_region=new_plus,
-                            seed=rng.randrange(1 << 30),
-                            point=None,
-                            genericity=strictness,
-                            max_halvings=max_halvings,
-                            old_hull=hull_S,
-                        )
+                    start, _ = _push(
+                        S,
+                        apex,
+                        fixed,
+                        target_region=new_plus,
+                        seed=rng.randrange(1 << 30),
+                        point=None,
+                        genericity=strictness,
+                        max_halvings=max_halvings,
+                        old_hull=hull_S,
                     )
                     break
                 except PushFailed:
-                    continue
-            else:
-                attempts.append((S, hull_S))
-        result = move_apex(attempts[0][0], apex, fixed)
+                    pass
+        result = move_apex(start, apex, fixed)
         if result is not None:
             return result
     raise ConstructionFailed(

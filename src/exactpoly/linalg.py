@@ -6,8 +6,7 @@ which leaves the rank, the pivot columns and the kernel unchanged; a row of
 update (Bareiss 1968, "Sylvester's identity and multistep integer-preserving
 Gaussian elimination") divides exactly by the previous pivot, so no rational
 ever forms and entries stay minors of the input.  Kernel vectors come out
-as integer vectors by back-substitution, and `solve_square` forms its
-rational solution from one of them with `Rat(a, b)`.
+as integer vectors by back-substitution.
 
 Pivoting rule everywhere: first nonzero entry in column order, scanning rows
 top-down.  Deterministic, so every derived quantity (ranks, hyperplanes,
@@ -15,7 +14,7 @@ nullspaces) is bit-reproducible.
 """
 from __future__ import annotations
 
-from .rationals import Rat, clear_denominators
+from .rationals import clear_denominators
 
 
 def echelon(rows):
@@ -92,18 +91,6 @@ def nullspace(rows):
             x[pc] = -s // row[pc]
         basis.append(tuple(x))
     return basis
-
-
-def solve_square(a_rows, rhs):
-    """Solve A x = b for square nonsingular A; raises on singular input.
-
-    x is the kernel vector of [A | -b] whose last coordinate is 1."""
-    n = len(a_rows)
-    basis = nullspace([list(r) + [-rhs[i]] for i, r in enumerate(a_rows)])
-    if len(basis) != 1 or basis[0][n] == 0:
-        raise ValueError("singular system")
-    x = basis[0]
-    return [Rat(x[i], x[n]) for i in range(n)]
 
 
 def mat_vec(rows, v):

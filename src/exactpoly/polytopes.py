@@ -3,11 +3,12 @@ combinatorics: dual and vertex graphs, simplicity tests, polar duality, faces
 by linear functional.
 
 The enumerator is `HullBuilder`, an incremental hull in exact integer
-arithmetic.  Non-full-dimensional input is first mapped to rational chart
-coordinates inside the affine hull, whose equality constraints are reported
-separately.  Each point is kept in homogeneous integer form: its numerators
-over its own positive denominator.  A facet is a primitive integer
-(coeffs, offset) at the input's scale, with the mask of its tight points.
+arithmetic.  Non-full-dimensional input of affine dimension k is projected
+onto k of its coordinates, chosen to be one-to-one on its affine hull, whose
+equality constraints are reported separately.  Each point is kept in
+homogeneous integer form: its numerators over its own positive denominator.
+A facet is a primitive integer (coeffs, offset) at the input's scale, with
+the mask of its tight points.
 Points are inserted in input order after a starting simplex is chosen
 greedily, each by one double-description step (Fukuda & Prodon 1996,
 "Double description method revisited"): two facets meet in a ridge iff no
@@ -50,7 +51,7 @@ from .geometry import (
     vsub,
 )
 from .graphs import Graph
-from .linalg import echelon, matrix_rank, nullspace, solve_square
+from .linalg import echelon, matrix_rank, nullspace
 from .rationals import Rat, ZERO, common_denominator, format_rat
 
 
@@ -84,11 +85,6 @@ class VPolytope:
 
     def label_of(self, i: int) -> str:
         return self.labels[i] if self.labels else str(i)
-
-    def index_of_label(self, label: str) -> int:
-        if self.labels is None:
-            return int(label)
-        return self.labels.index(label)
 
 
 @dataclass(frozen=True)
@@ -181,51 +177,6 @@ def _affine_basis(points):
             rows = cand
             idx.append(i)
     return idx
-
-
-class _Chart:
-    """Exact coordinates inside the affine hull of a point set."""
-
-    def __init__(self, points):
-        self.basis = _affine_basis(points)
-        self.base_point = points[self.basis[0]]
-        self.dim = len(self.basis) - 1
-        d = len(self.base_point)
-        self.full = self.dim == d
-        self.equalities = ()
-        if self.full:
-            return
-        dirs = [vsub(points[i], self.base_point) for i in self.basis[1:]]
-        # rows of D^T are the direction vectors; pivot columns pick coordinates
-        # that already determine chart coordinates exactly.
-        self.pivot_cols = echelon([list(v) for v in dirs])
-        self.r_rows = [[dirs[j][c] for j in range(self.dim)] for c in self.pivot_cols]
-        self.rt_rows = [[dirs[j][c] for c in self.pivot_cols] for j in range(self.dim)]
-        self.equalities = tuple(
-            sorted(
-                (
-                    canonical_hyperplane(Inequality(vec, dot(vec, self.base_point)))
-                    for vec in nullspace(dirs)
-                ),
-                key=lambda e: e.key,
-            )
-        )
-
-    def to_chart(self, p):
-        if self.full:
-            return p
-        rhs = [p[c] - self.base_point[c] for c in self.pivot_cols]
-        return tuple(solve_square(self.r_rows, rhs))
-
-    def lift_ineq(self, ineq: Inequality) -> Inequality:
-        if self.full:
-            return ineq.canonical()
-        y = solve_square(self.rt_rows, list(ineq.coeffs))
-        coeffs = [ZERO] * len(self.base_point)
-        for j, c in enumerate(self.pivot_cols):
-            coeffs[c] = y[j]
-        offset = ineq.offset + dot(coeffs, self.base_point)
-        return Inequality(tuple(coeffs), offset).canonical()
 
 
 def _homogeneous(p):
@@ -382,13 +333,12 @@ class HullBuilder:
         self.rows = [h for f, h in enumerate(rows) if f not in gone] + new_rows
         self.masks = [m for f, m in enumerate(masks) if f not in gone] + new_masks
 
-    def hull(self, chart: Optional[_Chart] = None) -> Hull:
+    def hull(self) -> Hull:
         """The hull, after the full verification pass: no repeated facet,
         every point inside every facet with exactly the recorded incidence,
         and the tight points of every facet spanning a hyperplane (an
         elimination unless this builder or a copy proved it for the same
-        points before).  `chart` lifts the facets out of chart coordinates
-        (default: the points are the polytope's own)."""
+        points before)."""
         pts = self.points
         proven = self.proven
         if None in pts:
@@ -407,14 +357,9 @@ class HullBuilder:
                 if matrix_rank(tight_pts) != self.dim:
                     raise DegenerateInput("hull verification failed: facet rank")
                 proven.add(tight_pts)
-            ineq = Inequality(tuple(-v for v in h[1:]), h[0])
-            facets.append((ineq if chart is None else chart.lift_ineq(ineq), fmask))
+            facets.append((Inequality(tuple(-v for v in h[1:]), h[0]), fmask))
         facets.sort(key=lambda t: t[0].key)
-        hrep = HPolytope(
-            ambient_dim=self.dim if chart is None else len(chart.base_point),
-            inequalities=tuple(t[0] for t in facets),
-            equalities=() if chart is None else chart.equalities,
-        )
+        hrep = HPolytope(self.dim, tuple(t[0] for t in facets))
         return Hull(hrep, FacetIncidence([t[1] for t in facets], len(pts)), self.dim)
 
 
@@ -424,14 +369,37 @@ def facet_enumeration(poly: VPolytope) -> Hull:
     Facets are canonical inequalities sorted lexicographically by
     coefficients; for non-full-dimensional input the affine hull's equality
     constraints are reported in `hrep.equalities` and facets cut within it.
-    This is `HullBuilder` run over the charted points in input order.
+    This is `HullBuilder` run over the points in input order.  When their
+    affine hull has dimension k < d, it runs on their coordinates at the k
+    pivot columns of the affine hull's directions, a projection that is
+    one-to-one on the affine hull, and each facet there lifts with zeros in
+    the other columns.  That lift is the unique facet inequality supported on those
+    columns, and inserting zeros at fixed positions keeps the sort order.
     """
     pts = poly.vertices
     _check_duplicates(pts)
-    chart = _Chart(pts)
-    if chart.dim < 1:
+    basis = _affine_basis(pts)
+    k = len(basis) - 1
+    if k < 1:
         raise DegenerateInput("affine rank < 1: a single point has no facets")
-    return HullBuilder([chart.to_chart(p) for p in pts], chart.basis).hull(chart)
+    d = len(pts[0])
+    if k == d:
+        return HullBuilder(pts, basis).hull()
+    base = pts[basis[0]]
+    dirs = [vsub(pts[i], base) for i in basis[1:]]
+    cols = echelon(list(dirs))
+    hull = HullBuilder([tuple(p[c] for c in cols) for p in pts], basis).hull()
+    facets = []
+    for ineq in hull.hrep.inequalities:
+        coeffs = [0] * d
+        for c, a in zip(cols, ineq.coeffs):
+            coeffs[c] = a
+        facets.append(Inequality(tuple(coeffs), ineq.offset))
+    equalities = sorted(
+        (canonical_hyperplane(Inequality(vec, dot(vec, base))) for vec in nullspace(dirs)),
+        key=lambda e: e.key,
+    )
+    return hull._replace(hrep=HPolytope(d, tuple(facets), tuple(equalities)))
 
 
 def facet_enumeration_bruteforce(poly: VPolytope) -> tuple:

@@ -2,7 +2,7 @@
 
 `Rat` is `fractions.Fraction`: arbitrary precision, lowest terms, positive
 denominator.  Rationals are what the file formats read and write, what
-points and the excess arithmetic hold, and what a chart or a polar produces.
+points and the excess arithmetic hold, and what a polar produces.
 Inside the engine the hot arithmetic is on Python `int`: a point set is
 scaled to integers once (`common_denominator`), and canonical inequalities
 are primitive integer vectors (`primitive_ints`).  Code that divides values

@@ -190,12 +190,3 @@ def reference_nullspace(rows):
             x[pc] = -work[r][fc]
         basis.append(tuple(x))
     return basis
-
-
-def reference_solve(a_rows, rhs):
-    """The solution of A x = b, or None when A is singular."""
-    n = len(a_rows)
-    pivots, work = reference_rref([list(r) + [b] for r, b in zip(a_rows, rhs)])
-    if pivots != list(range(n)):
-        return None
-    return [work[i][n] for i in range(n)]

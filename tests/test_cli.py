@@ -233,15 +233,21 @@ class TestVerifyReport:
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 
-def run_cli(tmp_path, command, text):
-    """Run `python -m exactpoly.cli command file` in a fresh interpreter."""
-    src = tmp_path / "input.poly"
-    src.write_text(text)
+def run_args(tmp_path, args):
+    """Run `python -m exactpoly.cli *args` in a fresh interpreter."""
     env = dict(os.environ, PYTHONPATH=str(SRC))
     return subprocess.run(
-        [sys.executable, "-m", "exactpoly.cli", command, str(src)],
+        [sys.executable, "-m", "exactpoly.cli", *args],
         capture_output=True, text=True, env=env, cwd=tmp_path, timeout=120,
     )
+
+
+def run_cli(tmp_path, command, text):
+    """Run `python -m exactpoly.cli command file` in a fresh interpreter;
+    `command` may hold several words."""
+    src = tmp_path / "input.poly"
+    src.write_text(text)
+    return run_args(tmp_path, [*command.split(), str(src)])
 
 
 class TestExitCodes:
@@ -256,10 +262,12 @@ class TestExitCodes:
             ("diameter", "POLY 1\ndim 2\nvertices 3\n0 0\n1 1\n2 2\n", 3),
             ("width", "POLY 1\ndim 2\nvertices 4\n0 0\n1 0\n0 1\n1/4 1/4\n", 3),
             ("polar", "POLY 1\ndim 2\nvertices 5\n1 1\n1 -1\n-1 1\n-1 -1\n0 0\n", 3),
+            ("construct product", cube_text(), 2),
+            ("construct blend", cube_text(), 2),
         ],
         ids=[
             "truncated-header", "single-point", "collinear-diameter", "non-vertex-width",
-            "square-center-polar",
+            "square-center-polar", "product-without-second", "blend-without-second",
         ],
     )
     def test_exit_code_without_traceback(self, tmp_path, command, text, code):
@@ -267,3 +275,12 @@ class TestExitCodes:
         assert done.returncode == code, done.stderr
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ")
+        assert done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("size", ["0", "-3"])
+    def test_svg_size_must_be_positive(self, tmp_path, size):
+        done = run_args(tmp_path, ["plot-torus", "--svg-size", size, "--out", "maps.svg"])
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr == f"error: --svg-size must be positive, not {size}\n"
+        assert not (tmp_path / "maps.svg").exists()

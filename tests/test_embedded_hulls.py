@@ -1,0 +1,121 @@
+"""Hulls of point sets that are not full-dimensional.
+
+A point set of affine rank k < d is embedded in d-space by an injective
+rational affine map.  Its hull must have dimension k, the facet incidence of
+the un-embedded hull, equalities that vanish on every point, and facets that
+are tight exactly on their masks.  A seeded corpus of such inputs pins the
+HPOLY and INC text, so the way the hull charts the affine hull may change
+only if the output stays byte-identical.
+"""
+import hashlib
+import random
+from fractions import Fraction
+
+from hypothesis import HealthCheck, given, settings, strategies as st
+
+from exactpoly.fileformats import write_hpoly, write_incidence
+from exactpoly.geometry import affine_rank
+from exactpoly.linalg import matrix_rank
+from exactpoly.polytopes import VPolytope, facet_enumeration, iter_bits
+
+
+def embed(points, matrix, shift):
+    """x -> M x + t, with M given by its d rows."""
+    return [
+        tuple(t + sum(a * x for a, x in zip(row, p)) for row, t in zip(matrix, shift))
+        for p in points
+    ]
+
+
+ENTRY = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+
+
+@st.composite
+def embedded_inputs(draw):
+    """(points of affine rank k in k-space, d x k matrix of rank k, shift)
+    with 1 <= k <= 4 and k < d <= 6.  Many matrix entries are zero, so the
+    affine hull is often parallel to some coordinate axes."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(k + 1, 6))
+    coord = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    points = draw(
+        st.lists(st.tuples(*[coord] * k), min_size=k + 1, max_size=k + 7, unique=True)
+        .filter(lambda ps: affine_rank(ps) == k)
+    )
+    entry = st.one_of(st.just(Fraction(0)), ENTRY)
+    matrix = draw(
+        st.lists(st.tuples(*[entry] * k), min_size=d, max_size=d).filter(
+            lambda rows: matrix_rank(rows) == k
+        )
+    )
+    shift = draw(st.tuples(*[ENTRY] * d))
+    return points, matrix, shift
+
+
+@settings(
+    max_examples=100,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+)
+@given(embedded_inputs())
+def test_embedded_hull_matches_the_flat_hull(data):
+    points, matrix, shift = data
+    flat = VPolytope(tuple(points))
+    k = len(points[0])
+    emb = VPolytope(tuple(embed(points, matrix, shift)))
+    hull = facet_enumeration(emb)
+    assert hull.dim == k
+    assert hull.hrep.ambient_dim == len(matrix)
+    assert len(hull.hrep.equalities) == len(matrix) - k
+    assert sorted(hull.incidence.facet_masks) == sorted(
+        facet_enumeration(flat).incidence.facet_masks
+    )
+    for e in hull.hrep.equalities:
+        assert all(e.slack(p) == 0 for p in emb.vertices)
+    for ineq, mask in zip(hull.hrep.inequalities, hull.incidence.facet_masks):
+        slacks = [ineq.slack(p) for p in emb.vertices]
+        assert all(s >= 0 for s in slacks)
+        assert [i for i, s in enumerate(slacks) if s == 0] == list(iter_bits(mask))
+
+
+def embedded_corpus(seed, count):
+    """`count` seeded inputs like `embedded_inputs`, as point tuples in
+    d-space."""
+    rng = random.Random(seed)
+
+    def rat(num, den):
+        return Fraction(rng.randint(-num, num), rng.randint(1, den))
+
+    corpus = []
+    while len(corpus) < count:
+        k = rng.randint(1, 4)
+        d = rng.randint(k + 1, 6)
+        points = []
+        for _ in range(rng.randint(k + 1, k + 7)):
+            p = tuple(rat(4, 3) for _ in range(k))
+            if p not in points:
+                points.append(p)
+        if affine_rank(points) != k:
+            continue
+        matrix = [
+            tuple(Fraction(0) if rng.random() < 0.4 else rat(3, 2) for _ in range(k))
+            for _ in range(d)
+        ]
+        if matrix_rank(matrix) != k:
+            continue
+        shift = tuple(rat(3, 4) for _ in range(d))
+        corpus.append(embed(points, matrix, shift))
+    return corpus
+
+
+# sha256 of the text below over the corpus, recorded when the hull charted
+# the affine hull by solving for coordinates in a basis of its directions
+CORPUS_DIGEST = "aebb11666bdf92fa24aa99594a8e5ea7d6ceeaf80e5cb0d0c329f64a72d848ba"
+
+
+def test_embedded_corpus_output_is_pinned():
+    text = []
+    for points in embedded_corpus(seed=6, count=320):
+        hull = facet_enumeration(VPolytope(tuple(points)))
+        text.append(f"dim {hull.dim}\n{write_hpoly(hull.hrep)}{write_incidence(hull)}")
+    assert hashlib.sha256("".join(text).encode()).hexdigest() == CORPUS_DIGEST

@@ -8,8 +8,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from exactpoly.linalg import echelon, matrix_rank, nullspace, solve_square
-from helpers import reference_nullspace, reference_rref, reference_solve
+from exactpoly.linalg import echelon, matrix_rank, nullspace
+from helpers import reference_nullspace, reference_rref
 
 SMALL = st.integers(-6, 6)
 HUGE = st.builds(lambda sign, v: sign * v, st.sampled_from((-1, 1)),
@@ -78,32 +78,6 @@ def test_nullspace_matches_reference(rows):
     for vec, unit, fc in zip(got, want, free):
         assert tuple(Fraction(v, vec[fc]) for v in vec) == unit
         assert all(sum(Fraction(a) * x for a, x in zip(row, vec)) == 0 for row in rows)
-
-
-@st.composite
-def square_systems(draw):
-    n = draw(st.integers(1, 5))
-    rows = draw(st.lists(st.lists(ENTRY, min_size=n, max_size=n), min_size=n, max_size=n))
-    if draw(st.booleans()) and n > 1:
-        rows[-1] = list(rows[0])  # singular
-    rhs = draw(st.lists(ENTRY, min_size=n, max_size=n))
-    return rows, rhs
-
-
-@settings(max_examples=200, deadline=None)
-@given(square_systems())
-def test_solve_square_matches_reference(system):
-    rows, rhs = system
-    want = reference_solve(rows, rhs)
-    if want is None:
-        try:
-            solve_square(rows, rhs)
-        except ValueError:
-            return
-        raise AssertionError("singular system solved")
-    got = solve_square(rows, rhs)
-    assert got == want
-    assert all(type(v) is Fraction for v in got)
 
 
 @settings(max_examples=200, deadline=None)

@@ -19,7 +19,6 @@ from exactpoly.polytopes import (
     vertex_graph,
 )
 from exactpoly.geometry import affine_rank
-from exactpoly.linalg import solve_square
 from exactpoly.rationals import Rat
 from helpers import check_hull_against_oracle, random_polytope
 
@@ -187,11 +186,6 @@ class TestIntegerTypedInput:
         assert hull.incidence.n_facets == 4
         assert _no_floats(_hrep_values(hull))
         assert certify_vertices(poly, hull) is poly
-
-    def test_solve_square_on_ints(self):
-        x = solve_square([[2, 1], [1, 3]], [1, 2])
-        assert x == [Rat(1, 5), Rat(3, 5)]
-        assert all(type(v) is Rat for v in x)
 
 
 class TestRationalChart:
