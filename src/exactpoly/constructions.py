@@ -459,6 +459,9 @@ def blend_graph(
     (default: pair both sorted facet-index lists).  The diameter is
     measured, never assumed.
     """
+    for poly, v in ((p1, v1), (p2, v2)):
+        if not 0 <= v < poly.n_vertices:
+            raise ValueError(f"vertex index {v} out of range")
     if hull1 is None:
         hull1 = facet_enumeration(p1)
     if hull2 is None:

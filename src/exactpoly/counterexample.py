@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from operator import mul
 from typing import Optional
 
 from .geometry import Inequality, OrthMap, affine_rank, integer_points, smul, vadd, vsub
@@ -333,7 +334,21 @@ def facet_labels(hull: Hull):
 
 def facet_permutation(m: OrthMap, hull: Hull, index: dict):
     """The permutation a symmetry induces on the facet list; `index` maps
-    each facet key of `hull` to its position."""
+    each facet key of `hull` to its position.  A map with integer entries
+    sends each key (a, b) straight to the key (M a, b) of its image: an
+    orthogonal integer matrix is a signed permutation, so the image of a
+    primitive key is primitive, which is what `canonical()` would give.  A
+    map with rational entries goes through `apply_ineq`."""
+    rows = m.rows
+    if all(type(v) is int for row in rows for v in row):
+        perm = [None] * len(index)
+        for key, f in index.items():
+            coeffs = key[:-1]
+            img = tuple(sum(map(mul, row, coeffs)) for row in rows) + (key[-1],)
+            if img not in index:
+                raise ValueError("map does not permute the facet set")
+            perm[f] = index[img]
+        return tuple(perm)
     perm = []
     for q in hull.hrep.inequalities:
         img = m.apply_ineq(q)
@@ -713,7 +728,9 @@ def check_minkowski_section(ctx: Certificate) -> Report:
             edges_q == edges_s,
             f"{len(edges_s)} edges",
         )
-        has_prop, min_facets = pair_dstep_property(ctx.qplus, ctx.qminus, pr.dim, ms=ms)
+        has_prop, min_facets = pair_dstep_property(
+            ctx.qplus, ctx.qminus, pr.dim, ms=ms, graph=sum_graph
+        )
         rep.add("pair d-step property fails", not has_prop, "")
         rep.add("minimum facet sequence length", min_facets == 5, str(min_facets))
         # bi-dimension bands per family letter

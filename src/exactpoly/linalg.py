@@ -16,6 +16,8 @@ from __future__ import annotations
 
 from .rationals import clear_denominators
 
+_INT = frozenset((int,))
+
 
 def echelon(rows):
     """Reduce `rows` in place to a fraction-free row-echelon form of ints.
@@ -27,7 +29,7 @@ def echelon(rows):
     (rows in their final order, pivot columns).
     """
     for i, row in enumerate(rows):
-        rows[i] = list(row) if all(type(v) is int for v in row) else clear_denominators(row)
+        rows[i] = list(row) if _INT.issuperset(map(type, row)) else clear_denominators(row)
     n_rows = len(rows)
     pivots = []
     prev = 1

@@ -178,12 +178,14 @@ def intermediate_slice(pr: Prismatoid, lam1) -> VPolytope:
 # pair d-step property
 
 
-def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms=None):
+def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms=None, graph=None):
     """(has property, minimum facet-sequence length) for a pair of bases.
 
     The sequence runs in the dual graph of the Minkowski sum from facets
     whose first decomposition component is a facet of Q+ to those whose
     second is a facet of Q-; the pair property asks for length <= d - 1.
+    A caller that already has the sum `ms`, or its dual graph `graph`,
+    hands it over instead of having it built again.
     """
     if ms is None:
         ms = minkowski_sum(qplus, qminus)
@@ -193,7 +195,7 @@ def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms=None):
     end = {f for f, mf in enumerate(ms.facets) if mf.face_minus.dim == dim_minus - 1}
     if not start or not end:
         raise DegenerateInput("no facet has the required bi-dimension")
-    g = dual_graph(ms.polytope, ms.hull)
+    g = dual_graph(ms.polytope, ms.hull) if graph is None else graph
     dist = {f: 0 for f in start}
     queue = deque(start)
     best = None

@@ -14,7 +14,10 @@ greedily, each by one double-description step (Fukuda & Prodon 1996,
 "Double description method revisited"): two facets meet in a ridge iff no
 third facet holds all their common points, and the new facet through a
 horizon ridge is a positive integer combination of the two facets there, so
-no elimination runs inside the loop.  A point on existing facet hyperplanes
+no elimination runs inside the loop.  The test is output-sensitive: each
+visible facet lists once the facets meeting it in at least k-1 points
+(every facet when k = 1), and the partner and every possible third facet
+come from that list.  A point on existing facet hyperplanes
 extends those facets' incidence.  The builder copies cheaply, so the
 perturbation searches build the hull of their fixed points once and insert
 one moved point per candidate.  Every hull that is returned has passed the
@@ -30,7 +33,9 @@ bit-reproducible.
 Vertices are certified by a face test, not by elimination: the facets
 through a point meet in the smallest face containing it (every face is the
 intersection of the facets that contain it), so the point is a vertex iff
-the AND of their masks is its own bit.
+the AND of their masks is its own bit.  The dual graph tests a facet only
+against the facets that lack at most |F| - (k-1) of its points, counted
+over the per-point facet masks, not against all others.
 """
 from __future__ import annotations
 
@@ -302,34 +307,43 @@ class HullBuilder:
         (Fukuda & Prodon 1996, "Double description method revisited"); the
         new facet through that ridge and the point is s_k fa - s_a fk, a
         positive combination, so it is oriented, and its tight points are the
-        common ones plus the point."""
+        common ones plus the point.
+
+        The candidates are output-sensitive: each visible facet lists once
+        the facets that meet it in at least k-1 points, with the
+        intersections.  The partner fk and every third facet that could hold
+        their common points (at least k-1 of fa's points) are in that list,
+        so the ridge test scans only it.  For k = 1 every facet is listed,
+        since the two ends of a segment share no point."""
         q = self.points[i]
         bit = 1 << i
         rows, masks = self.rows, self.masks
-        visible, beyond = [], []
-        for f, h in enumerate(rows):
-            s = sum(map(mul, h, q))
+        slacks = [sum(map(mul, h, q)) for h in rows]
+        visible = []
+        for f, s in enumerate(slacks):
             if s < 0:
-                visible.append((f, s))
-            elif s > 0:
-                beyond.append((f, s))
-            else:
+                visible.append(f)
+            elif s == 0:
                 masks[f] |= bit
         if not visible:
             return
-        k = self.dim
+        k1 = self.dim - 1
         new_rows, new_masks = [], []
-        for a, sa in visible:
-            ha, ma = rows[a], masks[a]
-            for b, sb in beyond:
-                common = ma & masks[b]
-                if common.bit_count() < k - 1:
+        for a in visible:
+            ha, ma, sa = rows[a], masks[a], slacks[a]
+            near = [
+                (f, c) for f, m in enumerate(masks) if (c := ma & m).bit_count() >= k1 and f != a
+            ]
+            for b, common in near:
+                sb = slacks[b]
+                if sb <= 0:
                     continue
-                if sum(m & common == common for m in masks) > 2:
+                # b itself is in `near`; a third holder of `common` is a ridge veto
+                if sum(c & common == common for _, c in near) > 1:
                     continue
                 new_rows.append(_primitive(tuple(sb * x - sa * y for x, y in zip(ha, rows[b]))))
                 new_masks.append(common | bit)
-        gone = {a for a, _ in visible}
+        gone = set(visible)
         self.rows = [h for f, h in enumerate(rows) if f not in gone] + new_rows
         self.masks = [m for f, m in enumerate(masks) if f not in gone] + new_masks
 
@@ -467,22 +481,39 @@ def extreme_indices(poly: VPolytope, hull: Hull):
 def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
     """Facets sharing a ridge: a and b are adjacent iff the facets holding
     all their common points are exactly a and b (the combinatorial test of
-    the double description method, read through the transposed incidence)."""
+    the double description method, read through the transposed incidence).
+
+    Only facets that share at least k-1 points with a are tested against
+    it.  They are the facets lacking at most |F_a| - (k-1) of a's points,
+    counted over the transposed incidence with a few big-integer operations
+    per point of a, so the work follows the degrees, not the m^2 pairs."""
     k = hull.dim
     inc = hull.incidence
     m = inc.n_facets
     masks = inc.facet_masks
     vmasks = inc.vertex_masks
+    everyone = (1 << m) - 1
     edges = []
     for a in range(m):
         ma = masks[a]
-        for b in range(a + 1, m):
+        spare = ma.bit_count() - (k - 1)
+        # miss[i]: the facets that lack exactly i of a's points seen so far;
+        # a facet that lacks more than `spare` of them drops out
+        miss = [everyone] + [0] * spare
+        for j in iter_bits(ma):
+            has = vmasks[j]
+            for i in range(spare, 0, -1):
+                miss[i] = (miss[i] & has) | (miss[i - 1] & ~has)
+            miss[0] &= has
+        near = 0
+        for x in miss:
+            near |= x
+        pair_a = 1 << a
+        for b in iter_bits(near >> (a + 1) << (a + 1)):
             common = ma & masks[b]
-            if common.bit_count() < k - 1:
-                continue
-            pair = 1 << a | 1 << b
+            pair = pair_a | 1 << b
             # with no common points (a segment) every facet holds them all
-            face = (1 << m) - 1
+            face = everyone
             for j in iter_bits(common):
                 face &= vmasks[j]
                 if face == pair:

@@ -277,6 +277,15 @@ class TestExitCodes:
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("\n") == 1
 
+    @pytest.mark.parametrize("option, value", [("--v1", "50"), ("--v2", "99"), ("--v1", "-1")])
+    def test_blend_vertex_must_be_in_range(self, tmp_path, option, value):
+        (tmp_path / "cube.poly").write_text(cube_text())
+        done = run_args(tmp_path, ["construct", "blend", "cube.poly", "cube.poly", option, value])
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr == f"error: vertex index {value} out of range\n"
+        assert done.stdout == ""
+
     @pytest.mark.parametrize("size", ["0", "-3"])
     def test_svg_size_must_be_positive(self, tmp_path, size):
         done = run_args(tmp_path, ["plot-torus", "--svg-size", size, "--out", "maps.svg"])

@@ -11,14 +11,19 @@ each facet hyperplane, and prisms, whose side facets are not simplices.
 The facet ranks a builder has proved are shared with its copies, so the
 corruption tests check that a proof made for one copy never vouches for a
 different facet in another.
+
+The ridge and adjacency tests take their candidates from the incidence, so
+they are also checked where that is easiest to get wrong: segments, whose
+two facets share no point, and the dual graph of lattice boxes and
+one-point suspensions, where facets hold many more than k points.
 """
 import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from exactpoly.constructions import PushFailed, push_vertex_with_hull
+from exactpoly.constructions import PushFailed, one_point_suspension, push_vertex_with_hull
 from exactpoly.geometry import DegenerateInput, DimensionMismatch
 from exactpoly.polytopes import (
     DuplicatePoints,
@@ -150,6 +155,71 @@ def test_segment_dual_graph_is_one_edge():
     seg = VPolytope(((Fraction(-2),), (Fraction(5),)))
     hull = facet_enumeration(seg)
     assert dual_graph(seg, hull).edges == ((0, 1),) == reference_dual_graph_edges(seg, hull)
+
+
+@st.composite
+def lines(draw):
+    """(distinct rationals t, a map t -> base + t dir into d-space, d = 1-4)."""
+    values = draw(st.lists(
+        st.fractions(-9, 9, max_denominator=5), min_size=2, max_size=9, unique=True
+    ))
+    d = draw(st.integers(1, 4))
+    direction = draw(st.tuples(*[WEIGHT | WEIGHT.map(lambda w: -w) | st.just(0)] * d).filter(any))
+    base = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * d))
+    return values, base, direction
+
+
+@settings(max_examples=100, deadline=None)
+@given(lines())
+@example(([0, 1, 3, -2, 7, Fraction(1, 2), Fraction(5, 3)], (0,), (1,)))
+@example(([2, -1, 0, 9, -4], (Fraction(1, 2), 0, 1), (1, Fraction(-2, 3), 0)))
+def test_one_dimensional_hull_keeps_both_ends(data):
+    """The two facets of a segment share no point, so every facet must be a
+    ridge candidate when k = 1: a point beyond one end replaces that end,
+    and an interior point changes nothing."""
+    values, base, direction = data
+    pts = tuple(tuple(b + t * c for b, c in zip(base, direction)) for t in values)
+    poly = VPolytope(pts)
+    hull = facet_enumeration(poly)
+    ends = {values.index(min(values)), values.index(max(values))}
+    assert hull.dim == 1
+    assert sorted(hull.incidence.facet_masks) == sorted(1 << i for i in ends)
+    if len(base) == 1:
+        check_hull_against_oracle(poly)
+
+
+@st.composite
+def boxes(draw):
+    """The corners of a lattice box in dims 2-4 and a drawn subset of its
+    other lattice points: facets hold many points, most of them not
+    vertices, so |F| - (k-1) > 1."""
+    dim = draw(st.integers(2, 4))
+    sides = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
+    pool = list(itertools.product(*(range(s + 1) for s in sides)))
+    keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
+    return [
+        p for p, k in zip(pool, keep) if k or all(c in (0, s) for c, s in zip(p, sides))
+    ]
+
+
+@settings(max_examples=40, deadline=None)
+@given(boxes())
+def test_dual_graph_matches_reference_on_grids(pts):
+    poly = VPolytope(tuple(pts))
+    hull = facet_enumeration(poly)
+    assert dual_graph(poly, hull).edges == reference_dual_graph_edges(poly, hull)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(), st.data())
+def test_dual_graph_matches_reference_on_suspensions(pts, data):
+    """The two new points of a one-point suspension lie on nearly every
+    facet."""
+    poly = VPolytope(tuple(pts))
+    v = data.draw(st.integers(0, len(pts) - 1))
+    susp = one_point_suspension(poly, v)
+    hull = facet_enumeration(susp)
+    assert dual_graph(susp, hull).edges == reference_dual_graph_edges(susp, hull)
 
 
 def test_builder_refuses_bad_use():
