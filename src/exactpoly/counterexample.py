@@ -42,7 +42,7 @@ from .polytopes import (
     polar,
 )
 from .prismatoids import is_spindle, make_prismatoid
-from .rationals import Rat, format_rat
+from .rationals import Rat, format_rat, primitive_ints
 from .report import Report
 
 # vertex coordinates: (x1..x4) at height x5 = +1 and x5 = -1
@@ -332,29 +332,22 @@ def facet_labels(hull: Hull):
     return tuple(labels)
 
 
-def facet_permutation(m: OrthMap, hull: Hull, index: dict):
-    """The permutation a symmetry induces on the facet list; `index` maps
-    each facet key of `hull` to its position.  A map with integer entries
-    sends each key (a, b) straight to the key (M a, b) of its image: an
-    orthogonal integer matrix is a signed permutation, so the image of a
-    primitive key is primitive, which is what `canonical()` would give.  A
-    map with rational entries goes through `apply_ineq`."""
+def facet_permutation(m: OrthMap, index: dict):
+    """The permutation a symmetry induces on the facets; `index` maps each
+    facet key (a, b) to its position.  The image of a key is (M a, b),
+    brought to primitive integers only when it is not found as it stands:
+    an orthogonal integer matrix is a signed permutation, so it sends a
+    primitive key to a primitive key, and only a map with rational entries
+    needs the rescaling."""
     rows = m.rows
-    if all(type(v) is int for row in rows for v in row):
-        perm = [None] * len(index)
-        for key, f in index.items():
-            coeffs = key[:-1]
-            img = tuple(sum(map(mul, row, coeffs)) for row in rows) + (key[-1],)
+    perm = [None] * len(index)
+    for key, f in index.items():
+        img = tuple(sum(map(mul, row, key[:-1])) for row in rows) + (key[-1],)
+        if img not in index:
+            img = tuple(primitive_ints(img))
             if img not in index:
                 raise ValueError("map does not permute the facet set")
-            perm[f] = index[img]
-        return tuple(perm)
-    perm = []
-    for q in hull.hrep.inequalities:
-        img = m.apply_ineq(q)
-        if img.key not in index:
-            raise ValueError("map does not permute the facet set")
-        perm.append(index[img.key])
+        perm[f] = index[img]
     return tuple(perm)
 
 
@@ -442,7 +435,7 @@ class Certificate:
         """Map key -> facet permutation, for every element of the full group
         (the base-preserving maps are among them)."""
         index = {q.key: i for i, q in enumerate(self.hull.hrep.inequalities)}
-        return {m.key: facet_permutation(m, self.hull, index) for m in self.groups[0].maps}
+        return {m.key: facet_permutation(m, index) for m in self.groups[0].maps}
 
     @cached_property
     def orbits(self):
@@ -716,21 +709,18 @@ def check_minkowski_section(ctx: Certificate) -> Report:
     ok = ok and len(mapping) == 320 and len(set(mapping.values())) == 320
     rep.add("restricted normals biject onto sum facets", ok, f"{len(mapping)} matched")
     if ok:
-        sum_graph = dual_graph(ms.polytope, ms.hull)
         edges_q = {
             (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
             for a, b in ctx.graph.edges
             if a not in bases and b not in bases
         }
-        edges_s = set(sum_graph.edges)
+        edges_s = set(ms.graph.edges)
         rep.add(
             "dual graph of the sum equals the prismatoid's minus its bases",
             edges_q == edges_s,
             f"{len(edges_s)} edges",
         )
-        has_prop, min_facets = pair_dstep_property(
-            ctx.qplus, ctx.qminus, pr.dim, ms=ms, graph=sum_graph
-        )
+        has_prop, min_facets = pair_dstep_property(ctx.qplus, ctx.qminus, pr.dim, ms=ms)
         rep.add("pair d-step property fails", not has_prop, "")
         rep.add("minimum facet sequence length", min_facets == 5, str(min_facets))
         # bi-dimension bands per family letter

@@ -13,6 +13,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 from .geometry import DegenerateInput, affine_rank, integer_points
@@ -98,6 +99,11 @@ class MinkowskiSum:
     def n_facets(self) -> int:
         return len(self.facets)
 
+    @cached_property
+    def graph(self):
+        """Dual graph of the sum, built on first use."""
+        return dual_graph(self.polytope, self.hull)
+
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     """Hull of all pairwise vertex sums, annotated facet by facet with the
@@ -178,14 +184,12 @@ def intermediate_slice(pr: Prismatoid, lam1) -> VPolytope:
 # pair d-step property
 
 
-def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms=None, graph=None):
+def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms=None):
     """(has property, minimum facet-sequence length) for a pair of bases.
 
     The sequence runs in the dual graph of the Minkowski sum from facets
     whose first decomposition component is a facet of Q+ to those whose
     second is a facet of Q-; the pair property asks for length <= d - 1.
-    A caller that already has the sum `ms`, or its dual graph `graph`,
-    hands it over instead of having it built again.
     """
     if ms is None:
         ms = minkowski_sum(qplus, qminus)
@@ -195,7 +199,7 @@ def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms=None, gr
     end = {f for f, mf in enumerate(ms.facets) if mf.face_minus.dim == dim_minus - 1}
     if not start or not end:
         raise DegenerateInput("no facet has the required bi-dimension")
-    g = dual_graph(ms.polytope, ms.hull) if graph is None else graph
+    g = ms.graph
     dist = {f: 0 for f in start}
     queue = deque(start)
     best = None

@@ -486,7 +486,9 @@ def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
     Only facets that share at least k-1 points with a are tested against
     it.  They are the facets lacking at most |F_a| - (k-1) of a's points,
     counted over the transposed incidence with a few big-integer operations
-    per point of a, so the work follows the degrees, not the m^2 pairs."""
+    per point of a, so the work follows the degrees, not the m^2 pairs.
+    The union of the facets through a's points would not do: in a
+    prismatoid a base vertex lies on most facets, so it holds nearly all."""
     k = hull.dim
     inc = hull.incidence
     m = inc.n_facets

@@ -143,8 +143,8 @@ def _facet_index(hull):
 
 
 class TestFacetPermutation:
-    """The image keys computed in integers against `apply_ineq`, and the
-    `apply_ineq` path that maps with rational entries take."""
+    """The image keys computed in integers against `apply_ineq`, and a map
+    with rational entries, whose image keys must be rescaled."""
 
     def test_integer_maps_match_apply_ineq(self, certificate):
         hull = certificate.hull
@@ -153,34 +153,31 @@ class TestFacetPermutation:
         assert len(maps) == 64
         for m in maps:
             want = tuple(index[m.apply_ineq(q).key] for q in hull.hrep.inequalities)
-            assert facet_permutation(m, hull, index) == want
+            assert facet_permutation(m, index) == want
 
     def test_non_symmetry_refused(self, q48_hull):
         # swapping x1 and x5 sends the base facet x5 <= 1 to x1 <= 1
         rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
         rows[0], rows[4] = rows[4], rows[0]
         with pytest.raises(ValueError, match="does not permute the facet set"):
-            facet_permutation(OrthMap.from_rows(rows), q48_hull, _facet_index(q48_hull))
+            facet_permutation(OrthMap.from_rows(rows), _facet_index(q48_hull))
 
-    def test_rational_reflection(self, monkeypatch):
-        # the reflection in the line through (2, 1) swaps the corners of this
-        # rectangle in pairs: (1, 0) with (3/5, 4/5), (-1, 0) with (-3/5, -4/5)
+    def test_rational_reflection(self):
+        # the square |x|, |y| <= 1 cut by its mirror image in the line through
+        # (2, 1): the reflection swaps x <= 1 with 3x + 4y <= 5, whose image
+        # keys (3/5, 4/5, 1) and (5, 0, 5) are found only after rescaling
         m = OrthMap.from_rows(((Rat(3, 5), Rat(4, 5)), (Rat(4, 5), Rat(-3, 5))))
-        corners = ((1, 0), (Rat(3, 5), Rat(4, 5)), (-1, 0), (Rat(-3, 5), Rat(-4, 5)))
+        h, t = Rat(1, 2), Rat(1, 3)
+        corners = ((1, h), (t, 1), (-h, 1), (-1, t), (-1, -h), (-t, -1), (h, -1), (1, -t))
         poly = VPolytope(tuple((Rat(x), Rat(y)) for x, y in corners))
         hull = facet_enumeration(poly)
         index = _facet_index(hull)
-        applied = []
-        real_apply = OrthMap.apply_ineq
-        monkeypatch.setattr(
-            OrthMap, "apply_ineq", lambda self, q: applied.append(q) or real_apply(self, q)
-        )
-        perm = facet_permutation(m, hull, index)
-        assert applied == list(hull.hrep.inequalities)
-        assert sorted(perm) == list(range(4))
-        assert sum(perm[f] == f for f in range(4)) == 2
+        assert (3, 4, 5) in index and (1, 0, 1) in index
+        perm = facet_permutation(m, index)
+        assert sorted(perm) == list(range(8))
+        assert all(perm[f] != f for f in range(8))
         for f, q in enumerate(hull.hrep.inequalities):
-            assert index[real_apply(m, q).key] == perm[f]
+            assert index[m.apply_ineq(q).key] == perm[f]
 
 
 class TestOrbits:
