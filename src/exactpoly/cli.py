@@ -15,6 +15,7 @@ import sys
 from . import counterexample, normalfans
 from .constructions import (
     ConstructionFailed,
+    VacuousFamily,
     blend_graph,
     family_parameters,
     hirsch_excess,
@@ -122,8 +123,10 @@ def _cmd_excess(args) -> int:
 def _cmd_family(args) -> int:
     try:
         fp = family_parameters(args.dim, args.facets, args.diameter, args.k, args.j)
-    except ValueError as exc:
+    except VacuousFamily as exc:
         raise CliError(str(exc), 3)
+    except ValueError as exc:
+        raise CliError(str(exc), 2)
     print(f"dim={fp.dim} facets={fp.facets} diameter_lb={fp.diameter_lb}")
     print(f"excess_lb={format_rat(fp.excess_lb)} limit={format_rat(fp.excess_limit)}")
     print(

@@ -42,6 +42,10 @@ class PushFailed(ConstructionFailed):
     pass
 
 
+class VacuousFamily(ValueError):
+    """The seed meets the Hirsch bound, so the family bound says nothing."""
+
+
 # ---------------------------------------------------------------------------
 # one-point suspension
 
@@ -553,7 +557,7 @@ def family_parameters(d: int, n: int, l: int, k: int, j: int) -> FamilyParameter
         raise ValueError("need k >= 1 and j >= 1")
     eps = hirsch_excess(d, n, l).excess
     if eps <= 0:
-        raise ValueError("family bound is vacuous for Hirsch input")
+        raise VacuousFamily("family bound is vacuous for Hirsch input")
     b = l - n + d
     return FamilyParameters(
         dim=k * d,

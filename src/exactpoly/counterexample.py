@@ -11,6 +11,12 @@ without the pair d-step property.
 graph, groups, facet permutations and orbits, base hulls, base Minkowski
 sum) once, on first use; every `check_*` section takes it, and the section
 runner turns a section that raises into one FAIL line.
+
+The symmetry group is closed once, breadth-first on the permutations its
+generators induce on the vertices; the base-preserving subgroup is closed on
+five of those permutations and looks its maps up in the full group.  Only
+the six generators are applied to the facet keys: every other element's
+facet permutation is its generator's composed after its parent's.
 """
 from __future__ import annotations
 
@@ -21,6 +27,7 @@ from typing import Optional
 
 from .geometry import Inequality, OrthMap, affine_rank, integer_points, smul, vadd, vsub
 from .graphs import Graph
+from .linalg import echelon
 from .normalfans import (
     cone_contains_strictly,
     direction_key,
@@ -232,12 +239,58 @@ def expected_facets():
 
 @dataclass(frozen=True)
 class SymmetryGroup:
+    """A group of linear maps that permute a vertex set: `maps` sorted by
+    key, `vertex_perms[i]` the permutation that maps[i] induces on the
+    vertices, `generators` the positions of the generators in `maps`, and
+    `steps` every element in breadth-first order as (i, g, p), where maps[i]
+    is generator g applied after maps[p]; the identity comes first, as
+    (i, None, None)."""
+
     maps: tuple
     vertex_perms: tuple
+    generators: tuple
+    steps: tuple
 
     @property
     def order(self) -> int:
         return len(self.maps)
+
+    def subgroup(self, k: int) -> "SymmetryGroup":
+        """The subgroup generated by the first k generators, with its maps
+        looked up by vertex permutation: no matrix is multiplied."""
+        by_perm = dict(zip(self.vertex_perms, self.maps))
+        n = len(self.vertex_perms[0])
+        gens = [self.vertex_perms[i] for i in self.generators[:k]]
+        return _tabulate(gens, n, by_perm[tuple(range(n))], lambda q, g, parent: by_perm[q])
+
+
+def _compose(h, g):
+    """The permutation h o g (g first) of permutations given as tuples."""
+    return tuple(map(h.__getitem__, g))
+
+
+def _tabulate(gen_perms, n, identity, product) -> SymmetryGroup:
+    """The group generated by the permutations `gen_perms` of n points,
+    closed breadth-first on the permutations, so a product costs n lookups.
+    `product(q, g, parent)` gives the map of each new element q, which is
+    generator g applied after the map `parent`."""
+    start = tuple(range(n))
+    maps = {start: identity}
+    steps = [(start, None, None)]
+    for p, _, _ in steps:  # the list grows while it is read: a BFS queue
+        for g, h in enumerate(gen_perms):
+            q = _compose(h, p)
+            if q not in maps:
+                maps[q] = product(q, g, maps[p])
+                steps.append((q, g, p))
+    perms = sorted(maps, key=lambda q: maps[q].key)
+    pos = {q: i for i, q in enumerate(perms)}
+    return SymmetryGroup(
+        tuple(maps[q] for q in perms),
+        tuple(perms),
+        tuple(pos[h] for h in gen_perms),
+        tuple((pos[q], g, None if p is None else pos[p]) for q, g, p in steps),
+    )
 
 
 def _vertex_permutation(m: OrthMap, pts, index):
@@ -259,21 +312,19 @@ def _integer_index(poly: VPolytope):
 
 
 def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
-    seen = {}
-    frontier = [OrthMap.identity(poly.ambient_dim)]
-    seen[frontier[0].key] = frontier[0]
-    while frontier:
-        nxt = []
-        for g in frontier:
-            for h in generators:
-                prod = h.compose(g)
-                if prod.key not in seen:
-                    seen[prod.key] = prod
-                    nxt.append(prod)
-        frontier = nxt
-    maps = tuple(sorted(seen.values(), key=lambda m: m.key))
+    """The group the orthogonal `generators` generate, closed on the vertex
+    permutations they induce; each new element's matrix is its generator
+    composed after its parent.  A linear map is fixed by its permutation
+    only when the vertices span R^d, so that is checked first: otherwise
+    two maps with the same permutation would be taken for one."""
     pts, index = _integer_index(poly)
-    return SymmetryGroup(maps, tuple(_vertex_permutation(m, pts, index) for m in maps))
+    if len(echelon(list(pts))) != poly.ambient_dim:
+        raise ValueError("the vertices do not span the space")
+    gen_perms = [_vertex_permutation(m, pts, index) for m in generators]
+    identity = OrthMap.identity(poly.ambient_dim)
+    return _tabulate(
+        gen_perms, len(pts), identity, lambda q, g, parent: generators[g].compose(parent)
+    )
 
 
 def base_swap_map() -> OrthMap:
@@ -309,9 +360,8 @@ def symmetry_groups(poly: Optional[VPolytope] = None):
             )
         )
     )
-    sigma_plus = _close_group(gens_plus, poly)
-    sigma = _close_group(list(gens_plus) + [base_swap_map()], poly)
-    return sigma, sigma_plus
+    sigma = _close_group(gens_plus + [base_swap_map()], poly)
+    return sigma, sigma.subgroup(len(gens_plus))
 
 
 # ---------------------------------------------------------------------------
@@ -338,7 +388,12 @@ def facet_permutation(m: OrthMap, index: dict):
     brought to primitive integers only when it is not found as it stands:
     an orthogonal integer matrix is a signed permutation, so it sends a
     primitive key to a primitive key, and only a map with rational entries
-    needs the rescaling."""
+    needs the rescaling.
+
+    `Certificate.facet_perms` calls this on the generators only and composes
+    the rest.  That proves as much as calling it on every element: maps that
+    permute the facets compose to a map that does, and the induced action is
+    a homomorphism, so each composed permutation is this function's value."""
     rows = m.rows
     perm = [None] * len(index)
     for key, f in index.items():
@@ -433,9 +488,16 @@ class Certificate:
     @cached_property
     def facet_perms(self) -> dict:
         """Map key -> facet permutation, for every element of the full group
-        (the base-preserving maps are among them)."""
+        (the base-preserving maps are among them).  Only the generators are
+        applied to the facet keys; every other element's permutation is its
+        generator's composed after its parent's (see `facet_permutation`)."""
+        sigma = self.groups[0]
         index = {q.key: i for i, q in enumerate(self.hull.hrep.inequalities)}
-        return {m.key: facet_permutation(m, index) for m in self.groups[0].maps}
+        gens = [facet_permutation(sigma.maps[i], index) for i in sigma.generators]
+        perms = [None] * sigma.order
+        for i, g, p in sigma.steps:
+            perms[i] = tuple(range(len(index))) if g is None else _compose(gens[g], perms[p])
+        return {m.key: perm for m, perm in zip(sigma.maps, perms)}
 
     @cached_property
     def orbits(self):
@@ -530,6 +592,9 @@ def check_prism_collinearities(ctx: Certificate) -> Report:
 
 
 def check_symmetries(ctx: Certificate) -> Report:
+    """Group orders, the base swap, and that every element permutes the
+    facets: each generator passes the exact image-key test of
+    `facet_permutation`, so every product of generators does too."""
     rep = Report("symmetry groups")
     sigma, sigma_plus = ctx.groups
     rep.add("order of full group", sigma.order == 64, str(sigma.order))

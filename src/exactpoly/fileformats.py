@@ -21,14 +21,19 @@ def _reader(text):
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-def _expect(line, keyword):
+def _expect(line, keyword, least=0):
+    """The integer value of the header line '<keyword> <value>', at least
+    `least`."""
     parts = line.split()
     if len(parts) != 2 or parts[0] != keyword:
         raise FormatError(f"expected '{keyword} <value>', got {line!r}")
     try:
-        return int(parts[1])
+        value = int(parts[1])
     except ValueError as exc:
         raise FormatError(f"bad integer in {line!r}") from exc
+    if value < least:
+        raise FormatError(f"{keyword} must be at least {least}, got {value}")
+    return value
 
 
 def write_poly(poly: VPolytope) -> str:
@@ -47,7 +52,7 @@ def read_poly(text: str) -> VPolytope:
         raise FormatError("missing POLY 1 header")
     if len(lines) < 3:
         raise FormatError("truncated header")
-    d = _expect(lines[1], "dim")
+    d = _expect(lines[1], "dim", 1)
     n = _expect(lines[2], "vertices")
     if len(lines) < 3 + n:
         raise FormatError("truncated vertex block")
@@ -86,7 +91,7 @@ def read_hpoly(text: str) -> HPolytope:
         raise FormatError("missing HPOLY 1 header")
     if len(lines) < 3:
         raise FormatError("truncated header")
-    d = _expect(lines[1], "dim")
+    d = _expect(lines[1], "dim", 1)
     m = _expect(lines[2], "inequalities")
     ineqs, eqs = [], []
     rows = lines[3:]

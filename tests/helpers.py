@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations
 
 from exactpoly.constructions import suspension_facet_map
-from exactpoly.geometry import affine_rank
+from exactpoly.geometry import OrthMap, affine_rank
 from exactpoly.polytopes import (
     VPolytope,
     certify_vertices,
@@ -84,6 +84,27 @@ def reference_dual_graph_edges(poly, hull):
         if (affine_rank(common) if common else -1) == k - 2:
             edges.append((a, b))
     return tuple(edges)
+
+
+def reference_close_group(generators, poly):
+    """(maps sorted by key, their vertex permutations) of the group the
+    orthogonal `generators` generate, closed by multiplying matrices: every
+    product of an element and a generator is formed and compared by key."""
+    seen = {}
+    frontier = [OrthMap.identity(poly.ambient_dim)]
+    seen[frontier[0].key] = frontier[0]
+    while frontier:
+        nxt = []
+        for g in frontier:
+            for h in generators:
+                prod = h.compose(g)
+                if prod.key not in seen:
+                    seen[prod.key] = prod
+                    nxt.append(prod)
+        frontier = nxt
+    maps = tuple(sorted(seen.values(), key=lambda m: m.key))
+    index = {p: i for i, p in enumerate(poly.vertices)}
+    return maps, tuple(tuple(index[m.apply_point(p)] for p in poly.vertices) for m in maps)
 
 
 def reference_extreme_indices(poly, hull):

@@ -62,6 +62,23 @@ class TestFileFormats:
         with pytest.raises(FormatError):
             read_poly("POLY 1\ndim 2\nvertices 1\n0 0 0\n")
 
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("POLY 1\ndim 2\nvertices -1\n", "vertices must be at least 0, got -1"),
+            ("POLY 1\ndim -1\nvertices 1\n0\n", "dim must be at least 1, got -1"),
+            ("POLY 1\ndim 0\nvertices 1\n\n", "dim must be at least 1, got 0"),
+            ("HPOLY 1\ndim 2\ninequalities -1\n", "inequalities must be at least 0, got -1"),
+            ("HPOLY 1\ndim 0\ninequalities 0\n", "dim must be at least 1, got 0"),
+        ],
+        ids=["poly-vertices", "poly-dim-negative", "poly-dim-zero", "hpoly-inequalities", "hpoly-dim"],
+    )
+    def test_header_counts_range_checked(self, text, message):
+        reader = read_hpoly if text.startswith("HPOLY") else read_poly
+        with pytest.raises(FormatError) as info:
+            reader(text)
+        assert str(info.value) == message
+
     def test_rational_literals_in_files(self):
         text = "POLY 1\ndim 2\nvertices 3\n315/2 -45\n0 1/3\n-1 0\n"
         poly = read_poly(text)
@@ -276,6 +293,23 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            (
+                ["--dim", "5", "--facets", "48", "--diameter", "6", "--k", "0"],
+                "need k >= 1 and j >= 1",
+            ),
+            (["--dim", "0", "--facets", "0", "--diameter", "0"], "need n > d >= 1 and l >= 0"),
+        ],
+        ids=["k-zero", "dim-zero"],
+    )
+    def test_family_range_error_is_usage_error(self, tmp_path, args, message):
+        done = run_args(tmp_path, ["family", *args])
+        assert done.returncode == 2, done.stderr
+        assert done.stderr == f"error: {message}\n"
+        assert done.stdout == ""
 
     @pytest.mark.parametrize("option, value", [("--v1", "50"), ("--v2", "99"), ("--v1", "-1")])
     def test_blend_vertex_must_be_in_range(self, tmp_path, option, value):

@@ -6,6 +6,7 @@ import pytest
 from exactpoly.counterexample import (
     EXPECTED_FACET_COUNT,
     REPRESENTATIVE_NEIGHBORS,
+    _close_group,
     base_swap_map,
     check_facet_census,
     check_neighbor_lists,
@@ -39,6 +40,7 @@ from exactpoly.polytopes import (
 )
 from exactpoly.prismatoids import has_dstep_property, make_prismatoid, width
 from exactpoly.rationals import Rat
+from helpers import reference_close_group
 
 
 def assert_report(rep):
@@ -137,6 +139,34 @@ class TestSymmetry:
     def test_symmetry_report(self, certificate):
         assert_report(check_symmetries(certificate))
 
+    def test_groups_match_matrix_closure(self, q48):
+        # the four sign changes, the swap (x1 x2)(x3 x4), then the base swap
+        gens = []
+        for axis in range(4):
+            rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
+            rows[axis][axis] = -1
+            gens.append(OrthMap.from_rows(rows))
+        gens.append(OrthMap.from_rows((
+            (0, 1, 0, 0, 0), (1, 0, 0, 0, 0),
+            (0, 0, 0, 1, 0), (0, 0, 1, 0, 0),
+            (0, 0, 0, 0, 1))))
+        gens.append(base_swap_map())
+        sigma, sigma_plus = symmetry_groups(q48)
+        for group, n_gens in ((sigma, 6), (sigma_plus, 5)):
+            maps, vertex_perms = reference_close_group(gens[:n_gens], q48)
+            assert [m.key for m in group.maps] == [m.key for m in maps]
+            assert group.vertex_perms == vertex_perms
+            assert [group.maps[i].key for i in group.generators] == [g.key for g in gens[:n_gens]]
+
+    def test_vertices_must_span_the_space(self):
+        # on the square in the plane z = 0 the reflection in that plane
+        # fixes every vertex, yet it is not the identity
+        square = VPolytope(tuple(
+            (Rat(x), Rat(y), Rat(0)) for x in (-1, 1) for y in (-1, 1)))
+        reflection = OrthMap.from_rows(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+        with pytest.raises(ValueError, match="do not span the space"):
+            _close_group([reflection], square)
+
 
 def _facet_index(hull):
     return {q.key: i for i, q in enumerate(hull.hrep.inequalities)}
@@ -147,13 +177,17 @@ class TestFacetPermutation:
     with rational entries, whose image keys must be rescaled."""
 
     def test_integer_maps_match_apply_ineq(self, certificate):
+        # the table composes all but the six generators' permutations, and
+        # each entry must equal the image of every facet under the matrix
         hull = certificate.hull
         index = _facet_index(hull)
         maps = certificate.groups[0].maps
         assert len(maps) == 64
+        assert len(certificate.facet_perms) == 64
         for m in maps:
             want = tuple(index[m.apply_ineq(q).key] for q in hull.hrep.inequalities)
             assert facet_permutation(m, index) == want
+            assert certificate.facet_perms[m.key] == want
 
     def test_non_symmetry_refused(self, q48_hull):
         # swapping x1 and x5 sends the base facet x5 <= 1 to x1 <= 1
