@@ -198,7 +198,7 @@ def _cmd_construct(args) -> int:
                 _write_polytope(final.polytope, args)
         else:  # pragma: no cover - argparse restricts choices
             raise CliError(f"unknown operation {args.operation}", 2)
-    except (ConstructionFailed, GeometryError) as exc:
+    except (ConstructionFailed, GeometryError, NotAVertex, NotAPrismatoid) as exc:
         raise CliError(str(exc), 3)
     except ValueError as exc:
         raise CliError(str(exc), 2)

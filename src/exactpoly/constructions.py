@@ -28,6 +28,12 @@ from .rationals import Rat, ZERO
 
 MAX_HALVINGS = 64
 
+# step directions `strong_dstep_step` draws for each apex
+APEX_REDRAWS = 4
+
+# the checks a pushed vertex must pass in `push_vertex`, in order
+PUSH_REJECTION_CAUSES = ("not a vertex", "facet merge violated", "not generic")
+
 # the checks a moved apex must pass in `strong_dstep_step`, in order
 REJECTION_CAUSES = (
     "not a vertex", "base facet missing", "not a prismatoid", "width not increased"
@@ -127,12 +133,17 @@ def _facet_merge_ok(old_hull, new_hull) -> bool:
     return True
 
 
+def _exhausted(rejected) -> str:
+    """The message of a failed search: its candidates, counted by cause of rejection."""
+    counts = ", ".join(f"{cause} {n}" for cause, n in rejected.items())
+    return f"perturbation search exhausted after {sum(rejected.values())} candidates: {counts}"
+
+
 def push_vertex(
     poly: VPolytope,
     v: int,
     target_region=None,
     seed: int = 0,
-    point=None,
     genericity: Optional[Callable] = None,
     max_halvings: int = MAX_HALVINGS,
 ) -> VPolytope:
@@ -140,32 +151,16 @@ def push_vertex(
     face of it), shrinking toward v until the facet-merge structure holds.
 
     target_region: vertex indices of a face of the polytope (default: all
-    vertices, i.e. a push into the interior).  point: explicit target
-    instead of a seeded random one.  genericity: extra caller predicate
-    (new_poly, new_hull, v) -> bool that must also hold.
+    vertices, i.e. a push into the interior).  genericity: extra caller
+    predicate (new_poly, new_hull, v) -> bool that must also hold.  Raises
+    NotAVertex when a point of `poly` is not a vertex.
     """
-    new_poly, _ = push_vertex_with_hull(
-        poly, v, target_region, seed, point, genericity, max_halvings
-    )
-    return new_poly
-
-
-def push_vertex_with_hull(
-    poly: VPolytope,
-    v: int,
-    target_region=None,
-    seed: int = 0,
-    point=None,
-    genericity: Optional[Callable] = None,
-    max_halvings: int = MAX_HALVINGS,
-    old_hull: Optional[Hull] = None,
-):
     if not 0 <= v < poly.n_vertices:
         raise ValueError(f"vertex index {v} out of range")
-    return _push(
-        poly, v, _fixed_builder(poly, v), target_region, seed, point, genericity,
-        max_halvings, old_hull,
-    )
+    fixed = _fixed_builder(poly, v)
+    _, old_hull = _moved(poly, v, poly.vertices[v], fixed)
+    certify_vertices(poly, old_hull)
+    return _push(poly, v, fixed, old_hull, target_region, seed, genericity, max_halvings)
 
 
 def _fixed_builder(poly: VPolytope, v: int) -> Optional[HullBuilder]:
@@ -192,44 +187,39 @@ def _moved(poly: VPolytope, v: int, point, fixed: Optional[HullBuilder]):
     return new_poly, builder.hull()
 
 
-def _push(poly, v, fixed, target_region, seed, point, genericity, max_halvings, old_hull):
-    """`push_vertex_with_hull` over the builder `fixed` of every vertex but v."""
-    if old_hull is None:
-        _, old_hull = _moved(poly, v, poly.vertices[v], fixed)
-    region = tuple(target_region) if target_region is not None else tuple(
-        range(poly.n_vertices)
-    )
-    rng = random.Random(seed)
-    target = tuple(point) if point is not None else _relative_interior_point(
-        poly, region, rng
-    )
+def _halvings(poly, v, fixed, step, max_halvings, rejected):
+    """Move vertex v by step, step/2, ..., step/2^max_halvings; yield
+    (candidate polytope, its verified hull) for each candidate at which the
+    moved point is a vertex, and count every other one (a coincident point
+    included) under rejected["not a vertex"]."""
     base = poly.vertices[v]
-    step = vsub(target, base)
-    if all(c == 0 for c in step):
-        return poly, old_hull
-    half = Rat(1, 2)
     scale = Rat(1)
-    last_error = "no candidate attempted"
     for _ in range(max_halvings + 1):
-        cand = vadd(base, smul(scale, step))
-        scale *= half
-        if cand in poly.vertices:
-            last_error = "candidate coincides with a vertex"
-            continue
         try:
-            new_poly, new_hull = _moved(poly, v, cand, fixed)
-            certify_vertices(new_poly, new_hull)
+            cand, hull = _moved(poly, v, vadd(base, smul(scale, step)), fixed)
+            certify_vertices(cand, hull)
         except ValueError:
-            last_error = "pushed point is not a vertex"
-            continue
+            rejected["not a vertex"] += 1
+        else:
+            yield cand, hull
+        scale /= 2
+
+
+def _push(poly, v, fixed, old_hull, target_region, seed, genericity, max_halvings):
+    """`push_vertex` over the builder `fixed` of every vertex but v and the
+    verified hull `old_hull` of `poly`."""
+    region = tuple(range(poly.n_vertices)) if target_region is None else tuple(target_region)
+    target = _relative_interior_point(poly, region, random.Random(seed))
+    rejected = dict.fromkeys(PUSH_REJECTION_CAUSES, 0)
+    step = vsub(target, poly.vertices[v])
+    for new_poly, new_hull in _halvings(poly, v, fixed, step, max_halvings, rejected):
         if not _facet_merge_ok(old_hull, new_hull):
-            last_error = "facet-merge structure violated"
-            continue
-        if genericity is not None and not genericity(new_poly, new_hull, v):
-            last_error = "genericity condition failed"
-            continue
-        return new_poly, new_hull
-    raise PushFailed(f"push of vertex {v} failed after {max_halvings} halvings: {last_error}")
+            rejected["facet merge violated"] += 1
+        elif genericity is not None and not genericity(new_poly, new_hull, v):
+            rejected["not generic"] += 1
+        else:
+            return new_poly
+    raise PushFailed(f"push of vertex {v}: {_exhausted(rejected)}")
 
 
 # ---------------------------------------------------------------------------
@@ -248,15 +238,6 @@ class StepRecord:
             f"STEP {i} dim={self.dim} vertices={self.n_vertices} "
             f"facets={self.n_facets} width={self.width}"
         )
-
-
-def _nonsimplicial_with(hull: Hull, vertex: int):
-    k = hull.dim
-    out = []
-    for f, m in enumerate(hull.incidence.facet_masks):
-        if m >> vertex & 1 and m.bit_count() != k:
-            out.append(f)
-    return tuple(out)
 
 
 def strong_dstep_step(
@@ -294,17 +275,12 @@ def strong_dstep_step(
     if not pyramid_masks <= set(hull_S.incidence.facet_masks):
         raise ConstructionFailed("suspension lost the pyramid facets over the base")
 
-    def apex_condition(apex):
-        def cond(p, h, a):
-            masks = h.incidence.facet_masks
-            pm = bits(j for j in new_plus if j != apex) | 1 << a
-            pyr = {pm | 1 << u_idx, pm | 1 << w_idx}
-            if not pyr <= set(masks):
-                return False
-            bad = {masks[f] for f in _nonsimplicial_with(h, a)}
-            return bad == pyr
-
-        return cond
+    def generic(p, h, a):
+        # the apex-genericity condition: the non-simplicial facets at the
+        # apex are exactly the two pyramids over the base
+        k = h.dim
+        at_apex = {m for m in h.incidence.facet_masks if m >> a & 1 and m.bit_count() != k}
+        return at_apex == pyramid_masks
 
     base_normal = pr.hull.hrep.inequalities[plus_facet].coeffs + (ZERO,)
     nn = dot(base_normal, base_normal)
@@ -314,24 +290,14 @@ def strong_dstep_step(
     # why move_apex rejected its candidates, over the whole search
     rejected = dict.fromkeys(REJECTION_CAUSES, 0)
 
-    def move_apex(poly, apex, fixed, redraws=4):
+    def move_apex(poly, apex, fixed):
         # pull the apex out of the base hyperplane, parallel to the bases,
         # halving the step until the prismatoid verifies with larger width
-        for _ in range(redraws):
+        for _ in range(APEX_REDRAWS):
             raw = [Rat(rng.randrange(-8, 9), 32) for _ in range(amb - 1)] + [Rat(1)]
             proj = Rat(dot(base_normal, raw), nn)
             direction = tuple(raw[j] - proj * base_normal[j] for j in range(amb))
-            scale = Rat(1)
-            half = Rat(1, 2)
-            for _ in range(max_halvings + 1):
-                moved = vadd(poly.vertices[apex], smul(scale, direction))
-                scale *= half
-                try:
-                    cand, hull_c = _moved(poly, apex, moved, fixed)
-                    certify_vertices(cand, hull_c)
-                except ValueError:
-                    rejected["not a vertex"] += 1
-                    continue
+            for cand, hull_c in _halvings(poly, apex, fixed, direction, max_halvings, rejected):
                 masks = hull_c.incidence.facet_masks
                 if plus_mask not in masks or minus_mask not in masks:
                     rejected["base facet missing"] += 1
@@ -360,21 +326,13 @@ def strong_dstep_step(
     rng.shuffle(apex_order)
     for apex in apex_order:
         fixed = _fixed_builder(S, apex)
-        cond = apex_condition(apex)
         start = S
-        if not cond(S, hull_S, apex):
-            for strictness in (cond, None):
+        if not generic(S, hull_S, apex):
+            for strictness in (generic, None):
                 try:
-                    start, _ = _push(
-                        S,
-                        apex,
-                        fixed,
-                        target_region=new_plus,
-                        seed=rng.randrange(1 << 30),
-                        point=None,
-                        genericity=strictness,
-                        max_halvings=max_halvings,
-                        old_hull=hull_S,
+                    start = _push(
+                        S, apex, fixed, hull_S, new_plus, rng.randrange(1 << 30), strictness,
+                        max_halvings,
                     )
                     break
                 except PushFailed:
@@ -382,10 +340,7 @@ def strong_dstep_step(
         result = move_apex(start, apex, fixed)
         if result is not None:
             return result
-    raise ConstructionFailed(
-        f"perturbation search exhausted after {sum(rejected.values())} candidates: "
-        + ", ".join(f"{cause} {rejected[cause]}" for cause in REJECTION_CAUSES)
-    )
+    raise ConstructionFailed(_exhausted(rejected))
 
 
 def strong_dstep_iterate(pr: Prismatoid, max_steps: int, seed: int = 0):

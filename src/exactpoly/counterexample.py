@@ -840,11 +840,3 @@ def verify_counterexample(full: bool = True) -> Report:
         sections += [check_base_structure, check_minkowski_section]
     return _run_sections("width-6 prismatoid", Certificate(), sections)
 
-
-def verify_quick(poly: VPolytope) -> Report:
-    """Cheap subset used by mutation tests: census and prism identities."""
-    return _run_sections(
-        "width-6 prismatoid (quick)",
-        Certificate(poly),
-        [check_facet_census, check_prism_collinearities],
-    )

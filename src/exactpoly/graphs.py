@@ -56,11 +56,6 @@ class Graph:
                     queue.append(w)
         raise ValueError(f"nodes {a} and {b} are disconnected")
 
-    def is_connected(self) -> bool:
-        if self.n == 0:
-            return True
-        return all(d >= 0 for d in self.bfs_distances(0))
-
     def diameter(self) -> int:
         best = 0
         for v in range(self.n):

@@ -51,7 +51,6 @@ from .geometry import (
     affine_rank,
     check_same_dim,
     dot,
-    hyperplane_through,
     canonical_hyperplane,
     vsub,
 )
@@ -133,12 +132,6 @@ class FacetIncidence:
 
     def facets_of(self, v: int):
         return tuple(iter_bits(self.vertex_masks[v]))
-
-    def matrix(self):
-        return tuple(
-            tuple(bool(self.facet_masks[f] >> v & 1) for v in range(self.n_vertices))
-            for f in range(self.n_facets)
-        )
 
 
 class Hull(NamedTuple):
@@ -414,32 +407,6 @@ def facet_enumeration(poly: VPolytope) -> Hull:
         key=lambda e: e.key,
     )
     return hull._replace(hrep=HPolytope(d, tuple(facets), tuple(equalities)))
-
-
-def facet_enumeration_bruteforce(poly: VPolytope) -> tuple:
-    """Oracle enumerator: test every dim-subset spanning a hyperplane with all
-    points on one side.  Exponential; intended for cross-checking small cases
-    (dim <= 4, <= 12 points)."""
-    from itertools import combinations
-
-    pts = poly.vertices
-    _check_duplicates(pts)
-    d = affine_rank(pts)
-    if d != poly.ambient_dim:
-        raise DegenerateInput("oracle requires full-dimensional input")
-    found = {}
-    for subset in combinations(range(len(pts)), d):
-        chosen = [pts[i] for i in subset]
-        if affine_rank(chosen) != d - 1:
-            continue
-        h = hyperplane_through(chosen)
-        signs = {(-1 if h.slack(p) < 0 else (1 if h.slack(p) > 0 else 0)) for p in pts}
-        if -1 in signs and 1 in signs:
-            continue
-        if -1 in signs:
-            h = h.negated().canonical()
-        found[h.key] = h
-    return tuple(found[k] for k in sorted(found))
 
 
 def _smallest_faces(hull: Hull):

@@ -4,14 +4,19 @@ from fractions import Fraction
 from itertools import combinations
 
 from exactpoly.constructions import suspension_facet_map
-from exactpoly.geometry import OrthMap, affine_rank
+from exactpoly.counterexample import (
+    Certificate,
+    _run_sections,
+    check_facet_census,
+    check_prism_collinearities,
+)
+from exactpoly.geometry import DegenerateInput, OrthMap, affine_rank, hyperplane_through
 from exactpoly.polytopes import (
     VPolytope,
     certify_vertices,
     dual_graph,
     extreme_indices,
     facet_enumeration,
-    facet_enumeration_bruteforce,
     iter_bits,
 )
 from exactpoly.prismatoids import make_prismatoid
@@ -62,6 +67,89 @@ def random_prismatoid(rng, dim, max_base_points):
         except ValueError:
             continue
         return pr, top, bot
+
+
+def facet_enumeration_bruteforce(poly: VPolytope) -> tuple:
+    """Oracle enumerator: test every dim-subset spanning a hyperplane with all
+    points on one side.  Exponential; intended for cross-checking small cases
+    (dim <= 4, <= 12 points)."""
+    pts = poly.vertices
+    if len(set(pts)) != len(pts):
+        raise DegenerateInput("oracle requires distinct points")
+    d = affine_rank(pts)
+    if d != poly.ambient_dim:
+        raise DegenerateInput("oracle requires full-dimensional input")
+    found = {}
+    for subset in combinations(range(len(pts)), d):
+        chosen = [pts[i] for i in subset]
+        if affine_rank(chosen) != d - 1:
+            continue
+        h = hyperplane_through(chosen)
+        signs = {(-1 if h.slack(p) < 0 else (1 if h.slack(p) > 0 else 0)) for p in pts}
+        if -1 in signs and 1 in signs:
+            continue
+        if -1 in signs:
+            h = h.negated().canonical()
+        found[h.key] = h
+    return tuple(found[k] for k in sorted(found))
+
+
+def incidence_matrix(incidence):
+    """Facet-by-vertex tightness as rows of booleans."""
+    return tuple(
+        tuple(bool(incidence.facet_masks[f] >> v & 1) for v in range(incidence.n_vertices))
+        for f in range(incidence.n_facets)
+    )
+
+
+def is_connected(graph) -> bool:
+    return graph.n == 0 or all(d >= 0 for d in graph.bfs_distances(0))
+
+
+def verify_quick(poly: VPolytope):
+    """Cheap subset of the verification suite, used by mutation tests: census
+    and prism identities."""
+    return _run_sections(
+        "width-6 prismatoid (quick)",
+        Certificate(poly),
+        [check_facet_census, check_prism_collinearities],
+    )
+
+
+def reference_push(poly, v, target_region=None, seed=0, max_halvings=64):
+    """The vertex push as one plain loop that hulls every candidate from
+    scratch: vertex v moves toward a seeded random point of the region (all
+    vertices by default) by the longest of the steps 1, 1/2, ...,
+    1/2^max_halvings of the way that leaves it a vertex, with every facet of
+    the result inside exactly one facet of poly.  None when no step does."""
+    rng = random.Random(seed)
+    region = tuple(range(poly.n_vertices)) if target_region is None else tuple(target_region)
+    weights = [Fraction(rng.randrange(1, 64)) for _ in region]
+    target = tuple(
+        sum(w * poly.vertices[i][j] for w, i in zip(weights, region)) / sum(weights)
+        for j in range(poly.ambient_dim)
+    )
+    base = poly.vertices[v]
+    if target == base:
+        return poly
+    old_masks = facet_enumeration(poly).incidence.facet_masks
+    for n in range(max_halvings + 1):
+        cand = tuple(b + Fraction(1, 2**n) * (t - b) for b, t in zip(base, target))
+        if cand in poly.vertices:
+            continue
+        verts = list(poly.vertices)
+        verts[v] = cand
+        new_poly = VPolytope(tuple(verts), poly.labels)
+        try:
+            hull = facet_enumeration(new_poly)
+            certify_vertices(new_poly, hull)
+        except ValueError:
+            continue
+        if all(
+            sum(m & mask == mask for m in old_masks) == 1 for mask in hull.incidence.facet_masks
+        ):
+            return new_poly
+    return None
 
 
 def check_hull_against_oracle(poly):

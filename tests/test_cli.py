@@ -267,6 +267,10 @@ def run_cli(tmp_path, command, text):
     return run_args(tmp_path, [*command.split(), str(src)])
 
 
+SQUARE_WITH_INNER_POINT = "POLY 1\ndim 2\nvertices 5\n0 0\n4 0\n0 4\n4 4\n1 1\n"
+SQUARE_PYRAMID = "POLY 1\ndim 3\nvertices 5\n0 0 0\n2 0 0\n0 2 0\n2 2 0\n1 1 1\n"
+
+
 class TestExitCodes:
     """Bad input ends with a documented exit code and an `error:` line, never
     a traceback: 2 for parse errors, 3 for infeasible geometry."""
@@ -281,10 +285,13 @@ class TestExitCodes:
             ("polar", "POLY 1\ndim 2\nvertices 5\n1 1\n1 -1\n-1 1\n-1 -1\n0 0\n", 3),
             ("construct product", cube_text(), 2),
             ("construct blend", cube_text(), 2),
+            ("construct dstep-iterate", SQUARE_WITH_INNER_POINT, 3),
+            ("construct dstep-iterate", SQUARE_PYRAMID, 3),
         ],
         ids=[
             "truncated-header", "single-point", "collinear-diameter", "non-vertex-width",
             "square-center-polar", "product-without-second", "blend-without-second",
+            "non-vertex-dstep", "pyramid-dstep",
         ],
     )
     def test_exit_code_without_traceback(self, tmp_path, command, text, code):
@@ -293,6 +300,15 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("\n") == 1
+
+    def test_push_names_the_point_that_is_not_a_vertex(self, tmp_path):
+        # the input is certified before the search, so the error names the
+        # inner point at once, not the pushed vertex after every candidate
+        done = run_cli(tmp_path, "construct push --vertex 0", SQUARE_WITH_INNER_POINT)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("error: point 4 = (1, 1) is not a vertex")
+        assert done.stderr.count("\n") == 1
+        assert done.stdout == ""
 
     @pytest.mark.parametrize(
         "args, message",

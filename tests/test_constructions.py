@@ -2,6 +2,7 @@ import random
 import re
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactpoly.constructions import (
     REJECTION_CAUSES,
@@ -16,7 +17,6 @@ from exactpoly.constructions import (
     power,
     product,
     push_vertex,
-    push_vertex_with_hull,
     strong_dstep_iterate,
     strong_dstep_step,
     suspension_facet_map,
@@ -35,6 +35,7 @@ from helpers import (
     check_suspension_distances,
     lifted_distance_dominates,
     random_polytope,
+    reference_push,
 )
 
 
@@ -143,10 +144,6 @@ class TestPushVertex:
         assert hull.incidence.n_facets == 4
         assert pushed.vertices[0] != s.vertices[0]
 
-    def test_push_explicit_point_identity(self):
-        s = cube()
-        assert push_vertex(s, 3, point=s.vertices[3]) is s
-
     def test_push_into_face(self):
         c = cube()
         hull = facet_enumeration(c)
@@ -155,9 +152,15 @@ class TestPushVertex:
         assert pushed.vertices[top[0]][2] == 1  # stays in the face hyperplane
 
     def test_exhaustion_reported(self):
-        with pytest.raises(PushFailed):
+        # the full step lands on the interior target, where the point is no
+        # vertex; the three shorter steps fail only the caller's predicate
+        with pytest.raises(PushFailed) as exc:
             push_vertex(cube(), 0, seed=1, genericity=lambda p, h, v: False,
                         max_halvings=3)
+        assert str(exc.value) == (
+            "push of vertex 0: perturbation search exhausted after 4 candidates: "
+            "not a vertex 1, facet merge violated 0, not generic 3"
+        )
 
     def test_facet_map_is_simplicial(self):
         # adjacent facets of the pushed polytope map to equal or adjacent
@@ -167,11 +170,10 @@ class TestPushVertex:
             poly, hull = random_polytope(rng, 3, 8)
             v = rng.randrange(poly.n_vertices)
             try:
-                pushed, pushed_hull = push_vertex_with_hull(
-                    poly, v, seed=rng.randrange(1 << 20), old_hull=hull
-                )
+                pushed = push_vertex(poly, v, seed=rng.randrange(1 << 20))
             except PushFailed:
                 continue
+            pushed_hull = facet_enumeration(pushed)
             vmasks = hull.incidence.vertex_masks
             phi = []
             for mask in pushed_hull.incidence.facet_masks:
@@ -186,6 +188,35 @@ class TestPushVertex:
             for a, b in g_new.edges:
                 fa, fb = phi[a], phi[b]
                 assert fa == fb or (min(fa, fb), max(fa, fb)) in old_edges
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    st.integers(0, 2**32),
+    st.integers(0, 2**20),
+    st.sampled_from(("interior", "facet", "edge", "vertex")),
+    st.integers(0, 8),
+)
+def test_push_matches_reference(poly_seed, seed, face, max_halvings):
+    # push_vertex accepts the same candidate as the plain loop that hulls
+    # every candidate from scratch, or fails where it finds none
+    rng = random.Random(poly_seed)
+    poly, hull = random_polytope(rng, 3, 8)
+    v = rng.randrange(poly.n_vertices)
+    if face == "facet":
+        region = hull.incidence.vertices_of(rng.randrange(hull.incidence.n_facets))
+    elif face == "edge":
+        region = rng.choice(vertex_graph(poly, hull).edges)
+    elif face == "vertex":
+        region = (rng.randrange(poly.n_vertices),)
+    else:
+        region = None
+    want = reference_push(poly, v, region, seed, max_halvings)
+    try:
+        got = push_vertex(poly, v, region, seed=seed, max_halvings=max_halvings).vertices
+    except PushFailed:
+        got = None
+    assert got == (want and want.vertices)
 
 
 class TestStrongDStep:

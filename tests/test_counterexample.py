@@ -22,7 +22,6 @@ from exactpoly.counterexample import (
     facet_permutation,
     parse_facet_label,
     symmetry_groups,
-    verify_quick,
     vertices48,
 )
 from exactpoly.constructions import suspension_facet_map
@@ -40,7 +39,7 @@ from exactpoly.polytopes import (
 )
 from exactpoly.prismatoids import has_dstep_property, make_prismatoid, width
 from exactpoly.rationals import Rat
-from helpers import reference_close_group
+from helpers import reference_close_group, verify_quick
 
 
 def assert_report(rep):

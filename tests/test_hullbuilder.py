@@ -23,7 +23,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from exactpoly.constructions import PushFailed, one_point_suspension, push_vertex_with_hull
+from exactpoly.constructions import PushFailed, one_point_suspension, push_vertex
 from exactpoly.geometry import DegenerateInput, DimensionMismatch
 from exactpoly.polytopes import (
     DuplicatePoints,
@@ -433,17 +433,18 @@ def test_repeated_facet_refused():
 
 
 def test_push_verifies_every_candidate(monkeypatch):
-    # every inserted candidate comes back with a corrupted facet mask: the
-    # search must refuse each one, so the push fails
+    # every inserted candidate comes back with a corrupted facet mask (the
+    # vertex at its original position, which gives the hull the push starts
+    # from, is spared): the search must refuse each one, so the push fails
     pts, _ = _cube_builder()
     cube = VPolytope(tuple(pts))
-    hull = facet_enumeration(cube)
     insert = HullBuilder.insert
 
     def corrupting_insert(self, i, point):
         insert(self, i, point)
-        self.masks[0] ^= 1 << i
+        if point != pts[i]:
+            self.masks[0] ^= 1 << i
 
     monkeypatch.setattr(HullBuilder, "insert", corrupting_insert)
-    with pytest.raises(PushFailed, match="pushed point is not a vertex"):
-        push_vertex_with_hull(cube, 0, seed=1, old_hull=hull, max_halvings=3)
+    with pytest.raises(PushFailed, match="not a vertex 4,"):
+        push_vertex(cube, 0, seed=1, max_halvings=3)

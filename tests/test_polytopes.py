@@ -11,7 +11,6 @@ from exactpoly.polytopes import (
     dual_graph,
     face_maximizing,
     facet_enumeration,
-    facet_enumeration_bruteforce,
     is_simple,
     is_simplicial,
     iter_bits,
@@ -20,7 +19,7 @@ from exactpoly.polytopes import (
 )
 from exactpoly.geometry import affine_rank
 from exactpoly.rationals import Rat
-from helpers import check_hull_against_oracle, random_polytope
+from helpers import check_hull_against_oracle, incidence_matrix, is_connected, random_polytope
 
 from exactpoly.polytopes import centroid
 from exactpoly.geometry import vsub
@@ -110,8 +109,8 @@ class TestFacetEnumeration:
         rng = random.Random(13)
         for dim in (2, 3, 4):
             poly, hull = random_polytope(rng, dim, 8)
-            assert dual_graph(poly, hull).is_connected()
-            assert vertex_graph(poly, hull).is_connected()
+            assert is_connected(dual_graph(poly, hull))
+            assert is_connected(vertex_graph(poly, hull))
 
 
 class TestOracleEquivalence:
@@ -299,8 +298,8 @@ class TestPolar:
         hull_p = facet_enumeration(p)
         # facets of the polar correspond to vertices of the cube: the polar
         # facet tight on polar-vertex i is the cube facet i and vice versa
-        mat = hull.incidence.matrix()
-        mat_p = hull_p.incidence.matrix()
+        mat = incidence_matrix(hull.incidence)
+        mat_p = incidence_matrix(hull_p.incidence)
         # match polar facets to cube vertices by normals
         scale = {}
         for fp, q in enumerate(hull_p.hrep.inequalities):
