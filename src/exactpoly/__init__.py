@@ -6,7 +6,7 @@ property in dimension five, and the constructions that turn it into
 non-Hirsch polytopes.
 """
 
-from .geometry import Inequality, OrthMap, affine_rank, evaluate, hyperplane_through
+from .geometry import Inequality, OrthMap, affine_rank
 from .polytopes import (
     HPolytope,
     VPolytope,
@@ -14,12 +14,10 @@ from .polytopes import (
     dual_graph,
     face_maximizing,
     facet_enumeration,
-    is_simple,
-    is_simplicial,
     polar,
     vertex_graph,
 )
-from .prismatoids import Prismatoid, has_dstep_property, is_spindle, make_prismatoid, width
+from .prismatoids import Prismatoid, is_spindle, make_prismatoid, width
 from .rationals import Rat, format_rat, parse_rat
 
 __all__ = [
@@ -32,14 +30,9 @@ __all__ = [
     "affine_rank",
     "certify_vertices",
     "dual_graph",
-    "evaluate",
     "face_maximizing",
     "facet_enumeration",
     "format_rat",
-    "has_dstep_property",
-    "hyperplane_through",
-    "is_simple",
-    "is_simplicial",
     "is_spindle",
     "make_prismatoid",
     "parse_rat",

@@ -26,7 +26,6 @@ from .constructions import (
 )
 from .fileformats import FormatError, read_poly, write_hpoly, write_incidence, write_poly
 from .geometry import GeometryError
-from .graphs import Graph
 from .plotting import torus_svg
 from .polytopes import (
     NotAVertex,
@@ -51,7 +50,7 @@ def _load(path: str) -> VPolytope:
     try:
         with open(path, "r", encoding="utf-8") as fh:
             return read_poly(fh.read())
-    except (OSError, FormatError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # FormatError, or a file that is not UTF-8
         raise CliError(f"cannot read {path}: {exc}", 2)
 
 

@@ -1,7 +1,7 @@
 """Polytope-building operations.
 
 One-point suspensions, vertex pushing with validate-and-halve, the strong
-d-step inductive step and its bounded iteration, products and powers,
+d-step inductive step and its bounded iteration, products,
 combinatorial blending, and Hirsch-excess arithmetic.  Every randomized
 operation takes an explicit seed and is deterministic given (inputs, seed).
 """
@@ -364,22 +364,13 @@ def strong_dstep_iterate(pr: Prismatoid, max_steps: int, seed: int = 0):
 
 
 # ---------------------------------------------------------------------------
-# products and powers
+# products
 
 
 def product(p1: VPolytope, p2: VPolytope) -> VPolytope:
     """All coordinate concatenations; facets are the lifted factor facets."""
     verts = tuple(a + b for a in p1.vertices for b in p2.vertices)
     return VPolytope(verts)
-
-
-def power(poly: VPolytope, k: int) -> VPolytope:
-    if k < 1:
-        raise ValueError("power requires k >= 1")
-    out = poly
-    for _ in range(k - 1):
-        out = product(out, poly)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -486,10 +477,6 @@ def hirsch_excess(d: int, n: int, l: int) -> ExcessReport:
     if not (n > d >= 1) or l < 0:
         raise ValueError("need n > d >= 1 and l >= 0")
     return ExcessReport(d, n, l, Rat(l, n - d) - 1)
-
-
-def is_hirsch(d: int, n: int, l: int) -> bool:
-    return hirsch_excess(d, n, l).is_hirsch
 
 
 @dataclass(frozen=True)

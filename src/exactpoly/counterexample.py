@@ -29,9 +29,10 @@ from .geometry import Inequality, OrthMap, affine_rank, integer_points, smul, va
 from .graphs import Graph
 from .linalg import echelon
 from .normalfans import (
-    cone_contains_strictly,
+    bi_dimensions,
     direction_key,
     facet_normals,
+    interior_owner,
     is_combinatorial_cube,
     minkowski_sum,
     normal_cone,
@@ -193,18 +194,6 @@ class FacetLabel:
             return self.letter
         marks = "".join("+" if s > 0 else "-" for s in self.signs)
         return f"{self.letter}{chr(39) if self.primed else ''}{marks}"
-
-
-def parse_facet_label(text: str) -> FacetLabel:
-    if text in ("A", "L"):
-        return FacetLabel(text)
-    letter = text[0]
-    rest = text[1:]
-    primed = rest.startswith("'")
-    if primed:
-        rest = rest[1:]
-    signs = tuple(1 if ch == "+" else -1 for ch in rest)
-    return FacetLabel(letter, primed, signs)
 
 
 def _family_inequality(terms, x5, rhs, signs) -> Inequality:
@@ -481,6 +470,11 @@ class Certificate:
         return dual_graph(self.poly, self.hull)
 
     @cached_property
+    def bidims(self) -> dict:
+        """Non-base facet -> its bi-dimension (see `bi_dimensions`)."""
+        return bi_dimensions(self.pr)
+
+    @cached_property
     def groups(self):
         """(full group of order 64, base-preserving subgroup of order 32)."""
         return symmetry_groups(self.poly)
@@ -667,27 +661,19 @@ def check_orbit_quotient(ctx: Certificate) -> Report:
     """Quotient adjacency by base-preserving orbits, its A-to-L distance, and
     the bi-dimension bands."""
     rep = Report("orbit quotient")
-    poly, hull, labels, by_label = ctx.poly, ctx.hull, ctx.labels, ctx.by_label
+    hull, labels, by_label = ctx.hull, ctx.labels, ctx.by_label
     orbits = ctx.orbits_plus
     q, which = orbit_adjacency_graph(hull, ctx.graph, orbits)
     a_node = which[by_label["A"]]
     l_node = which[by_label["L"]]
     rep.add("quotient distance A to L", q.distance(a_node, l_node) == 6, str(q.distance(a_node, l_node)))
     # bi-dimension bands per letter
-    plus_mask = hull.incidence.facet_masks[by_label["A"]]
-    minus_mask = hull.incidence.facet_masks[by_label["L"]]
-    bands_ok = True
-    detail = []
-    for f, lbl in enumerate(labels):
-        if lbl.letter in ("A", "L"):
-            continue
-        m = hull.incidence.facet_masks[f]
-        dp = affine_rank([poly.vertices[v] for v in iter_bits(m & plus_mask)])
-        dm = affine_rank([poly.vertices[v] for v in iter_bits(m & minus_mask)])
-        if (dp, dm) != FAMILY_BIDIMENSION[lbl.letter]:
-            bands_ok = False
-            detail.append(f"{lbl}:{(dp, dm)}")
-    rep.add("bi-dimension bands match the families", bands_ok, " ".join(detail) or "all 320")
+    bad = [
+        f"{labels[f]}:{dims}"
+        for f, dims in ctx.bidims.items()
+        if dims != FAMILY_BIDIMENSION[labels[f].letter]
+    ]
+    rep.add("bi-dimension bands match the families", not bad, " ".join(bad) or "all 320")
     return rep
 
 
@@ -720,7 +706,7 @@ def check_base_structure(ctx: Certificate) -> Report:
         "",
     )
     cube_ok = all(
-        is_combinatorial_cube(normal_cone(hull_p, v).generators)
+        is_combinatorial_cube(normal_cone(hull_p, v))
         for v in range(qp.n_vertices)
     )
     rep.add("vertex figures of the top base are 3-cubes", cube_ok, "24 vertices")
@@ -735,10 +721,10 @@ def check_base_structure(ctx: Certificate) -> Report:
     c_idx = qm.vertices.index((Rat(45), Rat(0), Rat(0), Rat(0)))
     rep.add(
         "(5,1,2,1) strictly inside the cone of (45,0,0,0)",
-        cone_contains_strictly(qm, c_idx, v_dir),
+        interior_owner(qm, v_dir) == c_idx,
         "",
     )
-    gens = set(normal_cone(hull_m, c_idx).generators)
+    gens = set(normal_cone(hull_m, c_idx))
     want_gens = {
         (Rat(2), Rat(a), Rat(b), Rat(5 * c))
         for a in (1, -1)
@@ -797,7 +783,7 @@ def check_minkowski_section(ctx: Certificate) -> Report:
                 bands_ok = False
                 break
         rep.add("sum bi-dimensions match the family bands", bands_ok, "")
-    rep.merge(transversality_check(pr))
+    rep.merge(transversality_check(pr, ctx.bidims))
     orbit = (4, 5, 6, 7)  # vertices 5..8 of either base
     rep.merge(
         normal_map_interiority_check(

@@ -1,4 +1,4 @@
-"""Text formats for polytopes.
+"""Text formats for polytopes; the readers raise `FormatError` on bad text.
 
 POLY:   "POLY 1" / "dim <d>" / "vertices <n>" / n rows of d rationals,
         then optionally "labels" followed by n label lines.
@@ -36,6 +36,13 @@ def _expect(line, keyword, least=0):
     return value
 
 
+def _rats(parts, line):
+    try:
+        return [parse_rat(x) for x in parts]
+    except ValueError as exc:
+        raise FormatError(f"{exc} in {line!r}") from exc
+
+
 def write_poly(poly: VPolytope) -> str:
     out = ["POLY 1", f"dim {poly.ambient_dim}", f"vertices {poly.n_vertices}"]
     for p in poly.vertices:
@@ -53,7 +60,7 @@ def read_poly(text: str) -> VPolytope:
     if len(lines) < 3:
         raise FormatError("truncated header")
     d = _expect(lines[1], "dim", 1)
-    n = _expect(lines[2], "vertices")
+    n = _expect(lines[2], "vertices", 1)
     if len(lines) < 3 + n:
         raise FormatError("truncated vertex block")
     verts = []
@@ -61,7 +68,7 @@ def read_poly(text: str) -> VPolytope:
         row = ln.split()
         if len(row) != d:
             raise FormatError(f"vertex row has {len(row)} entries, expected {d}")
-        verts.append(tuple(parse_rat(x) for x in row))
+        verts.append(tuple(_rats(row, ln)))
     labels = None
     rest = lines[3 + n :]
     if rest:
@@ -106,7 +113,9 @@ def read_hpoly(text: str) -> HPolytope:
             raise FormatError("unexpected trailing line")
         if len(parts) != d + 1:
             raise FormatError(f"row has {len(parts)} entries, expected {d + 1}")
-        vals = [parse_rat(x) for x in parts]
+        vals = _rats(parts, ln)
+        if not any(vals[:-1]):
+            raise FormatError(f"all-zero coefficients in {ln!r}")
         q = Inequality(tuple(vals[:-1]), vals[-1])
         (eqs if is_eq else ineqs).append(q)
     if len(ineqs) != m:

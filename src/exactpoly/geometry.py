@@ -3,8 +3,8 @@
 Points are plain tuples of rationals or ints; the ambient dimension is the
 tuple length.  An inequality `coeffs . x <= offset` is canonicalized to
 coprime `int` entries by a positive scaling, so that facet identity is plain
-equality of canonical forms.  Affine ranks and hyperplanes are computed on
-integer rows by the fraction-free elimination of `linalg`.
+equality of canonical forms.  Affine ranks are computed on integer rows by
+the fraction-free elimination of `linalg`.
 """
 from __future__ import annotations
 
@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import echelon, identity, mat_mul, mat_vec, nullspace, transpose
+from .linalg import echelon, identity, mat_mul, mat_vec, transpose
 from .rationals import Rat, common_denominator, primitive_ints
 
 
@@ -63,7 +63,7 @@ def check_same_dim(points):
 
 @dataclass(frozen=True)
 class Inequality:
-    """coeffs . x <= offset; also used as an equality carrier by hyperplane_through."""
+    """coeffs . x <= offset; a hull's equalities use the same carrier."""
 
     coeffs: tuple
     offset: object
@@ -71,13 +71,6 @@ class Inequality:
     def __post_init__(self):
         if all(c == 0 for c in self.coeffs):
             raise DegenerateInput("all-zero coefficient vector")
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.coeffs)
-
-    def slack(self, point):
-        return self.offset - dot(self.coeffs, point)
 
     def canonical(self) -> "Inequality":
         """Positive rescaling to coprime ints (direction preserved); an
@@ -107,14 +100,6 @@ def canonical_hyperplane(ineq: Inequality) -> Inequality:
     raise DegenerateInput("all-zero coefficient vector")
 
 
-def evaluate(ineq: Inequality, point):
-    """Sign of (offset - coeffs.point) in {-1, 0, +1}, plus the exact slack."""
-    if len(point) != ineq.ambient_dim:
-        raise DimensionMismatch("point/inequality dimension mismatch")
-    s = ineq.slack(point)
-    return (-1 if s < 0 else (1 if s > 0 else 0)), s
-
-
 def affine_rank(points) -> int:
     """Dimension of the affine hull (0 for a single point)."""
     check_same_dim(points)
@@ -125,41 +110,23 @@ def affine_rank(points) -> int:
     return len(echelon(rows))
 
 
-def hyperplane_through(points) -> Inequality:
-    """The unique hyperplane containing `points` (affine rank = dim - 1).
-
-    Returned as a sign-normalized canonical Inequality; orientation is the
-    caller's business.
-    """
-    d = check_same_dim(points)
-    rows = [list(p) + [-1] for p in points]
-    basis = nullspace(rows)
-    if len(basis) != 1:
-        raise DegenerateInput(
-            f"points span affine rank {affine_rank(points)}, need {d - 1}"
-        )
-    vec = basis[0]
-    return canonical_hyperplane(Inequality(tuple(vec[:d]), vec[d]))
-
-
 @dataclass(frozen=True)
 class OrthMap:
-    """An exact orthogonal map, stored row-wise (y = M x)."""
+    """An exact orthogonal map, stored row-wise (y = M x).  `from_rows`
+    checks orthogonality; the identity and all products are orthogonal."""
 
     rows: tuple
-
-    def __post_init__(self):
-        n = len(self.rows)
-        for r in self.rows:
-            if len(r) != n:
-                raise DimensionMismatch("orthogonal map must be square")
-        if mat_mul(self.rows, transpose(self.rows)) != identity(n):
-            raise GeometryError("matrix is not orthogonal")
 
     @classmethod
     def from_rows(cls, rows) -> "OrthMap":
         """Integral entries are stored as ints, any others as rationals."""
-        return cls(tuple(tuple(_exact(v) for v in row) for row in rows))
+        rows = tuple(tuple(_exact(v) for v in row) for row in rows)
+        n = len(rows)
+        if any(len(r) != n for r in rows):
+            raise DimensionMismatch("orthogonal map must be square")
+        if mat_mul(rows, transpose(rows)) != identity(n):
+            raise GeometryError("matrix is not orthogonal")
+        return cls(rows)
 
     @classmethod
     def identity(cls, n) -> "OrthMap":
@@ -173,12 +140,6 @@ class OrthMap:
         if len(p) != self.ambient_dim:
             raise DimensionMismatch("point/map dimension mismatch")
         return mat_vec(self.rows, p)
-
-    def apply_ineq(self, ineq: Inequality) -> Inequality:
-        # a.x <= b with x = M^T y (M orthogonal) becomes (M a).y <= b
-        if ineq.ambient_dim != self.ambient_dim:
-            raise DimensionMismatch("inequality/map dimension mismatch")
-        return Inequality(mat_vec(self.rows, ineq.coeffs), ineq.offset).canonical()
 
     def compose(self, other: "OrthMap") -> "OrthMap":
         """self o other (apply `other` first)."""

@@ -30,16 +30,8 @@ from .polytopes import (
     iter_bits,
 )
 from .prismatoids import Prismatoid
-from .rationals import Rat, primitive_ints
+from .rationals import primitive_ints
 from .report import Report
-
-
-@dataclass(frozen=True)
-class NormalCone:
-    """Normal cone of a vertex: generated by the normals of its facets."""
-
-    owner: int
-    generators: tuple
 
 
 def facet_normals(hull: Hull):
@@ -47,10 +39,10 @@ def facet_normals(hull: Hull):
     return tuple(tuple(q.coeffs) for q in hull.hrep.inequalities)
 
 
-def normal_cone(hull: Hull, v: int) -> NormalCone:
+def normal_cone(hull: Hull, v: int) -> tuple:
+    """Generators of the normal cone of vertex v: the normals of its facets."""
     normals = facet_normals(hull)
-    gens = tuple(normals[f] for f in iter_bits(hull.incidence.vertex_masks[v]))
-    return NormalCone(v, gens)
+    return tuple(normals[f] for f in iter_bits(hull.incidence.vertex_masks[v]))
 
 
 def interior_owner(poly: VPolytope, direction) -> Optional[int]:
@@ -59,10 +51,6 @@ def interior_owner(poly: VPolytope, direction) -> Optional[int]:
     if len(face.vertex_indices) == 1:
         return face.vertex_indices[0]
     return None
-
-
-def cone_contains_strictly(poly: VPolytope, v: int, direction) -> bool:
-    return interior_owner(poly, direction) == v
 
 
 def direction_key(coeffs):
@@ -143,44 +131,6 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
 
 
 # ---------------------------------------------------------------------------
-# slices of a prismatoid
-
-
-def intermediate_slice(pr: Prismatoid, lam1) -> VPolytope:
-    """Cross-section at the hyperplane whose slice is lam1*Q+ + lam2*Q-.
-
-    Vertices come from the edges joining the two bases; returned in the full
-    ambient dimension (the slice is degenerate there).
-    """
-    lam1 = Rat(lam1)
-    if not 0 < lam1 < 1:
-        raise ValueError("slice parameter must be strictly between 0 and 1")
-    lam2 = 1 - lam1
-    from .polytopes import vertex_graph
-
-    g = vertex_graph(pr.polytope, pr.hull)
-    plus = set(pr.base_plus_vertices())
-    minus = set(pr.base_minus_vertices())
-    pts = []
-    seen = set()
-    for i, j in g.edges:
-        if i in plus and j in minus:
-            hi, lo = i, j
-        elif j in plus and i in minus:
-            hi, lo = j, i
-        else:
-            continue
-        p = tuple(
-            lam1 * pr.polytope.vertices[hi][t] + lam2 * pr.polytope.vertices[lo][t]
-            for t in range(pr.polytope.ambient_dim)
-        )
-        if p not in seen:
-            seen.add(p)
-            pts.append(p)
-    return VPolytope(tuple(pts))
-
-
-# ---------------------------------------------------------------------------
 # pair d-step property
 
 
@@ -222,25 +172,30 @@ def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms=None):
 # transversality
 
 
-def transversality_check(pr: Prismatoid) -> Report:
-    """Every non-base facet F satisfies
-    dim(F ∩ Q+) + dim(F ∩ Q-) = dim F - 1."""
-    rep = Report("transversality")
+def bi_dimensions(pr: Prismatoid) -> dict:
+    """Non-base facet index -> (dim F ∩ Q+, dim F ∩ Q-), with -1 for an
+    empty side."""
     inc = pr.hull.incidence
-    plus_mask = inc.facet_masks[pr.base_plus]
-    minus_mask = inc.facet_masks[pr.base_minus]
     verts = pr.polytope.vertices
-    bad = []
-    total = 0
-    for f in range(inc.n_facets):
+    base_masks = (inc.facet_masks[pr.base_plus], inc.facet_masks[pr.base_minus])
+    table = {}
+    for f, m in enumerate(inc.facet_masks):
         if f in (pr.base_plus, pr.base_minus):
             continue
-        total += 1
-        m = inc.facet_masks[f]
-        dp = affine_rank([verts[v] for v in iter_bits(m & plus_mask)]) if m & plus_mask else -1
-        dm = affine_rank([verts[v] for v in iter_bits(m & minus_mask)]) if m & minus_mask else -1
-        if dp + dm != pr.dim - 2:
-            bad.append((f, dp, dm))
+        table[f] = tuple(
+            affine_rank([verts[v] for v in iter_bits(m & b)]) if m & b else -1
+            for b in base_masks
+        )
+    return table
+
+
+def transversality_check(pr: Prismatoid, bidims: dict) -> Report:
+    """Every non-base facet F satisfies
+    dim(F ∩ Q+) + dim(F ∩ Q-) = dim F - 1, read from the `bi_dimensions`
+    table `bidims`."""
+    rep = Report("transversality")
+    bad = [(f, dp, dm) for f, (dp, dm) in bidims.items() if dp + dm != pr.dim - 2]
+    total = len(bidims)
     rep.add(
         "all non-base facets transversal",
         not bad,

@@ -517,16 +517,6 @@ def vertex_graph(poly: VPolytope, hull: Hull) -> Graph:
     return Graph(n, edges)
 
 
-def is_simple(poly: VPolytope, hull: Hull) -> bool:
-    k = hull.dim
-    return all(m.bit_count() == k for m in hull.incidence.vertex_masks)
-
-
-def is_simplicial(poly: VPolytope, hull: Hull) -> bool:
-    k = hull.dim
-    return all(m.bit_count() == k for m in hull.incidence.facet_masks)
-
-
 def centroid(points):
     n = Rat(len(points))
     d = len(points[0])

@@ -118,10 +118,6 @@ def width(pr: Prismatoid, graph: Optional[Graph] = None) -> int:
     return graph.distance(pr.base_plus, pr.base_minus)
 
 
-def has_dstep_property(pr: Prismatoid, graph: Optional[Graph] = None) -> bool:
-    return width(pr, graph) <= pr.dim
-
-
 def is_spindle(poly: VPolytope, hull: Optional[Hull] = None):
     """First vertex pair (u, v) such that every facet contains exactly one,
     with their vertex-graph distance; None if the polytope is not a spindle."""

@@ -10,7 +10,7 @@ from exactpoly.counterexample import (
     check_facet_census,
     check_prism_collinearities,
 )
-from exactpoly.geometry import DegenerateInput, OrthMap, affine_rank, hyperplane_through
+from exactpoly.geometry import DegenerateInput, Inequality, OrthMap, affine_rank
 from exactpoly.polytopes import (
     VPolytope,
     certify_vertices,
@@ -85,13 +85,36 @@ def facet_enumeration_bruteforce(poly: VPolytope) -> tuple:
         if affine_rank(chosen) != d - 1:
             continue
         h = hyperplane_through(chosen)
-        signs = {(-1 if h.slack(p) < 0 else (1 if h.slack(p) > 0 else 0)) for p in pts}
+        signs = {(slack(h, p) > 0) - (slack(h, p) < 0) for p in pts}
         if -1 in signs and 1 in signs:
             continue
         if -1 in signs:
             h = h.negated().canonical()
         found[h.key] = h
     return tuple(found[k] for k in sorted(found))
+
+
+def slack(ineq, point):
+    """offset - coeffs . point, exact."""
+    return ineq.offset - sum(c * x for c, x in zip(ineq.coeffs, point))
+
+
+def hyperplane_through(points) -> Inequality:
+    """The unique hyperplane containing `points` (affine rank = dim - 1), as
+    a canonical Inequality whose first nonzero coefficient is positive; the
+    kernel comes from the Fraction elimination below, not the engine's."""
+    d = len(points[0])
+    basis = reference_nullspace([list(p) + [-1] for p in points])
+    if len(basis) != 1:
+        raise DegenerateInput(f"points have a {len(basis)}-dimensional kernel, need 1")
+    h = Inequality(tuple(basis[0][:d]), basis[0][d]).canonical()
+    return h if next(c for c in h.coeffs if c != 0) > 0 else h.negated()
+
+
+def apply_ineq(m, ineq) -> Inequality:
+    """Image of a.x <= b under the orthogonal map m: with x = M^T y it is
+    (M a).y <= b."""
+    return Inequality(m.apply_point(ineq.coeffs), ineq.offset).canonical()
 
 
 def incidence_matrix(incidence):

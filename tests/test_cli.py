@@ -65,7 +65,7 @@ class TestFileFormats:
     @pytest.mark.parametrize(
         "text, message",
         [
-            ("POLY 1\ndim 2\nvertices -1\n", "vertices must be at least 0, got -1"),
+            ("POLY 1\ndim 2\nvertices -1\n", "vertices must be at least 1, got -1"),
             ("POLY 1\ndim -1\nvertices 1\n0\n", "dim must be at least 1, got -1"),
             ("POLY 1\ndim 0\nvertices 1\n\n", "dim must be at least 1, got 0"),
             ("HPOLY 1\ndim 2\ninequalities -1\n", "inequalities must be at least 0, got -1"),
@@ -77,6 +77,27 @@ class TestFileFormats:
         reader = read_hpoly if text.startswith("HPOLY") else read_poly
         with pytest.raises(FormatError) as info:
             reader(text)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("POLY 1\ndim 2\nvertices 1\n.0 1\n", "not a rational literal: '.0' in '.0 1'"),
+            ("POLY 1\ndim 2\nvertices 1\n1/0 1\n", "zero denominator: '1/0' in '1/0 1'"),
+            ("POLY 1\ndim 2\nvertices 0\n", "vertices must be at least 1, got 0"),
+            ("HPOLY 1\ndim 2\ninequalities 1\n0 0 1\n", "all-zero coefficients in '0 0 1'"),
+            (
+                "HPOLY 1\ndim 2\ninequalities 1\n1 0 1\nequality 0 0 0\n",
+                "all-zero coefficients in 'equality 0 0 0'",
+            ),
+        ],
+        ids=["dot-literal", "zero-denominator", "no-vertices", "zero-row", "zero-equality"],
+    )
+    def test_unparsable_text_raises_format_error(self, text, message):
+        reader = read_hpoly if text.startswith("HPOLY") else read_poly
+        with pytest.raises(FormatError) as info:
+            reader(text)
+        assert type(info.value) is FormatError
         assert str(info.value) == message
 
     def test_rational_literals_in_files(self):

@@ -6,6 +6,7 @@ import pytest
 from exactpoly.counterexample import (
     EXPECTED_FACET_COUNT,
     REPRESENTATIVE_NEIGHBORS,
+    FacetLabel,
     _close_group,
     base_swap_map,
     check_facet_census,
@@ -20,7 +21,6 @@ from exactpoly.counterexample import (
     facet_labels,
     facet_orbits,
     facet_permutation,
-    parse_facet_label,
     symmetry_groups,
     vertices48,
 )
@@ -33,13 +33,11 @@ from exactpoly.polytopes import (
     VPolytope,
     dual_graph,
     facet_enumeration,
-    is_simple,
-    is_simplicial,
     polar,
 )
-from exactpoly.prismatoids import has_dstep_property, make_prismatoid, width
+from exactpoly.prismatoids import make_prismatoid, width
 from exactpoly.rationals import Rat
-from helpers import reference_close_group, verify_quick
+from helpers import apply_ineq, reference_close_group, verify_quick
 
 
 def assert_report(rep):
@@ -68,9 +66,10 @@ class TestData:
         assert table[(0, 0, 0, 0, -1, 1)].letter == "L"
         assert str(table[(10, 2, 4, 2, 135, 315)]) == "B++++"
 
-    def test_facet_label_round_trip(self):
-        for text in ("A", "L", "B++++", "C'+-+-", "K'----"):
-            assert str(parse_facet_label(text)) == text
+    def test_facet_label_format(self):
+        assert str(FacetLabel("A")) == "A"
+        assert str(FacetLabel("C", True, (1, -1, 1, -1))) == "C'+-+-"
+        assert str(FacetLabel("K", True, (-1, -1, -1, -1))) == "K'----"
 
 
 class TestCensus:
@@ -90,9 +89,10 @@ class TestCensus:
         minus = {q48_pr.polytope.labels[v] for v in q48_pr.base_minus_vertices()}
         assert minus == {f"{i}-" for i in range(1, 25)}
 
-    def test_not_simple_not_simplicial(self, q48_pr):
-        assert not is_simple(q48_pr.polytope, q48_pr.hull)
-        assert not is_simplicial(q48_pr.polytope, q48_pr.hull)
+    def test_not_simple_not_simplicial(self, q48_hull):
+        inc = q48_hull.incidence
+        assert not all(m.bit_count() == 5 for m in inc.vertex_masks)
+        assert not all(m.bit_count() == 5 for m in inc.facet_masks)
 
 
 class TestByteIdentity:
@@ -172,7 +172,7 @@ def _facet_index(hull):
 
 
 class TestFacetPermutation:
-    """The image keys computed in integers against `apply_ineq`, and a map
+    """The image keys computed in integers against `helpers.apply_ineq`, and a map
     with rational entries, whose image keys must be rescaled."""
 
     def test_integer_maps_match_apply_ineq(self, certificate):
@@ -184,7 +184,7 @@ class TestFacetPermutation:
         assert len(maps) == 64
         assert len(certificate.facet_perms) == 64
         for m in maps:
-            want = tuple(index[m.apply_ineq(q).key] for q in hull.hrep.inequalities)
+            want = tuple(index[apply_ineq(m, q).key] for q in hull.hrep.inequalities)
             assert facet_permutation(m, index) == want
             assert certificate.facet_perms[m.key] == want
 
@@ -210,7 +210,7 @@ class TestFacetPermutation:
         assert sorted(perm) == list(range(8))
         assert all(perm[f] != f for f in range(8))
         for f, q in enumerate(hull.hrep.inequalities):
-            assert index[m.apply_ineq(q).key] == perm[f]
+            assert index[apply_ineq(m, q).key] == perm[f]
 
 
 class TestOrbits:
@@ -246,7 +246,7 @@ class TestDualGraphStructure:
         assert_report(check_width(certificate))
 
     def test_no_dstep_property(self, q48_pr, q48_dual):
-        assert not has_dstep_property(q48_pr, q48_dual)
+        assert width(q48_pr, q48_dual) > q48_pr.dim
 
     def test_quotient_report(self, certificate):
         assert_report(check_orbit_quotient(certificate))
@@ -286,7 +286,7 @@ class TestSmallPrismatoids:
         )
         pr = make_prismatoid(VPolytope(pts))
         assert width(pr) == 2
-        assert has_dstep_property(pr)
+        assert width(pr) <= pr.dim
 
     def test_triangular_prism_width_two(self):
         pts = tuple(

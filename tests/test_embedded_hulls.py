@@ -17,6 +17,7 @@ from exactpoly.fileformats import write_hpoly, write_incidence
 from exactpoly.geometry import affine_rank
 from exactpoly.linalg import matrix_rank
 from exactpoly.polytopes import VPolytope, facet_enumeration, iter_bits
+from helpers import slack
 
 
 def embed(points, matrix, shift):
@@ -71,9 +72,9 @@ def test_embedded_hull_matches_the_flat_hull(data):
         facet_enumeration(flat).incidence.facet_masks
     )
     for e in hull.hrep.equalities:
-        assert all(e.slack(p) == 0 for p in emb.vertices)
+        assert all(slack(e, p) == 0 for p in emb.vertices)
     for ineq, mask in zip(hull.hrep.inequalities, hull.incidence.facet_masks):
-        slacks = [ineq.slack(p) for p in emb.vertices]
+        slacks = [slack(ineq, p) for p in emb.vertices]
         assert all(s >= 0 for s in slacks)
         assert [i for i, s in enumerate(slacks) if s == 0] == list(iter_bits(mask))
 

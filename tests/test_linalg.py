@@ -1,8 +1,9 @@
 """Fraction-free integer elimination against a textbook Fraction reference.
 
 An inexact floor division inside the Bareiss update would show up here as a
-wrong pivot set, rank or kernel: the brute-force hull oracle cannot catch it,
-because it shares `affine_rank` and `hyperplane_through` with the engine.
+wrong pivot set, rank or kernel.  The brute-force hull oracle takes its
+hyperplanes from the Fraction reference, but it still shares `affine_rank`
+with the engine, so it cannot catch a wrong rank.
 """
 from fractions import Fraction
 

@@ -13,11 +13,10 @@ from exactpoly.counterexample import (
 )
 from exactpoly.geometry import DegenerateInput
 from exactpoly.normalfans import (
-    cone_contains_strictly,
+    bi_dimensions,
     direction_key,
     facet_normals,
     interior_owner,
-    intermediate_slice,
     is_combinatorial_cube,
     minkowski_sum,
     normal_cone,
@@ -29,7 +28,7 @@ from exactpoly.normalfans import (
     transversality_check,
 )
 from exactpoly.polytopes import VPolytope, dual_graph, facet_enumeration, iter_bits
-from exactpoly.prismatoids import make_prismatoid, width
+from exactpoly.prismatoids import width
 from exactpoly.rationals import Rat
 from helpers import random_prismatoid
 
@@ -47,11 +46,10 @@ class TestNormalCones:
         sq = VPolytope((pt(1, 1), pt(1, -1), pt(-1, 1), pt(-1, -1)))
         hull = facet_enumeration(sq)
         v = sq.vertices.index(pt(1, 1))
-        cone = normal_cone(hull, v)
-        assert set(cone.generators) == {pt(1, 0), pt(0, 1)}
-        assert cone_contains_strictly(sq, v, pt(2, 3))
-        assert not cone_contains_strictly(sq, v, pt(1, 0))  # boundary direction
-        assert not cone_contains_strictly(sq, v, pt(-1, -1))
+        assert set(normal_cone(hull, v)) == {pt(1, 0), pt(0, 1)}
+        assert interior_owner(sq, pt(2, 3)) == v
+        assert interior_owner(sq, pt(1, 0)) is None  # boundary direction
+        assert interior_owner(sq, pt(-1, -1)) != v
 
     def test_worked_cone_containment(self, qminus, qminus_hull):
         c = qminus.vertices.index(pt(45, 0, 0, 0))
@@ -60,8 +58,8 @@ class TestNormalCones:
         assert 2 * d[1] <= d[0] and -2 * d[1] <= d[0]
         assert 2 * d[2] <= d[0] and -2 * d[2] <= d[0]
         assert 2 * d[3] <= 5 * d[0] and -2 * d[3] <= 5 * d[0]
-        assert cone_contains_strictly(qminus, c, d)
-        gens = set(normal_cone(qminus_hull, c).generators)
+        assert interior_owner(qminus, d) == c
+        gens = set(normal_cone(qminus_hull, c))
         assert gens == {pt(2, a, b, 5 * s) for a in (1, -1) for b in (1, -1) for s in (1, -1)}
 
     def test_interior_owner_unique(self, qplus):
@@ -91,7 +89,7 @@ class TestBaseStructure:
 
     def test_eight_facets_per_vertex_cube_figure(self, qplus, qplus_hull):
         for v in range(qplus.n_vertices):
-            gens = normal_cone(qplus_hull, v).generators
+            gens = normal_cone(qplus_hull, v)
             assert len(gens) == 8
             assert is_combinatorial_cube(gens)
 
@@ -146,59 +144,6 @@ class TestMinkowskiSum:
             minkowski_sum(VPolytope((pt(0, 0), pt(1, 0))), VPolytope((pt(0,), pt(1,))))
 
 
-class TestSlices:
-    def test_prism_midslice_is_square(self):
-        prism = VPolytope(tuple(
-            pt(x, y, z) for (x, y) in ((0, 0), (2, 0), (2, 2), (0, 2)) for z in (-1, 1)
-        ))
-        hull = facet_enumeration(prism)
-        keys = [q.key for q in hull.hrep.inequalities]
-        pr = make_prismatoid(prism, hull, keys.index((0, 0, 1, 1)), keys.index((0, 0, -1, 1)))
-        s = intermediate_slice(pr, Rat(1, 2))
-        assert set(s.vertices) == {pt(0, 0, 0), pt(2, 0, 0), pt(2, 2, 0), pt(0, 2, 0)}
-
-    def test_midslice_equals_half_sum(self, q48_pr, base_sum):
-        s = intermediate_slice(q48_pr, Rat(1, 2))
-        dropped = {p[:4] for p in s.vertices}
-        want = {tuple(c / 2 for c in p) for p in base_sum.polytope.vertices}
-        assert dropped == want
-        hull = facet_enumeration(s)
-        assert hull.incidence.n_facets == 320
-
-    def test_slice_combinatorics_independent_of_height(self, q48_pr):
-        # facets as sets of crossing edges agree at two different heights
-        def facets_by_edges(lam):
-            s = intermediate_slice(q48_pr, lam)
-            hull = facet_enumeration(s)
-            edge_of = {p: i for i, p in enumerate(s.vertices)}
-            return hull, s, edge_of
-
-        h2, s2, _ = facets_by_edges(Rat(1, 2))
-        h3, s3, _ = facets_by_edges(Rat(1, 3))
-        # identify each slice vertex by the base vertex pair generating it
-        def signatures(hull, spoly, lam):
-            lam2 = 1 - lam
-            pairs = {}
-            verts = q48_pr.polytope.vertices
-            plus = q48_pr.base_plus_vertices()
-            minus = q48_pr.base_minus_vertices()
-            lookup = {}
-            for i in plus:
-                for j in minus:
-                    p = tuple(lam * verts[i][t] + lam2 * verts[j][t] for t in range(5))
-                    lookup[p] = (i, j)
-            sigs = set()
-            for mask in hull.incidence.facet_masks:
-                sigs.add(frozenset(lookup[spoly.vertices[v]] for v in iter_bits(mask)))
-            return sigs
-
-        assert signatures(h2, s2, Rat(1, 2)) == signatures(h3, s3, Rat(1, 3))
-
-    def test_slice_parameter_range(self, q48_pr):
-        with pytest.raises(ValueError):
-            intermediate_slice(q48_pr, Rat(1))
-
-
 class TestPairDStep:
     def test_counterexample_pair(self, qplus, qminus, base_sum):
         has, min_facets = pair_dstep_property(qplus, qminus, 5, ms=base_sum)
@@ -234,13 +179,14 @@ class TestPairDStep:
 
 class TestTransversality:
     def test_counterexample_transversal(self, q48_pr):
-        assert_report(transversality_check(q48_pr))
+        assert_report(transversality_check(q48_pr, bi_dimensions(q48_pr)))
 
     def test_band_examples(self, q48_pr, q48_labels):
-        inc = q48_pr.hull.incidence
         by_label = {str(l): i for i, l in enumerate(q48_labels)}
+        table = bi_dimensions(q48_pr)
         for name, want in (("B++++", (3, 0)), ("C++++", (2, 1))):
             assert FAMILY_BIDIMENSION[name[0]] == want
+            assert table[by_label[name]] == want
 
 
 class TestInteriority:

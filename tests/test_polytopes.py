@@ -11,15 +11,13 @@ from exactpoly.polytopes import (
     dual_graph,
     face_maximizing,
     facet_enumeration,
-    is_simple,
-    is_simplicial,
     iter_bits,
     polar,
     vertex_graph,
 )
 from exactpoly.geometry import affine_rank
 from exactpoly.rationals import Rat
-from helpers import check_hull_against_oracle, incidence_matrix, is_connected, random_polytope
+from helpers import check_hull_against_oracle, incidence_matrix, is_connected, random_polytope, slack
 
 from exactpoly.polytopes import centroid
 from exactpoly.geometry import vsub
@@ -89,7 +87,7 @@ class TestFacetEnumeration:
         assert hull.incidence.n_facets == 3
         for q in hull.hrep.inequalities:
             for p in tri.vertices:
-                assert q.slack(p) >= 0
+                assert slack(q, p) >= 0
 
     def test_facet_and_ridge_ranks(self):
         rng = random.Random(9)
@@ -252,18 +250,20 @@ class TestGraphs:
 
 
 class TestSimplicity:
+    """Simple: every vertex on exactly dim facets; simplicial: every facet
+    through exactly dim vertices."""
+
     def test_cube(self):
-        c = cube()
-        hull = facet_enumeration(c)
-        assert is_simple(c, hull)
-        assert not is_simplicial(c, hull)
+        inc = facet_enumeration(cube()).incidence
+        assert all(m.bit_count() == 3 for m in inc.vertex_masks)
+        assert not all(m.bit_count() == 3 for m in inc.facet_masks)
 
     def test_octahedron(self):
         o = VPolytope(tuple(pt(*(s if j == i else 0 for j in range(3)))
                             for i in range(3) for s in (1, -1)))
-        hull = facet_enumeration(o)
-        assert not is_simple(o, hull)
-        assert is_simplicial(o, hull)
+        inc = facet_enumeration(o).incidence
+        assert not all(m.bit_count() == 3 for m in inc.vertex_masks)
+        assert all(m.bit_count() == 3 for m in inc.facet_masks)
 
 
 class TestPolar:
