@@ -6,7 +6,7 @@ property in dimension five, and the constructions that turn it into
 non-Hirsch polytopes.
 """
 
-from .geometry import Inequality, OrthMap, affine_rank
+from .geometry import OrthMap, affine_rank
 from .polytopes import (
     HPolytope,
     VPolytope,
@@ -22,7 +22,6 @@ from .rationals import Rat, format_rat, parse_rat
 
 __all__ = [
     "HPolytope",
-    "Inequality",
     "OrthMap",
     "Prismatoid",
     "Rat",

@@ -282,7 +282,7 @@ def strong_dstep_step(
         at_apex = {m for m in h.incidence.facet_masks if m >> a & 1 and m.bit_count() != k}
         return at_apex == pyramid_masks
 
-    base_normal = pr.hull.hrep.inequalities[plus_facet].coeffs + (ZERO,)
+    base_normal = pr.hull.hrep.inequalities[plus_facet][:-1] + (ZERO,)
     nn = dot(base_normal, base_normal)
     amb = S.ambient_dim
     minus_mask = bits(new_minus)

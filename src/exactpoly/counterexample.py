@@ -7,15 +7,15 @@ the polytope is a prismatoid of width 6 — i.e. without the d-step property —
 whose polar is a 5-spindle of length 6 and whose bases have a Minkowski sum
 without the pair d-step property.
 
-`Certificate` derives each artifact the suite shares (hull, labels, dual
-graph, groups, facet permutations and orbits, base hulls, base Minkowski
-sum) once, on first use; every `check_*` section takes it, and the section
+`Certificate` derives each artifact the suite shares (family table, hull,
+labels, dual graph, groups, facet permutations and orbits, base hulls, base
+Minkowski sum) once, on first use; every `check_*` section takes it, and the section
 runner turns a section that raises into one FAIL line.
 
 The symmetry group is closed once, breadth-first on the permutations its
 generators induce on the vertices; the base-preserving subgroup is closed on
 five of those permutations and looks its maps up in the full group.  Only
-the six generators are applied to the facet keys: every other element's
+the six generators are applied to the facet rows: every other element's
 facet permutation is its generator's composed after its parent's.
 """
 from __future__ import annotations
@@ -25,7 +25,7 @@ from functools import cached_property
 from operator import mul
 from typing import Optional
 
-from .geometry import Inequality, OrthMap, affine_rank, integer_points, smul, vadd, vsub
+from .geometry import OrthMap, affine_rank, integer_points, smul, vadd, vsub
 from .graphs import Graph
 from .linalg import echelon
 from .normalfans import (
@@ -109,7 +109,7 @@ _SIGNS = tuple(
 )
 
 # Table-of-incidences data for the five representative facets: label ->
-# (tight vertex labels, expected inequality as canonical integer key)
+# (tight vertex labels, expected facet row)
 REPRESENTATIVE_FACETS = {
     "B++++": (("1+", "5+", "9+", "13+", "17+", "21+", "5-"), (10, 2, 4, 2, 135, 315)),
     "C++++": (("9+", "13+", "17+", "21+", "5-", "13-"), (16, 8, 7, 5, 180, 540)),
@@ -196,27 +196,26 @@ class FacetLabel:
         return f"{self.letter}{chr(39) if self.primed else ''}{marks}"
 
 
-def _family_inequality(terms, x5, rhs, signs) -> Inequality:
+def _family_row(terms, x5, rhs, signs) -> tuple:
     coeffs = [Rat(0)] * 5
     for (coef, axis), s in zip(terms, signs):
         coeffs[axis] = coef * s
     coeffs[4] = x5
-    return Inequality(tuple(coeffs), rhs).canonical()
+    return tuple(primitive_ints(coeffs + [rhs]))
 
 
 def expected_facets():
-    """All 322 facets as {canonical integer key: FacetLabel}."""
+    """All 322 facets as {facet row: FacetLabel}."""
     out = {
         (0, 0, 0, 0, 1, 1): FacetLabel("A"),
         (0, 0, 0, 0, -1, 1): FacetLabel("L"),
     }
     for letter, primed, terms, x5, rhs in _FAMILIES:
         for signs in _SIGNS:
-            q = _family_inequality(terms, x5, rhs, signs)
-            key = q.key
-            if key in out:
-                raise AssertionError(f"duplicate expanded facet {key}")
-            out[key] = FacetLabel(letter, primed, signs)
+            row = _family_row(terms, x5, rhs, signs)
+            if row in out:
+                raise AssertionError(f"duplicate expanded facet {row}")
+            out[row] = FacetLabel(letter, primed, signs)
     if len(out) != EXPECTED_FACET_COUNT:
         raise AssertionError(f"expanded {len(out)} facets, expected {EXPECTED_FACET_COUNT}")
     return out
@@ -357,14 +356,14 @@ def symmetry_groups(poly: Optional[VPolytope] = None):
 # labeling and orbits
 
 
-def facet_labels(hull: Hull):
-    """Index -> FacetLabel for the enumerated facets; fails on any mismatch."""
-    table = expected_facets()
+def facet_labels(hull: Hull, table: dict):
+    """Index -> FacetLabel for the enumerated facets, looked up in the
+    `expected_facets()` table; fails on any mismatch."""
     labels = []
     for q in hull.hrep.inequalities:
-        lbl = table.get(q.key)
+        lbl = table.get(q)
         if lbl is None:
-            raise ValueError(f"facet {q.key} matches no expected family")
+            raise ValueError(f"facet {q} matches no expected family")
         labels.append(lbl)
     if len(labels) != len(table):
         raise ValueError("facet count differs from the expected 322")
@@ -373,10 +372,10 @@ def facet_labels(hull: Hull):
 
 def facet_permutation(m: OrthMap, index: dict):
     """The permutation a symmetry induces on the facets; `index` maps each
-    facet key (a, b) to its position.  The image of a key is (M a, b),
+    facet row (a, b) to its position.  The image of a row is (M a, b),
     brought to primitive integers only when it is not found as it stands:
     an orthogonal integer matrix is a signed permutation, so it sends a
-    primitive key to a primitive key, and only a map with rational entries
+    primitive row to a primitive row, and only a map with rational entries
     needs the rescaling.
 
     `Certificate.facet_perms` calls this on the generators only and composes
@@ -385,8 +384,8 @@ def facet_permutation(m: OrthMap, index: dict):
     a homomorphism, so each composed permutation is this function's value."""
     rows = m.rows
     perm = [None] * len(index)
-    for key, f in index.items():
-        img = tuple(sum(map(mul, row, key[:-1])) for row in rows) + (key[-1],)
+    for q, f in index.items():
+        img = tuple(sum(map(mul, row, q[:-1])) for row in rows) + (q[-1],)
         if img not in index:
             img = tuple(primitive_ints(img))
             if img not in index:
@@ -420,7 +419,7 @@ def facet_orbits(group: SymmetryGroup, facet_perms: dict):
     return tuple(sorted(orbits))
 
 
-def orbit_adjacency_graph(hull: Hull, graph: Graph, orbits):
+def orbit_adjacency_graph(graph: Graph, orbits):
     """Quotient of the dual graph by a facet-orbit partition.
 
     Returns (Graph over orbit indices, orbit index per facet).
@@ -449,12 +448,17 @@ class Certificate:
         self.poly = vertices48() if poly is None else poly
 
     @cached_property
+    def expected(self) -> dict:
+        """The 322 facet rows of the family table (`expected_facets`)."""
+        return expected_facets()
+
+    @cached_property
     def hull(self) -> Hull:
         return facet_enumeration(self.poly)
 
     @cached_property
     def labels(self):
-        return facet_labels(self.hull)
+        return facet_labels(self.hull, self.expected)
 
     @cached_property
     def by_label(self) -> dict:
@@ -483,10 +487,10 @@ class Certificate:
     def facet_perms(self) -> dict:
         """Map key -> facet permutation, for every element of the full group
         (the base-preserving maps are among them).  Only the generators are
-        applied to the facet keys; every other element's permutation is its
+        applied to the facet rows; every other element's permutation is its
         generator's composed after its parent's (see `facet_permutation`)."""
         sigma = self.groups[0]
-        index = {q.key: i for i, q in enumerate(self.hull.hrep.inequalities)}
+        index = {q: i for i, q in enumerate(self.hull.hrep.inequalities)}
         gens = [facet_permutation(sigma.maps[i], index) for i in sigma.generators]
         perms = [None] * sigma.order
         for i, g, p in sigma.steps:
@@ -524,8 +528,8 @@ class Certificate:
 
 def check_facet_census(ctx: Certificate) -> Report:
     rep = Report("facet census")
-    got = {q.key for q in ctx.hull.hrep.inequalities}
-    want = set(expected_facets())
+    got = set(ctx.hull.hrep.inequalities)
+    want = set(ctx.expected)
     rep.add("facet count", len(got) == EXPECTED_FACET_COUNT, f"{len(got)}")
     rep.add(
         "facet set equals expanded table",
@@ -541,9 +545,9 @@ def check_representative_facets(ctx: Certificate) -> Report:
     rep = Report("representative facets")
     poly, hull, by_label = ctx.poly, ctx.hull, ctx.by_label
     lbl_of_vertex = poly.labels
-    for name, (tight_labels, key) in REPRESENTATIVE_FACETS.items():
+    for name, (tight_labels, row) in REPRESENTATIVE_FACETS.items():
         f = by_label[name]
-        rep.add(f"{name} inequality", hull.hrep.inequalities[f].key == key, str(key))
+        rep.add(f"{name} inequality", hull.hrep.inequalities[f] == row, str(row))
         got = tuple(sorted(lbl_of_vertex[v] for v in iter_bits(hull.incidence.facet_masks[f])))
         want = tuple(sorted(tight_labels))
         rep.add(f"{name} tight set", got == want, " ".join(got))
@@ -587,7 +591,7 @@ def check_prism_collinearities(ctx: Certificate) -> Report:
 
 def check_symmetries(ctx: Certificate) -> Report:
     """Group orders, the base swap, and that every element permutes the
-    facets: each generator passes the exact image-key test of
+    facets: each generator passes the exact image-row test of
     `facet_permutation`, so every product of generators does too."""
     rep = Report("symmetry groups")
     sigma, sigma_plus = ctx.groups
@@ -661,9 +665,8 @@ def check_orbit_quotient(ctx: Certificate) -> Report:
     """Quotient adjacency by base-preserving orbits, its A-to-L distance, and
     the bi-dimension bands."""
     rep = Report("orbit quotient")
-    hull, labels, by_label = ctx.hull, ctx.labels, ctx.by_label
-    orbits = ctx.orbits_plus
-    q, which = orbit_adjacency_graph(hull, ctx.graph, orbits)
+    labels, by_label = ctx.labels, ctx.by_label
+    q, which = orbit_adjacency_graph(ctx.graph, ctx.orbits_plus)
     a_node = which[by_label["A"]]
     l_node = which[by_label["L"]]
     rep.add("quotient distance A to L", q.distance(a_node, l_node) == 6, str(q.distance(a_node, l_node)))
@@ -698,7 +701,7 @@ def check_base_structure(ctx: Certificate) -> Report:
     qp, qm, hull_p, hull_m = ctx.qplus, ctx.qminus, ctx.hull_plus, ctx.hull_minus
     rep.add("top base has 32 facets", hull_p.incidence.n_facets == 32, str(hull_p.incidence.n_facets))
     want_p = {(q + (Rat(90),)) for q in gplus_vertices()}
-    got_p = {tuple(q.coeffs) + (q.offset,) for q in hull_p.hrep.inequalities}
+    got_p = set(hull_p.hrep.inequalities)
     rep.add("top base facets match the two families", got_p == want_p, "")
     rep.add(
         "every top-base vertex on exactly 8 facets",
@@ -712,7 +715,7 @@ def check_base_structure(ctx: Certificate) -> Report:
     rep.add("vertex figures of the top base are 3-cubes", cube_ok, "24 vertices")
     rep.merge(torus_membership_check(facet_normals(hull_p)))
     want_m = {(q + (Rat(90),)) for q in gminus_vertices()}
-    got_m = {tuple(q.coeffs) + (q.offset,) for q in hull_m.hrep.inequalities}
+    got_m = set(hull_m.hrep.inequalities)
     rep.add("bottom base facets match the swapped families", got_m == want_m, "")
 
     # the worked example: (5,1,2,1) sits strictly inside the cone of the
@@ -752,7 +755,7 @@ def check_minkowski_section(ctx: Certificate) -> Report:
     for f in range(inc.n_facets):
         if f in bases:
             continue
-        key = direction_key(pr.hull.hrep.inequalities[f].coeffs[:4])
+        key = direction_key(pr.hull.hrep.inequalities[f][:4])
         if key not in sum_index:
             ok = False
             break

@@ -3,13 +3,14 @@
 POLY:   "POLY 1" / "dim <d>" / "vertices <n>" / n rows of d rationals,
         then optionally "labels" followed by n label lines.
 HPOLY:  "HPOLY 1" / "dim <d>" / "inequalities <m>" / m rows of d+1 rationals
-        meaning a.x <= b with b last.
+        meaning a.x <= b with b last; a row "equality <d+1 rationals>"
+        means a.x = b.  A row is read as its primitive integer row (see
+        `HPolytope`).
 """
 from __future__ import annotations
 
-from .geometry import Inequality
 from .polytopes import HPolytope, VPolytope
-from .rationals import format_rat, parse_rat
+from .rationals import format_rat, parse_rat, primitive_ints
 
 
 class FormatError(ValueError):
@@ -80,15 +81,8 @@ def read_poly(text: str) -> VPolytope:
 
 def write_hpoly(h: HPolytope) -> str:
     out = ["HPOLY 1", f"dim {h.ambient_dim}", f"inequalities {len(h.inequalities)}"]
-    for q in h.inequalities:
-        out.append(" ".join(format_rat(c) for c in q.coeffs) + " " + format_rat(q.offset))
-    for q in h.equalities:
-        out.append(
-            "equality "
-            + " ".join(format_rat(c) for c in q.coeffs)
-            + " "
-            + format_rat(q.offset)
-        )
+    out.extend(" ".join(map(format_rat, q)) for q in h.inequalities)
+    out.extend("equality " + " ".join(map(format_rat, q)) for q in h.equalities)
     return "\n".join(out) + "\n"
 
 
@@ -116,8 +110,7 @@ def read_hpoly(text: str) -> HPolytope:
         vals = _rats(parts, ln)
         if not any(vals[:-1]):
             raise FormatError(f"all-zero coefficients in {ln!r}")
-        q = Inequality(tuple(vals[:-1]), vals[-1])
-        (eqs if is_eq else ineqs).append(q)
+        (eqs if is_eq else ineqs).append(tuple(primitive_ints(vals)))
     if len(ineqs) != m:
         raise FormatError("inequality count mismatch")
     return HPolytope(d, tuple(ineqs), tuple(eqs))

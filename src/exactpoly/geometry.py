@@ -1,19 +1,17 @@
-"""Points, linear inequalities, and orthogonal maps, all exact.
+"""Points, affine ranks and orthogonal maps, all exact.
 
 Points are plain tuples of rationals or ints; the ambient dimension is the
-tuple length.  An inequality `coeffs . x <= offset` is canonicalized to
-coprime `int` entries by a positive scaling, so that facet identity is plain
-equality of canonical forms.  Affine ranks are computed on integer rows by
-the fraction-free elimination of `linalg`.
+tuple length.  An inequality is no object of its own: it is the primitive
+integer row of `polytopes.HPolytope`.  Affine ranks are computed on integer
+rows by the fraction-free elimination of `linalg`.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import mul
 
 from .linalg import echelon, identity, mat_mul, mat_vec, transpose
-from .rationals import Rat, common_denominator, primitive_ints
+from .rationals import Rat, common_denominator
 
 
 class GeometryError(ValueError):
@@ -59,45 +57,6 @@ def check_same_dim(points):
         if len(p) != d:
             raise DimensionMismatch(f"mixed ambient dimensions {d} and {len(p)}")
     return d
-
-
-@dataclass(frozen=True)
-class Inequality:
-    """coeffs . x <= offset; a hull's equalities use the same carrier."""
-
-    coeffs: tuple
-    offset: object
-
-    def __post_init__(self):
-        if all(c == 0 for c in self.coeffs):
-            raise DegenerateInput("all-zero coefficient vector")
-
-    def canonical(self) -> "Inequality":
-        """Positive rescaling to coprime ints (direction preserved); an
-        inequality that already is canonical is returned as it is."""
-        vals = self.coeffs + (self.offset,)
-        if all(type(v) is int for v in vals) and math.gcd(*vals) == 1:
-            return self
-        ints = primitive_ints(vals)
-        return Inequality(tuple(ints[:-1]), ints[-1])
-
-    @property
-    def key(self):
-        """Canonical integer tuple, usable for sorting and set membership."""
-        c = self.canonical()
-        return c.coeffs + (c.offset,)
-
-    def negated(self) -> "Inequality":
-        return Inequality(tuple(-c for c in self.coeffs), -self.offset)
-
-
-def canonical_hyperplane(ineq: Inequality) -> Inequality:
-    """Sign-normalized canonical form: first nonzero coefficient positive."""
-    c = ineq.canonical()
-    for v in c.coeffs:
-        if v != 0:
-            return c if v > 0 else c.negated()
-    raise DegenerateInput("all-zero coefficient vector")
 
 
 def affine_rank(points) -> int:

@@ -35,8 +35,8 @@ from .report import Report
 
 
 def facet_normals(hull: Hull):
-    """Canonical facet normals as integer points."""
-    return tuple(tuple(q.coeffs) for q in hull.hrep.inequalities)
+    """Facet normals as integer points: the rows without their offsets."""
+    return tuple(q[:-1] for q in hull.hrep.inequalities)
 
 
 def normal_cone(hull: Hull, v: int) -> tuple:
@@ -67,7 +67,6 @@ class MinkowskiFacet:
     """A facet of a sum with its unique decomposition into summand faces."""
 
     normal: tuple
-    offset: object
     face_plus: Face
     face_minus: Face
 
@@ -119,12 +118,11 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     a_int, b_int = (VPolytope(tuple(integer_points(x.vertices)[0])) for x in (a, b))
     facets = tuple(
         MinkowskiFacet(
-            normal=tuple(q.coeffs),
-            offset=q.offset,
-            face_plus=face_maximizing(a_int, q.coeffs),
-            face_minus=face_maximizing(b_int, q.coeffs),
+            normal=a,
+            face_plus=face_maximizing(a_int, a),
+            face_minus=face_maximizing(b_int, a),
         )
-        for q in hull.hrep.inequalities
+        for a in facet_normals(hull)
     )
     provenance = tuple(tuple(sums[points[o]]) for o in keep)
     return MinkowskiSum(poly, hull, facets, provenance)

@@ -7,8 +7,8 @@ arithmetic.  Non-full-dimensional input of affine dimension k is projected
 onto k of its coordinates, chosen to be one-to-one on its affine hull, whose
 equality constraints are reported separately.  Each point is kept in
 homogeneous integer form: its numerators over its own positive denominator.
-A facet is a primitive integer (coeffs, offset) at the input's scale, with
-the mask of its tight points.
+A facet is a primitive integer row at the input's scale (see `HPolytope`),
+with the mask of its tight points.
 Points are inserted in input order after a starting simplex is chosen
 greedily, each by one double-description step (Fukuda & Prodon 1996,
 "Double description method revisited"): two facets meet in a ridge iff no
@@ -27,8 +27,7 @@ The points are packed into one big integer per coordinate, so each facet
 meets all of them in a few integer operations.  A builder and its copies
 share the ranks already proved, keyed by the exact tight points, so a
 search eliminates only for facets it has not seen.
-Output facets are sorted by canonical coefficients, so every run is
-bit-reproducible.
+Output facets are sorted as rows, so every run is bit-reproducible.
 
 Vertices are certified by a face test, not by elimination: the facets
 through a point meet in the smallest face containing it (every face is the
@@ -47,16 +46,14 @@ from typing import NamedTuple, Optional
 from .geometry import (
     DegenerateInput,
     DimensionMismatch,
-    Inequality,
     affine_rank,
     check_same_dim,
     dot,
-    canonical_hyperplane,
     vsub,
 )
 from .graphs import Graph
 from .linalg import echelon, matrix_rank, nullspace
-from .rationals import Rat, ZERO, common_denominator, format_rat
+from .rationals import Rat, ZERO, common_denominator, format_rat, primitive_ints
 
 
 class DuplicatePoints(DegenerateInput):
@@ -93,7 +90,12 @@ class VPolytope:
 
 @dataclass(frozen=True)
 class HPolytope:
-    """Irredundant facet inequalities plus the affine hull's equalities."""
+    """Irredundant facet inequalities plus the affine hull's equalities.
+
+    Every row is the tuple (a_1, ..., a_d, b) of coprime ints, meaning
+    a . x <= b (a . x = b for an equality), as in an HPOLY file.  A facet is
+    its row: rows are hashed, compared and sorted as they are.  An equality
+    row's first nonzero coefficient is positive."""
 
     ambient_dim: int
     inequalities: tuple
@@ -364,8 +366,8 @@ class HullBuilder:
                 if matrix_rank(tight_pts) != self.dim:
                     raise DegenerateInput("hull verification failed: facet rank")
                 proven.add(tight_pts)
-            facets.append((Inequality(tuple(-v for v in h[1:]), h[0]), fmask))
-        facets.sort(key=lambda t: t[0].key)
+            facets.append((tuple(-v for v in h[1:]) + (h[0],), fmask))
+        facets.sort()  # the rows are distinct, so this sorts by row
         hrep = HPolytope(self.dim, tuple(t[0] for t in facets))
         return Hull(hrep, FacetIncidence([t[1] for t in facets], len(pts)), self.dim)
 
@@ -373,9 +375,9 @@ class HullBuilder:
 def facet_enumeration(poly: VPolytope) -> Hull:
     """Complete irredundant facet list with exact incidence.
 
-    Facets are canonical inequalities sorted lexicographically by
-    coefficients; for non-full-dimensional input the affine hull's equality
-    constraints are reported in `hrep.equalities` and facets cut within it.
+    Facets are `HPolytope` rows in lexicographic order; for
+    non-full-dimensional input the affine hull's equality constraints are
+    reported in `hrep.equalities` and facets cut within it.
     This is `HullBuilder` run over the points in input order.  When their
     affine hull has dimension k < d, it runs on their coordinates at the k
     pivot columns of the affine hull's directions, a projection that is
@@ -397,15 +399,18 @@ def facet_enumeration(poly: VPolytope) -> Hull:
     cols = echelon(list(dirs))
     hull = HullBuilder([tuple(p[c] for c in cols) for p in pts], basis).hull()
     facets = []
-    for ineq in hull.hrep.inequalities:
-        coeffs = [0] * d
-        for c, a in zip(cols, ineq.coeffs):
-            coeffs[c] = a
-        facets.append(Inequality(tuple(coeffs), ineq.offset))
-    equalities = sorted(
-        (canonical_hyperplane(Inequality(vec, dot(vec, base))) for vec in nullspace(dirs)),
-        key=lambda e: e.key,
-    )
+    for row in hull.hrep.inequalities:
+        lifted = [0] * d + [row[-1]]
+        for c, a in zip(cols, row[:-1]):
+            lifted[c] = a
+        facets.append(tuple(lifted))
+    equalities = []
+    for vec in nullspace(dirs):
+        row = primitive_ints(tuple(vec) + (dot(vec, base),))
+        # vec is not zero, so the first nonzero entry is a coefficient
+        sign = 1 if next(a for a in row if a) > 0 else -1
+        equalities.append(tuple(sign * a for a in row))
+    equalities.sort()
     return hull._replace(hrep=HPolytope(d, tuple(facets), tuple(equalities)))
 
 
@@ -536,10 +541,9 @@ def polar(poly: VPolytope) -> VPolytope:
     if h.hrep.equalities:
         raise DegenerateInput("polar requires a full-dimensional polytope")
     ineqs = h.hrep.inequalities
-    for q in ineqs:
-        if q.offset <= 0:
-            raise DegenerateInput("origin not interior after centroid shift")
-    verts = tuple(tuple(Rat(a, q.offset) for a in q.coeffs) for q in ineqs)
+    if any(q[-1] <= 0 for q in ineqs):
+        raise DegenerateInput("origin not interior after centroid shift")
+    verts = tuple(tuple(Rat(a, q[-1]) for a in q[:-1]) for q in ineqs)
     return VPolytope(verts)
 
 

@@ -27,8 +27,8 @@ class NotAPrismatoid(ValueError):
 
 
 def _parallel(q1, q2) -> bool:
-    """Do two canonical inequalities have proportional coefficient vectors?"""
-    c1, c2 = q1.coeffs, q2.coeffs
+    """Do two facet rows have proportional coefficient vectors?"""
+    c1, c2 = q1[:-1], q2[:-1]
     i = next(j for j, v in enumerate(c1) if v != 0)
     if c2[i] == 0:
         return False

@@ -10,7 +10,7 @@ from exactpoly.counterexample import (
     check_facet_census,
     check_prism_collinearities,
 )
-from exactpoly.geometry import DegenerateInput, Inequality, OrthMap, affine_rank
+from exactpoly.geometry import DegenerateInput, OrthMap, affine_rank
 from exactpoly.polytopes import (
     VPolytope,
     certify_vertices,
@@ -20,7 +20,7 @@ from exactpoly.polytopes import (
     iter_bits,
 )
 from exactpoly.prismatoids import make_prismatoid
-from exactpoly.rationals import Rat
+from exactpoly.rationals import Rat, primitive_ints
 
 
 def random_full_dim_points(rng, dim, n_points, spread=6):
@@ -59,11 +59,11 @@ def random_prismatoid(rng, dim, max_base_points):
         )
         poly = VPolytope(verts)
         hull = facet_enumeration(poly)
-        keys = [q.key for q in hull.hrep.inequalities]
-        plus_key = (0,) * (dim - 1) + (1, 1)
-        minus_key = (0,) * (dim - 1) + (-1, 1)
+        rows = hull.hrep.inequalities
+        plus_row = (0,) * (dim - 1) + (1, 1)
+        minus_row = (0,) * (dim - 1) + (-1, 1)
         try:
-            pr = make_prismatoid(poly, hull, keys.index(plus_key), keys.index(minus_key))
+            pr = make_prismatoid(poly, hull, rows.index(plus_row), rows.index(minus_row))
         except ValueError:
             continue
         return pr, top, bot
@@ -72,14 +72,14 @@ def random_prismatoid(rng, dim, max_base_points):
 def facet_enumeration_bruteforce(poly: VPolytope) -> tuple:
     """Oracle enumerator: test every dim-subset spanning a hyperplane with all
     points on one side.  Exponential; intended for cross-checking small cases
-    (dim <= 4, <= 12 points)."""
+    (dim <= 4, <= 12 points).  Returns the facet rows, sorted."""
     pts = poly.vertices
     if len(set(pts)) != len(pts):
         raise DegenerateInput("oracle requires distinct points")
     d = affine_rank(pts)
     if d != poly.ambient_dim:
         raise DegenerateInput("oracle requires full-dimensional input")
-    found = {}
+    found = set()
     for subset in combinations(range(len(pts)), d):
         chosen = [pts[i] for i in subset]
         if affine_rank(chosen) != d - 1:
@@ -89,32 +89,31 @@ def facet_enumeration_bruteforce(poly: VPolytope) -> tuple:
         if -1 in signs and 1 in signs:
             continue
         if -1 in signs:
-            h = h.negated().canonical()
-        found[h.key] = h
-    return tuple(found[k] for k in sorted(found))
+            h = tuple(-v for v in h)
+        found.add(h)
+    return tuple(sorted(found))
 
 
-def slack(ineq, point):
-    """offset - coeffs . point, exact."""
-    return ineq.offset - sum(c * x for c, x in zip(ineq.coeffs, point))
+def slack(row, point):
+    """b - a . point for the row (a, b), exact."""
+    return row[-1] - sum(c * x for c, x in zip(row[:-1], point))
 
 
-def hyperplane_through(points) -> Inequality:
+def hyperplane_through(points) -> tuple:
     """The unique hyperplane containing `points` (affine rank = dim - 1), as
-    a canonical Inequality whose first nonzero coefficient is positive; the
+    a primitive row (a, b) whose first nonzero coefficient is positive; the
     kernel comes from the Fraction elimination below, not the engine's."""
-    d = len(points[0])
     basis = reference_nullspace([list(p) + [-1] for p in points])
     if len(basis) != 1:
         raise DegenerateInput(f"points have a {len(basis)}-dimensional kernel, need 1")
-    h = Inequality(tuple(basis[0][:d]), basis[0][d]).canonical()
-    return h if next(c for c in h.coeffs if c != 0) > 0 else h.negated()
+    h = primitive_ints(basis[0])
+    return tuple(h) if next(c for c in h[:-1] if c != 0) > 0 else tuple(-v for v in h)
 
 
-def apply_ineq(m, ineq) -> Inequality:
-    """Image of a.x <= b under the orthogonal map m: with x = M^T y it is
-    (M a).y <= b."""
-    return Inequality(m.apply_point(ineq.coeffs), ineq.offset).canonical()
+def apply_ineq(m, row) -> tuple:
+    """Image of the row (a, b), a.x <= b, under the orthogonal map m: with
+    x = M^T y it is (M a).y <= b, returned as a primitive row."""
+    return tuple(primitive_ints(m.apply_point(row[:-1]) + (row[-1],)))
 
 
 def incidence_matrix(incidence):
@@ -176,10 +175,8 @@ def reference_push(poly, v, target_region=None, seed=0, max_halvings=64):
 
 
 def check_hull_against_oracle(poly):
-    hull = facet_enumeration(poly)
-    oracle = facet_enumeration_bruteforce(poly)
-    got = tuple(q.key for q in hull.hrep.inequalities)
-    want = tuple(q.key for q in oracle)
+    got = facet_enumeration(poly).hrep.inequalities
+    want = facet_enumeration_bruteforce(poly)
     assert got == want, f"hull/oracle mismatch: {got} vs {want}"
 
 
@@ -221,13 +218,13 @@ def reference_close_group(generators, poly):
 def reference_extreme_indices(poly, hull):
     """The points at which the equalities and the tight facet normals have
     rank equal to the ambient dimension, by the Fraction elimination below."""
-    eq_rows = [e.coeffs for e in hull.hrep.equalities]
+    eq_rows = [e[:-1] for e in hull.hrep.equalities]
     ineqs = hull.hrep.inequalities
     d = poly.ambient_dim
     return tuple(
         i
         for i, vmask in enumerate(hull.incidence.vertex_masks)
-        if len(reference_rref(eq_rows + [ineqs[f].coeffs for f in iter_bits(vmask)])[0]) == d
+        if len(reference_rref(eq_rows + [ineqs[f][:-1] for f in iter_bits(vmask)])[0]) == d
     )
 
 

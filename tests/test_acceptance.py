@@ -16,13 +16,12 @@ from exactpoly.counterexample import (
     check_orbits,
     check_prism_collinearities,
     check_representative_facets,
-    check_spindle_polar,
     check_symmetries,
     check_width,
     symmetry_groups,
 )
 from exactpoly.normalfans import pair_dstep_property
-from exactpoly.polytopes import VPolytope, certify_vertices, facet_enumeration, polar
+from exactpoly.polytopes import VPolytope, certify_vertices, polar
 from exactpoly.prismatoids import width
 from exactpoly.rationals import Rat, primitive_ints
 from helpers import (

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import os
 import random
 import subprocess
@@ -6,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from exactpoly import counterexample
 from exactpoly.cli import main
@@ -16,12 +18,42 @@ from exactpoly.fileformats import (
     write_hpoly,
     write_poly,
 )
+from exactpoly.geometry import affine_rank
+from exactpoly.linalg import matrix_rank
 from exactpoly.polytopes import VPolytope, facet_enumeration
-from exactpoly.rationals import Rat
+from exactpoly.rationals import Rat, format_rat
 
 
 def pt(*coords):
     return tuple(Rat(c) for c in coords)
+
+
+COORD = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+
+
+@st.composite
+def hull_inputs(draw):
+    """Distinct rational points of affine rank k in d-space, 1 <= k <= d <= 4:
+    full-dimensional when k = d, else the image of points in k-space under a
+    random injective rational affine map."""
+    k = draw(st.integers(1, 3))
+    d = draw(st.integers(k, 4))
+    points = draw(
+        st.lists(st.tuples(*[COORD] * k), min_size=k + 1, max_size=k + 6, unique=True)
+        .filter(lambda ps: affine_rank(ps) == k)
+    )
+    if d > k:
+        matrix = draw(
+            st.lists(st.tuples(*[COORD] * k), min_size=d, max_size=d).filter(
+                lambda rows: matrix_rank(rows) == k
+            )
+        )
+        shift = draw(st.tuples(*[COORD] * d))
+        points = [
+            tuple(t + sum(a * x for a, x in zip(row, p)) for row, t in zip(matrix, shift))
+            for p in points
+        ]
+    return VPolytope(tuple(points))
 
 
 def cube_text():
@@ -47,6 +79,45 @@ class TestFileFormats:
         back = read_hpoly(write_hpoly(hull.hrep))
         assert back.inequalities == hull.hrep.inequalities
         assert back.equalities == hull.hrep.equalities
+
+    @settings(
+        max_examples=100,
+        deadline=None,
+        suppress_health_check=[HealthCheck.too_slow, HealthCheck.filter_too_much],
+    )
+    @given(hull_inputs())
+    def test_hpoly_round_trip_of_random_hulls(self, poly):
+        hrep = facet_enumeration(poly).hrep
+        back = read_hpoly(write_hpoly(hrep))
+        assert back.ambient_dim == hrep.ambient_dim
+        assert back.inequalities == hrep.inequalities
+        assert back.equalities == hrep.equalities
+
+    @given(st.data())
+    def test_poly_round_trip_of_random_points(self, data):
+        d = data.draw(st.integers(1, 4))
+        coord = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+        pts = tuple(data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8)))
+        label = st.text(alphabet="abxyz019+-'", min_size=1, max_size=5)
+        labels = data.draw(st.none() | st.tuples(*[label] * len(pts)))
+        back = read_poly(write_poly(VPolytope(pts, labels)))
+        assert back.vertices == pts
+        assert back.labels == labels
+
+    @given(
+        st.lists(st.integers(-30, 30), min_size=2, max_size=5).filter(lambda r: any(r[:-1])),
+        st.fractions(min_value=Rat(1, 50), max_value=50),
+        st.booleans(),
+    )
+    @example([2, 3, -5], Rat(1, 4), False)  # "1/2 3/4 -5/4"
+    @example([1, 2, 3], Rat(2), True)  # "equality 2 4 6"
+    def test_rows_are_read_as_primitive_rows(self, row, scale, equality):
+        # a row written with fractions or a common factor reads back as the
+        # coprime integer row with the same direction
+        text = ("equality " if equality else "") + " ".join(format_rat(scale * v) for v in row)
+        h = read_hpoly(f"HPOLY 1\ndim {len(row) - 1}\ninequalities {int(not equality)}\n{text}\n")
+        g = math.gcd(*row)
+        assert (h.equalities if equality else h.inequalities) == (tuple(v // g for v in row),)
 
     def test_poly_header_required(self):
         with pytest.raises(FormatError):

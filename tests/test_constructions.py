@@ -26,7 +26,7 @@ from exactpoly.polytopes import (
     iter_bits,
     vertex_graph,
 )
-from exactpoly.prismatoids import make_prismatoid, width
+from exactpoly.prismatoids import make_prismatoid
 from exactpoly.rationals import Rat
 from helpers import (
     check_suspension_distances,
@@ -53,8 +53,8 @@ def pentagon():
 def cube_prismatoid():
     c = cube()
     hull = facet_enumeration(c)
-    keys = [q.key for q in hull.hrep.inequalities]
-    return make_prismatoid(c, hull, keys.index((0, 0, 1, 1)), keys.index((0, 0, -1, 1)))
+    rows = hull.hrep.inequalities
+    return make_prismatoid(c, hull, rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1)))
 
 
 def triangular_prism():
@@ -62,8 +62,8 @@ def triangular_prism():
         pt(x, y, z) for (x, y) in ((0, 0), (3, 0), (0, 3)) for z in (-1, 1)
     ))
     hull = facet_enumeration(p)
-    keys = [q.key for q in hull.hrep.inequalities]
-    return make_prismatoid(p, hull, keys.index((0, 0, 1, 1)), keys.index((0, 0, -1, 1)))
+    rows = hull.hrep.inequalities
+    return make_prismatoid(p, hull, rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1)))
 
 
 class TestOnePointSuspension:

@@ -18,7 +18,6 @@ from exactpoly.counterexample import (
     check_symmetries,
     check_width,
     expected_facets,
-    facet_labels,
     facet_orbits,
     facet_permutation,
     symmetry_groups,
@@ -27,7 +26,6 @@ from exactpoly.counterexample import (
 from exactpoly.constructions import suspension_facet_map
 from exactpoly.fileformats import write_hpoly, write_incidence, write_poly
 from exactpoly.geometry import OrthMap
-from exactpoly.graphs import Graph
 from exactpoly.linalg import echelon
 from exactpoly.polytopes import (
     VPolytope,
@@ -168,12 +166,12 @@ class TestSymmetry:
 
 
 def _facet_index(hull):
-    return {q.key: i for i, q in enumerate(hull.hrep.inequalities)}
+    return {q: i for i, q in enumerate(hull.hrep.inequalities)}
 
 
 class TestFacetPermutation:
-    """The image keys computed in integers against `helpers.apply_ineq`, and a map
-    with rational entries, whose image keys must be rescaled."""
+    """The image rows computed in integers against `helpers.apply_ineq`, and a map
+    with rational entries, whose image rows must be rescaled."""
 
     def test_integer_maps_match_apply_ineq(self, certificate):
         # the table composes all but the six generators' permutations, and
@@ -184,7 +182,7 @@ class TestFacetPermutation:
         assert len(maps) == 64
         assert len(certificate.facet_perms) == 64
         for m in maps:
-            want = tuple(index[apply_ineq(m, q).key] for q in hull.hrep.inequalities)
+            want = tuple(index[apply_ineq(m, q)] for q in hull.hrep.inequalities)
             assert facet_permutation(m, index) == want
             assert certificate.facet_perms[m.key] == want
 
@@ -198,7 +196,7 @@ class TestFacetPermutation:
     def test_rational_reflection(self):
         # the square |x|, |y| <= 1 cut by its mirror image in the line through
         # (2, 1): the reflection swaps x <= 1 with 3x + 4y <= 5, whose image
-        # keys (3/5, 4/5, 1) and (5, 0, 5) are found only after rescaling
+        # rows (3/5, 4/5, 1) and (5, 0, 5) are found only after rescaling
         m = OrthMap.from_rows(((Rat(3, 5), Rat(4, 5)), (Rat(4, 5), Rat(-3, 5))))
         h, t = Rat(1, 2), Rat(1, 3)
         corners = ((1, h), (t, 1), (-h, 1), (-1, t), (-1, -h), (-t, -1), (h, -1), (1, -t))
@@ -210,7 +208,7 @@ class TestFacetPermutation:
         assert sorted(perm) == list(range(8))
         assert all(perm[f] != f for f in range(8))
         for f, q in enumerate(hull.hrep.inequalities):
-            assert index[apply_ineq(m, q).key] == perm[f]
+            assert index[apply_ineq(m, q)] == perm[f]
 
 
 class TestOrbits:
@@ -294,9 +292,9 @@ class TestSmallPrismatoids:
             for (x, y) in ((0, 0), (3, 0), (0, 3)) for z in (-1, 1)
         )
         hull = facet_enumeration(VPolytope(pts))
-        keys = [q.key for q in hull.hrep.inequalities]
+        rows = hull.hrep.inequalities
         pr = make_prismatoid(
-            VPolytope(pts), hull, keys.index((0, 0, 1, 1)), keys.index((0, 0, -1, 1))
+            VPolytope(pts), hull, rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))
         )
         assert width(pr) == 2
 

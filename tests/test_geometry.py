@@ -7,11 +7,10 @@ from exactpoly.geometry import (
     DegenerateInput,
     DimensionMismatch,
     GeometryError,
-    Inequality,
     OrthMap,
     affine_rank,
 )
-from exactpoly.rationals import Rat, format_rat, parse_rat
+from exactpoly.rationals import Rat, format_rat, parse_rat, primitive_ints
 from helpers import apply_ineq, hyperplane_through, slack
 
 
@@ -43,26 +42,22 @@ class TestScalars:
             parse_rat(bad)
 
 
-class TestInequality:
-    def test_canonical_clears_fractions(self):
-        q = Inequality(pt(5, 1, 2, 1, Rat(135, 2)), Rat(315, 2))
-        assert q.key == (10, 2, 4, 2, 135, 315)
+class TestPrimitiveRows:
+    def test_primitive_ints_clears_fractions(self):
+        row = primitive_ints(pt(5, 1, 2, 1, Rat(135, 2), Rat(315, 2)))
+        assert row == [10, 2, 4, 2, 135, 315]
+        assert all(type(v) is int for v in row)
 
-    def test_canonical_idempotent_and_scale_invariant(self):
+    def test_primitive_ints_idempotent_and_scale_invariant(self):
         rng = random.Random(7)
         for _ in range(50):
-            coeffs = pt(*(rng.randint(-9, 9) for _ in range(4)))
-            if all(c == 0 for c in coeffs):
+            row = pt(*(rng.randint(-9, 9) for _ in range(5)))
+            if all(c == 0 for c in row[:-1]):
                 continue
-            q = Inequality(coeffs, Rat(rng.randint(-9, 9)))
             lam = Rat(rng.randint(1, 20), rng.randint(1, 20))
-            scaled = Inequality(tuple(lam * c for c in q.coeffs), lam * q.offset)
-            assert scaled.key == q.key
-            assert q.canonical().canonical() == q.canonical()
-
-    def test_zero_coefficients_rejected(self):
-        with pytest.raises(DegenerateInput):
-            Inequality(pt(0, 0), Rat(1))
+            prim = primitive_ints(row)
+            assert primitive_ints([lam * v for v in row]) == prim
+            assert primitive_ints(prim) == prim
 
 
 class TestAffineRank:
@@ -97,7 +92,7 @@ class TestHyperplaneThrough:
 
     def test_two_points_in_plane(self):
         h = hyperplane_through([pt(1, 0), pt(0, 1)])
-        assert h.key == (1, 1, 1)
+        assert h == (1, 1, 1)
 
     def test_contains_inputs(self):
         rng = random.Random(11)
@@ -117,7 +112,7 @@ class TestHyperplaneThrough:
             pt(0, 10, 40, 0, 1),
             pt(45, 0, 0, 0, -1),
         ]
-        assert hyperplane_through(pts).key == (10, 2, 4, 2, 135, 315)
+        assert hyperplane_through(pts) == (10, 2, 4, 2, 135, 315)
 
     def test_base_facet_hyperplane(self):
         pts = [
@@ -128,7 +123,7 @@ class TestHyperplaneThrough:
             pt(0, 10, 40, 0),
             pt(10, 0, 0, 40),
         ]
-        assert hyperplane_through(pts).key == (5, 1, 2, 1, 90)
+        assert hyperplane_through(pts) == (5, 1, 2, 1, 90)
 
     def test_rank_errors(self):
         with pytest.raises(DegenerateInput):
@@ -157,7 +152,7 @@ class TestOrthMap:
 
     def test_ineq_transform_preserves_tightness(self):
         m = OrthMap.from_rows(((0, 1), (-1, 0)))
-        q = Inequality(pt(2, 3), Rat(6))
+        q = (2, 3, 6)
         image = apply_ineq(m, q)
         rng = random.Random(1)
         for _ in range(20):
@@ -168,5 +163,5 @@ class TestOrthMap:
     def test_sign_flip_permutes_family_patterns(self):
         flip = OrthMap.from_rows(((-1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
                                   (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
-        plus = Inequality(pt(10, 2, 4, 2, 135), Rat(315))
-        assert apply_ineq(flip, plus).key == (-10, 2, 4, 2, 135, 315)
+        plus = (10, 2, 4, 2, 135, 315)
+        assert apply_ineq(flip, plus) == (-10, 2, 4, 2, 135, 315)

@@ -91,7 +91,7 @@ def _moved_point(data, pts, v):
     if kind == "outside":
         # beyond facet f: a tight point plus a positive multiple of its normal
         c = data.draw(WEIGHT)
-        return tuple(t + c * a for t, a in zip(tight[0], ineqs[f].coeffs))
+        return tuple(t + c * a for t, a in zip(tight[0], ineqs[f][:-1]))
     if kind == "inside":
         # a strictly positive convex combination of all the others
         weights = [data.draw(WEIGHT) for _ in others]

@@ -14,8 +14,6 @@ from exactpoly.counterexample import (
 from exactpoly.geometry import DegenerateInput
 from exactpoly.normalfans import (
     bi_dimensions,
-    direction_key,
-    facet_normals,
     interior_owner,
     is_combinatorial_cube,
     minkowski_sum,
@@ -80,9 +78,9 @@ class TestBaseStructure:
 
     def test_base_plus_facets_match(self, qplus_hull):
         assert qplus_hull.incidence.n_facets == 32
-        got = {tuple(q.coeffs) for q in qplus_hull.hrep.inequalities}
+        got = {q[:-1] for q in qplus_hull.hrep.inequalities}
         assert got == set(gplus_vertices())
-        assert all(q.offset == 90 for q in qplus_hull.hrep.inequalities)
+        assert all(q[-1] == 90 for q in qplus_hull.hrep.inequalities)
 
     def test_base_report(self, certificate):
         assert_report(check_base_structure(certificate))

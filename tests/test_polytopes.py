@@ -50,8 +50,7 @@ class TestFacetEnumeration:
     def test_unit_square(self):
         sq = VPolytope((pt(1, 1), pt(1, -1), pt(-1, 1), pt(-1, -1)))
         hull = facet_enumeration(sq)
-        keys = {q.key for q in hull.hrep.inequalities}
-        assert keys == {(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)}
+        assert set(hull.hrep.inequalities) == {(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)}
 
     def test_cube_facets(self):
         hull = facet_enumeration(cube())
@@ -62,7 +61,7 @@ class TestFacetEnumeration:
         poly, _ = random_polytope(random.Random(2), 3, 9)
         h1 = facet_enumeration(poly)
         h2 = facet_enumeration(poly)
-        assert [q.key for q in h1.hrep.inequalities] == [q.key for q in h2.hrep.inequalities]
+        assert h1.hrep.inequalities == h2.hrep.inequalities
         assert h1.incidence.facet_masks == h2.incidence.facet_masks
 
     def test_duplicate_points_reported(self):
@@ -75,7 +74,7 @@ class TestFacetEnumeration:
 
     def test_segment(self):
         hull = facet_enumeration(VPolytope((pt(-2,), pt(5,))))
-        assert {q.key for q in hull.hrep.inequalities} == {(1, 5), (-1, 2)}
+        assert set(hull.hrep.inequalities) == {(1, 5), (-1, 2)}
 
     def test_lower_dimensional_input(self):
         # a triangle embedded in 3-space: facets cut inside the plane
@@ -83,7 +82,7 @@ class TestFacetEnumeration:
         hull = facet_enumeration(tri)
         assert hull.dim == 2
         assert len(hull.hrep.equalities) == 1
-        assert hull.hrep.equalities[0].key == (0, 0, 1, 1)
+        assert hull.hrep.equalities[0] == (0, 0, 1, 1)
         assert hull.incidence.n_facets == 3
         for q in hull.hrep.inequalities:
             for p in tri.vertices:
@@ -154,7 +153,7 @@ def _no_floats(obj):
 
 
 def _hrep_values(hull):
-    return [q.coeffs + (q.offset,) for q in hull.hrep.inequalities + hull.hrep.equalities]
+    return list(hull.hrep.inequalities + hull.hrep.equalities)
 
 
 class TestIntegerTypedInput:
@@ -179,7 +178,7 @@ class TestIntegerTypedInput:
         poly = VPolytope(pts)
         hull = facet_enumeration(poly)
         assert hull.dim == 2
-        assert [e.key for e in hull.hrep.equalities] == [(1, 1, 1, 6)]
+        assert hull.hrep.equalities == ((1, 1, 1, 6),)
         assert hull.incidence.n_facets == 4
         assert _no_floats(_hrep_values(hull))
         assert certify_vertices(poly, hull) is poly
@@ -195,11 +194,11 @@ class TestRationalChart:
         hull2 = facet_enumeration(polygon)
         hull3 = facet_enumeration(flat)
         assert hull3.dim == 2
-        assert [e.key for e in hull3.hrep.equalities] == [(0, 0, 3, 1)]
+        assert hull3.hrep.equalities == ((0, 0, 3, 1),)
         assert hull3.incidence.facet_masks == hull2.incidence.facet_masks
-        assert [q.key for q in hull3.hrep.inequalities] == [
-            q.key[:2] + (0,) + q.key[2:] for q in hull2.hrep.inequalities
-        ]
+        assert hull3.hrep.inequalities == tuple(
+            q[:2] + (0,) + q[2:] for q in hull2.hrep.inequalities
+        )
         certify_vertices(flat, hull3)
 
 
@@ -303,7 +302,7 @@ class TestPolar:
         # match polar facets to cube vertices by normals
         scale = {}
         for fp, q in enumerate(hull_p.hrep.inequalities):
-            target = tuple(Rat(a, q.offset) for a in q.coeffs)
+            target = tuple(Rat(a, q[-1]) for a in q[:-1])
             scale[fp] = c.vertices.index(target)
         for fp, vc in scale.items():
             for vp in range(p.n_vertices):
