@@ -14,8 +14,10 @@ from typing import Callable, Optional
 from .geometry import DegenerateInput, dot, smul, vadd, vsub
 from .graphs import Graph
 from .polytopes import (
+    DuplicatePoints,
     Hull,
     HullBuilder,
+    NotAVertex,
     VPolytope,
     bits,
     certify_vertices,
@@ -23,7 +25,7 @@ from .polytopes import (
     iter_bits,
     vertex_graph,
 )
-from .prismatoids import Prismatoid, make_prismatoid, width
+from .prismatoids import NotAPrismatoid, Prismatoid, make_prismatoid, width
 from .rationals import Rat, ZERO
 
 MAX_HALVINGS = 64
@@ -198,7 +200,7 @@ def _halvings(poly, v, fixed, step, max_halvings, rejected):
         try:
             cand, hull = _moved(poly, v, vadd(base, smul(scale, step)), fixed)
             certify_vertices(cand, hull)
-        except ValueError:
+        except (NotAVertex, DuplicatePoints):
             rejected["not a vertex"] += 1
         else:
             yield cand, hull
@@ -248,7 +250,10 @@ def strong_dstep_step(
     Suspends over a vertex of one base, then pulls one apex of the other
     (non-simplex) base out of its hyperplane by a seeded rational step,
     halving until the result verifies as a prismatoid of larger width.
-    Returns (prismatoid, StepRecord).
+    The apexes are tried in a seeded order.  The suspension's hull is one
+    insertion of the first apex, at its own position, into the builder of
+    the other vertices, and that builder then serves the first apex's
+    search.  Returns (prismatoid, StepRecord).
     """
     if pr.asimpliciality <= 0:
         raise ConstructionFailed("both bases are simplices; nothing to gain")
@@ -269,7 +274,12 @@ def strong_dstep_step(
     u_idx, w_idx = S.n_vertices - 2, S.n_vertices - 1
     new_plus = sorted(i - (i > v) for i in plus_set)
     new_minus = sorted(i - (i > v) for i in minus_set if i != v) + [u_idx, w_idx]
-    hull_S = facet_enumeration(S)
+    apex_order = list(new_plus)
+    rng.shuffle(apex_order)
+    # the suspension's hull is one insertion of the first apex into the
+    # builder of the other vertices, which its search then starts from
+    first_fixed = _fixed_builder(S, apex_order[0])
+    _, hull_S = _moved(S, apex_order[0], S.vertices[apex_order[0]], first_fixed)
     plus_mask = bits(new_plus)
     pyramid_masks = {plus_mask | 1 << u_idx, plus_mask | 1 << w_idx}
     if not pyramid_masks <= set(hull_S.incidence.facet_masks):
@@ -306,7 +316,7 @@ def strong_dstep_step(
                 bm = masks.index(minus_mask)
                 try:
                     new_pr = make_prismatoid(cand, hull_c, bp, bm)
-                except ValueError:
+                except NotAPrismatoid:
                     rejected["not a prismatoid"] += 1
                     continue
                 new_width = width(new_pr)
@@ -322,10 +332,8 @@ def strong_dstep_step(
     # failed genericity push falls back to a plain push or the raw apex.  The
     # push and the apex move change only the apex, so one builder of the
     # other vertices serves both.
-    apex_order = list(new_plus)
-    rng.shuffle(apex_order)
     for apex in apex_order:
-        fixed = _fixed_builder(S, apex)
+        fixed = first_fixed if apex == apex_order[0] else _fixed_builder(S, apex)
         start = S
         if not generic(S, hull_S, apex):
             for strictness in (generic, None):

@@ -683,7 +683,7 @@ def check_orbit_quotient(ctx: Certificate) -> Report:
 def check_spindle_polar(ctx: Certificate) -> Report:
     """The polar is a 5-spindle with 48 facets, 322 vertices, length 6."""
     rep = Report("polar spindle")
-    pol = polar(ctx.poly)
+    pol = polar(ctx.poly, ctx.hull)
     hull_pol = facet_enumeration(pol)
     rep.add("polar vertex count", pol.n_vertices == 322, str(pol.n_vertices))
     rep.add("polar facet count", hull_pol.incidence.n_facets == 48, str(hull_pol.incidence.n_facets))

@@ -21,12 +21,15 @@ come from that list.  A point on existing facet hyperplanes
 extends those facets' incidence.  The builder copies cheaply, so the
 perturbation searches build the hull of their fixed points once and insert
 one moved point per candidate.  Every hull that is returned has passed the
-full self-verification pass: no repeated facet, every point against every
-facet with exact incidence, and the rank of every facet's tight points.
-The points are packed into one big integer per coordinate, so each facet
-meets all of them in a few integer operations.  A builder and its copies
-share the ranks already proved, keyed by the exact tight points, so a
-search eliminates only for facets it has not seen.
+self-verification pass: no repeated facet or point, every point against
+every facet with exact incidence, and the rank of every facet's tight
+points.  The points are packed into one big integer per coordinate, so each
+facet meets all of them in a few integer operations.  A builder and its
+copies share the ranks already proved, keyed by the exact tight points, so
+a search eliminates only for facets it has not seen.  The pass is
+incremental in a copy: the rows of the builder it came from are verified
+once against that builder's points, and a row the copy carried unchanged
+over the same point objects needs only the inserted points checked.
 Output facets are sorted as rows, so every run is bit-reproducible.
 
 Vertices are certified by a face test, not by elimination: the facets
@@ -53,7 +56,7 @@ from .geometry import (
 )
 from .graphs import Graph
 from .linalg import echelon, matrix_rank, nullspace
-from .rationals import Rat, ZERO, common_denominator, format_rat, primitive_ints
+from .rationals import Rat, ZERO, clear_denominators, common_denominator, format_rat, primitive_ints
 
 
 class DuplicatePoints(DegenerateInput):
@@ -237,13 +240,21 @@ class HullBuilder:
     the rest.  `copy()` is cheap, so a search can build the hull of its fixed
     points once and insert one moved point per candidate.
 
+    A copy records the builder it came from, its base.  The first `hull()`
+    of a copy verifies the base's rows once against the base's own points,
+    and keeps in the base's `verified` those points with the (row, mask)
+    pairs that passed.  A row of a copy
+    whose pair, less the bits of the slots filled since, passed there needs
+    only the points in those slots checked, provided every other slot holds
+    the very point object the base held; every other row gets the full check.
+
     `proven` holds the tuples of homogeneous points already shown to have
     rank `dim`.  A builder shares it with all its copies, so a facet of the
     fixed points has its rank computed once per search, not once per
     candidate; a hit is the same elimination on the same exact input.
     """
 
-    __slots__ = ("dim", "points", "rows", "masks", "proven")
+    __slots__ = ("dim", "points", "rows", "masks", "proven", "base", "verified")
 
     def __init__(self, points, basis=None):
         """Hull of the non-None `points`, started from the simplex on the
@@ -263,6 +274,8 @@ class HullBuilder:
         self.rows = []
         self.masks = []
         self.proven = set()
+        self.base = None
+        self.verified = None
         for drop in basis:
             rest = [i for i in basis if i != drop]
             (h,) = nullspace([self.points[i] for i in rest])
@@ -282,6 +295,8 @@ class HullBuilder:
         twin.rows = list(self.rows)
         twin.masks = list(self.masks)
         twin.proven = self.proven
+        twin.base = self
+        twin.verified = None
         return twin
 
     def insert(self, i: int, point) -> None:
@@ -342,31 +357,87 @@ class HullBuilder:
         self.rows = [h for f, h in enumerate(rows) if f not in gone] + new_rows
         self.masks = [m for f, m in enumerate(masks) if f not in gone] + new_masks
 
+    def _failures(self, pts, pairs, empty=0):
+        """Per (row, mask) pair: None when every point is inside the row,
+        exactly the points of the mask are tight and they have rank `dim`,
+        else the first check that failed.  The slots in `empty` hold the
+        zero vector, which every row holds tightly, and the masks lack them."""
+        if not pairs:
+            return
+        proven = self.proven
+        rows = [h for h, _ in pairs]
+        for (h, fmask), tight in zip(pairs, _tight_masks(pts, rows)):
+            if tight is None:
+                yield "point outside facet"
+            elif tight != fmask | empty or fmask & empty:
+                yield "incidence mismatch"
+            else:
+                tight_pts = tuple(pts[j] for j in iter_bits(fmask))
+                if tight_pts not in proven:
+                    if matrix_rank(tight_pts) != self.dim:
+                        yield "facet rank"
+                        continue
+                    proven.add(tight_pts)
+                yield None
+
+    def _verified_pairs(self):
+        """(points, the (row, mask) pairs that pass `_failures` against
+        them), computed on the first call and kept: the facts stay true when
+        this builder changes later, since they name the points they hold
+        for.  With a repeated row no pair is kept."""
+        if self.verified is None:
+            pts = tuple(self.points)
+            pairs = list(zip(self.rows, self.masks))
+            passed = set()
+            if len(set(self.rows)) == len(self.rows):
+                zero = (0,) * (self.dim + 1)
+                empty = bits(i for i, q in enumerate(pts) if q is None)
+                packed = [zero if q is None else q for q in pts]
+                for pair, failure in zip(pairs, self._failures(packed, pairs, empty)):
+                    if failure is None:
+                        passed.add(pair)
+            self.verified = (pts, passed)
+        return self.verified
+
     def hull(self) -> Hull:
-        """The hull, after the full verification pass: no repeated facet,
+        """The hull, after the verification pass: no repeated facet,
         every point inside every facet with exactly the recorded incidence,
         and the tight points of every facet spanning a hyperplane (an
         elimination unless this builder or a copy proved it for the same
-        points before)."""
+        points before).
+
+        In a copy, a row that passed on the base with the same mask outside
+        the slots filled since needs only those slots' points checked: the
+        slack at each is >= 0, and 0 iff its bit is set.  Tight points added
+        to a set of rank `dim` on the row's hyperplane keep that rank."""
         pts = self.points
-        proven = self.proven
         if None in pts:
             raise ValueError(f"hull slot {pts.index(None)} is empty")
         _check_duplicates(pts)
-        if len(set(self.rows)) != len(self.rows):
+        rows, masks = self.rows, self.masks
+        if len(set(rows)) != len(rows):
             raise DegenerateInput("hull verification failed: repeated facet")
-        facets = []
-        for h, fmask, tight in zip(self.rows, self.masks, _tight_masks(pts, self.rows)):
-            if tight is None:
-                raise DegenerateInput("hull verification failed: point outside facet")
-            if tight != fmask:
-                raise DegenerateInput("hull verification failed: incidence mismatch")
-            tight_pts = tuple(pts[j] for j in iter_bits(fmask))
-            if tight_pts not in proven:
-                if matrix_rank(tight_pts) != self.dim:
-                    raise DegenerateInput("hull verification failed: facet rank")
-                proven.add(tight_pts)
-            facets.append((tuple(-v for v in h[1:]) + (h[0],), fmask))
+        unchecked = list(zip(rows, masks))
+        if self.base is not None:
+            fixed, passed = self.base._verified_pairs()
+            if all(p is None or p is q for p, q in zip(fixed, pts)):
+                added = [(i, pts[i]) for i, p in enumerate(fixed) if p is None]
+                new = bits(i for i, _ in added)
+                unchecked = []
+                for h, fmask in zip(rows, masks):
+                    if (h, fmask & ~new) not in passed:
+                        unchecked.append((h, fmask))
+                        continue
+                    for i, q in added:
+                        s = sum(map(mul, h, q))
+                        if s < 0:
+                            raise DegenerateInput("hull verification failed: point outside facet")
+                        if (s == 0) != bool(fmask >> i & 1):
+                            raise DegenerateInput("hull verification failed: incidence mismatch")
+        for failure in self._failures(pts, unchecked):
+            if failure is not None:
+                raise DegenerateInput(f"hull verification failed: {failure}")
+        facets = [(tuple(-v for v in h[1:]) + (h[0],), fmask) for h, fmask in zip(rows, masks)]
         facets.sort()  # the rows are distinct, so this sorts by row
         hrep = HPolytope(self.dim, tuple(t[0] for t in facets))
         return Hull(hrep, FacetIncidence([t[1] for t in facets], len(pts)), self.dim)
@@ -528,19 +599,28 @@ def centroid(points):
     return tuple(sum((p[j] for p in points), ZERO) / n for j in range(d))
 
 
-def polar(poly: VPolytope) -> VPolytope:
+def polar(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     """Polar polytope after translating the vertex centroid to the origin.
 
     Vertices of the polar are facet normals scaled so normal . x = 1 on the
     facet; facets of the polar correspond to vertices of the input, with the
-    transposed incidence.
+    transposed incidence.  `hull` is the hull of `poly` when the caller has
+    it.  The shift by the centroid c = s / n, for s an integer vector, takes
+    a . x <= b to a . y <= b - a . c, whose primitive row is that of
+    (n a, n b - a . s); sorted, these are the rows the enumeration of the
+    shifted points gives, so no second hull is built.
     """
-    c = centroid(poly.vertices)
-    shifted = VPolytope(tuple(vsub(p, c) for p in poly.vertices), poly.labels)
-    h = facet_enumeration(shifted)
-    if h.hrep.equalities:
+    if hull is None:
+        hull = facet_enumeration(poly)
+    if hull.hrep.equalities:
         raise DegenerateInput("polar requires a full-dimensional polytope")
-    ineqs = h.hrep.inequalities
+    c = centroid(poly.vertices)
+    n = common_denominator(c)
+    s = clear_denominators(c)
+    ineqs = sorted(
+        _primitive(tuple(n * a for a in row[:-1]) + (n * row[-1] - sum(map(mul, row[:-1], s)),))
+        for row in hull.hrep.inequalities
+    )
     if any(q[-1] <= 0 for q in ineqs):
         raise DegenerateInput("origin not interior after centroid shift")
     verts = tuple(tuple(Rat(a, q[-1]) for a in q[:-1]) for q in ineqs)

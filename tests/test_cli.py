@@ -279,6 +279,26 @@ class TestCommands:
         lifted = read_poly(out.read_text())
         assert lifted.n_vertices == 10
 
+    # sha256 of stdout and of the written POLY text of `construct
+    # dstep-iterate q48.poly --steps 2 --seed 0`, which finds the bases
+    # itself and so reaches another dim-7 polytope (1555 facets) than
+    # test_08's strong_dstep_iterate with the bases given (1545 facets)
+    Q48_DSTEP_STDOUT_SHA256 = "893b1174c09a35fc4962fcaa5af82deea7719f41cb857ee3585982a2d5ee2098"
+    Q48_DSTEP_POLY_SHA256 = "2c7b75aaa2dbc228678d4e7293f9d402af45b8e3bc1179849107a591e07fca37"
+
+    def test_construct_dstep_iterate_q48_pinned(self, tmp_path, capsys):
+        src = tmp_path / "q48.poly"
+        out = tmp_path / "lifted.poly"
+        assert main(["builtin", "--out", str(src)]) == 0
+        capsys.readouterr()
+        rc = main(["construct", "dstep-iterate", str(src), "--steps", "2", "--seed", "0",
+                   "--out", str(out)])
+        assert rc == 0
+        stdout = capsys.readouterr().out
+        assert stdout.splitlines()[-1] == "STEP 2 dim=7 vertices=50 facets=1555 width=8"
+        assert hashlib.sha256(stdout.encode()).hexdigest() == self.Q48_DSTEP_STDOUT_SHA256
+        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.Q48_DSTEP_POLY_SHA256
+
     def test_plot_torus(self, tmp_path):
         out = tmp_path / "maps.svg"
         assert main(["plot-torus", "--out", str(out), "--svg-size", "400"]) == 0

@@ -6,6 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from exactpoly.constructions import (
     REJECTION_CAUSES,
+    _fixed_builder,
+    _moved,
+    _push,
     BlendGraph,
     ConstructionFailed,
     PushFailed,
@@ -19,6 +22,7 @@ from exactpoly.constructions import (
     strong_dstep_step,
     suspension_facet_map,
 )
+from exactpoly.geometry import DegenerateInput
 from exactpoly.polytopes import (
     VPolytope,
     dual_graph,
@@ -158,6 +162,17 @@ class TestPushVertex:
             "push of vertex 0: perturbation search exhausted after 4 candidates: "
             "not a vertex 1, facet merge violated 0, not generic 3"
         )
+
+    def test_verification_failure_ends_the_search(self, q48):
+        # a fixed row of the q48 builder corrupted after the hull the push
+        # starts from was verified fails every candidate's verification;
+        # that is a fault to raise, not 17 candidates that are not vertices
+        fixed = _fixed_builder(q48, 3)
+        _, old_hull = _moved(q48, 3, q48.vertices[3], fixed)
+        h = fixed.rows[0]
+        fixed.rows[0] = (h[0] + 1,) + h[1:]
+        with pytest.raises(DegenerateInput, match="hull verification failed"):
+            _push(q48, 3, fixed, old_hull, None, 1, None, 16)
 
     def test_facet_map_is_simplicial(self):
         # adjacent facets of the pushed polytope map to equal or adjacent

@@ -10,7 +10,10 @@ that are not in general position: {-1,0,1} grids, where many points share
 each facet hyperplane, and prisms, whose side facets are not simplices.
 The facet ranks a builder has proved are shared with its copies, so the
 corruption tests check that a proof made for one copy never vouches for a
-different facet in another.
+different facet in another.  A copy checks the rows it carried from its
+builder only at the inserted point, so they also flip such a row's bit,
+move the inserted point off it, replace a fixed point, and corrupt the
+builder itself: each must fail verification.
 
 The ridge and adjacency tests take their candidates from the incidence, so
 they are also checked where that is easiest to get wrong: segments, whose
@@ -23,7 +26,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from exactpoly.constructions import PushFailed, one_point_suspension, push_vertex
+from exactpoly.constructions import one_point_suspension, push_vertex
 from exactpoly.geometry import DegenerateInput, DimensionMismatch
 from exactpoly.polytopes import (
     DuplicatePoints,
@@ -394,6 +397,98 @@ def test_rank_proofs_of_a_twin_never_vouch_for_a_corrupted_copy(f, point, how):
     _same_hull(twin.hull(), facet_enumeration(VPolytope(tuple(pts))))
 
 
+def _cube_insertion(v):
+    """(cube vertices, the builder of all but vertex v, a copy with v
+    inserted back).  The copy carries all six of its rows from the builder:
+    the triangle cut off at v goes, and the three faces at v gain it."""
+    pts, _ = _cube_builder()
+    slots = list(pts)
+    slots[v] = None
+    fixed = HullBuilder(slots)
+    twin = fixed.copy()
+    twin.insert(v, pts[v])
+    return pts, fixed, twin
+
+
+def test_copy_of_the_fixed_builder_checks_only_the_inserted_point():
+    pts, fixed, twin = _cube_insertion(0)
+    _same_hull(twin.hull(), facet_enumeration(VPolytope(tuple(pts))))
+    points, passed = fixed.verified
+    assert points == tuple(fixed.points) and len(passed) == 7
+    carried = {(h, m & ~1) for h, m in zip(twin.rows, twin.masks)}
+    assert len(carried) == 6 and carried <= passed
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 5))
+def test_carried_row_with_the_inserted_bit_flipped_raises(v, f):
+    _, _, twin = _cube_insertion(v)
+    twin.masks[f] ^= 1 << v
+    with pytest.raises(DegenerateInput, match="hull verification failed: incidence mismatch"):
+        twin.hull()
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.integers(0, 7), st.sampled_from(("inside", "outside")))
+def test_carried_row_with_wrong_slack_at_the_inserted_point_raises(v, where):
+    # the inserted point moves off the three facets whose masks say it is
+    # tight: to half its position (slack > 0) or to twice it (slack < 0)
+    pts, _, twin = _cube_insertion(v)
+    twin.points[v] = (2,) + pts[v] if where == "inside" else (1,) + tuple(2 * c for c in pts[v])
+    failure = "incidence mismatch" if where == "inside" else "point outside facet"
+    with pytest.raises(DegenerateInput, match=f"hull verification failed: {failure}"):
+        twin.hull()
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    st.integers(0, 7),
+    st.integers(0, 6),
+    st.integers(0, 5),
+    st.sampled_from(("moved", "swapped", "equal")),
+)
+def test_copy_whose_fixed_point_was_replaced_gets_the_full_check(v, j, k, how):
+    # j and k index the fixed slots; "swapped" puts equal-valued but
+    # distinct objects of points j and k into each other's slots, and
+    # "equal" puts an equal-valued distinct object of point j into its own
+    pts, _, twin = _cube_insertion(v)
+    others = [i for i in range(8) if i != v]
+    j = others[j]
+    k = [i for i in others if i != j][k]
+    if how == "moved":
+        twin.points[j] = (2,) + pts[j]
+    elif how == "swapped":
+        twin.points[j], twin.points[k] = tuple(list(twin.points[k])), tuple(list(twin.points[j]))
+    else:
+        twin.points[j] = tuple(list(twin.points[j]))
+        _same_hull(twin.hull(), facet_enumeration(VPolytope(tuple(pts))))
+        return
+    with pytest.raises(DegenerateInput, match="hull verification failed"):
+        twin.hull()
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(0, 7), st.integers(0, 6), st.sampled_from(("mask", "offset+", "offset-")))
+def test_corrupted_fixed_builder_is_never_vouched_for(v, f, how):
+    # the builder's own rows are corrupted before any copy is verified: a
+    # copy raises, or returns the cube's hull when its insertion happened
+    # to remove the corrupted row
+    pts, fixed, _ = _cube_insertion(v)
+    if how == "mask":
+        fixed.masks[f] ^= 1 << (v + 1 + f) % 8
+    else:
+        h = fixed.rows[f]
+        fixed.rows[f] = (h[0] + (1 if how == "offset+" else -1),) + h[1:]
+    twin = fixed.copy()
+    try:
+        twin.insert(v, pts[v])
+        got = twin.hull()
+    except DegenerateInput as exc:
+        assert "hull verification failed" in str(exc)
+        return
+    _same_hull(got, facet_enumeration(VPolytope(tuple(pts))))
+
+
 def test_rank_proofs_are_keyed_by_points_not_slots():
     # slot 8 above the top face makes y + z <= 2 a triangle facet through
     # slots 6, 7 and 8; at the midpoint of the edge from slot 6 to slot 7 the
@@ -435,7 +530,8 @@ def test_repeated_facet_refused():
 def test_push_verifies_every_candidate(monkeypatch):
     # every inserted candidate comes back with a corrupted facet mask (the
     # vertex at its original position, which gives the hull the push starts
-    # from, is spared): the search must refuse each one, so the push fails
+    # from, is spared): the first one ends the search with the verification
+    # failure, which is no rejected candidate
     pts, _ = _cube_builder()
     cube = VPolytope(tuple(pts))
     insert = HullBuilder.insert
@@ -446,5 +542,5 @@ def test_push_verifies_every_candidate(monkeypatch):
             self.masks[0] ^= 1 << i
 
     monkeypatch.setattr(HullBuilder, "insert", corrupting_insert)
-    with pytest.raises(PushFailed, match="not a vertex 4,"):
+    with pytest.raises(DegenerateInput, match="hull verification failed: incidence mismatch"):
         push_vertex(cube, 0, seed=1, max_halvings=3)

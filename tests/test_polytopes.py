@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from exactpoly.polytopes import (
     DuplicatePoints,
@@ -285,6 +286,21 @@ class TestPolar:
             rays = {tuple(primitive_ints(list(v))) for v in back.vertices}
             want = {tuple(primitive_ints(list(v))) for v in centered.vertices}
             assert rays == want
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda dim: st.lists(
+        st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * dim),
+        min_size=dim + 1, max_size=9, unique=True,
+    ).filter(lambda pts: affine_rank(pts) == dim)))
+    def test_polar_from_the_given_hull(self, pts):
+        # the given hull's rows, translated by the centroid, against the
+        # enumeration of the translated points
+        poly = VPolytope(tuple(pts))
+        c = centroid(poly.vertices)
+        assume(any(c))
+        shifted = facet_enumeration(VPolytope(tuple(vsub(p, c) for p in poly.vertices)))
+        want = tuple(tuple(Rat(a, q[-1]) for a in q[:-1]) for q in shifted.hrep.inequalities)
+        assert polar(poly, facet_enumeration(poly)) == polar(poly) == VPolytope(want)
 
     def test_double_polar_exact_on_cube(self):
         back = polar(polar(cube()))
