@@ -56,8 +56,11 @@ def _load(path: str) -> VPolytope:
 
 def _emit(text: str, out: str | None) -> None:
     if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(out, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # a missing directory, a directory, no permission
+            raise CliError(f"cannot write {out}: {exc}", 2)
     else:
         sys.stdout.write(text)
 
@@ -90,8 +93,9 @@ def _cmd_diameter(args) -> int:
 
 def _cmd_polar(args) -> int:
     poly = _load(args.input)
-    certify_vertices(poly)
-    pol = polar(poly)
+    hull = facet_enumeration(poly)
+    certify_vertices(poly, hull)
+    pol = polar(poly, hull)
     _emit(write_poly(pol), args.out)
     return 0
 

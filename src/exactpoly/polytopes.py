@@ -24,13 +24,18 @@ one moved point per candidate.  Every hull that is returned has passed the
 self-verification pass: no repeated facet or point, every point against
 every facet with exact incidence, and the rank of every facet's tight
 points.  The points are packed into one big integer per coordinate, so each
-facet meets all of them in a few integer operations.  A builder and its
-copies share the ranks already proved, keyed by the exact tight points, so
-a search eliminates only for facets it has not seen.  The pass is
-incremental in a copy: the rows of the builder it came from are verified
-once against that builder's points, and a row the copy carried unchanged
-over the same point objects needs only the inserted points checked.
-Output facets are sorted as rows, so every run is bit-reproducible.
+facet meets all of them in a few integer operations.  The rank is proved
+from that incidence, as a certificate in the sense of McConnell, Mehlhorn,
+Naeher & Schweitzer 2011 ("Certifying algorithms"): dim tight points t_i
+and dim rows g_i of exactly verified incidence, g_i tight at t_1..t_(i-1)
+but not at t_i, make the matrix (g_i . t_j) triangular with a nonzero
+diagonal, so the tight points have rank at least dim, and a nonzero row
+tight at all of them bounds it by dim.  An elimination runs only when no
+such certificate is found.  The pass is incremental in a copy: the rows of
+the builder it came from are verified once against that builder's points,
+and a row the copy carried unchanged over the same point objects needs
+only the inserted points checked.  Output facets are sorted as rows, so
+every run is bit-reproducible.
 
 Vertices are certified by a face test, not by elimination: the facets
 through a point meet in the smallest face containing it (every face is the
@@ -228,6 +233,54 @@ def _tight_masks(points, rows):
         yield bits(b // w for b in iter_bits(zeros))
 
 
+def _triangular_certificate(fmask, vmasks, everyone, dim) -> bool:
+    """Whether points t_1..t_dim of `fmask` and witness rows g_1..g_dim are
+    found with g_i tight at t_1..t_(i-1) but not at t_i; vmasks[j] is the
+    mask of the witnesses tight at point j, `everyone` that of all of them.
+    When the witnesses' incidence is exact, (g_i . t_j) is then triangular
+    with a nonzero diagonal, so the points have rank at least dim.  `keep`
+    holds the witnesses tight at the points chosen so far.  The first pass
+    takes the points in index order, which always succeeds on a simplicial
+    facet of a complete hull; a larger facet gets a second pass that takes
+    the point keeping the most witnesses, climbing a flag of faces."""
+    keep, need = everyone, dim
+    for j in iter_bits(fmask):
+        kept = keep & vmasks[j]
+        if kept != keep:
+            keep, need = kept, need - 1
+            if not need:
+                return True
+    if fmask.bit_count() <= dim:
+        return False
+    points = list(iter_bits(fmask))
+    keep = everyone
+    for _ in range(dim):
+        keep = max(
+            (kept for j in points if (kept := keep & vmasks[j]) != keep),
+            key=int.bit_count,
+            default=None,
+        )
+        if keep is None:
+            return False
+    return True
+
+
+def _incidence_failures(pts, pairs, empty=0):
+    """Per (row, mask) pair: None when every point is inside the row and
+    exactly the points of the mask are tight, else the check that failed.
+    The slots in `empty` hold the zero vector, which every row holds
+    tightly, and the masks lack them."""
+    if not pairs:
+        return
+    for (_, fmask), tight in zip(pairs, _tight_masks(pts, [h for h, _ in pairs])):
+        if tight is None:
+            yield "point outside facet"
+        elif tight != fmask | empty or fmask & empty:
+            yield "incidence mismatch"
+        else:
+            yield None
+
+
 class HullBuilder:
     """Incremental hull of full-dimensional points, one double-description
     step per inserted point.
@@ -248,13 +301,15 @@ class HullBuilder:
     only the points in those slots checked, provided every other slot holds
     the very point object the base held; every other row gets the full check.
 
-    `proven` holds the tuples of homogeneous points already shown to have
-    rank `dim`.  A builder shares it with all its copies, so a facet of the
-    fixed points has its rank computed once per search, not once per
-    candidate; a hit is the same elimination on the same exact input.
+    A checked row's rank is proved by a triangular certificate (see
+    `_triangular_certificate`) whose witnesses are rows whose incidence the
+    same pass verified exactly: in `hull()` every row, after the carried
+    rows' inserted-point check and the others' `_tight_masks`, and in
+    `_verified_pairs` the base rows whose incidence passed.  Only without a
+    certificate does an elimination decide.
     """
 
-    __slots__ = ("dim", "points", "rows", "masks", "proven", "base", "verified")
+    __slots__ = ("dim", "points", "rows", "masks", "base", "verified")
 
     def __init__(self, points, basis=None):
         """Hull of the non-None `points`, started from the simplex on the
@@ -273,7 +328,6 @@ class HullBuilder:
         self.dim = k
         self.rows = []
         self.masks = []
-        self.proven = set()
         self.base = None
         self.verified = None
         for drop in basis:
@@ -294,7 +348,6 @@ class HullBuilder:
         twin.points = list(self.points)
         twin.rows = list(self.rows)
         twin.masks = list(self.masks)
-        twin.proven = self.proven
         twin.base = self
         twin.verified = None
         return twin
@@ -357,59 +410,57 @@ class HullBuilder:
         self.rows = [h for f, h in enumerate(rows) if f not in gone] + new_rows
         self.masks = [m for f, m in enumerate(masks) if f not in gone] + new_masks
 
-    def _failures(self, pts, pairs, empty=0):
-        """Per (row, mask) pair: None when every point is inside the row,
-        exactly the points of the mask are tight and they have rank `dim`,
-        else the first check that failed.  The slots in `empty` hold the
-        zero vector, which every row holds tightly, and the masks lack them."""
-        if not pairs:
-            return
-        proven = self.proven
-        rows = [h for h, _ in pairs]
-        for (h, fmask), tight in zip(pairs, _tight_masks(pts, rows)):
-            if tight is None:
-                yield "point outside facet"
-            elif tight != fmask | empty or fmask & empty:
-                yield "incidence mismatch"
-            else:
-                tight_pts = tuple(pts[j] for j in iter_bits(fmask))
-                if tight_pts not in proven:
-                    if matrix_rank(tight_pts) != self.dim:
-                        yield "facet rank"
-                        continue
-                    proven.add(tight_pts)
-                yield None
+    def _spans_hyperplane(self, h, fmask, vmasks, everyone, pts) -> bool:
+        """Whether the points of `fmask`, all tight at the row h, have rank
+        `dim`.  A nonzero h bounds the rank by `dim` from above, and a
+        triangular certificate over the witnesses `vmasks` (see
+        `_triangular_certificate`) bounds it from below; without both,
+        `matrix_rank` decides."""
+        if any(h) and _triangular_certificate(fmask, vmasks, everyone, self.dim):
+            return True
+        return matrix_rank([pts[j] for j in iter_bits(fmask)]) == self.dim
 
     def _verified_pairs(self):
-        """(points, the (row, mask) pairs that pass `_failures` against
-        them), computed on the first call and kept: the facts stay true when
-        this builder changes later, since they name the points they hold
-        for.  With a repeated row no pair is kept."""
+        """(points, the (row, mask) pairs that pass the checks of `hull()`
+        against them, an empty slot packed as the zero vector), computed on
+        the first call and kept: the facts stay true when this builder
+        changes later, since they name the points they hold for.  With a
+        repeated row no pair is kept."""
         if self.verified is None:
             pts = tuple(self.points)
-            pairs = list(zip(self.rows, self.masks))
             passed = set()
             if len(set(self.rows)) == len(self.rows):
                 zero = (0,) * (self.dim + 1)
                 empty = bits(i for i, q in enumerate(pts) if q is None)
                 packed = [zero if q is None else q for q in pts]
-                for pair, failure in zip(pairs, self._failures(packed, pairs, empty)):
-                    if failure is None:
-                        passed.add(pair)
+                pairs = list(zip(self.rows, self.masks))
+                exact = [
+                    pair
+                    for pair, failure in zip(pairs, _incidence_failures(packed, pairs, empty))
+                    if failure is None
+                ]
+                vmasks = FacetIncidence([m for _, m in exact], len(pts)).vertex_masks
+                everyone = (1 << len(exact)) - 1
+                passed = {
+                    (h, m) for h, m in exact if self._spans_hyperplane(h, m, vmasks, everyone, packed)
+                }
             self.verified = (pts, passed)
         return self.verified
 
     def hull(self) -> Hull:
         """The hull, after the verification pass: no repeated facet,
         every point inside every facet with exactly the recorded incidence,
-        and the tight points of every facet spanning a hyperplane (an
-        elimination unless this builder or a copy proved it for the same
-        points before).
+        and the tight points of every facet spanning a hyperplane.
 
         In a copy, a row that passed on the base with the same mask outside
         the slots filled since needs only those slots' points checked: the
         slack at each is >= 0, and 0 iff its bit is set.  Tight points added
-        to a set of rank `dim` on the row's hyperplane keep that rank."""
+        to a set of rank `dim` on the row's hyperplane keep that rank.
+
+        Every row's incidence is checked before any rank, so every row is a
+        witness of the rank certificates, read through the returned
+        incidence's `vertex_masks`, which the vertex test reuses.
+        `matrix_rank` runs only for a row without a certificate."""
         pts = self.points
         if None in pts:
             raise ValueError(f"hull slot {pts.index(None)} is empty")
@@ -434,13 +485,17 @@ class HullBuilder:
                             raise DegenerateInput("hull verification failed: point outside facet")
                         if (s == 0) != bool(fmask >> i & 1):
                             raise DegenerateInput("hull verification failed: incidence mismatch")
-        for failure in self._failures(pts, unchecked):
+        for failure in _incidence_failures(pts, unchecked):
             if failure is not None:
                 raise DegenerateInput(f"hull verification failed: {failure}")
         facets = [(tuple(-v for v in h[1:]) + (h[0],), fmask) for h, fmask in zip(rows, masks)]
         facets.sort()  # the rows are distinct, so this sorts by row
-        hrep = HPolytope(self.dim, tuple(t[0] for t in facets))
-        return Hull(hrep, FacetIncidence([t[1] for t in facets], len(pts)), self.dim)
+        incidence = FacetIncidence([t[1] for t in facets], len(pts))
+        everyone = (1 << len(facets)) - 1
+        for h, fmask in unchecked:
+            if not self._spans_hyperplane(h, fmask, incidence.vertex_masks, everyone, pts):
+                raise DegenerateInput("hull verification failed: facet rank")
+        return Hull(HPolytope(self.dim, tuple(t[0] for t in facets)), incidence, self.dim)
 
 
 def facet_enumeration(poly: VPolytope) -> Hull:

@@ -1,15 +1,18 @@
+import contextlib
 import hashlib
+import io
 import math
 import os
 import random
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from exactpoly import counterexample
+from exactpoly import cli, counterexample, polytopes
 from exactpoly.cli import main
 from exactpoly.fileformats import (
     FormatError,
@@ -233,6 +236,25 @@ class TestCommands:
         pol = read_poly(out.read_text())
         assert pol.n_vertices == 6
 
+    # sha256 of the POLY text of `polar q48.poly`, computed while the
+    # command still built the hull twice
+    Q48_POLAR_SHA256 = "9de216e22f13b5c6aa2bab55d848a53e2ba455356a8bc5ef1fb5cd04f994d9d5"
+
+    def test_polar_of_q48_builds_one_hull(self, tmp_path, capsys, monkeypatch):
+        src = tmp_path / "q48.poly"
+        assert main(["builtin", "--out", str(src)]) == 0
+        hulls = []
+
+        def counting(poly):
+            hulls.append(poly.n_vertices)
+            return facet_enumeration(poly)
+
+        monkeypatch.setattr(cli, "facet_enumeration", counting)
+        monkeypatch.setattr(polytopes, "facet_enumeration", counting)
+        assert main(["polar", str(src)]) == 0
+        assert hulls == [48]
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.Q48_POLAR_SHA256
+
     def test_construct_ops(self, tmp_path, capsys):
         src = tmp_path / "pent.poly"
         src.write_text(write_poly(VPolytope((pt(0, 0), pt(4, 0), pt(6, 3), pt(3, 6), pt(-1, 3)))))
@@ -455,3 +477,114 @@ class TestExitCodes:
         assert "Traceback" not in done.stderr
         assert done.stderr == f"error: --svg-size must be positive, not {size}\n"
         assert not (tmp_path / "maps.svg").exists()
+
+
+class TestUnwritableOutput:
+    """An output path that cannot be written ends with exit 2 and one
+    `error: cannot write <path>: ...` line, not a traceback."""
+
+    @pytest.mark.parametrize(
+        "args, target",
+        [
+            (["builtin", "--out", "missing/q48.poly"], "missing/q48.poly"),
+            (["hull", "cube.poly", "--out", "missing/cube.hpoly"], "missing/cube.hpoly"),
+            (["hull", "cube.poly"], "cube.poly.hpoly"),
+            (["hull", "cube.poly", "--out", "out.hpoly"], "out.hpoly.inc"),
+            (["polar", "cube.poly", "--out", "missing/polar.poly"], "missing/polar.poly"),
+            (["plot-torus", "--svg-size", "40", "--out", "missing/maps.svg"], "missing/maps.svg"),
+            (
+                ["plot-torus", "--svg-size", "40", "--out", "maps.svg", "--data", "missing/maps.txt"],
+                "missing/maps.txt",
+            ),
+            (["construct", "ops", "cube.poly", "--out", "missing/ops.poly"], "missing/ops.poly"),
+            (
+                ["construct", "dstep-iterate", "cube.poly", "--seed", "7", "--out", "missing/d.poly"],
+                "missing/d.poly",
+            ),
+        ],
+        ids=[
+            "builtin", "hull-out", "hull-default", "hull-incidence", "polar", "plot-torus-out",
+            "plot-torus-data", "construct-ops", "construct-dstep",
+        ],
+    )
+    def test_unwritable_output_is_usage_error(self, tmp_path, monkeypatch, capsys, args, target):
+        # "missing" does not exist; the default hull output and the
+        # incidence file of out.hpoly are directories
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "cube.poly").write_text(cube_text())
+        (tmp_path / "cube.poly.hpoly").mkdir()
+        (tmp_path / "out.hpoly.inc").mkdir()
+        assert main(args) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert err.count("\n") == 1
+
+
+POLY_SEEDS = (
+    cube_text(),
+    SQUARE_WITH_INNER_POINT,
+    SQUARE_PYRAMID,
+    "POLY 1\ndim 2\nvertices 3\n0 0\n1/2 0\n0 -3/4\nlabels\na\nb\nc\n",
+    "POLY 1\ndim 1\nvertices 2\n-1\n5/3\n",
+)
+POLY_PIECES = st.sampled_from(
+    list("0123456789-/ \n#") + ["1/0", "-0", "dim 0", "vertices 0", "labels", "POLY 1", "99999"]
+)
+COORDINATES = st.sampled_from(("0", "1", "-1", "2", "1/2", "-3/4", "5/3"))
+
+
+@st.composite
+def mutated_poly_texts(draw):
+    """A valid POLY text with one to four edits: a coordinate replaced, which
+    keeps the format and may make the points degenerate, a character or
+    piece inserted, replaced or deleted, or a line dropped, repeated or
+    swapped."""
+    text = draw(st.sampled_from(POLY_SEEDS))
+    for _ in range(draw(st.integers(1, 4))):
+        how = draw(st.sampled_from(
+            ("coordinate", "coordinate", "insert", "replace", "delete", "drop", "repeat", "swap")
+        ))
+        if how == "coordinate":
+            lines = text.split("\n")
+            i = draw(st.integers(0, len(lines) - 1))
+            words = lines[i].split()
+            if i >= 3 and words:
+                words[draw(st.integers(0, len(words) - 1))] = draw(COORDINATES)
+                lines[i] = " ".join(words)
+            text = "\n".join(lines)
+        elif how in ("insert", "replace", "delete"):
+            i = draw(st.integers(0, len(text)))
+            piece = "" if how == "delete" else draw(POLY_PIECES)
+            text = text[:i] + piece + text[i + (how != "insert"):]
+        else:
+            lines = text.split("\n")
+            i, j = (draw(st.integers(0, len(lines) - 1)) for _ in range(2))
+            if how == "drop":
+                del lines[i]
+            elif how == "repeat":
+                lines.insert(i, lines[j])
+            else:
+                lines[i], lines[j] = lines[j], lines[i]
+            text = "\n".join(lines)
+    return text
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    mutated_poly_texts(),
+    st.sampled_from(("hull", "width", "diameter", "polar", "construct ops")),
+    st.integers(-1, 5),
+)
+def test_mutated_poly_text_ends_in_a_documented_exit_code(text, command, vertex):
+    """Exit 0-3 for any input text, and no exception escapes `main`."""
+    with tempfile.TemporaryDirectory() as tmp:
+        src = Path(tmp) / "input.poly"
+        src.write_text(text)
+        args = [*command.split(), str(src)]
+        if command == "construct ops":
+            args += ["--vertex", str(vertex)]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(args)
+    assert code in (0, 1, 2, 3)
+    assert (code == 0) == (err.getvalue() == ""), err.getvalue()

@@ -8,8 +8,12 @@ lands outside the hull, inside it, on a facet hyperplane, or brings
 denominators the fixed points do not have.  The inputs lean toward the cases
 that are not in general position: {-1,0,1} grids, where many points share
 each facet hyperplane, and prisms, whose side facets are not simplices.
-The facet ranks a builder has proved are shared with its copies, so the
-corruption tests check that a proof made for one copy never vouches for a
+The rank of a facet's tight points is proved by a triangular certificate
+read off exactly verified incidence, with an elimination only when none is
+found: a differential test checks that a certificate is found only for
+points of rank `dim`, and that every rank-deficient row still fails, and a
+guard checks that the q48 artifacts need no elimination at all.  The
+corruption tests check that what one copy verified never vouches for a
 different facet in another.  A copy checks the rows it carried from its
 builder only at the inserted point, so they also flip such a row's bit,
 move the inserted point off it, replace a fixed point, and corrupt the
@@ -20,14 +24,22 @@ they are also checked where that is easiest to get wrong: segments, whose
 two facets share no point, and the dual graph of lattice boxes and
 one-point suspensions, where facets hold many more than k points.
 """
+import contextlib
 import itertools
+import math
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
+from exactpoly import polytopes
+from exactpoly.cli import main
 from exactpoly.constructions import one_point_suspension, push_vertex
+from exactpoly.counterexample import base_minus, base_plus, vertices48
 from exactpoly.geometry import DegenerateInput, DimensionMismatch
+from exactpoly.linalg import matrix_rank
+from exactpoly.normalfans import minkowski_sum
 from exactpoly.polytopes import (
     DuplicatePoints,
     FacetIncidence,
@@ -37,12 +49,14 @@ from exactpoly.polytopes import (
     NotAVertex,
     VPolytope,
     _tight_masks,
+    _triangular_certificate,
     bits,
     certify_vertices,
     dual_graph,
     extreme_indices,
     facet_enumeration,
     iter_bits,
+    polar,
 )
 from helpers import (
     check_hull_against_oracle,
@@ -379,9 +393,10 @@ def _supporting_row(pts, point, axis, how):
 def test_rank_proofs_of_a_twin_never_vouch_for_a_corrupted_copy(f, point, how):
     pts, builder = _cube_builder()
     twin = builder.copy()
-    twin.hull()
-    # the twin proved the rank of all six cube facets, for every copy
-    assert builder.proven is twin.proven and len(builder.proven) == 6
+    with _eliminations() as calls:
+        twin.hull()
+    # the twin proved the rank of all six cube facets without elimination
+    assert calls == []
     bad = builder.copy()
     if how == "mask":
         bad.masks[f] ^= 1 << point
@@ -544,3 +559,124 @@ def test_push_verifies_every_candidate(monkeypatch):
     monkeypatch.setattr(HullBuilder, "insert", corrupting_insert)
     with pytest.raises(DegenerateInput, match="hull verification failed: incidence mismatch"):
         push_vertex(cube, 0, seed=1, max_halvings=3)
+
+
+# ---------------------------------------------------------------------------
+# facet ranks by triangular certificates
+
+
+@contextlib.contextmanager
+def _eliminations():
+    """The sizes of the eliminations the rank check falls back to while the
+    block runs: the calls of `matrix_rank` made by
+    `HullBuilder._spans_hyperplane`, counted by wrapping the name the
+    engine looks up."""
+    calls = []
+    rank = polytopes.matrix_rank
+    spans = HullBuilder._spans_hyperplane.__code__
+
+    def counting(rows):
+        if sys._getframe(1).f_code is spans:
+            calls.append(len(rows))
+        return rank(rows)
+
+    polytopes.matrix_rank = counting
+    try:
+        yield calls
+    finally:
+        polytopes.matrix_rank = rank
+
+
+def _face_row(builder, points):
+    """The primitive sum of the builder's rows tight at all of `points`: a
+    valid row whose tight points are the smallest face containing them, the
+    zero row when no facet holds them all."""
+    want = bits(points)
+    total = [0] * (builder.dim + 1)
+    for h, m in zip(builder.rows, builder.masks):
+        if m & want == want:
+            total = [a + b for a, b in zip(total, h)]
+    g = math.gcd(*total) or 1
+    return tuple(v // g for v in total)
+
+
+@settings(max_examples=120, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(certify_inputs(), st.data())
+def test_certificate_is_found_only_for_rank_dim(pts, data):
+    """The witnesses are rows with exactly verified incidence: the facets,
+    the supporting rows of the smallest faces holding one or two input
+    points (vertices, edges with the lattice points on them, and larger
+    faces), and the zero row.  A certificate for any of them means rank
+    `dim`, every simplicial facet has one, and every row of lower rank makes
+    `hull()` fail."""
+    try:
+        builder = HullBuilder(pts)
+    except DegenerateInput:
+        return  # embedded inputs need the projection of facet_enumeration
+    dim, n = builder.dim, len(pts)
+    pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
+    rows = list(dict.fromkeys(
+        builder.rows
+        + [_face_row(builder, [i]) for i in range(n)]
+        + [_face_row(builder, pair) for pair in pairs]
+        + [(0,) * (dim + 1)]
+    ))
+    masks = list(_tight_masks(builder.points, rows))
+    assert None not in masks
+    vmasks = FacetIncidence(masks, n).vertex_masks
+    everyone = (1 << len(rows)) - 1
+    facets = set(builder.rows)
+    for h, m in zip(rows, masks):
+        rank = matrix_rank([builder.points[j] for j in iter_bits(m)])
+        if any(h) and _triangular_certificate(m, vmasks, everyone, dim):
+            assert rank == dim
+        elif h in facets:
+            assert m.bit_count() > dim
+        if rank != dim:
+            bad = builder.copy()
+            bad.rows.append(h)
+            bad.masks.append(m)
+            with pytest.raises(DegenerateInput, match="hull verification failed: facet rank"):
+                bad.hull()
+
+
+def test_elimination_decides_only_without_a_certificate():
+    # the cube's facets all have certificates; a row tight at one vertex
+    # has none, so an elimination of its one point rejects it
+    pts, builder = _cube_builder()
+    with _eliminations() as calls:
+        builder.hull()
+    assert calls == []
+    builder.rows.append((3, -1, -1, -1))
+    builder.masks.append(bits([pts.index((1, 1, 1))]))
+    with _eliminations() as calls, pytest.raises(DegenerateInput, match="facet rank"):
+        builder.hull()
+    assert calls == [1]
+
+
+def test_q48_artifacts_need_no_elimination(tmp_path, capsys):
+    # the q48 hull, its polar, the base Minkowski sum and the pinned
+    # `construct dstep-iterate q48.poly --steps 2 --seed 0`
+    certified = []
+    certificate = polytopes._triangular_certificate
+
+    def counting(*args):
+        certified.append(certificate(*args))
+        return certified[-1]
+
+    q48 = vertices48()
+    src = tmp_path / "q48.poly"
+    with _eliminations() as calls:
+        polytopes._triangular_certificate = counting
+        try:
+            hull = facet_enumeration(q48)
+            assert hull.incidence.n_facets == 322
+            assert facet_enumeration(polar(q48, hull)).incidence.n_facets == 48
+            minkowski_sum(base_plus(), base_minus())
+            assert main(["builtin", "--out", str(src)]) == 0
+            assert main(["construct", "dstep-iterate", str(src), "--steps", "2", "--seed", "0"]) == 0
+        finally:
+            polytopes._triangular_certificate = certificate
+    assert capsys.readouterr().out.splitlines()[-1] == "STEP 2 dim=7 vertices=50 facets=1555 width=8"
+    assert calls == []
+    assert len(certified) > 10_000 and all(certified)
