@@ -2,10 +2,10 @@
 
 Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
 3 infeasible operation (degenerate geometry, a listed point that is not a
-vertex, no prismatoid structure).  `main` maps these errors to their codes in
-one place, so no input ends in a traceback for them.  All numeric output is
-exact rational text; identical invocations (same inputs, same seed) produce
-byte-identical output.
+vertex, no prismatoid structure, a failed construction).  `main` maps these
+errors to their codes in one table, `_EXIT_CODES`, so no input ends in a
+traceback for them.  All numeric output is exact rational text; identical
+invocations (same inputs, same seed) produce byte-identical output.
 """
 from __future__ import annotations
 
@@ -114,22 +114,14 @@ def _cmd_builtin(args) -> int:
 
 
 def _cmd_excess(args) -> int:
-    try:
-        rep = hirsch_excess(args.dim, args.facets, args.diameter)
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+    rep = hirsch_excess(args.dim, args.facets, args.diameter)
     verdict = "HIRSCH" if rep.is_hirsch else "NON-HIRSCH"
     print(f"{format_rat(rep.excess)} {verdict}")
     return 0
 
 
 def _cmd_family(args) -> int:
-    try:
-        fp = family_parameters(args.dim, args.facets, args.diameter, args.k, args.j)
-    except VacuousFamily as exc:
-        raise CliError(str(exc), 3)
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+    fp = family_parameters(args.dim, args.facets, args.diameter, args.k, args.j)
     print(f"dim={fp.dim} facets={fp.facets} diameter_lb={fp.diameter_lb}")
     print(f"excess_lb={format_rat(fp.excess_lb)} limit={format_rat(fp.excess_limit)}")
     print(
@@ -172,40 +164,44 @@ def _write_polytope(poly: VPolytope, args) -> None:
 def _cmd_construct(args) -> int:
     if args.operation in ("product", "blend") and args.second is None:
         raise CliError(f"construct {args.operation} needs a second input polytope", 2)
-    try:
-        if args.operation == "ops":
-            poly = _load(args.input)
-            _write_polytope(one_point_suspension(poly, args.vertex), args)
-        elif args.operation == "push":
-            poly = _load(args.input)
-            _write_polytope(push_vertex(poly, args.vertex, seed=args.seed), args)
-        elif args.operation == "product":
-            p1 = _load(args.input)
-            p2 = _load(args.second)
-            _write_polytope(product(p1, p2), args)
-        elif args.operation == "blend":
-            p1 = _load(args.input)
-            p2 = _load(args.second)
-            bg = blend_graph(p1, args.v1, p2, args.v2)
-            print(
-                f"BLEND dim={bg.dim} facets={bg.facet_count} nodes={bg.n_nodes} "
-                f"diameter={bg.diameter()}"
-            )
-        elif args.operation == "dstep-iterate":
-            poly = _load(args.input)
-            pr = make_prismatoid(poly)
-            final, trace = strong_dstep_iterate(pr, args.steps, seed=args.seed)
-            for i, rec in enumerate(trace):
-                print(rec.line(i))
-            if args.out:
-                _write_polytope(final.polytope, args)
-        else:  # pragma: no cover - argparse restricts choices
-            raise CliError(f"unknown operation {args.operation}", 2)
-    except (ConstructionFailed, GeometryError, NotAVertex, NotAPrismatoid) as exc:
-        raise CliError(str(exc), 3)
-    except ValueError as exc:
-        raise CliError(str(exc), 2)
+    if args.operation == "ops":
+        poly = _load(args.input)
+        _write_polytope(one_point_suspension(poly, args.vertex), args)
+    elif args.operation == "push":
+        poly = _load(args.input)
+        _write_polytope(push_vertex(poly, args.vertex, seed=args.seed), args)
+    elif args.operation == "product":
+        p1 = _load(args.input)
+        p2 = _load(args.second)
+        _write_polytope(product(p1, p2), args)
+    elif args.operation == "blend":
+        p1 = _load(args.input)
+        p2 = _load(args.second)
+        bg = blend_graph(p1, args.v1, p2, args.v2)
+        print(
+            f"BLEND dim={bg.dim} facets={bg.facet_count} nodes={bg.n_nodes} "
+            f"diameter={bg.diameter()}"
+        )
+    elif args.operation == "dstep-iterate":
+        poly = _load(args.input)
+        pr = make_prismatoid(poly)
+        final, trace = strong_dstep_iterate(pr, args.steps, seed=args.seed)
+        for i, rec in enumerate(trace):
+            print(rec.line(i))
+        if args.out:
+            _write_polytope(final.polytope, args)
+    else:  # pragma: no cover - argparse restricts choices
+        raise CliError(f"unknown operation {args.operation}", 2)
     return 0
+
+
+# the first entry that matches decides: every kind but ConstructionFailed
+# is a ValueError, so the catch-all ValueError comes last
+_EXIT_CODES = (
+    (FormatError, 2),
+    ((ConstructionFailed, GeometryError, NotAVertex, NotAPrismatoid, VacuousFamily), 3),
+    (ValueError, 2),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -291,12 +287,9 @@ def main(argv=None) -> int:
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except FormatError as exc:
+    except (ValueError, ConstructionFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (GeometryError, NotAVertex, NotAPrismatoid) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 3
+        return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))
 
 
 if __name__ == "__main__":

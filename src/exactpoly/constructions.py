@@ -407,8 +407,6 @@ def blend_graph(
     p2: VPolytope,
     v2: int,
     facet_matching=None,
-    hull1: Optional[Hull] = None,
-    hull2: Optional[Hull] = None,
 ) -> BlendGraph:
     """Glue the vertex graphs at v1/v2: drop both vertices and join each
     neighbor of v1 to the neighbor of v2 leaving the matched facet.
@@ -420,10 +418,8 @@ def blend_graph(
     for poly, v in ((p1, v1), (p2, v2)):
         if not 0 <= v < poly.n_vertices:
             raise ValueError(f"vertex index {v} out of range")
-    if hull1 is None:
-        hull1 = facet_enumeration(p1)
-    if hull2 is None:
-        hull2 = facet_enumeration(p2)
+    hull1 = facet_enumeration(p1)
+    hull2 = facet_enumeration(p2)
     d = hull1.dim
     if hull2.dim != d:
         raise ValueError("blend requires equal dimensions")

@@ -141,15 +141,10 @@ def vertex_labels():
     return tuple(f"{i + 1}+" for i in range(24)) + tuple(f"{i + 1}-" for i in range(24))
 
 
-def vertices48(mutate: Optional[dict] = None) -> VPolytope:
-    """The 48 labeled vertices; `mutate` maps (vertex, coord) -> added int."""
+def vertices48() -> VPolytope:
+    """The 48 labeled vertices."""
     rows = [tuple(Rat(c) for c in p) + (Rat(1),) for p in _PLUS]
     rows += [tuple(Rat(c) for c in p) + (Rat(-1),) for p in _MINUS]
-    if mutate:
-        for (i, j), delta in mutate.items():
-            r = list(rows[i])
-            r[j] += delta
-            rows[i] = tuple(r)
     return VPolytope(tuple(rows), vertex_labels())
 
 
@@ -328,10 +323,9 @@ def base_swap_map() -> OrthMap:
     )
 
 
-def symmetry_groups(poly: Optional[VPolytope] = None):
-    """(full group of order 64, base-preserving subgroup of order 32)."""
-    if poly is None:
-        poly = vertices48()
+def symmetry_groups(poly: VPolytope):
+    """(full group of order 64, base-preserving subgroup of order 32) of
+    `poly`, the vertices of `vertices48()`."""
     gens_plus = []
     for axis in range(4):
         rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]

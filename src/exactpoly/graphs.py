@@ -19,11 +19,13 @@ class Graph:
     def edges(self):
         return tuple((a, b) for a in range(self.n) for b in self.adj[a] if a < b)
 
-    def bfs_distances(self, src: int):
-        """Distance array from src; -1 marks unreachable nodes."""
+    def bfs_distances(self, *sources: int):
+        """Distance array from the nearest of `sources`; -1 marks
+        unreachable nodes."""
         dist = [-1] * self.n
-        dist[src] = 0
-        queue = deque([src])
+        for src in sources:
+            dist[src] = 0
+        queue = deque(sources)
         while queue:
             v = queue.popleft()
             dv = dist[v]

@@ -11,7 +11,6 @@ The torus angles are floating point and feed the SVG plots only.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -132,34 +131,22 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
 # pair d-step property
 
 
-def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms=None):
-    """(has property, minimum facet-sequence length) for a pair of bases.
+def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms: MinkowskiSum):
+    """(has property, minimum facet-sequence length) for a pair of bases
+    and their Minkowski sum `ms`.
 
     The sequence runs in the dual graph of the Minkowski sum from facets
     whose first decomposition component is a facet of Q+ to those whose
     second is a facet of Q-; the pair property asks for length <= d - 1.
     """
-    if ms is None:
-        ms = minkowski_sum(qplus, qminus)
     dim_plus = affine_rank(qplus.vertices)
     dim_minus = affine_rank(qminus.vertices)
     start = [f for f, mf in enumerate(ms.facets) if mf.face_plus.dim == dim_plus - 1]
     end = {f for f, mf in enumerate(ms.facets) if mf.face_minus.dim == dim_minus - 1}
     if not start or not end:
         raise DegenerateInput("no facet has the required bi-dimension")
-    g = ms.graph
-    dist = {f: 0 for f in start}
-    queue = deque(start)
-    best = None
-    while queue:
-        f = queue.popleft()
-        if f in end:
-            best = dist[f]
-            break
-        for h in g.adj[f]:
-            if h not in dist:
-                dist[h] = dist[f] + 1
-                queue.append(h)
+    dist = ms.graph.bfs_distances(*start)
+    best = min((dist[f] for f in end if dist[f] >= 0), default=None)
     if best is None:
         raise DegenerateInput("no dual path between the base-adjacent facets")
     min_facets = best + 1
@@ -281,15 +268,11 @@ def torus_project(p):
     return (math.atan2(x2, x1) % tau, math.atan2(x4, x3) % tau)
 
 
-def torus_membership_check(points, square1=26, square2=5) -> Report:
+def torus_membership_check(points) -> Report:
     rep = Report("torus membership")
-    bad = [
-        p
-        for p in points
-        if p[0] * p[0] + p[1] * p[1] != square1 or p[2] * p[2] + p[3] * p[3] != square2
-    ]
+    bad = [p for p in points if p[0] * p[0] + p[1] * p[1] != 26 or p[2] * p[2] + p[3] * p[3] != 5]
     rep.add(
-        f"x1^2+x2^2={square1} and x3^2+x4^2={square2}",
+        "x1^2+x2^2=26 and x3^2+x4^2=5",
         not bad,
         f"{len(points) - len(bad)}/{len(points)}",
     )

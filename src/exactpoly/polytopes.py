@@ -5,10 +5,11 @@ by linear functional.
 The enumerator is `HullBuilder`, an incremental hull in exact integer
 arithmetic.  Non-full-dimensional input of affine dimension k is projected
 onto k of its coordinates, chosen to be one-to-one on its affine hull, whose
-equality constraints are reported separately.  Each point is kept in
-homogeneous integer form: its numerators over its own positive denominator.
-A facet is a primitive integer row at the input's scale (see `HPolytope`),
-with the mask of its tight points.
+equality constraints are reported separately.  Each point p is kept as the
+integer vector (-w p, w), w the lcm of its denominators, and each facet as
+its primitive `HPolytope` row (a, b) with the mask of its tight points, so
+a row meets a point in w times its slack b - a . p and the builder's rows
+are the hull's rows.
 Points are inserted in input order after a starting simplex is chosen
 greedily, each by one double-description step (Fukuda & Prodon 1996,
 "Double description method revisited"): two facets meet in a ridge iff no
@@ -20,22 +21,24 @@ visible facet lists once the facets meeting it in at least k-1 points
 come from that list.  A point on existing facet hyperplanes
 extends those facets' incidence.  The builder copies cheaply, so the
 perturbation searches build the hull of their fixed points once and insert
-one moved point per candidate.  Every hull that is returned has passed the
-self-verification pass: no repeated facet or point, every point against
-every facet with exact incidence, and the rank of every facet's tight
-points.  The points are packed into one big integer per coordinate, so each
-facet meets all of them in a few integer operations.  The rank is proved
-from that incidence, as a certificate in the sense of McConnell, Mehlhorn,
-Naeher & Schweitzer 2011 ("Certifying algorithms"): dim tight points t_i
-and dim rows g_i of exactly verified incidence, g_i tight at t_1..t_(i-1)
-but not at t_i, make the matrix (g_i . t_j) triangular with a nonzero
-diagonal, so the tight points have rank at least dim, and a nonzero row
-tight at all of them bounds it by dim.  An elimination runs only when no
-such certificate is found.  The pass is incremental in a copy: the rows of
-the builder it came from are verified once against that builder's points,
-and a row the copy carried unchanged over the same point objects needs
-only the inserted points checked.  Output facets are sorted as rows, so
-every run is bit-reproducible.
+one moved point per candidate.
+
+Every hull that is returned has passed one routine, `HullBuilder._verify`:
+no repeated facet, every point against every facet with exact incidence,
+and the rank of every facet's tight points.  The points are packed into one
+big integer per coordinate, so each facet meets all of them in a few
+integer operations.  The rank is proved from that incidence, as a
+certificate in the sense of McConnell, Mehlhorn, Naeher & Schweitzer 2011
+("Certifying algorithms"): dim tight points t_i and dim rows g_i of exactly
+verified incidence, g_i tight at t_1..t_(i-1) but not at t_i, make the
+matrix (g_i . t_j) triangular with a nonzero diagonal, so the tight points
+have rank at least dim, and a nonzero row tight at all of them bounds it by
+dim.  An elimination runs only when no such certificate is found.  The same
+routine checks every row of the builder a copy came from, once, against
+that builder's points; a builder that fails makes every copy's hull raise,
+and a row the copy carried unchanged over the same point objects needs only
+the inserted points checked.  Output facets are sorted as rows, so every
+run is bit-reproducible.
 
 Vertices are certified by a face test, not by elimination: the facets
 through a point meet in the smallest face containing it (every face is the
@@ -188,9 +191,10 @@ def _affine_basis(points):
 
 
 def _homogeneous(p):
-    """(w, w p_1, ..., w p_k) in `int`, w the lcm of the denominators of p."""
+    """(-w p_1, ..., -w p_k, w) in `int`, w the lcm of the denominators of p,
+    so that a row (a, b) meets it in w (b - a . p)."""
     w = common_denominator(p)
-    return (w,) + tuple(v.numerator * (w // v.denominator) for v in p)
+    return tuple(-v.numerator * (w // v.denominator) for v in p) + (w,)
 
 
 def _primitive(row):
@@ -285,28 +289,22 @@ class HullBuilder:
     """Incremental hull of full-dimensional points, one double-description
     step per inserted point.
 
-    Slot i holds point i in homogeneous integer form q = (w, w p) with w > 0,
-    or None until `insert(i, p)` fills it; bit i of a facet mask means point i
-    is tight.  A facet `a . x <= b` is kept as the primitive integer row
-    h = (b, -a), so h . q is w times the slack of p: each point keeps its own
-    denominator, and a point with new denominators inserts without rescaling
-    the rest.  `copy()` is cheap, so a search can build the hull of its fixed
-    points once and insert one moved point per candidate.
+    Slot i holds point i as q = (-w p, w) with w > 0 the lcm of its
+    denominators, or None until `insert(i, p)` fills it; bit i of a facet
+    mask means point i is tight.  A facet is its `HPolytope` row h = (a, b),
+    which meets q in h . q = w (b - a . p), w times the slack of p: each point
+    keeps its own denominator, and a point with new denominators inserts
+    without rescaling the rest.  `copy()` is cheap, so a search can build the
+    hull of its fixed points once and insert one moved point per candidate.
 
-    A copy records the builder it came from, its base.  The first `hull()`
-    of a copy verifies the base's rows once against the base's own points,
-    and keeps in the base's `verified` those points with the (row, mask)
-    pairs that passed.  A row of a copy
-    whose pair, less the bits of the slots filled since, passed there needs
-    only the points in those slots checked, provided every other slot holds
-    the very point object the base held; every other row gets the full check.
-
-    A checked row's rank is proved by a triangular certificate (see
-    `_triangular_certificate`) whose witnesses are rows whose incidence the
-    same pass verified exactly: in `hull()` every row, after the carried
-    rows' inserted-point check and the others' `_tight_masks`, and in
-    `_verified_pairs` the base rows whose incidence passed.  Only without a
-    certificate does an elimination decide.
+    Every check lives in `_verify`.  A copy records the builder it came
+    from, its base.  The first `hull()` of a copy verifies every row of the
+    base against the base's own points, and keeps them with the base's
+    (row, mask) pairs in the base's `verified`; a base that fails makes the
+    `hull()` of each of its copies raise.  A row of a copy whose pair, less
+    the bits of the slots filled since, is one of the base's needs only the
+    points in those slots checked, provided every other slot holds the very
+    point object the base held; every other row gets the full check.
     """
 
     __slots__ = ("dim", "points", "rows", "masks", "base", "verified")
@@ -410,72 +408,73 @@ class HullBuilder:
         self.rows = [h for f, h in enumerate(rows) if f not in gone] + new_rows
         self.masks = [m for f, m in enumerate(masks) if f not in gone] + new_masks
 
-    def _spans_hyperplane(self, h, fmask, vmasks, everyone, pts) -> bool:
-        """Whether the points of `fmask`, all tight at the row h, have rank
-        `dim`.  A nonzero h bounds the rank by `dim` from above, and a
-        triangular certificate over the witnesses `vmasks` (see
-        `_triangular_certificate`) bounds it from below; without both,
-        `matrix_rank` decides."""
-        if any(h) and _triangular_certificate(fmask, vmasks, everyone, self.dim):
-            return True
-        return matrix_rank([pts[j] for j in iter_bits(fmask)]) == self.dim
+    def _verify(self, pts, pairs, unchecked, empty) -> FacetIncidence:
+        """The incidence of the (row, mask) `pairs`, after checking that
+        their rows are distinct and that each pair of `unchecked` is exact
+        against `pts` (see `_incidence_failures` for `empty`) and has tight
+        points of rank `dim`; raises DegenerateInput naming the first check
+        that fails.  The caller has verified the incidence of the other
+        pairs.
+
+        Every pair's incidence is exact before any rank is checked, so every
+        row is a witness of the triangular certificates (see
+        `_triangular_certificate`), which bound the rank from below; a
+        nonzero row bounds it by `dim` from above.  Only without both does
+        `matrix_rank` decide."""
+        if len({h for h, _ in pairs}) != len(pairs):
+            raise DegenerateInput("hull verification failed: repeated facet")
+        for failure in _incidence_failures(pts, unchecked, empty):
+            if failure is not None:
+                raise DegenerateInput(f"hull verification failed: {failure}")
+        incidence = FacetIncidence([m for _, m in pairs], len(pts))
+        everyone = (1 << len(pairs)) - 1
+        for h, fmask in unchecked:
+            if any(h) and _triangular_certificate(fmask, incidence.vertex_masks, everyone, self.dim):
+                continue
+            if matrix_rank([pts[j] for j in iter_bits(fmask)]) != self.dim:
+                raise DegenerateInput("hull verification failed: facet rank")
+        return incidence
 
     def _verified_pairs(self):
-        """(points, the (row, mask) pairs that pass the checks of `hull()`
-        against them, an empty slot packed as the zero vector), computed on
-        the first call and kept: the facts stay true when this builder
-        changes later, since they name the points they hold for.  With a
-        repeated row no pair is kept."""
+        """(points, the set of (row, mask) pairs), after `_verify` has
+        passed every pair against the points, an empty slot packed as the
+        zero vector.  Computed on the first call and kept: the facts stay
+        true when this builder changes later, since they name the points
+        they hold for.  A builder that fails raises on every call."""
         if self.verified is None:
             pts = tuple(self.points)
-            passed = set()
-            if len(set(self.rows)) == len(self.rows):
-                zero = (0,) * (self.dim + 1)
-                empty = bits(i for i, q in enumerate(pts) if q is None)
-                packed = [zero if q is None else q for q in pts]
-                pairs = list(zip(self.rows, self.masks))
-                exact = [
-                    pair
-                    for pair, failure in zip(pairs, _incidence_failures(packed, pairs, empty))
-                    if failure is None
-                ]
-                vmasks = FacetIncidence([m for _, m in exact], len(pts)).vertex_masks
-                everyone = (1 << len(exact)) - 1
-                passed = {
-                    (h, m) for h, m in exact if self._spans_hyperplane(h, m, vmasks, everyone, packed)
-                }
-            self.verified = (pts, passed)
+            zero = (0,) * (self.dim + 1)
+            empty = bits(i for i, q in enumerate(pts) if q is None)
+            pairs = list(zip(self.rows, self.masks))
+            self._verify([zero if q is None else q for q in pts], pairs, pairs, empty)
+            self.verified = (pts, set(pairs))
         return self.verified
 
     def hull(self) -> Hull:
-        """The hull, after the verification pass: no repeated facet,
-        every point inside every facet with exactly the recorded incidence,
-        and the tight points of every facet spanning a hyperplane.
+        """The hull, after `_verify`: no repeated facet, every point inside
+        every facet with exactly the recorded incidence, and the tight
+        points of every facet spanning a hyperplane.  The builder's rows are
+        the hull's rows, sorted with their masks.
 
         In a copy, a row that passed on the base with the same mask outside
         the slots filled since needs only those slots' points checked: the
         slack at each is >= 0, and 0 iff its bit is set.  Tight points added
-        to a set of rank `dim` on the row's hyperplane keep that rank.
-
-        Every row's incidence is checked before any rank, so every row is a
-        witness of the rank certificates, read through the returned
-        incidence's `vertex_masks`, which the vertex test reuses.
-        `matrix_rank` runs only for a row without a certificate."""
+        to a set of rank `dim` on the row's hyperplane keep that rank.  The
+        returned incidence's `vertex_masks`, which the rank certificates
+        read, are reused by the vertex test."""
         pts = self.points
         if None in pts:
             raise ValueError(f"hull slot {pts.index(None)} is empty")
         _check_duplicates(pts)
-        rows, masks = self.rows, self.masks
-        if len(set(rows)) != len(rows):
-            raise DegenerateInput("hull verification failed: repeated facet")
-        unchecked = list(zip(rows, masks))
+        pairs = sorted(zip(self.rows, self.masks))
+        unchecked = pairs
         if self.base is not None:
             fixed, passed = self.base._verified_pairs()
             if all(p is None or p is q for p, q in zip(fixed, pts)):
                 added = [(i, pts[i]) for i, p in enumerate(fixed) if p is None]
                 new = bits(i for i, _ in added)
                 unchecked = []
-                for h, fmask in zip(rows, masks):
+                for h, fmask in pairs:
                     if (h, fmask & ~new) not in passed:
                         unchecked.append((h, fmask))
                         continue
@@ -485,17 +484,8 @@ class HullBuilder:
                             raise DegenerateInput("hull verification failed: point outside facet")
                         if (s == 0) != bool(fmask >> i & 1):
                             raise DegenerateInput("hull verification failed: incidence mismatch")
-        for failure in _incidence_failures(pts, unchecked):
-            if failure is not None:
-                raise DegenerateInput(f"hull verification failed: {failure}")
-        facets = [(tuple(-v for v in h[1:]) + (h[0],), fmask) for h, fmask in zip(rows, masks)]
-        facets.sort()  # the rows are distinct, so this sorts by row
-        incidence = FacetIncidence([t[1] for t in facets], len(pts))
-        everyone = (1 << len(facets)) - 1
-        for h, fmask in unchecked:
-            if not self._spans_hyperplane(h, fmask, incidence.vertex_masks, everyone, pts):
-                raise DegenerateInput("hull verification failed: facet rank")
-        return Hull(HPolytope(self.dim, tuple(t[0] for t in facets)), incidence, self.dim)
+        incidence = self._verify(pts, pairs, unchecked, empty=0)
+        return Hull(HPolytope(self.dim, tuple(h for h, _ in pairs)), incidence, self.dim)
 
 
 def facet_enumeration(poly: VPolytope) -> Hull:

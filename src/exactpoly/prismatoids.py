@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .graphs import Graph
 from .polytopes import (
     Hull,
     VPolytope,
@@ -34,6 +33,20 @@ def _parallel(q1, q2) -> bool:
         return False
     r = Rat(c2[i], c1[i])
     return all(c2[j] == r * c1[j] for j in range(len(c1)))
+
+
+def _complementary_pairs(masks, full):
+    """Pairs (a, b), a < b, in lexicographic order, whose masks are
+    disjoint with union `full`.  Each a is paired with the first index that
+    holds the mask it needs, so every such pair comes when the masks are
+    distinct, and the first pair always does."""
+    first = {}
+    for i, m in enumerate(masks):
+        first.setdefault(m, i)
+    for a, m in enumerate(masks):
+        b = first.get(full ^ m)
+        if b is not None and b > a:
+            yield a, b
 
 
 @dataclass(frozen=True)
@@ -74,8 +87,9 @@ def make_prismatoid(
 ) -> Prismatoid:
     """Verify the prismatoid structure; auto-detect base facets if not given.
 
-    Auto-detection scans facet pairs in lexicographic order and picks the
-    first parallel pair whose incidence covers every vertex.
+    Auto-detection picks, in lexicographic order, the first parallel pair
+    of facets whose incidences split the vertices, looking each facet's
+    partner up by its mask.
     """
     if hull is None:
         hull = facet_enumeration(poly)
@@ -83,19 +97,15 @@ def make_prismatoid(
     inc = hull.incidence
     full = (1 << poly.n_vertices) - 1
     if base_plus is None or base_minus is None:
-        found = None
-        m = inc.n_facets
-        for a in range(m):
-            for b in range(a + 1, m):
-                if inc.facet_masks[a] | inc.facet_masks[b] != full:
-                    continue
-                if inc.facet_masks[a] & inc.facet_masks[b]:
-                    continue
-                if _parallel(hull.hrep.inequalities[a], hull.hrep.inequalities[b]):
-                    found = (a, b)
-                    break
-            if found:
-                break
+        rows = hull.hrep.inequalities
+        found = next(
+            (
+                (a, b)
+                for a, b in _complementary_pairs(inc.facet_masks, full)
+                if _parallel(rows[a], rows[b])
+            ),
+            None,
+        )
         if not found:
             raise NotAPrismatoid("no parallel facet pair covers all vertices")
         base_plus, base_minus = found
@@ -111,26 +121,17 @@ def make_prismatoid(
     return Prismatoid(poly, hull, base_plus, base_minus)
 
 
-def width(pr: Prismatoid, graph: Optional[Graph] = None) -> int:
+def width(pr: Prismatoid) -> int:
     """Dual-graph distance between the two base facets."""
-    if graph is None:
-        graph = dual_graph(pr.polytope, pr.hull)
-    return graph.distance(pr.base_plus, pr.base_minus)
+    return dual_graph(pr.polytope, pr.hull).distance(pr.base_plus, pr.base_minus)
 
 
-def is_spindle(poly: VPolytope, hull: Optional[Hull] = None):
+def is_spindle(poly: VPolytope, hull: Hull):
     """First vertex pair (u, v) such that every facet contains exactly one,
     with their vertex-graph distance; None if the polytope is not a spindle."""
-    if hull is None:
-        hull = facet_enumeration(poly)
     inc = hull.incidence
-    n = poly.n_vertices
-    all_facets = (1 << inc.n_facets) - 1
-    vmasks = inc.vertex_masks
-    for u in range(n):
-        mu = vmasks[u]
-        for v in range(u + 1, n):
-            if mu & vmasks[v] == 0 and mu | vmasks[v] == all_facets:
-                g = vertex_graph(poly, hull)
-                return u, v, g.distance(u, v)
-    return None
+    pair = next(_complementary_pairs(inc.vertex_masks, (1 << inc.n_facets) - 1), None)
+    if pair is None:
+        return None
+    u, v = pair
+    return u, v, vertex_graph(poly, hull).distance(u, v)

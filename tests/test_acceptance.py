@@ -20,7 +20,7 @@ from exactpoly.counterexample import (
     check_width,
     symmetry_groups,
 )
-from exactpoly.normalfans import pair_dstep_property
+from exactpoly.normalfans import minkowski_sum, pair_dstep_property
 from exactpoly.polytopes import VPolytope, certify_vertices, polar
 from exactpoly.prismatoids import width
 from exactpoly.rationals import Rat, primitive_ints
@@ -159,7 +159,7 @@ def test_09d_pair_dstep_equivalence():
         d = rng.choice((3, 4))
         pr, top, bot = random_prismatoid(rng, d, 7)
         w = width(pr)
-        has, min_facets = pair_dstep_property(top, bot, d)
+        has, min_facets = pair_dstep_property(top, bot, d, ms=minkowski_sum(top, bot))
         assert w == min_facets + 1
         assert has == (w <= d)
         assert has, f"dimension-{d} prismatoid without the d-step property?!"

@@ -478,6 +478,21 @@ class TestExitCodes:
         assert done.stderr == f"error: --svg-size must be positive, not {size}\n"
         assert not (tmp_path / "maps.svg").exists()
 
+    @pytest.mark.parametrize(
+        "command, engine",
+        [("hull", "facet_enumeration"), ("width", "width"), ("diameter", "vertex_graph"), ("polar", "polar")],
+    )
+    def test_bare_value_error_is_usage_error(self, tmp_path, monkeypatch, capsys, command, engine):
+        # a ValueError of no kind the table names falls through to exit 2
+        def broken(*args):
+            raise ValueError("broken engine")
+
+        monkeypatch.setattr(cli, engine, broken)
+        src = tmp_path / "cube.poly"
+        src.write_text(cube_text())
+        assert main([command, str(src)]) == 2
+        assert capsys.readouterr().err == "error: broken engine\n"
+
 
 class TestUnwritableOutput:
     """An output path that cannot be written ends with exit 2 and one

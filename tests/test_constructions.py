@@ -170,7 +170,7 @@ class TestPushVertex:
         fixed = _fixed_builder(q48, 3)
         _, old_hull = _moved(q48, 3, q48.vertices[3], fixed)
         h = fixed.rows[0]
-        fixed.rows[0] = (h[0] + 1,) + h[1:]
+        fixed.rows[0] = h[:-1] + (h[-1] + 1,)
         with pytest.raises(DegenerateInput, match="hull verification failed"):
             _push(q48, 3, fixed, old_hull, None, 1, None, 16)
 

@@ -237,14 +237,14 @@ class TestDualGraphStructure:
             got = {str(q48_labels[g]) for g in q48_dual.adj[by_label[name]]}
             assert got == set(wanted)
 
-    def test_width_is_six(self, q48_pr, q48_dual):
-        assert width(q48_pr, q48_dual) == 6
+    def test_width_is_six(self, q48_pr):
+        assert width(q48_pr) == 6
 
     def test_width_report(self, certificate):
         assert_report(check_width(certificate))
 
-    def test_no_dstep_property(self, q48_pr, q48_dual):
-        assert width(q48_pr, q48_dual) > q48_pr.dim
+    def test_no_dstep_property(self, q48_pr):
+        assert width(q48_pr) > q48_pr.dim
 
     def test_quotient_report(self, certificate):
         assert_report(check_orbit_quotient(certificate))
@@ -326,7 +326,10 @@ class TestMutation:
         ids=["cell0", "cell1", "cell2", "duplicate-vertex"],
     )
     def test_single_coordinate_mutations_fail(self, cell, delta):
-        mutated = vertices48(mutate={cell: delta})
+        q48 = vertices48()
+        (i, j), rows = cell, list(q48.vertices)
+        rows[i] = rows[i][:j] + (rows[i][j] + delta,) + rows[i][j + 1:]
+        mutated = VPolytope(tuple(rows), q48.labels)
         rep = verify_quick(mutated)
         assert not rep.passed
 

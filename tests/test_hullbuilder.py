@@ -239,6 +239,28 @@ def test_dual_graph_matches_reference_on_suspensions(pts, data):
     assert dual_graph(susp, hull).edges == reference_dual_graph_edges(susp, hull)
 
 
+@settings(max_examples=60, deadline=None)
+@given(point_sets(), st.data())
+def test_builder_rows_are_the_hull_rows(pts, data):
+    """A builder keeps each facet as its HPOLY row (a, b), and point p as
+    (-w p, w) with w > 0, so a row meets it in w (b - a . p)."""
+    v = data.draw(st.integers(0, len(pts) - 1))
+    slots = list(pts)
+    slots[v] = None
+    try:
+        builder = HullBuilder(slots).copy()
+    except DegenerateInput:
+        return
+    builder.insert(v, pts[v])
+    hull = builder.hull()
+    assert set(builder.rows) == set(hull.hrep.inequalities)
+    for p, q in zip(pts, builder.points):
+        w = q[-1]
+        assert w > 0 and all(Fraction(-c, w) == x for c, x in zip(q, p))
+        for h in builder.rows:
+            assert sum(a * b for a, b in zip(h, q)) == w * (h[-1] - sum(a * x for a, x in zip(h, p)))
+
+
 def test_builder_refuses_bad_use():
     square = [(0, 0), (1, 0), (0, 1), None]
     with pytest.raises(DegenerateInput, match="not full-dimensional"):
@@ -365,7 +387,7 @@ def test_corrupted_copy_raises(f, point, how):
         twin.masks[f] ^= 1 << point
     else:
         h = twin.rows[f]
-        twin.rows[f] = (h[0] + (1 if how == "offset+" else -1),) + h[1:]
+        twin.rows[f] = h[:-1] + (h[-1] + (1 if how == "offset+" else -1),)
     with pytest.raises(DegenerateInput, match="hull verification failed"):
         twin.hull()
     # the original is untouched by the corruption of its copy
@@ -381,7 +403,7 @@ def _supporting_row(pts, point, axis, how):
         a[axis] = 0
     b = sum(map(abs, a))
     tight = bits(i for i, p in enumerate(pts) if sum(x * y for x, y in zip(a, p)) == b)
-    return (b,) + tuple(-v for v in a), tight
+    return tuple(a) + (b,), tight
 
 
 @settings(max_examples=80, deadline=None)
@@ -402,7 +424,7 @@ def test_rank_proofs_of_a_twin_never_vouch_for_a_corrupted_copy(f, point, how):
         bad.masks[f] ^= 1 << point
     elif how.startswith("offset"):
         h = bad.rows[f]
-        bad.rows[f] = (h[0] + (1 if how == "offset+" else -1),) + h[1:]
+        bad.rows[f] = h[:-1] + (h[-1] + (1 if how == "offset+" else -1),)
     else:
         row, tight = _supporting_row(pts, point, f % 3, how)
         bad.rows.append(row)
@@ -449,7 +471,8 @@ def test_carried_row_with_wrong_slack_at_the_inserted_point_raises(v, where):
     # the inserted point moves off the three facets whose masks say it is
     # tight: to half its position (slack > 0) or to twice it (slack < 0)
     pts, _, twin = _cube_insertion(v)
-    twin.points[v] = (2,) + pts[v] if where == "inside" else (1,) + tuple(2 * c for c in pts[v])
+    scale, w = (1, 2) if where == "inside" else (2, 1)
+    twin.points[v] = tuple(-scale * c for c in pts[v]) + (w,)
     failure = "incidence mismatch" if where == "inside" else "point outside facet"
     with pytest.raises(DegenerateInput, match=f"hull verification failed: {failure}"):
         twin.hull()
@@ -471,7 +494,7 @@ def test_copy_whose_fixed_point_was_replaced_gets_the_full_check(v, j, k, how):
     j = others[j]
     k = [i for i in others if i != j][k]
     if how == "moved":
-        twin.points[j] = (2,) + pts[j]
+        twin.points[j] = tuple(-c for c in pts[j]) + (2,)
     elif how == "swapped":
         twin.points[j], twin.points[k] = tuple(list(twin.points[k])), tuple(list(twin.points[j]))
     else:
@@ -485,23 +508,19 @@ def test_copy_whose_fixed_point_was_replaced_gets_the_full_check(v, j, k, how):
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 6), st.sampled_from(("mask", "offset+", "offset-")))
 def test_corrupted_fixed_builder_is_never_vouched_for(v, f, how):
-    # the builder's own rows are corrupted before any copy is verified: a
-    # copy raises, or returns the cube's hull when its insertion happened
-    # to remove the corrupted row
+    # the builder's own rows are corrupted before any copy is verified:
+    # every copy raises, also one whose insertion removed the corrupted row
     pts, fixed, _ = _cube_insertion(v)
     if how == "mask":
         fixed.masks[f] ^= 1 << (v + 1 + f) % 8
     else:
         h = fixed.rows[f]
-        fixed.rows[f] = (h[0] + (1 if how == "offset+" else -1),) + h[1:]
-    twin = fixed.copy()
-    try:
-        twin.insert(v, pts[v])
-        got = twin.hull()
-    except DegenerateInput as exc:
-        assert "hull verification failed" in str(exc)
-        return
-    _same_hull(got, facet_enumeration(VPolytope(tuple(pts))))
+        fixed.rows[f] = h[:-1] + (h[-1] + (1 if how == "offset+" else -1),)
+    for point in (pts[v], tuple(2 * c for c in pts[v])):
+        twin = fixed.copy()
+        twin.insert(v, point)
+        with pytest.raises(DegenerateInput, match="hull verification failed"):
+            twin.hull()
 
 
 def test_rank_proofs_are_keyed_by_points_not_slots():
@@ -513,7 +532,7 @@ def test_rank_proofs_are_keyed_by_points_not_slots():
     fixed = HullBuilder(pts + [None])
     above = fixed.copy()
     above.insert(8, (0, 0, 2))
-    row = (2, 0, -1, -1)
+    row = (0, 1, 1, 2)
     assert row in above.rows and above.masks[above.rows.index(row)] == bits([6, 7, 8])
     above.hull()
     on_edge = fixed.copy()
@@ -528,7 +547,7 @@ def test_supporting_hyperplane_of_a_vertex_fails_facet_rank():
     # x + y + z <= 3 touches the cube in one vertex: valid and incidence
     # exact, but not a facet
     pts, builder = _cube_builder()
-    builder.rows.append((3, -1, -1, -1))
+    builder.rows.append((1, 1, 1, 3))
     builder.masks.append(bits([pts.index((1, 1, 1))]))
     with pytest.raises(DegenerateInput, match="facet rank"):
         builder.hull()
@@ -568,12 +587,11 @@ def test_push_verifies_every_candidate(monkeypatch):
 @contextlib.contextmanager
 def _eliminations():
     """The sizes of the eliminations the rank check falls back to while the
-    block runs: the calls of `matrix_rank` made by
-    `HullBuilder._spans_hyperplane`, counted by wrapping the name the
-    engine looks up."""
+    block runs: the calls of `matrix_rank` made by `HullBuilder._verify`,
+    counted by wrapping the name the engine looks up."""
     calls = []
     rank = polytopes.matrix_rank
-    spans = HullBuilder._spans_hyperplane.__code__
+    spans = HullBuilder._verify.__code__
 
     def counting(rows):
         if sys._getframe(1).f_code is spans:
@@ -647,7 +665,7 @@ def test_elimination_decides_only_without_a_certificate():
     with _eliminations() as calls:
         builder.hull()
     assert calls == []
-    builder.rows.append((3, -1, -1, -1))
+    builder.rows.append((1, 1, 1, 3))
     builder.masks.append(bits([pts.index((1, 1, 1))]))
     with _eliminations() as calls, pytest.raises(DegenerateInput, match="facet rank"):
         builder.hull()

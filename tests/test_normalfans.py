@@ -148,14 +148,14 @@ class TestPairDStep:
         assert not has
         assert min_facets == 5
 
-    def test_consistent_with_width(self, q48_pr, q48_dual, qplus, qminus, base_sum):
+    def test_consistent_with_width(self, q48_pr, qplus, qminus, base_sum):
         _, min_facets = pair_dstep_property(qplus, qminus, 5, ms=base_sum)
-        assert width(q48_pr, q48_dual) == min_facets + 1
+        assert width(q48_pr) == min_facets + 1
 
     def test_two_squares(self):
         a = VPolytope((pt(0, 0), pt(3, 1), pt(4, 4), pt(1, 3)))
         b = VPolytope((pt(0, 0), pt(2, -1), pt(5, 1), pt(1, 2)))
-        has, min_facets = pair_dstep_property(a, b, 3)
+        has, min_facets = pair_dstep_property(a, b, 3, ms=minkowski_sum(a, b))
         assert has
         assert min_facets <= 2
 
@@ -168,7 +168,7 @@ class TestPairDStep:
             d = rng.choice((3, 4))
             pr, top, bot = random_prismatoid(rng, d, 7)
             w = width(pr)
-            has, min_facets = pair_dstep_property(top, bot, d)
+            has, min_facets = pair_dstep_property(top, bot, d, ms=minkowski_sum(top, bot))
             assert w == min_facets + 1
             assert has == (w <= d)
             assert has
