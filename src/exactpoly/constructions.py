@@ -15,7 +15,6 @@ from .geometry import DegenerateInput, dot, smul, vadd, vsub
 from .graphs import Graph
 from .polytopes import (
     DuplicatePoints,
-    Hull,
     HullBuilder,
     NotAVertex,
     VPolytope,
@@ -75,33 +74,6 @@ def one_point_suspension(poly: VPolytope, v: int) -> VPolytope:
         lbl = poly.labels[v]
         labels = tuple(poly.labels[i] for i in rest) + (f"u({lbl})", f"w({lbl})")
     return VPolytope(tuple(verts), labels)
-
-
-def suspension_facet_map(poly: VPolytope, hull: Hull, v: int):
-    """Expected facet vertex sets of the suspension, keyed by mask.
-
-    Facets come in two kinds: the suspension of each facet through v, and a
-    pyramid over each facet avoiding v with apex u or w.  Returns
-    (S, hull_S, mapping) where mapping[new_facet_mask] = (old_facet, kind)
-    with kind in {"s", "u", "w"}; raises if the enumerated facets differ.
-    """
-    S = one_point_suspension(poly, v)
-    u_bit, w_bit = 1 << (S.n_vertices - 2), 1 << (S.n_vertices - 1)
-    expected = {}
-    inc = hull.incidence
-    for f in range(inc.n_facets):
-        m = inc.facet_masks[f]
-        new = bits(j - (j > v) for j in iter_bits(m) if j != v)
-        if m >> v & 1:
-            expected[new | u_bit | w_bit] = (f, "s")
-        else:
-            expected[new | u_bit] = (f, "u")
-            expected[new | w_bit] = (f, "w")
-    hull_S = facet_enumeration(S)
-    got = set(hull_S.incidence.facet_masks)
-    if got != set(expected):
-        raise ConstructionFailed("suspension facets do not match the expected pattern")
-    return S, hull_S, expected
 
 
 # ---------------------------------------------------------------------------
@@ -422,10 +394,10 @@ def blend_graph(
     hull2 = facet_enumeration(p2)
     d = hull1.dim
     if hull2.dim != d:
-        raise ValueError("blend requires equal dimensions")
+        raise DegenerateInput("blend requires equal dimensions")
     for poly, hull in ((p1, hull1), (p2, hull2)):
         if not all(m.bit_count() == d for m in hull.incidence.vertex_masks):
-            raise ValueError("blend requires simple polytopes")
+            raise DegenerateInput("blend requires simple polytopes")
     f1 = hull1.incidence.facets_of(v1)
     f2 = hull2.incidence.facets_of(v2)
     if facet_matching is None:

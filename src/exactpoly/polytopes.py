@@ -43,9 +43,11 @@ run is bit-reproducible.
 Vertices are certified by a face test, not by elimination: the facets
 through a point meet in the smallest face containing it (every face is the
 intersection of the facets that contain it), so the point is a vertex iff
-the AND of their masks is its own bit.  The dual graph tests a facet only
-against the facets that lack at most |F| - (k-1) of its points, counted
-over the per-point facet masks, not against all others.
+the AND of their masks is its own bit.  One routine, `_adjacency`, builds
+the dual graph from the facets' side of the incidence and the vertex graph
+from the points' side.  It tests a member only against those that share at
+least k-1 of its elements, counted over the transposed masks, or found by
+one pass over the masks when counting would cost more.
 """
 from __future__ import annotations
 
@@ -566,46 +568,54 @@ def extreme_indices(poly: VPolytope, hull: Hull):
     return tuple(i for i, face in enumerate(_smallest_faces(hull)) if face == 1 << i)
 
 
-def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
-    """Facets sharing a ridge: a and b are adjacent iff the facets holding
-    all their common points are exactly a and b (the combinatorial test of
-    the double description method, read through the transposed incidence).
+def _adjacency(masks, tmasks, k) -> Graph:
+    """Members a < b of one side of an incidence, joined iff the members
+    holding all their common elements are exactly a and b (the combinatorial
+    test of the double description method); masks[a] is member a's mask over
+    the elements, tmasks[j] element j's mask over the members.  Facets over
+    points give the dual graph, points over facets the vertex graph.  With k
+    the dimension, a ridge holds at least k-1 points and an edge lies in at
+    least k-1 facets, so a is tested only against the b sharing at least k-1
+    elements with it.
 
-    Only facets that share at least k-1 points with a are tested against
-    it.  They are the facets lacking at most |F_a| - (k-1) of a's points,
-    counted over the transposed incidence with a few big-integer operations
-    per point of a, so the work follows the degrees, not the m^2 pairs.
-    The union of the facets through a's points would not do: in a
-    prismatoid a base vertex lies on most facets, so it holds nearly all."""
-    k = hull.dim
-    inc = hull.incidence
-    m = inc.n_facets
-    masks = inc.facet_masks
-    vmasks = inc.vertex_masks
+    Those lack at most |a| - (k-1) of a's elements, counted over `tmasks`
+    with a few big-integer operations per element of a, so the work follows
+    the degrees, not the m^2 pairs; when that would cost more than one pass
+    over `masks` (a vertex of a lift lies on up to half of its facets), the
+    pass is taken.  The union of the members through a's elements would not
+    do: in a prismatoid a base vertex lies on most facets."""
+    m = len(masks)
     everyone = (1 << m) - 1
     edges = []
-    for a in range(m):
-        ma = masks[a]
-        spare = ma.bit_count() - (k - 1)
-        # miss[i]: the facets that lack exactly i of a's points seen so far;
-        # a facet that lacks more than `spare` of them drops out
-        miss = [everyone] + [0] * spare
-        for j in iter_bits(ma):
-            has = vmasks[j]
-            for i in range(spare, 0, -1):
-                miss[i] = (miss[i] & has) | (miss[i - 1] & ~has)
-            miss[0] &= has
-        near = 0
-        for x in miss:
-            near |= x
+    for a, ma in enumerate(masks):
+        size = ma.bit_count()
+        spare = size - (k - 1)
+        if spare < 0:
+            continue
+        if size * spare < m:
+            # miss[i]: the members that lack exactly i of a's elements seen
+            # so far; a member that lacks more than `spare` of them drops out
+            miss = [everyone] + [0] * spare
+            for j in iter_bits(ma):
+                has = tmasks[j]
+                for i in range(spare, 0, -1):
+                    miss[i] = (miss[i] & has) | (miss[i - 1] & ~has)
+                miss[0] &= has
+            near = 0
+            for x in miss:
+                near |= x
+            candidates = iter_bits(near >> (a + 1) << (a + 1))
+        else:
+            candidates = (
+                b for b in range(a + 1, m) if (ma & masks[b]).bit_count() >= k - 1
+            )
         pair_a = 1 << a
-        for b in iter_bits(near >> (a + 1) << (a + 1)):
-            common = ma & masks[b]
+        for b in candidates:
             pair = pair_a | 1 << b
-            # with no common points (a segment) every facet holds them all
+            # with no common elements (a segment) every member holds them all
             face = everyone
-            for j in iter_bits(common):
-                face &= vmasks[j]
+            for j in iter_bits(ma & masks[b]):
+                face &= tmasks[j]
                 if face == pair:
                     break
             if face == pair:
@@ -613,29 +623,15 @@ def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
     return Graph(m, edges)
 
 
+def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
+    """Facets sharing a ridge."""
+    return _adjacency(hull.incidence.facet_masks, hull.incidence.vertex_masks, hull.dim)
+
+
 def vertex_graph(poly: VPolytope, hull: Hull) -> Graph:
-    """Vertices joined by 1-faces; v, w adjacent iff the smallest face
-    containing both is exactly {v, w}."""
-    inc = hull.incidence
-    n = poly.n_vertices
-    vmasks = inc.vertex_masks
-    fmasks = inc.facet_masks
-    edges = []
-    for a in range(n):
-        va = vmasks[a]
-        for b in range(a + 1, n):
-            fm = va & vmasks[b]
-            if fm == 0:
-                # smallest common face is the whole polytope
-                if n == 2:
-                    edges.append((a, b))
-                continue
-            face = -1
-            for f in iter_bits(fm):
-                face &= fmasks[f]
-            if face == (1 << a | 1 << b):
-                edges.append((a, b))
-    return Graph(n, edges)
+    """Points joined by 1-faces: the smallest face containing both is
+    exactly those two."""
+    return _adjacency(hull.incidence.vertex_masks, hull.incidence.facet_masks, hull.dim)
 
 
 def centroid(points):

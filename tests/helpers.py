@@ -3,7 +3,7 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from exactpoly.constructions import suspension_facet_map
+from exactpoly.constructions import ConstructionFailed, one_point_suspension
 from exactpoly.counterexample import (
     Certificate,
     _run_sections,
@@ -13,6 +13,7 @@ from exactpoly.counterexample import (
 from exactpoly.geometry import DegenerateInput, OrthMap, affine_rank
 from exactpoly.polytopes import (
     VPolytope,
+    bits,
     certify_vertices,
     dual_graph,
     extreme_indices,
@@ -194,6 +195,28 @@ def reference_dual_graph_edges(poly, hull):
     return tuple(edges)
 
 
+def reference_vertex_graph_edges(poly, hull):
+    """Point pairs whose smallest common face is exactly the two of them,
+    tried pair by pair: the AND of the masks of the facets through both (the
+    whole polytope when no facet is, an edge only for two points)."""
+    inc = hull.incidence
+    n = poly.n_vertices
+    vmasks = inc.vertex_masks
+    edges = []
+    for a, b in combinations(range(n), 2):
+        fm = vmasks[a] & vmasks[b]
+        if fm == 0:
+            if n == 2:
+                edges.append((a, b))
+            continue
+        face = -1
+        for f in iter_bits(fm):
+            face &= inc.facet_masks[f]
+        if face == (1 << a | 1 << b):
+            edges.append((a, b))
+    return tuple(edges)
+
+
 def reference_close_group(generators, poly):
     """(maps sorted by key, their vertex permutations) of the group the
     orthogonal `generators` generate, closed by multiplying matrices: every
@@ -226,6 +249,33 @@ def reference_extreme_indices(poly, hull):
         for i, vmask in enumerate(hull.incidence.vertex_masks)
         if len(reference_rref(eq_rows + [ineqs[f][:-1] for f in iter_bits(vmask)])[0]) == d
     )
+
+
+def suspension_facet_map(poly: VPolytope, hull, v: int):
+    """Expected facet vertex sets of the suspension, keyed by mask.
+
+    Facets come in two kinds: the suspension of each facet through v, and a
+    pyramid over each facet avoiding v with apex u or w.  Returns
+    (S, hull_S, mapping) where mapping[new_facet_mask] = (old_facet, kind)
+    with kind in {"s", "u", "w"}; raises if the enumerated facets differ.
+    """
+    S = one_point_suspension(poly, v)
+    u_bit, w_bit = 1 << (S.n_vertices - 2), 1 << (S.n_vertices - 1)
+    expected = {}
+    inc = hull.incidence
+    for f in range(inc.n_facets):
+        m = inc.facet_masks[f]
+        new = bits(j - (j > v) for j in iter_bits(m) if j != v)
+        if m >> v & 1:
+            expected[new | u_bit | w_bit] = (f, "s")
+        else:
+            expected[new | u_bit] = (f, "u")
+            expected[new | w_bit] = (f, "w")
+    hull_S = facet_enumeration(S)
+    got = set(hull_S.incidence.facet_masks)
+    if got != set(expected):
+        raise ConstructionFailed("suspension facets do not match the expected pattern")
+    return S, hull_S, expected
 
 
 def _suspension_lifts(poly, hull, v):

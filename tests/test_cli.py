@@ -403,6 +403,8 @@ def run_cli(tmp_path, command, text):
 
 SQUARE_WITH_INNER_POINT = "POLY 1\ndim 2\nvertices 5\n0 0\n4 0\n0 4\n4 4\n1 1\n"
 SQUARE_PYRAMID = "POLY 1\ndim 3\nvertices 5\n0 0 0\n2 0 0\n0 2 0\n2 2 0\n1 1 1\n"
+SQUARE = "POLY 1\ndim 2\nvertices 4\n0 0\n1 0\n0 1\n1 1\n"
+OCTAHEDRON = "POLY 1\ndim 3\nvertices 6\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n"
 
 
 class TestExitCodes:
@@ -468,6 +470,23 @@ class TestExitCodes:
         assert done.returncode == 2, done.stderr
         assert "Traceback" not in done.stderr
         assert done.stderr == f"error: vertex index {value} out of range\n"
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize(
+        "first, second, message",
+        [
+            (OCTAHEDRON, OCTAHEDRON, "blend requires simple polytopes"),
+            (SQUARE, OCTAHEDRON, "blend requires equal dimensions"),
+        ],
+        ids=["non-simple", "unequal-dimensions"],
+    )
+    def test_blend_refusal_is_infeasible(self, tmp_path, first, second, message):
+        # valid input that cannot be blended exits 3, not 2
+        (tmp_path / "a.poly").write_text(first)
+        (tmp_path / "b.poly").write_text(second)
+        done = run_args(tmp_path, ["construct", "blend", "a.poly", "b.poly"])
+        assert done.returncode == 3, done.stderr
+        assert done.stderr == f"error: {message}\n"
         assert done.stdout == ""
 
     @pytest.mark.parametrize("size", ["0", "-3"])
@@ -549,12 +568,12 @@ COORDINATES = st.sampled_from(("0", "1", "-1", "2", "1/2", "-3/4", "5/3"))
 
 
 @st.composite
-def mutated_poly_texts(draw):
-    """A valid POLY text with one to four edits: a coordinate replaced, which
-    keeps the format and may make the points degenerate, a character or
-    piece inserted, replaced or deleted, or a line dropped, repeated or
-    swapped."""
-    text = draw(st.sampled_from(POLY_SEEDS))
+def mutated_texts(draw, seeds, pieces):
+    """One of the valid texts `seeds` with one to four edits: a coordinate
+    replaced, which keeps the format and may make the points degenerate, a
+    character or one of `pieces` inserted, replaced or deleted, or a line
+    dropped, repeated or swapped."""
+    text = draw(st.sampled_from(seeds))
     for _ in range(draw(st.integers(1, 4))):
         how = draw(st.sampled_from(
             ("coordinate", "coordinate", "insert", "replace", "delete", "drop", "repeat", "swap")
@@ -569,7 +588,7 @@ def mutated_poly_texts(draw):
             text = "\n".join(lines)
         elif how in ("insert", "replace", "delete"):
             i = draw(st.integers(0, len(text)))
-            piece = "" if how == "delete" else draw(POLY_PIECES)
+            piece = "" if how == "delete" else draw(pieces)
             text = text[:i] + piece + text[i + (how != "insert"):]
         else:
             lines = text.split("\n")
@@ -586,7 +605,7 @@ def mutated_poly_texts(draw):
 
 @settings(max_examples=200, deadline=None)
 @given(
-    mutated_poly_texts(),
+    mutated_texts(POLY_SEEDS, POLY_PIECES),
     st.sampled_from(("hull", "width", "diameter", "polar", "construct ops")),
     st.integers(-1, 5),
 )
@@ -603,3 +622,24 @@ def test_mutated_poly_text_ends_in_a_documented_exit_code(text, command, vertex)
             code = main(args)
     assert code in (0, 1, 2, 3)
     assert (code == 0) == (err.getvalue() == ""), err.getvalue()
+
+
+HPOLY_SEEDS = (
+    write_hpoly(facet_enumeration(read_poly(cube_text())).hrep),
+    "HPOLY 1\ndim 3\ninequalities 2\n1 0 0 1\n-1/2 0 0 3/4\nequality 0 1 -1 2\n",
+)
+HPOLY_PIECES = st.sampled_from(
+    list("0123456789-/ \n#")
+    + ["1/0", "-0", "dim 0", "inequalities 0", "equality", "equality 0 0 0 1", "HPOLY 1", "99999"]
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(mutated_texts(HPOLY_SEEDS, HPOLY_PIECES))
+def test_mutated_hpoly_text_raises_only_format_error(text):
+    """No command reads HPOLY, so the fuzz of `main` never reaches
+    `read_hpoly`: any text it refuses, it refuses with a FormatError."""
+    try:
+        read_hpoly(text)
+    except FormatError:
+        pass

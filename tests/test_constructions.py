@@ -20,7 +20,6 @@ from exactpoly.constructions import (
     push_vertex,
     strong_dstep_iterate,
     strong_dstep_step,
-    suspension_facet_map,
 )
 from exactpoly.geometry import DegenerateInput
 from exactpoly.polytopes import (
@@ -37,6 +36,7 @@ from helpers import (
     lifted_distance_dominates,
     random_polytope,
     reference_push,
+    suspension_facet_map,
 )
 
 

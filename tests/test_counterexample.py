@@ -23,7 +23,6 @@ from exactpoly.counterexample import (
     symmetry_groups,
     vertices48,
 )
-from exactpoly.constructions import suspension_facet_map
 from exactpoly.fileformats import write_hpoly, write_incidence, write_poly
 from exactpoly.geometry import OrthMap
 from exactpoly.linalg import echelon
@@ -32,10 +31,11 @@ from exactpoly.polytopes import (
     dual_graph,
     facet_enumeration,
     polar,
+    vertex_graph,
 )
 from exactpoly.prismatoids import make_prismatoid, width
 from exactpoly.rationals import Rat
-from helpers import apply_ineq, reference_close_group, verify_quick
+from helpers import apply_ineq, reference_close_group, suspension_facet_map, verify_quick
 
 
 def assert_report(rep):
@@ -155,6 +155,29 @@ class TestSymmetry:
             assert group.vertex_perms == vertex_perms
             assert [group.maps[i].key for i in group.generators] == [g.key for g in gens[:n_gens]]
 
+    def test_hull_and_graphs_of_every_symmetry_image(self, certificate):
+        # the hull of m(P), its points in P's order, has exactly the mapped
+        # rows; m induces the facet permutation pi, and sigma, with
+        # m(v_i) = v_sigma(i), relabels the image's points as P's, so pi
+        # carries P's dual graph onto the image's and sigma carries the
+        # image's vertex graph onto P's
+        q48, hull = certificate.poly, certificate.hull
+        rows = hull.hrep.inequalities
+        masks = hull.incidence.facet_masks
+        dual = dual_graph(q48, hull).edges
+        vertex = vertex_graph(q48, hull).edges
+        group = symmetry_groups(q48)[0]
+        assert len(group.maps) == 64
+        for m, sigma in zip(group.maps, group.vertex_perms):
+            image = VPolytope(tuple(m.apply_point(p) for p in q48.vertices))
+            image_hull = facet_enumeration(image)
+            assert image_hull.hrep.inequalities == tuple(sorted(apply_ineq(m, q) for q in rows))
+            index = {q: i for i, q in enumerate(image_hull.hrep.inequalities)}
+            pi = [index[apply_ineq(m, q)] for q in rows]
+            assert [image_hull.incidence.facet_masks[pi[f]] for f in range(len(rows))] == list(masks)
+            assert dual_graph(image, image_hull).edges == _relabeled(dual, pi)
+            assert _relabeled(vertex_graph(image, image_hull).edges, sigma) == vertex
+
     def test_vertices_must_span_the_space(self):
         # on the square in the plane z = 0 the reflection in that plane
         # fixes every vertex, yet it is not the identity
@@ -163,6 +186,11 @@ class TestSymmetry:
         reflection = OrthMap.from_rows(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
         with pytest.raises(ValueError, match="do not span the space"):
             _close_group([reflection], square)
+
+
+def _relabeled(edges, perm):
+    """The edges (a, b) as sorted pairs (perm[a], perm[b]), sorted."""
+    return tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
 
 
 def _facet_index(hull):

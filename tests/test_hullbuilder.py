@@ -22,7 +22,11 @@ builder itself: each must fail verification.
 The ridge and adjacency tests take their candidates from the incidence, so
 they are also checked where that is easiest to get wrong: segments, whose
 two facets share no point, and the dual graph of lattice boxes and
-one-point suspensions, where facets hold many more than k points.
+one-point suspensions, where facets hold many more than k points.  One
+routine builds the dual graph and the vertex graph, from either side of the
+incidence, so both are checked against their pair-by-pair references, on
+the hypothesis corpus and on q48 artifacts whose members take each way of
+finding candidates.
 """
 import contextlib
 import itertools
@@ -35,7 +39,7 @@ from hypothesis import HealthCheck, example, given, settings, strategies as st
 
 from exactpoly import polytopes
 from exactpoly.cli import main
-from exactpoly.constructions import one_point_suspension, push_vertex
+from exactpoly.constructions import one_point_suspension, push_vertex, strong_dstep_iterate
 from exactpoly.counterexample import base_minus, base_plus, vertices48
 from exactpoly.geometry import DegenerateInput, DimensionMismatch
 from exactpoly.linalg import matrix_rank
@@ -57,11 +61,13 @@ from exactpoly.polytopes import (
     facet_enumeration,
     iter_bits,
     polar,
+    vertex_graph,
 )
 from helpers import (
     check_hull_against_oracle,
     reference_dual_graph_edges,
     reference_extreme_indices,
+    reference_vertex_graph_edges,
 )
 
 COORD = st.integers(-3, 3)
@@ -153,7 +159,7 @@ def test_insert_into_fixed_builder_matches_facet_enumeration(pts, data):
             continue
         got = builder.hull()
         _same_hull(got, want)
-        assert dual_graph(poly, got).edges == reference_dual_graph_edges(poly, got)
+        _assert_graphs_match_references(poly, got)
     # the copies left the fixed builder as it was
     assert fixed.points[v] is None
 
@@ -186,6 +192,11 @@ def lines(draw):
     return values, base, direction
 
 
+def _line_points(data):
+    values, base, direction = data
+    return [tuple(b + t * c for b, c in zip(base, direction)) for t in values]
+
+
 @settings(max_examples=100, deadline=None)
 @given(lines())
 @example(([0, 1, 3, -2, 7, Fraction(1, 2), Fraction(5, 3)], (0,), (1,)))
@@ -194,9 +205,8 @@ def test_one_dimensional_hull_keeps_both_ends(data):
     """The two facets of a segment share no point, so every facet must be a
     ridge candidate when k = 1: a point beyond one end replaces that end,
     and an interior point changes nothing."""
-    values, base, direction = data
-    pts = tuple(tuple(b + t * c for b, c in zip(base, direction)) for t in values)
-    poly = VPolytope(pts)
+    values, base, _ = data
+    poly = VPolytope(tuple(_line_points(data)))
     hull = facet_enumeration(poly)
     ends = {values.index(min(values)), values.index(max(values))}
     assert hull.dim == 1
@@ -367,6 +377,73 @@ def test_face_test_matches_rank_reference(pts, data):
         hull.dim,
     )
     assert set(extreme_indices(poly, partial)) <= set(want)
+
+
+# ---------------------------------------------------------------------------
+# one adjacency routine for the dual graph and the vertex graph
+
+
+def _assert_graphs_match_references(poly, hull):
+    assert vertex_graph(poly, hull).edges == reference_vertex_graph_edges(poly, hull)
+    assert dual_graph(poly, hull).edges == reference_dual_graph_edges(poly, hull)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(certify_inputs(), boxes(), lines().map(_line_points)))
+def test_graphs_match_their_references(pts):
+    """Random, grid and prism point sets with points inside faces or inside
+    the polytope, some embedded one dimension up; lattice boxes; and
+    segments with points inside them."""
+    poly = VPolytope(tuple(pts))
+    _assert_graphs_match_references(poly, facet_enumeration(poly))
+
+
+def _counted(masks, k):
+    """How many members `_adjacency` gives candidates by counting misses over
+    the transpose; the others take the pass over every mask."""
+    return sum(m.bit_count() * (m.bit_count() - k + 1) < len(masks) for m in masks)
+
+
+def test_q48_graphs_take_both_candidate_branches(certificate):
+    # a q48 vertex lies on 9 to 65 of the 322 facets, so most vertices pass
+    # over the masks, while a facet or a polar vertex holds a few of 48
+    # points or facets, so it counts misses
+    q48, hull = certificate.poly, certificate.hull
+    pol = polar(q48, hull)
+    pol_hull = facet_enumeration(pol)
+    assert _counted(hull.incidence.vertex_masks, hull.dim) < 48 // 2
+    assert _counted(hull.incidence.facet_masks, hull.dim) > 322 // 2
+    assert _counted(pol_hull.incidence.vertex_masks, pol_hull.dim) > 322 // 2
+    _assert_graphs_match_references(q48, hull)
+    _assert_graphs_match_references(pol, pol_hull)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_cross_polytope_graphs(dim):
+    # a vertex of the octahedron lies on 4 of 8 facets and passes over the
+    # masks, and each edge lies in exactly k-1 = 2 facets; its vertex graph
+    # joins all but antipodal points, its dual graph is the cube's
+    poly = VPolytope(tuple(
+        tuple(s if j == i else 0 for j in range(dim)) for i in range(dim) for s in (1, -1)
+    ))
+    hull = facet_enumeration(poly)
+    assert _counted(hull.incidence.vertex_masks, dim) == (2 * dim if dim == 2 else 0)
+    assert vertex_graph(poly, hull).edges == tuple(
+        (a, b) for a, b in itertools.combinations(range(2 * dim), 2) if b != a + 1 or a % 2
+    )
+    rows = hull.hrep.inequalities
+    assert dual_graph(poly, hull).edges == tuple(
+        (f, g) for f, g in itertools.combinations(range(len(rows)), 2)
+        if sum(x != y for x, y in zip(rows[f], rows[g])) == 1
+    )
+    _assert_graphs_match_references(poly, hull)
+
+
+def test_graphs_of_the_base_sum_and_a_lift_match_their_references(certificate):
+    ms = certificate.base_sum
+    _assert_graphs_match_references(ms.polytope, ms.hull)
+    lift, _ = strong_dstep_iterate(certificate.pr, 1)
+    _assert_graphs_match_references(lift.polytope, lift.hull)
 
 
 # ---------------------------------------------------------------------------
