@@ -12,11 +12,11 @@ labels, dual graph, groups, facet permutations and orbits, base hulls, base
 Minkowski sum) once, on first use; every `check_*` section takes it, and the section
 runner turns a section that raises into one FAIL line.
 
-The symmetry group is closed once, breadth-first on the permutations its
-generators induce on the vertices; the base-preserving subgroup is closed on
-five of those permutations and looks its maps up in the full group.  Only
-the six generators are applied to the facet rows: every other element's
-facet permutation is its generator's composed after its parent's.
+A symmetry group is its generators and the set of permutations its
+elements induce on the vertices, closed from the generators' permutations;
+the vertices span R^5, so each element is fixed by its permutation.  Only
+the six generators are applied to the facet rows: the orbits of a group are
+the orbits of its generators.
 """
 from __future__ import annotations
 
@@ -222,58 +222,21 @@ def expected_facets():
 
 @dataclass(frozen=True)
 class SymmetryGroup:
-    """A group of linear maps that permute a vertex set: `maps` sorted by
-    key, `vertex_perms[i]` the permutation that maps[i] induces on the
-    vertices, `generators` the positions of the generators in `maps`, and
-    `steps` every element in breadth-first order as (i, g, p), where maps[i]
-    is generator g applied after maps[p]; the identity comes first, as
-    (i, None, None)."""
+    """A group of linear maps that permute a vertex set: its `generators`
+    (`OrthMap`s) and `perms`, the set of permutations its elements induce on
+    the vertices."""
 
-    maps: tuple
-    vertex_perms: tuple
     generators: tuple
-    steps: tuple
+    perms: frozenset
 
     @property
     def order(self) -> int:
-        return len(self.maps)
-
-    def subgroup(self, k: int) -> "SymmetryGroup":
-        """The subgroup generated by the first k generators, with its maps
-        looked up by vertex permutation: no matrix is multiplied."""
-        by_perm = dict(zip(self.vertex_perms, self.maps))
-        n = len(self.vertex_perms[0])
-        gens = [self.vertex_perms[i] for i in self.generators[:k]]
-        return _tabulate(gens, n, by_perm[tuple(range(n))], lambda q, g, parent: by_perm[q])
+        return len(self.perms)
 
 
 def _compose(h, g):
     """The permutation h o g (g first) of permutations given as tuples."""
     return tuple(map(h.__getitem__, g))
-
-
-def _tabulate(gen_perms, n, identity, product) -> SymmetryGroup:
-    """The group generated by the permutations `gen_perms` of n points,
-    closed breadth-first on the permutations, so a product costs n lookups.
-    `product(q, g, parent)` gives the map of each new element q, which is
-    generator g applied after the map `parent`."""
-    start = tuple(range(n))
-    maps = {start: identity}
-    steps = [(start, None, None)]
-    for p, _, _ in steps:  # the list grows while it is read: a BFS queue
-        for g, h in enumerate(gen_perms):
-            q = _compose(h, p)
-            if q not in maps:
-                maps[q] = product(q, g, maps[p])
-                steps.append((q, g, p))
-    perms = sorted(maps, key=lambda q: maps[q].key)
-    pos = {q: i for i, q in enumerate(perms)}
-    return SymmetryGroup(
-        tuple(maps[q] for q in perms),
-        tuple(perms),
-        tuple(pos[h] for h in gen_perms),
-        tuple((pos[q], g, None if p is None else pos[p]) for q, g, p in steps),
-    )
 
 
 def _vertex_permutation(m: OrthMap, pts, index):
@@ -295,19 +258,24 @@ def _integer_index(poly: VPolytope):
 
 
 def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
-    """The group the orthogonal `generators` generate, closed on the vertex
-    permutations they induce; each new element's matrix is its generator
-    composed after its parent.  A linear map is fixed by its permutation
-    only when the vertices span R^d, so that is checked first: otherwise
-    two maps with the same permutation would be taken for one."""
+    """The group the orthogonal `generators` generate, closed breadth-first
+    on the vertex permutations they induce, so a product costs n lookups.
+    A linear map is fixed by its permutation only when the vertices span
+    R^d, so that is checked first: otherwise two maps with the same
+    permutation would be taken for one."""
     pts, index = _integer_index(poly)
     if len(echelon(list(pts))) != poly.ambient_dim:
         raise ValueError("the vertices do not span the space")
     gen_perms = [_vertex_permutation(m, pts, index) for m in generators]
-    identity = OrthMap.identity(poly.ambient_dim)
-    return _tabulate(
-        gen_perms, len(pts), identity, lambda q, g, parent: generators[g].compose(parent)
-    )
+    queue = [tuple(range(len(pts)))]
+    seen = set(queue)
+    for p in queue:  # the list grows while it is read: a BFS queue
+        for h in gen_perms:
+            q = _compose(h, p)
+            if q not in seen:
+                seen.add(q)
+                queue.append(q)
+    return SymmetryGroup(tuple(generators), frozenset(seen))
 
 
 def base_swap_map() -> OrthMap:
@@ -342,8 +310,7 @@ def symmetry_groups(poly: VPolytope):
             )
         )
     )
-    sigma = _close_group(gens_plus + [base_swap_map()], poly)
-    return sigma, sigma.subgroup(len(gens_plus))
+    return _close_group(gens_plus + [base_swap_map()], poly), _close_group(gens_plus, poly)
 
 
 # ---------------------------------------------------------------------------
@@ -372,10 +339,10 @@ def facet_permutation(m: OrthMap, index: dict):
     primitive row to a primitive row, and only a map with rational entries
     needs the rescaling.
 
-    `Certificate.facet_perms` calls this on the generators only and composes
-    the rest.  That proves as much as calling it on every element: maps that
-    permute the facets compose to a map that does, and the induced action is
-    a homomorphism, so each composed permutation is this function's value."""
+    `Certificate.facet_perms` calls this on the six generators only.  That
+    proves as much as calling it on every element: maps that permute the
+    facets compose to a map that does, and a group's orbits are the orbits
+    of its generators."""
     rows = m.rows
     perm = [None] * len(index)
     for q, f in index.items():
@@ -388,10 +355,9 @@ def facet_permutation(m: OrthMap, index: dict):
     return tuple(perm)
 
 
-def facet_orbits(group: SymmetryGroup, facet_perms: dict):
-    """Partition of facet indices under the group, sorted by smallest member;
-    `facet_perms` maps each map key to its facet permutation."""
-    perms = [facet_perms[m.key] for m in group.maps]
+def facet_orbits(perms):
+    """Partition of facet indices under the group that the facet
+    permutations `perms` generate, sorted by smallest member."""
     n = len(perms[0])
     seen = [False] * n
     orbits = []
@@ -478,26 +444,19 @@ class Certificate:
         return symmetry_groups(self.poly)
 
     @cached_property
-    def facet_perms(self) -> dict:
-        """Map key -> facet permutation, for every element of the full group
-        (the base-preserving maps are among them).  Only the generators are
-        applied to the facet rows; every other element's permutation is its
-        generator's composed after its parent's (see `facet_permutation`)."""
-        sigma = self.groups[0]
+    def facet_perms(self) -> tuple:
+        """The facet permutation of each generator of the full group, in
+        order; the base-preserving subgroup's generators come first."""
         index = {q: i for i, q in enumerate(self.hull.hrep.inequalities)}
-        gens = [facet_permutation(sigma.maps[i], index) for i in sigma.generators]
-        perms = [None] * sigma.order
-        for i, g, p in sigma.steps:
-            perms[i] = tuple(range(len(index))) if g is None else _compose(gens[g], perms[p])
-        return {m.key: perm for m, perm in zip(sigma.maps, perms)}
+        return tuple(facet_permutation(m, index) for m in self.groups[0].generators)
 
     @cached_property
     def orbits(self):
-        return facet_orbits(self.groups[0], self.facet_perms)
+        return facet_orbits(self.facet_perms)
 
     @cached_property
     def orbits_plus(self):
-        return facet_orbits(self.groups[1], self.facet_perms)
+        return facet_orbits(self.facet_perms[: len(self.groups[1].generators)])
 
     @cached_property
     def qplus(self) -> VPolytope:
@@ -591,19 +550,18 @@ def check_symmetries(ctx: Certificate) -> Report:
     sigma, sigma_plus = ctx.groups
     rep.add("order of full group", sigma.order == 64, str(sigma.order))
     rep.add("order of base-preserving subgroup", sigma_plus.order == 32, str(sigma_plus.order))
-    swap = base_swap_map()
-    perm = _vertex_permutation(swap, *_integer_index(ctx.poly))
+    perm = _vertex_permutation(base_swap_map(), *_integer_index(ctx.poly))
     ok = all(perm[i] == i + 24 for i in range(24))
     rep.add("base swap sends i+ to i-", ok, "")
-    sq = swap.compose(swap)
+    sq = _compose(perm, perm)
     rep.add(
         "base swap is not an involution",
-        sq.key != OrthMap.identity(5).key and sq.key in {m.key for m in sigma_plus.maps},
+        sq != tuple(range(len(perm))) and sq in sigma_plus.perms,
         "square is a nontrivial base-preserving element",
     )
     try:
-        perms = ctx.facet_perms
-        rep.add("every element permutes the facet set", True, f"{len(perms)} maps")
+        ctx.facet_perms  # raises ValueError if a generator does not permute the facets
+        rep.add("every element permutes the facet set", True, f"{sigma.order} maps")
     except ValueError as exc:
         rep.add("every element permutes the facet set", False, str(exc))
     return rep

@@ -71,8 +71,8 @@ def affine_rank(points) -> int:
 
 @dataclass(frozen=True)
 class OrthMap:
-    """An exact orthogonal map, stored row-wise (y = M x).  `from_rows`
-    checks orthogonality; the identity and all products are orthogonal."""
+    """An exact orthogonal map, stored row-wise (y = M x); `from_rows`
+    checks orthogonality."""
 
     rows: tuple
 
@@ -87,10 +87,6 @@ class OrthMap:
             raise GeometryError("matrix is not orthogonal")
         return cls(rows)
 
-    @classmethod
-    def identity(cls, n) -> "OrthMap":
-        return cls(identity(n))
-
     @property
     def ambient_dim(self) -> int:
         return len(self.rows)
@@ -99,14 +95,6 @@ class OrthMap:
         if len(p) != self.ambient_dim:
             raise DimensionMismatch("point/map dimension mismatch")
         return mat_vec(self.rows, p)
-
-    def compose(self, other: "OrthMap") -> "OrthMap":
-        """self o other (apply `other` first)."""
-        return OrthMap(mat_mul(self.rows, other.rows))
-
-    @property
-    def key(self):
-        return tuple(tuple((v.numerator, v.denominator) for v in row) for row in self.rows)
 
 
 def _exact(v):

@@ -11,6 +11,7 @@ from exactpoly.counterexample import (
     check_prism_collinearities,
 )
 from exactpoly.geometry import DegenerateInput, OrthMap, affine_rank
+from exactpoly.linalg import identity, mat_mul
 from exactpoly.polytopes import (
     VPolytope,
     bits,
@@ -117,6 +118,11 @@ def apply_ineq(m, row) -> tuple:
     return tuple(primitive_ints(m.apply_point(row[:-1]) + (row[-1],)))
 
 
+def relabeled(edges, perm):
+    """The edges (a, b) as sorted pairs (perm[a], perm[b]), sorted."""
+    return tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
+
+
 def incidence_matrix(incidence):
     """Facet-by-vertex tightness as rows of booleans."""
     return tuple(
@@ -176,9 +182,14 @@ def reference_push(poly, v, target_region=None, seed=0, max_halvings=64):
 
 
 def check_hull_against_oracle(poly):
-    got = facet_enumeration(poly).hrep.inequalities
+    """The hull's rows equal the oracle's, and each facet's mask holds
+    exactly the points of zero slack."""
+    hull = facet_enumeration(poly)
+    got = hull.hrep.inequalities
     want = facet_enumeration_bruteforce(poly)
     assert got == want, f"hull/oracle mismatch: {got} vs {want}"
+    for row, mask in zip(got, hull.incidence.facet_masks):
+        assert mask == bits(i for i, p in enumerate(poly.vertices) if slack(row, p) == 0), row
 
 
 def reference_dual_graph_edges(poly, hull):
@@ -218,22 +229,22 @@ def reference_vertex_graph_edges(poly, hull):
 
 
 def reference_close_group(generators, poly):
-    """(maps sorted by key, their vertex permutations) of the group the
+    """(maps sorted by rows, their vertex permutations) of the group the
     orthogonal `generators` generate, closed by multiplying matrices: every
-    product of an element and a generator is formed and compared by key."""
-    seen = {}
-    frontier = [OrthMap.identity(poly.ambient_dim)]
-    seen[frontier[0].key] = frontier[0]
+    product of an element and a generator is formed and compared by rows."""
+    start = identity(poly.ambient_dim)
+    seen = {start}
+    frontier = [start]
     while frontier:
         nxt = []
         for g in frontier:
             for h in generators:
-                prod = h.compose(g)
-                if prod.key not in seen:
-                    seen[prod.key] = prod
+                prod = mat_mul(h.rows, g)
+                if prod not in seen:
+                    seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    maps = tuple(sorted(seen.values(), key=lambda m: m.key))
+    maps = tuple(OrthMap(rows) for rows in sorted(seen))
     index = {p: i for i, p in enumerate(poly.vertices)}
     return maps, tuple(tuple(index[m.apply_point(p)] for p in poly.vertices) for m in maps)
 

@@ -25,7 +25,7 @@ from exactpoly.counterexample import (
 )
 from exactpoly.fileformats import write_hpoly, write_incidence, write_poly
 from exactpoly.geometry import OrthMap
-from exactpoly.linalg import echelon
+from exactpoly.linalg import echelon, identity, mat_mul
 from exactpoly.polytopes import (
     VPolytope,
     dual_graph,
@@ -35,7 +35,13 @@ from exactpoly.polytopes import (
 )
 from exactpoly.prismatoids import make_prismatoid, width
 from exactpoly.rationals import Rat
-from helpers import apply_ineq, reference_close_group, suspension_facet_map, verify_quick
+from helpers import (
+    apply_ineq,
+    reference_close_group,
+    relabeled,
+    suspension_facet_map,
+    verify_quick,
+)
 
 
 def assert_report(rep):
@@ -112,6 +118,29 @@ class TestByteIdentity:
         assert self.digest(write_poly(polar(q48))) == self.POLAR_POLY
 
 
+def _generators():
+    """The four sign changes, the swap (x1 x2)(x3 x4), then the base swap."""
+    gens = []
+    for axis in range(4):
+        rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
+        rows[axis][axis] = -1
+        gens.append(OrthMap.from_rows(rows))
+    gens.append(OrthMap.from_rows((
+        (0, 1, 0, 0, 0), (1, 0, 0, 0, 0),
+        (0, 0, 0, 1, 0), (0, 0, 1, 0, 0),
+        (0, 0, 0, 0, 1))))
+    gens.append(base_swap_map())
+    return gens
+
+
+@pytest.fixture(scope="module")
+def reference_groups(q48):
+    """(maps, vertex permutations) of the full group and of the
+    base-preserving subgroup, closed by multiplying matrices."""
+    gens = _generators()
+    return reference_close_group(gens, q48), reference_close_group(gens[:5], q48)
+
+
 class TestSymmetry:
     def test_group_orders(self, q48):
         sigma, sigma_plus = symmetry_groups(q48)
@@ -124,38 +153,35 @@ class TestSymmetry:
         for i in range(24):
             assert idx[swap.apply_point(q48.vertices[i])] == i + 24
 
-    def test_swap_square_is_double_transposition(self):
-        sq = base_swap_map().compose(base_swap_map())
-        want = OrthMap.from_rows((
+    def test_swap_square_is_double_transposition(self, q48):
+        swap = base_swap_map().rows
+        sq = mat_mul(swap, swap)
+        assert sq == (
             (0, 1, 0, 0, 0), (1, 0, 0, 0, 0),
             (0, 0, 0, 1, 0), (0, 0, 1, 0, 0),
-            (0, 0, 0, 0, 1)))
-        assert sq.key == want.key
-        assert sq.key != OrthMap.identity(5).key
+            (0, 0, 0, 0, 1))
+        assert sq != identity(5)
+        # as a vertex permutation it is a nontrivial base-preserving element
+        idx = {p: i for i, p in enumerate(q48.vertices)}
+        perm = tuple(idx[OrthMap(sq).apply_point(p)] for p in q48.vertices)
+        assert perm != tuple(range(48))
+        assert perm in symmetry_groups(q48)[1].perms
 
     def test_symmetry_report(self, certificate):
         assert_report(check_symmetries(certificate))
 
-    def test_groups_match_matrix_closure(self, q48):
-        # the four sign changes, the swap (x1 x2)(x3 x4), then the base swap
-        gens = []
-        for axis in range(4):
-            rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-            rows[axis][axis] = -1
-            gens.append(OrthMap.from_rows(rows))
-        gens.append(OrthMap.from_rows((
-            (0, 1, 0, 0, 0), (1, 0, 0, 0, 0),
-            (0, 0, 0, 1, 0), (0, 0, 1, 0, 0),
-            (0, 0, 0, 0, 1))))
-        gens.append(base_swap_map())
-        sigma, sigma_plus = symmetry_groups(q48)
-        for group, n_gens in ((sigma, 6), (sigma_plus, 5)):
-            maps, vertex_perms = reference_close_group(gens[:n_gens], q48)
-            assert [m.key for m in group.maps] == [m.key for m in maps]
-            assert group.vertex_perms == vertex_perms
-            assert [group.maps[i].key for i in group.generators] == [g.key for g in gens[:n_gens]]
+    def test_groups_match_matrix_closure(self, q48, reference_groups):
+        # distinct maps induce distinct vertex permutations, and each group's
+        # set of permutations is the reference's
+        gens = _generators()
+        for group, (maps, vertex_perms), n_gens in zip(
+            symmetry_groups(q48), reference_groups, (6, 5)
+        ):
+            assert len(set(vertex_perms)) == len(maps) == group.order
+            assert group.perms == set(vertex_perms)
+            assert [g.rows for g in group.generators] == [g.rows for g in gens[:n_gens]]
 
-    def test_hull_and_graphs_of_every_symmetry_image(self, certificate):
+    def test_hull_and_graphs_of_every_symmetry_image(self, certificate, reference_groups):
         # the hull of m(P), its points in P's order, has exactly the mapped
         # rows; m induces the facet permutation pi, and sigma, with
         # m(v_i) = v_sigma(i), relabels the image's points as P's, so pi
@@ -166,17 +192,17 @@ class TestSymmetry:
         masks = hull.incidence.facet_masks
         dual = dual_graph(q48, hull).edges
         vertex = vertex_graph(q48, hull).edges
-        group = symmetry_groups(q48)[0]
-        assert len(group.maps) == 64
-        for m, sigma in zip(group.maps, group.vertex_perms):
+        maps, vertex_perms = reference_groups[0]
+        assert len(maps) == 64
+        for m, sigma in zip(maps, vertex_perms):
             image = VPolytope(tuple(m.apply_point(p) for p in q48.vertices))
             image_hull = facet_enumeration(image)
             assert image_hull.hrep.inequalities == tuple(sorted(apply_ineq(m, q) for q in rows))
             index = {q: i for i, q in enumerate(image_hull.hrep.inequalities)}
             pi = [index[apply_ineq(m, q)] for q in rows]
             assert [image_hull.incidence.facet_masks[pi[f]] for f in range(len(rows))] == list(masks)
-            assert dual_graph(image, image_hull).edges == _relabeled(dual, pi)
-            assert _relabeled(vertex_graph(image, image_hull).edges, sigma) == vertex
+            assert dual_graph(image, image_hull).edges == relabeled(dual, pi)
+            assert relabeled(vertex_graph(image, image_hull).edges, sigma) == vertex
 
     def test_vertices_must_span_the_space(self):
         # on the square in the plane z = 0 the reflection in that plane
@@ -188,11 +214,6 @@ class TestSymmetry:
             _close_group([reflection], square)
 
 
-def _relabeled(edges, perm):
-    """The edges (a, b) as sorted pairs (perm[a], perm[b]), sorted."""
-    return tuple(sorted(tuple(sorted((perm[a], perm[b]))) for a, b in edges))
-
-
 def _facet_index(hull):
     return {q: i for i, q in enumerate(hull.hrep.inequalities)}
 
@@ -201,18 +222,20 @@ class TestFacetPermutation:
     """The image rows computed in integers against `helpers.apply_ineq`, and a map
     with rational entries, whose image rows must be rescaled."""
 
-    def test_integer_maps_match_apply_ineq(self, certificate):
-        # the table composes all but the six generators' permutations, and
-        # each entry must equal the image of every facet under the matrix
+    def test_integer_maps_match_apply_ineq(self, certificate, reference_groups):
+        # every one of the 64 maps gives the image of every facet under the
+        # matrix, and the certificate holds the six generators' images
         hull = certificate.hull
         index = _facet_index(hull)
-        maps = certificate.groups[0].maps
+        maps = reference_groups[0][0]
         assert len(maps) == 64
-        assert len(certificate.facet_perms) == 64
+
+        def images(m):
+            return tuple(index[apply_ineq(m, q)] for q in hull.hrep.inequalities)
+
         for m in maps:
-            want = tuple(index[apply_ineq(m, q)] for q in hull.hrep.inequalities)
-            assert facet_permutation(m, index) == want
-            assert certificate.facet_perms[m.key] == want
+            assert facet_permutation(m, index) == images(m)
+        assert certificate.facet_perms == tuple(images(m) for m in _generators())
 
     def test_non_symmetry_refused(self, q48_hull):
         # swapping x1 and x5 sends the base facet x5 <= 1 to x1 <= 1
@@ -243,9 +266,8 @@ class TestOrbits:
     def test_orbit_report(self, certificate):
         assert_report(check_orbits(certificate))
 
-    def test_orbit_of_representative_has_32(self, q48, certificate, q48_labels):
-        _, sigma_plus = symmetry_groups(q48)
-        orbits = facet_orbits(sigma_plus, certificate.facet_perms)
+    def test_orbit_of_representative_has_32(self, certificate, q48_labels):
+        orbits = facet_orbits(certificate.facet_perms[:5])
         by_label = {str(l): i for i, l in enumerate(q48_labels)}
         b = by_label["B++++"]
         orbit = next(o for o in orbits if b in o)
@@ -253,6 +275,18 @@ class TestOrbits:
         letters = {q48_labels[f].letter for f in orbit}
         assert letters == {"B"}
         assert {q48_labels[f].primed for f in orbit} == {True, False}
+
+    def test_generator_orbits_match_every_element(self, certificate, reference_groups):
+        # the orbits of the generators' facet permutations are the orbits
+        # under every element's facet images: 6 for the full group and 12
+        # for the base-preserving subgroup
+        rows = certificate.hull.hrep.inequalities
+        index = _facet_index(certificate.hull)
+        orbits = (certificate.orbits, certificate.orbits_plus)
+        for got, (maps, _), count in zip(orbits, reference_groups, (6, 12)):
+            want = {tuple(sorted({index[apply_ineq(m, q)] for m in maps})) for q in rows}
+            assert got == tuple(sorted(want))
+            assert len(got) == count
 
 
 class TestDualGraphStructure:
@@ -287,9 +321,8 @@ class TestTables:
 
 
 class TestWidthInvariance:
-    def test_under_symmetry(self, q48):
-        sigma, _ = symmetry_groups(q48)
-        m = sigma.maps[17]
+    def test_under_symmetry(self, q48, reference_groups):
+        m = reference_groups[0][0][17]
         moved = VPolytope(tuple(m.apply_point(p) for p in q48.vertices))
         hull = facet_enumeration(moved)
         pr = make_prismatoid(moved)

@@ -26,7 +26,9 @@ one-point suspensions, where facets hold many more than k points.  One
 routine builds the dual graph and the vertex graph, from either side of the
 incidence, so both are checked against their pair-by-pair references, on
 the hypothesis corpus and on q48 artifacts whose members take each way of
-finding candidates.
+finding candidates.  The brute-force oracle checks rows and masks on inputs
+not in general position, and a signed coordinate permutation of each input
+must give the mapped hull, its facets, dual graph and vertex graph.
 """
 import contextlib
 import itertools
@@ -41,7 +43,7 @@ from exactpoly import polytopes
 from exactpoly.cli import main
 from exactpoly.constructions import one_point_suspension, push_vertex, strong_dstep_iterate
 from exactpoly.counterexample import base_minus, base_plus, vertices48
-from exactpoly.geometry import DegenerateInput, DimensionMismatch
+from exactpoly.geometry import DegenerateInput, DimensionMismatch, OrthMap
 from exactpoly.linalg import matrix_rank
 from exactpoly.normalfans import minkowski_sum
 from exactpoly.polytopes import (
@@ -63,11 +65,16 @@ from exactpoly.polytopes import (
     polar,
     vertex_graph,
 )
+from exactpoly.rationals import primitive_ints
 from helpers import (
+    apply_ineq,
     check_hull_against_oracle,
     reference_dual_graph_edges,
     reference_extreme_indices,
+    reference_rref,
     reference_vertex_graph_edges,
+    relabeled,
+    slack,
 )
 
 COORD = st.integers(-3, 3)
@@ -164,16 +171,6 @@ def test_insert_into_fixed_builder_matches_facet_enumeration(pts, data):
     assert fixed.points[v] is None
 
 
-@settings(max_examples=60, deadline=None)
-@given(point_sets())
-def test_builder_matches_oracle_and_reference_dual_graph(pts):
-    poly = VPolytope(tuple(pts))
-    hull = facet_enumeration(poly)
-    if hull.dim == poly.ambient_dim:
-        check_hull_against_oracle(poly)
-    assert dual_graph(poly, hull).edges == reference_dual_graph_edges(poly, hull)
-
-
 def test_segment_dual_graph_is_one_edge():
     seg = VPolytope(((Fraction(-2),), (Fraction(5),)))
     hull = facet_enumeration(seg)
@@ -216,17 +213,18 @@ def test_one_dimensional_hull_keeps_both_ends(data):
 
 
 @st.composite
-def boxes(draw):
+def boxes(draw, max_points=256):
     """The corners of a lattice box in dims 2-4 and a drawn subset of its
-    other lattice points: facets hold many points, most of them not
+    other lattice points, at most `max_points` in all (so the dimension is
+    at most log2 of it): facets hold many points, most of them not
     vertices, so |F| - (k-1) > 1."""
-    dim = draw(st.integers(2, 4))
+    dim = draw(st.integers(2, min(4, max_points.bit_length() - 1)))
     sides = draw(st.lists(st.integers(1, 3), min_size=dim, max_size=dim))
     pool = list(itertools.product(*(range(s + 1) for s in sides)))
     keep = draw(st.lists(st.booleans(), min_size=len(pool), max_size=len(pool)))
-    return [
-        p for p, k in zip(pool, keep) if k or all(c in (0, s) for c, s in zip(p, sides))
-    ]
+    corners = [p for p in pool if all(c in (0, s) for c, s in zip(p, sides))]
+    extra = [p for p, k in zip(pool, keep) if k and p not in corners]
+    return sorted(corners + extra[: max_points - len(corners)])
 
 
 @settings(max_examples=40, deadline=None)
@@ -379,6 +377,22 @@ def test_face_test_matches_rank_reference(pts, data):
     assert set(extreme_indices(poly, partial)) <= set(want)
 
 
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(
+    point_sets(), certify_inputs().filter(lambda pts: len(pts) <= 12), boxes(max_points=12)
+))
+def test_builder_matches_oracle_and_reference_dual_graph(pts):
+    """Random, grid and prism point sets, the same with points on edges,
+    inside faces or inside the polytope, and lattice boxes, whose facets
+    hold many points: at most 12 points, because the oracle tries every
+    dim-subset."""
+    poly = VPolytope(tuple(pts))
+    hull = facet_enumeration(poly)
+    if hull.dim == poly.ambient_dim:
+        check_hull_against_oracle(poly)
+    assert dual_graph(poly, hull).edges == reference_dual_graph_edges(poly, hull)
+
+
 # ---------------------------------------------------------------------------
 # one adjacency routine for the dual graph and the vertex graph
 
@@ -396,6 +410,48 @@ def test_graphs_match_their_references(pts):
     segments with points inside them."""
     poly = VPolytope(tuple(pts))
     _assert_graphs_match_references(poly, facet_enumeration(poly))
+
+
+def _slack_vectors(poly, hull):
+    """Each facet's slacks at the points, as primitive integers: a facet of
+    a lower-dimensional hull is a row only up to the equalities, but its
+    slacks are fixed up to a positive scale."""
+    return [
+        tuple(primitive_ints([slack(row, p) for p in poly.vertices]))
+        for row in hull.hrep.inequalities
+    ]
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(certify_inputs(), boxes()), st.data())
+def test_signed_coordinate_permutation_images(pts, data):
+    """The hull of m(P), its points in P's order, for a random signed
+    coordinate permutation m.  Full-dimensional: its rows are exactly the
+    images of P's rows.  Embedded: the chart's columns move with the
+    coordinates, so the facets are matched by their slacks instead, and the
+    equalities span the images of P's.  Either way the induced facet
+    permutation carries P's masks and dual graph onto the image's, and the
+    vertex graph is unchanged."""
+    dim = len(pts[0])
+    order = data.draw(st.permutations(range(dim)))
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
+    m = OrthMap.from_rows([[s if j == c else 0 for j in range(dim)] for c, s in zip(order, signs)])
+    poly = VPolytope(tuple(pts))
+    image = VPolytope(tuple(m.apply_point(p) for p in pts))
+    hull, image_hull = facet_enumeration(poly), facet_enumeration(image)
+    rows = hull.hrep.inequalities
+    if hull.dim == dim:
+        assert image_hull.hrep.inequalities == tuple(sorted(apply_ineq(m, q) for q in rows))
+    eqs = image_hull.hrep.equalities
+    assert all(next(a for a in e if a) > 0 for e in eqs)
+    want = [apply_ineq(m, e) for e in hull.hrep.equalities]
+    assert reference_rref(list(eqs))[1] == reference_rref(want)[1]
+    index = {v: i for i, v in enumerate(_slack_vectors(image, image_hull))}
+    pi = [index[v] for v in _slack_vectors(poly, hull)]
+    masks = hull.incidence.facet_masks
+    assert [image_hull.incidence.facet_masks[pi[f]] for f in range(len(rows))] == list(masks)
+    assert dual_graph(image, image_hull).edges == relabeled(dual_graph(poly, hull).edges, pi)
+    assert vertex_graph(image, image_hull).edges == vertex_graph(poly, hull).edges
 
 
 def _counted(masks, k):
