@@ -6,6 +6,9 @@ tools; the width-6 sections built from them live in `counterexample`.
 All cone work is exact and polyhedral: a direction lies strictly inside the
 normal cone of a vertex exactly when that vertex is the unique maximizer of
 the direction over the polytope, so no spherical geometry is ever needed.
+One routine, `polytopes.maximizers`, finds faces, on integer copies (faces
+do not change under positive scaling); each distinct face of a summand is
+ranked once, and an owner needs no rank.
 The torus angles are floating point and feed the SVG plots only.
 """
 from __future__ import annotations
@@ -24,9 +27,9 @@ from .polytopes import (
     bits,
     dual_graph,
     extreme_indices,
-    face_maximizing,
     facet_enumeration,
     iter_bits,
+    maximizers,
 )
 from .prismatoids import Prismatoid
 from .rationals import primitive_ints
@@ -45,11 +48,10 @@ def normal_cone(hull: Hull, v: int) -> tuple:
 
 
 def interior_owner(poly: VPolytope, direction) -> Optional[int]:
-    """The vertex whose normal cone strictly contains `direction`, if unique."""
-    face = face_maximizing(poly, direction)
-    if len(face.vertex_indices) == 1:
-        return face.vertex_indices[0]
-    return None
+    """The vertex whose normal cone strictly contains `direction`: the
+    unique maximizer, if there is one."""
+    idx = maximizers(poly.vertices, direction)
+    return idx[0] if len(idx) == 1 else None
 
 
 def direction_key(coeffs):
@@ -113,16 +115,18 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     )
     hull = Hull(hull_all.hrep, FacetIncidence(masks, poly.n_vertices), hull_all.dim)
     # faces and their dimensions do not change under scaling, so the normals
-    # are maximized over integer copies of the summands
-    a_int, b_int = (VPolytope(tuple(integer_points(x.vertices)[0])) for x in (a, b))
-    facets = tuple(
-        MinkowskiFacet(
-            normal=a,
-            face_plus=face_maximizing(a_int, a),
-            face_minus=face_maximizing(b_int, a),
-        )
-        for a in facet_normals(hull)
-    )
+    # are maximized over integer copies of the summands; each distinct face
+    # is ranked once
+    summands = [integer_points(x.vertices)[0] for x in (a, b)]
+    faces = {}
+
+    def face(side, normal):
+        idx = maximizers(summands[side], normal)
+        if (side, idx) not in faces:
+            faces[side, idx] = Face(idx, affine_rank([summands[side][i] for i in idx]))
+        return faces[side, idx]
+
+    facets = tuple(MinkowskiFacet(n, face(0, n), face(1, n)) for n in facet_normals(hull))
     provenance = tuple(tuple(sums[points[o]]) for o in keep)
     return MinkowskiSum(poly, hull, facets, provenance)
 
@@ -161,7 +165,8 @@ def bi_dimensions(pr: Prismatoid) -> dict:
     """Non-base facet index -> (dim F ∩ Q+, dim F ∩ Q-), with -1 for an
     empty side."""
     inc = pr.hull.incidence
-    verts = pr.polytope.vertices
+    # ranks do not change under positive scaling
+    verts = integer_points(pr.polytope.vertices)[0]
     base_masks = (inc.facet_masks[pr.base_plus], inc.facet_masks[pr.base_minus])
     table = {}
     for f, m in enumerate(inc.facet_masks):
@@ -212,6 +217,8 @@ def normal_map_interiority_check(
        with normal v.
     """
     rep = Report("normal map interiority")
+    # the owners do not change under positive scaling
+    qplus, qminus = (VPolytope(tuple(integer_points(q.vertices)[0])) for q in (qplus, qminus))
     normals_p = facet_normals(hull_plus)
     normals_m = facet_normals(hull_minus)
     plus_orbit = set(plus_orbit)

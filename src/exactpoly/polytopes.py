@@ -15,13 +15,16 @@ greedily, each by one double-description step (Fukuda & Prodon 1996,
 "Double description method revisited"): two facets meet in a ridge iff no
 third facet holds all their common points, and the new facet through a
 horizon ridge is a positive integer combination of the two facets there, so
-no elimination runs inside the loop.  The test is output-sensitive: each
-visible facet lists once the facets meeting it in at least k-1 points
-(every facet when k = 1), and the partner and every possible third facet
-come from that list.  A point on existing facet hyperplanes
-extends those facets' incidence.  The builder copies cheaply, so the
-perturbation searches build the hull of their fixed points once and insert
-one moved point per candidate.
+no elimination runs inside the loop.  The test is output-sensitive: a
+visible facet's partner and every possible third facet meet it in at least
+k-1 points, so one pass keeps the facets meeting the visible region (the
+union of the visible facets' points) in as many, every facet when k = 1,
+and each visible facet takes its candidates from those.  A point on
+existing facet hyperplanes extends those facets' incidence.  The points
+enter as integer vectors, for the duplicate check and for one fraction-free
+elimination that picks the starting simplex.  The builder copies cheaply,
+so the perturbation searches build the hull of their fixed points once and
+insert one moved point per candidate.
 
 Every hull that is returned has passed one routine, `HullBuilder._verify`:
 no repeated facet, every point against every facet with exact incidence,
@@ -177,18 +180,22 @@ def _check_duplicates(points):
         seen[p] = i
 
 
-def _affine_basis(points):
-    """Greedy indices of an affinely independent spanning subset."""
-    idx = [0]
-    rows = []
-    base = points[0]
-    for i in range(1, len(points)):
-        if len(rows) == len(base):
-            break
-        cand = rows + [vsub(points[i], base)]
-        if matrix_rank(cand) == len(cand):
-            rows = cand
+def _affine_basis(vectors):
+    """Greedy indices of an affinely independent spanning subset of the
+    points with these `_homogeneous` vectors, which are linearly independent
+    iff the points are affinely so: each vector, reduced by the rows kept so
+    far, is kept when it does not vanish."""
+    idx, kept = [], []  # (pivot column, reduced row)
+    for i, v in enumerate(vectors):
+        for c, r in kept:
+            f = v[c]
+            if f:
+                v = tuple(r[c] * x - f * y for x, y in zip(v, r))
+        if any(v):
+            kept.append((next(c for c, x in enumerate(v) if x), _primitive(v)))
             idx.append(i)
+            if len(idx) == len(v):
+                break
     return idx
 
 
@@ -311,21 +318,24 @@ class HullBuilder:
 
     __slots__ = ("dim", "points", "rows", "masks", "base", "verified")
 
-    def __init__(self, points, basis=None):
-        """Hull of the non-None `points`, started from the simplex on the
-        indices `basis` (default: a greedy affine basis) and then inserted in
-        index order.  Raises DegenerateInput when they are not
-        full-dimensional."""
-        self.points = [None if p is None else _homogeneous(p) for p in points]
-        present = [i for i, p in enumerate(points) if p is not None]
+    def __init__(self, points):
+        """Hull of the non-None `points`, started from the simplex on a
+        greedy affine basis and then inserted in index order.  Raises
+        DegenerateInput when they are not full-dimensional."""
+        vectors = [None if p is None else _homogeneous(p) for p in points]
+        present = [i for i, q in enumerate(vectors) if q is not None]
         if not present:
             raise DegenerateInput("a hull needs points")
-        if basis is None:
-            basis = [present[j] for j in _affine_basis([points[i] for i in present])]
-        k = len(basis) - 1
-        if k != len(points[present[0]]):
+        basis = [present[j] for j in _affine_basis([vectors[i] for i in present])]
+        if len(basis) != len(vectors[present[0]]):
             raise DegenerateInput("hull points are not full-dimensional")
-        self.dim = k
+        self._start(vectors, basis)
+
+    def _start(self, vectors, basis):
+        """Start from the simplex on the spanning indices `basis` of the
+        `_homogeneous` `vectors` (None: an empty slot); insert the rest in order."""
+        self.points = vectors
+        self.dim = len(basis) - 1
         self.rows = []
         self.masks = []
         self.base = None
@@ -338,8 +348,8 @@ class HullBuilder:
             self.rows.append(_primitive(h))
             self.masks.append(bits(rest))
         in_basis = set(basis)
-        for i in present:
-            if i not in in_basis:
+        for i, q in enumerate(vectors):
+            if q is not None and i not in in_basis:
                 self._add(i)
 
     def copy(self) -> "HullBuilder":
@@ -372,31 +382,32 @@ class HullBuilder:
         positive combination, so it is oriented, and its tight points are the
         common ones plus the point.
 
-        The candidates are output-sensitive: each visible facet lists once
-        the facets that meet it in at least k-1 points, with the
-        intersections.  The partner fk and every third facet that could hold
-        their common points (at least k-1 of fa's points) are in that list,
-        so the ridge test scans only it.  For k = 1 every facet is listed,
-        since the two ends of a segment share no point."""
+        The candidates are output-sensitive: the partner fk and every third
+        facet that could hold the common points meet fa in at least k-1
+        points, so in as many of the visible region U, the union of the
+        visible facets' points.  One pass keeps the facets meeting U so
+        (every facet for k = 1: the ends of a segment share no point), and
+        each visible facet scans only the kept ones meeting it so.  A
+        visible facet leaves by trading places with the last; `hull()`
+        sorts."""
         q = self.points[i]
         bit = 1 << i
         rows, masks = self.rows, self.masks
         slacks = [sum(map(mul, h, q)) for h in rows]
-        visible = []
-        for f, s in enumerate(slacks):
-            if s < 0:
-                visible.append(f)
-            elif s == 0:
-                masks[f] |= bit
+        visible = [f for f, s in enumerate(slacks) if s < 0]
+        for f in [f for f, s in enumerate(slacks) if s == 0]:
+            masks[f] |= bit
         if not visible:
             return
         k1 = self.dim - 1
+        region = 0
+        for a in visible:
+            region |= masks[a]
+        kept = [(f, m) for f, m in enumerate(masks) if (region & m).bit_count() >= k1]
         new_rows, new_masks = [], []
         for a in visible:
             ha, ma, sa = rows[a], masks[a], slacks[a]
-            near = [
-                (f, c) for f, m in enumerate(masks) if (c := ma & m).bit_count() >= k1 and f != a
-            ]
+            near = [(f, c) for f, m in kept if (c := ma & m).bit_count() >= k1 and f != a]
             for b, common in near:
                 sb = slacks[b]
                 if sb <= 0:
@@ -406,9 +417,11 @@ class HullBuilder:
                     continue
                 new_rows.append(_primitive(tuple(sb * x - sa * y for x, y in zip(ha, rows[b]))))
                 new_masks.append(common | bit)
-        gone = set(visible)
-        self.rows = [h for f, h in enumerate(rows) if f not in gone] + new_rows
-        self.masks = [m for f, m in enumerate(masks) if f not in gone] + new_masks
+        for a in reversed(visible):  # every higher visible facet has left
+            rows[a], masks[a] = rows[-1], masks[-1]
+            del rows[-1], masks[-1]
+        rows += new_rows
+        masks += new_masks
 
     def _verify(self, pts, pairs, unchecked, empty) -> FacetIncidence:
         """The incidence of the (row, mask) `pairs`, after checking that
@@ -504,18 +517,22 @@ def facet_enumeration(poly: VPolytope) -> Hull:
     columns, and inserting zeros at fixed positions keeps the sort order.
     """
     pts = poly.vertices
-    _check_duplicates(pts)
-    basis = _affine_basis(pts)
+    vectors = [_homogeneous(p) for p in pts]
+    _check_duplicates(vectors)
+    basis = _affine_basis(vectors)
     k = len(basis) - 1
     if k < 1:
         raise DegenerateInput("affine rank < 1: a single point has no facets")
     d = len(pts[0])
+    builder = HullBuilder.__new__(HullBuilder)
     if k == d:
-        return HullBuilder(pts, basis).hull()
+        builder._start(vectors, basis)
+        return builder.hull()
     base = pts[basis[0]]
     dirs = [vsub(pts[i], base) for i in basis[1:]]
     cols = echelon(list(dirs))
-    hull = HullBuilder([tuple(p[c] for c in cols) for p in pts], basis).hull()
+    builder._start([_homogeneous(tuple(p[c] for c in cols)) for p in pts], basis)
+    hull = builder.hull()
     facets = []
     for row in hull.hrep.inequalities:
         lifted = [0] * d + [row[-1]]
@@ -673,11 +690,18 @@ class Face(NamedTuple):
     dim: int
 
 
+def maximizers(points, direction) -> tuple:
+    """Indices of the points at which `direction` attains its maximum."""
+    if len(direction) != len(points[0]):
+        raise DimensionMismatch(f"direction of dimension {len(direction)}, not {len(points[0])}")
+    if not any(direction):
+        raise DegenerateInput("zero direction")
+    values = [dot(direction, p) for p in points]
+    best = max(values)
+    return tuple(i for i, v in enumerate(values) if v == best)
+
+
 def face_maximizing(poly: VPolytope, direction) -> Face:
     """The face on which `direction` attains its maximum over the polytope."""
-    if all(c == 0 for c in direction):
-        raise DegenerateInput("zero direction")
-    values = [dot(direction, p) for p in poly.vertices]
-    best = max(values)
-    idx = tuple(i for i, v in enumerate(values) if v == best)
+    idx = maximizers(poly.vertices, direction)
     return Face(idx, affine_rank([poly.vertices[i] for i in idx]))

@@ -1,4 +1,5 @@
 """Shared generators and property drivers for the randomized suites."""
+import math
 import random
 from fractions import Fraction
 from itertools import combinations
@@ -247,6 +248,57 @@ def reference_close_group(generators, poly):
     maps = tuple(OrthMap(rows) for rows in sorted(seen))
     index = {p: i for i, p in enumerate(poly.vertices)}
     return maps, tuple(tuple(index[m.apply_point(p)] for p in poly.vertices) for m in maps)
+
+
+def reference_add(rows, masks, q, i, dim):
+    """(rows, masks) after the double-description step for the homogeneous
+    point q in slot i, with each visible facet's ridge candidates found by a
+    full scan of every facet: those meeting it in at least dim-1 points.
+    This is `HullBuilder._add` before its candidates came from the visible
+    region, kept as the reference for the set of (row, mask) pairs."""
+    bit = 1 << i
+    masks = list(masks)
+    slacks = [sum(a * b for a, b in zip(h, q)) for h in rows]
+    visible = []
+    for f, s in enumerate(slacks):
+        if s < 0:
+            visible.append(f)
+        elif s == 0:
+            masks[f] |= bit
+    new_rows, new_masks = [], []
+    for a in visible:
+        ha, ma, sa = rows[a], masks[a], slacks[a]
+        near = [
+            (f, c) for f, m in enumerate(masks) if (c := ma & m).bit_count() >= dim - 1 and f != a
+        ]
+        for b, common in near:
+            sb = slacks[b]
+            if sb <= 0 or sum(c & common == common for _, c in near) > 1:
+                continue
+            row = tuple(sb * x - sa * y for x, y in zip(ha, rows[b]))
+            g = math.gcd(*row)
+            new_rows.append(tuple(v // g for v in row))
+            new_masks.append(common | bit)
+    gone = set(visible)
+    return (
+        [h for f, h in enumerate(rows) if f not in gone] + new_rows,
+        [m for f, m in enumerate(masks) if f not in gone] + new_masks,
+    )
+
+
+def reference_affine_basis(points):
+    """Greedy indices of an affinely independent spanning subset, by a new
+    Fraction elimination of the difference vectors for every candidate."""
+    idx = [0]
+    rows = []
+    for i in range(1, len(points)):
+        if len(rows) == len(points[0]):
+            break
+        cand = rows + [[Fraction(a) - b for a, b in zip(points[i], points[0])]]
+        if len(reference_rref(cand)[0]) == len(cand):
+            rows = cand
+            idx.append(i)
+    return idx
 
 
 def reference_extreme_indices(poly, hull):

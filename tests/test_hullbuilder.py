@@ -29,6 +29,13 @@ the hypothesis corpus and on q48 artifacts whose members take each way of
 finding candidates.  The brute-force oracle checks rows and masks on inputs
 not in general position, and a signed coordinate permutation of each input
 must give the mapped hull, its facets, dual graph and vertex graph.
+
+Each double-description step takes its ridge candidates from the facets
+that meet the visible region, not from a scan of every facet; after every
+step the facets must be those the full scan gives, on the same corpus and
+on the q48 polar and the base Minkowski sum.  The points enter as integer
+vectors: the greedy starting simplex must be the one the Fraction
+elimination picks, and a duplicate must be named as the rationals name it.
 """
 import contextlib
 import itertools
@@ -69,6 +76,8 @@ from exactpoly.rationals import primitive_ints
 from helpers import (
     apply_ineq,
     check_hull_against_oracle,
+    reference_add,
+    reference_affine_basis,
     reference_dual_graph_edges,
     reference_extreme_indices,
     reference_rref,
@@ -831,3 +840,103 @@ def test_q48_artifacts_need_no_elimination(tmp_path, capsys):
     assert capsys.readouterr().out.splitlines()[-1] == "STEP 2 dim=7 vertices=50 facets=1555 width=8"
     assert calls == []
     assert len(certified) > 10_000 and all(certified)
+
+
+# ---------------------------------------------------------------------------
+# the double-description step against its full-scan reference
+
+
+@contextlib.contextmanager
+def _steps_checked_against_the_full_scan():
+    """Check every `HullBuilder._add` made while the block runs: the facets
+    after it, as a set of (row, mask) pairs with none repeated, are those
+    `reference_add` gives from the facets before it.  Yields the list of
+    the slots inserted."""
+    steps = []
+    add = HullBuilder._add
+
+    def checked(self, i):
+        rows, masks = reference_add(self.rows, self.masks, self.points[i], i, self.dim)
+        add(self, i)
+        assert len(self.rows) == len(rows)
+        assert set(zip(self.rows, self.masks)) == set(zip(rows, masks))
+        steps.append(i)
+
+    HullBuilder._add = checked
+    try:
+        yield steps
+    finally:
+        HullBuilder._add = add
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(certify_inputs(), boxes(), lines().map(_line_points)))
+def test_ridge_candidates_from_the_visible_region_match_the_full_scan(pts):
+    """Points on facet hyperplanes and inside faces, some embedded one
+    dimension up; lattice boxes, whose facets hold many points; segments
+    (k = 1, where every facet is a candidate), embedded when d > 1."""
+    with _steps_checked_against_the_full_scan() as steps:
+        hull = facet_enumeration(VPolytope(tuple(pts)))
+    assert len(steps) == len(pts) - hull.dim - 1
+
+
+def test_q48_polar_and_base_sum_steps_match_the_full_scan(certificate):
+    pol = polar(certificate.poly, certificate.hull)
+    with _steps_checked_against_the_full_scan() as steps:
+        pol_hull = facet_enumeration(pol)
+        base_sum = minkowski_sum(base_plus(), base_minus())
+    assert pol_hull.incidence.n_facets == 48 and base_sum.n_facets == 320
+    # every point but those of the two starting simplices is one step
+    assert len(steps) == (322 - 6) + (576 - 5)
+
+
+# ---------------------------------------------------------------------------
+# the integer entry: homogeneous vectors for the duplicate check and the basis
+
+
+@st.composite
+def basis_inputs(draw):
+    """Rational points with mixed denominators in dims 1-4 whose first ones
+    may be followed by affine combinations of them: an affinely dependent
+    prefix the greedy basis must skip."""
+    dim = draw(st.integers(1, 4))
+    coord = st.fractions(-4, 4, max_denominator=7)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=8))
+    span = pts[: draw(st.integers(1, len(pts)))]
+    for _ in range(draw(st.integers(0, 4))):
+        weights = [draw(st.fractions(-2, 2, max_denominator=5)) for _ in span[1:]]
+        combo = [1 - sum(weights, Fraction(0))] + weights
+        pts.insert(len(span), tuple(sum(w * p[j] for w, p in zip(combo, span)) for j in range(dim)))
+    return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.one_of(basis_inputs(), certify_inputs(), lines().map(_line_points)))
+def test_integer_affine_basis_matches_the_fraction_reference(pts):
+    vectors = [polytopes._homogeneous(p) for p in pts]
+    assert polytopes._affine_basis(vectors) == reference_affine_basis(pts)
+
+
+@settings(max_examples=60, deadline=None)
+@given(point_sets(), st.integers(1, 6), st.data())
+def test_duplicate_is_named_as_the_rationals_name_it(pts, scale, data):
+    """A copy of point i at index j > i, written as other numbers of the
+    same value (an int for an integral Fraction and back), is named as the
+    pair (i, j), by `facet_enumeration` and by a builder's `hull()`."""
+    pts = [tuple(Fraction(c, scale) for c in p) for p in pts]
+    i = data.draw(st.integers(0, len(pts) - 1))
+    j = data.draw(st.integers(i + 1, len(pts)))
+    twin = tuple(c.numerator if c.denominator == 1 else Fraction(2 * c.numerator, 2 * c.denominator)
+                 for c in pts[i])
+    pts.insert(j, twin)
+    with pytest.raises(DuplicatePoints, match=f"^points {i} and {j} coincide$"):
+        facet_enumeration(VPolytope(tuple(pts)))
+    slots = list(pts)
+    slots[j] = None
+    try:
+        builder = HullBuilder(slots)
+    except DegenerateInput:
+        return
+    builder.insert(j, twin)
+    with pytest.raises(DuplicatePoints, match=f"^points {i} and {j} coincide$"):
+        builder.hull()

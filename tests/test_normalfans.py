@@ -1,7 +1,10 @@
+import itertools
 import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactpoly.counterexample import (
     FAMILY_BIDIMENSION,
@@ -11,7 +14,7 @@ from exactpoly.counterexample import (
     gminus_vertices,
     gplus_vertices,
 )
-from exactpoly.geometry import DegenerateInput
+from exactpoly.geometry import DegenerateInput, DimensionMismatch, affine_rank
 from exactpoly.normalfans import (
     bi_dimensions,
     interior_owner,
@@ -25,7 +28,7 @@ from exactpoly.normalfans import (
     torus_project,
     transversality_check,
 )
-from exactpoly.polytopes import VPolytope, dual_graph, facet_enumeration, iter_bits
+from exactpoly.polytopes import VPolytope, dual_graph, face_maximizing, facet_enumeration, iter_bits
 from exactpoly.prismatoids import width
 from exactpoly.rationals import Rat
 from helpers import random_prismatoid
@@ -63,6 +66,71 @@ class TestNormalCones:
     def test_interior_owner_unique(self, qplus):
         assert interior_owner(qplus, pt(0, 0, 1, 0)) == qplus.labels.index("5+")
         assert interior_owner(qplus, pt(5, 1, 2, 1)) is None  # on a cone boundary
+
+    @pytest.mark.parametrize("direction", [(1, 0), (1, 0, 0, 0), (1, 1, 1, 0)])
+    def test_interior_owner_rejects_a_direction_of_wrong_length(self, direction):
+        # zipped with the cube's vertices, (1, 0) would see a square and
+        # (1, 1, 1, 0) would own the vertex (1, 1, 1)
+        cube = VPolytope(tuple(itertools.product((Fraction(-1), Fraction(1)), repeat=3)))
+        with pytest.raises(DimensionMismatch):
+            interior_owner(cube, pt(*direction))
+
+
+# ---------------------------------------------------------------------------
+# the face work against `face_maximizing` on the rational summands
+
+SCALE = st.fractions(Fraction(1, 6), 4, max_denominator=6)
+
+
+@st.composite
+def summands(draw):
+    """A 3-polytope with rational coordinates: lattice points on a sphere
+    (a drawn subset that spans), or the vertices of a box, scaled by a
+    positive rational."""
+    if draw(st.booleans()):
+        r2 = draw(st.sampled_from((2, 3, 5, 6, 9)))
+        sphere = [p for p in itertools.product(range(-3, 4), repeat=3) if sum(x * x for x in p) == r2]
+        pts = draw(st.lists(st.sampled_from(sphere), min_size=4, max_size=10, unique=True))
+        pts = pts if affine_rank(pts) == 3 else sphere
+    else:
+        sides = draw(st.tuples(*[st.integers(1, 3)] * 3))
+        pts = list(itertools.product(*((0, s) for s in sides)))
+    c = draw(SCALE)
+    return VPolytope(tuple(tuple(c * x for x in p) for p in pts))
+
+
+@settings(max_examples=40, deadline=None)
+@given(summands(), summands() | st.none(), SCALE)
+def test_minkowski_faces_match_face_maximizing(a, b, c):
+    """Each facet's two faces, found on integer copies and ranked once per
+    distinct face, are `face_maximizing` of its normal on the rational
+    summands; with no second summand drawn, it is a scaled copy of the
+    first, whose faces are the first's."""
+    if b is None:
+        b = VPolytope(tuple(tuple(c * x for x in p) for p in a.vertices))
+    ms = minkowski_sum(a, b)
+    for mf in ms.facets:
+        assert mf.face_plus == face_maximizing(a, mf.normal)
+        assert mf.face_minus == face_maximizing(b, mf.normal)
+
+
+@settings(max_examples=60, deadline=None)
+@given(summands(), st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 3), st.data())
+def test_interior_owner_matches_the_face_reference(poly, direction, data):
+    """The owner is the face of dimension 0 that `face_maximizing` finds,
+    on Fraction directions and on facet normals, which are boundary
+    directions; the zero direction has none."""
+    with pytest.raises(DegenerateInput, match="zero direction"):
+        interior_owner(poly, (Fraction(0),) * 3)
+    if data.draw(st.booleans()):
+        rows = facet_enumeration(poly).hrep.inequalities
+        direction = tuple(Fraction(a) for a in data.draw(st.sampled_from(rows))[:-1])
+        assert interior_owner(poly, direction) is None
+    elif not any(direction):
+        return
+    face = face_maximizing(poly, direction)
+    want = face.vertex_indices[0] if face.dim == 0 else None
+    assert interior_owner(poly, direction) == want
 
 
 class TestBaseStructure:

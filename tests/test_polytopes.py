@@ -16,7 +16,7 @@ from exactpoly.polytopes import (
     polar,
     vertex_graph,
 )
-from exactpoly.geometry import affine_rank
+from exactpoly.geometry import DimensionMismatch, affine_rank
 from exactpoly.rationals import Rat
 from helpers import check_hull_against_oracle, incidence_matrix, is_connected, random_polytope, slack
 
@@ -348,3 +348,10 @@ class TestFaceMaximizing:
     def test_zero_direction_rejected(self):
         with pytest.raises(DegenerateInput):
             face_maximizing(cube(), pt(0, 0, 0))
+
+    @pytest.mark.parametrize("direction", [(1, 0), (1, 0, 0, 0), (0, 0, 0, 1)])
+    def test_direction_of_wrong_length_rejected(self, direction):
+        # zipped with the vertices, (1, 0) would give the square x = 1 and
+        # (1, 0, 0, 0) would lose its last coordinate
+        with pytest.raises(DimensionMismatch, match="direction of dimension"):
+            face_maximizing(cube(), pt(*direction))
