@@ -27,7 +27,7 @@ from typing import Optional
 
 from .geometry import OrthMap, affine_rank, integer_points, smul, vadd, vsub
 from .graphs import Graph
-from .linalg import echelon
+from .linalg import matrix_rank
 from .normalfans import (
     bi_dimensions,
     direction_key,
@@ -253,7 +253,7 @@ def _vertex_permutation(m: OrthMap, pts, index):
 
 
 def _integer_index(poly: VPolytope):
-    pts, _ = integer_points(poly.vertices)
+    pts = integer_points(poly.vertices)
     return pts, {p: i for i, p in enumerate(pts)}
 
 
@@ -264,7 +264,7 @@ def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
     R^d, so that is checked first: otherwise two maps with the same
     permutation would be taken for one."""
     pts, index = _integer_index(poly)
-    if len(echelon(list(pts))) != poly.ambient_dim:
+    if matrix_rank(pts) != poly.ambient_dim:
         raise ValueError("the vertices do not span the space")
     gen_perms = [_vertex_permutation(m, pts, index) for m in generators]
     queue = [tuple(range(len(pts)))]

@@ -2,15 +2,15 @@
 
 Points are plain tuples of rationals or ints; the ambient dimension is the
 tuple length.  An inequality is no object of its own: it is the primitive
-integer row of `polytopes.HPolytope`.  Affine ranks are computed on integer
-rows by the fraction-free elimination of `linalg`.
+integer row of `polytopes.HPolytope`.  An affine rank is the rank of the
+difference rows, taken by the integer row reduction of `linalg`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import mul
 
-from .linalg import echelon, identity, mat_mul, mat_vec, transpose
+from .linalg import identity, mat_mul, mat_vec, matrix_rank, transpose
 from .rationals import Rat, common_denominator
 
 
@@ -43,10 +43,10 @@ def smul(c, a):
 
 
 def integer_points(points):
-    """(points scaled by the lcm of all their denominators, as int tuples;
-    that lcm).  Affine ranks, incidences and facet normals are unchanged."""
+    """The points scaled by the lcm of all their denominators, as int
+    tuples.  Affine ranks, incidences and facet normals are unchanged."""
     scale = common_denominator([v for p in points for v in p])
-    return [tuple(v.numerator * (scale // v.denominator) for v in p) for p in points], scale
+    return [tuple(v.numerator * (scale // v.denominator) for v in p) for p in points]
 
 
 def check_same_dim(points):
@@ -63,10 +63,7 @@ def affine_rank(points) -> int:
     """Dimension of the affine hull (0 for a single point)."""
     check_same_dim(points)
     base = points[0]
-    rows = [list(vsub(p, base)) for p in points[1:]]
-    if not rows:
-        return 0
-    return len(echelon(rows))
+    return matrix_rank([vsub(p, base) for p in points[1:]])
 
 
 @dataclass(frozen=True)

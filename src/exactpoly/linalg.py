@@ -1,96 +1,101 @@
-"""Exact linear algebra by fraction-free (Bareiss) elimination over `int`.
+"""Exact linear algebra by one greedy row reduction over `int`.
 
-Each rational input row is first scaled by the lcm of its denominators,
-which leaves the rank, the pivot columns and the kernel unchanged; a row of
-`int`s is only copied.  Elimination then stays in Python `int`: Bareiss's
-update (Bareiss 1968, "Sylvester's identity and multistep integer-preserving
-Gaussian elimination") divides exactly by the previous pivot, so no rational
-ever forms and entries stay minors of the input.  Kernel vectors come out
-as integer vectors by back-substitution.
+`reduce_rows` takes the rows in order.  Each is first scaled to integers, a
+row of `int`s as it is and any other by the lcm of its denominators, which
+leaves the row space, the rank, the pivot columns and the kernel unchanged.
+It is then reduced by each row kept before it, r_c v - v_c r for a kept row
+r with pivot column c, and kept, divided by the gcd of its entries, when it
+does not vanish.  No rational ever forms.  A kept row is zero at the pivots
+of the rows kept before it, so the kept rows have distinct pivots (a pivot
+is a row's first nonzero column) and one per unit of rank: their pivots are
+the leading columns of the row space, which are the pivot columns of its
+reduced row echelon form.  Kernel vectors come from the kept rows by
+back-substitution in descending pivot order.
 
-Pivoting rule everywhere: first nonzero entry in column order, scanning rows
-top-down.  Deterministic, so every derived quantity (ranks, hyperplanes,
-nullspaces) is bit-reproducible.
+Every step is deterministic, so every derived quantity (ranks, pivots,
+hyperplanes, kernels) is bit-reproducible.
 """
 from __future__ import annotations
+
+import math
+from operator import mul
 
 from .rationals import clear_denominators
 
 _INT = frozenset((int,))
 
 
-def echelon(rows):
-    """Reduce `rows` in place to a fraction-free row-echelon form of ints.
+def primitive(row):
+    """The tuple `row` divided by the gcd of its entries, sign kept."""
+    g = math.gcd(*row)
+    return row if g == 1 else tuple([v // g for v in row])
 
-    Every row is first replaced by an integer copy: a row of `int`s as it
-    is, any other scaled by the lcm of its denominators, so the caller's row
-    objects are never mutated.  Returns the list of pivot column indices.
-    The pivot of the last pivot row is the determinant of the pivot minor
-    (rows in their final order, pivot columns).
-    """
+
+def reduce_rows(rows):
+    """(indices of the rows kept, [(pivot column, primitive reduced row)]).
+
+    Row i is kept when it is independent of the rows before it, so the
+    indices are the greedy basis of the row space.  The caller's rows are
+    never mutated, and every kept row is a tuple."""
+    idx, kept = [], []
     for i, row in enumerate(rows):
-        rows[i] = list(row) if _INT.issuperset(map(type, row)) else clear_denominators(row)
-    n_rows = len(rows)
-    pivots = []
-    prev = 1
-    r = 0
-    for c in range(len(rows[0]) if rows else 0):
-        for i in range(r, n_rows):
-            if rows[i][c]:
+        v = row if _INT.issuperset(map(type, row)) else clear_denominators(row)
+        for c, r in kept:
+            f = v[c]
+            if f:
+                rc = r[c]
+                v = [rc * x - f * y for x, y in zip(v, r)]
+        if any(v):
+            c = 0
+            while not v[c]:
+                c += 1
+            kept.append((c, primitive(tuple(v))))
+            idx.append(i)
+            if len(kept) == len(v):
                 break
-        else:
-            continue
-        if i != r:
-            rows[r], rows[i] = rows[i], rows[r]
-        row_r = rows[r]
-        piv = row_r[c]
-        for i in range(r + 1, n_rows):
-            row_i = rows[i]
-            f = row_i[c]
-            row_i[c] = 0
-            # Sylvester's identity: the division by the previous pivot is exact
-            for j in range(c + 1, len(row_r)):
-                row_i[j] = (piv * row_i[j] - f * row_r[j]) // prev
-        pivots.append(c)
-        prev = piv
-        r += 1
-        if r == n_rows:
-            break
-    return pivots
+    return idx, kept
 
 
 def matrix_rank(rows) -> int:
-    return len(echelon(list(rows)))
+    return len(reduce_rows(rows)[0])
+
+
+def pivot_columns(rows):
+    """The pivot columns of the reduced row echelon form, ascending."""
+    return sorted(c for c, _ in reduce_rows(rows)[1])
 
 
 def nullspace(rows):
     """Integer basis of {x : rows @ x = 0}, one vector per free column, in
-    column order.  The vector of free column `fc` is zero at the other free
-    columns and holds the pivot determinant at `fc`: it is the rational basis
-    vector with a 1 at `fc`, scaled to integers by the same factor for all."""
+    column order.  The vector of free column `fc` is the primitive one that
+    is zero at the other free columns and positive at `fc`: the rational
+    basis vector with a 1 at `fc`, scaled."""
     if not rows:
         return []
     n_cols = len(rows[0])
-    work = list(rows)
-    pivots = echelon(work)
-    det = work[len(pivots) - 1][pivots[-1]] if pivots else 1
-    pivot_set = set(pivots)
+    kept = sorted(reduce_rows(rows)[1], reverse=True)
+    pivots = {c for c, _ in kept}
     basis = []
     for fc in range(n_cols):
-        if fc in pivot_set:
+        if fc in pivots:
             continue
         x = [0] * n_cols
-        x[fc] = det
-        # back-substitution is exact: by Cramer's rule every entry is an
-        # integer once the free coordinate is the pivot determinant
-        for r in range(len(pivots) - 1, -1, -1):
-            pc = pivots[r]
-            row = work[r]
-            s = 0
-            for c in range(pc + 1, n_cols):
-                if x[c]:
-                    s += row[c] * x[c]
-            x[pc] = -s // row[pc]
+        x[fc] = 1
+        # a kept row is nonzero only from its pivot on, and there only at
+        # free columns and at the larger pivots, solved already; x[pc] is
+        # still 0, so s is the rest of the row's product with x
+        for pc, row in kept:
+            s = sum(map(mul, row, x))
+            if not s:
+                continue
+            a = row[pc]
+            if a < 0:
+                a, s = -a, -s
+            g = math.gcd(a, s)
+            # x stays primitive: a // g and s // g are coprime
+            if a != g:
+                x = [a // g * v for v in x]
+            x[pc] = -s // g
         basis.append(tuple(x))
     return basis
 

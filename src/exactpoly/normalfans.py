@@ -117,7 +117,7 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     # faces and their dimensions do not change under scaling, so the normals
     # are maximized over integer copies of the summands; each distinct face
     # is ranked once
-    summands = [integer_points(x.vertices)[0] for x in (a, b)]
+    summands = [integer_points(x.vertices) for x in (a, b)]
     faces = {}
 
     def face(side, normal):
@@ -166,7 +166,7 @@ def bi_dimensions(pr: Prismatoid) -> dict:
     empty side."""
     inc = pr.hull.incidence
     # ranks do not change under positive scaling
-    verts = integer_points(pr.polytope.vertices)[0]
+    verts = integer_points(pr.polytope.vertices)
     base_masks = (inc.facet_masks[pr.base_plus], inc.facet_masks[pr.base_minus])
     table = {}
     for f, m in enumerate(inc.facet_masks):
@@ -218,7 +218,7 @@ def normal_map_interiority_check(
     """
     rep = Report("normal map interiority")
     # the owners do not change under positive scaling
-    qplus, qminus = (VPolytope(tuple(integer_points(q.vertices)[0])) for q in (qplus, qminus))
+    qplus, qminus = (VPolytope(tuple(integer_points(q.vertices))) for q in (qplus, qminus))
     normals_p = facet_normals(hull_plus)
     normals_m = facet_normals(hull_minus)
     plus_orbit = set(plus_orbit)

@@ -21,10 +21,10 @@ k-1 points, so one pass keeps the facets meeting the visible region (the
 union of the visible facets' points) in as many, every facet when k = 1,
 and each visible facet takes its candidates from those.  A point on
 existing facet hyperplanes extends those facets' incidence.  The points
-enter as integer vectors, for the duplicate check and for one fraction-free
-elimination that picks the starting simplex.  The builder copies cheaply,
-so the perturbation searches build the hull of their fixed points once and
-insert one moved point per candidate.
+enter as integer vectors, for the duplicate check and for the greedy row
+reduction of `linalg` that picks the starting simplex.  The builder copies
+cheaply, so the perturbation searches build the hull of their fixed points
+once and insert one moved point per candidate.
 
 Every hull that is returned has passed one routine, `HullBuilder._verify`:
 no repeated facet, every point against every facet with exact incidence,
@@ -54,7 +54,6 @@ one pass over the masks when counting would cost more.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from operator import mul
 from typing import NamedTuple, Optional
@@ -68,7 +67,7 @@ from .geometry import (
     vsub,
 )
 from .graphs import Graph
-from .linalg import echelon, matrix_rank, nullspace
+from .linalg import matrix_rank, nullspace, pivot_columns, primitive, reduce_rows
 from .rationals import Rat, ZERO, clear_denominators, common_denominator, format_rat, primitive_ints
 
 
@@ -180,35 +179,11 @@ def _check_duplicates(points):
         seen[p] = i
 
 
-def _affine_basis(vectors):
-    """Greedy indices of an affinely independent spanning subset of the
-    points with these `_homogeneous` vectors, which are linearly independent
-    iff the points are affinely so: each vector, reduced by the rows kept so
-    far, is kept when it does not vanish."""
-    idx, kept = [], []  # (pivot column, reduced row)
-    for i, v in enumerate(vectors):
-        for c, r in kept:
-            f = v[c]
-            if f:
-                v = tuple(r[c] * x - f * y for x, y in zip(v, r))
-        if any(v):
-            kept.append((next(c for c, x in enumerate(v) if x), _primitive(v)))
-            idx.append(i)
-            if len(idx) == len(v):
-                break
-    return idx
-
-
 def _homogeneous(p):
     """(-w p_1, ..., -w p_k, w) in `int`, w the lcm of the denominators of p,
     so that a row (a, b) meets it in w (b - a . p)."""
     w = common_denominator(p)
     return tuple(-v.numerator * (w // v.denominator) for v in p) + (w,)
-
-
-def _primitive(row):
-    g = math.gcd(*row)
-    return row if g == 1 else tuple(v // g for v in row)
 
 
 def _tight_masks(points, rows):
@@ -326,7 +301,7 @@ class HullBuilder:
         present = [i for i, q in enumerate(vectors) if q is not None]
         if not present:
             raise DegenerateInput("a hull needs points")
-        basis = [present[j] for j in _affine_basis([vectors[i] for i in present])]
+        basis = [present[j] for j in reduce_rows([vectors[i] for i in present])[0]]
         if len(basis) != len(vectors[present[0]]):
             raise DegenerateInput("hull points are not full-dimensional")
         self._start(vectors, basis)
@@ -342,10 +317,10 @@ class HullBuilder:
         self.verified = None
         for drop in basis:
             rest = [i for i in basis if i != drop]
-            (h,) = nullspace([self.points[i] for i in rest])
+            (h,) = nullspace([self.points[i] for i in rest])  # primitive
             if sum(map(mul, h, self.points[drop])) < 0:
                 h = tuple(-v for v in h)
-            self.rows.append(_primitive(h))
+            self.rows.append(h)
             self.masks.append(bits(rest))
         in_basis = set(basis)
         for i, q in enumerate(vectors):
@@ -415,7 +390,7 @@ class HullBuilder:
                 # b itself is in `near`; a third holder of `common` is a ridge veto
                 if sum(c & common == common for _, c in near) > 1:
                     continue
-                new_rows.append(_primitive(tuple(sb * x - sa * y for x, y in zip(ha, rows[b]))))
+                new_rows.append(primitive(tuple(sb * x - sa * y for x, y in zip(ha, rows[b]))))
                 new_masks.append(common | bit)
         for a in reversed(visible):  # every higher visible facet has left
             rows[a], masks[a] = rows[-1], masks[-1]
@@ -519,7 +494,7 @@ def facet_enumeration(poly: VPolytope) -> Hull:
     pts = poly.vertices
     vectors = [_homogeneous(p) for p in pts]
     _check_duplicates(vectors)
-    basis = _affine_basis(vectors)
+    basis = reduce_rows(vectors)[0]
     k = len(basis) - 1
     if k < 1:
         raise DegenerateInput("affine rank < 1: a single point has no facets")
@@ -530,7 +505,7 @@ def facet_enumeration(poly: VPolytope) -> Hull:
         return builder.hull()
     base = pts[basis[0]]
     dirs = [vsub(pts[i], base) for i in basis[1:]]
-    cols = echelon(list(dirs))
+    cols = pivot_columns(dirs)
     builder._start([_homogeneous(tuple(p[c] for c in cols)) for p in pts], basis)
     hull = builder.hull()
     facets = []
@@ -676,7 +651,7 @@ def polar(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     n = common_denominator(c)
     s = clear_denominators(c)
     ineqs = sorted(
-        _primitive(tuple(n * a for a in row[:-1]) + (n * row[-1] - sum(map(mul, row[:-1], s)),))
+        primitive(tuple(n * a for a in row[:-1]) + (n * row[-1] - sum(map(mul, row[:-1], s)),))
         for row in hull.hrep.inequalities
     )
     if any(q[-1] <= 0 for q in ineqs):

@@ -18,7 +18,6 @@ from .polytopes import (
     facet_enumeration,
     vertex_graph,
 )
-from .rationals import Rat
 
 
 class NotAPrismatoid(ValueError):
@@ -31,8 +30,7 @@ def _parallel(q1, q2) -> bool:
     i = next(j for j, v in enumerate(c1) if v != 0)
     if c2[i] == 0:
         return False
-    r = Rat(c2[i], c1[i])
-    return all(c2[j] == r * c1[j] for j in range(len(c1)))
+    return all(c2[j] * c1[i] == c1[j] * c2[i] for j in range(len(c1)))
 
 
 def _complementary_pairs(masks, full):

@@ -390,13 +390,12 @@ def lifted_distance_dominates(poly, v, f1, f2, choice=("u", "u")):
 
 # ---------------------------------------------------------------------------
 # reference elimination: textbook Gauss-Jordan over Fraction, kept independent
-# of the engine's fraction-free integer elimination
+# of the engine's integer row reduction
 
 
 def reference_rref(rows):
-    """(pivot columns, reduced row echelon form) over Fraction, with the
-    engine's pivoting rule: first nonzero entry in column order, scanning
-    rows top-down."""
+    """(pivot columns, reduced row echelon form) over Fraction, pivoting on
+    the first nonzero entry in column order, scanning rows top-down."""
     work = [[Fraction(v) for v in row] for row in rows]
     n_cols = len(work[0]) if work else 0
     pivots = []

@@ -25,7 +25,7 @@ from exactpoly.counterexample import (
 )
 from exactpoly.fileformats import write_hpoly, write_incidence, write_poly
 from exactpoly.geometry import OrthMap
-from exactpoly.linalg import echelon, identity, mat_mul
+from exactpoly.linalg import identity, mat_mul, matrix_rank
 from exactpoly.polytopes import (
     VPolytope,
     dual_graph,
@@ -33,7 +33,7 @@ from exactpoly.polytopes import (
     polar,
     vertex_graph,
 )
-from exactpoly.prismatoids import make_prismatoid, width
+from exactpoly.prismatoids import NotAPrismatoid, make_prismatoid, width
 from exactpoly.rationals import Rat
 from helpers import (
     apply_ineq,
@@ -61,7 +61,7 @@ class TestData:
     def test_affine_rank_five_by_homogenized_elimination(self, q48):
         # independent oracle: rank of the homogenized 48 x 6 matrix
         rows = [list(p) + [Rat(1)] for p in q48.vertices]
-        assert len(echelon(rows)) == 6
+        assert matrix_rank(rows) == 6
 
     def test_expected_facets_table(self):
         table = expected_facets()
@@ -358,6 +358,33 @@ class TestSmallPrismatoids:
             VPolytope(pts), hull, rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))
         )
         assert width(pr) == 2
+
+    def test_given_bases_must_be_parallel(self):
+        # the cube's top facet and a side facet cover all vertices between them
+        pts = tuple(
+            tuple(Rat(c) for c in (x, y, z))
+            for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)
+        )
+        hull = facet_enumeration(VPolytope(pts))
+        rows = hull.hrep.inequalities
+        with pytest.raises(NotAPrismatoid, match="not parallel"):
+            make_prismatoid(
+                VPolytope(pts), hull, rows.index((0, 0, 1, 1)), rows.index((1, 0, 0, 1))
+            )
+
+    def test_given_bases_must_contain_all_vertices(self):
+        # the cube with a vertex beyond a side: top and bottom stay facets,
+        # parallel and disjoint, but miss the new vertex
+        pts = tuple(
+            tuple(Rat(c) for c in (x, y, z))
+            for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)
+        ) + ((Rat(2), Rat(0), Rat(0)),)
+        hull = facet_enumeration(VPolytope(pts))
+        rows = hull.hrep.inequalities
+        with pytest.raises(NotAPrismatoid, match="do not contain all vertices"):
+            make_prismatoid(
+                VPolytope(pts), hull, rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))
+            )
 
 
 class TestSuspensionOfCounterexample:

@@ -3,9 +3,10 @@
 A point set of affine rank k < d is embedded in d-space by an injective
 rational affine map.  Its hull must have dimension k, the facet incidence of
 the un-embedded hull, equalities that vanish on every point, and facets that
-are tight exactly on their masks.  A seeded corpus of such inputs pins the
-HPOLY and INC text, so the way the hull charts the affine hull may change
-only if the output stays byte-identical.
+are tight exactly on their masks.  A seeded corpus of such inputs, and the
+q48 prismatoid embedded in 6-space, pin the HPOLY and INC text, so the way
+the hull charts the affine hull may change only if the output stays
+byte-identical.
 """
 import hashlib
 import random
@@ -13,6 +14,7 @@ from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from exactpoly.counterexample import vertices48
 from exactpoly.fileformats import write_hpoly, write_incidence
 from exactpoly.geometry import affine_rank
 from exactpoly.linalg import matrix_rank
@@ -120,3 +122,24 @@ def test_embedded_corpus_output_is_pinned():
         hull = facet_enumeration(VPolytope(tuple(points)))
         text.append(f"dim {hull.dim}\n{write_hpoly(hull.hrep)}{write_incidence(hull)}")
     assert hashlib.sha256("".join(text).encode()).hexdigest() == CORPUS_DIGEST
+
+
+# sha256 of the HPOLY and INC text of q48 under x -> (x1, x2, x1 + x3/2 - 3,
+# x3, x4, x5), recorded when the projection's columns and the equalities came
+# from a Bareiss elimination
+EMBEDDED_Q48_DIGEST = "5230f7e4550b754f412bc45b6d564eb6bf5c505e1ae0c212c6ec26951afa489e"
+
+
+def test_embedded_q48_output_is_pinned():
+    """The charting at north-star scale: 48 points, 322 facets, and the
+    one equality 2 y1 - 2 y3 + y4 = 6 of the image, whose third coordinate
+    has denominators."""
+    pts = tuple(
+        (x[0], x[1], x[0] + Fraction(x[2], 2) - 3, x[2], x[3], x[4])
+        for x in vertices48().vertices
+    )
+    hull = facet_enumeration(VPolytope(pts))
+    assert (hull.dim, hull.incidence.n_facets) == (5, 322)
+    assert hull.hrep.equalities == ((2, 0, -2, 1, 0, 0, 6),)
+    text = write_hpoly(hull.hrep) + write_incidence(hull)
+    assert hashlib.sha256(text.encode()).hexdigest() == EMBEDDED_Q48_DIGEST

@@ -1,15 +1,18 @@
-"""Fraction-free integer elimination against a textbook Fraction reference.
+"""The integer row reduction of `linalg` against a textbook Fraction reference.
 
-An inexact floor division inside the Bareiss update would show up here as a
-wrong pivot set, rank or kernel.  The brute-force hull oracle takes its
-hyperplanes from the Fraction reference, but it still shares `affine_rank`
-with the engine, so it cannot catch a wrong rank.
+A wrong reduction step or an inexact division in the back-substitution would
+show up here as a wrong greedy basis, pivot set, rank or kernel.  The
+brute-force hull oracle takes its hyperplanes from the Fraction reference,
+but it still shares `affine_rank` with the engine, so `affine_rank` is
+checked against the reference here.
 """
+import math
 from fractions import Fraction
 
 from hypothesis import given, settings, strategies as st
 
-from exactpoly.linalg import echelon, matrix_rank, nullspace
+from exactpoly.geometry import affine_rank
+from exactpoly.linalg import matrix_rank, nullspace, pivot_columns, reduce_rows
 from helpers import reference_nullspace, reference_rref
 
 SMALL = st.integers(-6, 6)
@@ -50,18 +53,27 @@ def _is_int_matrix(rows):
     return all(type(v) is int for row in rows for v in row)
 
 
+def _rank(rows):
+    return len(reference_rref(rows)[0])
+
+
 @settings(max_examples=200, deadline=None)
 @given(matrices())
-def test_echelon_pivots_and_rank_match_reference(rows):
+def test_pivots_rank_and_greedy_basis_match_reference(rows):
     pivots, _ = reference_rref(rows)
-    work = [list(r) for r in rows]
-    assert echelon(work) == pivots
-    assert _is_int_matrix(work)
-    # rows below the rank are zero; each pivot row starts at its pivot
-    assert all(v == 0 for row in work[len(pivots):] for v in row)
-    for r, c in enumerate(pivots):
-        assert work[r][c] != 0 and all(v == 0 for v in work[r][:c])
-    assert matrix_rank(rows) == len(pivots)
+    idx, kept = reduce_rows(rows)
+    assert pivot_columns(rows) == pivots
+    assert matrix_rank(rows) == len(idx) == len(kept) == len(pivots)
+    # row i is kept iff it raises the rank of the rows before it
+    assert idx == [i for i in range(len(rows)) if _rank(rows[: i + 1]) > _rank(rows[:i])]
+    assert _is_int_matrix([r for _, r in kept])
+    for n, (c, r) in enumerate(kept):
+        # each kept row is primitive, starts at its pivot, vanishes at the
+        # pivots kept before it and spans the same rows as the reference
+        assert math.gcd(*r) == 1
+        assert r[c] != 0 and all(v == 0 for v in r[:c])
+        assert all(r[pc] == 0 for pc, _ in kept[:n])
+        assert _rank([rows[i] for i in idx] + [r]) == len(idx)
 
 
 @settings(max_examples=200, deadline=None)
@@ -72,11 +84,10 @@ def test_nullspace_matches_reference(rows):
     want = reference_nullspace(rows)
     got = nullspace(rows)
     assert _is_int_matrix(got) and len(got) == len(want) == len(free)
-    # one common nonzero factor, found at the free columns, turns the
-    # reference basis into the integer one
-    scales = {vec[fc] for vec, fc in zip(got, free)}
-    assert len(scales) <= 1 and 0 not in scales
     for vec, unit, fc in zip(got, want, free):
+        # primitive and positive at its free column, the reference vector
+        # (1 there, 0 at the other free columns) scaled
+        assert math.gcd(*vec) == 1 and vec[fc] > 0
         assert tuple(Fraction(v, vec[fc]) for v in vec) == unit
         assert all(sum(Fraction(a) * x for a, x in zip(row, vec)) == 0 for row in rows)
 
@@ -85,14 +96,39 @@ def test_nullspace_matches_reference(rows):
 @given(matrices(entry=st.one_of(SMALL, HUGE)), matrices())
 def test_caller_rows_never_mutated(int_rows, mixed_rows):
     # all-int rows are copied, not rescaled; rational rows are scaled into
-    # new lists: in both cases the caller's row objects keep their values
+    # new tuples: in both cases the caller's row objects keep their values
     for rows in (int_rows, mixed_rows):
         originals = [list(r) for r in rows]
         objects = list(rows)
-        work = list(rows)
-        echelon(work)
+        _, kept = reduce_rows(rows)
         matrix_rank(rows)
+        pivot_columns(rows)
         nullspace(rows)
         assert all(a is b for a, b in zip(rows, objects))
         assert [list(r) for r in rows] == originals
-        assert all(w is not r for w in work for r in objects)
+        assert all(type(r) is tuple for _, r in kept)
+
+
+COORD = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=9))
+
+
+@st.composite
+def affine_point_sets(draw):
+    """Rational points with mixed denominators in dims 1-5: a few spanning
+    points, then affine combinations of them mixed in, so the rank is often
+    below both the dimension and the number of points."""
+    dim = draw(st.integers(1, 5))
+    pts = draw(st.lists(st.tuples(*[COORD] * dim), min_size=1, max_size=dim + 1))
+    for _ in range(draw(st.integers(0, 4))):
+        weights = [draw(st.fractions(-2, 2, max_denominator=5)) for _ in pts[1:]]
+        combo = [1 - sum(weights, Fraction(0))] + weights
+        at = draw(st.integers(0, len(pts)))
+        pts.insert(at, tuple(sum(w * p[j] for w, p in zip(combo, pts)) for j in range(dim)))
+    return pts
+
+
+@settings(max_examples=200, deadline=None)
+@given(affine_point_sets())
+def test_affine_rank_matches_reference(pts):
+    diffs = [[Fraction(a) - b for a, b in zip(p, pts[0])] for p in pts[1:]]
+    assert affine_rank(pts) == _rank(diffs)
