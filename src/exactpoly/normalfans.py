@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
 
-from .geometry import DegenerateInput, affine_rank, integer_points
+from .geometry import DegenerateInput, affine_rank, integer_points, vsub
+from .linalg import primitive
 from .polytopes import (
     Face,
     FacetIncidence,
@@ -93,16 +94,30 @@ class MinkowskiSum:
         return dual_graph(self.polytope, self.hull)
 
 
+def _edge_directions(pts):
+    """Per integer point p of `pts`, the set of primitive directions q - p
+    to the other points q: the same for every positive scaling."""
+    return [{primitive(vsub(q, p)) for q in pts if q != p} for p in pts]
+
+
 def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
-    """Hull of all pairwise vertex sums, annotated facet by facet with the
-    decomposition F = F+ + F- found by maximizing the facet normal."""
+    """Hull of the pairwise vertex sums that can be vertices, annotated
+    facet by facet with the decomposition F = F+ + F- found by maximizing
+    the facet normal."""
     if a.ambient_dim != b.ambient_dim:
         raise DegenerateInput("summands must share the ambient dimension")
+    # a_i + b_j is no vertex when a_k - a_i is a positive multiple of
+    # b_j - b_l: it lies inside the segment from a_i + b_l to a_k + b_j.
+    # Such pairs never reach the hull.  No pair that sums to a vertex is
+    # skipped, so the vertices and their provenance are unchanged.
+    away = _edge_directions(integer_points(a.vertices))
+    into = _edge_directions([tuple(-v for v in p) for p in integer_points(b.vertices)])
     sums = {}
     for i, p in enumerate(a.vertices):
         for j, q in enumerate(b.vertices):
-            s = tuple(p[t] + q[t] for t in range(len(p)))
-            sums.setdefault(s, []).append((i, j))
+            if away[i].isdisjoint(into[j]):
+                s = tuple(p[t] + q[t] for t in range(len(p)))
+                sums.setdefault(s, []).append((i, j))
     points = tuple(sums)
     raw = VPolytope(points)
     hull_all = facet_enumeration(raw)

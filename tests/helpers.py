@@ -11,7 +11,7 @@ from exactpoly.counterexample import (
     check_facet_census,
     check_prism_collinearities,
 )
-from exactpoly.geometry import DegenerateInput, OrthMap, affine_rank
+from exactpoly.geometry import DegenerateInput, OrthMap, affine_rank, vadd
 from exactpoly.linalg import identity, mat_mul
 from exactpoly.polytopes import (
     VPolytope,
@@ -19,6 +19,7 @@ from exactpoly.polytopes import (
     certify_vertices,
     dual_graph,
     extreme_indices,
+    face_maximizing,
     facet_enumeration,
     iter_bits,
 )
@@ -431,3 +432,28 @@ def reference_nullspace(rows):
             x[pc] = -work[r][fc]
         basis.append(tuple(x))
     return basis
+
+
+def reference_minkowski_sum(a: VPolytope, b: VPolytope):
+    """The sum of `a` and `b` from the hull of every pairwise sum, with no
+    prefilter, and each facet's faces from `face_maximizing` on the rational
+    summands: (vertices, hrep, facet masks, faces, provenance), laid out as
+    `minkowski_sum` lays them out."""
+    sums = {}
+    for i, p in enumerate(a.vertices):
+        for j, q in enumerate(b.vertices):
+            sums.setdefault(vadd(p, q), []).append((i, j))
+    points = tuple(sums)
+    raw = VPolytope(points)
+    hull = facet_enumeration(raw)
+    keep = extreme_indices(raw, hull)
+    new = {o: n for n, o in enumerate(keep)}
+    masks = tuple(
+        bits(new[v] for v in iter_bits(m) if v in new) for m in hull.incidence.facet_masks
+    )
+    faces = tuple(
+        (face_maximizing(a, row[:-1]), face_maximizing(b, row[:-1]))
+        for row in hull.hrep.inequalities
+    )
+    provenance = tuple(tuple(sums[points[o]]) for o in keep)
+    return tuple(points[o] for o in keep), hull.hrep, masks, faces, provenance

@@ -31,7 +31,7 @@ from exactpoly.normalfans import (
 from exactpoly.polytopes import VPolytope, dual_graph, face_maximizing, facet_enumeration, iter_bits
 from exactpoly.prismatoids import width
 from exactpoly.rationals import Rat
-from helpers import random_prismatoid
+from helpers import random_prismatoid, reference_minkowski_sum
 
 
 def pt(*coords):
@@ -112,6 +112,34 @@ def test_minkowski_faces_match_face_maximizing(a, b, c):
     for mf in ms.facets:
         assert mf.face_plus == face_maximizing(a, mf.normal)
         assert mf.face_minus == face_maximizing(b, mf.normal)
+
+
+def flattened(poly):
+    """The image of a summand under (x, y, z) -> (x, y, x - y), a polygon
+    in a plane of R^3, with repeated points dropped."""
+    return VPolytope(tuple(dict.fromkeys((x, y, x - y) for x, y, _ in poly.vertices)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(summands(), summands(), SCALE, st.sampled_from(("drawn", "scaled", "one flat", "both flat")))
+def test_minkowski_prefilter_keeps_the_unfiltered_sum(a, b, c, shape):
+    """Skipping the pairwise sums that cannot be vertices changes nothing:
+    the vertices, rows (equalities too), incidence, faces and provenance
+    equal those of the hull of every pairwise sum, for rational summands,
+    a scaled copy (every edge has a parallel partner), and summands in a
+    plane (a full or a lower-dimensional sum)."""
+    if shape == "scaled":
+        b = VPolytope(tuple(tuple(c * x for x in p) for p in a.vertices))
+    elif shape != "drawn":
+        a = flattened(a)
+        b = flattened(b) if shape == "both flat" else b
+    ms = minkowski_sum(a, b)
+    vertices, hrep, masks, faces, provenance = reference_minkowski_sum(a, b)
+    assert ms.polytope.vertices == vertices
+    assert ms.hull.hrep == hrep
+    assert ms.hull.incidence.facet_masks == masks
+    assert tuple((mf.face_plus, mf.face_minus) for mf in ms.facets) == faces
+    assert ms.provenance == provenance
 
 
 @settings(max_examples=60, deadline=None)
