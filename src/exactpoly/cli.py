@@ -77,8 +77,8 @@ def _cmd_hull(args) -> int:
 
 def _cmd_width(args) -> int:
     poly = _load(args.input)
-    pr = make_prismatoid(poly)
-    print(width(pr))
+    certify_vertices(poly)
+    print(width(make_prismatoid(poly)))
     return 0
 
 
@@ -155,6 +155,8 @@ def _cmd_plot_torus(args) -> int:
 
 
 def _write_polytope(poly: VPolytope, args) -> None:
+    # a polytope a search returns keeps the hull the search verified, which
+    # `facet_enumeration` returns without building it again
     if args.format == "hpoly":
         _emit(write_hpoly(facet_enumeration(poly).hrep), args.out)
     else:
@@ -184,6 +186,7 @@ def _cmd_construct(args) -> int:
         )
     elif args.operation == "dstep-iterate":
         poly = _load(args.input)
+        certify_vertices(poly)
         pr = make_prismatoid(poly)
         final, trace = strong_dstep_iterate(pr, args.steps, seed=args.seed)
         for i, rec in enumerate(trace):

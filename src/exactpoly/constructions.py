@@ -22,6 +22,7 @@ from .polytopes import (
     certify_vertices,
     facet_enumeration,
     iter_bits,
+    keep_hull,
     vertex_graph,
 )
 from .prismatoids import NotAPrismatoid, Prismatoid, make_prismatoid, width
@@ -150,7 +151,8 @@ def _fixed_builder(poly: VPolytope, v: int) -> Optional[HullBuilder]:
 
 def _moved(poly: VPolytope, v: int, point, fixed: Optional[HullBuilder]):
     """(poly with vertex v at `point`, its verified hull): one insertion into
-    a copy of `fixed`, or a facet enumeration when there is no builder."""
+    a copy of `fixed`, or a facet enumeration when there is no builder.  The
+    hull is kept on the new polytope, so its `facet_enumeration` is free."""
     verts = list(poly.vertices)
     verts[v] = point
     new_poly = VPolytope(tuple(verts), poly.labels)
@@ -158,7 +160,7 @@ def _moved(poly: VPolytope, v: int, point, fixed: Optional[HullBuilder]):
         return new_poly, facet_enumeration(new_poly)
     builder = fixed.copy()
     builder.insert(v, point)
-    return new_poly, builder.hull()
+    return new_poly, keep_hull(new_poly, builder.hull())
 
 
 def _halvings(poly, v, fixed, step, max_halvings, rejected):

@@ -35,8 +35,6 @@ the orbits of its generators.
 from __future__ import annotations
 
 import os
-import pickle
-import signal
 import threading
 from dataclasses import dataclass
 from functools import cached_property
@@ -62,6 +60,7 @@ from .normalfans import (
 from .polytopes import (
     Hull,
     VPolytope,
+    certify_vertices,
     dual_graph,
     facet_enumeration,
     iter_bits,
@@ -446,6 +445,7 @@ class Certificate:
 
     @cached_property
     def pr(self):
+        certify_vertices(self.poly, self.hull)
         return make_prismatoid(self.poly, self.hull, self.by_label["A"], self.by_label["L"])
 
     @cached_property
@@ -519,6 +519,8 @@ class _SumWorker:
         """A running worker, or None where a fork would not pay or is unsafe."""
         if not hasattr(os, "fork") or threading.active_count() > 1 or _usable_cpus() < 2:
             return None
+        import pickle  # imported here: only a full verify that forks needs it
+
         fd, out = os.pipe()
         try:
             pid = os.fork()
@@ -543,6 +545,8 @@ class _SumWorker:
         was reaped already.  The child is reaped here."""
         if self.pid is None:
             return None
+        import pickle
+
         try:
             with os.fdopen(self.fd, "rb") as pipe:
                 data = pipe.read()
@@ -554,6 +558,8 @@ class _SumWorker:
     def stop(self):
         """Kill and reap the child if its result was never read."""
         if self.pid is not None:
+            import signal
+
             os.close(self.fd)
             os.kill(self.pid, signal.SIGKILL)
             os.waitpid(self.pid, 0)

@@ -51,10 +51,19 @@ the dual graph from the facets' side of the incidence and the vertex graph
 from the points' side.  It tests a member only against those that share at
 least k-1 of its elements, counted over the transposed masks, or found by
 one pass over the masks when counting would cost more.
+
+A `VPolytope` keeps the verified hull that `facet_enumeration` built for
+it, and every later call on that object returns it, so `polar`,
+`certify_vertices` and `prismatoids.make_prismatoid`, called without a
+hull, reuse it.  The hull belongs to the object, not to its value: a new
+`VPolytope` with the same points is enumerated again.  An input that raises
+keeps nothing, and a perturbation search records the hull of each candidate
+it builds (`keep_hull`), so a kept hull has always passed `_verify`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from math import gcd
 from operator import mul
 from typing import NamedTuple, Optional
 
@@ -68,7 +77,7 @@ from .geometry import (
 )
 from .graphs import Graph
 from .linalg import matrix_rank, nullspace, pivot_columns, primitive, reduce_rows
-from .rationals import Rat, ZERO, clear_denominators, common_denominator, format_rat, primitive_ints
+from .rationals import Rat, common_denominator, format_rat, primitive_ints
 
 
 class DuplicatePoints(DegenerateInput):
@@ -81,10 +90,16 @@ class NotAVertex(ValueError):
 
 @dataclass(frozen=True)
 class VPolytope:
-    """A polytope as an ordered list of points (tuples of rationals)."""
+    """A polytope as an ordered list of points (tuples of rationals).
+
+    `_hull` is the verified hull of this object's points, once
+    `facet_enumeration` or `keep_hull` has recorded it; it takes no part in
+    construction, comparison or hashing.  The object is frozen and its
+    points are tuples, so a kept hull stays the hull of its points."""
 
     vertices: tuple
     labels: Optional[tuple] = None
+    _hull: Optional["Hull"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_same_dim(self.vertices)
@@ -484,14 +499,30 @@ def facet_enumeration(poly: VPolytope) -> Hull:
     Facets are `HPolytope` rows in lexicographic order; for
     non-full-dimensional input the affine hull's equality constraints are
     reported in `hrep.equalities` and facets cut within it.
-    This is `HullBuilder` run over the points in input order.  When their
-    affine hull has dimension k < d, it runs on their coordinates at the k
-    pivot columns of the affine hull's directions, a projection that is
-    one-to-one on the affine hull, and each facet there lifts with zeros in
-    the other columns.  That lift is the unique facet inequality supported on those
-    columns, and inserting zeros at fixed positions keeps the sort order.
+    The hull is built once per object: it is kept on `poly`, and a later
+    call on the same object returns it.  A new `VPolytope` with the same
+    points, equal to `poly` as a value, is enumerated again.
     """
-    pts = poly.vertices
+    if poly._hull is None:
+        keep_hull(poly, _enumerate(poly.vertices))
+    return poly._hull
+
+
+def keep_hull(poly: VPolytope, hull: Hull) -> Hull:
+    """Record `hull` on `poly` as its `facet_enumeration` and return it.
+    `hull` must be the verified hull of poly's points in their order, as a
+    `HullBuilder` over exactly those points returns it."""
+    object.__setattr__(poly, "_hull", hull)
+    return hull
+
+
+def _enumerate(pts) -> Hull:
+    """`HullBuilder` run over the points in input order.  When their affine
+    hull has dimension k < d, it runs on their coordinates at the k pivot
+    columns of the affine hull's directions, a projection that is one-to-one
+    on the affine hull, and each facet there lifts with zeros in the other
+    columns.  That lift is the unique facet inequality supported on those
+    columns, and inserting zeros at fixed positions keeps the sort order."""
     vectors = [_homogeneous(p) for p in pts]
     _check_duplicates(vectors)
     basis = reduce_rows(vectors)[0]
@@ -542,7 +573,8 @@ def _smallest_faces(hull: Hull):
 
 
 def certify_vertices(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
-    """Confirm every listed point is an extreme point; raises NotAVertex."""
+    """Confirm every listed point is an extreme point; raises NotAVertex.
+    Without `hull`, the one `facet_enumeration` keeps on `poly` is read."""
     if hull is None:
         hull = facet_enumeration(poly)
     for i, face in enumerate(_smallest_faces(hull)):
@@ -626,10 +658,17 @@ def vertex_graph(poly: VPolytope, hull: Hull) -> Graph:
     return _adjacency(hull.incidence.vertex_masks, hull.incidence.facet_masks, hull.dim)
 
 
-def centroid(points):
-    n = Rat(len(points))
-    d = len(points[0])
-    return tuple(sum((p[j] for p in points), ZERO) / n for j in range(d))
+def _centroid(points):
+    """(n, s) with n > 0, s an integer vector and gcd(n, s) = 1, such that
+    s / n is the centroid of `points`, found without rational sums: with L
+    the lcm of their denominators and S the column sums of the points scaled
+    by L, the centroid is S / N for N = (point count) L, so n = N / G and
+    s = S / G for G = gcd(N, S)."""
+    scale = common_denominator(v for p in points for v in p)
+    sums = [sum(v.numerator * (scale // v.denominator) for v in col) for col in zip(*points)]
+    total = len(points) * scale
+    g = gcd(total, *sums)
+    return total // g, [v // g for v in sums]
 
 
 def polar(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
@@ -638,18 +677,17 @@ def polar(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     Vertices of the polar are facet normals scaled so normal . x = 1 on the
     facet; facets of the polar correspond to vertices of the input, with the
     transposed incidence.  `hull` is the hull of `poly` when the caller has
-    it.  The shift by the centroid c = s / n, for s an integer vector, takes
-    a . x <= b to a . y <= b - a . c, whose primitive row is that of
-    (n a, n b - a . s); sorted, these are the rows the enumeration of the
-    shifted points gives, so no second hull is built.
+    it; without it, the one `facet_enumeration` keeps on `poly` is read.
+    The shift by the centroid c = s / n (`_centroid`) takes a . x <= b to
+    a . y <= b - a . c, whose primitive row is that of (n a, n b - a . s);
+    sorted, these are the rows the enumeration of the shifted points gives,
+    so no second hull is built.
     """
     if hull is None:
         hull = facet_enumeration(poly)
     if hull.hrep.equalities:
         raise DegenerateInput("polar requires a full-dimensional polytope")
-    c = centroid(poly.vertices)
-    n = common_denominator(c)
-    s = clear_denominators(c)
+    n, s = _centroid(poly.vertices)
     ineqs = sorted(
         primitive(tuple(n * a for a in row[:-1]) + (n * row[-1] - sum(map(mul, row[:-1], s)),))
         for row in hull.hrep.inequalities

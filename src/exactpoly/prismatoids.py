@@ -13,7 +13,6 @@ from typing import Optional
 from .polytopes import (
     Hull,
     VPolytope,
-    certify_vertices,
     dual_graph,
     facet_enumeration,
     vertex_graph,
@@ -86,12 +85,14 @@ def make_prismatoid(
     """Verify the prismatoid structure; auto-detect base facets if not given.
 
     Auto-detection picks, in lexicographic order, the first parallel pair
-    of facets whose incidences split the vertices, looking each facet's
-    partner up by its mask.
+    of facets whose incidences split the points, looking each facet's
+    partner up by its mask.  The points are not certified as vertices here:
+    a caller whose points may not all be vertices runs `certify_vertices`
+    first.  Without `hull`, the one `facet_enumeration` keeps on `poly` is
+    read.
     """
     if hull is None:
         hull = facet_enumeration(poly)
-    certify_vertices(poly, hull)
     inc = hull.incidence
     full = (1 << poly.n_vertices) - 1
     if base_plus is None or base_minus is None:

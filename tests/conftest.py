@@ -1,6 +1,23 @@
 import pytest
 
 from exactpoly.counterexample import Certificate
+from exactpoly.polytopes import HullBuilder
+
+
+@pytest.fixture
+def hull_builds(monkeypatch):
+    """The point counts of the verified hulls built while the test runs, in
+    order: every hull, enumerated or from a search's builder, is one
+    `HullBuilder.hull()`.  A hull kept on a polytope adds nothing."""
+    counts = []
+    build = HullBuilder.hull
+
+    def counting(builder):
+        counts.append(len(builder.points))
+        return build(builder)
+
+    monkeypatch.setattr(HullBuilder, "hull", counting)
+    return counts
 
 
 @pytest.fixture(scope="session")

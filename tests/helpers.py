@@ -27,6 +27,13 @@ from exactpoly.prismatoids import make_prismatoid
 from exactpoly.rationals import Rat, primitive_ints
 
 
+def centroid(points):
+    """The vertex centroid as `Fraction` sums, the reference for the integer
+    shift inside `polytopes.polar`."""
+    n = Rat(len(points))
+    return tuple(sum((p[j] for p in points), Rat(0)) / n for j in range(len(points[0])))
+
+
 def random_full_dim_points(rng, dim, n_points, spread=6):
     """Distinct integer points spanning the full dimension."""
     while True:

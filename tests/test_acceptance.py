@@ -25,6 +25,7 @@ from exactpoly.polytopes import VPolytope, certify_vertices, polar
 from exactpoly.prismatoids import width
 from exactpoly.rationals import Rat, primitive_ints
 from helpers import (
+    centroid,
     check_hull_against_oracle,
     check_suspension_distances,
     random_polytope,
@@ -32,7 +33,6 @@ from helpers import (
 )
 
 from exactpoly.geometry import affine_rank, vsub
-from exactpoly.polytopes import centroid
 
 
 def _require(rep):

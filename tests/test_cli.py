@@ -275,6 +275,27 @@ class TestCommands:
                      "--out", str(o2)]) == 0
         assert o1.read_text() == o2.read_text()
 
+    @pytest.mark.parametrize(
+        "operation, options",
+        [("push", ["--vertex", "2", "--seed", "9"]), ("dstep-iterate", ["--steps", "2", "--seed", "7"])],
+    )
+    def test_construct_hpoly_is_the_search_hull(self, tmp_path, capsys, hull_builds, operation, options):
+        # the search's result keeps the hull it verified: its HPOLY equals
+        # the enumeration of a fresh, equal polytope, and writing it builds
+        # no hull beyond those of the POLY run
+        src = tmp_path / "cube.poly"
+        src.write_text(cube_text())
+        runs = {}
+        for fmt in ("poly", "hpoly"):
+            out = tmp_path / f"out.{fmt}"
+            start = len(hull_builds)
+            args = ["construct", operation, str(src), *options, "--format", fmt, "--out", str(out)]
+            assert main(args) == 0
+            runs[fmt] = out.read_text(), hull_builds[start:]
+        (poly_text, poly_builds), (hpoly_text, hpoly_builds) = runs["poly"], runs["hpoly"]
+        assert hpoly_builds == poly_builds
+        assert hpoly_text == write_hpoly(facet_enumeration(read_poly(poly_text)).hrep)
+
     def test_construct_product(self, tmp_path):
         a = tmp_path / "a.poly"
         a.write_text(write_poly(VPolytope((pt(-1,), pt(1,)))))

@@ -21,6 +21,7 @@ from exactpoly.counterexample import (
     facet_orbits,
     facet_permutation,
     symmetry_groups,
+    verify_counterexample,
     vertices48,
 )
 from exactpoly.fileformats import write_hpoly, write_incidence, write_poly
@@ -116,6 +117,16 @@ class TestByteIdentity:
 
     def test_polar_poly_text(self, q48):
         assert self.digest(write_poly(polar(q48))) == self.POLAR_POLY
+
+
+def test_verify_builds_its_own_q48_hull_once(hull_builds):
+    # the hull is kept per object: the caller's enumeration of an equal
+    # polytope does not stand in for the certificate's own, which the
+    # report builds exactly once
+    facet_enumeration(vertices48())
+    assert hull_builds == [48]
+    assert verify_counterexample(full=False).passed
+    assert hull_builds[1:].count(48) == 1
 
 
 def _generators():

@@ -6,8 +6,10 @@ from hypothesis import assume, given, settings, strategies as st
 from exactpoly.polytopes import (
     DuplicatePoints,
     DegenerateInput,
+    HullBuilder,
     NotAVertex,
     VPolytope,
+    _centroid,
     certify_vertices,
     dual_graph,
     face_maximizing,
@@ -17,10 +19,17 @@ from exactpoly.polytopes import (
     vertex_graph,
 )
 from exactpoly.geometry import DimensionMismatch, affine_rank
-from exactpoly.rationals import Rat
-from helpers import check_hull_against_oracle, incidence_matrix, is_connected, random_polytope, slack
+from exactpoly.prismatoids import make_prismatoid
+from exactpoly.rationals import Rat, clear_denominators, common_denominator
+from helpers import (
+    centroid,
+    check_hull_against_oracle,
+    incidence_matrix,
+    is_connected,
+    random_polytope,
+    slack,
+)
 
-from exactpoly.polytopes import centroid
 from exactpoly.geometry import vsub
 
 
@@ -59,9 +68,12 @@ class TestFacetEnumeration:
         assert all(m.bit_count() == 4 for m in hull.incidence.facet_masks)
 
     def test_output_deterministic(self):
+        # a fresh polytope equal to `poly` is enumerated again, while a second
+        # call on `poly` itself would return the kept hull
         poly, _ = random_polytope(random.Random(2), 3, 9)
         h1 = facet_enumeration(poly)
-        h2 = facet_enumeration(poly)
+        h2 = facet_enumeration(VPolytope(poly.vertices))
+        assert h1 is not h2
         assert h1.hrep.inequalities == h2.hrep.inequalities
         assert h1.incidence.facet_masks == h2.incidence.facet_masks
 
@@ -203,6 +215,55 @@ class TestRationalChart:
         certify_vertices(flat, hull3)
 
 
+class TestHullReuse:
+    """A polytope keeps the hull `facet_enumeration` built for it; the
+    cache follows the object, never its value."""
+
+    def test_same_object_same_hull(self):
+        poly = pentagon()
+        assert facet_enumeration(poly) is facet_enumeration(poly)
+
+    def test_equal_polytope_gets_its_own_hull(self):
+        # the kept hull takes no part in comparison, hashing or repr
+        poly = pentagon()
+        hull = facet_enumeration(poly)
+        twin = VPolytope(poly.vertices)
+        assert twin == poly and hash(twin) == hash(poly) and repr(twin) == repr(poly)
+        other = facet_enumeration(twin)
+        assert other is not hull
+        assert other.hrep == hull.hrep
+        assert other.incidence.facet_masks == hull.incidence.facet_masks
+
+    def test_input_that_raises_keeps_nothing(self, monkeypatch):
+        dup = VPolytope((pt(0, 0), pt(1, 0), pt(0, 0)))
+        for _ in range(2):
+            with pytest.raises(DuplicatePoints):
+                facet_enumeration(dup)
+        assert dup._hull is None
+        # a hull that fails its verification is not kept either
+        poly = pentagon()
+
+        def failing(*args, **kwargs):
+            raise DegenerateInput("hull verification failed: planted")
+
+        monkeypatch.setattr(HullBuilder, "_verify", failing)
+        with pytest.raises(DegenerateInput, match="planted"):
+            facet_enumeration(poly)
+        assert poly._hull is None
+        monkeypatch.undo()
+        assert facet_enumeration(poly).incidence.n_facets == 5
+
+    def test_hull_optional_calls_build_one_hull(self, hull_builds):
+        c = cube()
+        certify_vertices(c)
+        pol = polar(c)
+        pr = make_prismatoid(c)
+        assert pr.hull is facet_enumeration(c)
+        assert hull_builds == [8]
+        assert pol == polar(cube(), facet_enumeration(cube()))
+        assert hull_builds == [8, 8]
+
+
 class TestCertifyVertices:
     def test_center_of_square_rejected(self):
         sq = VPolytope((pt(1, 1), pt(1, -1), pt(-1, 1), pt(-1, -1), pt(0, 0)))
@@ -301,6 +362,18 @@ class TestPolar:
         shifted = facet_enumeration(VPolytope(tuple(vsub(p, c) for p in poly.vertices)))
         want = tuple(tuple(Rat(a, q[-1]) for a in q[:-1]) for q in shifted.hrep.inequalities)
         assert polar(poly, facet_enumeration(poly)) == polar(poly) == VPolytope(want)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.integers(1, 5).flatmap(lambda dim: st.lists(
+        st.tuples(*[st.fractions(-40, 40, max_denominator=12)] * dim), min_size=1, max_size=12,
+    )))
+    def test_integer_shift_is_the_centroid(self, pts):
+        # the integer shift (n, s) of `polar` against the centroid taken
+        # with `Fraction` sums: s / n is that centroid in lowest terms
+        n, s = _centroid(pts)
+        c = centroid(pts)
+        assert n == common_denominator(c) and s == clear_denominators(c)
+        assert n > 0 and tuple(Rat(v, n) for v in s) == c
 
     def test_double_polar_exact_on_cube(self):
         back = polar(polar(cube()))
