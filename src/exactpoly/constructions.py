@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Optional
 
 from .geometry import DegenerateInput, dot, smul, vadd, vsub
 from .graphs import Graph
@@ -28,7 +28,10 @@ from .polytopes import (
 from .prismatoids import NotAPrismatoid, Prismatoid, make_prismatoid, width
 from .rationals import Rat, ZERO
 
+# the most halvings of one step: `push_vertex`'s, and `strong_dstep_step`'s
+# per push and per apex direction
 MAX_HALVINGS = 64
+STEP_HALVINGS = 16
 
 # step directions `strong_dstep_step` draws for each apex
 APEX_REDRAWS = 4
@@ -114,28 +117,20 @@ def _exhausted(rejected) -> str:
     return f"perturbation search exhausted after {sum(rejected.values())} candidates: {counts}"
 
 
-def push_vertex(
-    poly: VPolytope,
-    v: int,
-    target_region=None,
-    seed: int = 0,
-    genericity: Optional[Callable] = None,
-    max_halvings: int = MAX_HALVINGS,
-) -> VPolytope:
-    """Move vertex v to a nearby position inside the polytope (or inside a
-    face of it), shrinking toward v until the facet-merge structure holds.
+def push_vertex(poly: VPolytope, v: int, seed: int = 0) -> VPolytope:
+    """Move vertex v toward a seeded random interior point of the polytope,
+    halving the step up to MAX_HALVINGS times until every facet of the
+    result fits inside exactly one facet of `poly`.
 
-    target_region: vertex indices of a face of the polytope (default: all
-    vertices, i.e. a push into the interior).  genericity: extra caller
-    predicate (new_poly, new_hull, v) -> bool that must also hold.  Raises
-    NotAVertex when a point of `poly` is not a vertex.
+    Raises NotAVertex when a point of `poly` is not a vertex, and PushFailed
+    when no step length passes.
     """
     if not 0 <= v < poly.n_vertices:
         raise ValueError(f"vertex index {v} out of range")
     fixed = _fixed_builder(poly, v)
     _, old_hull = _moved(poly, v, poly.vertices[v], fixed)
     certify_vertices(poly, old_hull)
-    return _push(poly, v, fixed, old_hull, target_region, seed, genericity, max_halvings)
+    return _push(poly, v, fixed, old_hull, range(poly.n_vertices), seed, None, MAX_HALVINGS)
 
 
 def _fixed_builder(poly: VPolytope, v: int) -> Optional[HullBuilder]:
@@ -181,10 +176,12 @@ def _halvings(poly, v, fixed, step, max_halvings, rejected):
         scale /= 2
 
 
-def _push(poly, v, fixed, old_hull, target_region, seed, genericity, max_halvings):
-    """`push_vertex` over the builder `fixed` of every vertex but v and the
-    verified hull `old_hull` of `poly`."""
-    region = tuple(range(poly.n_vertices)) if target_region is None else tuple(target_region)
+def _push(poly, v, fixed, old_hull, region, seed, genericity, max_halvings):
+    """The push of vertex v over the builder `fixed` of every vertex but v
+    and the verified hull `old_hull` of `poly`: the target is a seeded
+    random point of the relative interior of the face whose vertex indices
+    are `region`, and a candidate must also pass the predicate
+    genericity(new_poly, new_hull, v) unless that is None."""
     target = _relative_interior_point(poly, region, random.Random(seed))
     rejected = dict.fromkeys(PUSH_REJECTION_CAUSES, 0)
     step = vsub(target, poly.vertices[v])
@@ -216,14 +213,14 @@ class StepRecord:
         )
 
 
-def strong_dstep_step(
-    pr: Prismatoid, seed: int = 0, max_halvings: int = 16, known_width=None
-):
-    """One inductive step: dimension +1, one vertex more, width at least +1.
+def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int = 0):
+    """One inductive step: dimension +1, one vertex more, width at least
+    old_width + 1, where old_width is the width of `pr`.
 
     Suspends over a vertex of one base, then pulls one apex of the other
     (non-simplex) base out of its hyperplane by a seeded rational step,
-    halving until the result verifies as a prismatoid of larger width.
+    halving up to STEP_HALVINGS times until the result verifies as a
+    prismatoid of larger width.
     The apexes are tried in a seeded order.  The suspension's hull is one
     insertion of the first apex, at its own position, into the builder of
     the other vertices, and that builder then serves the first apex's
@@ -239,7 +236,6 @@ def strong_dstep_step(
     if len(plus_set) == d:  # plus base is a simplex: swap roles
         plus_set, minus_set = minus_set, plus_set
         plus_facet = pr.base_minus
-    old_width = width(pr) if known_width is None else known_width
 
     # suspend over the base-minus vertex lying on the fewest facets
     vmasks = pr.hull.incidence.vertex_masks
@@ -281,7 +277,7 @@ def strong_dstep_step(
             raw = [Rat(rng.randrange(-8, 9), 32) for _ in range(amb - 1)] + [Rat(1)]
             proj = Rat(dot(base_normal, raw), nn)
             direction = tuple(raw[j] - proj * base_normal[j] for j in range(amb))
-            for cand, hull_c in _halvings(poly, apex, fixed, direction, max_halvings, rejected):
+            for cand, hull_c in _halvings(poly, apex, fixed, direction, STEP_HALVINGS, rejected):
                 masks = hull_c.incidence.facet_masks
                 if plus_mask not in masks or minus_mask not in masks:
                     rejected["base facet missing"] += 1
@@ -314,7 +310,7 @@ def strong_dstep_step(
                 try:
                     start = _push(
                         S, apex, fixed, hull_S, new_plus, rng.randrange(1 << 30), strictness,
-                        max_halvings,
+                        STEP_HALVINGS,
                     )
                     break
                 except PushFailed:
@@ -338,9 +334,7 @@ def strong_dstep_iterate(pr: Prismatoid, max_steps: int, seed: int = 0):
     steps = min(max_steps, max(pr.asimpliciality, 0))
     current = pr
     for _ in range(steps):
-        current, rec = strong_dstep_step(
-            current, seed=rng.randrange(1 << 30), known_width=trace[-1].width
-        )
+        current, rec = strong_dstep_step(current, trace[-1].width, rng.randrange(1 << 30))
         trace.append(rec)
     return current, tuple(trace)
 

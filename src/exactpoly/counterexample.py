@@ -350,11 +350,9 @@ def facet_labels(hull: Hull, table: dict):
 
 def facet_permutation(m: OrthMap, index: dict):
     """The permutation a symmetry induces on the facets; `index` maps each
-    facet row (a, b) to its position.  The image of a row is (M a, b),
-    brought to primitive integers only when it is not found as it stands:
-    an orthogonal integer matrix is a signed permutation, so it sends a
-    primitive row to a primitive row, and only a map with rational entries
-    needs the rescaling.
+    facet row (a, b) to its position.  The image of a row is (M a, b): M is
+    a signed coordinate permutation, so it sends a primitive row to a
+    primitive row, and the image is looked up as it stands.
 
     `Certificate.facet_perms` calls this on the six generators only.  That
     proves as much as calling it on every element: maps that permute the
@@ -365,9 +363,7 @@ def facet_permutation(m: OrthMap, index: dict):
     for q, f in index.items():
         img = tuple(sum(map(mul, row, q[:-1])) for row in rows) + (q[-1],)
         if img not in index:
-            img = tuple(primitive_ints(img))
-            if img not in index:
-                raise ValueError("map does not permute the facet set")
+            raise ValueError("map does not permute the facet set")
         perm[f] = index[img]
     return tuple(perm)
 

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from operator import mul
 
 from .linalg import identity, mat_mul, mat_vec, matrix_rank, transpose
-from .rationals import Rat, common_denominator
+from .rationals import common_denominator
 
 
 class GeometryError(ValueError):
@@ -68,18 +68,21 @@ def affine_rank(points) -> int:
 
 @dataclass(frozen=True)
 class OrthMap:
-    """An exact orthogonal map, stored row-wise (y = M x); `from_rows`
-    checks orthogonality."""
+    """An orthogonal map with integer entries, stored row-wise (y = M x):
+    a signed coordinate permutation, the only kind of symmetry the
+    certificate uses.  `from_rows` checks both."""
 
     rows: tuple
 
     @classmethod
     def from_rows(cls, rows) -> "OrthMap":
-        """Integral entries are stored as ints, any others as rationals."""
-        rows = tuple(tuple(_exact(v) for v in row) for row in rows)
+        """Every entry must be an `int`; a `Rat` is refused even when integral."""
+        rows = tuple(tuple(row) for row in rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("orthogonal map must be square")
+        if not all(isinstance(v, int) for r in rows for v in r):
+            raise GeometryError("orthogonal map entries must be integers")
         if mat_mul(rows, transpose(rows)) != identity(n):
             raise GeometryError("matrix is not orthogonal")
         return cls(rows)
@@ -92,8 +95,3 @@ class OrthMap:
         if len(p) != self.ambient_dim:
             raise DimensionMismatch("point/map dimension mismatch")
         return mat_vec(self.rows, p)
-
-
-def _exact(v):
-    q = Rat(v)
-    return q.numerator if q.denominator == 1 else q

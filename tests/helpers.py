@@ -4,7 +4,14 @@ import random
 from fractions import Fraction
 from itertools import combinations
 
-from exactpoly.constructions import ConstructionFailed, one_point_suspension
+from exactpoly.constructions import (
+    MAX_HALVINGS,
+    ConstructionFailed,
+    _fixed_builder,
+    _moved,
+    _push,
+    one_point_suspension,
+)
 from exactpoly.counterexample import (
     Certificate,
     _run_sections,
@@ -152,6 +159,16 @@ def verify_quick(poly: VPolytope):
         Certificate(poly),
         [check_facet_census, check_prism_collinearities],
     )
+
+
+def push_into(poly, v, region, seed, genericity=None, max_halvings=MAX_HALVINGS):
+    """`push_vertex`'s setup, then the push of vertex v toward a seeded point
+    of the face with vertex indices `region`, under the caller's genericity
+    predicate and halving budget: the face push `strong_dstep_step` runs."""
+    fixed = _fixed_builder(poly, v)
+    _, old_hull = _moved(poly, v, poly.vertices[v], fixed)
+    certify_vertices(poly, old_hull)
+    return _push(poly, v, fixed, old_hull, region, seed, genericity, max_halvings)
 
 
 def reference_push(poly, v, target_region=None, seed=0, max_halvings=64):

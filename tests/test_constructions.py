@@ -1,9 +1,11 @@
 import random
 import re
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from exactpoly import constructions
 from exactpoly.constructions import (
     REJECTION_CAUSES,
     _fixed_builder,
@@ -29,11 +31,12 @@ from exactpoly.polytopes import (
     iter_bits,
     vertex_graph,
 )
-from exactpoly.prismatoids import make_prismatoid
+from exactpoly.prismatoids import make_prismatoid, width
 from exactpoly.rationals import Rat
 from helpers import (
     check_suspension_distances,
     lifted_distance_dominates,
+    push_into,
     random_polytope,
     reference_push,
     suspension_facet_map,
@@ -149,15 +152,14 @@ class TestPushVertex:
         c = cube()
         hull = facet_enumeration(c)
         top = [v for v in range(8) if c.vertices[v][2] == 1]
-        pushed = push_vertex(c, top[0], target_region=top, seed=2)
+        pushed = push_into(c, top[0], top, seed=2)
         assert pushed.vertices[top[0]][2] == 1  # stays in the face hyperplane
 
     def test_exhaustion_reported(self):
         # the full step lands on the interior target, where the point is no
         # vertex; the three shorter steps fail only the caller's predicate
         with pytest.raises(PushFailed) as exc:
-            push_vertex(cube(), 0, seed=1, genericity=lambda p, h, v: False,
-                        max_halvings=3)
+            push_into(cube(), 0, range(8), 1, lambda p, h, v: False, 3)
         assert str(exc.value) == (
             "push of vertex 0: perturbation search exhausted after 4 candidates: "
             "not a vertex 1, facet merge violated 0, not generic 3"
@@ -172,7 +174,7 @@ class TestPushVertex:
         h = fixed.rows[0]
         fixed.rows[0] = h[:-1] + (h[-1] + 1,)
         with pytest.raises(DegenerateInput, match="hull verification failed"):
-            _push(q48, 3, fixed, old_hull, None, 1, None, 16)
+            _push(q48, 3, fixed, old_hull, range(q48.n_vertices), 1, None, 16)
 
     def test_facet_map_is_simplicial(self):
         # adjacent facets of the pushed polytope map to equal or adjacent
@@ -210,8 +212,9 @@ class TestPushVertex:
     st.integers(0, 8),
 )
 def test_push_matches_reference(poly_seed, seed, face, max_halvings):
-    # push_vertex accepts the same candidate as the plain loop that hulls
-    # every candidate from scratch, or fails where it finds none
+    # the push accepts the same candidate as the plain loop that hulls
+    # every candidate from scratch, or fails where it finds none; the
+    # interior push is push_vertex itself, under the drawn budget
     rng = random.Random(poly_seed)
     poly, hull = random_polytope(rng, 3, 8)
     v = rng.randrange(poly.n_vertices)
@@ -225,7 +228,11 @@ def test_push_matches_reference(poly_seed, seed, face, max_halvings):
         region = None
     want = reference_push(poly, v, region, seed, max_halvings)
     try:
-        got = push_vertex(poly, v, region, seed=seed, max_halvings=max_halvings).vertices
+        if region is None:
+            with mock.patch.object(constructions, "MAX_HALVINGS", max_halvings):
+                got = push_vertex(poly, v, seed=seed).vertices
+        else:
+            got = push_into(poly, v, region, seed, max_halvings=max_halvings).vertices
     except PushFailed:
         got = None
     assert got == (want and want.vertices)
@@ -234,17 +241,18 @@ def test_push_matches_reference(poly_seed, seed, face, max_halvings):
 class TestStrongDStep:
     def test_cube_single_step(self):
         pr = cube_prismatoid()
-        new_pr, rec = strong_dstep_step(pr, seed=3)
+        new_pr, rec = strong_dstep_step(pr, width(pr), seed=3)
         assert (rec.dim, rec.n_vertices) == (4, 9)
         assert rec.width >= 3
         assert new_pr.asimpliciality == pr.asimpliciality - 1
 
-    def test_exhausted_search_counts_rejections(self):
+    def test_exhausted_search_counts_rejections(self, monkeypatch):
         # no candidate can reach width 100: every apex move is rejected, and
         # the message accounts for each one by cause
         pr = cube_prismatoid()
+        monkeypatch.setattr(constructions, "STEP_HALVINGS", 1)
         with pytest.raises(ConstructionFailed) as exc:
-            strong_dstep_step(pr, seed=3, max_halvings=1, known_width=100)
+            strong_dstep_step(pr, 100, seed=3)
         msg = str(exc.value)
         m = re.fullmatch(r"perturbation search exhausted after (\d+) candidates: (.*)", msg)
         assert m, msg
@@ -255,8 +263,9 @@ class TestStrongDStep:
         assert int(counts["width not increased"]) > 0
 
     def test_simplex_bases_rejected(self):
+        pr = triangular_prism()
         with pytest.raises(ConstructionFailed):
-            strong_dstep_step(triangular_prism(), seed=0)
+            strong_dstep_step(pr, width(pr), seed=0)
 
     def test_iterate_zero_steps(self):
         pr = cube_prismatoid()

@@ -230,8 +230,7 @@ def _facet_index(hull):
 
 
 class TestFacetPermutation:
-    """The image rows computed in integers against `helpers.apply_ineq`, and a map
-    with rational entries, whose image rows must be rescaled."""
+    """The image rows computed in integers against `helpers.apply_ineq`."""
 
     def test_integer_maps_match_apply_ineq(self, certificate, reference_groups):
         # every one of the 64 maps gives the image of every facet under the
@@ -254,23 +253,6 @@ class TestFacetPermutation:
         rows[0], rows[4] = rows[4], rows[0]
         with pytest.raises(ValueError, match="does not permute the facet set"):
             facet_permutation(OrthMap.from_rows(rows), _facet_index(q48_hull))
-
-    def test_rational_reflection(self):
-        # the square |x|, |y| <= 1 cut by its mirror image in the line through
-        # (2, 1): the reflection swaps x <= 1 with 3x + 4y <= 5, whose image
-        # rows (3/5, 4/5, 1) and (5, 0, 5) are found only after rescaling
-        m = OrthMap.from_rows(((Rat(3, 5), Rat(4, 5)), (Rat(4, 5), Rat(-3, 5))))
-        h, t = Rat(1, 2), Rat(1, 3)
-        corners = ((1, h), (t, 1), (-h, 1), (-1, t), (-1, -h), (-t, -1), (h, -1), (1, -t))
-        poly = VPolytope(tuple((Rat(x), Rat(y)) for x, y in corners))
-        hull = facet_enumeration(poly)
-        index = _facet_index(hull)
-        assert (3, 4, 5) in index and (1, 0, 1) in index
-        perm = facet_permutation(m, index)
-        assert sorted(perm) == list(range(8))
-        assert all(perm[f] != f for f in range(8))
-        for f, q in enumerate(hull.hrep.inequalities):
-            assert index[apply_ineq(m, q)] == perm[f]
 
 
 class TestOrbits:

@@ -137,6 +137,11 @@ class TestOrthMap:
         with pytest.raises(GeometryError):
             OrthMap.from_rows(((1, 1), (0, 1)))
 
+    def test_rejects_rational_entries(self):
+        # an orthogonal reflection, refused for its rational entries
+        with pytest.raises(GeometryError, match="must be integers"):
+            OrthMap.from_rows(((Rat(3, 5), Rat(4, 5)), (Rat(4, 5), Rat(-3, 5))))
+
     def test_ineq_transform_preserves_tightness(self):
         m = OrthMap.from_rows(((0, 1), (-1, 0)))
         q = (2, 3, 6)

@@ -46,7 +46,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from exactpoly import polytopes
+from exactpoly import constructions, polytopes
 from exactpoly.cli import main
 from exactpoly.constructions import one_point_suspension, push_vertex, strong_dstep_iterate
 from exactpoly.counterexample import base_minus, base_plus, vertices48
@@ -718,8 +718,9 @@ def test_push_verifies_every_candidate(monkeypatch):
             self.masks[0] ^= 1 << i
 
     monkeypatch.setattr(HullBuilder, "insert", corrupting_insert)
+    monkeypatch.setattr(constructions, "MAX_HALVINGS", 3)
     with pytest.raises(DegenerateInput, match="hull verification failed: incidence mismatch"):
-        push_vertex(cube, 0, seed=1, max_halvings=3)
+        push_vertex(cube, 0, seed=1)
 
 
 # ---------------------------------------------------------------------------

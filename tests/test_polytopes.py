@@ -3,6 +3,7 @@ import random
 import pytest
 from hypothesis import assume, given, settings, strategies as st
 
+from exactpoly.constructions import strong_dstep_iterate
 from exactpoly.polytopes import (
     DuplicatePoints,
     DegenerateInput,
@@ -18,7 +19,7 @@ from exactpoly.polytopes import (
     polar,
     vertex_graph,
 )
-from exactpoly.geometry import DimensionMismatch, affine_rank
+from exactpoly.geometry import DimensionMismatch, affine_rank, dot
 from exactpoly.prismatoids import make_prismatoid
 from exactpoly.rationals import Rat, clear_denominators, common_denominator
 from helpers import (
@@ -379,23 +380,29 @@ class TestPolar:
         back = polar(polar(cube()))
         assert set(back.vertices) == set(cube().vertices)
 
-    def test_incidence_transpose(self):
-        c = cube()
-        hull = facet_enumeration(c)
-        p = polar(c)
-        hull_p = facet_enumeration(p)
-        # facets of the polar correspond to vertices of the cube: the polar
-        # facet tight on polar-vertex i is the cube facet i and vice versa
-        mat = incidence_matrix(hull.incidence)
-        mat_p = incidence_matrix(hull_p.incidence)
-        # match polar facets to cube vertices by normals
-        scale = {}
-        for fp, q in enumerate(hull_p.hrep.inequalities):
-            target = tuple(Rat(a, q[-1]) for a in q[:-1])
-            scale[fp] = c.vertices.index(target)
-        for fp, vc in scale.items():
-            for vp in range(p.n_vertices):
-                assert mat_p[fp][vp] == mat[vp][vc]
+    def test_incidence_transpose(self, q48, q48_pr):
+        # the polar's enumerated hull has one facet per input vertex, the
+        # one with normal v - c, and its incidence is the transpose of the
+        # input's; polar vertex i is the input facet whose shifted row sorts
+        # i-th, which on the lift is not facet i
+        lift = strong_dstep_iterate(q48_pr, 1, seed=0)[0].polytope
+        for poly in (cube(), q48, lift):
+            hull = facet_enumeration(poly)
+            p = polar(poly)
+            hull_p = facet_enumeration(p)
+            assert hull_p.incidence.n_facets == poly.n_vertices
+            c = centroid(poly.vertices)
+            shifted = {vsub(v, c): i for i, v in enumerate(poly.vertices)}
+            rows_p = hull_p.hrep.inequalities
+            vertex_of = [shifted[tuple(Rat(a, q[-1]) for a in q[:-1])] for q in rows_p]
+            index = {y: i for i, y in enumerate(p.vertices)}
+            facet_of = [None] * p.n_vertices
+            for f, q in enumerate(hull.hrep.inequalities):
+                facet_of[index[tuple(Rat(a) / (q[-1] - dot(q[:-1], c)) for a in q[:-1])]] = f
+            mat = incidence_matrix(hull.incidence)
+            assert incidence_matrix(hull_p.incidence) == tuple(
+                tuple(mat[f][v] for f in facet_of) for v in vertex_of
+            )
 
     def test_interior_origin_required(self):
         # all points in a halfspace far from the centroid-shifted origin: fine
