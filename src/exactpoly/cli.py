@@ -168,6 +168,7 @@ def _cmd_construct(args) -> int:
         raise CliError(f"construct {args.operation} needs a second input polytope", 2)
     if args.operation == "ops":
         poly = _load(args.input)
+        certify_vertices(poly)
         _write_polytope(one_point_suspension(poly, args.vertex), args)
     elif args.operation == "push":
         poly = _load(args.input)

@@ -10,12 +10,13 @@ integer vector (-w p, w), w the lcm of its denominators, and each facet as
 its primitive `HPolytope` row (a, b) with the mask of its tight points, so
 a row meets a point in w times its slack b - a . p and the builder's rows
 are the hull's rows.
-Points are inserted in input order after a starting simplex is chosen
-greedily, each by one double-description step (Fukuda & Prodon 1996,
-"Double description method revisited"): two facets meet in a ridge iff no
-third facet holds all their common points, and the new facet through a
-horizon ridge is a positive integer combination of the two facets there, so
-no elimination runs inside the loop.  The test is output-sensitive: a
+A starting simplex is chosen greedily, and one fraction-free Gauss-Jordan
+pass over its points (Bareiss 1968) gives all d+1 of its facets.  The other
+points are inserted in input order, each by one double-description step
+(Fukuda & Prodon 1996, "Double description method revisited"): two facets
+meet in a ridge iff no third facet holds all their common points, and the
+new facet through a horizon ridge is a positive integer combination of the
+two facets there, so no elimination runs inside the loop.  The test is output-sensitive: a
 visible facet's partner and every possible third facet meet it in at least
 k-1 points, so one pass keeps the facets meeting the visible region (the
 union of the visible facets' points) in as many, every facet when k = 1,
@@ -30,7 +31,8 @@ Every hull that is returned has passed one routine, `HullBuilder._verify`:
 no repeated facet, every point against every facet with exact incidence,
 and the rank of every facet's tight points.  The points are packed into one
 big integer per coordinate, so each facet meets all of them in a few
-integer operations.  The rank is proved from that incidence, as a
+integer operations, and its mask of tight points is read off the bytes of
+one result.  The rank is proved from that incidence, as a
 certificate in the sense of McConnell, Mehlhorn, Naeher & Schweitzer 2011
 ("Certifying algorithms"): dim tight points t_i and dim rows g_i of exactly
 verified incidence, g_i tight at t_1..t_(i-1) but not at t_i, make the
@@ -49,8 +51,9 @@ intersection of the facets that contain it), so the point is a vertex iff
 the AND of their masks is its own bit.  One routine, `_adjacency`, builds
 the dual graph from the facets' side of the incidence and the vertex graph
 from the points' side.  It tests a member only against those that share at
-least k-1 of its elements, counted over the transposed masks, or found by
-one pass over the masks when counting would cost more.
+least k-1 of its elements, found by one pass over the masks, or, in a graph
+of more than 64 members where it costs less, counted over the transposed
+masks.
 
 A `VPolytope` keeps the verified hull that `facet_enumeration` built for
 it, and every later call on that object returns it, so `polar`,
@@ -201,6 +204,11 @@ def _homogeneous(p):
     return tuple(-v.numerator * (w // v.denominator) for v in p) + (w,)
 
 
+# the high byte of a digit of `_tight_masks`'s zero test, 0x80 or 0x00, as
+# the binary digit "1" or "0"
+_TOP_BIT_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
+
+
 def _tight_masks(points, rows):
     """Per row h: the mask of the points q with h . q == 0, or None when some
     point has h . q < 0.  Exact, with a few big-integer operations per row:
@@ -208,13 +216,22 @@ def _tight_masks(points, rows):
     w-bit digit i, so sum_j h_j column_j holds every h . q at once.  w bounds
     every |h . q| below 2^(w-1), so after adding 2^(w-1) to each digit no
     digit borrows or carries: its top bit is set iff h . q >= 0, and its low
-    bits are zero iff h . q == 0."""
+    bits are zero iff h . q == 0.
+
+    w is rounded up to whole bytes, so the top bit of a digit is the top
+    bit of its high byte and every other bit of that byte is clear in the
+    zero test.  Its big-endian bytes, sliced to one high byte per digit,
+    spell the mask from point n-1 down to point 0, and `translate` makes
+    them the binary digits `int` reads: a few calls per row, where reading
+    the bits one by one took a step per tight point."""
     n = len(points)
     w = (
         max(max(map(abs, q)) for q in points).bit_length()
         + max(sum(map(abs, h)) for h in rows).bit_length()
         + 1
     )
+    size = -(-w // 8)
+    w = 8 * size
     columns = []
     for j in range(len(points[0])):
         c = 0
@@ -232,8 +249,7 @@ def _tight_masks(points, rows):
         # adding 2^(w-1) - 1 to the low bits of a digit carries into its
         # top bit iff they are not all zero
         zeros = top & ~((d & low) + low)
-        # the top bit of digit i is bit w i + w - 1
-        yield bits(b // w for b in iter_bits(zeros))
+        yield int(zeros.to_bytes(n * size, "big")[::size].translate(_TOP_BIT_DIGITS), 2)
 
 
 def _triangular_certificate(fmask, vmasks, everyone, dim) -> bool:
@@ -323,20 +339,37 @@ class HullBuilder:
 
     def _start(self, vectors, basis):
         """Start from the simplex on the spanning indices `basis` of the
-        `_homogeneous` `vectors` (None: an empty slot); insert the rest in order."""
+        `_homogeneous` `vectors` (None: an empty slot); insert the rest in order.
+
+        With M the basis points as rows, the facet opposite basis point i
+        meets it positively and the others in 0: it is column i of M^-1 up
+        to a positive factor.  One fraction-free Gauss-Jordan pass over
+        [M | I] (Bareiss 1968), each step dividing exactly by the previous
+        pivot, ends at [D I | D M^-1] with D = +-det M the last pivot, so
+        each facet is a column of the right block times the sign of D, made
+        primitive.  A left column is dropped once its pivot is used."""
         self.points = vectors
-        self.dim = len(basis) - 1
-        self.rows = []
-        self.masks = []
+        n = len(basis)
+        self.dim = n - 1
         self.base = None
         self.verified = None
-        for drop in basis:
-            rest = [i for i in basis if i != drop]
-            (h,) = nullspace([self.points[i] for i in rest])  # primitive
-            if sum(map(mul, h, self.points[drop])) < 0:
-                h = tuple(-v for v in h)
-            self.rows.append(h)
-            self.masks.append(bits(rest))
+        block = [list(vectors[i]) + [0] * n for i in basis]
+        for i, row in enumerate(block):
+            row[n + i] = 1
+        prev = 1
+        for k in range(n):
+            if not block[k][0]:
+                r = next(r for r in range(k + 1, n) if block[r][0])
+                block[k], block[r] = block[r], block[k]
+            p, *rest = block[k]
+            for i, row in enumerate(block):
+                f = row[0]
+                block[i] = rest if i == k else [(p * x - f * y) // prev for x, y in zip(row[1:], rest)]
+            prev = p
+        sign = 1 if prev > 0 else -1
+        self.rows = [primitive(tuple(sign * v for v in column)) for column in zip(*block)]
+        everyone = bits(basis)
+        self.masks = [everyone ^ 1 << i for i in basis]
         in_basis = set(basis)
         for i, q in enumerate(vectors):
             if q is not None and i not in in_basis:
@@ -592,6 +625,10 @@ def extreme_indices(poly: VPolytope, hull: Hull):
     return tuple(i for i, face in enumerate(_smallest_faces(hull)) if face == 1 << i)
 
 
+# `_adjacency` counts misses only in graphs with more members than this
+_PAIR_LOOP_MEMBERS = 64
+
+
 def _adjacency(masks, tmasks, k) -> Graph:
     """Members a < b of one side of an incidence, joined iff the members
     holding all their common elements are exactly a and b (the combinatorial
@@ -600,23 +637,28 @@ def _adjacency(masks, tmasks, k) -> Graph:
     points give the dual graph, points over facets the vertex graph.  With k
     the dimension, a ridge holds at least k-1 points and an edge lies in at
     least k-1 facets, so a is tested only against the b sharing at least k-1
-    elements with it.
+    elements with it, by ANDing the masks of their common elements.
 
-    Those lack at most |a| - (k-1) of a's elements, counted over `tmasks`
-    with a few big-integer operations per element of a, so the work follows
-    the degrees, not the m^2 pairs; when that would cost more than one pass
-    over `masks` (a vertex of a lift lies on up to half of its facets), the
-    pass is taken.  The union of the members through a's elements would not
-    do: in a prismatoid a base vertex lies on most facets."""
+    One pass over every b > a finds those with an AND and a bit count per
+    pair.  In a graph of more than `_PAIR_LOOP_MEMBERS` members, a member
+    for which it costs less counts instead the misses of its elements over
+    `tmasks`, a few big-integer operations per element: such a b lacks at
+    most |a| - (k-1) of them, so the work follows the degrees, not the m^2
+    pairs.  A vertex of a lift lies on up to half of its facets, where the
+    pass is cheaper, and in small hulls (8-26 members) the counting's setup
+    per member cost more than the whole pass.  The union of the members
+    through a's elements would not do: in a prismatoid a base vertex lies
+    on most facets."""
     m = len(masks)
     everyone = (1 << m) - 1
+    k1 = k - 1
     edges = []
     for a, ma in enumerate(masks):
         size = ma.bit_count()
-        spare = size - (k - 1)
-        if spare < 0:
-            continue
-        if size * spare < m:
+        spare = size - k1
+        if m > _PAIR_LOOP_MEMBERS and size * spare < m:
+            if spare < 0:
+                continue
             # miss[i]: the members that lack exactly i of a's elements seen
             # so far; a member that lacks more than `spare` of them drops out
             miss = [everyone] + [0] * spare
@@ -630,18 +672,21 @@ def _adjacency(masks, tmasks, k) -> Graph:
                 near |= x
             candidates = iter_bits(near >> (a + 1) << (a + 1))
         else:
-            candidates = (
-                b for b in range(a + 1, m) if (ma & masks[b]).bit_count() >= k - 1
-            )
+            candidates = range(a + 1, m)
         pair_a = 1 << a
         for b in candidates:
+            common = ma & masks[b]
+            if common.bit_count() < k1:
+                continue
             pair = pair_a | 1 << b
             # with no common elements (a segment) every member holds them all
             face = everyone
-            for j in iter_bits(ma & masks[b]):
-                face &= tmasks[j]
+            while common:
+                low = common & -common
+                face &= tmasks[low.bit_length() - 1]
                 if face == pair:
                     break
+                common ^= low
             if face == pair:
                 edges.append((a, b))
     return Graph(m, edges)

@@ -19,7 +19,7 @@ from exactpoly.counterexample import (
     check_prism_collinearities,
 )
 from exactpoly.geometry import DegenerateInput, OrthMap, affine_rank, vadd
-from exactpoly.linalg import identity, mat_mul
+from exactpoly.linalg import identity, mat_mul, nullspace
 from exactpoly.polytopes import (
     VPolytope,
     bits,
@@ -456,6 +456,22 @@ def reference_nullspace(rows):
             x[pc] = -work[r][fc]
         basis.append(tuple(x))
     return basis
+
+
+def reference_start(vectors, basis):
+    """(rows, masks) of the starting simplex on the slots `basis` of the
+    homogeneous `vectors`, one `nullspace` call per facet: the primitive
+    kernel vector of the other basis points, turned to meet the dropped one
+    positively, in the order of `basis`."""
+    rows, masks = [], []
+    for drop in basis:
+        rest = [i for i in basis if i != drop]
+        (h,) = nullspace([vectors[i] for i in rest])
+        if sum(a * b for a, b in zip(h, vectors[drop])) < 0:
+            h = tuple(-v for v in h)
+        rows.append(h)
+        masks.append(bits(rest))
+    return rows, masks
 
 
 def reference_minkowski_sum(a: VPolytope, b: VPolytope):

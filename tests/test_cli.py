@@ -514,11 +514,12 @@ class TestExitCodes:
             ("construct blend", cube_text(), 2),
             ("construct dstep-iterate", SQUARE_WITH_INNER_POINT, 3),
             ("construct dstep-iterate", SQUARE_PYRAMID, 3),
+            ("construct ops --vertex 4", SQUARE_WITH_INNER_POINT, 3),
         ],
         ids=[
             "truncated-header", "single-point", "collinear-diameter", "non-vertex-width",
             "square-center-polar", "product-without-second", "blend-without-second",
-            "non-vertex-dstep", "pyramid-dstep",
+            "non-vertex-dstep", "pyramid-dstep", "non-vertex-ops",
         ],
     )
     def test_exit_code_without_traceback(self, tmp_path, command, text, code):
@@ -532,6 +533,15 @@ class TestExitCodes:
         # the input is certified before the search, so the error names the
         # inner point at once, not the pushed vertex after every candidate
         done = run_cli(tmp_path, "construct push --vertex 0", SQUARE_WITH_INNER_POINT)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith("error: point 4 = (1, 1) is not a vertex")
+        assert done.stderr.count("\n") == 1
+        assert done.stdout == ""
+
+    def test_ops_names_the_point_that_is_not_a_vertex(self, tmp_path):
+        # the input is certified before it is suspended, as push certifies
+        # it before the search
+        done = run_cli(tmp_path, "construct ops --vertex 4", SQUARE_WITH_INNER_POINT)
         assert done.returncode == 3, done.stderr
         assert done.stderr.startswith("error: point 4 = (1, 1) is not a vertex")
         assert done.stderr.count("\n") == 1

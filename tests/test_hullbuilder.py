@@ -36,6 +36,9 @@ step the facets must be those the full scan gives, on the same corpus and
 on the q48 polar and the base Minkowski sum.  The points enter as integer
 vectors: the greedy starting simplex must be the one the Fraction
 elimination picks, and a duplicate must be named as the rationals name it.
+The simplex's facets come from one elimination and must be those of one
+kernel per facet, also where a pivot is 0 and under either sign of the
+determinant.
 """
 import contextlib
 import itertools
@@ -44,7 +47,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import HealthCheck, example, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from exactpoly import constructions, polytopes
 from exactpoly.cli import main
@@ -81,6 +84,7 @@ from helpers import (
     reference_dual_graph_edges,
     reference_extreme_indices,
     reference_rref,
+    reference_start,
     reference_vertex_graph_edges,
     relabeled,
     slack,
@@ -317,9 +321,33 @@ def packed_slack_inputs(draw):
     return pts, rows
 
 
-@settings(max_examples=200, deadline=None)
-@given(packed_slack_inputs())
+@st.composite
+def empty_slot_inputs(draw):
+    """`packed_slack_inputs` with the zero vector in some slots, as
+    `_verified_pairs` packs a builder's empty slots, and, half the time, one
+    more row (2^(b-1), 0, ..., 0) that makes the digit width a whole number
+    of bytes, so `_tight_masks` pads nothing."""
+    pts, rows = draw(packed_slack_inputs())
+    k = len(pts[0])
+    for _ in range(draw(st.integers(0, 3))):
+        pts.insert(draw(st.integers(0, len(pts))), (0,) * k)
+    if draw(st.booleans()):
+        a = max(max(map(abs, q)) for q in pts).bit_length()
+        b = max(sum(map(abs, h)) for h in rows).bit_length()
+        b += -(a + b + 1) % 8 + 8 * draw(st.integers(0, 2))
+        rows.append((1 << (b or 8) - 1,) + (0,) * (k - 1))
+    return pts, rows
+
+
+@settings(max_examples=300, deadline=None)
+@given(empty_slot_inputs())
+@example(([(3, -2)], [(2, 3), (0, 0)]))  # one point, tight at both rows
+@example(([(1, 0, 0), (5, 7, -1)], [(0, 1, 8)]))  # a point outside
+@example(([(0, 0), (1, 2), (0, 0)], [(16, 0), (4, -2)]))  # w = 2 + 5 + 1, zero slots tight
+@example(([(1, 127), (2, -1)], [(255, 0), (127, -1)]))  # w = 7 + 8 + 1
 def test_tight_masks_match_plain_dot_products(data):
+    """Tight points, rows with a point outside, a single point, zero
+    vectors in empty slots, and digit widths on a byte boundary."""
     pts, rows = data
     want = []
     for h in rows:
@@ -411,14 +439,23 @@ def _assert_graphs_match_references(poly, hull):
     assert dual_graph(poly, hull).edges == reference_dual_graph_edges(poly, hull)
 
 
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(st.one_of(certify_inputs(), boxes(), lines().map(_line_points)))
-def test_graphs_match_their_references(pts):
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(
+    st.one_of(certify_inputs(), boxes(), lines().map(_line_points)),
+    st.sampled_from((polytopes._PAIR_LOOP_MEMBERS, 0, 10**9)),
+)
+def test_graphs_match_their_references(pts, members):
     """Random, grid and prism point sets with points inside faces or inside
     the polytope, some embedded one dimension up; lattice boxes; and
-    segments with points inside them."""
+    segments with points inside them.  Few of their graphs have more than
+    64 members, so each way of finding candidates is also forced: with
+    `_PAIR_LOOP_MEMBERS` at 0 every member counts misses wherever that
+    costs less than the pass, and at 10**9 every member takes the pass."""
     poly = VPolytope(tuple(pts))
-    _assert_graphs_match_references(poly, facet_enumeration(poly))
+    hull = facet_enumeration(poly)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytopes, "_PAIR_LOOP_MEMBERS", members)
+        _assert_graphs_match_references(poly, hull)
 
 
 def _slack_vectors(poly, hull):
@@ -465,14 +502,17 @@ def test_signed_coordinate_permutation_images(pts, data):
 
 def _counted(masks, k):
     """How many members `_adjacency` gives candidates by counting misses over
-    the transpose; the others take the pass over every mask."""
+    the transpose; the others take the pass over every mask, and all of them
+    do in a graph of at most `_PAIR_LOOP_MEMBERS` members."""
+    if len(masks) <= polytopes._PAIR_LOOP_MEMBERS:
+        return 0
     return sum(m.bit_count() * (m.bit_count() - k + 1) < len(masks) for m in masks)
 
 
 def test_q48_graphs_take_both_candidate_branches(certificate):
-    # a q48 vertex lies on 9 to 65 of the 322 facets, so most vertices pass
+    # the q48 vertex graph has 48 members, so every vertex takes the pass
     # over the masks, while a facet or a polar vertex holds a few of 48
-    # points or facets, so it counts misses
+    # points or facets among 322 members, so it counts misses
     q48, hull = certificate.poly, certificate.hull
     pol = polar(q48, hull)
     pol_hull = facet_enumeration(pol)
@@ -484,24 +524,29 @@ def test_q48_graphs_take_both_candidate_branches(certificate):
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
-def test_cross_polytope_graphs(dim):
+def test_cross_polytope_graphs(dim, monkeypatch):
     # a vertex of the octahedron lies on 4 of 8 facets and passes over the
-    # masks, and each edge lies in exactly k-1 = 2 facets; its vertex graph
-    # joins all but antipodal points, its dual graph is the cube's
+    # masks even where misses may be counted (`_PAIR_LOOP_MEMBERS` 0), and
+    # each edge lies in exactly k-1 = 2 facets; its vertex graph joins all
+    # but antipodal points, its dual graph is the cube's
     poly = VPolytope(tuple(
         tuple(s if j == i else 0 for j in range(dim)) for i in range(dim) for s in (1, -1)
     ))
     hull = facet_enumeration(poly)
-    assert _counted(hull.incidence.vertex_masks, dim) == (2 * dim if dim == 2 else 0)
-    assert vertex_graph(poly, hull).edges == tuple(
-        (a, b) for a, b in itertools.combinations(range(2 * dim), 2) if b != a + 1 or a % 2
-    )
     rows = hull.hrep.inequalities
-    assert dual_graph(poly, hull).edges == tuple(
-        (f, g) for f, g in itertools.combinations(range(len(rows)), 2)
-        if sum(x != y for x, y in zip(rows[f], rows[g])) == 1
-    )
-    _assert_graphs_match_references(poly, hull)
+    for members in (0, polytopes._PAIR_LOOP_MEMBERS):
+        monkeypatch.setattr(polytopes, "_PAIR_LOOP_MEMBERS", members)
+        assert _counted(hull.incidence.vertex_masks, dim) == (
+            2 * dim if dim == 2 and members == 0 else 0
+        )
+        assert vertex_graph(poly, hull).edges == tuple(
+            (a, b) for a, b in itertools.combinations(range(2 * dim), 2) if b != a + 1 or a % 2
+        )
+        assert dual_graph(poly, hull).edges == tuple(
+            (f, g) for f, g in itertools.combinations(range(len(rows)), 2)
+            if sum(x != y for x, y in zip(rows[f], rows[g])) == 1
+        )
+        _assert_graphs_match_references(poly, hull)
 
 
 def test_graphs_of_the_base_sum_and_a_lift_match_their_references(certificate):
@@ -944,3 +989,71 @@ def test_duplicate_is_named_as_the_rationals_name_it(pts, scale, data):
     builder.insert(j, twin)
     with pytest.raises(DuplicatePoints, match=f"^points {i} and {j} coincide$"):
         builder.hull()
+
+
+# ---------------------------------------------------------------------------
+# the starting simplex from one elimination
+
+
+@st.composite
+def simplex_bases(draw):
+    """(slots, basis): the homogeneous vectors of d+1 affinely independent
+    points in dims 1-5, in ascending slots among empty ones.  Coordinates
+    are often 0, so a pivot is often 0 and the elimination must swap rows,
+    some are large or have denominators, and the points come in any order,
+    so the basis matrix takes either sign of determinant."""
+    dim = draw(st.integers(1, 5))
+    coord = st.one_of(
+        st.just(0), st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5),
+        st.integers(-(2**40), 2**40),
+    )
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 1))
+    vectors = [polytopes._homogeneous(p) for p in pts]
+    assume(matrix_rank(vectors) == dim + 1)
+    n_slots = draw(st.integers(dim + 1, dim + 4))
+    basis = sorted(draw(st.lists(
+        st.integers(0, n_slots - 1), min_size=dim + 1, max_size=dim + 1, unique=True
+    )))
+    slots = [None] * n_slots
+    for i, q in zip(basis, vectors):
+        slots[i] = q
+    return slots, basis
+
+
+def _started(slots, basis):
+    builder = HullBuilder.__new__(HullBuilder)
+    builder._start(list(slots), basis)
+    return builder.rows, builder.masks
+
+
+def _det(rows):
+    """The Leibniz determinant, a reference independent of any elimination."""
+    n = len(rows)
+    total = 0
+    for perm in itertools.permutations(range(n)):
+        sign = (-1) ** sum(perm[i] > perm[j] for i in range(n) for j in range(i + 1, n))
+        total += sign * math.prod(rows[i][perm[i]] for i in range(n))
+    return total
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(simplex_bases())
+def test_start_rows_match_the_nullspace_reference(data):
+    slots, basis = data
+    assert _started(slots, basis) == reference_start(slots, basis)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4])
+def test_start_rows_need_a_row_swap_under_either_sign(dim):
+    """The origin and the unit points, led by the origin or by e_2, whose
+    homogeneous vectors are 0 at the first pivot, so the elimination must
+    swap rows; trading the first two points flips the determinant's sign."""
+    units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
+    signs = set()
+    for lead in ([(0,) * dim, units[1]], [units[1], (0,) * dim]):
+        vectors = [polytopes._homogeneous(p) for p in lead + units[:1] + units[2:]]
+        assert vectors[0][0] == 0
+        signs.add(_det(vectors) > 0)
+        basis = list(range(dim + 1))
+        assert _started(vectors, basis) == reference_start(vectors, basis)
+    assert signs == {True, False}
