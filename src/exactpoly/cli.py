@@ -174,12 +174,12 @@ def _cmd_construct(args) -> int:
         poly = _load(args.input)
         _write_polytope(push_vertex(poly, args.vertex, seed=args.seed), args)
     elif args.operation == "product":
-        p1 = _load(args.input)
-        p2 = _load(args.second)
+        p1 = certify_vertices(_load(args.input))
+        p2 = certify_vertices(_load(args.second))
         _write_polytope(product(p1, p2), args)
     elif args.operation == "blend":
-        p1 = _load(args.input)
-        p2 = _load(args.second)
+        p1 = certify_vertices(_load(args.input))
+        p2 = certify_vertices(_load(args.second))
         bg = blend_graph(p1, args.v1, p2, args.v2)
         print(
             f"BLEND dim={bg.dim} facets={bg.facet_count} nodes={bg.n_nodes} "

@@ -716,7 +716,12 @@ def check_orbit_quotient(ctx: Certificate) -> Report:
 
 
 def check_spindle_polar(ctx: Certificate) -> Report:
-    """The polar is a 5-spindle with 48 facets, 322 vertices, length 6."""
+    """The polar is a 5-spindle with 48 facets, 322 vertices, length 6.
+
+    The polar's hull is the one `polar` derives by duality and verifies, so
+    its facet count follows from the 48 certified vertices of q48.  The
+    tests keep a double-description build of the 322 points as the
+    cross-check, until a ridge certificate proves the hull complete."""
     rep = Report("polar spindle")
     pol = polar(ctx.poly, ctx.hull)
     hull_pol = facet_enumeration(pol)

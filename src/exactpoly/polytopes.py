@@ -27,8 +27,8 @@ reduction of `linalg` that picks the starting simplex.  The builder copies
 cheaply, so the perturbation searches build the hull of their fixed points
 once and insert one moved point per candidate.
 
-Every hull that is returned has passed one routine, `HullBuilder._verify`:
-no repeated facet, every point against every facet with exact incidence,
+Every hull that is returned has passed one routine, `_verify`: no
+repeated facet, every point against every facet with exact incidence,
 and the rank of every facet's tight points.  The points are packed into one
 big integer per coordinate, so each facet meets all of them in a few
 integer operations, and its mask of tight points is read off the bytes of
@@ -60,14 +60,17 @@ it, and every later call on that object returns it, so `polar`,
 `certify_vertices` and `prismatoids.make_prismatoid`, called without a
 hull, reuse it.  The hull belongs to the object, not to its value: a new
 `VPolytope` with the same points is enumerated again.  An input that raises
-keeps nothing, and a perturbation search records the hull of each candidate
-it builds (`keep_hull`), so a kept hull has always passed `_verify`.
+keeps nothing.  A perturbation search records the hull of each candidate
+it builds (`keep_hull`), and `polar` records on the polar the hull it
+derives by duality from the input's (its facets are the input's vertices,
+its incidence the input's transposed), so no double-description build runs
+for a polar.  Either way a kept hull has always passed `_verify`.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from math import gcd
-from operator import mul
+from operator import mul, neg
 from typing import NamedTuple, Optional
 
 from .geometry import (
@@ -300,6 +303,35 @@ def _incidence_failures(pts, pairs, empty=0):
             yield None
 
 
+def _verify(dim, pts, pairs, unchecked, empty) -> FacetIncidence:
+    """The incidence of the (row, mask) `pairs`, after checking that their
+    rows are distinct and that each pair of `unchecked` is exact against
+    the homogeneous points `pts` (see `_incidence_failures` for `empty`)
+    and has tight points of rank `dim`; raises DegenerateInput naming the
+    first check that fails.  The caller has verified the incidence of the
+    other pairs.  `HullBuilder.hull` and `polar` both check their hulls
+    here.
+
+    Every pair's incidence is exact before any rank is checked, so every
+    row is a witness of the triangular certificates (see
+    `_triangular_certificate`), which bound the rank from below; a
+    nonzero row bounds it by `dim` from above.  Only without both does
+    `matrix_rank` decide."""
+    if len({h for h, _ in pairs}) != len(pairs):
+        raise DegenerateInput("hull verification failed: repeated facet")
+    for failure in _incidence_failures(pts, unchecked, empty):
+        if failure is not None:
+            raise DegenerateInput(f"hull verification failed: {failure}")
+    incidence = FacetIncidence([m for _, m in pairs], len(pts))
+    everyone = (1 << len(pairs)) - 1
+    for h, fmask in unchecked:
+        if any(h) and _triangular_certificate(fmask, incidence.vertex_masks, everyone, dim):
+            continue
+        if matrix_rank([pts[j] for j in iter_bits(fmask)]) != dim:
+            raise DegenerateInput("hull verification failed: facet rank")
+    return incidence
+
+
 class HullBuilder:
     """Incremental hull of full-dimensional points, one double-description
     step per inserted point.
@@ -446,33 +478,6 @@ class HullBuilder:
         rows += new_rows
         masks += new_masks
 
-    def _verify(self, pts, pairs, unchecked, empty) -> FacetIncidence:
-        """The incidence of the (row, mask) `pairs`, after checking that
-        their rows are distinct and that each pair of `unchecked` is exact
-        against `pts` (see `_incidence_failures` for `empty`) and has tight
-        points of rank `dim`; raises DegenerateInput naming the first check
-        that fails.  The caller has verified the incidence of the other
-        pairs.
-
-        Every pair's incidence is exact before any rank is checked, so every
-        row is a witness of the triangular certificates (see
-        `_triangular_certificate`), which bound the rank from below; a
-        nonzero row bounds it by `dim` from above.  Only without both does
-        `matrix_rank` decide."""
-        if len({h for h, _ in pairs}) != len(pairs):
-            raise DegenerateInput("hull verification failed: repeated facet")
-        for failure in _incidence_failures(pts, unchecked, empty):
-            if failure is not None:
-                raise DegenerateInput(f"hull verification failed: {failure}")
-        incidence = FacetIncidence([m for _, m in pairs], len(pts))
-        everyone = (1 << len(pairs)) - 1
-        for h, fmask in unchecked:
-            if any(h) and _triangular_certificate(fmask, incidence.vertex_masks, everyone, self.dim):
-                continue
-            if matrix_rank([pts[j] for j in iter_bits(fmask)]) != self.dim:
-                raise DegenerateInput("hull verification failed: facet rank")
-        return incidence
-
     def _verified_pairs(self):
         """(points, the set of (row, mask) pairs), after `_verify` has
         passed every pair against the points, an empty slot packed as the
@@ -484,7 +489,7 @@ class HullBuilder:
             zero = (0,) * (self.dim + 1)
             empty = bits(i for i, q in enumerate(pts) if q is None)
             pairs = list(zip(self.rows, self.masks))
-            self._verify([zero if q is None else q for q in pts], pairs, pairs, empty)
+            _verify(self.dim, [zero if q is None else q for q in pts], pairs, pairs, empty)
             self.verified = (pts, set(pairs))
         return self.verified
 
@@ -522,7 +527,7 @@ class HullBuilder:
                             raise DegenerateInput("hull verification failed: point outside facet")
                         if (s == 0) != bool(fmask >> i & 1):
                             raise DegenerateInput("hull verification failed: incidence mismatch")
-        incidence = self._verify(pts, pairs, unchecked, empty=0)
+        incidence = _verify(self.dim, pts, pairs, unchecked, 0)
         return Hull(HPolytope(self.dim, tuple(h for h, _ in pairs)), incidence, self.dim)
 
 
@@ -543,8 +548,9 @@ def facet_enumeration(poly: VPolytope) -> Hull:
 
 def keep_hull(poly: VPolytope, hull: Hull) -> Hull:
     """Record `hull` on `poly` as its `facet_enumeration` and return it.
-    `hull` must be the verified hull of poly's points in their order, as a
-    `HullBuilder` over exactly those points returns it."""
+    `hull` must be the hull of poly's points in their order that passed
+    `_verify`, as a `HullBuilder` over exactly those points returns it or
+    as `polar` derives it by duality."""
     object.__setattr__(poly, "_hull", hull)
     return hull
 
@@ -704,43 +710,68 @@ def vertex_graph(poly: VPolytope, hull: Hull) -> Graph:
 
 
 def _centroid(points):
-    """(n, s) with n > 0, s an integer vector and gcd(n, s) = 1, such that
-    s / n is the centroid of `points`, found without rational sums: with L
-    the lcm of their denominators and S the column sums of the points scaled
-    by L, the centroid is S / N for N = (point count) L, so n = N / G and
-    s = S / G for G = gcd(N, S)."""
+    """(n, s, L, ints) with n > 0, s an integer vector and gcd(n, s) = 1,
+    such that s / n is the centroid of `points`, found without rational
+    sums: with L the lcm of their denominators and `ints` the points scaled
+    by L, as integer lists, the centroid is S / N for S the column sums of
+    `ints` and N = (point count) L, so n = N / G and s = S / G for
+    G = gcd(N, S)."""
     scale = common_denominator(v for p in points for v in p)
-    sums = [sum(v.numerator * (scale // v.denominator) for v in col) for col in zip(*points)]
+    ints = [[v.numerator * (scale // v.denominator) for v in p] for p in points]
+    sums = [sum(col) for col in zip(*ints)]
     total = len(points) * scale
     g = gcd(total, *sums)
-    return total // g, [v // g for v in sums]
+    return total // g, [v // g for v in sums], scale, ints
 
 
 def polar(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
-    """Polar polytope after translating the vertex centroid to the origin.
+    """Polar polytope after translating the vertex centroid to the origin,
+    with its hull derived by duality and kept on it.
 
     Vertices of the polar are facet normals scaled so normal . x = 1 on the
     facet; facets of the polar correspond to vertices of the input, with the
     transposed incidence.  `hull` is the hull of `poly` when the caller has
     it; without it, the one `facet_enumeration` keeps on `poly` is read.
     The shift by the centroid c = s / n (`_centroid`) takes a . x <= b to
-    a . y <= b - a . c, whose primitive row is that of (n a, n b - a . s);
-    sorted, these are the rows the enumeration of the shifted points gives,
-    so no second hull is built.
+    a . y <= b - a . c, whose primitive row (a', b') is that of
+    (n a, n b - a . s); sorted, these are the rows the enumeration of the
+    shifted points gives, and polar vertex j is a' / b' for the j-th.
+
+    A vertex v of the input gives the polar facet (v - c) . y <= 1, whose
+    primitive row is that of (n L v - L s, n L) for any L > 0 that makes it
+    integral, and which holds polar vertex j iff the input facet sorted j-th
+    holds v; a point that is not a vertex gives no facet.  These rows and
+    masks, sorted as `HullBuilder.hull` sorts them, pass the full `_verify`
+    against the polar vertices as the integer vectors (-a', b'), and the
+    hull is kept on the polar with `keep_hull`, so no hull is built.
     """
     if hull is None:
         hull = facet_enumeration(poly)
     if hull.hrep.equalities:
         raise DegenerateInput("polar requires a full-dimensional polytope")
-    n, s = _centroid(poly.vertices)
-    ineqs = sorted(
+    n, s, scale, ints = _centroid(poly.vertices)
+    shifted = [
         primitive(tuple(n * a for a in row[:-1]) + (n * row[-1] - sum(map(mul, row[:-1], s)),))
         for row in hull.hrep.inequalities
-    )
+    ]
+    order = sorted(range(len(shifted)), key=shifted.__getitem__)
+    ineqs = [shifted[f] for f in order]
     if any(q[-1] <= 0 for q in ineqs):
         raise DegenerateInput("origin not interior after centroid shift")
-    verts = tuple(tuple(Rat(a, q[-1]) for a in q[:-1]) for q in ineqs)
-    return VPolytope(verts)
+    pol = VPolytope(tuple(tuple(Rat(a, q[-1]) for a in q[:-1]) for q in ineqs))
+    # per input point, the mask of the polar vertices whose facet holds it
+    fmasks = hull.incidence.facet_masks
+    masks = FacetIncidence([fmasks[f] for f in order], poly.n_vertices).vertex_masks
+    shift = [scale * c for c in s]
+    pairs = sorted(
+        (primitive((*[n * x - t for x, t in zip(ints[i], shift)], n * scale)), masks[i])
+        for i in extreme_indices(poly, hull)
+    )
+    pts = [(*map(neg, q[:-1]), q[-1]) for q in ineqs]
+    _check_duplicates(pts)
+    incidence = _verify(hull.dim, pts, pairs, pairs, 0)
+    keep_hull(pol, Hull(HPolytope(hull.dim, tuple(h for h, _ in pairs)), incidence, hull.dim))
+    return pol
 
 
 class Face(NamedTuple):

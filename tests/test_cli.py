@@ -495,6 +495,7 @@ def run_cli(tmp_path, command, text):
 SQUARE_WITH_INNER_POINT = "POLY 1\ndim 2\nvertices 5\n0 0\n4 0\n0 4\n4 4\n1 1\n"
 SQUARE_PYRAMID = "POLY 1\ndim 3\nvertices 5\n0 0 0\n2 0 0\n0 2 0\n2 2 0\n1 1 1\n"
 SQUARE = "POLY 1\ndim 2\nvertices 4\n0 0\n1 0\n0 1\n1 1\n"
+SQUARE_WITH_REPEATED_POINT = "POLY 1\ndim 2\nvertices 5\n0 0\n1 0\n0 1\n1 1\n1 0\n"
 OCTAHEDRON = "POLY 1\ndim 3\nvertices 6\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n"
 
 
@@ -544,6 +545,27 @@ class TestExitCodes:
         done = run_cli(tmp_path, "construct ops --vertex 4", SQUARE_WITH_INNER_POINT)
         assert done.returncode == 3, done.stderr
         assert done.stderr.startswith("error: point 4 = (1, 1) is not a vertex")
+        assert done.stderr.count("\n") == 1
+        assert done.stdout == ""
+
+    @pytest.mark.parametrize(
+        "command, text, message",
+        [
+            ("construct product input.poly", SQUARE_WITH_INNER_POINT, "point 4 = (1, 1) is not a vertex"),
+            ("construct product input.poly", SQUARE_WITH_REPEATED_POINT, "points 1 and 4 coincide"),
+            ("construct blend --v1 4 input.poly", SQUARE_WITH_INNER_POINT, "point 4 = (1, 1) is not a vertex"),
+            ("construct blend input.poly", SQUARE_WITH_REPEATED_POINT, "points 1 and 4 coincide"),
+        ],
+        ids=["non-vertex-product", "repeated-point-product", "non-vertex-blend", "repeated-point-blend"],
+    )
+    def test_product_and_blend_certify_their_inputs(self, tmp_path, command, text, message):
+        # both factors are the input file; each is certified before the
+        # construction, so a point that is not a vertex or a repeated point
+        # exits 3 naming it, instead of a product with extra points or a
+        # blend refused as not simple
+        done = run_cli(tmp_path, command, text)
+        assert done.returncode == 3, done.stderr
+        assert done.stderr.startswith(f"error: {message}")
         assert done.stderr.count("\n") == 1
         assert done.stdout == ""
 

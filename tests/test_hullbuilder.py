@@ -512,10 +512,12 @@ def _counted(masks, k):
 def test_q48_graphs_take_both_candidate_branches(certificate):
     # the q48 vertex graph has 48 members, so every vertex takes the pass
     # over the masks, while a facet or a polar vertex holds a few of 48
-    # points or facets among 322 members, so it counts misses
+    # points or facets among 322 members, so it counts misses; the polar's
+    # hull is built from a fresh object, not read from the one `polar`
+    # derived and kept
     q48, hull = certificate.poly, certificate.hull
     pol = polar(q48, hull)
-    pol_hull = facet_enumeration(pol)
+    pol_hull = facet_enumeration(VPolytope(pol.vertices))
     assert _counted(hull.incidence.vertex_masks, hull.dim) < 48 // 2
     assert _counted(hull.incidence.facet_masks, hull.dim) > 322 // 2
     assert _counted(pol_hull.incidence.vertex_masks, pol_hull.dim) > 322 // 2
@@ -775,11 +777,11 @@ def test_push_verifies_every_candidate(monkeypatch):
 @contextlib.contextmanager
 def _eliminations():
     """The sizes of the eliminations the rank check falls back to while the
-    block runs: the calls of `matrix_rank` made by `HullBuilder._verify`,
-    counted by wrapping the name the engine looks up."""
+    block runs: the calls of `matrix_rank` made by `_verify`, counted by
+    wrapping the name the engine looks up."""
     calls = []
     rank = polytopes.matrix_rank
-    spans = HullBuilder._verify.__code__
+    spans = polytopes._verify.__code__
 
     def counting(rows):
         if sys._getframe(1).f_code is spans:
@@ -861,7 +863,8 @@ def test_elimination_decides_only_without_a_certificate():
 
 
 def test_q48_artifacts_need_no_elimination(tmp_path, capsys):
-    # the q48 hull, its polar, the base Minkowski sum and the pinned
+    # the q48 hull, its polar (derived by `polar`, then built from a fresh
+    # object), the base Minkowski sum and the pinned
     # `construct dstep-iterate q48.poly --steps 2 --seed 0`
     certified = []
     certificate = polytopes._triangular_certificate
@@ -877,7 +880,7 @@ def test_q48_artifacts_need_no_elimination(tmp_path, capsys):
         try:
             hull = facet_enumeration(q48)
             assert hull.incidence.n_facets == 322
-            assert facet_enumeration(polar(q48, hull)).incidence.n_facets == 48
+            assert facet_enumeration(VPolytope(polar(q48, hull).vertices)).incidence.n_facets == 48
             minkowski_sum(base_plus(), base_minus())
             assert main(["builtin", "--out", str(src)]) == 0
             assert main(["construct", "dstep-iterate", str(src), "--steps", "2", "--seed", "0"]) == 0
@@ -927,9 +930,11 @@ def test_ridge_candidates_from_the_visible_region_match_the_full_scan(pts):
 
 
 def test_q48_polar_and_base_sum_steps_match_the_full_scan(certificate):
-    pol = polar(certificate.poly, certificate.hull)
-    # all 576 pairwise sums of the bases, not the 368 that `minkowski_sum`
-    # keeps: the others are no vertices of the sum
+    # the polar's points in a fresh object, so that its hull is built
+    # rather than read from the one `polar` derived; all 576 pairwise sums
+    # of the bases, not the 368 that `minkowski_sum` keeps: the others are
+    # no vertices of the sum
+    pol = VPolytope(polar(certificate.poly, certificate.hull).vertices)
     sums = VPolytope(tuple(vadd(p, q) for p in base_plus().vertices for q in base_minus().vertices))
     with _steps_checked_against_the_full_scan() as steps:
         pol_hull = facet_enumeration(pol)

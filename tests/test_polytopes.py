@@ -1,18 +1,19 @@
 import random
 
 import pytest
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
+from exactpoly import polytopes
 from exactpoly.constructions import strong_dstep_iterate
 from exactpoly.polytopes import (
     DuplicatePoints,
     DegenerateInput,
-    HullBuilder,
     NotAVertex,
     VPolytope,
     _centroid,
     certify_vertices,
     dual_graph,
+    extreme_indices,
     face_maximizing,
     facet_enumeration,
     iter_bits,
@@ -247,12 +248,16 @@ class TestHullReuse:
         def failing(*args, **kwargs):
             raise DegenerateInput("hull verification failed: planted")
 
-        monkeypatch.setattr(HullBuilder, "_verify", failing)
+        monkeypatch.setattr(polytopes, "_verify", failing)
         with pytest.raises(DegenerateInput, match="planted"):
             facet_enumeration(poly)
         assert poly._hull is None
         monkeypatch.undo()
         assert facet_enumeration(poly).incidence.n_facets == 5
+        # nor is a polar whose derived hull fails it: `polar` raises
+        monkeypatch.setattr(polytopes, "_verify", failing)
+        with pytest.raises(DegenerateInput, match="planted"):
+            polar(poly)
 
     def test_hull_optional_calls_build_one_hull(self, hull_builds):
         c = cube()
@@ -328,7 +333,54 @@ class TestSimplicity:
         assert all(m.bit_count() == 3 for m in inc.facet_masks)
 
 
+def _same_hull(a, b):
+    assert a.hrep == b.hrep and a.dim == b.dim
+    assert a.incidence.facet_masks == b.incidence.facet_masks
+    assert a.incidence.n_vertices == b.incidence.n_vertices
+
+
+@st.composite
+def polar_inputs(draw):
+    """Full-dimensional points in dims 2-5 with fractional coordinates,
+    with points that are not vertices put in at drawn places: the centroid
+    (interior), the midpoint of an edge and the centroid of a facet's
+    points."""
+    dim = draw(st.integers(2, 5))
+    coord = st.fractions(-3, 3, max_denominator=4)
+    pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=9, unique=True))
+    assume(affine_rank(pts) == dim)
+    poly = VPolytope(tuple(pts))
+    hull = facet_enumeration(poly)
+    edges = vertex_graph(poly, hull).edges
+    extra = []
+    for kind in draw(st.sets(st.sampled_from(("interior", "edge", "facet")))):
+        if kind == "interior":
+            extra.append(centroid(pts))
+        elif kind == "edge":
+            a, b = draw(st.sampled_from(sorted(edges)))
+            extra.append(centroid([pts[a], pts[b]]))
+        else:
+            mask = draw(st.sampled_from(hull.incidence.facet_masks))
+            extra.append(centroid([pts[j] for j in iter_bits(mask)]))
+    for p in dict.fromkeys(extra):
+        if p not in pts:
+            pts.insert(draw(st.integers(0, len(pts))), p)
+    return pts
+
+
 class TestPolar:
+    @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(polar_inputs())
+    def test_polar_hull_by_duality_is_the_built_one(self, pts):
+        # the hull `polar` derives from the input's and keeps, against the
+        # double-description build over a fresh object with the same
+        # points; a point that is not a vertex gives no polar facet
+        poly = VPolytope(tuple(pts))
+        pol = polar(poly)
+        kept = facet_enumeration(pol)
+        assert kept.incidence.n_facets == len(extreme_indices(poly, facet_enumeration(poly)))
+        _same_hull(kept, facet_enumeration(VPolytope(pol.vertices)))
+
     def test_cube_polar_is_cross_polytope(self):
         p = polar(cube())
         want = {pt(*(s if j == i else 0 for j in range(3))) for i in range(3) for s in (1, -1)}
@@ -371,7 +423,7 @@ class TestPolar:
     def test_integer_shift_is_the_centroid(self, pts):
         # the integer shift (n, s) of `polar` against the centroid taken
         # with `Fraction` sums: s / n is that centroid in lowest terms
-        n, s = _centroid(pts)
+        n, s, _, _ = _centroid(pts)
         c = centroid(pts)
         assert n == common_denominator(c) and s == clear_denominators(c)
         assert n > 0 and tuple(Rat(v, n) for v in s) == c
@@ -381,28 +433,31 @@ class TestPolar:
         assert set(back.vertices) == set(cube().vertices)
 
     def test_incidence_transpose(self, q48, q48_pr):
-        # the polar's enumerated hull has one facet per input vertex, the
-        # one with normal v - c, and its incidence is the transpose of the
-        # input's; polar vertex i is the input facet whose shifted row sorts
-        # i-th, which on the lift is not facet i
+        # the polar's hull has one facet per input vertex, the one with
+        # normal v - c, and its incidence is the transpose of the input's;
+        # polar vertex i is the input facet whose shifted row sorts i-th,
+        # which on the lift is not facet i.  Both the hull `polar` derived
+        # and kept and the one built from a fresh object are checked.
         lift = strong_dstep_iterate(q48_pr, 1, seed=0)[0].polytope
         for poly in (cube(), q48, lift):
             hull = facet_enumeration(poly)
             p = polar(poly)
-            hull_p = facet_enumeration(p)
-            assert hull_p.incidence.n_facets == poly.n_vertices
             c = centroid(poly.vertices)
             shifted = {vsub(v, c): i for i, v in enumerate(poly.vertices)}
-            rows_p = hull_p.hrep.inequalities
-            vertex_of = [shifted[tuple(Rat(a, q[-1]) for a in q[:-1])] for q in rows_p]
             index = {y: i for i, y in enumerate(p.vertices)}
             facet_of = [None] * p.n_vertices
             for f, q in enumerate(hull.hrep.inequalities):
                 facet_of[index[tuple(Rat(a) / (q[-1] - dot(q[:-1], c)) for a in q[:-1])]] = f
             mat = incidence_matrix(hull.incidence)
-            assert incidence_matrix(hull_p.incidence) == tuple(
-                tuple(mat[f][v] for f in facet_of) for v in vertex_of
-            )
+            kept, built = facet_enumeration(p), facet_enumeration(VPolytope(p.vertices))
+            _same_hull(kept, built)
+            for hull_p in (kept, built):
+                assert hull_p.incidence.n_facets == poly.n_vertices
+                rows_p = hull_p.hrep.inequalities
+                vertex_of = [shifted[tuple(Rat(a, q[-1]) for a in q[:-1])] for q in rows_p]
+                assert incidence_matrix(hull_p.incidence) == tuple(
+                    tuple(mat[f][v] for f in facet_of) for v in vertex_of
+                )
 
     def test_interior_origin_required(self):
         # all points in a halfspace far from the centroid-shifted origin: fine
