@@ -83,20 +83,14 @@ def _cmd_width(args) -> int:
 
 
 def _cmd_diameter(args) -> int:
-    poly = _load(args.input)
-    hull = facet_enumeration(poly)
-    certify_vertices(poly, hull)
-    g = vertex_graph(poly, hull)
-    print(g.diameter())
+    poly = certify_vertices(_load(args.input))
+    print(vertex_graph(poly, facet_enumeration(poly)).diameter())
     return 0
 
 
 def _cmd_polar(args) -> int:
-    poly = _load(args.input)
-    hull = facet_enumeration(poly)
-    certify_vertices(poly, hull)
-    pol = polar(poly, hull)
-    _emit(write_poly(pol), args.out)
+    poly = certify_vertices(_load(args.input))
+    _emit(write_poly(polar(poly)), args.out)
     return 0
 
 

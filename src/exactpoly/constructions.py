@@ -117,7 +117,7 @@ def _exhausted(rejected) -> str:
     return f"perturbation search exhausted after {sum(rejected.values())} candidates: {counts}"
 
 
-def push_vertex(poly: VPolytope, v: int, seed: int = 0) -> VPolytope:
+def push_vertex(poly: VPolytope, v: int, seed: int) -> VPolytope:
     """Move vertex v toward a seeded random interior point of the polytope,
     halving the step up to MAX_HALVINGS times until every facet of the
     result fits inside exactly one facet of `poly`.
@@ -128,9 +128,8 @@ def push_vertex(poly: VPolytope, v: int, seed: int = 0) -> VPolytope:
     if not 0 <= v < poly.n_vertices:
         raise ValueError(f"vertex index {v} out of range")
     fixed = _fixed_builder(poly, v)
-    _, old_hull = _moved(poly, v, poly.vertices[v], fixed)
-    certify_vertices(poly, old_hull)
-    return _push(poly, v, fixed, old_hull, range(poly.n_vertices), seed, None, MAX_HALVINGS)
+    start = certify_vertices(_moved(poly, v, poly.vertices[v], fixed))
+    return _push(start, v, fixed, range(poly.n_vertices), seed, None, MAX_HALVINGS)
 
 
 def _fixed_builder(poly: VPolytope, v: int) -> Optional[HullBuilder]:
@@ -144,51 +143,52 @@ def _fixed_builder(poly: VPolytope, v: int) -> Optional[HullBuilder]:
         return None
 
 
-def _moved(poly: VPolytope, v: int, point, fixed: Optional[HullBuilder]):
-    """(poly with vertex v at `point`, its verified hull): one insertion into
-    a copy of `fixed`, or a facet enumeration when there is no builder.  The
-    hull is kept on the new polytope, so its `facet_enumeration` is free."""
+def _moved(poly: VPolytope, v: int, point, fixed: Optional[HullBuilder]) -> VPolytope:
+    """Poly with vertex v at `point`, keeping its verified hull: one
+    insertion into a copy of `fixed`, or a facet enumeration when there is
+    no builder.  Moved to its own position, v gives a copy of poly with the
+    same points and labels whose hull is kept."""
     verts = list(poly.vertices)
     verts[v] = point
     new_poly = VPolytope(tuple(verts), poly.labels)
     if fixed is None:
-        return new_poly, facet_enumeration(new_poly)
-    builder = fixed.copy()
-    builder.insert(v, point)
-    return new_poly, keep_hull(new_poly, builder.hull())
+        facet_enumeration(new_poly)
+    else:
+        builder = fixed.copy()
+        builder.insert(v, point)
+        keep_hull(new_poly, builder.hull())
+    return new_poly
 
 
 def _halvings(poly, v, fixed, step, max_halvings, rejected):
-    """Move vertex v by step, step/2, ..., step/2^max_halvings; yield
-    (candidate polytope, its verified hull) for each candidate at which the
-    moved point is a vertex, and count every other one (a coincident point
+    """Move vertex v by step, step/2, ..., step/2^max_halvings; yield each
+    candidate polytope, which keeps its verified hull, at which the moved
+    point is a vertex, and count every other one (a coincident point
     included) under rejected["not a vertex"]."""
     base = poly.vertices[v]
     scale = Rat(1)
     for _ in range(max_halvings + 1):
         try:
-            cand, hull = _moved(poly, v, vadd(base, smul(scale, step)), fixed)
-            certify_vertices(cand, hull)
+            yield certify_vertices(_moved(poly, v, vadd(base, smul(scale, step)), fixed))
         except (NotAVertex, DuplicatePoints):
             rejected["not a vertex"] += 1
-        else:
-            yield cand, hull
         scale /= 2
 
 
-def _push(poly, v, fixed, old_hull, region, seed, genericity, max_halvings):
-    """The push of vertex v over the builder `fixed` of every vertex but v
-    and the verified hull `old_hull` of `poly`: the target is a seeded
+def _push(poly, v, fixed, region, seed, genericity, max_halvings):
+    """The push of vertex v of `poly`, which keeps its verified hull, over
+    the builder `fixed` of every vertex but v: the target is a seeded
     random point of the relative interior of the face whose vertex indices
     are `region`, and a candidate must also pass the predicate
-    genericity(new_poly, new_hull, v) unless that is None."""
+    genericity(new_poly, v) unless that is None."""
     target = _relative_interior_point(poly, region, random.Random(seed))
     rejected = dict.fromkeys(PUSH_REJECTION_CAUSES, 0)
     step = vsub(target, poly.vertices[v])
-    for new_poly, new_hull in _halvings(poly, v, fixed, step, max_halvings, rejected):
-        if not _facet_merge_ok(old_hull, new_hull):
+    old_hull = facet_enumeration(poly)
+    for new_poly in _halvings(poly, v, fixed, step, max_halvings, rejected):
+        if not _facet_merge_ok(old_hull, facet_enumeration(new_poly)):
             rejected["facet merge violated"] += 1
-        elif genericity is not None and not genericity(new_poly, new_hull, v):
+        elif genericity is not None and not genericity(new_poly, v):
             rejected["not generic"] += 1
         else:
             return new_poly
@@ -213,7 +213,7 @@ class StepRecord:
         )
 
 
-def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int = 0):
+def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
     """One inductive step: dimension +1, one vertex more, width at least
     old_width + 1, where old_width is the width of `pr`.
 
@@ -247,19 +247,20 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int = 0):
     apex_order = list(new_plus)
     rng.shuffle(apex_order)
     # the suspension's hull is one insertion of the first apex into the
-    # builder of the other vertices, which its search then starts from
+    # builder of the other vertices, which its search then starts from; the
+    # copy of S that keeps that hull replaces S
     first_fixed = _fixed_builder(S, apex_order[0])
-    _, hull_S = _moved(S, apex_order[0], S.vertices[apex_order[0]], first_fixed)
+    S = _moved(S, apex_order[0], S.vertices[apex_order[0]], first_fixed)
     plus_mask = bits(new_plus)
     pyramid_masks = {plus_mask | 1 << u_idx, plus_mask | 1 << w_idx}
-    if not pyramid_masks <= set(hull_S.incidence.facet_masks):
+    if not pyramid_masks <= set(facet_enumeration(S).incidence.facet_masks):
         raise ConstructionFailed("suspension lost the pyramid facets over the base")
 
-    def generic(p, h, a):
+    def generic(p, a):
         # the apex-genericity condition: the non-simplicial facets at the
         # apex are exactly the two pyramids over the base
-        k = h.dim
-        at_apex = {m for m in h.incidence.facet_masks if m >> a & 1 and m.bit_count() != k}
+        h = facet_enumeration(p)
+        at_apex = {m for m in h.incidence.facet_masks if m >> a & 1 and m.bit_count() != h.dim}
         return at_apex == pyramid_masks
 
     base_normal = pr.hull.hrep.inequalities[plus_facet][:-1] + (ZERO,)
@@ -277,15 +278,14 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int = 0):
             raw = [Rat(rng.randrange(-8, 9), 32) for _ in range(amb - 1)] + [Rat(1)]
             proj = Rat(dot(base_normal, raw), nn)
             direction = tuple(raw[j] - proj * base_normal[j] for j in range(amb))
-            for cand, hull_c in _halvings(poly, apex, fixed, direction, STEP_HALVINGS, rejected):
-                masks = hull_c.incidence.facet_masks
+            for cand in _halvings(poly, apex, fixed, direction, STEP_HALVINGS, rejected):
+                masks = facet_enumeration(cand).incidence.facet_masks
                 if plus_mask not in masks or minus_mask not in masks:
                     rejected["base facet missing"] += 1
                     continue
-                bp = masks.index(plus_mask)
-                bm = masks.index(minus_mask)
+                bases = masks.index(plus_mask), masks.index(minus_mask)
                 try:
-                    new_pr = make_prismatoid(cand, hull_c, bp, bm)
+                    new_pr = make_prismatoid(cand, bases)
                 except NotAPrismatoid:
                     rejected["not a prismatoid"] += 1
                     continue
@@ -305,12 +305,11 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int = 0):
     for apex in apex_order:
         fixed = first_fixed if apex == apex_order[0] else _fixed_builder(S, apex)
         start = S
-        if not generic(S, hull_S, apex):
+        if not generic(S, apex):
             for strictness in (generic, None):
                 try:
                     start = _push(
-                        S, apex, fixed, hull_S, new_plus, rng.randrange(1 << 30), strictness,
-                        STEP_HALVINGS,
+                        S, apex, fixed, new_plus, rng.randrange(1 << 30), strictness, STEP_HALVINGS
                     )
                     break
                 except PushFailed:
@@ -321,7 +320,7 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int = 0):
     raise ConstructionFailed(_exhausted(rejected))
 
 
-def strong_dstep_iterate(pr: Prismatoid, max_steps: int, seed: int = 0):
+def strong_dstep_iterate(pr: Prismatoid, max_steps: int, seed: int):
     """Apply the step min(max_steps, asimpliciality) times.
 
     Returns (prismatoid, trace) where trace[0] records the input and each

@@ -12,9 +12,9 @@ labels, dual graph, groups, facet permutations and orbits, base hulls, base
 Minkowski sum) once, on first use; every `check_*` section takes it, and the section
 runner turns a section that raises into one FAIL line.
 
-`verify_counterexample(full=True)` builds the base Minkowski sum, a hull
-that needs only the two constant bases and that only the last section
-reads, in a forked child while the parent runs the other sections;
+A full run, `verify_counterexample(full=True)`, builds the base Minkowski
+sum, a hull that needs only the two constant bases and that only the last
+section reads, in a forked child while the parent runs the other sections;
 `Certificate.base_sum` takes the pickled result from a pipe, so the sum
 leaves the critical path.  The child runs only where `os.fork` exists, no
 other thread is alive (a fork copies the calling thread alone, so another
@@ -26,9 +26,11 @@ raises gives the same FAIL line either way.  The child leaves by
 `os._exit`, so no buffered output or exit handler of the parent runs
 twice, and the parent always reaps it.  `verify --fast` starts no child.
 
-A symmetry group is its generators and the set of permutations its
-elements induce on the vertices, closed from the generators' permutations;
-the vertices span R^5, so each element is fixed by its permutation.  Only
+A symmetry group is its generators, their vertex permutations, and the set
+of permutations its elements induce on the vertices, closed from the
+generators' permutations; the vertices span R^5, so each element is fixed
+by its permutation.  The permutations are found once, for the full group:
+the base-preserving subgroup and the base-swap check read them.  Only
 the six generators are applied to the facet rows: the orbits of a group are
 the orbits of its generators.
 """
@@ -43,10 +45,9 @@ from typing import Optional
 
 from .geometry import OrthMap, affine_rank, integer_points, smul, vadd, vsub
 from .graphs import Graph
-from .linalg import matrix_rank
+from .linalg import matrix_rank, primitive
 from .normalfans import (
     bi_dimensions,
-    direction_key,
     facet_normals,
     interior_owner,
     is_combinatorial_cube,
@@ -240,10 +241,11 @@ def expected_facets():
 @dataclass(frozen=True)
 class SymmetryGroup:
     """A group of linear maps that permute a vertex set: its `generators`
-    (`OrthMap`s) and `perms`, the set of permutations its elements induce on
-    the vertices."""
+    (`OrthMap`s), `generator_perms`, the permutation each induces on the
+    vertices, and `perms`, the set of permutations its elements induce."""
 
     generators: tuple
+    generator_perms: tuple
     perms: frozenset
 
     @property
@@ -269,22 +271,10 @@ def _vertex_permutation(m: OrthMap, pts, index):
     return tuple(perm)
 
 
-def _integer_index(poly: VPolytope):
-    pts = integer_points(poly.vertices)
-    return pts, {p: i for i, p in enumerate(pts)}
-
-
-def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
-    """The group the orthogonal `generators` generate, closed breadth-first
-    on the vertex permutations they induce, so a product costs n lookups.
-    A linear map is fixed by its permutation only when the vertices span
-    R^d, so that is checked first: otherwise two maps with the same
-    permutation would be taken for one."""
-    pts, index = _integer_index(poly)
-    if matrix_rank(pts) != poly.ambient_dim:
-        raise ValueError("the vertices do not span the space")
-    gen_perms = [_vertex_permutation(m, pts, index) for m in generators]
-    queue = [tuple(range(len(pts)))]
+def _closure(generators, gen_perms) -> SymmetryGroup:
+    """The group of `generators`, closed breadth-first on the vertex
+    permutations `gen_perms` they induce, so a product costs n lookups."""
+    queue = [tuple(range(len(gen_perms[0])))]
     seen = set(queue)
     for p in queue:  # the list grows while it is read: a BFS queue
         for h in gen_perms:
@@ -292,7 +282,19 @@ def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
             if q not in seen:
                 seen.add(q)
                 queue.append(q)
-    return SymmetryGroup(tuple(generators), frozenset(seen))
+    return SymmetryGroup(tuple(generators), tuple(gen_perms), frozenset(seen))
+
+
+def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
+    """The group the orthogonal `generators` generate on the vertices of
+    `poly`.  A linear map is fixed by its permutation only when the vertices
+    span R^d, so that is checked first: otherwise two maps with the same
+    permutation would be taken for one."""
+    pts = integer_points(poly.vertices)
+    index = {p: i for i, p in enumerate(pts)}
+    if matrix_rank(pts) != poly.ambient_dim:
+        raise ValueError("the vertices do not span the space")
+    return _closure(generators, [_vertex_permutation(m, pts, index) for m in generators])
 
 
 def base_swap_map() -> OrthMap:
@@ -310,7 +312,9 @@ def base_swap_map() -> OrthMap:
 
 def symmetry_groups(poly: VPolytope):
     """(full group of order 64, base-preserving subgroup of order 32) of
-    `poly`, the vertices of `vertices48()`."""
+    `poly`, the vertices of `vertices48()`; the subgroup is closed from the
+    permutations of its generators found for the full group, the first five
+    of its six, the base swap last."""
     gens_plus = []
     for axis in range(4):
         rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
@@ -327,7 +331,9 @@ def symmetry_groups(poly: VPolytope):
             )
         )
     )
-    return _close_group(gens_plus + [base_swap_map()], poly), _close_group(gens_plus, poly)
+    sigma = _close_group(gens_plus + [base_swap_map()], poly)
+    k = len(gens_plus)
+    return sigma, _closure(sigma.generators[:k], sigma.generator_perms[:k])
 
 
 # ---------------------------------------------------------------------------
@@ -441,8 +447,8 @@ class Certificate:
 
     @cached_property
     def pr(self):
-        certify_vertices(self.poly, self.hull)
-        return make_prismatoid(self.poly, self.hull, self.by_label["A"], self.by_label["L"])
+        certify_vertices(self.poly)
+        return make_prismatoid(self.poly, (self.by_label["A"], self.by_label["L"]))
 
     @cached_property
     def graph(self) -> Graph:
@@ -633,7 +639,7 @@ def check_symmetries(ctx: Certificate) -> Report:
     sigma, sigma_plus = ctx.groups
     rep.add("order of full group", sigma.order == 64, str(sigma.order))
     rep.add("order of base-preserving subgroup", sigma_plus.order == 32, str(sigma_plus.order))
-    perm = _vertex_permutation(base_swap_map(), *_integer_index(ctx.poly))
+    perm = sigma.generator_perms[-1]  # the base swap's
     ok = all(perm[i] == i + 24 for i in range(24))
     rep.add("base swap sends i+ to i-", ok, "")
     sq = _compose(perm, perm)
@@ -723,11 +729,11 @@ def check_spindle_polar(ctx: Certificate) -> Report:
     tests keep a double-description build of the 322 points as the
     cross-check, until a ridge certificate proves the hull complete."""
     rep = Report("polar spindle")
-    pol = polar(ctx.poly, ctx.hull)
-    hull_pol = facet_enumeration(pol)
+    pol = polar(ctx.poly)
+    n_facets = facet_enumeration(pol).incidence.n_facets
     rep.add("polar vertex count", pol.n_vertices == 322, str(pol.n_vertices))
-    rep.add("polar facet count", hull_pol.incidence.n_facets == 48, str(hull_pol.incidence.n_facets))
-    found = is_spindle(pol, hull_pol)
+    rep.add("polar facet count", n_facets == 48, str(n_facets))
+    found = is_spindle(pol)
     rep.add("polar is a spindle", found is not None, "")
     if found:
         rep.add("spindle length", found[2] == 6, str(found[2]))
@@ -787,7 +793,7 @@ def check_minkowski_section(ctx: Certificate) -> Report:
     rep.add("sum facet count", ms.n_facets == 320, str(ms.n_facets))
 
     # dual-graph identity under matching of normals restricted to x1..x4
-    sum_index = {direction_key(mf.normal): f for f, mf in enumerate(ms.facets)}
+    sum_index = {primitive(mf.normal): f for f, mf in enumerate(ms.facets)}
     inc = pr.hull.incidence
     bases = {pr.base_plus, pr.base_minus}
     mapping = {}
@@ -795,7 +801,7 @@ def check_minkowski_section(ctx: Certificate) -> Report:
     for f in range(inc.n_facets):
         if f in bases:
             continue
-        key = direction_key(pr.hull.hrep.inequalities[f][:4])
+        key = primitive(pr.hull.hrep.inequalities[f][:4])
         if key not in sum_index:
             ok = False
             break
@@ -828,11 +834,7 @@ def check_minkowski_section(ctx: Certificate) -> Report:
         rep.add("sum bi-dimensions match the family bands", bands_ok, "")
     rep.merge(transversality_check(pr, ctx.bidims))
     orbit = (4, 5, 6, 7)  # vertices 5..8 of either base
-    rep.merge(
-        normal_map_interiority_check(
-            ctx.qplus, ctx.hull_plus, ctx.qminus, ctx.hull_minus, orbit, orbit
-        )
-    )
+    rep.merge(normal_map_interiority_check(ctx.qplus, ctx.qminus, orbit, orbit))
     return rep
 
 
@@ -851,7 +853,7 @@ def _run_sections(title: str, ctx: Certificate, sections) -> Report:
     return rep
 
 
-def verify_counterexample(full: bool = True) -> Report:
+def verify_counterexample(full: bool) -> Report:
     """The complete verification suite; `full` adds the base-structure and
     Minkowski-sum sections."""
     sections = [

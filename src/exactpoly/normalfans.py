@@ -33,7 +33,6 @@ from .polytopes import (
     maximizers,
 )
 from .prismatoids import Prismatoid
-from .rationals import primitive_ints
 from .report import Report
 
 
@@ -53,11 +52,6 @@ def interior_owner(poly: VPolytope, direction) -> Optional[int]:
     unique maximizer, if there is one."""
     idx = maximizers(poly.vertices, direction)
     return idx[0] if len(idx) == 1 else None
-
-
-def direction_key(coeffs):
-    """Primitive integer vector of a direction (positive scaling only)."""
-    return tuple(primitive_ints(list(coeffs)))
 
 
 # ---------------------------------------------------------------------------
@@ -121,7 +115,7 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     points = tuple(sums)
     raw = VPolytope(points)
     hull_all = facet_enumeration(raw)
-    keep = extreme_indices(raw, hull_all)
+    keep = extreme_indices(hull_all)
     old_to_new = {o: n for n, o in enumerate(keep)}
     poly = VPolytope(tuple(points[o] for o in keep))
     masks = tuple(
@@ -214,14 +208,10 @@ def transversality_check(pr: Prismatoid, bidims: dict) -> Report:
 
 
 def normal_map_interiority_check(
-    qplus: VPolytope,
-    hull_plus: Hull,
-    qminus: VPolytope,
-    hull_minus: Hull,
-    plus_orbit,
-    minus_orbit,
+    qplus: VPolytope, qminus: VPolytope, plus_orbit, minus_orbit
 ) -> Report:
-    """Three containment statements between the two normal maps.
+    """Three containment statements between the two normal maps, read from
+    the hulls `facet_enumeration` keeps on the bases.
 
     1. every facet normal of Q- lies strictly inside the normal cone of a
        Q+ vertex from `plus_orbit`;
@@ -232,6 +222,7 @@ def normal_map_interiority_check(
        with normal v.
     """
     rep = Report("normal map interiority")
+    hull_plus, hull_minus = facet_enumeration(qplus), facet_enumeration(qminus)
     # the owners do not change under positive scaling
     qplus, qminus = (VPolytope(tuple(integer_points(q.vertices))) for q in (qplus, qminus))
     normals_p = facet_normals(hull_plus)

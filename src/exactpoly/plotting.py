@@ -18,7 +18,7 @@ def _fmt(x: float) -> str:
     return f"{x:.3f}"
 
 
-def torus_svg(layers, size: int = 800) -> str:
+def torus_svg(layers, size: int) -> str:
     """Render layers of (points, edges, color) on the flat torus.
 
     points: list of 4-dimensional directions; edges: index pairs into it.

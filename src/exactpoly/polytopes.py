@@ -56,15 +56,16 @@ of more than 64 members where it costs less, counted over the transposed
 masks.
 
 A `VPolytope` keeps the verified hull that `facet_enumeration` built for
-it, and every later call on that object returns it, so `polar`,
-`certify_vertices` and `prismatoids.make_prismatoid`, called without a
-hull, reuse it.  The hull belongs to the object, not to its value: a new
-`VPolytope` with the same points is enumerated again.  An input that raises
-keeps nothing.  A perturbation search records the hull of each candidate
-it builds (`keep_hull`), and `polar` records on the polar the hull it
-derives by duality from the input's (its facets are the input's vertices,
-its incidence the input's transposed), so no double-description build runs
-for a polar.  Either way a kept hull has always passed `_verify`.
+it, and every later call on that object returns it; that call is how
+`polar`, `prismatoids` and the searches get a polytope's hull, so a hull
+never travels apart from its points.  The hull belongs to the object, not
+to its value: a new `VPolytope` with the same points is enumerated again.
+An input that raises keeps nothing.  A perturbation search records the
+hull of each candidate it builds (`keep_hull`), and `polar` records on the
+polar the hull it derives by duality from the input's (its facets are the
+input's vertices, its incidence the input's transposed), so no
+double-description build runs for a polar.  Either way a kept hull has
+always passed `_verify`.
 """
 from __future__ import annotations
 
@@ -287,7 +288,7 @@ def _triangular_certificate(fmask, vmasks, everyone, dim) -> bool:
     return True
 
 
-def _incidence_failures(pts, pairs, empty=0):
+def _incidence_failures(pts, pairs, empty):
     """Per (row, mask) pair: None when every point is inside the row and
     exactly the points of the mask are tight, else the check that failed.
     The slots in `empty` hold the zero vector, which every row holds
@@ -549,8 +550,10 @@ def facet_enumeration(poly: VPolytope) -> Hull:
 def keep_hull(poly: VPolytope, hull: Hull) -> Hull:
     """Record `hull` on `poly` as its `facet_enumeration` and return it.
     `hull` must be the hull of poly's points in their order that passed
-    `_verify`, as a `HullBuilder` over exactly those points returns it or
-    as `polar` derives it by duality."""
+    `_verify`, as a `HullBuilder` over exactly those points returns it (a
+    search's candidate) or as `polar` derives it by duality.  Later code
+    reads it back with `facet_enumeration(poly)`, never from a second
+    variable."""
     object.__setattr__(poly, "_hull", hull)
     return hull
 
@@ -613,7 +616,9 @@ def _smallest_faces(hull: Hull):
 
 def certify_vertices(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     """Confirm every listed point is an extreme point; raises NotAVertex.
-    Without `hull`, the one `facet_enumeration` keeps on `poly` is read."""
+    Without `hull`, the one `facet_enumeration` keeps on `poly` is read.
+    The package's own callers pass no hull; `perfbench` still passes the
+    one it holds, which is that same kept hull."""
     if hull is None:
         hull = facet_enumeration(poly)
     for i, face in enumerate(_smallest_faces(hull)):
@@ -626,7 +631,7 @@ def certify_vertices(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     return poly
 
 
-def extreme_indices(poly: VPolytope, hull: Hull):
+def extreme_indices(hull: Hull):
     """Indices of the points that are vertices of the hull."""
     return tuple(i for i, face in enumerate(_smallest_faces(hull)) if face == 1 << i)
 
@@ -724,15 +729,14 @@ def _centroid(points):
     return total // g, [v // g for v in sums], scale, ints
 
 
-def polar(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
+def polar(poly: VPolytope) -> VPolytope:
     """Polar polytope after translating the vertex centroid to the origin,
-    with its hull derived by duality and kept on it.
+    with its hull derived by duality from the hull `facet_enumeration` keeps
+    on `poly`, and kept on it.
 
     Vertices of the polar are facet normals scaled so normal . x = 1 on the
     facet; facets of the polar correspond to vertices of the input, with the
-    transposed incidence.  `hull` is the hull of `poly` when the caller has
-    it; without it, the one `facet_enumeration` keeps on `poly` is read.
-    The shift by the centroid c = s / n (`_centroid`) takes a . x <= b to
+    transposed incidence.  The shift by the centroid c = s / n (`_centroid`) takes a . x <= b to
     a . y <= b - a . c, whose primitive row (a', b') is that of
     (n a, n b - a . s); sorted, these are the rows the enumeration of the
     shifted points gives, and polar vertex j is a' / b' for the j-th.
@@ -745,8 +749,7 @@ def polar(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     against the polar vertices as the integer vectors (-a', b'), and the
     hull is kept on the polar with `keep_hull`, so no hull is built.
     """
-    if hull is None:
-        hull = facet_enumeration(poly)
+    hull = facet_enumeration(poly)
     if hull.hrep.equalities:
         raise DegenerateInput("polar requires a full-dimensional polytope")
     n, s, scale, ints = _centroid(poly.vertices)
@@ -765,7 +768,7 @@ def polar(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     shift = [scale * c for c in s]
     pairs = sorted(
         (primitive((*[n * x - t for x, t in zip(ints[i], shift)], n * scale)), masks[i])
-        for i in extreme_indices(poly, hull)
+        for i in extreme_indices(hull)
     )
     pts = [(*map(neg, q[:-1]), q[-1]) for q in ineqs]
     _check_duplicates(pts)

@@ -49,9 +49,13 @@ def _complementary_pairs(masks, full):
 @dataclass(frozen=True)
 class Prismatoid:
     polytope: VPolytope
-    hull: Hull
     base_plus: int
     base_minus: int
+
+    @property
+    def hull(self) -> Hull:
+        """The hull `facet_enumeration` keeps on the polytope."""
+        return facet_enumeration(self.polytope)
 
     @property
     def dim(self) -> int:
@@ -76,28 +80,23 @@ class Prismatoid:
         return self.n_vertices - 2 * self.dim
 
 
-def make_prismatoid(
-    poly: VPolytope,
-    hull: Optional[Hull] = None,
-    base_plus: Optional[int] = None,
-    base_minus: Optional[int] = None,
-) -> Prismatoid:
-    """Verify the prismatoid structure; auto-detect base facets if not given.
+def make_prismatoid(poly: VPolytope, bases: Optional[tuple] = None) -> Prismatoid:
+    """Verify the prismatoid structure of `poly` on the hull
+    `facet_enumeration` keeps on it, with `bases` the (plus, minus) pair of
+    base facet indices; auto-detect them if not given.
 
     Auto-detection picks, in lexicographic order, the first parallel pair
     of facets whose incidences split the points, looking each facet's
-    partner up by its mask.  The points are not certified as vertices here:
-    a caller whose points may not all be vertices runs `certify_vertices`
-    first.  Without `hull`, the one `facet_enumeration` keeps on `poly` is
-    read.
+    partner up by its mask; it passes the checks a given pair passes.  The
+    points are not certified as vertices here: a caller whose points may not
+    all be vertices runs `certify_vertices` first.
     """
-    if hull is None:
-        hull = facet_enumeration(poly)
+    hull = facet_enumeration(poly)
     inc = hull.incidence
+    rows = hull.hrep.inequalities
     full = (1 << poly.n_vertices) - 1
-    if base_plus is None or base_minus is None:
-        rows = hull.hrep.inequalities
-        found = next(
+    if bases is None:
+        bases = next(
             (
                 (a, b)
                 for a, b in _complementary_pairs(inc.facet_masks, full)
@@ -105,19 +104,16 @@ def make_prismatoid(
             ),
             None,
         )
-        if not found:
+        if not bases:
             raise NotAPrismatoid("no parallel facet pair covers all vertices")
-        base_plus, base_minus = found
-    else:
-        qa = hull.hrep.inequalities[base_plus]
-        qb = hull.hrep.inequalities[base_minus]
-        if not _parallel(qa, qb):
-            raise NotAPrismatoid("base facets are not parallel")
-        if inc.facet_masks[base_plus] | inc.facet_masks[base_minus] != full:
-            raise NotAPrismatoid("base facets do not contain all vertices")
-        if inc.facet_masks[base_plus] & inc.facet_masks[base_minus]:
-            raise NotAPrismatoid("base facets share a vertex")
-    return Prismatoid(poly, hull, base_plus, base_minus)
+    base_plus, base_minus = bases
+    if not _parallel(rows[base_plus], rows[base_minus]):
+        raise NotAPrismatoid("base facets are not parallel")
+    if inc.facet_masks[base_plus] | inc.facet_masks[base_minus] != full:
+        raise NotAPrismatoid("base facets do not contain all vertices")
+    if inc.facet_masks[base_plus] & inc.facet_masks[base_minus]:
+        raise NotAPrismatoid("base facets share a vertex")
+    return Prismatoid(poly, base_plus, base_minus)
 
 
 def width(pr: Prismatoid) -> int:
@@ -125,9 +121,10 @@ def width(pr: Prismatoid) -> int:
     return dual_graph(pr.polytope, pr.hull).distance(pr.base_plus, pr.base_minus)
 
 
-def is_spindle(poly: VPolytope, hull: Hull):
+def is_spindle(poly: VPolytope):
     """First vertex pair (u, v) such that every facet contains exactly one,
     with their vertex-graph distance; None if the polytope is not a spindle."""
+    hull = facet_enumeration(poly)
     inc = hull.incidence
     pair = next(_complementary_pairs(inc.vertex_masks, (1 << inc.n_facets) - 1), None)
     if pair is None:

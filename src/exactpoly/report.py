@@ -20,7 +20,7 @@ class Report:
     title: str = ""
     checks: list = field(default_factory=list)
 
-    def add(self, name: str, passed: bool, detail: str = "") -> None:
+    def add(self, name: str, passed: bool, detail: str) -> None:
         prefix = f"{self.title}: " if self.title else ""
         self.checks.append(CheckResult(prefix + name, bool(passed), detail))
 

@@ -59,12 +59,9 @@ def random_full_dim_points(rng, dim, n_points, spread=6):
 def random_polytope(rng, dim, max_points):
     """A certified random polytope: the extreme points of a random set."""
     pts, hull = random_full_dim_points(rng, dim, rng.randint(dim + 1, max_points))
-    raw = VPolytope(pts)
-    keep = extreme_indices(raw, hull)
-    poly = VPolytope(tuple(pts[i] for i in keep))
-    hull = facet_enumeration(poly)
-    certify_vertices(poly, hull)
-    return poly, hull
+    keep = extreme_indices(hull)
+    poly = certify_vertices(VPolytope(tuple(pts[i] for i in keep)))
+    return poly, facet_enumeration(poly)
 
 
 def random_prismatoid(rng, dim, max_base_points):
@@ -81,7 +78,7 @@ def random_prismatoid(rng, dim, max_base_points):
         plus_row = (0,) * (dim - 1) + (1, 1)
         minus_row = (0,) * (dim - 1) + (-1, 1)
         try:
-            pr = make_prismatoid(poly, hull, rows.index(plus_row), rows.index(minus_row))
+            pr = make_prismatoid(poly, (rows.index(plus_row), rows.index(minus_row)))
         except ValueError:
             continue
         return pr, top, bot
@@ -166,9 +163,8 @@ def push_into(poly, v, region, seed, genericity=None, max_halvings=MAX_HALVINGS)
     of the face with vertex indices `region`, under the caller's genericity
     predicate and halving budget: the face push `strong_dstep_step` runs."""
     fixed = _fixed_builder(poly, v)
-    _, old_hull = _moved(poly, v, poly.vertices[v], fixed)
-    certify_vertices(poly, old_hull)
-    return _push(poly, v, fixed, old_hull, region, seed, genericity, max_halvings)
+    start = certify_vertices(_moved(poly, v, poly.vertices[v], fixed))
+    return _push(start, v, fixed, region, seed, genericity, max_halvings)
 
 
 def reference_push(poly, v, target_region=None, seed=0, max_halvings=64):
@@ -486,7 +482,7 @@ def reference_minkowski_sum(a: VPolytope, b: VPolytope):
     points = tuple(sums)
     raw = VPolytope(points)
     hull = facet_enumeration(raw)
-    keep = extreme_indices(raw, hull)
+    keep = extreme_indices(hull)
     new = {o: n for n, o in enumerate(keep)}
     masks = tuple(
         bits(new[v] for v in iter_bits(m) if v in new) for m in hull.incidence.facet_masks

@@ -5,7 +5,7 @@ from unittest import mock
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from exactpoly import constructions
+from exactpoly import constructions, polytopes
 from exactpoly.constructions import (
     REJECTION_CAUSES,
     _fixed_builder,
@@ -59,18 +59,16 @@ def pentagon():
 
 def cube_prismatoid():
     c = cube()
-    hull = facet_enumeration(c)
-    rows = hull.hrep.inequalities
-    return make_prismatoid(c, hull, rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1)))
+    rows = facet_enumeration(c).hrep.inequalities
+    return make_prismatoid(c, (rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))))
 
 
 def triangular_prism():
     p = VPolytope(tuple(
         pt(x, y, z) for (x, y) in ((0, 0), (3, 0), (0, 3)) for z in (-1, 1)
     ))
-    hull = facet_enumeration(p)
-    rows = hull.hrep.inequalities
-    return make_prismatoid(p, hull, rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1)))
+    rows = facet_enumeration(p).hrep.inequalities
+    return make_prismatoid(p, (rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))))
 
 
 class TestOnePointSuspension:
@@ -159,7 +157,7 @@ class TestPushVertex:
         # the full step lands on the interior target, where the point is no
         # vertex; the three shorter steps fail only the caller's predicate
         with pytest.raises(PushFailed) as exc:
-            push_into(cube(), 0, range(8), 1, lambda p, h, v: False, 3)
+            push_into(cube(), 0, range(8), 1, lambda p, v: False, 3)
         assert str(exc.value) == (
             "push of vertex 0: perturbation search exhausted after 4 candidates: "
             "not a vertex 1, facet merge violated 0, not generic 3"
@@ -170,11 +168,11 @@ class TestPushVertex:
         # starts from was verified fails every candidate's verification;
         # that is a fault to raise, not 17 candidates that are not vertices
         fixed = _fixed_builder(q48, 3)
-        _, old_hull = _moved(q48, 3, q48.vertices[3], fixed)
+        start = _moved(q48, 3, q48.vertices[3], fixed)
         h = fixed.rows[0]
         fixed.rows[0] = h[:-1] + (h[-1] + 1,)
         with pytest.raises(DegenerateInput, match="hull verification failed"):
-            _push(q48, 3, fixed, old_hull, range(q48.n_vertices), 1, None, 16)
+            _push(start, 3, fixed, range(q48.n_vertices), 1, None, 16)
 
     def test_facet_map_is_simplicial(self):
         # adjacent facets of the pushed polytope map to equal or adjacent
@@ -290,6 +288,35 @@ class TestStrongDStep:
         line = trace[1].line(1)
         assert line.startswith("STEP 1 dim=4 vertices=9 facets=")
         assert "width=" in line
+
+
+class TestHullBuilds:
+    """The searches build each candidate's hull by one insertion into a copy
+    of a fixed builder, and read every hull they hold from the polytope that
+    keeps it; pairing a polytope with a hull rebuilt from scratch would add
+    a build and a call of `polytopes._enumerate`."""
+
+    @pytest.fixture
+    def enumerations(self, monkeypatch):
+        calls = []
+        enumerate_points = polytopes._enumerate
+
+        def counting(pts):
+            calls.append(len(pts))
+            return enumerate_points(pts)
+
+        monkeypatch.setattr(polytopes, "_enumerate", counting)
+        return calls
+
+    def test_push_builds_six_hulls(self, q48, hull_builds, enumerations):
+        push_vertex(q48, 3, seed=1)
+        assert hull_builds == [48] * 6
+        assert enumerations == []
+
+    def test_strong_dstep_step_builds_fourteen_hulls(self, q48_pr, hull_builds, enumerations):
+        strong_dstep_iterate(q48_pr, 1, seed=0)
+        assert hull_builds == [49] * 14
+        assert enumerations == []
 
 
 class TestProductsAndPowers:

@@ -183,7 +183,7 @@ class TestSymmetry:
 
     def test_groups_match_matrix_closure(self, q48, reference_groups):
         # distinct maps induce distinct vertex permutations, and each group's
-        # set of permutations is the reference's
+        # set of permutations, and each generator's, is the reference's
         gens = _generators()
         for group, (maps, vertex_perms), n_gens in zip(
             symmetry_groups(q48), reference_groups, (6, 5)
@@ -191,6 +191,8 @@ class TestSymmetry:
             assert len(set(vertex_perms)) == len(maps) == group.order
             assert group.perms == set(vertex_perms)
             assert [g.rows for g in group.generators] == [g.rows for g in gens[:n_gens]]
+            perm_of = {m.rows: p for m, p in zip(maps, vertex_perms)}
+            assert group.generator_perms == tuple(perm_of[g.rows] for g in gens[:n_gens])
 
     def test_hull_and_graphs_of_every_symmetry_image(self, certificate, reference_groups):
         # the hull of m(P), its points in P's order, has exactly the mapped
@@ -345,11 +347,9 @@ class TestSmallPrismatoids:
             tuple(Rat(c) for c in (x, y, z))
             for (x, y) in ((0, 0), (3, 0), (0, 3)) for z in (-1, 1)
         )
-        hull = facet_enumeration(VPolytope(pts))
-        rows = hull.hrep.inequalities
-        pr = make_prismatoid(
-            VPolytope(pts), hull, rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))
-        )
+        poly = VPolytope(pts)
+        rows = facet_enumeration(poly).hrep.inequalities
+        pr = make_prismatoid(poly, (rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))))
         assert width(pr) == 2
 
     def test_given_bases_must_be_parallel(self):
@@ -358,12 +358,10 @@ class TestSmallPrismatoids:
             tuple(Rat(c) for c in (x, y, z))
             for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)
         )
-        hull = facet_enumeration(VPolytope(pts))
-        rows = hull.hrep.inequalities
+        poly = VPolytope(pts)
+        rows = facet_enumeration(poly).hrep.inequalities
         with pytest.raises(NotAPrismatoid, match="not parallel"):
-            make_prismatoid(
-                VPolytope(pts), hull, rows.index((0, 0, 1, 1)), rows.index((1, 0, 0, 1))
-            )
+            make_prismatoid(poly, (rows.index((0, 0, 1, 1)), rows.index((1, 0, 0, 1))))
 
     def test_given_bases_must_contain_all_vertices(self):
         # the cube with a vertex beyond a side: top and bottom stay facets,
@@ -372,12 +370,10 @@ class TestSmallPrismatoids:
             tuple(Rat(c) for c in (x, y, z))
             for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)
         ) + ((Rat(2), Rat(0), Rat(0)),)
-        hull = facet_enumeration(VPolytope(pts))
-        rows = hull.hrep.inequalities
+        poly = VPolytope(pts)
+        rows = facet_enumeration(poly).hrep.inequalities
         with pytest.raises(NotAPrismatoid, match="do not contain all vertices"):
-            make_prismatoid(
-                VPolytope(pts), hull, rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))
-            )
+            make_prismatoid(poly, (rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))))
 
 
 class TestSuspensionOfCounterexample:

@@ -284,10 +284,8 @@ class TestTransversality:
 
 
 class TestInteriority:
-    def test_parts_pass(self, qplus, qplus_hull, qminus, qminus_hull):
-        rep = normal_map_interiority_check(
-            qplus, qplus_hull, qminus, qminus_hull, (4, 5, 6, 7), (4, 5, 6, 7)
-        )
+    def test_parts_pass(self, qplus, qminus):
+        rep = normal_map_interiority_check(qplus, qminus, (4, 5, 6, 7), (4, 5, 6, 7))
         assert_report(rep)
 
     def test_contrapositive_blocks_short_paths(self, qplus, qminus, base_sum):
@@ -296,10 +294,8 @@ class TestInteriority:
         _, min_facets = pair_dstep_property(qplus, qminus, 5, ms=base_sum)
         assert min_facets > 4
 
-    def test_orbit_restriction_detects_wrong_orbit(self, qplus, qplus_hull, qminus, qminus_hull):
-        rep = normal_map_interiority_check(
-            qplus, qplus_hull, qminus, qminus_hull, (0, 1, 2, 3), (4, 5, 6, 7)
-        )
+    def test_orbit_restriction_detects_wrong_orbit(self, qplus, qminus):
+        rep = normal_map_interiority_check(qplus, qminus, (0, 1, 2, 3), (4, 5, 6, 7))
         assert not rep.passed
 
 
