@@ -12,20 +12,6 @@ labels, dual graph, groups, facet permutations and orbits, base hulls, base
 Minkowski sum) once, on first use; every `check_*` section takes it, and the section
 runner turns a section that raises into one FAIL line.
 
-A full run, `verify_counterexample(full=True)`, builds the base Minkowski
-sum, a hull that needs only the two constant bases and that only the last
-section reads, in a forked child while the parent runs the other sections;
-`Certificate.base_sum` takes the pickled result from a pipe, so the sum
-leaves the critical path.  The child runs only where `os.fork` exists, no
-other thread is alive (a fork copies the calling thread alone, so another
-thread's locks could stay held in the child) and the process may use two
-CPUs (on one core the child only competes with the parent); otherwise the
-sum is built inline when it is first read.  A child that does not finish
-sends nothing, and the parent then builds the sum itself, so a sum that
-raises gives the same FAIL line either way.  The child leaves by
-`os._exit`, so no buffered output or exit handler of the parent runs
-twice, and the parent always reaps it.  `verify --fast` starts no child.
-
 A symmetry group is its generators, their vertex permutations, and the set
 of permutations its elements induce on the vertices, closed from the
 generators' permutations; the vertices span R^5, so each element is fixed
@@ -36,8 +22,6 @@ the orbits of its generators.
 """
 from __future__ import annotations
 
-import os
-import threading
 from dataclasses import dataclass
 from functools import cached_property
 from operator import mul
@@ -425,7 +409,6 @@ class Certificate:
 
     def __init__(self, poly: Optional[VPolytope] = None):
         self.poly = vertices48() if poly is None else poly
-        self.sum_worker = None  # a `_SumWorker` building `base_sum`, if any
 
     @cached_property
     def expected(self) -> dict:
@@ -497,75 +480,7 @@ class Certificate:
 
     @cached_property
     def base_sum(self):
-        """The Minkowski sum of the bases: the worker's, when one was started
-        and sent it, else built here."""
-        found = self.sum_worker.result() if self.sum_worker is not None else None
-        return found if found is not None else minkowski_sum(self.qplus, self.qminus)
-
-
-def _usable_cpus() -> int:
-    if hasattr(os, "sched_getaffinity"):
-        return len(os.sched_getaffinity(0))
-    return os.cpu_count() or 1
-
-
-class _SumWorker:
-    """A forked child that builds `minkowski_sum(base_plus(), base_minus())`
-    and writes it, pickled, to the pipe `fd`; see the module docstring."""
-
-    def __init__(self, pid: int, fd: int):
-        self.pid, self.fd = pid, fd
-
-    @classmethod
-    def start(cls):
-        """A running worker, or None where a fork would not pay or is unsafe."""
-        if not hasattr(os, "fork") or threading.active_count() > 1 or _usable_cpus() < 2:
-            return None
-        import pickle  # imported here: only a full verify that forks needs it
-
-        fd, out = os.pipe()
-        try:
-            pid = os.fork()
-        except OSError:  # no process to spare: the sum is built inline
-            os.close(fd)
-            os.close(out)
-            return None
-        if pid == 0:
-            os.close(fd)
-            code = 1
-            try:
-                with os.fdopen(out, "wb") as pipe:
-                    pickle.dump(minkowski_sum(base_plus(), base_minus()), pipe)
-                code = 0
-            finally:
-                os._exit(code)
-        os.close(out)
-        return cls(pid, fd)
-
-    def result(self):
-        """The child's sum, or None when it exited without sending one or
-        was reaped already.  The child is reaped here."""
-        if self.pid is None:
-            return None
-        import pickle
-
-        try:
-            with os.fdopen(self.fd, "rb") as pipe:
-                data = pipe.read()
-        finally:
-            _, status = os.waitpid(self.pid, 0)
-            self.pid = None
-        return pickle.loads(data) if status == 0 else None
-
-    def stop(self):
-        """Kill and reap the child if its result was never read."""
-        if self.pid is not None:
-            import signal
-
-            os.close(self.fd)
-            os.kill(self.pid, signal.SIGKILL)
-            os.waitpid(self.pid, 0)
-            self.pid = None
+        return minkowski_sum(self.qplus, self.qminus)
 
 
 def check_facet_census(ctx: Certificate) -> Report:
@@ -787,7 +702,16 @@ def check_base_structure(ctx: Certificate) -> Report:
 def check_minkowski_section(ctx: Certificate) -> Report:
     """The sum of the bases: 320 facets, dual graph equal to the prismatoid's
     minus its bases, failed pair d-step with minimum sequence 5, transversal,
-    and the interiority statements."""
+    and the interiority statements.
+
+    `minkowski_sum` derives the sum's hull from the Cayley polytope of the
+    bases, whose 48 points are an affine image of the prismatoid's (height
+    0 and 1 for +1 and -1), so the two hulls compared here come from
+    affinely equivalent inputs, and a fault of the hull builder would reach
+    both alike.  The independent cross-checks are in the tests: the
+    double-description build of all 576 pairwise sums in
+    `test_q48_polar_and_base_sum_steps_match_the_full_scan`, and the pinned
+    differential `test_base_sum_matches_the_reference`."""
     rep = Report("base Minkowski sum")
     pr, ms = ctx.pr, ctx.base_sum
     rep.add("sum facet count", ms.n_facets == 320, str(ms.n_facets))
@@ -867,13 +791,7 @@ def verify_counterexample(full: bool) -> Report:
         check_orbit_quotient,
         check_spindle_polar,
     ]
-    ctx = Certificate()
     if full:
         sections += [check_base_structure, check_minkowski_section]
-        ctx.sum_worker = _SumWorker.start()
-    try:
-        return _run_sections("width-6 prismatoid", ctx, sections)
-    finally:
-        if ctx.sum_worker is not None:
-            ctx.sum_worker.stop()
+    return _run_sections("width-6 prismatoid", Certificate(), sections)
 

@@ -6,9 +6,23 @@ tools; the width-6 sections built from them live in `counterexample`.
 All cone work is exact and polyhedral: a direction lies strictly inside the
 normal cone of a vertex exactly when that vertex is the unique maximizer of
 the direction over the polytope, so no spherical geometry is ever needed.
-One routine, `polytopes.maximizers`, finds faces, on integer copies (faces
-do not change under positive scaling); each distinct face of a summand is
-ranked once, and an owner needs no rank.
+One routine, `polytopes.maximizers`, finds an owner.
+
+A Minkowski sum A + B is read off its summands' Cayley polytope
+C = conv(A x {0} u B x {1}), whose slice at height 1/2 is (A + B)/2 (the
+"Cayley trick" of Huber, Rambau & Santos 2000); the paper's prismatoid is
+such a polytope of its bases.  Every facet of C but the two bases (the rows
+with a zero x-part) meets both ends, so a row (alpha, c, beta) of C, tight
+on the face F+ of A at height 0 and on F- of B at height 1, is the sum's
+facet alpha . x <= 2 beta - c, tight exactly at the sums of F+ and F-.  So
+the sum takes one double-description build of |A| + |B| points one
+dimension up, not one of the |A| |B| pairwise sums; each facet's
+decomposition is the two halves of its mask of C, and each distinct face
+is ranked once, on integer copies (faces do not change under positive
+scaling).  A sum of lower dimension takes the same path on the coordinates
+of its `polytopes.affine_chart`.  The derived rows pass the full
+`polytopes._verify` against every pairwise sum that can be a vertex, and
+again against the vertices, whose polytope keeps the hull.
 The torus angles are floating point and feed the SVG plots only.
 """
 from __future__ import annotations
@@ -22,14 +36,15 @@ from .geometry import DegenerateInput, affine_rank, integer_points, vsub
 from .linalg import primitive
 from .polytopes import (
     Face,
-    FacetIncidence,
     Hull,
     VPolytope,
+    affine_chart,
     bits,
     dual_graph,
     extreme_indices,
     facet_enumeration,
     iter_bits,
+    keep_hull,
     maximizers,
 )
 from .prismatoids import Prismatoid
@@ -74,9 +89,13 @@ class MinkowskiFacet:
 @dataclass(frozen=True)
 class MinkowskiSum:
     polytope: VPolytope
-    hull: Hull
     facets: tuple
     provenance: tuple  # per sum vertex: tuple of (i, j) summand index pairs
+
+    @property
+    def hull(self) -> Hull:
+        """The hull `minkowski_sum` verified and kept on the polytope."""
+        return facet_enumeration(self.polytope)
 
     @property
     def n_facets(self) -> int:
@@ -95,9 +114,9 @@ def _edge_directions(pts):
 
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
-    """Hull of the pairwise vertex sums that can be vertices, annotated
-    facet by facet with the decomposition F = F+ + F- found by maximizing
-    the facet normal."""
+    """Hull of the pairwise vertex sums that can be vertices, derived from
+    the hull of the summands' Cayley polytope and annotated facet by facet
+    with the decomposition F = F+ + F-; see the module docstring."""
     if a.ambient_dim != b.ambient_dim:
         raise DegenerateInput("summands must share the ambient dimension")
     # a_i + b_j is no vertex when a_k - a_i is a positive multiple of
@@ -113,31 +132,59 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
                 s = tuple(p[t] + q[t] for t in range(len(p)))
                 sums.setdefault(s, []).append((i, j))
     points = tuple(sums)
-    raw = VPolytope(points)
-    hull_all = facet_enumeration(raw)
-    keep = extreme_indices(hull_all)
-    old_to_new = {o: n for n, o in enumerate(keep)}
-    poly = VPolytope(tuple(points[o] for o in keep))
-    masks = tuple(
-        bits(old_to_new[v] for v in iter_bits(m) if v in old_to_new)
-        for m in hull_all.incidence.facet_masks
+    _, vectors, chart = affine_chart(points)
+    k, n = len(chart.cols), a.n_vertices
+    cayley = facet_enumeration(
+        VPolytope(
+            tuple(chart.project(p) + (0,) for p in a.vertices)
+            + tuple(chart.project(q) + (1,) for q in b.vertices)
+        )
     )
-    hull = Hull(hull_all.hrep, FacetIncidence(masks, poly.n_vertices), hull_all.dim)
-    # faces and their dimensions do not change under scaling, so the normals
-    # are maximized over integer copies of the summands; each distinct face
-    # is ranked once
+    # per summand vertex, the candidate sums whose first pair holds it: a
+    # sum is tight on a row iff the summands of any one of its pairs are
+    on_a, on_b = [0] * n, [0] * b.n_vertices
+    for c, ((i, j), *_) in enumerate(sums.values()):
+        on_a[i] |= 1 << c
+        on_b[j] |= 1 << c
+    derived = []
+    for row, mask in zip(cayley.hrep.inequalities, cayley.incidence.facet_masks):
+        if any(row[:k]):  # the bases have a zero x-part
+            tight_a = tight_b = 0
+            for i in iter_bits(mask & (1 << n) - 1):
+                tight_a |= on_a[i]
+            for j in iter_bits(mask >> n):
+                tight_b |= on_b[j]
+            derived.append((primitive(row[:k] + (2 * row[-1] - row[k],)), tight_a & tight_b, mask))
+    derived.sort()
+    pairs = [(h, m) for h, m, _ in derived]
+    hull_all = chart.hull(vectors, pairs)
+    keep = extreme_indices(hull_all)
+    old_to_new = {o: new for new, o in enumerate(keep)}
+    poly = VPolytope(tuple(points[o] for o in keep))
+    keep_hull(
+        poly,
+        chart.hull(
+            [vectors[o] for o in keep],
+            [(h, bits(old_to_new[v] for v in iter_bits(m) if v in old_to_new)) for h, m in pairs],
+        ),
+    )
+    # faces and their dimensions do not change under scaling, so they are
+    # ranked on integer copies of the summands, each distinct face once
     summands = [integer_points(x.vertices) for x in (a, b)]
     faces = {}
 
-    def face(side, normal):
-        idx = maximizers(summands[side], normal)
-        if (side, idx) not in faces:
-            faces[side, idx] = Face(idx, affine_rank([summands[side][i] for i in idx]))
-        return faces[side, idx]
+    def face(side, mask):
+        if (side, mask) not in faces:
+            idx = tuple(iter_bits(mask))
+            faces[side, mask] = Face(idx, affine_rank([summands[side][i] for i in idx]))
+        return faces[side, mask]
 
-    facets = tuple(MinkowskiFacet(n, face(0, n), face(1, n)) for n in facet_normals(hull))
+    facets = tuple(
+        MinkowskiFacet(normal, face(0, mask & (1 << n) - 1), face(1, mask >> n))
+        for normal, (_, _, mask) in zip(facet_normals(hull_all), derived)
+    )
     provenance = tuple(tuple(sums[points[o]]) for o in keep)
-    return MinkowskiSum(poly, hull, facets, provenance)
+    return MinkowskiSum(poly, facets, provenance)
 
 
 # ---------------------------------------------------------------------------

@@ -64,8 +64,9 @@ An input that raises keeps nothing.  A perturbation search records the
 hull of each candidate it builds (`keep_hull`), and `polar` records on the
 polar the hull it derives by duality from the input's (its facets are the
 input's vertices, its incidence the input's transposed), so no
-double-description build runs for a polar.  Either way a kept hull has
-always passed `_verify`.
+double-description build runs for a polar; `normalfans.minkowski_sum`
+records the sum's hull, derived from a Cayley polytope, the same way.
+Every kept hull has passed `_verify`.
 """
 from __future__ import annotations
 
@@ -310,8 +311,8 @@ def _verify(dim, pts, pairs, unchecked, empty) -> FacetIncidence:
     the homogeneous points `pts` (see `_incidence_failures` for `empty`)
     and has tight points of rank `dim`; raises DegenerateInput naming the
     first check that fails.  The caller has verified the incidence of the
-    other pairs.  `HullBuilder.hull` and `polar` both check their hulls
-    here.
+    other pairs.  `HullBuilder.hull` checks its hulls here, and `Chart.hull`
+    the derived ones of `polar` and `normalfans.minkowski_sum`.
 
     Every pair's incidence is exact before any rank is checked, so every
     row is a witness of the triangular certificates (see
@@ -551,20 +552,59 @@ def keep_hull(poly: VPolytope, hull: Hull) -> Hull:
     """Record `hull` on `poly` as its `facet_enumeration` and return it.
     `hull` must be the hull of poly's points in their order that passed
     `_verify`, as a `HullBuilder` over exactly those points returns it (a
-    search's candidate) or as `polar` derives it by duality.  Later code
+    search's candidate), as `polar` derives it by duality or as
+    `Chart.hull` checks a derived one (a Minkowski sum's).  Later code
     reads it back with `facet_enumeration(poly)`, never from a second
     variable."""
     object.__setattr__(poly, "_hull", hull)
     return hull
 
 
-def _enumerate(pts) -> Hull:
-    """`HullBuilder` run over the points in input order.  When their affine
-    hull has dimension k < d, it runs on their coordinates at the k pivot
-    columns of the affine hull's directions, a projection that is one-to-one
-    on the affine hull, and each facet there lifts with zeros in the other
-    columns.  That lift is the unique facet inequality supported on those
-    columns, and inserting zeros at fixed positions keeps the sort order."""
+class Chart(NamedTuple):
+    """Coordinates on the affine hull of points in R^d of affine dimension
+    k: `cols`, the k pivot columns of its directions (all d when k = d), a
+    projection that is one-to-one on it, and `equalities`, its sorted
+    equality rows.  Both depend on the affine hull alone, not on the points
+    that span it."""
+
+    ambient_dim: int
+    cols: tuple
+    equalities: tuple
+
+    def project(self, p) -> tuple:
+        return tuple(p[c] for c in self.cols)
+
+    def hull(self, vectors, pairs) -> Hull:
+        """The hull whose facets are the (row, mask) `pairs`, rows on the
+        chart's coordinates, after the full `_verify` against `vectors`,
+        the points' `_homogeneous` vectors there: sorted as
+        `HullBuilder.hull` sorts them, then lifted."""
+        k = len(self.cols)
+        pairs = sorted(pairs)
+        incidence = _verify(k, vectors, pairs, pairs, 0)
+        return self.lift(Hull(HPolytope(k, tuple(h for h, _ in pairs)), incidence, k))
+
+    def lift(self, hull: Hull) -> Hull:
+        """A hull on the chart's coordinates as a hull in R^d: each facet
+        with zeros in the other columns, the unique facet inequality
+        supported on `cols`, and the equalities.  Inserting zeros at fixed
+        positions keeps the sort order."""
+        if not self.equalities:
+            return hull
+        facets = []
+        for row in hull.hrep.inequalities:
+            lifted = [0] * self.ambient_dim + [row[-1]]
+            for c, a in zip(self.cols, row[:-1]):
+                lifted[c] = a
+            facets.append(tuple(lifted))
+        return hull._replace(hrep=HPolytope(self.ambient_dim, tuple(facets), self.equalities))
+
+
+def affine_chart(pts):
+    """(basis, vectors, chart): the indices of the greedy affine basis of
+    the points, their `_homogeneous` vectors on the `Chart` of their affine
+    hull, and that chart.  Raises DuplicatePoints on a repeated point and
+    DegenerateInput when the affine rank is below 1."""
     vectors = [_homogeneous(p) for p in pts]
     _check_duplicates(vectors)
     basis = reduce_rows(vectors)[0]
@@ -572,29 +612,27 @@ def _enumerate(pts) -> Hull:
     if k < 1:
         raise DegenerateInput("affine rank < 1: a single point has no facets")
     d = len(pts[0])
-    builder = HullBuilder.__new__(HullBuilder)
     if k == d:
-        builder._start(vectors, basis)
-        return builder.hull()
+        return basis, vectors, Chart(d, tuple(range(d)), ())
     base = pts[basis[0]]
     dirs = [vsub(pts[i], base) for i in basis[1:]]
-    cols = pivot_columns(dirs)
-    builder._start([_homogeneous(tuple(p[c] for c in cols)) for p in pts], basis)
-    hull = builder.hull()
-    facets = []
-    for row in hull.hrep.inequalities:
-        lifted = [0] * d + [row[-1]]
-        for c, a in zip(cols, row[:-1]):
-            lifted[c] = a
-        facets.append(tuple(lifted))
     equalities = []
     for vec in nullspace(dirs):
         row = primitive_ints(tuple(vec) + (dot(vec, base),))
         # vec is not zero, so the first nonzero entry is a coefficient
         sign = 1 if next(a for a in row if a) > 0 else -1
         equalities.append(tuple(sign * a for a in row))
-    equalities.sort()
-    return hull._replace(hrep=HPolytope(d, tuple(facets), tuple(equalities)))
+    chart = Chart(d, tuple(pivot_columns(dirs)), tuple(sorted(equalities)))
+    return basis, [_homogeneous(chart.project(p)) for p in pts], chart
+
+
+def _enumerate(pts) -> Hull:
+    """`HullBuilder` run over the points in input order, on the coordinates
+    of their `affine_chart`, and lifted from there."""
+    basis, vectors, chart = affine_chart(pts)
+    builder = HullBuilder.__new__(HullBuilder)
+    builder._start(vectors, basis)
+    return chart.lift(builder.hull())
 
 
 def _smallest_faces(hull: Hull):
@@ -745,9 +783,9 @@ def polar(poly: VPolytope) -> VPolytope:
     primitive row is that of (n L v - L s, n L) for any L > 0 that makes it
     integral, and which holds polar vertex j iff the input facet sorted j-th
     holds v; a point that is not a vertex gives no facet.  These rows and
-    masks, sorted as `HullBuilder.hull` sorts them, pass the full `_verify`
-    against the polar vertices as the integer vectors (-a', b'), and the
-    hull is kept on the polar with `keep_hull`, so no hull is built.
+    masks pass `Chart.hull`, sorted and fully verified against the polar
+    vertices as the integer vectors (-a', b'), and the hull is kept on the
+    polar with `keep_hull`, so no hull is built.
     """
     hull = facet_enumeration(poly)
     if hull.hrep.equalities:
@@ -766,14 +804,13 @@ def polar(poly: VPolytope) -> VPolytope:
     fmasks = hull.incidence.facet_masks
     masks = FacetIncidence([fmasks[f] for f in order], poly.n_vertices).vertex_masks
     shift = [scale * c for c in s]
-    pairs = sorted(
+    pairs = [
         (primitive((*[n * x - t for x, t in zip(ints[i], shift)], n * scale)), masks[i])
         for i in extreme_indices(hull)
-    )
+    ]
     pts = [(*map(neg, q[:-1]), q[-1]) for q in ineqs]
     _check_duplicates(pts)
-    incidence = _verify(hull.dim, pts, pairs, pairs, 0)
-    keep_hull(pol, Hull(HPolytope(hull.dim, tuple(h for h, _ in pairs)), incidence, hull.dim))
+    keep_hull(pol, Chart(hull.dim, tuple(range(hull.dim)), ()).hull(pts, pairs))
     return pol
 
 

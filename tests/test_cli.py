@@ -7,7 +7,6 @@ import random
 import subprocess
 import sys
 import tempfile
-import threading
 from pathlib import Path
 
 import pytest
@@ -396,74 +395,41 @@ class TestVerifyReport:
         ]
         assert "Traceback" not in captured.out + captured.err
 
-    # full verify builds the base Minkowski sum in a forked child where no
-    # other thread is alive and two CPUs are usable; these tests allow the
-    # child on any number of CPUs and count the forks
-
-    @pytest.fixture
-    def forks(self, monkeypatch):
-        """The pids `os.fork` returns in this process while a test runs."""
-        pids = []
-        real_fork = os.fork
-
-        def fork():
-            pids.append(real_fork())
-            return pids[-1]
-
-        monkeypatch.setattr(os, "fork", fork)
-        monkeypatch.setattr(counterexample, "_usable_cpus", lambda: 2)
-        return pids
+    # full verify builds the base Minkowski sum in this process, when the
+    # last section first reads it; no child process is ever started
 
     @staticmethod
-    def verify(capsys, inline):
-        """(exit code, stdout) of full verify, inline when a second thread
-        is alive; afterwards this process has no child left."""
-        stop = threading.Event()
-        thread = threading.Thread(target=stop.wait)
-        if inline:
-            thread.start()
-        try:
-            code = main(["verify"])
-        finally:
-            stop.set()
-            if inline:
-                thread.join(timeout=10)
-        assert not thread.is_alive()
+    def verify(capsys):
+        """(exit code, stdout) of full verify; afterwards this process has
+        no child."""
+        code = main(["verify"])
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
         return code, capsys.readouterr().out
 
-    def test_worker_and_inline_paths_agree(self, capsys, forks):
-        for inline in (False, True):
-            code, out = self.verify(capsys, inline)
-            assert code == 0
-            assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS["verify"]
-            assert len(forks) == 1  # a live second thread forces the inline path
-
-    def test_raising_sum_gives_the_inline_fail_line(self, capsys, monkeypatch, forks):
+    def test_raising_sum_gives_one_fail_line(self, capsys, monkeypatch):
         def no_sum(a, b):
             raise RuntimeError("no sum")
 
         monkeypatch.setattr(counterexample, "minkowski_sum", no_sum)
-        worker = self.verify(capsys, inline=False)
-        assert len(forks) == 1
-        assert worker == self.verify(capsys, inline=True)
-        code, out = worker
+        code, out = self.verify(capsys)
         assert code == 1
         assert [line for line in out.splitlines() if " FAIL " in line] == [
             "CHECK width-6 prismatoid: check_minkowski_section raised FAIL RuntimeError: no sum"
         ]
 
-    def test_failed_census_stops_the_worker(self, capsys, monkeypatch, forks):
+    def test_failed_census_skips_the_sum(self, capsys, monkeypatch):
         q48 = counterexample.vertices48()
         monkeypatch.setattr(
             counterexample, "vertices48", lambda: VPolytope(q48.vertices[1:], q48.labels[1:])
         )
-        code, out = self.verify(capsys, inline=False)
-        assert len(forks) == 1
+        sums = []
+        monkeypatch.setattr(counterexample, "minkowski_sum", lambda a, b: sums.append(1))
+        code, out = self.verify(capsys)
         assert code == 1
         assert "CHECK facet census: facet count FAIL" in out
         assert "CHECK base Minkowski sum:" not in out
+        assert sums == []
 
 
 SRC = Path(__file__).resolve().parent.parent / "src"

@@ -120,19 +120,30 @@ def flattened(poly):
     return VPolytope(tuple(dict.fromkeys((x, y, x - y) for x, y, _ in poly.vertices)))
 
 
-@settings(max_examples=60, deadline=None)
-@given(summands(), summands(), SCALE, st.sampled_from(("drawn", "scaled", "one flat", "both flat")))
+SHAPES = ("drawn", "scaled", "one flat", "both flat", "point", "segment", "flat segment")
+
+
+@settings(max_examples=80, deadline=None)
+@given(summands(), summands(), SCALE, st.sampled_from(SHAPES))
 def test_minkowski_prefilter_keeps_the_unfiltered_sum(a, b, c, shape):
     """Skipping the pairwise sums that cannot be vertices changes nothing:
     the vertices, rows (equalities too), incidence, faces and provenance
     equal those of the hull of every pairwise sum, for rational summands,
-    a scaled copy (every edge has a parallel partner), and summands in a
-    plane (a full or a lower-dimensional sum)."""
+    a scaled copy (every edge has a parallel partner), summands in a plane
+    (a full or a lower-dimensional sum), a one-point summand (the sum is a
+    translate; the Cayley polytope is a pyramid, one base no facet) and a
+    segment summand (a prism over the other, or a polygon when both lie in
+    a plane)."""
     if shape == "scaled":
         b = VPolytope(tuple(tuple(c * x for x in p) for p in a.vertices))
-    elif shape != "drawn":
+    elif shape in ("one flat", "both flat"):
         a = flattened(a)
         b = flattened(b) if shape == "both flat" else b
+    elif shape == "point":
+        b = VPolytope((tuple(c * x for x in b.vertices[0]),))
+    else:
+        a = flattened(a) if shape == "flat segment" else a
+        b = VPolytope(tuple(tuple(c * x for x in p) for p in flattened(b).vertices[:2]))
     ms = minkowski_sum(a, b)
     vertices, hrep, masks, faces, provenance = reference_minkowski_sum(a, b)
     assert ms.polytope.vertices == vertices
@@ -233,9 +244,33 @@ class TestMinkowskiSum:
     def test_minkowski_section_report(self, certificate):
         assert_report(check_minkowski_section(certificate))
 
+    def test_base_sum_matches_the_reference(self, base_sum, qplus, qminus):
+        # the hull of all 576 pairwise sums, built by the double-description
+        # builder, and the faces maximized on the rational bases: the sum's
+        # hull, derived from the Cayley polytope, must be the same in every
+        # part, down to a dropped row, which `_verify` cannot see
+        vertices, hrep, masks, faces, provenance = reference_minkowski_sum(qplus, qminus)
+        assert base_sum.polytope.vertices == vertices
+        assert base_sum.hull.hrep == hrep
+        assert base_sum.hull.incidence.facet_masks == masks
+        assert tuple((mf.face_plus, mf.face_minus) for mf in base_sum.facets) == faces
+        assert base_sum.provenance == provenance
+
+    def test_sum_hull_is_kept_on_its_polytope(self, hull_builds):
+        ms = minkowski_sum(
+            VPolytope((pt(0, 0), pt(2, 1), pt(1, 3))), VPolytope((pt(0, 0), pt(-1, 1)))
+        )
+        assert hull_builds == [5]  # the Cayley polytope's, and no other
+        assert ms.hull is facet_enumeration(ms.polytope)
+        assert hull_builds == [5]
+
     def test_dimension_mismatch(self):
         with pytest.raises(DegenerateInput):
             minkowski_sum(VPolytope((pt(0, 0), pt(1, 0))), VPolytope((pt(0,), pt(1,))))
+
+    def test_point_plus_point_has_no_facets(self):
+        with pytest.raises(DegenerateInput, match="^affine rank < 1: a single point has no facets$"):
+            minkowski_sum(VPolytope((pt(1, 2),)), VPolytope((pt(3, -1),)))
 
 
 class TestPairDStep:
