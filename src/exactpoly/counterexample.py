@@ -24,7 +24,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from operator import mul
 from typing import Optional
 
 from .geometry import OrthMap, affine_rank, integer_points, smul, vadd, vsub
@@ -35,7 +34,7 @@ from .normalfans import (
     facet_normals,
     interior_owner,
     is_combinatorial_cube,
-    minkowski_sum,
+    minkowski_sum_from_cayley,
     normal_cone,
     normal_map_interiority_check,
     pair_dstep_property,
@@ -193,23 +192,24 @@ class FacetLabel:
         return f"{self.letter}{chr(39) if self.primed else ''}{marks}"
 
 
-def _family_row(terms, x5, rhs, signs) -> tuple:
-    coeffs = [Rat(0)] * 5
-    for (coef, axis), s in zip(terms, signs):
-        coeffs[axis] = coef * s
-    coeffs[4] = x5
-    return tuple(primitive_ints(coeffs + [rhs]))
-
-
 def expected_facets():
-    """All 322 facets as {facet row: FacetLabel}."""
+    """All 322 facets as {facet row: FacetLabel}.  Each family's row is
+    made a primitive integer row once; a sign pattern flips its entries,
+    which keeps it primitive."""
     out = {
         (0, 0, 0, 0, 1, 1): FacetLabel("A"),
         (0, 0, 0, 0, -1, 1): FacetLabel("L"),
     }
     for letter, primed, terms, x5, rhs in _FAMILIES:
+        first = [Rat(0)] * 4 + [x5, rhs]
+        for coef, axis in terms:
+            first[axis] = coef
+        first = primitive_ints(first)
         for signs in _SIGNS:
-            row = _family_row(terms, x5, rhs, signs)
+            row = list(first)
+            for (_, axis), s in zip(terms, signs):
+                row[axis] *= s
+            row = tuple(row)
             if row in out:
                 raise AssertionError(f"duplicate expanded facet {row}")
             out[row] = FacetLabel(letter, primed, signs)
@@ -342,16 +342,17 @@ def facet_permutation(m: OrthMap, index: dict):
     """The permutation a symmetry induces on the facets; `index` maps each
     facet row (a, b) to its position.  The image of a row is (M a, b): M is
     a signed coordinate permutation, so it sends a primitive row to a
-    primitive row, and the image is looked up as it stands.
+    primitive row, and the image is looked up as it stands: entry i of
+    M a is entry c of a times s, for the (c, s) of `OrthMap.signed`.
 
     `Certificate.facet_perms` calls this on the six generators only.  That
     proves as much as calling it on every element: maps that permute the
     facets compose to a map that does, and a group's orbits are the orbits
     of its generators."""
-    rows = m.rows
+    signed = m.signed
     perm = [None] * len(index)
     for q, f in index.items():
-        img = tuple(sum(map(mul, row, q[:-1])) for row in rows) + (q[-1],)
+        img = tuple([s * q[c] for c, s in signed]) + (q[-1],)
         if img not in index:
             raise ValueError("map does not permute the facet set")
         perm[f] = index[img]
@@ -480,7 +481,9 @@ class Certificate:
 
     @cached_property
     def base_sum(self):
-        return minkowski_sum(self.qplus, self.qminus)
+        """The Minkowski sum of the bases, read off the prismatoid's
+        verified hull: q48 is their Cayley polytope at heights 1 and -1."""
+        return minkowski_sum_from_cayley(self.qplus, self.qminus, self.pr.polytope, (1, -1))
 
 
 def check_facet_census(ctx: Certificate) -> Report:
@@ -704,14 +707,15 @@ def check_minkowski_section(ctx: Certificate) -> Report:
     minus its bases, failed pair d-step with minimum sequence 5, transversal,
     and the interiority statements.
 
-    `minkowski_sum` derives the sum's hull from the Cayley polytope of the
-    bases, whose 48 points are an affine image of the prismatoid's (height
-    0 and 1 for +1 and -1), so the two hulls compared here come from
-    affinely equivalent inputs, and a fault of the hull builder would reach
-    both alike.  The independent cross-checks are in the tests: the
-    double-description build of all 576 pairwise sums in
-    `test_q48_polar_and_base_sum_steps_match_the_full_scan`, and the pinned
-    differential `test_base_sum_matches_the_reference`."""
+    The prismatoid is the Cayley polytope of its bases at heights 1 and
+    -1, so `Certificate.base_sum` reads the sum off the prismatoid's own
+    verified hull (`normalfans.minkowski_sum_from_cayley`), and the two
+    hulls compared here are one hull: a fault of the hull builder would
+    reach both.  The sum's rows still pass the full `_verify` against the
+    368 candidate sums and the 208 vertices.  The independent
+    cross-checks are in the tests: the double-description build of all
+    576 pairwise sums in `test_q48_polar_and_base_sum_steps_match_the_full_scan`,
+    and the pinned differential `test_base_sum_matches_the_reference`."""
     rep = Report("base Minkowski sum")
     pr, ms = ctx.pr, ctx.base_sum
     rep.add("sum facet count", ms.n_facets == 320, str(ms.n_facets))

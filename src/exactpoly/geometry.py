@@ -7,10 +7,10 @@ difference rows, taken by the integer row reduction of `linalg`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from operator import mul
 
-from .linalg import identity, mat_mul, mat_vec, matrix_rank, transpose
+from .linalg import identity, mat_mul, matrix_rank, transpose
 from .rationals import common_denominator
 
 
@@ -70,9 +70,17 @@ def affine_rank(points) -> int:
 class OrthMap:
     """An orthogonal map with integer entries, stored row-wise (y = M x):
     a signed coordinate permutation, the only kind of symmetry the
-    certificate uses.  `from_rows` checks both."""
+    certificate uses.  `from_rows` checks both.  `signed` holds each row's
+    one nonzero entry as (column, sign), so y_i = sign * x_column."""
 
     rows: tuple
+    signed: tuple = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        signed = tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in self.rows)
+        if any(len(nz) != 1 or nz[0][1] not in (1, -1) for nz in signed):
+            raise GeometryError("map is not a signed coordinate permutation")
+        object.__setattr__(self, "signed", tuple(nz[0] for nz in signed))
 
     @classmethod
     def from_rows(cls, rows) -> "OrthMap":
@@ -94,4 +102,4 @@ class OrthMap:
     def apply_point(self, p):
         if len(p) != self.ambient_dim:
             raise DimensionMismatch("point/map dimension mismatch")
-        return mat_vec(self.rows, p)
+        return tuple([s * p[c] for c, s in self.signed])

@@ -100,10 +100,6 @@ def nullspace(rows):
     return basis
 
 
-def mat_vec(rows, v):
-    return tuple(sum(row[j] * v[j] for j in range(len(v))) for row in rows)
-
-
 def mat_mul(a_rows, b_rows):
     n, k = len(a_rows), len(b_rows[0])
     m = len(b_rows)

@@ -9,18 +9,26 @@ the direction over the polytope, so no spherical geometry is ever needed.
 One routine, `polytopes.maximizers`, finds an owner.
 
 A Minkowski sum A + B is read off its summands' Cayley polytope
-C = conv(A x {0} u B x {1}), whose slice at height 1/2 is (A + B)/2 (the
-"Cayley trick" of Huber, Rambau & Santos 2000); the paper's prismatoid is
-such a polytope of its bases.  Every facet of C but the two bases (the rows
-with a zero x-part) meets both ends, so a row (alpha, c, beta) of C, tight
-on the face F+ of A at height 0 and on F- of B at height 1, is the sum's
-facet alpha . x <= 2 beta - c, tight exactly at the sums of F+ and F-.  So
-the sum takes one double-description build of |A| + |B| points one
-dimension up, not one of the |A| |B| pairwise sums; each facet's
-decomposition is the two halves of its mask of C, and each distinct face
-is ranked once, on integer copies (faces do not change under positive
-scaling).  A sum of lower dimension takes the same path on the coordinates
-of its `polytopes.affine_chart`.  The derived rows pass the full
+C = conv(A x {h_a} u B x {h_b}), h_a != h_b, whose slice halfway between
+the heights is (A + B)/2 (the "Cayley trick" of Huber, Rambau & Santos
+2000).  Every facet of C but the two bases (the rows with a zero x-part)
+meets both ends, so a row (alpha, c, beta) of C, tight on the face F+ of
+A at height h_a and on F- of B at height h_b, is the sum's facet
+alpha . x <= 2 beta - c (h_a + h_b), tight exactly at the sums of F+ and
+F-.  One derivation, `_sum_from_cayley`, turns a verified hull of C into
+the sum, and has two callers.  `minkowski_sum` builds C at heights 0 and
+1: one double-description build of |A| + |B| points one dimension up, not
+one of the |A| |B| pairwise sums.  `minkowski_sum_from_cayley` reads the
+hull a polytope already keeps, after checking by value that its points
+are those of C at the given heights, in order: the paper's prismatoid is
+C of its bases at heights 1 and -1, so full verification reads the sum
+off the prismatoid's own hull.  Each facet's decomposition is the two
+halves of its mask of C, and each distinct face is ranked once, on
+integer copies (faces do not change under positive scaling).  The
+candidate sums are formed in integers, the summands scaled by one common
+denominator, and only the vertices become rationals.  A sum of lower
+dimension takes the same path on the coordinates of its
+`polytopes.affine_chart`.  The derived rows pass the full
 `polytopes._verify` against every pairwise sum that can be a vertex, and
 again against the vertices, whose polytope keeps the hull.
 The torus angles are floating point and feed the SVG plots only.
@@ -30,11 +38,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Optional
+from operator import add, neg
+from typing import NamedTuple, Optional
 
 from .geometry import DegenerateInput, affine_rank, integer_points, vsub
 from .linalg import primitive
 from .polytopes import (
+    Chart,
     Face,
     Hull,
     VPolytope,
@@ -48,6 +58,7 @@ from .polytopes import (
     maximizers,
 )
 from .prismatoids import Prismatoid
+from .rationals import Rat, common_denominator
 from .report import Report
 
 
@@ -113,39 +124,73 @@ def _edge_directions(pts):
     return [{primitive(vsub(q, p)) for q in pts if q != p} for p in pts]
 
 
-def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
-    """Hull of the pairwise vertex sums that can be vertices, derived from
-    the hull of the summands' Cayley polytope and annotated facet by facet
-    with the decomposition F = F+ + F-; see the module docstring."""
+class _Candidates(NamedTuple):
+    """The pairwise sums of two summands that can be vertices: `sums`, each
+    as an integer point (the sum times `scale`) with its (i, j) pairs,
+    `scale`, the lcm of the summands' denominators, the summands as integer
+    points at that scale, and the `Chart` of the sums' affine hull."""
+
+    sums: dict
+    scale: int
+    summands: tuple
+    chart: Chart
+
+
+def _candidates(a: VPolytope, b: VPolytope) -> _Candidates:
+    """The candidate sums of `a` and `b`, formed in integers; only the
+    sum's vertices ever become rationals."""
     if a.ambient_dim != b.ambient_dim:
         raise DegenerateInput("summands must share the ambient dimension")
+    scale = common_denominator([v for p in a.vertices + b.vertices for v in p])
+    ints = tuple(
+        [tuple(v.numerator * (scale // v.denominator) for v in p) for p in x.vertices] for x in (a, b)
+    )
     # a_i + b_j is no vertex when a_k - a_i is a positive multiple of
     # b_j - b_l: it lies inside the segment from a_i + b_l to a_k + b_j.
     # Such pairs never reach the hull.  No pair that sums to a vertex is
     # skipped, so the vertices and their provenance are unchanged.
-    away = _edge_directions(integer_points(a.vertices))
-    into = _edge_directions([tuple(-v for v in p) for p in integer_points(b.vertices)])
+    away = _edge_directions(ints[0])
+    into = _edge_directions([tuple(map(neg, q)) for q in ints[1]])
     sums = {}
-    for i, p in enumerate(a.vertices):
-        for j, q in enumerate(b.vertices):
+    for i, p in enumerate(ints[0]):
+        for j, q in enumerate(ints[1]):
             if away[i].isdisjoint(into[j]):
-                s = tuple(p[t] + q[t] for t in range(len(p)))
-                sums.setdefault(s, []).append((i, j))
+                sums.setdefault(tuple(map(add, p, q)), []).append((i, j))
     points = tuple(sums)
-    _, vectors, chart = affine_chart(points)
-    k, n = len(chart.cols), a.n_vertices
-    cayley = facet_enumeration(
-        VPolytope(
-            tuple(chart.project(p) + (0,) for p in a.vertices)
-            + tuple(chart.project(q) + (1,) for q in b.vertices)
-        )
+    basis, _, chart = affine_chart(points)
+    if chart.equalities:  # those of the scaled sums: take them at scale 1
+        chart = affine_chart([tuple(Rat(v, scale) for v in points[i]) for i in basis])[2]
+    return _Candidates(sums, scale, ints, chart)
+
+
+def _cayley_points(a: VPolytope, b: VPolytope, chart: Chart, heights) -> tuple:
+    """The points of the summands' Cayley polytope on the chart: those of
+    `a` at the first of `heights`, then those of `b` at the second."""
+    h_a, h_b = heights
+    return tuple(chart.project(p) + (h_a,) for p in a.vertices) + tuple(
+        chart.project(q) + (h_b,) for q in b.vertices
     )
+
+
+def _sum_from_cayley(a: VPolytope, b: VPolytope, cand: _Candidates, cayley: Hull, heights) -> MinkowskiSum:
+    """The sum of `a` and `b`, read off `cayley`, the verified hull of
+    `_cayley_points(a, b, cand.chart, heights)`; see the module docstring."""
+    sums, scale, summands, chart = cand
+    points = tuple(sums)
+    k, n = len(chart.cols), a.n_vertices
+    # the homogeneous vector of the sum s / scale on the chart, up to a
+    # positive factor, which the verification does not see
+    vectors = [(*(-s[c] for c in chart.cols), scale) for s in points]
     # per summand vertex, the candidate sums whose first pair holds it: a
     # sum is tight on a row iff the summands of any one of its pairs are
     on_a, on_b = [0] * n, [0] * b.n_vertices
     for c, ((i, j), *_) in enumerate(sums.values()):
         on_a[i] |= 1 << c
         on_b[j] |= 1 << c
+    # a row's offset 2 beta - c (h_a + h_b), with the x-part, times the
+    # denominator of h_a + h_b: heights may be rational
+    height = sum(heights)
+    num, den = height.numerator, height.denominator
     derived = []
     for row, mask in zip(cayley.hrep.inequalities, cayley.incidence.facet_masks):
         if any(row[:k]):  # the bases have a zero x-part
@@ -154,13 +199,14 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
                 tight_a |= on_a[i]
             for j in iter_bits(mask >> n):
                 tight_b |= on_b[j]
-            derived.append((primitive(row[:k] + (2 * row[-1] - row[k],)), tight_a & tight_b, mask))
+            h = tuple(den * x for x in row[:k]) + (den * 2 * row[-1] - num * row[k],)
+            derived.append((primitive(h), tight_a & tight_b, mask))
     derived.sort()
     pairs = [(h, m) for h, m, _ in derived]
     hull_all = chart.hull(vectors, pairs)
     keep = extreme_indices(hull_all)
     old_to_new = {o: new for new, o in enumerate(keep)}
-    poly = VPolytope(tuple(points[o] for o in keep))
+    poly = VPolytope(tuple(tuple(Rat(v, scale) for v in points[o]) for o in keep))
     keep_hull(
         poly,
         chart.hull(
@@ -169,8 +215,7 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
         ),
     )
     # faces and their dimensions do not change under scaling, so they are
-    # ranked on integer copies of the summands, each distinct face once
-    summands = [integer_points(x.vertices) for x in (a, b)]
+    # ranked on the integer summands, each distinct face once
     faces = {}
 
     def face(side, mask):
@@ -185,6 +230,29 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     )
     provenance = tuple(tuple(sums[points[o]]) for o in keep)
     return MinkowskiSum(poly, facets, provenance)
+
+
+def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
+    """Hull of the pairwise vertex sums that can be vertices, derived from
+    the hull of the summands' Cayley polytope at heights 0 and 1 and
+    annotated facet by facet with the decomposition F = F+ + F-; see the
+    module docstring."""
+    cand = _candidates(a, b)
+    cayley = VPolytope(_cayley_points(a, b, cand.chart, (0, 1)))
+    return _sum_from_cayley(a, b, cand, facet_enumeration(cayley), (0, 1))
+
+
+def minkowski_sum_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope, heights) -> MinkowskiSum:
+    """`minkowski_sum(a, b)`, read off the hull `facet_enumeration` keeps
+    on `cayley`, the Cayley polytope of `a` and `b` at the two distinct
+    `heights`: its points must be those of `a` on the chart of the sum's
+    affine hull at the first height, then those of `b` at the second, in
+    order.  Raises DegenerateInput when they are not, so no other
+    polytope's hull is read as a sum."""
+    cand = _candidates(a, b)
+    if heights[0] == heights[1] or cayley.vertices != _cayley_points(a, b, cand.chart, heights):
+        raise DegenerateInput("not the Cayley polytope of the summands at these heights")
+    return _sum_from_cayley(a, b, cand, facet_enumeration(cayley), heights)
 
 
 # ---------------------------------------------------------------------------
@@ -224,15 +292,18 @@ def bi_dimensions(pr: Prismatoid) -> dict:
     # ranks do not change under positive scaling
     verts = integer_points(pr.polytope.vertices)
     base_masks = (inc.facet_masks[pr.base_plus], inc.facet_masks[pr.base_minus])
-    table = {}
-    for f, m in enumerate(inc.facet_masks):
-        if f in (pr.base_plus, pr.base_minus):
-            continue
-        table[f] = tuple(
-            affine_rank([verts[v] for v in iter_bits(m & b)]) if m & b else -1
-            for b in base_masks
-        )
-    return table
+    ranks = {0: -1}  # face mask -> rank: facets share their faces in the bases
+
+    def rank(mask):
+        if mask not in ranks:
+            ranks[mask] = affine_rank([verts[v] for v in iter_bits(mask)])
+        return ranks[mask]
+
+    return {
+        f: tuple(rank(m & b) for b in base_masks)
+        for f, m in enumerate(inc.facet_masks)
+        if f not in (pr.base_plus, pr.base_minus)
+    }
 
 
 def transversality_check(pr: Prismatoid, bidims: dict) -> Report:

@@ -64,8 +64,8 @@ An input that raises keeps nothing.  A perturbation search records the
 hull of each candidate it builds (`keep_hull`), and `polar` records on the
 polar the hull it derives by duality from the input's (its facets are the
 input's vertices, its incidence the input's transposed), so no
-double-description build runs for a polar; `normalfans.minkowski_sum`
-records the sum's hull, derived from a Cayley polytope, the same way.
+double-description build runs for a polar; `normalfans` records a
+Minkowski sum's hull, derived from a Cayley polytope's, the same way.
 Every kept hull has passed `_verify`.
 """
 from __future__ import annotations
@@ -312,7 +312,7 @@ def _verify(dim, pts, pairs, unchecked, empty) -> FacetIncidence:
     and has tight points of rank `dim`; raises DegenerateInput naming the
     first check that fails.  The caller has verified the incidence of the
     other pairs.  `HullBuilder.hull` checks its hulls here, and `Chart.hull`
-    the derived ones of `polar` and `normalfans.minkowski_sum`.
+    the derived ones of `polar` and of `normalfans`' Minkowski sums.
 
     Every pair's incidence is exact before any rank is checked, so every
     row is a witness of the triangular certificates (see

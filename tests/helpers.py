@@ -125,10 +125,15 @@ def hyperplane_through(points) -> tuple:
     return tuple(h) if next(c for c in h[:-1] if c != 0) > 0 else tuple(-v for v in h)
 
 
+def mat_apply(m, p) -> tuple:
+    """M p for the orthogonal map m, by the matrix-vector product."""
+    return tuple(sum(row[j] * p[j] for j in range(len(p))) for row in m.rows)
+
+
 def apply_ineq(m, row) -> tuple:
     """Image of the row (a, b), a.x <= b, under the orthogonal map m: with
     x = M^T y it is (M a).y <= b, returned as a primitive row."""
-    return tuple(primitive_ints(m.apply_point(row[:-1]) + (row[-1],)))
+    return tuple(primitive_ints(mat_apply(m, row[:-1]) + (row[-1],)))
 
 
 def relabeled(edges, perm):
@@ -268,7 +273,7 @@ def reference_close_group(generators, poly):
         frontier = nxt
     maps = tuple(OrthMap(rows) for rows in sorted(seen))
     index = {p: i for i, p in enumerate(poly.vertices)}
-    return maps, tuple(tuple(index[m.apply_point(p)] for p in poly.vertices) for m in maps)
+    return maps, tuple(tuple(index[mat_apply(m, p)] for p in poly.vertices) for m in maps)
 
 
 def reference_add(rows, masks, q, i, dim):

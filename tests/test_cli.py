@@ -408,10 +408,10 @@ class TestVerifyReport:
         return code, capsys.readouterr().out
 
     def test_raising_sum_gives_one_fail_line(self, capsys, monkeypatch):
-        def no_sum(a, b):
+        def no_sum(*args):
             raise RuntimeError("no sum")
 
-        monkeypatch.setattr(counterexample, "minkowski_sum", no_sum)
+        monkeypatch.setattr(counterexample, "minkowski_sum_from_cayley", no_sum)
         code, out = self.verify(capsys)
         assert code == 1
         assert [line for line in out.splitlines() if " FAIL " in line] == [
@@ -424,7 +424,7 @@ class TestVerifyReport:
             counterexample, "vertices48", lambda: VPolytope(q48.vertices[1:], q48.labels[1:])
         )
         sums = []
-        monkeypatch.setattr(counterexample, "minkowski_sum", lambda a, b: sums.append(1))
+        monkeypatch.setattr(counterexample, "minkowski_sum_from_cayley", lambda *args: sums.append(1))
         code, out = self.verify(capsys)
         assert code == 1
         assert "CHECK facet census: facet count FAIL" in out

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import random
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from exactpoly.counterexample import (
     EXPECTED_FACET_COUNT,
     REPRESENTATIVE_NEIGHBORS,
+    _FAMILIES,
     FacetLabel,
     _close_group,
     base_swap_map,
@@ -35,7 +37,7 @@ from exactpoly.polytopes import (
     vertex_graph,
 )
 from exactpoly.prismatoids import NotAPrismatoid, make_prismatoid, width
-from exactpoly.rationals import Rat
+from exactpoly.rationals import Rat, primitive_ints
 from helpers import (
     apply_ineq,
     reference_close_group,
@@ -67,6 +69,18 @@ class TestData:
     def test_expected_facets_table(self):
         table = expected_facets()
         assert len(table) == EXPECTED_FACET_COUNT
+        # each member's rational row made primitive on its own, as the
+        # table was once expanded: the same keys in the same order, and
+        # the same labels
+        reference = {(0, 0, 0, 0, 1, 1): FacetLabel("A"), (0, 0, 0, 0, -1, 1): FacetLabel("L")}
+        for letter, primed, terms, x5, rhs in _FAMILIES:
+            for signs in itertools.product((1, -1), repeat=4):
+                row = [Rat(0)] * 5 + [rhs]
+                for (coef, axis), s in zip(terms, signs):
+                    row[axis] = coef * s
+                row[4] = x5
+                reference[tuple(primitive_ints(row))] = FacetLabel(letter, primed, signs)
+        assert list(table.items()) == list(reference.items())
         assert table[(0, 0, 0, 0, 1, 1)].letter == "A"
         assert table[(0, 0, 0, 0, -1, 1)].letter == "L"
         assert str(table[(10, 2, 4, 2, 135, 315)]) == "B++++"
@@ -127,6 +141,14 @@ def test_verify_builds_its_own_q48_hull_once(hull_builds):
     assert hull_builds == [48]
     assert verify_counterexample(full=False).passed
     assert hull_builds[1:].count(48) == 1
+
+
+def test_full_verify_builds_one_q48_hull(hull_builds):
+    # the base Minkowski sum is read off the prismatoid's verified hull:
+    # its 0/1 Cayley lift, the same 48 points up to an affine map, is not
+    # built a second time
+    assert verify_counterexample(full=True).passed
+    assert hull_builds.count(48) == 1
 
 
 def _generators():

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -11,7 +12,7 @@ from exactpoly.geometry import (
     affine_rank,
 )
 from exactpoly.rationals import Rat, format_rat, parse_rat, primitive_ints
-from helpers import apply_ineq, hyperplane_through, slack
+from helpers import apply_ineq, hyperplane_through, mat_apply, slack
 
 
 def pt(*coords):
@@ -151,6 +152,23 @@ class TestOrthMap:
             p = pt(rng.randint(-5, 5), rng.randint(-5, 5))
             s, t = slack(q, p), slack(image, m.apply_point(p))
             assert (s > 0) - (s < 0) == (t > 0) - (t < 0)
+
+    def test_apply_point_is_the_matrix_product(self):
+        # every signed permutation of R^3, read as (column, sign) pairs,
+        # against the matrix-vector product
+        pts = [pt(1, -2, 3), (Rat(1, 2), Rat(0), Rat(-7, 3)), (4, 0, -1)]
+        for order in itertools.permutations(range(3)):
+            for signs in itertools.product((1, -1), repeat=3):
+                m = OrthMap.from_rows([[s if j == c else 0 for j in range(3)] for c, s in zip(order, signs)])
+                assert m.signed == tuple(zip(order, signs))
+                for p in pts:
+                    assert m.apply_point(p) == mat_apply(m, p)
+
+    def test_rejects_a_map_that_is_no_signed_permutation(self):
+        with pytest.raises(GeometryError, match="signed coordinate permutation"):
+            OrthMap(((1, 1), (0, 1)))
+        with pytest.raises(GeometryError, match="signed coordinate permutation"):
+            OrthMap(((2, 0), (0, 1)))
 
     def test_sign_flip_permutes_family_patterns(self):
         flip = OrthMap.from_rows(((-1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),

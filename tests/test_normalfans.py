@@ -4,7 +4,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from exactpoly.counterexample import (
     FAMILY_BIDIMENSION,
@@ -20,6 +20,7 @@ from exactpoly.normalfans import (
     interior_owner,
     is_combinatorial_cube,
     minkowski_sum,
+    minkowski_sum_from_cayley,
     normal_cone,
     normal_map_interiority_check,
     pair_dstep_property,
@@ -28,7 +29,14 @@ from exactpoly.normalfans import (
     torus_project,
     transversality_check,
 )
-from exactpoly.polytopes import VPolytope, dual_graph, face_maximizing, facet_enumeration, iter_bits
+from exactpoly.polytopes import (
+    VPolytope,
+    affine_chart,
+    dual_graph,
+    face_maximizing,
+    facet_enumeration,
+    iter_bits,
+)
 from exactpoly.prismatoids import width
 from exactpoly.rationals import Rat
 from helpers import random_prismatoid, reference_minkowski_sum
@@ -153,6 +161,33 @@ def test_minkowski_prefilter_keeps_the_unfiltered_sum(a, b, c, shape):
     assert ms.provenance == provenance
 
 
+HEIGHT = st.fractions(-3, 3, max_denominator=4)
+
+
+@settings(max_examples=40, deadline=None)
+@given(summands(), summands(), st.sampled_from(SHAPES[:4]), st.tuples(HEIGHT, HEIGHT))
+def test_sum_from_cayley_at_any_heights(a, b, shape, heights):
+    """The sum read off the Cayley polytope at two distinct rational heights,
+    in either order, is `minkowski_sum`'s in every part, for full and
+    lower-dimensional sums (on the chart of the sum's affine hull)."""
+    assume(heights[0] != heights[1])
+    if shape == "scaled":
+        b = VPolytope(tuple(tuple(2 * x for x in p) for p in a.vertices))
+    elif shape in ("one flat", "both flat"):
+        a = flattened(a)
+        b = flattened(b) if shape == "both flat" else b
+    direct = minkowski_sum(a, b)
+    cols = affine_chart(direct.polytope.vertices)[2].cols
+    cayley = VPolytope(
+        tuple(tuple(p[c] for c in cols) + (heights[0],) for p in a.vertices)
+        + tuple(tuple(q[c] for c in cols) + (heights[1],) for q in b.vertices)
+    )
+    ms = minkowski_sum_from_cayley(a, b, cayley, heights)
+    assert ms == direct
+    assert ms.hull.hrep == direct.hull.hrep
+    assert ms.hull.incidence.facet_masks == direct.hull.incidence.facet_masks
+
+
 @settings(max_examples=60, deadline=None)
 @given(summands(), st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * 3), st.data())
 def test_interior_owner_matches_the_face_reference(poly, direction, data):
@@ -263,6 +298,34 @@ class TestMinkowskiSum:
         assert hull_builds == [5]  # the Cayley polytope's, and no other
         assert ms.hull is facet_enumeration(ms.polytope)
         assert hull_builds == [5]
+
+    def test_sum_from_cayley_is_the_direct_sum(self, base_sum, qplus, qminus):
+        # the sum read off q48's hull, the bases' Cayley polytope at heights
+        # 1 and -1, is `minkowski_sum`'s, built on the lift to 0 and 1
+        direct = minkowski_sum(qplus, qminus)
+        assert base_sum.polytope.vertices == direct.polytope.vertices
+        assert base_sum.provenance == direct.provenance
+        assert base_sum.facets == direct.facets  # normals, faces and their dimensions
+        assert base_sum.hull.hrep == direct.hull.hrep
+        assert base_sum.hull.incidence.facet_masks == direct.hull.incidence.facet_masks
+
+    @pytest.mark.parametrize("how", ["swapped heights", "equal heights", "moved point", "reordered"])
+    def test_sum_from_cayley_refuses_another_polytope(self, certificate, hull_builds, how):
+        q48, qplus, qminus = certificate.poly, certificate.qplus, certificate.qminus
+        poly, heights = q48, (1, -1)
+        if how == "swapped heights":
+            heights = (-1, 1)
+        elif how == "equal heights":
+            poly = VPolytope(tuple(p + (1,) for p in qplus.vertices + qminus.vertices))
+            heights = (1, 1)
+        elif how == "moved point":
+            p = q48.vertices[5]
+            poly = VPolytope(q48.vertices[:5] + ((p[0] + 1,) + p[1:],) + q48.vertices[6:])
+        else:
+            poly = VPolytope(q48.vertices[1:2] + q48.vertices[:1] + q48.vertices[2:])
+        with pytest.raises(DegenerateInput, match="^not the Cayley polytope of the summands at these heights$"):
+            minkowski_sum_from_cayley(qplus, qminus, poly, heights)
+        assert hull_builds == []  # refused before any hull is read or built
 
     def test_dimension_mismatch(self):
         with pytest.raises(DegenerateInput):
