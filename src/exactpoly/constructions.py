@@ -4,6 +4,13 @@ One-point suspensions, vertex pushing with validate-and-halve, the strong
 d-step inductive step and its bounded iteration, products,
 combinatorial blending, and Hirsch-excess arithmetic.  Every randomized
 operation takes an explicit seed and is deterministic given (inputs, seed).
+
+A perturbation search builds the hull of its fixed points once and inserts
+one moved point per candidate into a copy of that builder.  The fixed rows
+pass `_verify` before any candidate is counted, so a moved point that sees
+none of them lies in the hull of the fixed points: it is counted "not a
+vertex" with no hull built, verified or certified, and the search makes the
+same draws, in the same order, with the same counts, as if it had built one.
 """
 from __future__ import annotations
 
@@ -26,7 +33,7 @@ from .polytopes import (
     vertex_graph,
 )
 from .prismatoids import NotAPrismatoid, Prismatoid, make_prismatoid, width
-from .rationals import Rat, ZERO
+from .rationals import Rat, ZERO, common_denominator
 
 # the most halvings of one step: `push_vertex`'s, and `strong_dstep_step`'s
 # per push and per apex direction
@@ -85,16 +92,17 @@ def one_point_suspension(poly: VPolytope, v: int) -> VPolytope:
 
 
 def _relative_interior_point(poly: VPolytope, region, rng):
-    """A random strictly positive rational combination of the region's vertices."""
-    weights = [Rat(rng.randrange(1, 64)) for _ in region]
-    total = sum(weights, ZERO)
-    d = poly.ambient_dim
-    acc = [ZERO] * d
-    for wgt, i in zip(weights, region):
-        p = poly.vertices[i]
-        for j in range(d):
-            acc[j] += wgt * p[j]
-    return tuple(a / total for a in acc)
+    """A random strictly positive rational combination of the region's
+    vertices, summed in integers: the vertices scaled by the lcm L of their
+    denominators, the sum divided by L times the total weight."""
+    weights = [rng.randrange(1, 64) for _ in region]
+    pts = [poly.vertices[i] for i in region]
+    scale = common_denominator(v for p in pts for v in p)
+    total = sum(weights) * scale
+    return tuple(
+        Rat(sum(w * v.numerator * (scale // v.denominator) for w, v in zip(weights, column)), total)
+        for column in zip(*pts)
+    )
 
 
 def _facet_merge_ok(old_hull, new_hull) -> bool:
@@ -128,7 +136,9 @@ def push_vertex(poly: VPolytope, v: int, seed: int) -> VPolytope:
     if not 0 <= v < poly.n_vertices:
         raise ValueError(f"vertex index {v} out of range")
     fixed = _fixed_builder(poly, v)
-    start = certify_vertices(_moved(poly, v, poly.vertices[v], fixed))
+    # v sees no facet of the others' hull only when it is no vertex; then
+    # poly's own hull names the first point that is none
+    start = certify_vertices(_moved(poly, v, poly.vertices[v], fixed) or poly)
     return _push(start, v, fixed, range(poly.n_vertices), seed, None, MAX_HALVINGS)
 
 
@@ -143,19 +153,24 @@ def _fixed_builder(poly: VPolytope, v: int) -> Optional[HullBuilder]:
         return None
 
 
-def _moved(poly: VPolytope, v: int, point, fixed: Optional[HullBuilder]) -> VPolytope:
+def _moved(poly: VPolytope, v: int, point, fixed: Optional[HullBuilder]) -> Optional[VPolytope]:
     """Poly with vertex v at `point`, keeping its verified hull: one
     insertion into a copy of `fixed`, or a facet enumeration when there is
-    no builder.  Moved to its own position, v gives a copy of poly with the
-    same points and labels whose hull is kept."""
+    no builder.  None, with no hull built, when `point` sees no facet of
+    `fixed`: it then lies in the hull of the fixed points, so it is no
+    vertex.  Moved to its own position, a vertex v gives a copy of poly with
+    the same points and labels whose hull is kept."""
+    builder = None
+    if fixed is not None:
+        builder = fixed.copy()
+        if not builder.insert(v, point):
+            return None
     verts = list(poly.vertices)
     verts[v] = point
     new_poly = VPolytope(tuple(verts), poly.labels)
-    if fixed is None:
+    if builder is None:
         facet_enumeration(new_poly)
     else:
-        builder = fixed.copy()
-        builder.insert(v, point)
         keep_hull(new_poly, builder.hull())
     return new_poly
 
@@ -164,14 +179,26 @@ def _halvings(poly, v, fixed, step, max_halvings, rejected):
     """Move vertex v by step, step/2, ..., step/2^max_halvings; yield each
     candidate polytope, which keeps its verified hull, at which the moved
     point is a vertex, and count every other one (a coincident point
-    included) under rejected["not a vertex"]."""
+    included) under rejected["not a vertex"].
+
+    The rows of `fixed` pass `_verify` first, so a candidate whose point
+    sees none of them lies in the hull of the fixed points: it is counted
+    with no hull built, and a builder that fails raises before any count."""
+    if fixed is not None:
+        fixed._verified_pairs()
     base = poly.vertices[v]
     scale = Rat(1)
     for _ in range(max_halvings + 1):
         try:
-            yield certify_vertices(_moved(poly, v, vadd(base, smul(scale, step)), fixed))
+            new_poly = _moved(poly, v, vadd(base, smul(scale, step)), fixed)
+            if new_poly is not None:
+                certify_vertices(new_poly)
         except (NotAVertex, DuplicatePoints):
+            new_poly = None
+        if new_poly is None:
             rejected["not a vertex"] += 1
+        else:
+            yield new_poly
         scale /= 2
 
 
@@ -248,9 +275,10 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
     rng.shuffle(apex_order)
     # the suspension's hull is one insertion of the first apex into the
     # builder of the other vertices, which its search then starts from; the
-    # copy of S that keeps that hull replaces S
+    # copy of S that keeps that hull replaces S (an apex that is no vertex
+    # of S gives no copy, and S's hull is enumerated)
     first_fixed = _fixed_builder(S, apex_order[0])
-    S = _moved(S, apex_order[0], S.vertices[apex_order[0]], first_fixed)
+    S = _moved(S, apex_order[0], S.vertices[apex_order[0]], first_fixed) or S
     plus_mask = bits(new_plus)
     pyramid_masks = {plus_mask | 1 << u_idx, plus_mask | 1 << w_idx}
     if not pyramid_masks <= set(facet_enumeration(S).incidence.facet_masks):

@@ -20,8 +20,15 @@ two facets there, so no elimination runs inside the loop.  The test is output-se
 visible facet's partner and every possible third facet meet it in at least
 k-1 points, so one pass keeps the facets meeting the visible region (the
 union of the visible facets' points) in as many, every facet when k = 1,
-and each visible facet takes its candidates from those.  A point on
-existing facet hyperplanes extends those facets' incidence.  The points
+and each visible facet takes its candidates from those.  A facet with
+exactly k tight points is a simplex: any k-1 of them span one of its
+ridges, which lies in two facets only.  So a visible simplex's partners are
+the facets beyond the point that meet it in k-1 points, a simplex beyond
+the point is the partner of each visible facet meeting it so, and no third
+facet is tested for either.
+A point on existing facet hyperplanes extends those facets' incidence, and
+the insertion reports whether the point saw a facet: one that sees none
+lies in the hull of the points before it.  The points
 enter as integer vectors, for the duplicate check and for the greedy row
 reduction of `linalg` that picks the starting simplex.  The builder copies
 cheaply, so the perturbation searches build the hull of their fixed points
@@ -53,7 +60,11 @@ the dual graph from the facets' side of the incidence and the vertex graph
 from the points' side.  It tests a member only against those that share at
 least k-1 of its elements, found by one pass over the masks, or, in a graph
 of more than 64 members where it costs less, counted over the transposed
-masks.
+masks.  On the facet side a simplex facet is joined to every facet sharing
+k-1 of its points with no test; on the points' side a point on k facets
+proves no such thing, since a point that is no vertex may lie between
+two.  The incidence keeps its transpose and each point's smallest face
+once computed, so the vertex test and `polar` read them once per hull.
 
 A `VPolytope` keeps the verified hull that `facet_enumeration` built for
 it, and every later call on that object returns it; that call is how
@@ -141,12 +152,15 @@ class HPolytope:
 
 
 class FacetIncidence:
-    """Facet-by-vertex tightness, stored as one bitmask per facet."""
+    """Facet-by-vertex tightness, stored as one bitmask per facet.  The
+    transpose and each point's smallest face are computed on first use and
+    kept."""
 
     def __init__(self, facet_masks, n_vertices: int):
         self.facet_masks = tuple(facet_masks)
         self.n_vertices = n_vertices
         self._vertex_masks = None
+        self._faces = None
 
     @property
     def n_facets(self) -> int:
@@ -154,18 +168,26 @@ class FacetIncidence:
 
     @property
     def vertex_masks(self):
-        """One bitmask per vertex over facet indices (the transpose)."""
+        """One bitmask per vertex over facet indices (the transpose).  The
+        facet masks, last facet first, are written as n-digit binary numbers
+        into one string, so the digits of point j stand n apart in it, from
+        facet m-1 down to facet 0: one slice and one `int` per point."""
         if self._vertex_masks is None:
-            masks = [0] * self.n_vertices
-            for f, fm in enumerate(self.facet_masks):
-                bit = 1 << f
-                m = fm
-                while m:
-                    low = m & -m
-                    masks[low.bit_length() - 1] |= bit
-                    m ^= low
-            self._vertex_masks = tuple(masks)
+            n = self.n_vertices
+            if self.facet_masks:
+                digits = "".join(format(fm, "b").zfill(n) for fm in reversed(self.facet_masks))
+                self._vertex_masks = tuple(int(digits[n - 1 - j::n], 2) for j in range(n))
+            else:
+                self._vertex_masks = (0,) * n
         return self._vertex_masks
+
+    @property
+    def smallest_faces(self):
+        """Per point, the mask of the smallest face containing it (see
+        `_smallest_faces`)."""
+        if self._faces is None:
+            self._faces = tuple(_smallest_faces(self))
+        return self._faces
 
     def vertices_of(self, f: int):
         return tuple(iter_bits(self.facet_masks[f]))
@@ -237,15 +259,17 @@ def _tight_masks(points, rows):
     )
     size = -(-w // 8)
     w = 8 * size
-    columns = []
-    for j in range(len(points[0])):
-        c = 0
-        for q in reversed(points):
-            c = (c << w) + q[j]
-        columns.append(c)
     ones = ((1 << (w * n)) - 1) // ((1 << w) - 1)  # a 1 in every digit
     top = ones << (w - 1)
     low = top - ones
+    half = 1 << (w - 1)
+    # each coordinate plus 2^(w-1) is a digit in [0, 2^w): one join of
+    # fixed-width bytes and one `from_bytes` per column, less 2^(w-1) a digit
+    columns = [
+        int.from_bytes(b"".join((q[j] + half).to_bytes(size, "little") for q in points), "little")
+        - top
+        for j in range(len(points[0]))
+    ]
     for h in rows:
         d = sum(map(mul, h, columns)) + top
         if d & top != top:
@@ -419,17 +443,21 @@ class HullBuilder:
         twin.verified = None
         return twin
 
-    def insert(self, i: int, point) -> None:
-        """Fill the empty slot i with `point` and update the facets."""
+    def insert(self, i: int, point) -> bool:
+        """Fill the empty slot i with `point` and update the facets; whether
+        the point saw a facet.  One that sees none lies in the hull of the
+        points before it, and only the incidence of the facets through it
+        changes."""
         if len(point) != self.dim:
             raise DimensionMismatch(f"point of dimension {len(point)}, hull of {self.dim}")
         if self.points[i] is not None:
             raise ValueError(f"hull slot {i} is already filled")
         self.points[i] = _homogeneous(point)
-        self._add(i)
+        return self._add(i)
 
-    def _add(self, i):
-        """The double-description step for the point in slot i.
+    def _add(self, i) -> bool:
+        """The double-description step for the point in slot i; whether it
+        saw a facet.
 
         A facet with negative slack is visible and goes; one with zero slack
         extends to the point.  A visible facet fa and a facet fk with positive
@@ -437,7 +465,11 @@ class HullBuilder:
         (Fukuda & Prodon 1996, "Double description method revisited"); the
         new facet through that ridge and the point is s_k fa - s_a fk, a
         positive combination, so it is oriented, and its tight points are the
-        common ones plus the point.
+        common ones plus the point.  A facet with exactly k tight points is
+        a simplex: any k-1 of them span one of its ridges, which lies in it
+        and one other facet only.  So when fa is a simplex, every fk meeting
+        it in k-1 points is its partner, and when fk is one, it is fa's; in
+        either case no third facet is tested.
 
         The candidates are output-sensitive: the partner fk and every third
         facet that could hold the common points meet fa in at least k-1
@@ -455,23 +487,33 @@ class HullBuilder:
         for f in [f for f, s in enumerate(slacks) if s == 0]:
             masks[f] |= bit
         if not visible:
-            return
+            return False
         k1 = self.dim - 1
         region = 0
         for a in visible:
             region |= masks[a]
         kept = [(f, m) for f, m in enumerate(masks) if (region & m).bit_count() >= k1]
+        beyond = [(f, m) for f, m in kept if slacks[f] > 0]
         new_rows, new_masks = [], []
         for a in visible:
             ha, ma, sa = rows[a], masks[a], slacks[a]
-            near = [(f, c) for f, m in kept if (c := ma & m).bit_count() >= k1 and f != a]
-            for b, common in near:
+            if ma.bit_count() == self.dim:
+                # a simplex: every facet beyond the point meeting it in k-1
+                # points is a partner
+                partners = [(b, c) for b, m in beyond if (c := ma & m).bit_count() >= k1]
+            else:
+                near = [(f, c) for f, m in kept if (c := ma & m).bit_count() >= k1 and f != a]
+                # a simplex b holds a ridge in any k-1 of its points; else b
+                # itself is in `near`, and a third holder of `common` is a veto
+                partners = [
+                    (b, common) for b, common in near
+                    if slacks[b] > 0 and (
+                        masks[b].bit_count() == self.dim
+                        or sum(c & common == common for _, c in near) == 1
+                    )
+                ]
+            for b, common in partners:
                 sb = slacks[b]
-                if sb <= 0:
-                    continue
-                # b itself is in `near`; a third holder of `common` is a ridge veto
-                if sum(c & common == common for _, c in near) > 1:
-                    continue
                 new_rows.append(primitive(tuple(sb * x - sa * y for x, y in zip(ha, rows[b]))))
                 new_masks.append(common | bit)
         for a in reversed(visible):  # every higher visible facet has left
@@ -479,6 +521,7 @@ class HullBuilder:
             del rows[-1], masks[-1]
         rows += new_rows
         masks += new_masks
+        return True
 
     def _verified_pairs(self):
         """(points, the set of (row, mask) pairs), after `_verify` has
@@ -635,20 +678,25 @@ def _enumerate(pts) -> Hull:
     return chart.lift(builder.hull())
 
 
-def _smallest_faces(hull: Hull):
+def _smallest_faces(inc: FacetIncidence):
     """Per input point: the AND of the masks of the facets through it (all
     points when no facet is), the smallest face containing it.  A point is a
     vertex iff this is its own bit.  A point that is not a vertex never
     passes, even with facets missing from the list: it lies in the relative
     interior of a face with at least two vertices, and every valid facet
-    tight at it contains that whole face."""
-    inc = hull.incidence
+    tight at it contains that whole face.  The AND always holds the point,
+    so it stops once it is the point's bit alone, which further facets keep.
+    `FacetIncidence.smallest_faces` keeps the result, so the vertex test and
+    `extreme_indices` compute it once per hull."""
     fmasks = inc.facet_masks
     everything = (1 << inc.n_vertices) - 1
-    for vmask in inc.vertex_masks:
+    for j, vmask in enumerate(inc.vertex_masks):
+        own = 1 << j
         face = everything
         for f in iter_bits(vmask):
             face &= fmasks[f]
+            if face == own:
+                break
         yield face
 
 
@@ -659,7 +707,7 @@ def certify_vertices(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     one it holds, which is that same kept hull."""
     if hull is None:
         hull = facet_enumeration(poly)
-    for i, face in enumerate(_smallest_faces(hull)):
+    for i, face in enumerate(hull.incidence.smallest_faces):
         if face != 1 << i:
             raise NotAVertex(
                 f"point {poly.label_of(i)} = ({', '.join(map(format_rat, poly.vertices[i]))}) "
@@ -671,14 +719,14 @@ def certify_vertices(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
 
 def extreme_indices(hull: Hull):
     """Indices of the points that are vertices of the hull."""
-    return tuple(i for i, face in enumerate(_smallest_faces(hull)) if face == 1 << i)
+    return tuple(i for i, face in enumerate(hull.incidence.smallest_faces) if face == 1 << i)
 
 
 # `_adjacency` counts misses only in graphs with more members than this
 _PAIR_LOOP_MEMBERS = 64
 
 
-def _adjacency(masks, tmasks, k) -> Graph:
+def _adjacency(masks, tmasks, k, simplices: bool) -> Graph:
     """Members a < b of one side of an incidence, joined iff the members
     holding all their common elements are exactly a and b (the combinatorial
     test of the double description method); masks[a] is member a's mask over
@@ -688,16 +736,20 @@ def _adjacency(masks, tmasks, k) -> Graph:
     least k-1 facets, so a is tested only against the b sharing at least k-1
     elements with it, by ANDing the masks of their common elements.
 
+    With `simplices` (the facet side), a member with exactly k elements is
+    a simplex facet: any k-1 of its points span one of its ridges, which
+    lies in it and one other facet only, so it is joined to every b sharing
+    k-1 of them with no such test.  On the vertex side a point on k facets
+    proves nothing like it: the two ends of an edge with a point inside it
+    share k-1 facets and are not joined.
+
     One pass over every b > a finds those with an AND and a bit count per
     pair.  In a graph of more than `_PAIR_LOOP_MEMBERS` members, a member
     for which it costs less counts instead the misses of its elements over
     `tmasks`, a few big-integer operations per element: such a b lacks at
     most |a| - (k-1) of them, so the work follows the degrees, not the m^2
-    pairs.  A vertex of a lift lies on up to half of its facets, where the
-    pass is cheaper, and in small hulls (8-26 members) the counting's setup
-    per member cost more than the whole pass.  The union of the members
-    through a's elements would not do: in a prismatoid a base vertex lies
-    on most facets."""
+    pairs.  The union of the members through a's elements would not do: in
+    a prismatoid a base vertex lies on most facets."""
     m = len(masks)
     everyone = (1 << m) - 1
     k1 = k - 1
@@ -705,6 +757,7 @@ def _adjacency(masks, tmasks, k) -> Graph:
     for a, ma in enumerate(masks):
         size = ma.bit_count()
         spare = size - k1
+        simplex = simplices and size == k
         if m > _PAIR_LOOP_MEMBERS and size * spare < m:
             if spare < 0:
                 continue
@@ -727,6 +780,9 @@ def _adjacency(masks, tmasks, k) -> Graph:
             common = ma & masks[b]
             if common.bit_count() < k1:
                 continue
+            if simplex:
+                edges.append((a, b))
+                continue
             pair = pair_a | 1 << b
             # with no common elements (a segment) every member holds them all
             face = everyone
@@ -743,13 +799,13 @@ def _adjacency(masks, tmasks, k) -> Graph:
 
 def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
     """Facets sharing a ridge."""
-    return _adjacency(hull.incidence.facet_masks, hull.incidence.vertex_masks, hull.dim)
+    return _adjacency(hull.incidence.facet_masks, hull.incidence.vertex_masks, hull.dim, True)
 
 
 def vertex_graph(poly: VPolytope, hull: Hull) -> Graph:
     """Points joined by 1-faces: the smallest face containing both is
     exactly those two."""
-    return _adjacency(hull.incidence.vertex_masks, hull.incidence.facet_masks, hull.dim)
+    return _adjacency(hull.incidence.vertex_masks, hull.incidence.facet_masks, hull.dim, False)
 
 
 def _centroid(points):

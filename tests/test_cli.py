@@ -12,7 +12,7 @@ from pathlib import Path
 import pytest
 from hypothesis import HealthCheck, example, given, settings, strategies as st
 
-from exactpoly import cli, counterexample
+from exactpoly import cli, counterexample, polytopes
 from exactpoly.cli import main
 from exactpoly.fileformats import (
     FormatError,
@@ -247,6 +247,23 @@ class TestCommands:
         assert main(["builtin", "--out", str(src)]) == 0
         assert main(["polar", str(src)]) == 0
         assert hull_builds == [48]
+        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.Q48_POLAR_SHA256
+
+    def test_polar_of_q48_finds_the_smallest_faces_once(self, tmp_path, capsys, monkeypatch):
+        # `certify_vertices` and the polar's `extreme_indices` read the
+        # faces of the same hull, which keeps them
+        src = tmp_path / "q48.poly"
+        assert main(["builtin", "--out", str(src)]) == 0
+        calls = []
+        faces = polytopes._smallest_faces
+
+        def counting(inc):
+            calls.append(inc)
+            return faces(inc)
+
+        monkeypatch.setattr(polytopes, "_smallest_faces", counting)
+        assert main(["polar", str(src)]) == 0
+        assert len(calls) == 1 and calls[0].n_vertices == 48
         assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.Q48_POLAR_SHA256
 
     def test_construct_ops(self, tmp_path, capsys):

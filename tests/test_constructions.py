@@ -1,3 +1,4 @@
+import itertools
 import random
 import re
 from unittest import mock
@@ -9,8 +10,10 @@ from exactpoly import constructions, polytopes
 from exactpoly.constructions import (
     REJECTION_CAUSES,
     _fixed_builder,
+    _halvings,
     _moved,
     _push,
+    _relative_interior_point,
     BlendGraph,
     ConstructionFailed,
     PushFailed,
@@ -25,6 +28,7 @@ from exactpoly.constructions import (
 )
 from exactpoly.geometry import DegenerateInput
 from exactpoly.polytopes import (
+    HullBuilder,
     VPolytope,
     dual_graph,
     facet_enumeration,
@@ -294,7 +298,10 @@ class TestHullBuilds:
     """The searches build each candidate's hull by one insertion into a copy
     of a fixed builder, and read every hull they hold from the polytope that
     keeps it; pairing a polytope with a hull rebuilt from scratch would add
-    a build and a call of `polytopes._enumerate`."""
+    a build and a call of `polytopes._enumerate`.  A candidate whose moved
+    point sees no facet of the fixed builder lies in the hull of the fixed
+    points and is counted with no hull built: 4 of the push's 5 candidates,
+    and 2 of the step's."""
 
     @pytest.fixture
     def enumerations(self, monkeypatch):
@@ -308,15 +315,106 @@ class TestHullBuilds:
         monkeypatch.setattr(polytopes, "_enumerate", counting)
         return calls
 
-    def test_push_builds_six_hulls(self, q48, hull_builds, enumerations):
+    def test_push_builds_two_hulls(self, q48, hull_builds, enumerations):
         push_vertex(q48, 3, seed=1)
-        assert hull_builds == [48] * 6
+        assert hull_builds == [48] * 2
         assert enumerations == []
 
-    def test_strong_dstep_step_builds_fourteen_hulls(self, q48_pr, hull_builds, enumerations):
+    def test_strong_dstep_step_builds_twelve_hulls(self, q48_pr, hull_builds, enumerations):
         strong_dstep_iterate(q48_pr, 1, seed=0)
-        assert hull_builds == [49] * 14
+        assert hull_builds == [49] * 12
         assert enumerations == []
+
+
+@st.composite
+def pushes(draw):
+    """(poly, v, step): distinct lattice points in dims 2-4, random or from
+    the {-1,0,1} grid, some of them no vertices, a point v and a step from
+    it toward a seeded interior point or along a drawn rational direction."""
+    dim = draw(st.integers(2, 4))
+    if draw(st.booleans()):
+        pool = list(itertools.product((-1, 0, 1), repeat=dim))
+        pts = draw(st.lists(st.sampled_from(pool), min_size=dim + 2, max_size=12, unique=True))
+    else:
+        coord = st.integers(-3, 3)
+        pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 2, max_size=10, unique=True))
+    poly = VPolytope(tuple(tuple(Rat(c) for c in p) for p in pts))
+    v = draw(st.integers(0, len(pts) - 1))
+    if draw(st.booleans()):
+        target = _relative_interior_point(poly, range(len(pts)), random.Random(draw(st.integers())))
+        step = tuple(t - c for t, c in zip(target, poly.vertices[v]))
+    else:
+        step = draw(st.tuples(*[st.fractions(-4, 4, max_denominator=6)] * dim).filter(any))
+    return poly, v, step
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    st.integers(1, 5).flatmap(lambda d: st.lists(
+        st.tuples(*[st.fractions(-9, 9, max_denominator=12)] * d), min_size=1, max_size=8
+    )),
+    st.integers(),
+)
+def test_relative_interior_point_is_the_weighted_mean(pts, seed):
+    # the same draws, and the mean the rationals give, with ints mixed in
+    poly = VPolytope(tuple(tuple(c.numerator if c.denominator == 1 else c for c in p) for p in pts))
+    region = range(len(pts))
+    rng = random.Random(seed)
+    weights = [rng.randrange(1, 64) for _ in region]
+    want = tuple(
+        sum(w * Rat(p[j]) for w, p in zip(weights, pts)) / sum(weights) for j in range(len(pts[0]))
+    )
+    assert _relative_interior_point(poly, region, random.Random(seed)) == want
+
+
+def _halving_run(poly, v, fixed, step):
+    """The candidates `_halvings` yields, as points, rows and masks, and its
+    count of rejections."""
+    rejected = {"not a vertex": 0}
+    yields = []
+    for cand in _halvings(poly, v, fixed, step, 6, rejected):
+        hull = facet_enumeration(cand)
+        yields.append((cand.vertices, hull.hrep, hull.incidence.facet_masks))
+    return yields, rejected
+
+
+@settings(max_examples=80, deadline=None)
+@given(pushes())
+def test_halvings_count_inside_points_as_building_them_would(push):
+    # the other way: every insertion claims to have seen a facet, so every
+    # candidate gets its hull built, verified and its vertices certified
+    poly, v, step = push
+    fixed = _fixed_builder(poly, v)
+    got = _halving_run(poly, v, fixed, step)
+    insert = HullBuilder.insert
+    with mock.patch.object(HullBuilder, "insert", lambda self, i, p: insert(self, i, p) or True):
+        want = _halving_run(poly, v, fixed, step)
+    assert got == want
+
+
+def _cube_without_vertex_0():
+    """(cube, the builder of its other vertices, a step from vertex 0 whose
+    two candidates, (1/2, 1/2, 1/2) and (-1/4, -1/4, -1/4), lie inside the
+    hull of the others)."""
+    c = cube()
+    return c, _fixed_builder(c, 0), (Rat(3, 2),) * 3
+
+
+def test_candidates_inside_the_fixed_hull_build_no_hull(hull_builds):
+    c, fixed, step = _cube_without_vertex_0()
+    rejected = {"not a vertex": 0}
+    assert list(_halvings(c, 0, fixed, step, 1, rejected)) == []
+    assert rejected == {"not a vertex": 2}
+    assert hull_builds == []
+
+
+def test_corrupted_fixed_builder_raises_before_inside_candidates_count():
+    c, fixed, step = _cube_without_vertex_0()
+    fixed.masks[0] ^= 1 << 1
+    rejected = {"not a vertex": 0}
+    with pytest.raises(DegenerateInput, match="hull verification failed"):
+        list(_halvings(c, 0, fixed, step, 1, rejected))
+    assert rejected == {"not a vertex": 0}
 
 
 class TestProductsAndPowers:

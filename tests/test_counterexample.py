@@ -6,6 +6,7 @@ import pytest
 
 from exactpoly.counterexample import (
     EXPECTED_FACET_COUNT,
+    Certificate,
     REPRESENTATIVE_NEIGHBORS,
     _FAMILIES,
     FacetLabel,
@@ -23,6 +24,7 @@ from exactpoly.counterexample import (
     facet_orbits,
     facet_permutation,
     symmetry_groups,
+    top_base_figures,
     verify_counterexample,
     vertices48,
 )
@@ -149,6 +151,25 @@ def test_full_verify_builds_one_q48_hull(hull_builds):
     # built a second time
     assert verify_counterexample(full=True).passed
     assert hull_builds.count(48) == 1
+
+
+def test_full_verify_checks_one_vertex_figure_per_orbit(hull_builds):
+    # the top base's 24 vertices fall into 5 orbits of the base-preserving
+    # group, of 4, 4, 4, 4 and 8 vertices, and a symmetry carries a vertex
+    # figure onto its image's: 5 eight-point figures are built, not 24
+    assert verify_counterexample(full=True).passed
+    assert hull_builds.count(8) == 5
+
+
+def test_top_base_figures_are_one_per_orbit(q48, reference_groups):
+    # the smallest vertex of each orbit of the subgroup closed by matrices;
+    # with the top base's vertices out of q48's order, every vertex
+    _, perms = reference_groups[1]
+    orbits = {frozenset(perm[i] for perm in perms) for i in range(24)}
+    assert sorted(len(o) for o in orbits) == [4, 4, 4, 4, 8]
+    assert top_base_figures(Certificate()) == tuple(sorted(min(o) for o in orbits))
+    shuffled = VPolytope(q48.vertices[23::-1] + q48.vertices[24:], q48.labels[23::-1] + q48.labels[24:])
+    assert top_base_figures(Certificate(shuffled)) == tuple(range(24))
 
 
 def _generators():

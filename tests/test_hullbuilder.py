@@ -345,15 +345,38 @@ def empty_slot_inputs(draw):
 @example(([(1, 0, 0), (5, 7, -1)], [(0, 1, 8)]))  # a point outside
 @example(([(0, 0), (1, 2), (0, 0)], [(16, 0), (4, -2)]))  # w = 2 + 5 + 1, zero slots tight
 @example(([(1, 127), (2, -1)], [(255, 0), (127, -1)]))  # w = 7 + 8 + 1
+@example(([(127, -127), (1, 127), (0, -1)], [(0, 0)]))  # entries at +-(2^(w-1) - 1), w = 8
+@example(([(1, -255), (255, 255)], [(0, 0), (1, 0)]))  # w = 8 + 1 + 1, rounded to 16
+@example(([(w, -w, 3 - w) for w in range(1, 10)], [(1, 1, 0), (3, 1, 1), (-1, 0, 0)]))  # 9 points
 def test_tight_masks_match_plain_dot_products(data):
     """Tight points, rows with a point outside, a single point, zero
-    vectors in empty slots, and digit widths on a byte boundary."""
+    vectors in empty slots, negative coordinates, entries at the bound of
+    the digit width, point counts that are no multiple of 8, and digit
+    widths on a byte boundary."""
     pts, rows = data
     want = []
     for h in rows:
         slacks = [sum(a * b for a, b in zip(h, q)) for q in pts]
         want.append(None if min(slacks) < 0 else bits(i for i, s in enumerate(slacks) if s == 0))
     assert list(_tight_masks(pts, rows)) == want
+
+
+def _per_bit_transpose(masks, n):
+    """Bit f of entry j iff bit j of masks[f], one bit at a time."""
+    return tuple(bits(f for f, m in enumerate(masks) if m >> j & 1) for j in range(n))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(0, 40).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, (1 << n) - 1), max_size=70))
+))
+@example((0, []))  # no points, no facets
+@example((5, []))  # no facets
+@example((7, [0b1010011]))  # a single mask
+@example((9, [0b111111111, 0, 0b100000001]))  # 9 points, all and none tight
+def test_vertex_masks_match_the_per_bit_transpose(data):
+    n, masks = data
+    assert FacetIncidence(masks, n).vertex_masks == _per_bit_transpose(masks, n)
 
 
 # ---------------------------------------------------------------------------
@@ -548,6 +571,23 @@ def test_cross_polytope_graphs(dim, monkeypatch):
             (f, g) for f, g in itertools.combinations(range(len(rows)), 2)
             if sum(x != y for x, y in zip(rows[f], rows[g])) == 1
         )
+        _assert_graphs_match_references(poly, hull)
+
+
+def test_cube_with_an_edge_midpoint_keeps_the_edge_ends_apart(monkeypatch):
+    # the two ends of the edge each lie on k = 3 facets and share k-1 = 2
+    # of them, which makes two simplex facets adjacent on the facet side;
+    # on the vertex side they are no edge, since the midpoint lies between
+    pts = [tuple(1 if m >> i & 1 else -1 for i in range(3)) for m in range(8)]
+    poly = VPolytope(tuple(pts + [(0, -1, -1)]))
+    hull = facet_enumeration(poly)
+    vmasks = hull.incidence.vertex_masks
+    assert vmasks[0].bit_count() == vmasks[1].bit_count() == 3
+    assert (vmasks[0] & vmasks[1]).bit_count() == 2
+    cube_edges = {(a, b) for a, b in itertools.combinations(range(8), 2) if (a ^ b).bit_count() == 1}
+    for members in (0, polytopes._PAIR_LOOP_MEMBERS):
+        monkeypatch.setattr(polytopes, "_PAIR_LOOP_MEMBERS", members)
+        assert set(vertex_graph(poly, hull).edges) == cube_edges - {(0, 1)}
         _assert_graphs_match_references(poly, hull)
 
 
@@ -753,21 +793,27 @@ def test_repeated_facet_refused():
 def test_push_verifies_every_candidate(monkeypatch):
     # every inserted candidate comes back with a corrupted facet mask (the
     # vertex at its original position, which gives the hull the push starts
-    # from, is spared): the first one ends the search with the verification
-    # failure, which is no rejected candidate
+    # from, is spared), and the wrapper passes on whether it saw a facet:
+    # the first moved point lies inside the hull of the others and builds
+    # no hull, and the first one that sees a facet ends the search with the
+    # verification failure, which is no rejected candidate
     pts, _ = _cube_builder()
     cube = VPolytope(tuple(pts))
     insert = HullBuilder.insert
+    saw = []
 
     def corrupting_insert(self, i, point):
-        insert(self, i, point)
+        seen = insert(self, i, point)
         if point != pts[i]:
             self.masks[0] ^= 1 << i
+            saw.append(seen)
+        return seen
 
     monkeypatch.setattr(HullBuilder, "insert", corrupting_insert)
     monkeypatch.setattr(constructions, "MAX_HALVINGS", 3)
     with pytest.raises(DegenerateInput, match="hull verification failed: incidence mismatch"):
         push_vertex(cube, 0, seed=1)
+    assert saw == [False, True]
 
 
 # ---------------------------------------------------------------------------
@@ -899,17 +945,21 @@ def test_q48_artifacts_need_no_elimination(tmp_path, capsys):
 def _steps_checked_against_the_full_scan():
     """Check every `HullBuilder._add` made while the block runs: the facets
     after it, as a set of (row, mask) pairs with none repeated, are those
-    `reference_add` gives from the facets before it.  Yields the list of
-    the slots inserted."""
+    `reference_add` gives from the facets before it, and it says whether
+    the point had negative slack at a facet.  Yields the list of the slots
+    inserted."""
     steps = []
     add = HullBuilder._add
 
     def checked(self, i):
-        rows, masks = reference_add(self.rows, self.masks, self.points[i], i, self.dim)
-        add(self, i)
+        q = self.points[i]
+        saw = any(slack < 0 for slack in (sum(a * b for a, b in zip(h, q)) for h in self.rows))
+        rows, masks = reference_add(self.rows, self.masks, q, i, self.dim)
+        assert add(self, i) is saw
         assert len(self.rows) == len(rows)
         assert set(zip(self.rows, self.masks)) == set(zip(rows, masks))
         steps.append(i)
+        return saw
 
     HullBuilder._add = checked
     try:
@@ -927,6 +977,67 @@ def test_ridge_candidates_from_the_visible_region_match_the_full_scan(pts):
     with _steps_checked_against_the_full_scan() as steps:
         hull = facet_enumeration(VPolytope(tuple(pts)))
     assert len(steps) == len(pts) - hull.dim - 1
+
+
+@settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(st.one_of(point_sets(), certify_inputs(), boxes(max_points=40)), st.data())
+def test_steps_on_copies_match_the_full_scan(pts, data):
+    """The builder of all points but v, from scratch, and then the point v
+    and a moved point (outside, inside, on a facet hyperplane or with new
+    denominators) each inserted into a copy of it: random, grid and prism
+    point sets, where simplex facets lie next to larger ones, with points
+    inside faces, and lattice boxes."""
+    v = data.draw(st.integers(0, len(pts) - 1))
+    slots = list(pts)
+    slots[v] = None
+    with _steps_checked_against_the_full_scan() as scratch:
+        try:
+            fixed = HullBuilder(slots)
+        except DegenerateInput:
+            return
+    moved = _moved_point(data, pts, v)
+    with _steps_checked_against_the_full_scan() as copied:
+        for point in (pts[v], moved):
+            fixed.copy().insert(v, point)
+    assert len(scratch) == len(pts) - fixed.dim - 2 and copied == [v, v]
+
+
+def _visible_shapes(builder, point):
+    """The tight-point counts of the facets `point` sees."""
+    q = polytopes._homogeneous(point)
+    return sorted(
+        m.bit_count() for h, m in zip(builder.rows, builder.masks)
+        if sum(a * b for a, b in zip(h, q)) < 0
+    )
+
+
+@pytest.mark.parametrize(
+    "point, shapes",
+    [
+        # beyond an edge of the prism's top triangle: the triangle and a
+        # square side
+        ((1, -1, 2), [3, 4]),
+        # beyond a top corner: the triangle and two square sides
+        ((-1, -1, 2), [3, 4, 4]),
+        # beyond a corner of the cube: three squares, no simplex
+        ((3, 3, 2), [4, 4, 4]),
+    ],
+)
+def test_simplex_and_larger_visible_facets_match_the_full_scan(point, shapes):
+    """A point that sees a simplex facet next to square ones, or squares
+    only: the simplex's partners come without the ridge veto, the squares'
+    with it, and the facets after the step are the full scan's.  In three
+    dimensions two facets sharing two points share an edge, so no veto
+    fires here; the veto matters where the shared points are affinely
+    dependent, as on the grids above and in the q48 polar below."""
+    prism = [(x, y, z) for z in (-1, 1) for x, y in ((0, 0), (2, 0), (0, 2))]
+    cube = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (-1, 1)]
+    base = prism if 3 in shapes else cube
+    builder = HullBuilder(base + [None])
+    assert _visible_shapes(builder, point) == shapes
+    with _steps_checked_against_the_full_scan() as steps:
+        assert builder.copy().insert(len(base), point)
+    assert steps == [len(base)]
 
 
 def test_q48_polar_and_base_sum_steps_match_the_full_scan(certificate):
