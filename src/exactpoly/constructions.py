@@ -16,9 +16,10 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from operator import mul
 from typing import Optional
 
-from .geometry import DegenerateInput, dot, smul, vadd, vsub
+from .geometry import DegenerateInput, dot, integer_points, smul, vadd, vsub
 from .graphs import Graph
 from .polytopes import (
     DuplicatePoints,
@@ -33,7 +34,7 @@ from .polytopes import (
     vertex_graph,
 )
 from .prismatoids import NotAPrismatoid, Prismatoid, make_prismatoid, width
-from .rationals import Rat, ZERO, common_denominator
+from .rationals import Rat, ZERO
 
 # the most halvings of one step: `push_vertex`'s, and `strong_dstep_step`'s
 # per push and per apex direction
@@ -96,13 +97,9 @@ def _relative_interior_point(poly: VPolytope, region, rng):
     vertices, summed in integers: the vertices scaled by the lcm L of their
     denominators, the sum divided by L times the total weight."""
     weights = [rng.randrange(1, 64) for _ in region]
-    pts = [poly.vertices[i] for i in region]
-    scale = common_denominator(v for p in pts for v in p)
+    ints, scale = integer_points([poly.vertices[i] for i in region])
     total = sum(weights) * scale
-    return tuple(
-        Rat(sum(w * v.numerator * (scale // v.denominator) for w, v in zip(weights, column)), total)
-        for column in zip(*pts)
-    )
+    return tuple(Rat(sum(map(mul, weights, column)), total) for column in zip(*ints))
 
 
 def _facet_merge_ok(old_hull, new_hull) -> bool:

@@ -274,7 +274,7 @@ def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
     `poly`.  A linear map is fixed by its permutation only when the vertices
     span R^d, so that is checked first: otherwise two maps with the same
     permutation would be taken for one."""
-    pts = integer_points(poly.vertices)
+    pts = integer_points(poly.vertices)[0]
     index = {p: i for i, p in enumerate(pts)}
     if matrix_rank(pts) != poly.ambient_dim:
         raise ValueError("the vertices do not span the space")

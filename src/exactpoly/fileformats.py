@@ -1,16 +1,19 @@
-"""Text formats for polytopes; the readers raise `FormatError` on bad text.
+"""Text formats for polytopes.  POLY is read and written, and its reader
+raises `FormatError` on bad text; HPOLY and INC are written only.
 
 POLY:   "POLY 1" / "dim <d>" / "vertices <n>" / n rows of d rationals,
         then optionally "labels" followed by n label lines.
-HPOLY:  "HPOLY 1" / "dim <d>" / "inequalities <m>" / m rows of d+1 rationals
-        meaning a.x <= b with b last; a row "equality <d+1 rationals>"
-        means a.x = b.  A row is read as its primitive integer row (see
-        `HPolytope`).
+HPOLY:  "HPOLY 1" / "dim <d>" / "inequalities <m>" / m rows of d+1 integers
+        meaning a.x <= b with b last; a row "equality <d+1 integers>"
+        means a.x = b.  Each row is a primitive integer row of
+        `HPolytope`.
+INC:    "INC 1" / "facets <m>" / "vertices <n>" / per facet, the indices of
+        its tight points, ascending.
 """
 from __future__ import annotations
 
-from .polytopes import HPolytope, VPolytope
-from .rationals import format_rat, parse_rat, primitive_ints
+from .polytopes import HPolytope, VPolytope, iter_bits
+from .rationals import format_rat, parse_rat
 
 
 class FormatError(ValueError):
@@ -81,44 +84,13 @@ def read_poly(text: str) -> VPolytope:
 
 def write_hpoly(h: HPolytope) -> str:
     out = ["HPOLY 1", f"dim {h.ambient_dim}", f"inequalities {len(h.inequalities)}"]
-    out.extend(" ".join(map(format_rat, q)) for q in h.inequalities)
-    out.extend("equality " + " ".join(map(format_rat, q)) for q in h.equalities)
+    out.extend(" ".join(map(str, q)) for q in h.inequalities)
+    out.extend("equality " + " ".join(map(str, q)) for q in h.equalities)
     return "\n".join(out) + "\n"
-
-
-def read_hpoly(text: str) -> HPolytope:
-    lines = _reader(text)
-    if not lines or lines[0] != "HPOLY 1":
-        raise FormatError("missing HPOLY 1 header")
-    if len(lines) < 3:
-        raise FormatError("truncated header")
-    d = _expect(lines[1], "dim", 1)
-    m = _expect(lines[2], "inequalities")
-    ineqs, eqs = [], []
-    rows = lines[3:]
-    if len(rows) < m:
-        raise FormatError("truncated inequality block")
-    for i, ln in enumerate(rows):
-        parts = ln.split()
-        is_eq = parts and parts[0] == "equality"
-        if is_eq:
-            parts = parts[1:]
-        elif i >= m:
-            raise FormatError("unexpected trailing line")
-        if len(parts) != d + 1:
-            raise FormatError(f"row has {len(parts)} entries, expected {d + 1}")
-        vals = _rats(parts, ln)
-        if not any(vals[:-1]):
-            raise FormatError(f"all-zero coefficients in {ln!r}")
-        (eqs if is_eq else ineqs).append(tuple(primitive_ints(vals)))
-    if len(ineqs) != m:
-        raise FormatError("inequality count mismatch")
-    return HPolytope(d, tuple(ineqs), tuple(eqs))
 
 
 def write_incidence(hull) -> str:
     inc = hull.incidence
     out = ["INC 1", f"facets {inc.n_facets}", f"vertices {inc.n_vertices}"]
-    for f in range(inc.n_facets):
-        out.append(" ".join(str(v) for v in inc.vertices_of(f)))
+    out.extend(" ".join(map(str, iter_bits(m))) for m in inc.facet_masks)
     return "\n".join(out) + "\n"

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from operator import mul
 
-from .linalg import identity, mat_mul, matrix_rank, transpose
+from .linalg import matrix_rank
 from .rationals import common_denominator
 
 
@@ -43,10 +43,11 @@ def smul(c, a):
 
 
 def integer_points(points):
-    """The points scaled by the lcm of all their denominators, as int
-    tuples.  Affine ranks, incidences and facet normals are unchanged."""
+    """(ints, scale): the points times `scale`, the lcm of all their
+    denominators, as int tuples.  Affine ranks, incidences and facet
+    normals are unchanged."""
     scale = common_denominator([v for p in points for v in p])
-    return [tuple(v.numerator * (scale // v.denominator) for v in p) for p in points]
+    return [tuple(v.numerator * (scale // v.denominator) for v in p) for p in points], scale
 
 
 def check_same_dim(points):
@@ -91,7 +92,10 @@ class OrthMap:
             raise DimensionMismatch("orthogonal map must be square")
         if not all(isinstance(v, int) for r in rows for v in r):
             raise GeometryError("orthogonal map entries must be integers")
-        if mat_mul(rows, transpose(rows)) != identity(n):
+        # an integer matrix is orthogonal iff it is a signed permutation:
+        # the rows' absolute values are the n unit vectors, each once
+        units = {tuple(int(i == j) for j in range(n)) for i in range(n)}
+        if {tuple(map(abs, r)) for r in rows} != units:
             raise GeometryError("matrix is not orthogonal")
         return cls(rows)
 

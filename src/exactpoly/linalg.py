@@ -99,19 +99,3 @@ def nullspace(rows):
         basis.append(tuple(x))
     return basis
 
-
-def mat_mul(a_rows, b_rows):
-    n, k = len(a_rows), len(b_rows[0])
-    m = len(b_rows)
-    return tuple(
-        tuple(sum(a_rows[i][t] * b_rows[t][j] for t in range(m)) for j in range(k))
-        for i in range(n)
-    )
-
-
-def identity(n):
-    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
-
-
-def transpose(rows):
-    return tuple(tuple(row[j] for row in rows) for j in range(len(rows[0])))

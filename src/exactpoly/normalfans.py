@@ -25,12 +25,17 @@ C of its bases at heights 1 and -1, so full verification reads the sum
 off the prismatoid's own hull.  Each facet's decomposition is the two
 halves of its mask of C, and each distinct face is ranked once, on
 integer copies (faces do not change under positive scaling).  The
-candidate sums are formed in integers, the summands scaled by one common
-denominator, and only the vertices become rationals.  A sum of lower
+candidate sums are all |A| |B| pairwise sums, formed in integers, the
+summands scaled by one common denominator, and only the vertices become
+rationals.  No pair is filtered out: a sum strictly inside the segment
+between two others (a_k - a_i a positive multiple of b_j - b_l) is no
+vertex, but dropping such sums changes no output and saves no time, since
+no hull is built on the candidates; each costs only its digit in the
+packed verification against the rows derived from C.  A sum of lower
 dimension takes the same path on the coordinates of its
 `polytopes.affine_chart`.  The derived rows pass the full
-`polytopes._verify` against every pairwise sum that can be a vertex, and
-again against the vertices, whose polytope keeps the hull.
+`polytopes._verify` against every pairwise sum, and again against the
+vertices, whose polytope keeps the hull.
 The torus angles are floating point and feed the SVG plots only.
 """
 from __future__ import annotations
@@ -38,10 +43,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, neg
+from operator import add
 from typing import NamedTuple, Optional
 
-from .geometry import DegenerateInput, affine_rank, integer_points, vsub
+from .geometry import DegenerateInput, affine_rank, integer_points
 from .linalg import primitive
 from .polytopes import (
     Chart,
@@ -58,7 +63,7 @@ from .polytopes import (
     maximizers,
 )
 from .prismatoids import Prismatoid
-from .rationals import Rat, common_denominator
+from .rationals import Rat
 from .report import Report
 
 
@@ -118,15 +123,9 @@ class MinkowskiSum:
         return dual_graph(self.polytope, self.hull)
 
 
-def _edge_directions(pts):
-    """Per integer point p of `pts`, the set of primitive directions q - p
-    to the other points q: the same for every positive scaling."""
-    return [{primitive(vsub(q, p)) for q in pts if q != p} for p in pts]
-
-
 class _Candidates(NamedTuple):
-    """The pairwise sums of two summands that can be vertices: `sums`, each
-    as an integer point (the sum times `scale`) with its (i, j) pairs,
+    """Every pairwise sum of two summands' vertices: `sums`, each as an
+    integer point (the sum times `scale`) with its (i, j) pairs,
     `scale`, the lcm of the summands' denominators, the summands as integer
     points at that scale, and the `Chart` of the sums' affine hull."""
 
@@ -138,29 +137,21 @@ class _Candidates(NamedTuple):
 
 def _candidates(a: VPolytope, b: VPolytope) -> _Candidates:
     """The candidate sums of `a` and `b`, formed in integers; only the
-    sum's vertices ever become rationals."""
+    sum's vertices ever become rationals.  Every pair is a candidate; see
+    the module docstring for why no pair is skipped."""
     if a.ambient_dim != b.ambient_dim:
         raise DegenerateInput("summands must share the ambient dimension")
-    scale = common_denominator([v for p in a.vertices + b.vertices for v in p])
-    ints = tuple(
-        [tuple(v.numerator * (scale // v.denominator) for v in p) for p in x.vertices] for x in (a, b)
-    )
-    # a_i + b_j is no vertex when a_k - a_i is a positive multiple of
-    # b_j - b_l: it lies inside the segment from a_i + b_l to a_k + b_j.
-    # Such pairs never reach the hull.  No pair that sums to a vertex is
-    # skipped, so the vertices and their provenance are unchanged.
-    away = _edge_directions(ints[0])
-    into = _edge_directions([tuple(map(neg, q)) for q in ints[1]])
+    ints, scale = integer_points(a.vertices + b.vertices)
+    summands = (ints[: a.n_vertices], ints[a.n_vertices :])
     sums = {}
-    for i, p in enumerate(ints[0]):
-        for j, q in enumerate(ints[1]):
-            if away[i].isdisjoint(into[j]):
-                sums.setdefault(tuple(map(add, p, q)), []).append((i, j))
+    for i, p in enumerate(summands[0]):
+        for j, q in enumerate(summands[1]):
+            sums.setdefault(tuple(map(add, p, q)), []).append((i, j))
     points = tuple(sums)
     basis, _, chart = affine_chart(points)
     if chart.equalities:  # those of the scaled sums: take them at scale 1
         chart = affine_chart([tuple(Rat(v, scale) for v in points[i]) for i in basis])[2]
-    return _Candidates(sums, scale, ints, chart)
+    return _Candidates(sums, scale, summands, chart)
 
 
 def _cayley_points(a: VPolytope, b: VPolytope, chart: Chart, heights) -> tuple:
@@ -233,10 +224,9 @@ def _sum_from_cayley(a: VPolytope, b: VPolytope, cand: _Candidates, cayley: Hull
 
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
-    """Hull of the pairwise vertex sums that can be vertices, derived from
-    the hull of the summands' Cayley polytope at heights 0 and 1 and
-    annotated facet by facet with the decomposition F = F+ + F-; see the
-    module docstring."""
+    """Hull of the pairwise vertex sums, derived from the hull of the
+    summands' Cayley polytope at heights 0 and 1 and annotated facet by
+    facet with the decomposition F = F+ + F-; see the module docstring."""
     cand = _candidates(a, b)
     cayley = VPolytope(_cayley_points(a, b, cand.chart, (0, 1)))
     return _sum_from_cayley(a, b, cand, facet_enumeration(cayley), (0, 1))
@@ -290,7 +280,7 @@ def bi_dimensions(pr: Prismatoid) -> dict:
     empty side."""
     inc = pr.hull.incidence
     # ranks do not change under positive scaling
-    verts = integer_points(pr.polytope.vertices)
+    verts = integer_points(pr.polytope.vertices)[0]
     base_masks = (inc.facet_masks[pr.base_plus], inc.facet_masks[pr.base_minus])
     ranks = {0: -1}  # face mask -> rank: facets share their faces in the bases
 
@@ -342,7 +332,7 @@ def normal_map_interiority_check(
     rep = Report("normal map interiority")
     hull_plus, hull_minus = facet_enumeration(qplus), facet_enumeration(qminus)
     # the owners do not change under positive scaling
-    qplus, qminus = (VPolytope(tuple(integer_points(q.vertices))) for q in (qplus, qminus))
+    qplus, qminus = (VPolytope(tuple(integer_points(q.vertices)[0])) for q in (qplus, qminus))
     normals_p = facet_normals(hull_plus)
     normals_m = facet_normals(hull_minus)
     plus_orbit = set(plus_orbit)

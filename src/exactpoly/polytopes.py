@@ -92,6 +92,7 @@ from .geometry import (
     affine_rank,
     check_same_dim,
     dot,
+    integer_points,
     vsub,
 )
 from .graphs import Graph
@@ -313,28 +314,14 @@ def _triangular_certificate(fmask, vmasks, everyone, dim) -> bool:
     return True
 
 
-def _incidence_failures(pts, pairs, empty):
-    """Per (row, mask) pair: None when every point is inside the row and
-    exactly the points of the mask are tight, else the check that failed.
-    The slots in `empty` hold the zero vector, which every row holds
-    tightly, and the masks lack them."""
-    if not pairs:
-        return
-    for (_, fmask), tight in zip(pairs, _tight_masks(pts, [h for h, _ in pairs])):
-        if tight is None:
-            yield "point outside facet"
-        elif tight != fmask | empty or fmask & empty:
-            yield "incidence mismatch"
-        else:
-            yield None
-
-
 def _verify(dim, pts, pairs, unchecked, empty) -> FacetIncidence:
     """The incidence of the (row, mask) `pairs`, after checking that their
     rows are distinct and that each pair of `unchecked` is exact against
-    the homogeneous points `pts` (see `_incidence_failures` for `empty`)
-    and has tight points of rank `dim`; raises DegenerateInput naming the
-    first check that fails.  The caller has verified the incidence of the
+    the homogeneous points `pts` (every point inside the row, and exactly
+    the points of the mask tight) and has tight points of rank `dim`;
+    raises DegenerateInput naming the first check that fails.  The slots in
+    `empty` hold the zero vector, which every row holds tightly, and the
+    masks lack them.  The caller has verified the incidence of the
     other pairs.  `HullBuilder.hull` checks its hulls here, and `Chart.hull`
     the derived ones of `polar` and of `normalfans`' Minkowski sums.
 
@@ -345,9 +332,13 @@ def _verify(dim, pts, pairs, unchecked, empty) -> FacetIncidence:
     `matrix_rank` decide."""
     if len({h for h, _ in pairs}) != len(pairs):
         raise DegenerateInput("hull verification failed: repeated facet")
-    for failure in _incidence_failures(pts, unchecked, empty):
-        if failure is not None:
-            raise DegenerateInput(f"hull verification failed: {failure}")
+    # zip stops at the end of `unchecked` before it asks `_tight_masks`,
+    # which needs a row, for more
+    for (_, fmask), tight in zip(unchecked, _tight_masks(pts, [h for h, _ in unchecked])):
+        if tight is None:
+            raise DegenerateInput("hull verification failed: point outside facet")
+        if tight != fmask | empty or fmask & empty:
+            raise DegenerateInput("hull verification failed: incidence mismatch")
     incidence = FacetIncidence([m for _, m in pairs], len(pts))
     everyone = (1 << len(pairs)) - 1
     for h, fmask in unchecked:
@@ -812,11 +803,10 @@ def _centroid(points):
     """(n, s, L, ints) with n > 0, s an integer vector and gcd(n, s) = 1,
     such that s / n is the centroid of `points`, found without rational
     sums: with L the lcm of their denominators and `ints` the points scaled
-    by L, as integer lists, the centroid is S / N for S the column sums of
+    by L (`integer_points`), the centroid is S / N for S the column sums of
     `ints` and N = (point count) L, so n = N / G and s = S / G for
     G = gcd(N, S)."""
-    scale = common_denominator(v for p in points for v in p)
-    ints = [[v.numerator * (scale // v.denominator) for v in p] for p in points]
+    ints, scale = integer_points(points)
     sums = [sum(col) for col in zip(*ints)]
     total = len(points) * scale
     g = gcd(total, *sums)

@@ -6,8 +6,8 @@ points and the excess arithmetic hold, and what a polar produces.
 Inside the engine the hot arithmetic is on Python `int`: a point set is
 scaled to integers once (`common_denominator`), and every facet and equality
 is a primitive integer row.  Rationals become such rows with
-`primitive_ints` at three edges only: the facet family table of the
-counterexample, the HPOLY reader, and the equalities of an affine hull.
+`primitive_ints` at two edges only: the facet family table of the
+counterexample and the equalities of an affine hull.
 Code that divides values which may both be `int` writes `Rat(a, b)`, never
 `a / b`, which would give a float.
 """

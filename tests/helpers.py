@@ -18,9 +18,18 @@ from exactpoly.counterexample import (
     check_facet_census,
     check_prism_collinearities,
 )
-from exactpoly.geometry import DegenerateInput, OrthMap, affine_rank, vadd
-from exactpoly.linalg import identity, mat_mul, nullspace
+from exactpoly.fileformats import FormatError, _expect, _rats, _reader
+from exactpoly.geometry import (
+    DegenerateInput,
+    DimensionMismatch,
+    GeometryError,
+    OrthMap,
+    affine_rank,
+    vadd,
+)
+from exactpoly.linalg import nullspace
 from exactpoly.polytopes import (
+    HPolytope,
     VPolytope,
     bits,
     certify_vertices,
@@ -123,6 +132,70 @@ def hyperplane_through(points) -> tuple:
         raise DegenerateInput(f"points have a {len(basis)}-dimensional kernel, need 1")
     h = primitive_ints(basis[0])
     return tuple(h) if next(c for c in h[:-1] if c != 0) > 0 else tuple(-v for v in h)
+
+
+def mat_mul(a_rows, b_rows):
+    n, k = len(a_rows), len(b_rows[0])
+    m = len(b_rows)
+    return tuple(
+        tuple(sum(a_rows[i][t] * b_rows[t][j] for t in range(m)) for j in range(k))
+        for i in range(n)
+    )
+
+
+def identity(n):
+    return tuple(tuple(1 if i == j else 0 for j in range(n)) for i in range(n))
+
+
+def transpose(rows):
+    return tuple(tuple(row[j] for row in rows) for j in range(len(rows[0])))
+
+
+def reference_orth_map(rows) -> OrthMap:
+    """`OrthMap.from_rows` deciding orthogonality by the matrix product
+    M M^T = I, with its checks and messages in the same order."""
+    rows = tuple(tuple(row) for row in rows)
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise DimensionMismatch("orthogonal map must be square")
+    if not all(isinstance(v, int) for r in rows for v in r):
+        raise GeometryError("orthogonal map entries must be integers")
+    if mat_mul(rows, transpose(rows)) != identity(n):
+        raise GeometryError("matrix is not orthogonal")
+    return OrthMap(rows)
+
+
+def read_hpoly(text: str) -> HPolytope:
+    """The HPOLY text `fileformats.write_hpoly` writes, read back for the
+    round trips; raises `FormatError` on bad text.  A row may hold
+    rationals and is read as its primitive integer row."""
+    lines = _reader(text)
+    if not lines or lines[0] != "HPOLY 1":
+        raise FormatError("missing HPOLY 1 header")
+    if len(lines) < 3:
+        raise FormatError("truncated header")
+    d = _expect(lines[1], "dim", 1)
+    m = _expect(lines[2], "inequalities")
+    ineqs, eqs = [], []
+    rows = lines[3:]
+    if len(rows) < m:
+        raise FormatError("truncated inequality block")
+    for i, ln in enumerate(rows):
+        parts = ln.split()
+        is_eq = parts and parts[0] == "equality"
+        if is_eq:
+            parts = parts[1:]
+        elif i >= m:
+            raise FormatError("unexpected trailing line")
+        if len(parts) != d + 1:
+            raise FormatError(f"row has {len(parts)} entries, expected {d + 1}")
+        vals = _rats(parts, ln)
+        if not any(vals[:-1]):
+            raise FormatError(f"all-zero coefficients in {ln!r}")
+        (eqs if is_eq else ineqs).append(tuple(primitive_ints(vals)))
+    if len(ineqs) != m:
+        raise FormatError("inequality count mismatch")
+    return HPolytope(d, tuple(ineqs), tuple(eqs))
 
 
 def mat_apply(m, p) -> tuple:

@@ -1,0 +1,205 @@
+"""Planted mutants: small wrong edits of `src/exactpoly` that named tests
+must catch.
+
+Each entry of MUTANTS is (name, file under src/exactpoly, exact source
+snippet, replacement, test node ids).  For each mutant the runner copies
+`src/`, `tests/` and `pyproject.toml` into a temporary directory, requires
+the snippet to occur exactly once in its file, replaces it there, and runs
+the node ids with `pytest -x` (hypothesis seeded with 0, so a run repeats).
+The mutant is caught when pytest reports a failed test, or one that errored
+in its setup; it survives when every listed test passes.  Any other pytest exit (a node id not found, a
+collection error) is an error.  A snippet that no longer matches once means
+the code moved: re-plant the mutant on the new code instead of dropping it,
+since removing a mutant removes a check.
+
+EQUIVALENT lists mutants that change no result, each with its reason, so
+they are not tried again; their snippets are checked, never run.
+
+Run from anywhere, with pytest and hypothesis installed:
+
+    python tests/mutants.py            # every mutant
+    python tests/mutants.py NAME ...   # the named ones
+
+It prints one line per mutant (the node id that caught it and the seconds
+taken), appends the same lines and the equivalent mutants to the file named
+by GITHUB_STEP_SUMMARY when that is set, and exits 1 if a mutant survives, a snippet does not
+match exactly once, or pytest ends in an error.  tier-1 does not collect
+this file: its name does not match test_*.py.
+"""
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    node_ids: tuple
+
+
+MUTANTS = (
+    Mutant(
+        "add-simplex-test-widened",
+        "polytopes.py",
+        "if ma.bit_count() == self.dim:",
+        "if ma.bit_count() >= self.dim:",
+        (
+            "tests/test_hullbuilder.py::test_ridge_candidates_from_the_visible_region_match_the_full_scan",
+            "tests/test_hullbuilder.py::test_q48_polar_and_base_sum_steps_match_the_full_scan",
+        ),
+    ),
+    Mutant(
+        "vertex-graph-takes-the-facet-shortcut",
+        "polytopes.py",
+        "hull.incidence.facet_masks, hull.dim, False)",
+        "hull.incidence.facet_masks, hull.dim, True)",
+        ("tests/test_hullbuilder.py::test_cube_with_an_edge_midpoint_keeps_the_edge_ends_apart",),
+    ),
+    Mutant(
+        "halvings-skip-the-fixed-verification",
+        "constructions.py",
+        "        fixed._verified_pairs()\n",
+        "        pass\n",
+        ("tests/test_constructions.py::test_corrupted_fixed_builder_raises_before_inside_candidates_count",),
+    ),
+    Mutant(
+        "start-drops-the-determinant-sign",
+        "polytopes.py",
+        "sign = 1 if prev > 0 else -1",
+        "sign = 1",
+        ("tests/test_hullbuilder.py::test_start_rows_need_a_row_swap_under_either_sign",),
+    ),
+    Mutant(
+        "tight-masks-byte-width-rounded-down",
+        "polytopes.py",
+        "size = -(-w // 8)",
+        "size = max(1, w // 8)",
+        ("tests/test_hullbuilder.py::test_tight_masks_match_plain_dot_products",),
+    ),
+    Mutant(
+        "add-kept-threshold-raised",
+        "polytopes.py",
+        "if (region & m).bit_count() >= k1]",
+        "if (region & m).bit_count() > k1]",
+        ("tests/test_hullbuilder.py::test_ridge_candidates_from_the_visible_region_match_the_full_scan",),
+    ),
+    Mutant(
+        "polar-keeps-points-that-are-no-vertex",
+        "polytopes.py",
+        "for i in extreme_indices(hull)\n",
+        "for i in range(poly.n_vertices)\n",
+        ("tests/test_polytopes.py::TestPolar::test_polar_hull_by_duality_is_the_built_one",),
+    ),
+    Mutant(
+        "from-rows-accepts-a-repeated-column",
+        "geometry.py",
+        "if {tuple(map(abs, r)) for r in rows} != units:",
+        "if not {tuple(map(abs, r)) for r in rows} <= units:",
+        ("tests/test_geometry.py::TestOrthMap::test_from_rows_refuses_as_the_matrix_product_does",),
+    ),
+    Mutant(
+        "verify-lets-a-mask-claim-an-empty-slot",
+        "polytopes.py",
+        "if tight != fmask | empty or fmask & empty:",
+        "if tight != fmask | empty:",
+        ("tests/test_hullbuilder.py::test_fixed_builder_claiming_an_empty_slot_raises",),
+    ),
+)
+
+
+class Equivalent(NamedTuple):
+    name: str
+    path: str
+    snippet: str
+    replacement: str
+    reason: str
+
+
+EQUIVALENT = (
+    Equivalent(
+        "ridge-veto-loosened-to-two-holders",
+        "polytopes.py",
+        "or sum(c & common == common for _, c in near) == 1",
+        "or sum(c & common == common for _, c in near) <= 2",
+        "the common face of two facets that are not adjacent has a face figure "
+        "with two non-adjacent facets, so it lies in at least four facets: a "
+        "third holder always comes with a fourth",
+    ),
+    Equivalent(
+        "adjacency-early-break-dropped",
+        "polytopes.py",
+        "                if face == pair:\n                    break\n",
+        "                if face == pair and common != low:\n                    break\n",
+        "skipping the break when one common element is left changes nothing: "
+        "the loop ends there anyway, and the face never shrinks below the pair, "
+        "since every common element's mask holds both members",
+    ),
+)
+
+
+def _count(path, snippet) -> int:
+    return (ROOT / "src" / "exactpoly" / path).read_text().count(snippet)
+
+
+def run(mutant: Mutant):
+    """(status, detail, seconds): status "caught", "SURVIVED" or "ERROR"."""
+    t0 = time.perf_counter()
+    with tempfile.TemporaryDirectory() as tmp:
+        work = Path(tmp)
+        ignore = shutil.ignore_patterns("__pycache__", ".hypothesis")
+        shutil.copytree(ROOT / "src", work / "src", ignore=ignore)
+        shutil.copytree(ROOT / "tests", work / "tests", ignore=ignore)
+        shutil.copy(ROOT / "pyproject.toml", work / "pyproject.toml")
+        target = work / "src" / "exactpoly" / mutant.path
+        target.write_text(target.read_text().replace(mutant.snippet, mutant.replacement))
+        done = subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-rfE", "-p", "no:cacheprovider",
+             "--hypothesis-seed=0", *mutant.node_ids],
+            cwd=work, env=dict(os.environ, PYTHONPATH=str(work / "src")),
+            capture_output=True, text=True,
+        )
+    seconds = time.perf_counter() - t0
+    if done.returncode == 0:
+        return "SURVIVED", "every listed test passed", seconds
+    # with -x, exit 1 is a test that failed or errored in its setup
+    failed = [ln.split()[1] for ln in done.stdout.splitlines() if ln.startswith(("FAILED ", "ERROR "))]
+    if done.returncode == 1 and failed:
+        return "caught", failed[0], seconds
+    tail = (done.stdout + done.stderr).strip().splitlines()[-3:]
+    return "ERROR", f"pytest exit {done.returncode}: {' | '.join(tail)}", seconds
+
+
+def main(names) -> int:
+    lines = [f"ERROR {name}: no such mutant" for name in sorted(set(names) - {m.name for m in MUTANTS})]
+    for m in (*MUTANTS, *EQUIVALENT):
+        n = _count(m.path, m.snippet)
+        if n != 1:
+            lines.append(f"ERROR {m.name}: snippet occurs {n} times in {m.path}, not once")
+    print("".join(f"{line}\n" for line in lines), end="", flush=True)
+    bad = bool(lines)
+    for m in MUTANTS:
+        if names and m.name not in names or _count(m.path, m.snippet) != 1:
+            continue
+        status, detail, seconds = run(m)
+        bad = bad or status != "caught"
+        lines.append(f"{status} {m.name}: {detail} ({seconds:.1f} s)")
+        print(lines[-1], flush=True)
+    summary = os.environ.get("GITHUB_STEP_SUMMARY")
+    if summary:
+        equivalent = [f"equivalent {e.name} (not run): {e.reason}" for e in EQUIVALENT]
+        with open(summary, "a") as out:
+            out.write("Planted mutants:\n```\n" + "\n".join(lines + equivalent) + "\n```\n")
+    return 1 if bad else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

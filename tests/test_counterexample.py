@@ -30,7 +30,7 @@ from exactpoly.counterexample import (
 )
 from exactpoly.fileformats import write_hpoly, write_incidence, write_poly
 from exactpoly.geometry import OrthMap
-from exactpoly.linalg import identity, mat_mul, matrix_rank
+from exactpoly.linalg import matrix_rank
 from exactpoly.polytopes import (
     VPolytope,
     dual_graph,
@@ -42,6 +42,8 @@ from exactpoly.prismatoids import NotAPrismatoid, make_prismatoid, width
 from exactpoly.rationals import Rat, primitive_ints
 from helpers import (
     apply_ineq,
+    identity,
+    mat_mul,
     reference_close_group,
     relabeled,
     suspension_facet_map,

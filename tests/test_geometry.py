@@ -12,7 +12,7 @@ from exactpoly.geometry import (
     affine_rank,
 )
 from exactpoly.rationals import Rat, format_rat, parse_rat, primitive_ints
-from helpers import apply_ineq, hyperplane_through, mat_apply, slack
+from helpers import apply_ineq, hyperplane_through, mat_apply, reference_orth_map, slack
 
 
 def pt(*coords):
@@ -163,6 +163,56 @@ class TestOrthMap:
                 assert m.signed == tuple(zip(order, signs))
                 for p in pts:
                     assert m.apply_point(p) == mat_apply(m, p)
+
+    @staticmethod
+    def _outcome(make, rows):
+        """The map's rows, or the type and message of what `make` raised."""
+        try:
+            return make(rows).rows
+        except Exception as exc:  # the exception is the outcome compared
+            return type(exc), str(exc)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            ((1, 0), (1, 0)),
+            ((0, 1, 0), (1, 0, 0), (0, -1, 0)),
+            ((2, 0), (0, 1)),
+            ((0, 0, 1), (1, 0, 0), (0, -2, 0)),
+            ((1, 0), (0, 0)),
+            ((0, 0, 0), (0, 1, 0), (0, 0, -1)),
+            ((1, 0, 0), (0, 1, 0)),
+            ((1, 0), (0, 1, 0)),
+            ((1,), (0,)),
+            ((Rat(1), 0), (0, 1)),
+            ((0, Rat(-1)), (1, 0)),
+            ((1, 1), (1, -1)),
+        ],
+        ids=[
+            "repeated-column", "repeated-column-signed", "entry-2", "entry-minus-2",
+            "zero-row", "zero-first-row", "non-square", "ragged", "column",
+            "rat-one", "rat-minus-one", "scaled-orthogonal",
+        ],
+    )
+    def test_from_rows_refuses_as_the_matrix_product_does(self, rows):
+        # the same exception type and message as M M^T = I decides them
+        want = self._outcome(reference_orth_map, rows)
+        assert isinstance(want, tuple) and isinstance(want[0], type)
+        assert self._outcome(OrthMap.from_rows, rows) == want
+
+    def test_from_rows_accepts_every_signed_permutation(self):
+        for n in range(1, 5):
+            for order in itertools.permutations(range(n)):
+                for signs in itertools.product((1, -1), repeat=n):
+                    rows = tuple(tuple(s if j == c else 0 for j in range(n)) for c, s in zip(order, signs))
+                    assert self._outcome(OrthMap.from_rows, rows) == rows
+                    assert self._outcome(reference_orth_map, rows) == rows
+
+    @given(st.integers(1, 4).flatmap(
+        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+    ))
+    def test_from_rows_matches_the_matrix_product_on_integer_matrices(self, rows):
+        assert self._outcome(OrthMap.from_rows, rows) == self._outcome(reference_orth_map, rows)
 
     def test_rejects_a_map_that_is_no_signed_permutation(self):
         with pytest.raises(GeometryError, match="signed coordinate permutation"):

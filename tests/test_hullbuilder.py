@@ -752,6 +752,17 @@ def test_corrupted_fixed_builder_is_never_vouched_for(v, f, how):
             twin.hull()
 
 
+def test_fixed_builder_claiming_an_empty_slot_raises():
+    # an empty slot is packed as the zero vector, which every row holds
+    # tightly, so only the mask test sees a mask that claims the slot
+    for v in range(8):
+        for f in range(7):
+            _, fixed, _ = _cube_insertion(v)
+            fixed.masks[f] |= 1 << v
+            with pytest.raises(DegenerateInput, match="hull verification failed: incidence mismatch"):
+                fixed._verified_pairs()
+
+
 def test_rank_proofs_are_keyed_by_points_not_slots():
     # slot 8 above the top face makes y + z <= 2 a triangle facet through
     # slots 6, 7 and 8; at the midpoint of the edge from slot 6 to slot 7 the

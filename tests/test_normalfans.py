@@ -128,20 +128,24 @@ def flattened(poly):
     return VPolytope(tuple(dict.fromkeys((x, y, x - y) for x, y, _ in poly.vertices)))
 
 
-SHAPES = ("drawn", "scaled", "one flat", "both flat", "point", "segment", "flat segment")
+SHAPES = (
+    "drawn", "scaled", "one flat", "both flat", "point", "segment", "flat segment", "parallel segment"
+)
 
 
 @settings(max_examples=80, deadline=None)
 @given(summands(), summands(), SCALE, st.sampled_from(SHAPES))
-def test_minkowski_prefilter_keeps_the_unfiltered_sum(a, b, c, shape):
-    """Skipping the pairwise sums that cannot be vertices changes nothing:
-    the vertices, rows (equalities too), incidence, faces and provenance
-    equal those of the hull of every pairwise sum, for rational summands,
-    a scaled copy (every edge has a parallel partner), summands in a plane
-    (a full or a lower-dimensional sum), a one-point summand (the sum is a
-    translate; the Cayley polytope is a pyramid, one base no facet) and a
-    segment summand (a prism over the other, or a polygon when both lie in
-    a plane)."""
+def test_minkowski_sum_is_the_hull_of_every_pairwise_sum(a, b, c, shape):
+    """The vertices and their order, the rows (equalities too), the
+    incidence, the faces and the provenance equal those of the hull of
+    every pairwise sum: for rational summands; for summands with parallel
+    edges, where a_i + b_j lies strictly inside the segment from a_i + b_l
+    to a_k + b_j (a scaled copy, where every edge has a parallel partner,
+    two boxes, and a segment parallel to a_1 - a_0); for summands in a
+    plane (a full or a lower-dimensional sum); for a one-point summand (the
+    sum is a translate; the Cayley polytope is a pyramid, one base no
+    facet); and for a segment summand (a prism over the other, or a polygon
+    when both lie in a plane)."""
     if shape == "scaled":
         b = VPolytope(tuple(tuple(c * x for x in p) for p in a.vertices))
     elif shape in ("one flat", "both flat"):
@@ -149,6 +153,10 @@ def test_minkowski_prefilter_keeps_the_unfiltered_sum(a, b, c, shape):
         b = flattened(b) if shape == "both flat" else b
     elif shape == "point":
         b = VPolytope((tuple(c * x for x in b.vertices[0]),))
+    elif shape == "parallel segment":
+        a0, a1 = a.vertices[:2]
+        start = tuple(c * x for x in b.vertices[0])
+        b = VPolytope((start, tuple(s + c * (y - x) for s, x, y in zip(start, a0, a1))))
     else:
         a = flattened(a) if shape == "flat segment" else a
         b = VPolytope(tuple(tuple(c * x for x in p) for p in flattened(b).vertices[:2]))

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import HealthCheck, assume, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, example, given, settings, strategies as st
 
 from exactpoly import polytopes
 from exactpoly.constructions import strong_dstep_iterate
@@ -371,6 +371,7 @@ def polar_inputs(draw):
 class TestPolar:
     @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
     @given(polar_inputs())
+    @example([(0, 0), (2, 0), (0, 2), (2, 2), (1, 1), (1, 0)])  # a centre, an edge midpoint
     def test_polar_hull_by_duality_is_the_built_one(self, pts):
         # the hull `polar` derives from the input's and keeps, against the
         # double-description build over a fresh object with the same
