@@ -12,7 +12,6 @@ from .polytopes import (
     VPolytope,
     certify_vertices,
     dual_graph,
-    face_maximizing,
     facet_enumeration,
     polar,
     vertex_graph,
@@ -29,7 +28,6 @@ __all__ = [
     "affine_rank",
     "certify_vertices",
     "dual_graph",
-    "face_maximizing",
     "facet_enumeration",
     "format_rat",
     "is_spindle",

@@ -393,19 +393,12 @@ class BlendGraph:
         return self.graph.diameter()
 
 
-def blend_graph(
-    p1: VPolytope,
-    v1: int,
-    p2: VPolytope,
-    v2: int,
-    facet_matching=None,
-) -> BlendGraph:
+def blend_graph(p1: VPolytope, v1: int, p2: VPolytope, v2: int) -> BlendGraph:
     """Glue the vertex graphs at v1/v2: drop both vertices and join each
     neighbor of v1 to the neighbor of v2 leaving the matched facet.
 
-    facet_matching maps each facet through v1 to a facet through v2
-    (default: pair both sorted facet-index lists).  The diameter is
-    measured, never assumed.
+    The facets through v1 are matched to those through v2 in sorted order
+    of their indices.  The diameter is measured, never assumed.
     """
     for poly, v in ((p1, v1), (p2, v2)):
         if not 0 <= v < poly.n_vertices:
@@ -418,12 +411,7 @@ def blend_graph(
     for poly, hull in ((p1, hull1), (p2, hull2)):
         if not all(m.bit_count() == d for m in hull.incidence.vertex_masks):
             raise DegenerateInput("blend requires simple polytopes")
-    f1 = hull1.incidence.facets_of(v1)
-    f2 = hull2.incidence.facets_of(v2)
-    if facet_matching is None:
-        facet_matching = dict(zip(sorted(f1), sorted(f2)))
-    if sorted(facet_matching) != sorted(f1) or sorted(facet_matching.values()) != sorted(f2):
-        raise ValueError("facet_matching must biject the facets at v1 onto those at v2")
+    matched = dict(zip(sorted(hull1.incidence.facets_of(v1)), sorted(hull2.incidence.facets_of(v2))))
 
     g1 = vertex_graph(p1, hull1)
     g2 = vertex_graph(p2, hull2)
@@ -445,7 +433,7 @@ def blend_graph(
     by_facet2 = {leaving_facet(hull2, v2, n): n for n in g2.adj[v2]}
     for nbr in g1.adj[v1]:
         f = leaving_facet(hull1, v1, nbr)
-        edges.append((id1[nbr], id2[by_facet2[facet_matching[f]]]))
+        edges.append((id1[nbr], id2[by_facet2[matched[f]]]))
 
     n1 = hull1.incidence.n_facets
     n2 = hull2.incidence.n_facets

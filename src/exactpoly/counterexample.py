@@ -406,10 +406,10 @@ def orbit_adjacency_graph(graph: Graph, orbits):
 
 class Certificate:
     """The artifacts the verification sections share, each derived once on
-    first use: from `vertices48()`, or from `poly` (for mutation tests)."""
+    first use from `poly`: `vertices48()`, or a mutant of it in the tests."""
 
-    def __init__(self, poly: Optional[VPolytope] = None):
-        self.poly = vertices48() if poly is None else poly
+    def __init__(self, poly: VPolytope):
+        self.poly = poly
 
     @cached_property
     def expected(self) -> dict:
@@ -482,8 +482,8 @@ class Certificate:
     @cached_property
     def base_sum(self):
         """The Minkowski sum of the bases, read off the prismatoid's
-        verified hull: q48 is their Cayley polytope at heights 1 and -1."""
-        return minkowski_sum_from_cayley(self.qplus, self.qminus, self.pr.polytope, (1, -1))
+        verified hull: q48 is their Cayley polytope, at heights 1 and -1."""
+        return minkowski_sum_from_cayley(self.qplus, self.qminus, self.pr.polytope)
 
 
 def check_facet_census(ctx: Certificate) -> Report:
@@ -503,23 +503,19 @@ def check_representative_facets(ctx: Certificate) -> Report:
     """Tight vertex sets of the five representative facets, their ranks, and
     the facet shapes (three simplices, one 6-vertex, one 7-vertex facet)."""
     rep = Report("representative facets")
-    poly, hull, by_label = ctx.poly, ctx.hull, ctx.by_label
-    lbl_of_vertex = poly.labels
+    poly, by_label = ctx.poly, ctx.by_label
+    rows, masks = ctx.hull.hrep.inequalities, ctx.hull.incidence.facet_masks
     for name, (tight_labels, row) in REPRESENTATIVE_FACETS.items():
         f = by_label[name]
-        rep.add(f"{name} inequality", hull.hrep.inequalities[f] == row, str(row))
-        got = tuple(sorted(lbl_of_vertex[v] for v in iter_bits(hull.incidence.facet_masks[f])))
-        want = tuple(sorted(tight_labels))
-        rep.add(f"{name} tight set", got == want, " ".join(got))
-        pts = [poly.vertices[v] for v in iter_bits(hull.incidence.facet_masks[f])]
-        rep.add(f"{name} affine rank", affine_rank(pts) == 4, str(affine_rank(pts)))
-    for name, count in (("B++++", 7), ("C++++", 6), ("D++++", 5), ("E++++", 5), ("F++++", 5)):
-        f = by_label[name]
-        rep.add(
-            f"{name} vertex count",
-            hull.incidence.facet_masks[f].bit_count() == count,
-            str(count),
-        )
+        rep.add(f"{name} inequality", rows[f] == row, str(row))
+        tight = list(iter_bits(masks[f]))
+        got = tuple(sorted(poly.labels[v] for v in tight))
+        rep.add(f"{name} tight set", got == tuple(sorted(tight_labels)), " ".join(got))
+        rank = affine_rank([poly.vertices[v] for v in tight])
+        rep.add(f"{name} affine rank", rank == 4, str(rank))
+    for name, (tight_labels, _) in REPRESENTATIVE_FACETS.items():
+        count = len(tight_labels)
+        rep.add(f"{name} vertex count", masks[by_label[name]].bit_count() == count, str(count))
     return rep
 
 
@@ -626,9 +622,8 @@ def check_orbit_quotient(ctx: Certificate) -> Report:
     rep = Report("orbit quotient")
     labels, by_label = ctx.labels, ctx.by_label
     q, which = orbit_adjacency_graph(ctx.graph, ctx.orbits_plus)
-    a_node = which[by_label["A"]]
-    l_node = which[by_label["L"]]
-    rep.add("quotient distance A to L", q.distance(a_node, l_node) == 6, str(q.distance(a_node, l_node)))
+    dist = q.distance(which[by_label["A"]], which[by_label["L"]])
+    rep.add("quotient distance A to L", dist == 6, str(dist))
     # bi-dimension bands per letter
     bad = [
         f"{labels[f]}:{dims}"
@@ -780,11 +775,11 @@ def check_minkowski_section(ctx: Certificate) -> Report:
     return rep
 
 
-def _run_sections(title: str, ctx: Certificate, sections) -> Report:
+def _run_sections(ctx: Certificate, sections) -> Report:
     """Run the sections in order. A section that raises becomes one FAIL line
     and the rest still run, except that a failed census ends the run: every
     later section assumes the 322 labelled facets."""
-    rep = Report(title)
+    rep = Report("width-6 prismatoid")
     for section in sections:
         try:
             rep.merge(section(ctx))
@@ -811,5 +806,5 @@ def verify_counterexample(full: bool) -> Report:
     ]
     if full:
         sections += [check_base_structure, check_minkowski_section]
-    return _run_sections("width-6 prismatoid", Certificate(), sections)
+    return _run_sections(Certificate(vertices48()), sections)
 

@@ -25,9 +25,8 @@ def _reader(text):
     return [ln for ln in lines if ln and not ln.startswith("#")]
 
 
-def _expect(line, keyword, least=0):
-    """The integer value of the header line '<keyword> <value>', at least
-    `least`."""
+def _expect(line, keyword):
+    """The integer value, at least 1, of the header line '<keyword> <value>'."""
     parts = line.split()
     if len(parts) != 2 or parts[0] != keyword:
         raise FormatError(f"expected '{keyword} <value>', got {line!r}")
@@ -35,8 +34,8 @@ def _expect(line, keyword, least=0):
         value = int(parts[1])
     except ValueError as exc:
         raise FormatError(f"bad integer in {line!r}") from exc
-    if value < least:
-        raise FormatError(f"{keyword} must be at least {least}, got {value}")
+    if value < 1:
+        raise FormatError(f"{keyword} must be at least 1, got {value}")
     return value
 
 
@@ -63,8 +62,8 @@ def read_poly(text: str) -> VPolytope:
         raise FormatError("missing POLY 1 header")
     if len(lines) < 3:
         raise FormatError("truncated header")
-    d = _expect(lines[1], "dim", 1)
-    n = _expect(lines[2], "vertices", 1)
+    d = _expect(lines[1], "dim")
+    n = _expect(lines[2], "vertices")
     if len(lines) < 3 + n:
         raise FormatError("truncated vertex block")
     verts = []

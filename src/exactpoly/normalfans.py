@@ -9,21 +9,20 @@ the direction over the polytope, so no spherical geometry is ever needed.
 One routine, `polytopes.maximizers`, finds an owner.
 
 A Minkowski sum A + B is read off its summands' Cayley polytope
-C = conv(A x {h_a} u B x {h_b}), h_a != h_b, whose slice halfway between
-the heights is (A + B)/2 (the "Cayley trick" of Huber, Rambau & Santos
-2000).  Every facet of C but the two bases (the rows with a zero x-part)
-meets both ends, so a row (alpha, c, beta) of C, tight on the face F+ of
-A at height h_a and on F- of B at height h_b, is the sum's facet
-alpha . x <= 2 beta - c (h_a + h_b), tight exactly at the sums of F+ and
-F-.  One derivation, `_sum_from_cayley`, turns a verified hull of C into
-the sum, and has two callers.  `minkowski_sum` builds C at heights 0 and
-1: one double-description build of |A| + |B| points one dimension up, not
-one of the |A| |B| pairwise sums.  `minkowski_sum_from_cayley` reads the
-hull a polytope already keeps, after checking by value that its points
-are those of C at the given heights, in order: the paper's prismatoid is
-C of its bases at heights 1 and -1, so full verification reads the sum
-off the prismatoid's own hull.  Each facet's decomposition is the two
-halves of its mask of C, and each distinct face is ranked once, on
+C = conv(A x {1} u B x {-1}), whose slice at height 0 is (A + B)/2 (the
+"Cayley trick" of Huber, Rambau & Santos 2000).  Every facet of C but the
+two bases (the rows with a zero x-part) meets both ends, so a row
+(alpha, c, beta) of C, tight on the face F+ of A at height 1 and on F- of
+B at height -1, is the sum's facet alpha . x <= 2 beta, tight exactly at
+the sums of F+ and F-.  One derivation, `_sum_from_cayley`, turns a
+verified hull of C into the sum, and has two callers.  `minkowski_sum`
+builds C: one double-description build of |A| + |B| points one dimension
+up, not one of the |A| |B| pairwise sums.  `minkowski_sum_from_cayley`
+reads the hull a polytope already keeps, after checking by value that its
+points are those of C, in order: the paper's prismatoid puts its bases at
+x5 = 1 and x5 = -1, so it is C of its bases, and full verification reads
+the sum off the prismatoid's own hull.  Each facet's decomposition is the
+two halves of its mask of C, and each distinct face is ranked once, on
 integer copies (faces do not change under positive scaling).  The
 candidate sums are all |A| |B| pairwise sums, formed in integers, the
 summands scaled by one common denominator, and only the vertices become
@@ -33,7 +32,8 @@ vertex, but dropping such sums changes no output and saves no time, since
 no hull is built on the candidates; each costs only its digit in the
 packed verification against the rows derived from C.  A sum of lower
 dimension takes the same path on the coordinates of its
-`polytopes.affine_chart`.  The derived rows pass the full
+`polytopes.affine_chart`, whose equality rows, found on the scaled sums,
+are rescaled to the sum.  The derived rows pass the full
 `polytopes._verify` against every pairwise sum, and again against the
 vertices, whose polytope keeps the hull.
 The torus angles are floating point and feed the SVG plots only.
@@ -147,25 +147,24 @@ def _candidates(a: VPolytope, b: VPolytope) -> _Candidates:
     for i, p in enumerate(summands[0]):
         for j, q in enumerate(summands[1]):
             sums.setdefault(tuple(map(add, p, q)), []).append((i, j))
-    points = tuple(sums)
-    basis, _, chart = affine_chart(points)
-    if chart.equalities:  # those of the scaled sums: take them at scale 1
-        chart = affine_chart([tuple(Rat(v, scale) for v in points[i]) for i in basis])[2]
-    return _Candidates(sums, scale, summands, chart)
+    chart = affine_chart(tuple(sums))[2]
+    # a . s = c on the scaled sums s is (scale a) . (s / scale) = c on the
+    # sums; a positive factor keeps each row's sign
+    equalities = sorted(primitive(tuple(scale * v for v in r[:-1]) + r[-1:]) for r in chart.equalities)
+    return _Candidates(sums, scale, summands, chart._replace(equalities=tuple(equalities)))
 
 
-def _cayley_points(a: VPolytope, b: VPolytope, chart: Chart, heights) -> tuple:
+def _cayley_points(a: VPolytope, b: VPolytope, chart: Chart) -> tuple:
     """The points of the summands' Cayley polytope on the chart: those of
-    `a` at the first of `heights`, then those of `b` at the second."""
-    h_a, h_b = heights
-    return tuple(chart.project(p) + (h_a,) for p in a.vertices) + tuple(
-        chart.project(q) + (h_b,) for q in b.vertices
+    `a` at height 1, then those of `b` at height -1."""
+    return tuple(chart.project(p) + (1,) for p in a.vertices) + tuple(
+        chart.project(q) + (-1,) for q in b.vertices
     )
 
 
-def _sum_from_cayley(a: VPolytope, b: VPolytope, cand: _Candidates, cayley: Hull, heights) -> MinkowskiSum:
+def _sum_from_cayley(a: VPolytope, b: VPolytope, cand: _Candidates, cayley: Hull) -> MinkowskiSum:
     """The sum of `a` and `b`, read off `cayley`, the verified hull of
-    `_cayley_points(a, b, cand.chart, heights)`; see the module docstring."""
+    `_cayley_points(a, b, cand.chart)`; see the module docstring."""
     sums, scale, summands, chart = cand
     points = tuple(sums)
     k, n = len(chart.cols), a.n_vertices
@@ -178,10 +177,6 @@ def _sum_from_cayley(a: VPolytope, b: VPolytope, cand: _Candidates, cayley: Hull
     for c, ((i, j), *_) in enumerate(sums.values()):
         on_a[i] |= 1 << c
         on_b[j] |= 1 << c
-    # a row's offset 2 beta - c (h_a + h_b), with the x-part, times the
-    # denominator of h_a + h_b: heights may be rational
-    height = sum(heights)
-    num, den = height.numerator, height.denominator
     derived = []
     for row, mask in zip(cayley.hrep.inequalities, cayley.incidence.facet_masks):
         if any(row[:k]):  # the bases have a zero x-part
@@ -190,8 +185,7 @@ def _sum_from_cayley(a: VPolytope, b: VPolytope, cand: _Candidates, cayley: Hull
                 tight_a |= on_a[i]
             for j in iter_bits(mask >> n):
                 tight_b |= on_b[j]
-            h = tuple(den * x for x in row[:k]) + (den * 2 * row[-1] - num * row[k],)
-            derived.append((primitive(h), tight_a & tight_b, mask))
+            derived.append((primitive(row[:k] + (2 * row[-1],)), tight_a & tight_b, mask))
     derived.sort()
     pairs = [(h, m) for h, m, _ in derived]
     hull_all = chart.hull(vectors, pairs)
@@ -225,24 +219,23 @@ def _sum_from_cayley(a: VPolytope, b: VPolytope, cand: _Candidates, cayley: Hull
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     """Hull of the pairwise vertex sums, derived from the hull of the
-    summands' Cayley polytope at heights 0 and 1 and annotated facet by
-    facet with the decomposition F = F+ + F-; see the module docstring."""
+    summands' Cayley polytope and annotated facet by facet with the
+    decomposition F = F+ + F-; see the module docstring."""
     cand = _candidates(a, b)
-    cayley = VPolytope(_cayley_points(a, b, cand.chart, (0, 1)))
-    return _sum_from_cayley(a, b, cand, facet_enumeration(cayley), (0, 1))
+    cayley = VPolytope(_cayley_points(a, b, cand.chart))
+    return _sum_from_cayley(a, b, cand, facet_enumeration(cayley))
 
 
-def minkowski_sum_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope, heights) -> MinkowskiSum:
+def minkowski_sum_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope) -> MinkowskiSum:
     """`minkowski_sum(a, b)`, read off the hull `facet_enumeration` keeps
-    on `cayley`, the Cayley polytope of `a` and `b` at the two distinct
-    `heights`: its points must be those of `a` on the chart of the sum's
-    affine hull at the first height, then those of `b` at the second, in
-    order.  Raises DegenerateInput when they are not, so no other
-    polytope's hull is read as a sum."""
+    on `cayley`, the Cayley polytope of `a` and `b`: its points must be
+    those of `a` on the chart of the sum's affine hull at height 1, then
+    those of `b` at height -1, in order.  Raises DegenerateInput when they
+    are not, so no other polytope's hull is read as a sum."""
     cand = _candidates(a, b)
-    if heights[0] == heights[1] or cayley.vertices != _cayley_points(a, b, cand.chart, heights):
-        raise DegenerateInput("not the Cayley polytope of the summands at these heights")
-    return _sum_from_cayley(a, b, cand, facet_enumeration(cayley), heights)
+    if cayley.vertices != _cayley_points(a, b, cand.chart):
+        raise DegenerateInput("not the Cayley polytope of the summands")
+    return _sum_from_cayley(a, b, cand, facet_enumeration(cayley))
 
 
 # ---------------------------------------------------------------------------
@@ -335,25 +328,13 @@ def normal_map_interiority_check(
     qplus, qminus = (VPolytope(tuple(integer_points(q.vertices)[0])) for q in (qplus, qminus))
     normals_p = facet_normals(hull_plus)
     normals_m = facet_normals(hull_minus)
-    plus_orbit = set(plus_orbit)
-    minus_orbit = set(minus_orbit)
-
-    owners_of_minus = {}
-    ok1 = True
-    for f, w in enumerate(normals_m):
-        o = interior_owner(qplus, w)
-        owners_of_minus[f] = o
-        if o is None or o not in plus_orbit:
-            ok1 = False
+    # the owner of each facet normal of one base in the other; None, no
+    # owner, lies in no orbit
+    owners_of_minus = [interior_owner(qplus, w) for w in normals_m]
+    ok1 = set(owners_of_minus) <= set(plus_orbit)
     rep.add("facet normals of Q- interior to orbit cones of Q+", ok1, f"{len(normals_m)} normals")
-
-    owners_of_plus = {}
-    ok2 = True
-    for f, v in enumerate(normals_p):
-        o = interior_owner(qminus, v)
-        owners_of_plus[f] = o
-        if o is None or o not in minus_orbit:
-            ok2 = False
+    owners_of_plus = [interior_owner(qminus, v) for v in normals_p]
+    ok2 = set(owners_of_plus) <= set(minus_orbit)
     rep.add("facet normals of Q+ interior to orbit cones of Q-", ok2, f"{len(normals_p)} normals")
 
     ok3 = True

@@ -89,7 +89,6 @@ from typing import NamedTuple, Optional
 from .geometry import (
     DegenerateInput,
     DimensionMismatch,
-    affine_rank,
     check_same_dim,
     dot,
     integer_points,
@@ -874,9 +873,3 @@ def maximizers(points, direction) -> tuple:
     values = [dot(direction, p) for p in points]
     best = max(values)
     return tuple(i for i, v in enumerate(values) if v == best)
-
-
-def face_maximizing(poly: VPolytope, direction) -> Face:
-    """The face on which `direction` attains its maximum over the polytope."""
-    idx = maximizers(poly.vertices, direction)
-    return Face(idx, affine_rank([poly.vertices[i] for i in idx]))

@@ -1,6 +1,6 @@
 import pytest
 
-from exactpoly.counterexample import Certificate
+from exactpoly.counterexample import Certificate, vertices48
 from exactpoly.polytopes import HullBuilder
 
 
@@ -22,7 +22,7 @@ def hull_builds(monkeypatch):
 
 @pytest.fixture(scope="session")
 def certificate():
-    return Certificate()
+    return Certificate(vertices48())
 
 
 @pytest.fixture(scope="session")

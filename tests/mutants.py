@@ -113,6 +113,26 @@ MUTANTS = (
         "if tight != fmask | empty:",
         ("tests/test_hullbuilder.py::test_fixed_builder_claiming_an_empty_slot_raises",),
     ),
+    Mutant(
+        "cayley-row-offset-not-doubled",
+        "normalfans.py",
+        "primitive(row[:k] + (2 * row[-1],))",
+        "primitive(row[:k] + (row[-1],))",
+        (
+            "tests/test_normalfans.py::TestMinkowskiSum::test_sum_hull_is_kept_on_its_polytope",
+            "tests/test_normalfans.py::test_minkowski_sum_is_the_hull_of_every_pairwise_sum",
+        ),
+    ),
+    Mutant(
+        "cayley-row-tight-at-either-summand",
+        "normalfans.py",
+        "tight_a & tight_b",
+        "tight_a | tight_b",
+        (
+            "tests/test_normalfans.py::TestMinkowskiSum::test_sum_hull_is_kept_on_its_polytope",
+            "tests/test_normalfans.py::test_minkowski_sum_is_the_hull_of_every_pairwise_sum",
+        ),
+    ),
 )
 
 

@@ -13,9 +13,6 @@ ROOT = Path(__file__).resolve().parent.parent
 
 DEFAULTED = [
     "cli.main:argv",
-    "constructions.blend_graph:facet_matching",
-    "counterexample.__init__:poly",
-    "fileformats._expect:least",
     "polytopes.certify_vertices:hull",
     "prismatoids.make_prismatoid:bases",
 ]

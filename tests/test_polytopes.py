@@ -14,7 +14,6 @@ from exactpoly.polytopes import (
     certify_vertices,
     dual_graph,
     extreme_indices,
-    face_maximizing,
     facet_enumeration,
     iter_bits,
     polar,
@@ -26,6 +25,7 @@ from exactpoly.rationals import Rat, clear_denominators, common_denominator
 from helpers import (
     centroid,
     check_hull_against_oracle,
+    face_maximizing,
     incidence_matrix,
     is_connected,
     random_polytope,
