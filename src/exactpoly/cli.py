@@ -130,18 +130,16 @@ def _cmd_plot_torus(args) -> int:
         raise CliError(f"--svg-size must be positive, not {args.svg_size}", 2)
     layers = []
     data_lines = []
-    if args.maps in ("plus", "both"):
-        qp = counterexample.base_plus()
-        hp = facet_enumeration(qp)
-        gp = dual_graph(qp, hp)
-        layers.append((normalfans.facet_normals(hp), gp.edges, "#222222"))
-        data_lines += normalfans.torus_plot_data(hp, gp, "p")
-    if args.maps in ("minus", "both"):
-        qm = counterexample.base_minus()
-        hm = facet_enumeration(qm)
-        gm = dual_graph(qm, hm)
-        layers.append((normalfans.facet_normals(hm), gm.edges, "#999999"))
-        data_lines += normalfans.torus_plot_data(hm, gm, "m")
+    for maps, base, colour, prefix in (
+        ("plus", counterexample.base_plus, "#222222", "p"),
+        ("minus", counterexample.base_minus, "#999999", "m"),
+    ):
+        if args.maps in (maps, "both"):
+            poly = base()
+            hull = facet_enumeration(poly)
+            graph = dual_graph(poly, hull)
+            layers.append((normalfans.facet_normals(hull), graph.edges, colour))
+            data_lines += normalfans.torus_plot_data(hull, graph, prefix)
     _emit(torus_svg(layers, args.svg_size), args.out)
     if args.data:
         _emit("\n".join(data_lines) + "\n", args.data)

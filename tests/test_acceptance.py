@@ -2,7 +2,6 @@
 
 Run with `pytest tests/test_acceptance.py -v` (add -s to stream the lines).
 """
-import hashlib
 import random
 
 from exactpoly.constructions import blend_graph, family_parameters, hirsch_excess, strong_dstep_iterate
@@ -31,6 +30,7 @@ from helpers import (
     random_polytope,
     random_prismatoid,
 )
+from northstar import STEP2_POLY, sha256
 
 from exactpoly.geometry import affine_rank, vsub
 
@@ -85,9 +85,8 @@ def test_07_minkowski_and_pair_dstep(certificate):
     _announce(7, "sum has 320 facets, dual identity, no pair d-step, interiority")
 
 
-# the STEP lines and the sha256 of the final POLY text of
-# strong_dstep_iterate(q48_pr, max_steps=2, seed=0), computed before the ridge
-# and adjacency tests took their candidates from the incidence; q48_pr has
+# the STEP lines of strong_dstep_iterate(q48_pr, max_steps=2, seed=0), whose
+# final POLY text is pinned as STEP2_POLY in tests/northstar.py; q48_pr has
 # its bases given as facets A and L, and `exactpoly construct dstep-iterate`,
 # which finds them itself, reaches another final polytope (1555 facets)
 Q48_STEP_LINES = (
@@ -95,7 +94,6 @@ Q48_STEP_LINES = (
     "STEP 1 dim=6 vertices=49 facets=703 width=7",
     "STEP 2 dim=7 vertices=50 facets=1545 width=8",
 )
-Q48_STEP2_POLY_SHA256 = "e62f23e7669de94e293711d546c279c15c5909d6f813e89ad3557b872b1adec0"
 
 
 def test_08_strong_dstep_iterations(q48_pr):
@@ -105,7 +103,7 @@ def test_08_strong_dstep_iterations(q48_pr):
         print(line)
     assert lines == Q48_STEP_LINES
     text = write_poly(final.polytope)
-    assert hashlib.sha256(text.encode()).hexdigest() == Q48_STEP2_POLY_SHA256
+    assert sha256(text.encode()) == STEP2_POLY
     _announce(8, "two iterations: (6, 49, 7) then (7, 50, 8), final polytope pinned")
 
 

@@ -1,5 +1,4 @@
 import contextlib
-import hashlib
 import io
 import math
 import os
@@ -20,6 +19,7 @@ from exactpoly.linalg import matrix_rank
 from exactpoly.polytopes import VPolytope, facet_enumeration
 from exactpoly.rationals import Rat, format_rat
 from helpers import read_hpoly
+from northstar import PINS, sha256
 
 
 def pt(*coords):
@@ -259,10 +259,6 @@ class TestCommands:
         pol = read_poly(out.read_text())
         assert pol.n_vertices == 6
 
-    # sha256 of the POLY text of `polar q48.poly`, computed while the
-    # command still built the hull twice
-    Q48_POLAR_SHA256 = "9de216e22f13b5c6aa2bab55d848a53e2ba455356a8bc5ef1fb5cd04f994d9d5"
-
     def test_polar_of_q48_builds_one_hull(self, tmp_path, capsys, hull_builds):
         # the input's hull, read back by `certify_vertices` and `polar`; the
         # polar's hull is derived, not built
@@ -270,7 +266,7 @@ class TestCommands:
         assert main(["builtin", "--out", str(src)]) == 0
         assert main(["polar", str(src)]) == 0
         assert hull_builds == [48]
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.Q48_POLAR_SHA256
+        assert sha256(capsys.readouterr().out.encode()) == PINS["polar-q48"].stdout
 
     def test_polar_of_q48_finds_the_smallest_faces_once(self, tmp_path, capsys, monkeypatch):
         # `certify_vertices` and the polar's `extreme_indices` read the
@@ -287,7 +283,7 @@ class TestCommands:
         monkeypatch.setattr(polytopes, "_smallest_faces", counting)
         assert main(["polar", str(src)]) == 0
         assert len(calls) == 1 and calls[0].n_vertices == 48
-        assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == self.Q48_POLAR_SHA256
+        assert sha256(capsys.readouterr().out.encode()) == PINS["polar-q48"].stdout
 
     def test_construct_ops(self, tmp_path, capsys):
         src = tmp_path / "pent.poly"
@@ -356,26 +352,6 @@ class TestCommands:
         lifted = read_poly(out.read_text())
         assert lifted.n_vertices == 10
 
-    # sha256 of stdout and of the written POLY text of `construct
-    # dstep-iterate q48.poly --steps 2 --seed 0`, which finds the bases
-    # itself and so reaches another dim-7 polytope (1555 facets) than
-    # test_08's strong_dstep_iterate with the bases given (1545 facets)
-    Q48_DSTEP_STDOUT_SHA256 = "893b1174c09a35fc4962fcaa5af82deea7719f41cb857ee3585982a2d5ee2098"
-    Q48_DSTEP_POLY_SHA256 = "2c7b75aaa2dbc228678d4e7293f9d402af45b8e3bc1179849107a591e07fca37"
-
-    def test_construct_dstep_iterate_q48_pinned(self, tmp_path, capsys):
-        src = tmp_path / "q48.poly"
-        out = tmp_path / "lifted.poly"
-        assert main(["builtin", "--out", str(src)]) == 0
-        capsys.readouterr()
-        rc = main(["construct", "dstep-iterate", str(src), "--steps", "2", "--seed", "0",
-                   "--out", str(out)])
-        assert rc == 0
-        stdout = capsys.readouterr().out
-        assert stdout.splitlines()[-1] == "STEP 2 dim=7 vertices=50 facets=1555 width=8"
-        assert hashlib.sha256(stdout.encode()).hexdigest() == self.Q48_DSTEP_STDOUT_SHA256
-        assert hashlib.sha256(out.read_bytes()).hexdigest() == self.Q48_DSTEP_POLY_SHA256
-
     def test_plot_torus(self, tmp_path):
         out = tmp_path / "maps.svg"
         assert main(["plot-torus", "--out", str(out), "--svg-size", "400"]) == 0
@@ -400,19 +376,6 @@ class TestCommands:
 
 
 class TestVerifyReport:
-    # sha256 of stdout, recorded while every section still built its own
-    # groups, orbits and base hulls: sharing them must not change the report
-    DIGESTS = {
-        "verify": "6a0a1be501586a10bc3ab255db21d84b8e6222c201587fc95c6da2983564710d",
-        "verify --fast": "a65a29ca2c9ef8c9c5df17c935d38c48615ba4068e0d292ed4e9cee178d6fd32",
-    }
-
-    @pytest.mark.parametrize("command", sorted(DIGESTS))
-    def test_stdout_digest(self, capsys, command):
-        assert main(command.split()) == 0
-        out = capsys.readouterr().out
-        assert hashlib.sha256(out.encode()).hexdigest() == self.DIGESTS[command]
-
     def test_raising_section_becomes_fail_line(self, capsys, monkeypatch):
         assert main(["verify", "--fast"]) == 0
         clean = capsys.readouterr().out.splitlines()

@@ -1,4 +1,3 @@
-import hashlib
 import itertools
 import random
 
@@ -28,14 +27,13 @@ from exactpoly.counterexample import (
     verify_counterexample,
     vertices48,
 )
-from exactpoly.fileformats import write_hpoly, write_incidence, write_poly
+from exactpoly.fileformats import write_hpoly, write_incidence
 from exactpoly.geometry import OrthMap
 from exactpoly.linalg import matrix_rank
 from exactpoly.polytopes import (
     VPolytope,
     dual_graph,
     facet_enumeration,
-    polar,
     vertex_graph,
 )
 from exactpoly.prismatoids import NotAPrismatoid, make_prismatoid, width
@@ -49,6 +47,7 @@ from helpers import (
     suspension_facet_map,
     verify_quick,
 )
+from northstar import HULL_TEXT, sha256
 
 
 def assert_report(rep):
@@ -119,22 +118,12 @@ class TestCensus:
 
 
 class TestByteIdentity:
-    """sha256 digests of the q48 artifacts, recorded when elimination still
-    ran over Fraction: the integer core must reproduce them byte for byte."""
-
-    HULL_TEXT = "723d730b3c71b042281d78384f0b8818891b0b2cddccea4008d937240313ece1"
-    POLAR_POLY = "9de216e22f13b5c6aa2bab55d848a53e2ba455356a8bc5ef1fb5cd04f994d9d5"
-
-    @staticmethod
-    def digest(text):
-        return hashlib.sha256(text.encode()).hexdigest()
+    """The q48 hull text, pinned in tests/northstar.py: the integer core
+    must reproduce it byte for byte."""
 
     def test_hull_and_incidence_text(self, q48_hull):
         text = write_hpoly(q48_hull.hrep) + write_incidence(q48_hull)
-        assert self.digest(text) == self.HULL_TEXT
-
-    def test_polar_poly_text(self, q48):
-        assert self.digest(write_poly(polar(q48))) == self.POLAR_POLY
+        assert sha256(text.encode()) == HULL_TEXT
 
 
 def test_verify_builds_its_own_q48_hull_once(hull_builds):

@@ -8,7 +8,6 @@ q48 prismatoid embedded in 6-space, pin the HPOLY and INC text, so the way
 the hull charts the affine hull may change only if the output stays
 byte-identical.
 """
-import hashlib
 import random
 from fractions import Fraction
 
@@ -20,6 +19,7 @@ from exactpoly.geometry import affine_rank
 from exactpoly.linalg import matrix_rank
 from exactpoly.polytopes import VPolytope, facet_enumeration, iter_bits
 from helpers import slack
+from northstar import EMBEDDED_CORPUS, EMBEDDED_Q48, sha256
 
 
 def embed(points, matrix, shift):
@@ -111,23 +111,12 @@ def embedded_corpus(seed, count):
     return corpus
 
 
-# sha256 of the text below over the corpus, recorded when the hull charted
-# the affine hull by solving for coordinates in a basis of its directions
-CORPUS_DIGEST = "aebb11666bdf92fa24aa99594a8e5ea7d6ceeaf80e5cb0d0c329f64a72d848ba"
-
-
 def test_embedded_corpus_output_is_pinned():
     text = []
     for points in embedded_corpus(seed=6, count=320):
         hull = facet_enumeration(VPolytope(tuple(points)))
         text.append(f"dim {hull.dim}\n{write_hpoly(hull.hrep)}{write_incidence(hull)}")
-    assert hashlib.sha256("".join(text).encode()).hexdigest() == CORPUS_DIGEST
-
-
-# sha256 of the HPOLY and INC text of q48 under x -> (x1, x2, x1 + x3/2 - 3,
-# x3, x4, x5), recorded when the projection's columns and the equalities came
-# from a Bareiss elimination
-EMBEDDED_Q48_DIGEST = "5230f7e4550b754f412bc45b6d564eb6bf5c505e1ae0c212c6ec26951afa489e"
+    assert sha256("".join(text).encode()) == EMBEDDED_CORPUS
 
 
 def test_embedded_q48_output_is_pinned():
@@ -142,4 +131,4 @@ def test_embedded_q48_output_is_pinned():
     assert (hull.dim, hull.incidence.n_facets) == (5, 322)
     assert hull.hrep.equalities == ((2, 0, -2, 1, 0, 0, 6),)
     text = write_hpoly(hull.hrep) + write_incidence(hull)
-    assert hashlib.sha256(text.encode()).hexdigest() == EMBEDDED_Q48_DIGEST
+    assert sha256(text.encode()) == EMBEDDED_Q48
