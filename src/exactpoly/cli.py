@@ -1,15 +1,17 @@
 """Command-line surface.
 
-Exit codes: 0 success, 1 verification failure, 2 parse/usage error,
-3 infeasible operation (degenerate geometry, a listed point that is not a
-vertex, no prismatoid structure, a failed construction).  `main` maps these
-errors to their codes in one table, `_EXIT_CODES`, so no input ends in a
-traceback for them.  All numeric output is exact rational text; identical
+Exit codes: 0 success, 1 verification failure, 2 parse/usage error or a
+stdout that cannot be written (its reader closed it), 3 infeasible
+operation (degenerate geometry, a listed point that is not a vertex, no
+prismatoid structure, a failed construction).  `main` maps these errors to
+their codes in one table, `_EXIT_CODES`, so no input ends in a traceback
+for them.  All numeric output is exact rational text; identical
 invocations (same inputs, same seed) produce byte-identical output.
 """
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 
 from . import counterexample, normalfans
@@ -40,10 +42,9 @@ from .prismatoids import NotAPrismatoid, make_prismatoid, width
 from .rationals import format_rat
 
 
-class CliError(Exception):
-    def __init__(self, message, code):
-        super().__init__(message)
-        self.code = code
+class CliError(ValueError):
+    """A usage error the parser cannot see, or a file that cannot be read or
+    written."""
 
 
 def _load(path: str) -> VPolytope:
@@ -51,7 +52,7 @@ def _load(path: str) -> VPolytope:
         with open(path, "r", encoding="utf-8") as fh:
             return read_poly(fh.read())
     except (OSError, ValueError) as exc:  # FormatError, or a file that is not UTF-8
-        raise CliError(f"cannot read {path}: {exc}", 2)
+        raise CliError(f"cannot read {path}: {exc}")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -60,7 +61,7 @@ def _emit(text: str, out: str | None) -> None:
             with open(out, "w", encoding="utf-8") as fh:
                 fh.write(text)
         except OSError as exc:  # a missing directory, a directory, no permission
-            raise CliError(f"cannot write {out}: {exc}", 2)
+            raise CliError(f"cannot write {out}: {exc}")
     else:
         sys.stdout.write(text)
 
@@ -127,7 +128,7 @@ def _cmd_family(args) -> int:
 
 def _cmd_plot_torus(args) -> int:
     if args.svg_size <= 0:
-        raise CliError(f"--svg-size must be positive, not {args.svg_size}", 2)
+        raise CliError(f"--svg-size must be positive, not {args.svg_size}")
     layers = []
     data_lines = []
     for maps, base, colour, prefix in (
@@ -157,7 +158,7 @@ def _write_polytope(poly: VPolytope, args) -> None:
 
 def _cmd_construct(args) -> int:
     if args.operation in ("product", "blend") and args.second is None:
-        raise CliError(f"construct {args.operation} needs a second input polytope", 2)
+        raise CliError(f"construct {args.operation} needs a second input polytope")
     if args.operation == "ops":
         poly = _load(args.input)
         certify_vertices(poly)
@@ -187,12 +188,13 @@ def _cmd_construct(args) -> int:
         if args.out:
             _write_polytope(final.polytope, args)
     else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown operation {args.operation}", 2)
+        raise CliError(f"unknown operation {args.operation}")
     return 0
 
 
 # the first entry that matches decides: every kind but ConstructionFailed
-# is a ValueError, so the catch-all ValueError comes last
+# is a ValueError, so the catch-all ValueError, which takes CliError, comes
+# last
 _EXIT_CODES = (
     (FormatError, 2),
     ((ConstructionFailed, GeometryError, NotAVertex, NotAPrismatoid, VacuousFamily), 3),
@@ -273,16 +275,18 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
     try:
-        args = ap.parse_args(argv)
-    except SystemExit as exc:
+        args = build_parser().parse_args(argv)
+        code = args.fn(args)
+        sys.stdout.flush()
+        return code
+    except SystemExit as exc:  # argparse's, after --help or a usage error
         return 2 if exc.code not in (0, None) else 0
-    try:
-        return args.fn(args)
-    except CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
+    except OSError as exc:  # stdout is closed or full; files are `_emit`'s
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        # what stays buffered goes nowhere, so the exit's flush cannot fail
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (ValueError, ConstructionFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES if isinstance(exc, kind))

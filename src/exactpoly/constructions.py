@@ -267,7 +267,6 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
     S = one_point_suspension(pr.polytope, v)
     u_idx, w_idx = S.n_vertices - 2, S.n_vertices - 1
     new_plus = sorted(i - (i > v) for i in plus_set)
-    new_minus = sorted(i - (i > v) for i in minus_set if i != v) + [u_idx, w_idx]
     apex_order = list(new_plus)
     rng.shuffle(apex_order)
     # the suspension's hull is one insertion of the first apex into the
@@ -291,7 +290,7 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
     base_normal = pr.hull.hrep.inequalities[plus_facet][:-1] + (ZERO,)
     nn = dot(base_normal, base_normal)
     amb = S.ambient_dim
-    minus_mask = bits(new_minus)
+    minus_mask = ((1 << S.n_vertices) - 1) ^ plus_mask  # every other point of S
 
     # why move_apex rejected its candidates, over the whole search
     rejected = dict.fromkeys(REJECTION_CAUSES, 0)

@@ -13,17 +13,18 @@ Minkowski sum) once, on first use; every `check_*` section takes it, and the sec
 runner turns a section that raises into one FAIL line.
 
 A symmetry group is its generators, their vertex permutations, and the set
-of permutations its elements induce on the vertices, closed from the
-generators' permutations; the vertices span R^5, so each element is fixed
-by its permutation.  The permutations are found once, for the full group:
-the base-preserving subgroup and the base-swap check read them.  Only
-the six generators are applied to the facet rows: the orbits of a group are
-the orbits of its generators.
+of permutations its elements induce on the vertices: those that products
+of the generators' permutations reach from the identity.  One breadth-first
+walk, `_reachable`, closes a group and finds a facet orbit.  The vertices
+span R^5, so each element is fixed by its permutation.  The permutations
+are found once, for the full group: the base-preserving subgroup and the
+base-swap check read them.  Only the six generators are applied to the
+facet rows: the orbits of a group are the orbits of its generators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from typing import Optional
 
 from .geometry import OrthMap, affine_rank, integer_points, smul, vadd, vsub
@@ -138,29 +139,29 @@ FAMILY_BIDIMENSION = {
 SIGMA_ORBIT_PAIRS = (("A", "L"), ("B", "K"), ("C", "J"), ("D", "I"), ("E", "H"), ("F", "G"))
 
 
-def vertex_labels():
-    return tuple(f"{i + 1}+" for i in range(24)) + tuple(f"{i + 1}-" for i in range(24))
-
-
-def vertices48() -> VPolytope:
-    """The 48 labeled vertices."""
-    rows = [tuple(Rat(c) for c in p) + (Rat(1),) for p in _PLUS]
-    rows += [tuple(Rat(c) for c in p) + (Rat(-1),) for p in _MINUS]
-    return VPolytope(tuple(rows), vertex_labels())
+def _base(rows, sign) -> VPolytope:
+    return VPolytope(
+        tuple(tuple(Rat(c) for c in p) for p in rows),
+        tuple(f"{i + 1}{sign}" for i in range(len(rows))),
+    )
 
 
 def base_plus() -> VPolytope:
     """The top base as a 4-polytope (last coordinate dropped)."""
-    return VPolytope(
-        tuple(tuple(Rat(c) for c in p) for p in _PLUS),
-        tuple(f"{i + 1}+" for i in range(24)),
-    )
+    return _base(_PLUS, "+")
 
 
 def base_minus() -> VPolytope:
+    return _base(_MINUS, "-")
+
+
+def vertices48() -> VPolytope:
+    """The 48 labeled vertices: the top base at x5 = 1, then the bottom base
+    at x5 = -1."""
+    bases = ((base_plus(), Rat(1)), (base_minus(), Rat(-1)))
     return VPolytope(
-        tuple(tuple(Rat(c) for c in p) for p in _MINUS),
-        tuple(f"{i + 1}-" for i in range(24)),
+        tuple(p + (x5,) for base, x5 in bases for p in base.vertices),
+        tuple(label for base, _ in bases for label in base.labels),
     )
 
 
@@ -255,18 +256,27 @@ def _vertex_permutation(m: OrthMap, pts, index):
     return tuple(perm)
 
 
+def _reachable(start, moves) -> set:
+    """Everything that `moves`, functions of one argument, reach from
+    `start` when applied over and over, found breadth-first."""
+    queue = [start]
+    seen = {start}
+    for x in queue:  # the list grows while it is read: a BFS queue
+        for move in moves:
+            y = move(x)
+            if y not in seen:
+                seen.add(y)
+                queue.append(y)
+    return seen
+
+
 def _closure(generators, gen_perms) -> SymmetryGroup:
-    """The group of `generators`, closed breadth-first on the vertex
-    permutations `gen_perms` they induce, so a product costs n lookups."""
-    queue = [tuple(range(len(gen_perms[0])))]
-    seen = set(queue)
-    for p in queue:  # the list grows while it is read: a BFS queue
-        for h in gen_perms:
-            q = _compose(h, p)
-            if q not in seen:
-                seen.add(q)
-                queue.append(q)
-    return SymmetryGroup(tuple(generators), tuple(gen_perms), frozenset(seen))
+    """The group of `generators`: the permutations that products of the
+    vertex permutations `gen_perms` they induce reach from the identity, so
+    a product costs n lookups."""
+    identity = tuple(range(len(gen_perms[0])))
+    perms = _reachable(identity, [partial(_compose, h) for h in gen_perms])
+    return SymmetryGroup(tuple(generators), tuple(gen_perms), frozenset(perms))
 
 
 def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
@@ -362,25 +372,15 @@ def facet_permutation(m: OrthMap, index: dict):
 def facet_orbits(perms):
     """Partition of facet indices under the group that the facet
     permutations `perms` generate, sorted by smallest member."""
-    n = len(perms[0])
-    seen = [False] * n
+    moves = [perm.__getitem__ for perm in perms]
+    seen = set()
     orbits = []
-    for start in range(n):
-        if seen[start]:
-            continue
-        orbit = {start}
-        frontier = [start]
-        while frontier:
-            f = frontier.pop()
-            for perm in perms:
-                g = perm[f]
-                if g not in orbit:
-                    orbit.add(g)
-                    frontier.append(g)
-        for f in orbit:
-            seen[f] = True
-        orbits.append(tuple(sorted(orbit)))
-    return tuple(sorted(orbits))
+    for start in range(len(perms[0])):
+        if start not in seen:
+            orbit = _reachable(start, moves)
+            seen |= orbit
+            orbits.append(tuple(sorted(orbit)))
+    return tuple(orbits)
 
 
 def orbit_adjacency_graph(graph: Graph, orbits):
@@ -616,20 +616,24 @@ def check_width(ctx: Certificate) -> Report:
     return rep
 
 
+def _off_band(labels, bidims) -> list:
+    """`label:bi-dimension` of each facet in `bidims` (non-base facet ->
+    bi-dimension) off its family's band in FAMILY_BIDIMENSION."""
+    return [
+        f"{labels[f]}:{dims}"
+        for f, dims in bidims.items()
+        if dims != FAMILY_BIDIMENSION[labels[f].letter]
+    ]
+
+
 def check_orbit_quotient(ctx: Certificate) -> Report:
     """Quotient adjacency by base-preserving orbits, its A-to-L distance, and
     the bi-dimension bands."""
     rep = Report("orbit quotient")
-    labels, by_label = ctx.labels, ctx.by_label
     q, which = orbit_adjacency_graph(ctx.graph, ctx.orbits_plus)
-    dist = q.distance(which[by_label["A"]], which[by_label["L"]])
+    dist = q.distance(which[ctx.by_label["A"]], which[ctx.by_label["L"]])
     rep.add("quotient distance A to L", dist == 6, str(dist))
-    # bi-dimension bands per letter
-    bad = [
-        f"{labels[f]}:{dims}"
-        for f, dims in ctx.bidims.items()
-        if dims != FAMILY_BIDIMENSION[labels[f].letter]
-    ]
+    bad = _off_band(ctx.labels, ctx.bidims)
     rep.add("bi-dimension bands match the families", not bad, " ".join(bad) or "all 320")
     return rep
 
@@ -760,15 +764,8 @@ def check_minkowski_section(ctx: Certificate) -> Report:
         has_prop, min_facets = pair_dstep_property(ctx.qplus, ctx.qminus, pr.dim, ms=ms)
         rep.add("pair d-step property fails", not has_prop, "")
         rep.add("minimum facet sequence length", min_facets == 5, str(min_facets))
-        # bi-dimension bands per family letter
-        bands_ok = True
-        for f, lbl in enumerate(ctx.labels):
-            if lbl.letter in ("A", "L"):
-                continue
-            if ms.facets[mapping[f]].bi_dimension != FAMILY_BIDIMENSION[lbl.letter]:
-                bands_ok = False
-                break
-        rep.add("sum bi-dimensions match the family bands", bands_ok, "")
+        sum_bidims = {f: ms.facets[g].bi_dimension for f, g in mapping.items()}
+        rep.add("sum bi-dimensions match the family bands", not _off_band(ctx.labels, sum_bidims), "")
     rep.merge(transversality_check(pr, ctx.bidims))
     orbit = (4, 5, 6, 7)  # vertices 5..8 of either base
     rep.merge(normal_map_interiority_check(ctx.qplus, ctx.qminus, orbit, orbit))

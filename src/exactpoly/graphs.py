@@ -42,21 +42,16 @@ class Graph:
         return d
 
     def shortest_path(self, a: int, b: int):
-        parent = {a: None}
-        queue = deque([a])
-        while queue:
-            v = queue.popleft()
-            if v == b:
-                path = []
-                while v is not None:
-                    path.append(v)
-                    v = parent[v]
-                return path[::-1]
-            for w in self.adj[v]:
-                if w not in parent:
-                    parent[w] = v
-                    queue.append(w)
-        raise ValueError(f"nodes {a} and {b} are disconnected")
+        """The lexicographically smallest shortest path from a to b, as a
+        list of nodes: each step goes to the smallest neighbour one step
+        closer to b.  Raises ValueError when b cannot be reached."""
+        dist = self.bfs_distances(b)
+        if dist[a] < 0:
+            raise ValueError(f"nodes {a} and {b} are disconnected")
+        path = [a]
+        while path[-1] != b:
+            path.append(next(w for w in self.adj[path[-1]] if dist[w] < dist[path[-1]]))
+        return path
 
     def diameter(self) -> int:
         best = 0

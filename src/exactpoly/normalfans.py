@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from operator import add
 from typing import NamedTuple, Optional
 
@@ -162,6 +162,18 @@ def _cayley_points(a: VPolytope, b: VPolytope, chart: Chart) -> tuple:
     )
 
 
+def _face_ranks(points):
+    """Face mask -> affine rank of the `points` in it, each distinct face
+    ranked once: facets share their faces.  Ranks do not change under
+    positive scaling, so `points` may be integer copies."""
+
+    @cache
+    def rank(mask):
+        return affine_rank([points[i] for i in iter_bits(mask)])
+
+    return rank
+
+
 def _sum_from_cayley(a: VPolytope, b: VPolytope, cand: _Candidates, cayley: Hull) -> MinkowskiSum:
     """The sum of `a` and `b`, read off `cayley`, the verified hull of
     `_cayley_points(a, b, cand.chart)`; see the module docstring."""
@@ -199,15 +211,10 @@ def _sum_from_cayley(a: VPolytope, b: VPolytope, cand: _Candidates, cayley: Hull
             [(h, bits(old_to_new[v] for v in iter_bits(m) if v in old_to_new)) for h, m in pairs],
         ),
     )
-    # faces and their dimensions do not change under scaling, so they are
-    # ranked on the integer summands, each distinct face once
-    faces = {}
+    ranks = [_face_ranks(points) for points in summands]
 
     def face(side, mask):
-        if (side, mask) not in faces:
-            idx = tuple(iter_bits(mask))
-            faces[side, mask] = Face(idx, affine_rank([summands[side][i] for i in idx]))
-        return faces[side, mask]
+        return Face(tuple(iter_bits(mask)), ranks[side](mask))
 
     facets = tuple(
         MinkowskiFacet(normal, face(0, mask & (1 << n) - 1), face(1, mask >> n))
@@ -269,19 +276,11 @@ def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms: Minkows
 
 
 def bi_dimensions(pr: Prismatoid) -> dict:
-    """Non-base facet index -> (dim F ∩ Q+, dim F ∩ Q-), with -1 for an
-    empty side."""
+    """Non-base facet index -> (dim F ∩ Q+, dim F ∩ Q-); a non-base facet
+    of a prismatoid meets both bases."""
     inc = pr.hull.incidence
-    # ranks do not change under positive scaling
-    verts = integer_points(pr.polytope.vertices)[0]
+    rank = _face_ranks(integer_points(pr.polytope.vertices)[0])
     base_masks = (inc.facet_masks[pr.base_plus], inc.facet_masks[pr.base_minus])
-    ranks = {0: -1}  # face mask -> rank: facets share their faces in the bases
-
-    def rank(mask):
-        if mask not in ranks:
-            ranks[mask] = affine_rank([verts[v] for v in iter_bits(mask)])
-        return ranks[mask]
-
     return {
         f: tuple(rank(m & b) for b in base_masks)
         for f, m in enumerate(inc.facet_masks)

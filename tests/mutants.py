@@ -133,6 +133,84 @@ MUTANTS = (
             "tests/test_normalfans.py::test_minkowski_sum_is_the_hull_of_every_pairwise_sum",
         ),
     ),
+    Mutant(
+        "face-ranks-share-one-summand",
+        "normalfans.py",
+        "ranks = [_face_ranks(points) for points in summands]",
+        "ranks = [_face_ranks(summands[0])] * 2",
+        (
+            "tests/test_normalfans.py::test_minkowski_sum_is_the_hull_of_every_pairwise_sum",
+            "tests/test_normalfans.py::test_minkowski_faces_match_face_maximizing",
+        ),
+    ),
+    Mutant(
+        "face-ranks-drop-a-point",
+        "normalfans.py",
+        "return affine_rank([points[i] for i in iter_bits(mask)])",
+        "return affine_rank([points[i] for i in iter_bits(mask)][1:])",
+        ("tests/test_normalfans.py::TestTransversality::test_band_examples",),
+    ),
+    Mutant(
+        "reachable-reads-only-the-start",
+        "counterexample.py",
+        "for x in queue:  # the list grows",
+        "for x in queue[:1]:  # the list grows",
+        (
+            "tests/test_counterexample.py::TestSymmetry::test_group_orders",
+            "tests/test_counterexample.py::TestOrbits::test_generator_orbits_match_every_element",
+        ),
+    ),
+    Mutant(
+        "shortest-path-takes-the-largest-step",
+        "graphs.py",
+        "path.append(next(w for w",
+        "path.append(max(w for w",
+        (
+            "tests/test_polytopes.py::test_shortest_path_is_the_smallest_shortest_path",
+            "tests/test_northstar.py::test_row_output_is_pinned[verify]",
+        ),
+    ),
+    Mutant(
+        "vertices48-swaps-the-heights",
+        "counterexample.py",
+        "bases = ((base_plus(), Rat(1)), (base_minus(), Rat(-1)))",
+        "bases = ((base_plus(), Rat(-1)), (base_minus(), Rat(1)))",
+        (
+            "tests/test_counterexample.py::TestData::test_vertex_5_plus",
+            "tests/test_northstar.py::test_row_output_is_pinned[verify]",
+        ),
+    ),
+    Mutant(
+        "off-band-accepts-any-family-band",
+        "counterexample.py",
+        "if dims != FAMILY_BIDIMENSION[labels[f].letter]",
+        "if dims not in FAMILY_BIDIMENSION.values()",
+        ("tests/test_counterexample.py::TestDualGraphStructure::test_quotient_report_names_a_facet_off_its_band",),
+    ),
+    Mutant(
+        "dstep-minus-base-holds-every-point",
+        "constructions.py",
+        "((1 << S.n_vertices) - 1) ^ plus_mask",
+        "((1 << S.n_vertices) - 1) | plus_mask",
+        ("tests/test_constructions.py::TestStrongDStep::test_cube_single_step",),
+    ),
+    Mutant(
+        "usage-error-exits-3",
+        "cli.py",
+        "((ConstructionFailed, GeometryError",
+        "((CliError, ConstructionFailed, GeometryError",
+        (
+            "tests/test_cli.py::TestExitCodes::test_svg_size_must_be_positive[0]",
+            "tests/test_cli.py::TestUnwritableOutput::test_unwritable_output_is_usage_error[builtin]",
+        ),
+    ),
+    Mutant(
+        "closed-stdout-keeps-its-buffer",
+        "cli.py",
+        "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())",
+        "pass",
+        ("tests/test_cli.py::TestUnwritableOutput::test_closed_stdout_is_usage_error[buffered]",),
+    ),
 )
 
 

@@ -1,4 +1,5 @@
 import contextlib
+import fcntl
 import io
 import math
 import os
@@ -638,6 +639,24 @@ class TestUnwritableOutput:
         err = capsys.readouterr().err
         assert err.startswith(f"error: cannot write {target}: ")
         assert err.count("\n") == 1
+
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_closed_stdout_is_usage_error(self, tmp_path, unbuffered):
+        # the report is over 5,000 bytes and the pipe is shrunk below that,
+        # so verify is still writing when the reader closes it after a line
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+        with subprocess.Popen(
+            [sys.executable, "-m", "exactpoly.cli", "verify"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, bufsize=0, env=env, cwd=tmp_path,
+        ) as proc:
+            assert fcntl.fcntl(proc.stdout, fcntl.F_SETPIPE_SZ, 4096) < 5000
+            assert proc.stdout.readline().startswith(b"CHECK facet census")
+            proc.stdout.close()
+            err = proc.stderr.read().decode()
+        assert proc.returncode == 2, err
+        assert err.startswith("error: cannot write stdout: ")
+        assert err.count("\n") == 1
+        assert "Traceback" not in err and "Exception ignored" not in err
 
 
 POLY_SEEDS = (

@@ -1,3 +1,4 @@
+import copy
 import itertools
 import random
 
@@ -339,6 +340,14 @@ class TestDualGraphStructure:
 
     def test_quotient_report(self, certificate):
         assert_report(check_orbit_quotient(certificate))
+
+    def test_quotient_report_names_a_facet_off_its_band(self, certificate):
+        # (2, 1) is a family's band, C's, but not B's
+        ctx = copy.copy(certificate)  # shares the artifacts derived so far
+        ctx.bidims = {**certificate.bidims, certificate.by_label["B++++"]: (2, 1)}
+        assert [c.line() for c in check_orbit_quotient(ctx).failures()] == [
+            "CHECK orbit quotient: bi-dimension bands match the families FAIL B++++:(2, 1)"
+        ]
 
 
 class TestTables:

@@ -156,7 +156,7 @@ def test_minkowski_sum_is_the_hull_of_every_pairwise_sum(a, b, c, shape):
         a0, a1 = a.vertices[:2]
         start = tuple(c * x for x in b.vertices[0])
         b = VPolytope((start, tuple(s + c * (y - x) for s, x, y in zip(start, a0, a1))))
-    else:
+    elif shape != "drawn":
         a = flattened(a) if shape == "flat segment" else a
         b = VPolytope(tuple(tuple(c * x for x in p) for p in flattened(b).vertices[:2]))
     ms = minkowski_sum(a, b)

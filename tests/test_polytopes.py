@@ -20,6 +20,7 @@ from exactpoly.polytopes import (
     vertex_graph,
 )
 from exactpoly.geometry import DimensionMismatch, affine_rank, dot
+from exactpoly.graphs import Graph
 from exactpoly.prismatoids import make_prismatoid
 from exactpoly.rationals import Rat, clear_denominators, common_denominator
 from helpers import (
@@ -314,6 +315,39 @@ class TestGraphs:
         assert hull.dim == 4
         assert hull.incidence.n_facets == 10
         assert vertex_graph(p, hull).diameter() == 4
+
+
+def _simple_paths(graph, a, b):
+    """Every path from a to b that repeats no node, depth first."""
+    stack = [[a]]
+    while stack:
+        path = stack.pop()
+        if path[-1] == b:
+            yield path
+        else:
+            stack += [path + [w] for w in graph.adj[path[-1]] if w not in path]
+
+
+@st.composite
+def small_graphs(draw):
+    """A graph on 1 to 7 nodes with any edges, and two of its nodes."""
+    n = draw(st.integers(1, 7))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    edges = draw(st.lists(st.sampled_from(pairs), unique=True)) if pairs else []
+    node = st.integers(0, n - 1)
+    return Graph(n, edges), draw(node), draw(node)
+
+
+@given(small_graphs())
+def test_shortest_path_is_the_smallest_shortest_path(case):
+    graph, a, b = case
+    paths = list(_simple_paths(graph, a, b))
+    if not paths:
+        with pytest.raises(ValueError, match="disconnected"):
+            graph.shortest_path(a, b)
+        return
+    fewest = min(map(len, paths))
+    assert graph.shortest_path(a, b) == min(p for p in paths if len(p) == fewest)
 
 
 class TestSimplicity:
