@@ -276,12 +276,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     try:
-        args = build_parser().parse_args(argv)
-        code = args.fn(args)
+        try:
+            args = build_parser().parse_args(argv)
+            code = args.fn(args)
+        except SystemExit as exc:  # argparse's, after --help or a usage error
+            code = 2 if exc.code not in (0, None) else 0
+        # the help text may still sit in the buffer: a failed flush of it
+        # takes the route below, not the interpreter's at exit
         sys.stdout.flush()
         return code
-    except SystemExit as exc:  # argparse's, after --help or a usage error
-        return 2 if exc.code not in (0, None) else 0
     except OSError as exc:  # stdout is closed or full; files are `_emit`'s
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         # what stays buffered goes nowhere, so the exit's flush cannot fail

@@ -10,7 +10,8 @@ without the pair d-step property.
 `Certificate` derives each artifact the suite shares (family table, hull,
 labels, dual graph, groups, facet permutations and orbits, base hulls, base
 Minkowski sum) once, on first use; every `check_*` section takes it, and the section
-runner turns a section that raises into one FAIL line.
+runner turns a section that raises into one FAIL line.  `FAST_SECTIONS`
+and `FULL_SECTIONS` name the sections of `verify --fast` and full `verify`.
 
 A symmetry group is its generators, their vertex permutations, and the set
 of permutations its elements induce on the vertices: those that products
@@ -39,6 +40,7 @@ from .normalfans import (
     normal_cone,
     normal_map_interiority_check,
     pair_dstep_property,
+    summand_hulls_from_cayley,
     torus_membership_check,
     transversality_check,
 )
@@ -406,7 +408,16 @@ def orbit_adjacency_graph(graph: Graph, orbits):
 
 class Certificate:
     """The artifacts the verification sections share, each derived once on
-    first use from `poly`: `vertices48()`, or a mutant of it in the tests."""
+    first use from `poly`: `vertices48()`, or a mutant of it in the tests.
+
+    One double-description build runs, for the hull of `poly`, which
+    `_verify` checks and the census compares with the family table.  The
+    base hulls and the base Minkowski sum are read off it (`poly` is the
+    bases' Cayley polytope): each base hull passes the full `_verify`
+    against its base's points, and the sum's rows meet every pairwise sum
+    of the bases once, in exact arithmetic, with ranks and repeated rows
+    checked on the sum's vertices.  The face ranks of `poly` are kept on
+    it, so `bidims`, `base_hulls` and `base_sum` rank each face once."""
 
     def __init__(self, poly: VPolytope):
         self.poly = poly
@@ -472,12 +483,11 @@ class Certificate:
         return base_minus()
 
     @cached_property
-    def hull_plus(self) -> Hull:
-        return facet_enumeration(self.qplus)
-
-    @cached_property
-    def hull_minus(self) -> Hull:
-        return facet_enumeration(self.qminus)
+    def base_hulls(self) -> tuple:
+        """The hulls of the top and bottom bases, read off q48's verified
+        hull and kept on `qplus` and `qminus`: q48 is their Cayley
+        polytope, at heights 1 and -1 (`normalfans.summand_hulls_from_cayley`)."""
+        return summand_hulls_from_cayley(self.qplus, self.qminus, self.poly)
 
     @cached_property
     def base_sum(self):
@@ -676,9 +686,17 @@ def top_base_figures(ctx: Certificate) -> tuple:
 
 def check_base_structure(ctx: Certificate) -> Report:
     """Facet structure of the two bases: 32 facets each of the stated shape,
-    cube vertex figures, torus membership, and the worked cone containment."""
+    cube vertex figures, torus membership, and the worked cone containment.
+
+    The base hulls are read off the prismatoid's verified hull
+    (`Certificate.base_hulls`): q48's facets with bi-dimension 3 on a base,
+    restricted to that base's height, after checking by value that q48's
+    points are the bases' at heights 1 and -1, in order.  Each passes the
+    full `_verify` against its base's points.  The independent
+    double-description builds of both bases are in the tests
+    (`test_base_hulls_read_off_q48_are_the_built_ones`)."""
     rep = Report("base structure")
-    qm, hull_p, hull_m = ctx.qminus, ctx.hull_plus, ctx.hull_minus
+    qm, (hull_p, hull_m) = ctx.qminus, ctx.base_hulls
     rep.add("top base has 32 facets", hull_p.incidence.n_facets == 32, str(hull_p.incidence.n_facets))
     want_p = {(q + (Rat(90),)) for q in gplus_vertices()}
     got_p = set(hull_p.hrep.inequalities)
@@ -724,8 +742,9 @@ def check_minkowski_section(ctx: Certificate) -> Report:
     -1, so `Certificate.base_sum` reads the sum off the prismatoid's own
     verified hull (`normalfans.minkowski_sum_from_cayley`), and the two
     hulls compared here are one hull: a fault of the hull builder would
-    reach both.  The sum's rows still pass the full `_verify` against the
-    368 candidate sums and the 208 vertices.  The independent
+    reach both.  The sum's rows still meet all 576 pairwise sums, once, in
+    one exact packed test, and pass the rank certificates and the
+    repeated-row test on the 208 vertices.  The independent
     cross-checks are in the tests: the double-description build of all
     576 pairwise sums in `test_q48_polar_and_base_sum_steps_match_the_full_scan`,
     and the pinned differential `test_base_sum_matches_the_reference`."""
@@ -787,21 +806,23 @@ def _run_sections(ctx: Certificate, sections) -> Report:
     return rep
 
 
+# the sections of `verify --fast`, in order, and those of full `verify`
+FAST_SECTIONS = (
+    check_facet_census,
+    check_representative_facets,
+    check_prism_collinearities,
+    check_symmetries,
+    check_orbits,
+    check_neighbor_lists,
+    check_width,
+    check_orbit_quotient,
+    check_spindle_polar,
+)
+FULL_SECTIONS = FAST_SECTIONS + (check_base_structure, check_minkowski_section)
+
+
 def verify_counterexample(full: bool) -> Report:
-    """The complete verification suite; `full` adds the base-structure and
-    Minkowski-sum sections."""
-    sections = [
-        check_facet_census,
-        check_representative_facets,
-        check_prism_collinearities,
-        check_symmetries,
-        check_orbits,
-        check_neighbor_lists,
-        check_width,
-        check_orbit_quotient,
-        check_spindle_polar,
-    ]
-    if full:
-        sections += [check_base_structure, check_minkowski_section]
-    return _run_sections(Certificate(vertices48()), sections)
+    """The complete verification suite: `FULL_SECTIONS` when `full`, else
+    `FAST_SECTIONS`."""
+    return _run_sections(Certificate(vertices48()), FULL_SECTIONS if full else FAST_SECTIONS)
 

@@ -21,29 +21,40 @@ up, not one of the |A| |B| pairwise sums.  `minkowski_sum_from_cayley`
 reads the hull a polytope already keeps, after checking by value that its
 points are those of C, in order: the paper's prismatoid puts its bases at
 x5 = 1 and x5 = -1, so it is C of its bases, and full verification reads
-the sum off the prismatoid's own hull.  Each facet's decomposition is the
-two halves of its mask of C, and each distinct face is ranked once, on
-integer copies (faces do not change under positive scaling).  The
-candidate sums are all |A| |B| pairwise sums, formed in integers, the
+the sum off the prismatoid's own hull.  `summand_hulls_from_cayley` reads
+the hulls of full-dimensional summands off the same hull: a facet of A is
+the height-1 slice of the one facet of C that meets A x {1} in dimension
+dim A - 1, the row alpha . x <= beta - c (beta + c for B at height -1).
+Each distinct face of C is ranked once: `polytopes.face_ranks` keeps the
+ranks on the Cayley polytope, so `bi_dimensions` of the prismatoid, the
+sum's decompositions (the two halves of each facet's mask of C) and the
+choice of the summands' facets share them.
+
+The candidate sums are all |A| |B| pairwise sums, formed in integers, the
 summands scaled by one common denominator, and only the vertices become
 rationals.  No pair is filtered out: a sum strictly inside the segment
 between two others (a_k - a_i a positive multiple of b_j - b_l) is no
 vertex, but dropping such sums changes no output and saves no time, since
 no hull is built on the candidates; each costs only its digit in the
-packed verification against the rows derived from C.  A sum of lower
-dimension takes the same path on the coordinates of its
-`polytopes.affine_chart`, whose equality rows, found on the scaled sums,
-are rescaled to the sum.  The derived rows pass the full
-`polytopes._verify` against every pairwise sum, and again against the
-vertices, whose polytope keeps the hull.
+packed check against the rows derived from C.  A sum of lower dimension
+takes the same path on the coordinates of its `polytopes.affine_chart`,
+found from the |A| + |B| - 1 sums a_i + b_0 and a_0 + b_j, which span the
+affine hull of all the sums (a chart depends on the affine hull alone);
+its equality rows, found on the scaled sums, are rescaled to the sum.
+The sum is checked once (`Chart.vertex_hull`): the vertex test reads the
+derived incidence, one packed exact test meets every pairwise sum with
+every derived row, so that incidence is exact, and the rank certificates
+and the repeated-row test of `polytopes._verify` run on the vertices'
+hull, which their polytope keeps.  A summand's hull passes the full
+`_verify` against its points.
 The torus angles are floating point and feed the SVG plots only.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cache, cached_property
-from operator import add
+from functools import cached_property
+from operator import add, neg
 from typing import NamedTuple, Optional
 
 from .geometry import DegenerateInput, affine_rank, integer_points
@@ -54,9 +65,8 @@ from .polytopes import (
     Hull,
     VPolytope,
     affine_chart,
-    bits,
     dual_graph,
-    extreme_indices,
+    face_ranks,
     facet_enumeration,
     iter_bits,
     keep_hull,
@@ -125,13 +135,12 @@ class MinkowskiSum:
 
 class _Candidates(NamedTuple):
     """Every pairwise sum of two summands' vertices: `sums`, each as an
-    integer point (the sum times `scale`) with its (i, j) pairs,
-    `scale`, the lcm of the summands' denominators, the summands as integer
-    points at that scale, and the `Chart` of the sums' affine hull."""
+    integer point (the sum times `scale`) with its (i, j) pairs, `scale`,
+    the lcm of the summands' denominators, and the `Chart` of the sums'
+    affine hull."""
 
     sums: dict
     scale: int
-    summands: tuple
     chart: Chart
 
 
@@ -142,16 +151,20 @@ def _candidates(a: VPolytope, b: VPolytope) -> _Candidates:
     if a.ambient_dim != b.ambient_dim:
         raise DegenerateInput("summands must share the ambient dimension")
     ints, scale = integer_points(a.vertices + b.vertices)
-    summands = (ints[: a.n_vertices], ints[a.n_vertices :])
+    ints_a, ints_b = ints[: a.n_vertices], ints[a.n_vertices :]
     sums = {}
-    for i, p in enumerate(summands[0]):
-        for j, q in enumerate(summands[1]):
+    for i, p in enumerate(ints_a):
+        for j, q in enumerate(ints_b):
             sums.setdefault(tuple(map(add, p, q)), []).append((i, j))
-    chart = affine_chart(tuple(sums))[2]
+    # a `Chart` depends on the affine hull alone, which the sums a_i + b_0
+    # and a_0 + b_j span: |a| + |b| - 1 points, some maybe equal
+    span = [tuple(map(add, p, ints_b[0])) for p in ints_a]
+    span += [tuple(map(add, ints_a[0], q)) for q in ints_b[1:]]
+    chart = affine_chart(tuple(dict.fromkeys(span)))[2]
     # a . s = c on the scaled sums s is (scale a) . (s / scale) = c on the
     # sums; a positive factor keeps each row's sign
     equalities = sorted(primitive(tuple(scale * v for v in r[:-1]) + r[-1:]) for r in chart.equalities)
-    return _Candidates(sums, scale, summands, chart._replace(equalities=tuple(equalities)))
+    return _Candidates(sums, scale, chart._replace(equalities=tuple(equalities)))
 
 
 def _cayley_points(a: VPolytope, b: VPolytope, chart: Chart) -> tuple:
@@ -162,30 +175,15 @@ def _cayley_points(a: VPolytope, b: VPolytope, chart: Chart) -> tuple:
     )
 
 
-def _face_ranks(points):
-    """Face mask -> affine rank of the `points` in it, each distinct face
-    ranked once: facets share their faces.  Ranks do not change under
-    positive scaling, so `points` may be integer copies."""
-
-    @cache
-    def rank(mask):
-        return affine_rank([points[i] for i in iter_bits(mask)])
-
-    return rank
-
-
-def _sum_from_cayley(a: VPolytope, b: VPolytope, cand: _Candidates, cayley: Hull) -> MinkowskiSum:
-    """The sum of `a` and `b`, read off `cayley`, the verified hull of
-    `_cayley_points(a, b, cand.chart)`; see the module docstring."""
-    sums, scale, summands, chart = cand
-    points = tuple(sums)
-    k, n = len(chart.cols), a.n_vertices
-    # the homogeneous vector of the sum s / scale on the chart, up to a
-    # positive factor, which the verification does not see
-    vectors = [(*(-s[c] for c in chart.cols), scale) for s in points]
+def _derived_rows(cand: _Candidates, n: int, cayley: Hull) -> list:
+    """Per facet of `cayley` but its two bases, sorted: the sum's row
+    alpha . x <= 2 beta on the chart, the mask of the candidate sums it
+    holds tightly, and the facet's mask of C, whose first `n` bits are the
+    summand `a`'s points; see the module docstring."""
+    sums, k = cand.sums, len(cand.chart.cols)
     # per summand vertex, the candidate sums whose first pair holds it: a
     # sum is tight on a row iff the summands of any one of its pairs are
-    on_a, on_b = [0] * n, [0] * b.n_vertices
+    on_a, on_b = [0] * n, [0] * (cayley.incidence.n_vertices - n)
     for c, ((i, j), *_) in enumerate(sums.values()):
         on_a[i] |= 1 << c
         on_b[j] |= 1 << c
@@ -199,26 +197,34 @@ def _sum_from_cayley(a: VPolytope, b: VPolytope, cand: _Candidates, cayley: Hull
                 tight_b |= on_b[j]
             derived.append((primitive(row[:k] + (2 * row[-1],)), tight_a & tight_b, mask))
     derived.sort()
+    return derived
+
+
+def _sum_from_cayley(cand: _Candidates, n: int, cayley: VPolytope) -> MinkowskiSum:
+    """The sum of the summands a and b of `cand`, read off the verified
+    hull `facet_enumeration` keeps on `cayley`, whose points are
+    `_cayley_points(a, b, cand.chart)`, the `n` points of a first; see the
+    module docstring."""
+    sums, scale, chart = cand
+    points = tuple(sums)
+    derived = _derived_rows(cand, n, facet_enumeration(cayley))
     pairs = [(h, m) for h, m, _ in derived]
-    hull_all = chart.hull(vectors, pairs)
-    keep = extreme_indices(hull_all)
-    old_to_new = {o: new for new, o in enumerate(keep)}
+    # the homogeneous vector of the sum s / scale on the chart, up to a
+    # positive factor, which the verification does not see
+    vectors = [(*(-s[c] for c in chart.cols), scale) for s in points]
+    keep, hull = chart.vertex_hull(vectors, pairs)
     poly = VPolytope(tuple(tuple(Rat(v, scale) for v in points[o]) for o in keep))
-    keep_hull(
-        poly,
-        chart.hull(
-            [vectors[o] for o in keep],
-            [(h, bits(old_to_new[v] for v in iter_bits(m) if v in old_to_new)) for h, m in pairs],
-        ),
-    )
-    ranks = [_face_ranks(points) for points in summands]
-
-    def face(side, mask):
-        return Face(tuple(iter_bits(mask)), ranks[side](mask))
-
+    keep_hull(poly, hull)
+    # F+ and F- are the halves of the facet's mask of C, ranked on C's
+    # points, where a's stand first: ranks kept on `cayley` are shared
+    rank, low = face_ranks(cayley), (1 << n) - 1
     facets = tuple(
-        MinkowskiFacet(normal, face(0, mask & (1 << n) - 1), face(1, mask >> n))
-        for normal, (_, _, mask) in zip(facet_normals(hull_all), derived)
+        MinkowskiFacet(
+            normal,
+            Face(tuple(iter_bits(mask & low)), rank(mask & low)),
+            Face(tuple(iter_bits(mask >> n)), rank(mask >> n << n)),
+        )
+        for normal, (_, _, mask) in zip(facet_normals(hull), derived)
     )
     provenance = tuple(tuple(sums[points[o]]) for o in keep)
     return MinkowskiSum(poly, facets, provenance)
@@ -229,8 +235,7 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     summands' Cayley polytope and annotated facet by facet with the
     decomposition F = F+ + F-; see the module docstring."""
     cand = _candidates(a, b)
-    cayley = VPolytope(_cayley_points(a, b, cand.chart))
-    return _sum_from_cayley(a, b, cand, facet_enumeration(cayley))
+    return _sum_from_cayley(cand, a.n_vertices, VPolytope(_cayley_points(a, b, cand.chart)))
 
 
 def minkowski_sum_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope) -> MinkowskiSum:
@@ -242,7 +247,43 @@ def minkowski_sum_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope) -> 
     cand = _candidates(a, b)
     if cayley.vertices != _cayley_points(a, b, cand.chart):
         raise DegenerateInput("not the Cayley polytope of the summands")
-    return _sum_from_cayley(a, b, cand, facet_enumeration(cayley))
+    return _sum_from_cayley(cand, a.n_vertices, cayley)
+
+
+def summand_hulls_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope) -> tuple:
+    """The hulls of the full-dimensional summands `a` and `b` in R^k, read
+    off the hull `facet_enumeration` keeps on `cayley`, and kept on them.
+    The points of `cayley` must be those of `a` at height 1, then those of
+    `b` at height -1, in order, and its hull must have the two bases as
+    facets (so each summand spans R^k); raises DegenerateInput otherwise.
+
+    A facet G of `a` lies on exactly one facet F of C: F meets A x {1} in
+    G x {1}, of dimension k - 1, and its row (alpha, c, beta) there reads
+    alpha . x <= beta - c; at height -1 it reads alpha . x <= beta + c.
+    Each hull passes `Chart.hull`'s full `_verify` against its summand's
+    points."""
+    k, n = a.ambient_dim, a.n_vertices
+    whole = Chart(k, tuple(range(k)), ())
+    if cayley.vertices != _cayley_points(a, b, whole):
+        raise DegenerateInput("not the Cayley polytope of the summands")
+    hull = facet_enumeration(cayley)
+    low = (1 << n) - 1
+    high = ((1 << cayley.n_vertices) - 1) ^ low
+    masks = hull.incidence.facet_masks
+    if hull.hrep.equalities or not {low, high} <= set(masks):
+        raise DegenerateInput("summands must be full-dimensional")
+    rank = face_ranks(cayley)
+    hulls = []
+    for summand, part, shift, height in ((a, low, 0, 1), (b, high, n, -1)):
+        ints, scale = integer_points(summand.vertices)
+        pairs = [
+            (primitive(row[:k] + (row[-1] - height * row[k],)), (m & part) >> shift)
+            for row, m in zip(hull.hrep.inequalities, masks)
+            if m not in (low, high) and rank(m & part) == k - 1
+        ]
+        vectors = [(*map(neg, p), scale) for p in ints]
+        hulls.append(keep_hull(summand, whole.hull(vectors, pairs)))
+    return tuple(hulls)
 
 
 # ---------------------------------------------------------------------------
@@ -279,7 +320,7 @@ def bi_dimensions(pr: Prismatoid) -> dict:
     """Non-base facet index -> (dim F ∩ Q+, dim F ∩ Q-); a non-base facet
     of a prismatoid meets both bases."""
     inc = pr.hull.incidence
-    rank = _face_ranks(integer_points(pr.polytope.vertices)[0])
+    rank = face_ranks(pr.polytope)
     base_masks = (inc.facet_masks[pr.base_plus], inc.facet_masks[pr.base_minus])
     return {
         f: tuple(rank(m & b) for b in base_masks)

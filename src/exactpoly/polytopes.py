@@ -35,8 +35,11 @@ cheaply, so the perturbation searches build the hull of their fixed points
 once and insert one moved point per candidate.
 
 Every hull that is returned has passed one routine, `_verify`: no
-repeated facet, every point against every facet with exact incidence,
-and the rank of every facet's tight points.  The points are packed into one
+repeated facet, every point against every facet with exact incidence
+(`_check_incidence`), and the rank of every facet's tight points
+(`_check_ranks`).  `Chart.vertex_hull` runs the two halves apart, for
+points that may be no vertices: the incidence against all of them, the
+ranks on the vertices.  The points are packed into one
 big integer per coordinate, so each facet meets all of them in a few
 integer operations, and its mask of tight points is read off the bytes of
 one result.  The rank is proved from that incidence, as a
@@ -76,19 +79,23 @@ hull of each candidate it builds (`keep_hull`), and `polar` records on the
 polar the hull it derives by duality from the input's (its facets are the
 input's vertices, its incidence the input's transposed), so no
 double-description build runs for a polar; `normalfans` records a
-Minkowski sum's hull, derived from a Cayley polytope's, the same way.
-Every kept hull has passed `_verify`.
+Minkowski sum's hull and its summands' hulls, derived from a Cayley
+polytope's, the same way.  Every kept hull has passed `_verify`, or its
+two halves.  A `VPolytope` keeps its face ranks too (`face_ranks`), so the
+callers that rank faces of one polytope rank each once.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cache
 from math import gcd
 from operator import mul, neg
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
 from .geometry import (
     DegenerateInput,
     DimensionMismatch,
+    affine_rank,
     check_same_dim,
     dot,
     integer_points,
@@ -112,13 +119,15 @@ class VPolytope:
     """A polytope as an ordered list of points (tuples of rationals).
 
     `_hull` is the verified hull of this object's points, once
-    `facet_enumeration` or `keep_hull` has recorded it; it takes no part in
-    construction, comparison or hashing.  The object is frozen and its
-    points are tuples, so a kept hull stays the hull of its points."""
+    `facet_enumeration` or `keep_hull` has recorded it, and `_ranks` the
+    memo of `face_ranks`; neither takes part in construction, comparison or
+    hashing.  The object is frozen and its points are tuples, so a kept
+    hull stays the hull of its points."""
 
     vertices: tuple
     labels: Optional[tuple] = None
     _hull: Optional["Hull"] = field(default=None, init=False, repr=False, compare=False)
+    _ranks: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_same_dim(self.vertices)
@@ -314,30 +323,45 @@ def _triangular_certificate(fmask, vmasks, everyone, dim) -> bool:
 
 
 def _verify(dim, pts, pairs, unchecked, empty) -> FacetIncidence:
-    """The incidence of the (row, mask) `pairs`, after checking that their
-    rows are distinct and that each pair of `unchecked` is exact against
-    the homogeneous points `pts` (every point inside the row, and exactly
-    the points of the mask tight) and has tight points of rank `dim`;
+    """The incidence of the (row, mask) `pairs`, after checking that each
+    pair of `unchecked` is exact against the homogeneous points `pts`
+    (`_check_incidence`), that the rows are distinct and that the tight
+    points of each pair of `unchecked` have rank `dim` (`_check_ranks`);
     raises DegenerateInput naming the first check that fails.  The slots in
     `empty` hold the zero vector, which every row holds tightly, and the
     masks lack them.  The caller has verified the incidence of the
     other pairs.  `HullBuilder.hull` checks its hulls here, and `Chart.hull`
-    the derived ones of `polar` and of `normalfans`' Minkowski sums.
+    the derived ones of `polar` and of the bases `normalfans` reads off a
+    Cayley polytope; a Minkowski sum runs the two halves apart."""
+    _check_incidence(pts, unchecked, empty)
+    return _check_ranks(dim, pts, pairs, unchecked)
 
-    Every pair's incidence is exact before any rank is checked, so every
-    row is a witness of the triangular certificates (see
-    `_triangular_certificate`), which bound the rank from below; a
-    nonzero row bounds it by `dim` from above.  Only without both does
-    `matrix_rank` decide."""
-    if len({h for h, _ in pairs}) != len(pairs):
-        raise DegenerateInput("hull verification failed: repeated facet")
-    # zip stops at the end of `unchecked` before it asks `_tight_masks`,
-    # which needs a row, for more
-    for (_, fmask), tight in zip(unchecked, _tight_masks(pts, [h for h, _ in unchecked])):
+
+def _check_incidence(pts, pairs, empty):
+    """Raise DegenerateInput unless each (row, mask) pair is exact against
+    the homogeneous points `pts`: every point inside the row, and exactly
+    the points of the mask tight, the `empty` slots aside (see `_verify`).
+    One `_tight_masks` pass meets every point with every row."""
+    # zip stops at the end of `pairs` before it asks `_tight_masks`, which
+    # needs a row, for more
+    for (_, fmask), tight in zip(pairs, _tight_masks(pts, [h for h, _ in pairs])):
         if tight is None:
             raise DegenerateInput("hull verification failed: point outside facet")
         if tight != fmask | empty or fmask & empty:
             raise DegenerateInput("hull verification failed: incidence mismatch")
+
+
+def _check_ranks(dim, pts, pairs, unchecked) -> FacetIncidence:
+    """The incidence of the (row, mask) `pairs`, after checking that their
+    rows are distinct and that the tight points of each pair of `unchecked`
+    have rank `dim`; the caller has checked the incidence of every pair.
+
+    Every pair's incidence is exact, so every row is a witness of the
+    triangular certificates (see `_triangular_certificate`), which bound
+    the rank from below; a nonzero row bounds it by `dim` from above.  Only
+    without both does `matrix_rank` decide."""
+    if len({h for h, _ in pairs}) != len(pairs):
+        raise DegenerateInput("hull verification failed: repeated facet")
     incidence = FacetIncidence([m for _, m in pairs], len(pts))
     everyone = (1 << len(pairs)) - 1
     for h, fmask in unchecked:
@@ -593,6 +617,23 @@ def keep_hull(poly: VPolytope, hull: Hull) -> Hull:
     return hull
 
 
+def face_ranks(poly: VPolytope) -> Callable:
+    """The function: mask of points of `poly` -> the affine rank of those
+    points.  It is made once per object and kept on `poly`, as its hull
+    is, and ranks each mask once, so every caller that ranks the faces of
+    one polytope shares the ranks.  Ranks do not change under positive
+    scaling, so it ranks integer copies of the points."""
+    if poly._ranks is None:
+        points = integer_points(poly.vertices)[0]
+
+        @cache
+        def rank(mask):
+            return affine_rank([points[i] for i in iter_bits(mask)])
+
+        object.__setattr__(poly, "_ranks", rank)
+    return poly._ranks
+
+
 class Chart(NamedTuple):
     """Coordinates on the affine hull of points in R^d of affine dimension
     k: `cols`, the k pivot columns of its directions (all d when k = d), a
@@ -610,11 +651,29 @@ class Chart(NamedTuple):
     def hull(self, vectors, pairs) -> Hull:
         """The hull whose facets are the (row, mask) `pairs`, rows on the
         chart's coordinates, after the full `_verify` against `vectors`,
-        the points' `_homogeneous` vectors there: sorted as
-        `HullBuilder.hull` sorts them, then lifted."""
-        k = len(self.cols)
+        the points' `_homogeneous` vectors there (up to a positive factor
+        each): sorted as `HullBuilder.hull` sorts them, then lifted."""
         pairs = sorted(pairs)
-        incidence = _verify(k, vectors, pairs, pairs, 0)
+        return self._lifted(pairs, _verify(len(self.cols), vectors, pairs, pairs, 0))
+
+    def vertex_hull(self, vectors, pairs):
+        """(keep, hull) for `vectors`, points that may be no vertices, and
+        (row, mask) `pairs` with masks over all of them: `keep`, the indices
+        of the vertices, by the face test of `_smallest_faces` on the
+        masks, and `hull`, theirs, whose facets are the rows with the masks
+        restricted to them.  One `_check_incidence` then meets every point
+        with every row, so the test read exact incidence, and the rank half
+        of `_verify` runs on the vertices alone."""
+        faces = FacetIncidence([m for _, m in pairs], len(vectors)).smallest_faces
+        keep = [i for i, face in enumerate(faces) if face == 1 << i]
+        _check_incidence(vectors, pairs, 0)
+        new = {old: i for i, old in enumerate(keep)}
+        pairs = sorted((h, bits(new[v] for v in iter_bits(m) if v in new)) for h, m in pairs)
+        incidence = _check_ranks(len(self.cols), [vectors[i] for i in keep], pairs, pairs)
+        return keep, self._lifted(pairs, incidence)
+
+    def _lifted(self, pairs, incidence) -> Hull:
+        k = len(self.cols)
         return self.lift(Hull(HPolytope(k, tuple(h for h, _ in pairs)), incidence, k))
 
     def lift(self, hull: Hull) -> Hull:

@@ -57,7 +57,7 @@ def qplus(certificate):
 
 @pytest.fixture(scope="session")
 def qplus_hull(certificate):
-    return certificate.hull_plus
+    return certificate.base_hulls[0]
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +67,7 @@ def qminus(certificate):
 
 @pytest.fixture(scope="session")
 def qminus_hull(certificate):
-    return certificate.hull_minus
+    return certificate.base_hulls[1]
 
 
 @pytest.fixture(scope="session")

@@ -25,19 +25,23 @@ from exactpoly.geometry import (
     GeometryError,
     OrthMap,
     affine_rank,
+    integer_points,
     vadd,
 )
-from exactpoly.linalg import nullspace
+from exactpoly.linalg import nullspace, primitive
+from exactpoly.normalfans import MinkowskiFacet, MinkowskiSum, facet_normals
 from exactpoly.polytopes import (
     Face,
     HPolytope,
     VPolytope,
+    affine_chart,
     bits,
     certify_vertices,
     dual_graph,
     extreme_indices,
     facet_enumeration,
     iter_bits,
+    keep_hull,
     maximizers,
 )
 from exactpoly.prismatoids import make_prismatoid
@@ -591,3 +595,59 @@ def reference_minkowski_sum(a: VPolytope, b: VPolytope):
     )
     provenance = tuple(tuple(sums[points[o]]) for o in keep)
     return tuple(points[o] for o in keep), hull.hrep, masks, faces, provenance
+
+
+def reference_two_pass_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
+    """`normalfans.minkowski_sum(a, b)` by the two-pass derivation, the
+    reference for the one-pass one: the chart of the affine hull of all
+    |a| |b| pairwise sums, the rows derived from the hull of the summands'
+    Cayley polytope, each sum tight on a row when the summands of one of
+    its pairs are, the full `Chart.hull` verification of the rows against
+    every pairwise sum and again against the vertices, and each face
+    ranked on its summand's own points."""
+    n = a.n_vertices
+    ints, scale = integer_points(a.vertices + b.vertices)
+    sums = {}
+    for i, p in enumerate(ints[:n]):
+        for j, q in enumerate(ints[n:]):
+            sums.setdefault(vadd(p, q), []).append((i, j))
+    points = tuple(sums)
+    chart = affine_chart(points)[2]
+    chart = chart._replace(equalities=tuple(sorted(
+        primitive(tuple(scale * v for v in r[:-1]) + r[-1:]) for r in chart.equalities
+    )))
+    k = len(chart.cols)
+    cayley = facet_enumeration(VPolytope(
+        tuple(chart.project(p) + (1,) for p in a.vertices)
+        + tuple(chart.project(q) + (-1,) for q in b.vertices)
+    ))
+    rows = sorted(
+        (
+            primitive(row[:k] + (2 * row[-1],)),
+            bits(c for c, pairs in enumerate(sums.values())
+                 if any(mask >> i & mask >> (n + j) & 1 for i, j in pairs)),
+            mask,
+        )
+        for row, mask in zip(cayley.hrep.inequalities, cayley.incidence.facet_masks)
+        if any(row[:k])
+    )
+    vectors = [(*(-s[c] for c in chart.cols), scale) for s in points]
+    pairs = [(h, m) for h, m, _ in rows]
+    hull_all = chart.hull(vectors, pairs)
+    keep = extreme_indices(hull_all)
+    new = {o: i for i, o in enumerate(keep)}
+    poly = VPolytope(tuple(tuple(Rat(v, scale) for v in points[o]) for o in keep))
+    keep_hull(poly, chart.hull(
+        [vectors[o] for o in keep],
+        [(h, bits(new[v] for v in iter_bits(m) if v in new)) for h, m in pairs],
+    ))
+
+    def face(summand, mask):
+        idx = tuple(iter_bits(mask))
+        return Face(idx, affine_rank([summand.vertices[i] for i in idx]))
+
+    facets = tuple(
+        MinkowskiFacet(normal, face(a, mask & (1 << n) - 1), face(b, mask >> n))
+        for normal, (_, _, mask) in zip(facet_normals(hull_all), rows)
+    )
+    return MinkowskiSum(poly, facets, tuple(tuple(sums[points[o]]) for o in keep))

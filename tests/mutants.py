@@ -136,8 +136,8 @@ MUTANTS = (
     Mutant(
         "face-ranks-share-one-summand",
         "normalfans.py",
-        "ranks = [_face_ranks(points) for points in summands]",
-        "ranks = [_face_ranks(summands[0])] * 2",
+        "rank(mask >> n << n)",
+        "rank(mask >> n)",
         (
             "tests/test_normalfans.py::test_minkowski_sum_is_the_hull_of_every_pairwise_sum",
             "tests/test_normalfans.py::test_minkowski_faces_match_face_maximizing",
@@ -145,10 +145,35 @@ MUTANTS = (
     ),
     Mutant(
         "face-ranks-drop-a-point",
-        "normalfans.py",
+        "polytopes.py",
         "return affine_rank([points[i] for i in iter_bits(mask)])",
         "return affine_rank([points[i] for i in iter_bits(mask)][1:])",
         ("tests/test_normalfans.py::TestTransversality::test_band_examples",),
+    ),
+    Mutant(
+        "sum-skips-the-non-vertex-incidence",
+        "polytopes.py",
+        "_check_incidence(vectors, pairs, 0)",
+        "_check_incidence([vectors[i] for i in keep], "
+        "[(h, bits(keep.index(v) for v in iter_bits(m) if v in keep)) for h, m in pairs], 0)",
+        ("tests/test_normalfans.py::test_a_non_vertex_sum_meets_every_row",),
+    ),
+    Mutant(
+        "bottom-base-offset-takes-the-wrong-sign",
+        "normalfans.py",
+        "(b, high, n, -1)",
+        "(b, high, n, 1)",
+        (
+            "tests/test_normalfans.py::TestBaseStructure::test_base_hulls_read_off_q48_are_the_built_ones",
+            "tests/test_normalfans.py::test_summand_hulls_from_cayley_are_the_built_ones",
+        ),
+    ),
+    Mutant(
+        "sum-chart-spanned-by-one-summand",
+        "normalfans.py",
+        "    span += [tuple(map(add, ints_a[0], q)) for q in ints_b[1:]]\n",
+        "",
+        ("tests/test_normalfans.py::test_summands_chart_is_the_chart_of_every_sum",),
     ),
     Mutant(
         "reachable-reads-only-the-start",

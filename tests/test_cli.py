@@ -658,6 +658,32 @@ class TestUnwritableOutput:
         assert err.count("\n") == 1
         assert "Traceback" not in err and "Exception ignored" not in err
 
+    @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+    def test_help_into_a_closed_pipe(self, tmp_path, unbuffered):
+        # the pipe's reading end is closed before the process starts.
+        # Buffered, the help text waits in stdout's buffer until `main`
+        # flushes it, and the failed flush is a usage error; unbuffered,
+        # argparse drops its own failed write and exits 0.  Neither leaves
+        # the failure to the interpreter's flush at exit (exit 120)
+        read, write = os.pipe()
+        os.close(read)
+        env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
+        try:
+            done = subprocess.run(
+                [sys.executable, "-m", "exactpoly.cli", "--help"],
+                stdout=write, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+            )
+        finally:
+            os.close(write)
+        err = done.stderr.decode()
+        assert "Traceback" not in err and "Exception ignored" not in err
+        if unbuffered:
+            assert (done.returncode, err) == (0, "")
+        else:
+            assert done.returncode == 2, err
+            assert err.startswith("error: cannot write stdout: ")
+            assert err.count("\n") == 1
+
 
 POLY_SEEDS = (
     cube_text(),

@@ -834,11 +834,12 @@ def test_push_verifies_every_candidate(monkeypatch):
 @contextlib.contextmanager
 def _eliminations():
     """The sizes of the eliminations the rank check falls back to while the
-    block runs: the calls of `matrix_rank` made by `_verify`, counted by
-    wrapping the name the engine looks up."""
+    block runs: the calls of `matrix_rank` made by `_check_ranks`, the
+    rank half of `_verify`, counted by wrapping the name the engine looks
+    up."""
     calls = []
     rank = polytopes.matrix_rank
-    spans = polytopes._verify.__code__
+    spans = polytopes._check_ranks.__code__
 
     def counting(rows):
         if sys._getframe(1).f_code is spans:
@@ -1054,8 +1055,8 @@ def test_simplex_and_larger_visible_facets_match_the_full_scan(point, shapes):
 def test_q48_polar_and_base_sum_steps_match_the_full_scan(certificate):
     # the polar's points in a fresh object, so that its hull is built
     # rather than read from the one `polar` derived; all 576 pairwise sums
-    # of the bases, not the 368 that `minkowski_sum` keeps: the others are
-    # no vertices of the sum
+    # of the bases, every one a candidate of `minkowski_sum`, built by the
+    # double-description steps rather than read off q48's hull
     pol = VPolytope(polar(certificate.poly).vertices)
     sums = VPolytope(tuple(vadd(p, q) for p in base_plus().vertices for q in base_minus().vertices))
     with _steps_checked_against_the_full_scan() as steps:

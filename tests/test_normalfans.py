@@ -14,7 +14,8 @@ from exactpoly.counterexample import (
     gminus_vertices,
     gplus_vertices,
 )
-from exactpoly.geometry import DegenerateInput, DimensionMismatch, affine_rank
+from exactpoly import normalfans
+from exactpoly.geometry import DegenerateInput, DimensionMismatch, affine_rank, vadd
 from exactpoly.normalfans import (
     bi_dimensions,
     interior_owner,
@@ -24,15 +25,25 @@ from exactpoly.normalfans import (
     normal_cone,
     normal_map_interiority_check,
     pair_dstep_property,
+    summand_hulls_from_cayley,
     torus_membership_check,
     torus_plot_data,
     torus_project,
     transversality_check,
 )
-from exactpoly.polytopes import VPolytope, affine_chart, dual_graph, facet_enumeration, iter_bits
+from exactpoly.polytopes import (
+    FacetIncidence,
+    HPolytope,
+    VPolytope,
+    affine_chart,
+    dual_graph,
+    facet_enumeration,
+    iter_bits,
+    keep_hull,
+)
 from exactpoly.prismatoids import width
 from exactpoly.rationals import Rat
-from helpers import face_maximizing, random_prismatoid, reference_minkowski_sum
+from helpers import face_maximizing, random_prismatoid, reference_minkowski_sum, reference_two_pass_sum
 
 
 def pt(*coords):
@@ -126,6 +137,26 @@ SHAPES = (
 )
 
 
+def shaped(a, b, c, shape):
+    """The summands (a, b) of the drawn `shape` of SHAPES, made from drawn
+    summands `a` and `b` and scale `c`."""
+    if shape == "scaled":
+        b = VPolytope(tuple(tuple(c * x for x in p) for p in a.vertices))
+    elif shape in ("one flat", "both flat"):
+        a = flattened(a)
+        b = flattened(b) if shape == "both flat" else b
+    elif shape == "point":
+        b = VPolytope((tuple(c * x for x in b.vertices[0]),))
+    elif shape == "parallel segment":
+        a0, a1 = a.vertices[:2]
+        start = tuple(c * x for x in b.vertices[0])
+        b = VPolytope((start, tuple(s + c * (y - x) for s, x, y in zip(start, a0, a1))))
+    elif shape != "drawn":
+        a = flattened(a) if shape == "flat segment" else a
+        b = VPolytope(tuple(tuple(c * x for x in p) for p in flattened(b).vertices[:2]))
+    return a, b
+
+
 @settings(max_examples=80, deadline=None)
 @given(summands(), summands(), SCALE, st.sampled_from(SHAPES))
 @example(  # a tetrahedron and a square: a small failing case needs no shrinking
@@ -145,20 +176,7 @@ def test_minkowski_sum_is_the_hull_of_every_pairwise_sum(a, b, c, shape):
     sum is a translate; the Cayley polytope is a pyramid, one base no
     facet); and for a segment summand (a prism over the other, or a polygon
     when both lie in a plane)."""
-    if shape == "scaled":
-        b = VPolytope(tuple(tuple(c * x for x in p) for p in a.vertices))
-    elif shape in ("one flat", "both flat"):
-        a = flattened(a)
-        b = flattened(b) if shape == "both flat" else b
-    elif shape == "point":
-        b = VPolytope((tuple(c * x for x in b.vertices[0]),))
-    elif shape == "parallel segment":
-        a0, a1 = a.vertices[:2]
-        start = tuple(c * x for x in b.vertices[0])
-        b = VPolytope((start, tuple(s + c * (y - x) for s, x, y in zip(start, a0, a1))))
-    elif shape != "drawn":
-        a = flattened(a) if shape == "flat segment" else a
-        b = VPolytope(tuple(tuple(c * x for x in p) for p in flattened(b).vertices[:2]))
+    a, b = shaped(a, b, c, shape)
     ms = minkowski_sum(a, b)
     vertices, hrep, masks, faces, provenance = reference_minkowski_sum(a, b)
     assert ms.polytope.vertices == vertices
@@ -189,6 +207,120 @@ def test_sum_from_cayley_on_the_chart_is_the_direct_sum(a, b, shape):
     assert ms == direct
     assert ms.hull.hrep == direct.hull.hrep
     assert ms.hull.incidence.facet_masks == direct.hull.incidence.facet_masks
+    assert_two_pass_sum(direct, a, b)
+
+
+def assert_two_pass_sum(ms, a, b):
+    """`ms`, the sum of `a` and `b` checked in one pass, equals the
+    two-pass reference in every part: vertices, faces, provenance, rows and
+    masks."""
+    reference = reference_two_pass_sum(a, b)
+    assert ms == reference
+    assert ms.hull.hrep == reference.hull.hrep
+    assert ms.hull.incidence.facet_masks == reference.hull.incidence.facet_masks
+
+
+@settings(max_examples=60, deadline=None)
+@given(summands(), summands(), SCALE, st.sampled_from(SHAPES))
+@example(  # a triangle and a segment off its plane: b spans a direction a lacks
+    VPolytope((pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0))),
+    VPolytope((pt(0, 0, 0), pt(0, 0, 1))),
+    Fraction(1),
+    "drawn",
+)
+def test_summands_chart_is_the_chart_of_every_sum(a, b, c, shape):
+    """The chart `_candidates` finds from the |a| + |b| - 1 sums a_i + b_0
+    and a_0 + b_j is `affine_chart` of all the pairwise sums: its columns
+    and its equality rows, for full and lower-dimensional sums."""
+    a, b = shaped(a, b, c, shape)
+    sums = tuple(dict.fromkeys(vadd(p, q) for p in a.vertices for q in b.vertices))
+    assert normalfans._candidates(a, b).chart == affine_chart(sums)[2]
+
+
+SQUARE = VPolytope((pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)))
+
+
+@pytest.mark.parametrize("which", ["squares", "q48 bases"])
+def test_a_non_vertex_sum_meets_every_row(certificate, monkeypatch, which):
+    # a row's derived mask gains a sum that is no vertex and is not tight
+    # there (on the squares' sum, an edge midpoint; on q48's base sum,
+    # where every non-vertex sum is interior, one of those); its smallest
+    # face keeps a point of the row besides it, so the vertex test still
+    # drops it, and only the check of every sum against every row sees the
+    # false bit
+    derive = normalfans._derived_rows
+    flipped = []
+
+    def flipping(cand, n, cayley):
+        rows = derive(cand, n, cayley)
+        faces = FacetIncidence([m for _, m, _ in rows], len(cand.sums)).smallest_faces
+        f, c = next(
+            (f, c) for c, face in enumerate(faces) if face != 1 << c
+            for f, (_, m, _) in enumerate(rows) if not m >> c & 1 and face & m
+        )
+        h, m, mask = rows[f]
+        rows[f] = (h, m | 1 << c, mask)
+        flipped.append(c)
+        return rows
+
+    monkeypatch.setattr(normalfans, "_derived_rows", flipping)
+    with pytest.raises(DegenerateInput, match="^hull verification failed: incidence mismatch$"):
+        if which == "squares":
+            minkowski_sum(SQUARE, SQUARE)
+        else:
+            minkowski_sum_from_cayley(certificate.qplus, certificate.qminus, certificate.poly)
+    assert len(flipped) == 1
+
+
+def test_a_cayley_row_with_a_wrong_offset_is_refused():
+    # the Cayley polytope of two squares, its hull kept with one non-base
+    # row moved outward: the sum's row derived from it holds no sum tightly
+    cayley = VPolytope(tuple(p + (1,) for p in SQUARE.vertices) + tuple(p + (-1,) for p in SQUARE.vertices))
+    hull = facet_enumeration(VPolytope(cayley.vertices))
+    rows = list(hull.hrep.inequalities)
+    f = next(f for f, row in enumerate(rows) if any(row[:2]))
+    rows[f] = rows[f][:-1] + (rows[f][-1] + 1,)
+    keep_hull(cayley, hull._replace(hrep=HPolytope(3, tuple(rows))))
+    with pytest.raises(DegenerateInput, match="^hull verification failed: incidence mismatch$"):
+        minkowski_sum_from_cayley(SQUARE, SQUARE, cayley)
+
+
+def cayley_of(a, b):
+    """The Cayley polytope of `a` and `b` in their own coordinates: the
+    points of `a` at height 1, then those of `b` at height -1."""
+    return VPolytope(tuple(p + (1,) for p in a.vertices) + tuple(q + (-1,) for q in b.vertices))
+
+
+@settings(max_examples=40, deadline=None)
+@given(summands(), summands())
+def test_summand_hulls_from_cayley_are_the_built_ones(a, b):
+    """The summands' hulls read off their Cayley polytope's hull are the
+    double-description builds of the summands, in rows and masks."""
+    hulls = summand_hulls_from_cayley(a, b, cayley_of(a, b))
+    for derived, summand in zip(hulls, (a, b)):
+        assert facet_enumeration(summand) is derived
+        built = facet_enumeration(VPolytope(summand.vertices))
+        assert derived.hrep == built.hrep
+        assert derived.incidence.facet_masks == built.incidence.facet_masks
+
+
+@pytest.mark.parametrize("how", ["flat summand", "swapped heights", "reordered"])
+def test_summand_hulls_from_cayley_refuse_another_polytope(how):
+    cube = VPolytope(tuple(pt(*p) for p in itertools.product((0, 1), repeat=3)))
+    a = b = cube
+    cayley = cayley_of(a, b)
+    message = "^not the Cayley polytope of the summands$"
+    if how == "flat summand":
+        a = flattened(cube)
+        cayley = cayley_of(a, b)
+        message = "^summands must be full-dimensional$"
+    elif how == "swapped heights":
+        cayley = VPolytope(tuple(p[:-1] + (-p[-1],) for p in cayley.vertices))
+    else:
+        cayley = VPolytope(cayley.vertices[1:2] + cayley.vertices[:1] + cayley.vertices[2:])
+    with pytest.raises(DegenerateInput, match=message):
+        summand_hulls_from_cayley(a, b, cayley)
+    assert a._hull is None and b._hull is None
 
 
 @settings(max_examples=60, deadline=None)
@@ -226,6 +358,16 @@ class TestBaseStructure:
         got = {q[:-1] for q in qplus_hull.hrep.inequalities}
         assert got == set(gplus_vertices())
         assert all(q[-1] == 90 for q in qplus_hull.hrep.inequalities)
+
+    def test_base_hulls_read_off_q48_are_the_built_ones(self, certificate, hull_builds):
+        # the hulls read off q48's hull are those of the double-description
+        # builds of the bases, in rows and masks, and are kept on the bases
+        for derived, base in zip(certificate.base_hulls, (certificate.qplus, certificate.qminus)):
+            assert facet_enumeration(base) is derived
+            built = facet_enumeration(VPolytope(base.vertices))
+            assert derived.hrep == built.hrep
+            assert derived.incidence.facet_masks == built.incidence.facet_masks
+        assert hull_builds == [24, 24]
 
     def test_base_report(self, certificate):
         assert_report(check_base_structure(certificate))
@@ -293,6 +435,11 @@ class TestMinkowskiSum:
         assert base_sum.hull.incidence.facet_masks == masks
         assert tuple((mf.face_plus, mf.face_minus) for mf in base_sum.facets) == faces
         assert base_sum.provenance == provenance
+
+    def test_base_sum_is_the_two_pass_sum(self, base_sum, qplus, qminus):
+        # the one-pass check of q48's base sum against every pairwise sum
+        # derives what two full verifications and summand ranks derived
+        assert_two_pass_sum(base_sum, qplus, qminus)
 
     def test_sum_hull_is_kept_on_its_polytope(self, hull_builds):
         ms = minkowski_sum(
