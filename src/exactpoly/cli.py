@@ -11,6 +11,8 @@ invocations (same inputs, same seed) produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import contextlib
+import io
 import os
 import sys
 
@@ -275,14 +277,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    # argparse drops an OSError of its own write to stdout, so the help
+    # text is caught here and written by `main`, whose failed write or
+    # flush takes the route below, not the interpreter's at exit
     try:
         try:
-            args = build_parser().parse_args(argv)
+            with contextlib.redirect_stdout(io.StringIO()) as text:
+                args = build_parser().parse_args(argv)
             code = args.fn(args)
         except SystemExit as exc:  # argparse's, after --help or a usage error
+            sys.stdout.write(text.getvalue())
             code = 2 if exc.code not in (0, None) else 0
-        # the help text may still sit in the buffer: a failed flush of it
-        # takes the route below, not the interpreter's at exit
         sys.stdout.flush()
         return code
     except OSError as exc:  # stdout is closed or full; files are `_emit`'s

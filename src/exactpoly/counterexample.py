@@ -40,7 +40,6 @@ from .normalfans import (
     normal_cone,
     normal_map_interiority_check,
     pair_dstep_property,
-    summand_hulls_from_cayley,
     torus_membership_check,
     transversality_check,
 )
@@ -410,14 +409,14 @@ class Certificate:
     """The artifacts the verification sections share, each derived once on
     first use from `poly`: `vertices48()`, or a mutant of it in the tests.
 
-    One double-description build runs, for the hull of `poly`, which
-    `_verify` checks and the census compares with the family table.  The
-    base hulls and the base Minkowski sum are read off it (`poly` is the
-    bases' Cayley polytope): each base hull passes the full `_verify`
-    against its base's points, and the sum's rows meet every pairwise sum
-    of the bases once, in exact arithmetic, with ranks and repeated rows
-    checked on the sum's vertices.  The face ranks of `poly` are kept on
-    it, so `bidims`, `base_hulls` and `base_sum` rank each face once."""
+    The hull of `poly` is built once, checked by `_verify` and compared
+    with the family table by the census.  Each base's hull is built apart
+    from it and kept on `qplus` or `qminus`.  The base Minkowski sum is
+    read off the hull of `poly`, the bases' Cayley polytope: the sum's rows
+    meet every pairwise sum of the bases once, in exact arithmetic, with
+    ranks and repeated rows checked on the sum's vertices.  The face ranks
+    of `poly` are kept on it, so `bidims` and `base_sum` rank each face
+    once."""
 
     def __init__(self, poly: VPolytope):
         self.poly = poly
@@ -481,13 +480,6 @@ class Certificate:
     @cached_property
     def qminus(self) -> VPolytope:
         return base_minus()
-
-    @cached_property
-    def base_hulls(self) -> tuple:
-        """The hulls of the top and bottom bases, read off q48's verified
-        hull and kept on `qplus` and `qminus`: q48 is their Cayley
-        polytope, at heights 1 and -1 (`normalfans.summand_hulls_from_cayley`)."""
-        return summand_hulls_from_cayley(self.qplus, self.qminus, self.poly)
 
     @cached_property
     def base_sum(self):
@@ -688,15 +680,11 @@ def check_base_structure(ctx: Certificate) -> Report:
     """Facet structure of the two bases: 32 facets each of the stated shape,
     cube vertex figures, torus membership, and the worked cone containment.
 
-    The base hulls are read off the prismatoid's verified hull
-    (`Certificate.base_hulls`): q48's facets with bi-dimension 3 on a base,
-    restricted to that base's height, after checking by value that q48's
-    points are the bases' at heights 1 and -1, in order.  Each passes the
-    full `_verify` against its base's points.  The independent
-    double-description builds of both bases are in the tests
-    (`test_base_hulls_read_off_q48_are_the_built_ones`)."""
+    Each base's hull is built from its own 24 points, apart from q48's,
+    and compared with the hand-written tables `gplus_vertices()` and
+    `gminus_vertices()`."""
     rep = Report("base structure")
-    qm, (hull_p, hull_m) = ctx.qminus, ctx.base_hulls
+    qm, hull_p, hull_m = ctx.qminus, facet_enumeration(ctx.qplus), facet_enumeration(ctx.qminus)
     rep.add("top base has 32 facets", hull_p.incidence.n_facets == 32, str(hull_p.incidence.n_facets))
     want_p = {(q + (Rat(90),)) for q in gplus_vertices()}
     got_p = set(hull_p.hrep.inequalities)

@@ -21,14 +21,10 @@ up, not one of the |A| |B| pairwise sums.  `minkowski_sum_from_cayley`
 reads the hull a polytope already keeps, after checking by value that its
 points are those of C, in order: the paper's prismatoid puts its bases at
 x5 = 1 and x5 = -1, so it is C of its bases, and full verification reads
-the sum off the prismatoid's own hull.  `summand_hulls_from_cayley` reads
-the hulls of full-dimensional summands off the same hull: a facet of A is
-the height-1 slice of the one facet of C that meets A x {1} in dimension
-dim A - 1, the row alpha . x <= beta - c (beta + c for B at height -1).
+the sum off the prismatoid's own hull.
 Each distinct face of C is ranked once: `polytopes.face_ranks` keeps the
-ranks on the Cayley polytope, so `bi_dimensions` of the prismatoid, the
-sum's decompositions (the two halves of each facet's mask of C) and the
-choice of the summands' facets share them.
+ranks on the Cayley polytope, so `bi_dimensions` of the prismatoid and the
+sum's decompositions (the two halves of each facet's mask of C) share them.
 
 The candidate sums are all |A| |B| pairwise sums, formed in integers, the
 summands scaled by one common denominator, and only the vertices become
@@ -45,8 +41,7 @@ The sum is checked once (`Chart.vertex_hull`): the vertex test reads the
 derived incidence, one packed exact test meets every pairwise sum with
 every derived row, so that incidence is exact, and the rank certificates
 and the repeated-row test of `polytopes._verify` run on the vertices'
-hull, which their polytope keeps.  A summand's hull passes the full
-`_verify` against its points.
+hull, which their polytope keeps.
 The torus angles are floating point and feed the SVG plots only.
 """
 from __future__ import annotations
@@ -54,7 +49,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
-from operator import add, neg
+from operator import add
 from typing import NamedTuple, Optional
 
 from .geometry import DegenerateInput, affine_rank, integer_points
@@ -248,42 +243,6 @@ def minkowski_sum_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope) -> 
     if cayley.vertices != _cayley_points(a, b, cand.chart):
         raise DegenerateInput("not the Cayley polytope of the summands")
     return _sum_from_cayley(cand, a.n_vertices, cayley)
-
-
-def summand_hulls_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope) -> tuple:
-    """The hulls of the full-dimensional summands `a` and `b` in R^k, read
-    off the hull `facet_enumeration` keeps on `cayley`, and kept on them.
-    The points of `cayley` must be those of `a` at height 1, then those of
-    `b` at height -1, in order, and its hull must have the two bases as
-    facets (so each summand spans R^k); raises DegenerateInput otherwise.
-
-    A facet G of `a` lies on exactly one facet F of C: F meets A x {1} in
-    G x {1}, of dimension k - 1, and its row (alpha, c, beta) there reads
-    alpha . x <= beta - c; at height -1 it reads alpha . x <= beta + c.
-    Each hull passes `Chart.hull`'s full `_verify` against its summand's
-    points."""
-    k, n = a.ambient_dim, a.n_vertices
-    whole = Chart(k, tuple(range(k)), ())
-    if cayley.vertices != _cayley_points(a, b, whole):
-        raise DegenerateInput("not the Cayley polytope of the summands")
-    hull = facet_enumeration(cayley)
-    low = (1 << n) - 1
-    high = ((1 << cayley.n_vertices) - 1) ^ low
-    masks = hull.incidence.facet_masks
-    if hull.hrep.equalities or not {low, high} <= set(masks):
-        raise DegenerateInput("summands must be full-dimensional")
-    rank = face_ranks(cayley)
-    hulls = []
-    for summand, part, shift, height in ((a, low, 0, 1), (b, high, n, -1)):
-        ints, scale = integer_points(summand.vertices)
-        pairs = [
-            (primitive(row[:k] + (row[-1] - height * row[k],)), (m & part) >> shift)
-            for row, m in zip(hull.hrep.inequalities, masks)
-            if m not in (low, high) and rank(m & part) == k - 1
-        ]
-        vectors = [(*map(neg, p), scale) for p in ints]
-        hulls.append(keep_hull(summand, whole.hull(vectors, pairs)))
-    return tuple(hulls)
 
 
 # ---------------------------------------------------------------------------

@@ -34,21 +34,22 @@ reduction of `linalg` that picks the starting simplex.  The builder copies
 cheaply, so the perturbation searches build the hull of their fixed points
 once and insert one moved point per candidate.
 
-Every hull that is returned has passed one routine, `_verify`: no
-repeated facet, every point against every facet with exact incidence
-(`_check_incidence`), and the rank of every facet's tight points
-(`_check_ranks`).  `Chart.vertex_hull` runs the two halves apart, for
-points that may be no vertices: the incidence against all of them, the
-ranks on the vertices.  The points are packed into one
-big integer per coordinate, so each facet meets all of them in a few
+Every hull that is returned has passed `_verify`: no repeated facet, every
+point against every facet with exact incidence (`_check_incidence`), and the
+rank of every facet's tight points (`_check_ranks`).  The one exception is a
+row a copy carried from its verified base, which `HullBuilder.hull` checks
+at the inserted points alone, in its own slack loop.  `Chart.vertex_hull`
+runs the two halves apart, for points that may be no vertices: the incidence
+against all of them, the ranks on the vertices.  The points are packed into
+one big integer per coordinate, so each facet meets all of them in a few
 integer operations, and its mask of tight points is read off the bytes of
-one result.  The rank is proved from that incidence, as a
-certificate in the sense of McConnell, Mehlhorn, Naeher & Schweitzer 2011
-("Certifying algorithms"): dim tight points t_i and dim rows g_i of exactly
-verified incidence, g_i tight at t_1..t_(i-1) but not at t_i, make the
-matrix (g_i . t_j) triangular with a nonzero diagonal, so the tight points
-have rank at least dim, and a nonzero row tight at all of them bounds it by
-dim.  An elimination runs only when no such certificate is found.  The same
+one result.  The rank is proved from that incidence, as a certificate in the
+sense of McConnell, Mehlhorn, Naeher & Schweitzer 2011 ("Certifying
+algorithms"): dim tight points t_i and dim rows g_i of exactly verified
+incidence, g_i tight at t_1..t_(i-1) but not at t_i, make the matrix
+(g_i . t_j) triangular with a nonzero diagonal, so the tight points have
+rank at least dim, and a nonzero row tight at all of them bounds it by dim.
+An elimination runs only when no such certificate is found.  The same
 routine checks every row of the builder a copy came from, once, against
 that builder's points; a builder that fails makes every copy's hull raise,
 and a row the copy carried unchanged over the same point objects needs only
@@ -78,11 +79,11 @@ An input that raises keeps nothing.  A perturbation search records the
 hull of each candidate it builds (`keep_hull`), and `polar` records on the
 polar the hull it derives by duality from the input's (its facets are the
 input's vertices, its incidence the input's transposed), so no
-double-description build runs for a polar; `normalfans` records a
-Minkowski sum's hull and its summands' hulls, derived from a Cayley
-polytope's, the same way.  Every kept hull has passed `_verify`, or its
-two halves.  A `VPolytope` keeps its face ranks too (`face_ranks`), so the
-callers that rank faces of one polytope rank each once.
+double-description build runs for a polar; `normalfans` records a Minkowski
+sum's hull, derived from a Cayley polytope's, the same way.  Every kept hull
+has passed `_verify`, or its two halves.  A `VPolytope` keeps its face ranks
+too (`face_ranks`), so the callers that rank faces of one polytope rank each
+once.
 """
 from __future__ import annotations
 
@@ -331,8 +332,7 @@ def _verify(dim, pts, pairs, unchecked, empty) -> FacetIncidence:
     `empty` hold the zero vector, which every row holds tightly, and the
     masks lack them.  The caller has verified the incidence of the
     other pairs.  `HullBuilder.hull` checks its hulls here, and `Chart.hull`
-    the derived ones of `polar` and of the bases `normalfans` reads off a
-    Cayley polytope; a Minkowski sum runs the two halves apart."""
+    the one `polar` derives; a Minkowski sum runs the two halves apart."""
     _check_incidence(pts, unchecked, empty)
     return _check_ranks(dim, pts, pairs, unchecked)
 
@@ -384,14 +384,16 @@ class HullBuilder:
     without rescaling the rest.  `copy()` is cheap, so a search can build the
     hull of its fixed points once and insert one moved point per candidate.
 
-    Every check lives in `_verify`.  A copy records the builder it came
-    from, its base.  The first `hull()` of a copy verifies every row of the
-    base against the base's own points, and keeps them with the base's
-    (row, mask) pairs in the base's `verified`; a base that fails makes the
-    `hull()` of each of its copies raise.  A row of a copy whose pair, less
-    the bits of the slots filled since, is one of the base's needs only the
-    points in those slots checked, provided every other slot holds the very
-    point object the base held; every other row gets the full check.
+    `hull()` checks every row by `_verify`, except a row a copy carried from
+    its base, which its own loop checks at the inserted points.  A copy
+    records the builder it came from, its base.  The first `hull()` of a
+    copy verifies every row of the base against the base's own points, and
+    keeps them with the base's (row, mask) pairs in the base's `verified`; a
+    base that fails makes the `hull()` of each of its copies raise.  A row
+    of a copy whose pair, less the bits of the slots filled since, is one of
+    the base's needs only the points in those slots checked, provided every
+    other slot holds the very point object the base held; every other row
+    gets the full check.
     """
 
     __slots__ = ("dim", "points", "rows", "masks", "base", "verified")
@@ -580,6 +582,10 @@ class HullBuilder:
                     if (h, fmask & ~new) not in passed:
                         unchecked.append((h, fmask))
                         continue
+                    # a carried row is checked here at the inserted points,
+                    # usually one, not by `_check_incidence`: its packed test
+                    # costs more per row than this loop on so few points, and
+                    # a search carries thousands of rows per candidate
                     for i, q in added:
                         s = sum(map(mul, h, q))
                         if s < 0:
@@ -610,7 +616,7 @@ def keep_hull(poly: VPolytope, hull: Hull) -> Hull:
     `hull` must be the hull of poly's points in their order that passed
     `_verify`, as a `HullBuilder` over exactly those points returns it (a
     search's candidate), as `polar` derives it by duality or as
-    `Chart.hull` checks a derived one (a Minkowski sum's).  Later code
+    `Chart.vertex_hull` checks a Minkowski sum's.  Later code
     reads it back with `facet_enumeration(poly)`, never from a second
     variable."""
     object.__setattr__(poly, "_hull", hull)

@@ -1,7 +1,7 @@
 import pytest
 
 from exactpoly.counterexample import Certificate, vertices48
-from exactpoly.polytopes import HullBuilder
+from exactpoly.polytopes import HullBuilder, facet_enumeration
 
 
 @pytest.fixture
@@ -57,7 +57,7 @@ def qplus(certificate):
 
 @pytest.fixture(scope="session")
 def qplus_hull(certificate):
-    return certificate.base_hulls[0]
+    return facet_enumeration(certificate.qplus)
 
 
 @pytest.fixture(scope="session")
@@ -67,7 +67,7 @@ def qminus(certificate):
 
 @pytest.fixture(scope="session")
 def qminus_hull(certificate):
-    return certificate.base_hulls[1]
+    return facet_enumeration(certificate.qminus)
 
 
 @pytest.fixture(scope="session")

@@ -93,6 +93,13 @@ MUTANTS = (
         ("tests/test_hullbuilder.py::test_ridge_candidates_from_the_visible_region_match_the_full_scan",),
     ),
     Mutant(
+        "copy-shares-its-base-masks",
+        "polytopes.py",
+        "twin.masks = list(self.masks)",
+        "twin.masks = self.masks",
+        ("tests/test_constructions.py::test_whole_search_is_the_same_without_a_fixed_builder",),
+    ),
+    Mutant(
         "polar-keeps-points-that-are-no-vertex",
         "polytopes.py",
         "for i in extreme_indices(hull)\n",
@@ -159,14 +166,11 @@ MUTANTS = (
         ("tests/test_normalfans.py::test_a_non_vertex_sum_meets_every_row",),
     ),
     Mutant(
-        "bottom-base-offset-takes-the-wrong-sign",
-        "normalfans.py",
-        "(b, high, n, -1)",
-        "(b, high, n, 1)",
-        (
-            "tests/test_normalfans.py::TestBaseStructure::test_base_hulls_read_off_q48_are_the_built_ones",
-            "tests/test_normalfans.py::test_summand_hulls_from_cayley_are_the_built_ones",
-        ),
+        "base-structure-reads-the-top-hull-twice",
+        "counterexample.py",
+        "facet_enumeration(ctx.qplus), facet_enumeration(ctx.qminus)",
+        "facet_enumeration(ctx.qplus), facet_enumeration(ctx.qplus)",
+        ("tests/test_normalfans.py::TestBaseStructure::test_base_report",),
     ),
     Mutant(
         "sum-chart-spanned-by-one-summand",
@@ -235,6 +239,13 @@ MUTANTS = (
         "os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())",
         "pass",
         ("tests/test_cli.py::TestUnwritableOutput::test_closed_stdout_is_usage_error[buffered]",),
+    ),
+    Mutant(
+        "help-text-stays-in-its-buffer",
+        "cli.py",
+        "            sys.stdout.write(text.getvalue())\n",
+        "",
+        ("tests/test_cli.py::TestUnwritableOutput::test_help_into_a_closed_pipe[unbuffered]",),
     ),
 )
 

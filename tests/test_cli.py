@@ -661,10 +661,10 @@ class TestUnwritableOutput:
     @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
     def test_help_into_a_closed_pipe(self, tmp_path, unbuffered):
         # the pipe's reading end is closed before the process starts.
-        # Buffered, the help text waits in stdout's buffer until `main`
-        # flushes it, and the failed flush is a usage error; unbuffered,
-        # argparse drops its own failed write and exits 0.  Neither leaves
-        # the failure to the interpreter's flush at exit (exit 120)
+        # argparse writes the help text into `main`'s buffer, and `main`
+        # writes it to stdout: the failed write (unbuffered) or flush
+        # (buffered) is a usage error, not argparse's silent exit 0 or the
+        # interpreter's failed flush at exit (exit 120)
         read, write = os.pipe()
         os.close(read)
         env = dict(os.environ, PYTHONPATH=str(SRC), PYTHONUNBUFFERED=unbuffered)
@@ -677,12 +677,9 @@ class TestUnwritableOutput:
             os.close(write)
         err = done.stderr.decode()
         assert "Traceback" not in err and "Exception ignored" not in err
-        if unbuffered:
-            assert (done.returncode, err) == (0, "")
-        else:
-            assert done.returncode == 2, err
-            assert err.startswith("error: cannot write stdout: ")
-            assert err.count("\n") == 1
+        assert done.returncode == 2, err
+        assert err.startswith("error: cannot write stdout: ")
+        assert err.count("\n") == 1
 
 
 POLY_SEEDS = (

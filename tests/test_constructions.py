@@ -1,10 +1,11 @@
 import itertools
+import math
 import random
 import re
 from unittest import mock
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from exactpoly import constructions, polytopes
 from exactpoly.constructions import (
@@ -26,7 +27,8 @@ from exactpoly.constructions import (
     strong_dstep_iterate,
     strong_dstep_step,
 )
-from exactpoly.geometry import DegenerateInput
+from exactpoly.fileformats import write_hpoly, write_incidence, write_poly
+from exactpoly.geometry import DegenerateInput, affine_rank
 from exactpoly.polytopes import (
     HullBuilder,
     VPolytope,
@@ -415,6 +417,84 @@ def test_corrupted_fixed_builder_raises_before_inside_candidates_count():
     with pytest.raises(DegenerateInput, match="hull verification failed"):
         list(_halvings(c, 0, fixed, step, 1, rejected))
     assert rejected == {"not a vertex": 0}
+
+
+def lattice_sphere(r2):
+    """The integer points of R^3 with squared norm r2, all in convex
+    position."""
+    b = math.isqrt(r2)
+    return [p for p in itertools.product(range(-b, b + 1), repeat=3) if sum(x * x for x in p) == r2]
+
+
+LATTICE_SPHERES = [pool for pool in map(lattice_sphere, range(17, 30)) if pool]
+
+
+@st.composite
+def lattice_bases(draw):
+    """(top, bottom): 4-6 points of a lattice sphere of squared radius
+    17-29 for each base, spanning R^3, to be placed at heights 1 and -1."""
+    bases = []
+    for _ in range(2):
+        pool = draw(st.sampled_from(LATTICE_SPHERES))
+        pts = draw(st.lists(st.sampled_from(pool), min_size=4, max_size=6, unique=True))
+        assume(affine_rank(pts) == 3)
+        bases.append(tuple(pts))
+    return tuple(bases)
+
+
+def _whole_search(top, bottom, seed):
+    """What the searches from the prismatoid of `top` and `bottom` give:
+    the STEP lines of `strong_dstep_iterate(pr, 9, seed)`, which runs until
+    the asimpliciality is spent, the POLY, HPOLY and incidence text of its
+    last prismatoid, and the message of one step asked for a width no
+    candidate reaches, with its candidates counted by cause.  Checks each
+    step's invariants on the way."""
+    pr = make_prismatoid(VPolytope(tuple(pt(*p, 1) for p in top) + tuple(pt(*p, -1) for p in bottom)))
+    final, trace = strong_dstep_iterate(pr, 9, seed=seed)
+    # the asimpliciality, vertices - 2 dim, falls by one a step, to 0
+    assert len(trace) - 1 == pr.asimpliciality - final.asimpliciality == min(pr.asimpliciality, 9)
+    for old, new in zip(trace, trace[1:]):
+        assert (new.dim, new.n_vertices) == (old.dim + 1, old.n_vertices + 1)
+        assert new.width >= old.width + 1
+    hull = facet_enumeration(final.polytope)
+    out = [rec.line(i) for i, rec in enumerate(trace)]
+    out += [write_poly(final.polytope), write_hpoly(hull.hrep), write_incidence(hull)]
+    if pr.asimpliciality > 0:
+        with mock.patch.object(constructions, "STEP_HALVINGS", 1), pytest.raises(ConstructionFailed) as exc:
+            strong_dstep_step(pr, trace[0].width + 100, seed)
+        out.append(str(exc.value))
+    return out
+
+
+@settings(max_examples=10, deadline=None)
+@given(lattice_bases(), st.integers(0, 1 << 16))
+# two that reach dim 8 and one that reaches dim 7
+@example(
+    (((2, 0, -4), (-2, -4, 0), (0, -2, 4), (2, 4, 0), (0, 4, 2), (2, 0, 4)),
+     ((-4, -1, -1), (3, 0, 3), (0, -3, -3), (-1, 4, -1), (-1, 1, -4), (1, -1, -4))),
+    3,
+)
+@example(
+    (((4, -1, 1), (-1, 4, 1), (0, -3, 3), (0, -3, -3), (0, 3, -3), (1, -1, 4)),
+     ((3, -3, 0), (0, 3, 3), (3, 0, -3), (1, 1, 4), (4, -1, -1), (1, 1, -4))),
+    14,
+)
+@example(
+    (((-3, -1, -3), (-1, -3, -3), (-3, -1, 3), (1, 3, 3), (1, 3, -3), (3, 1, -3)),
+     ((-2, 0, 5), (-3, -4, -2), (4, -2, -3), (-5, 2, 0), (2, 4, -3))),
+    1,
+)
+def test_whole_search_is_the_same_without_a_fixed_builder(bases, seed):
+    # with no fixed builder every candidate is enumerated from scratch,
+    # with no copy, no verification of a base and no count of a candidate
+    # inside the fixed hull before its hull is built: the draws, the order
+    # of the candidates and the causes of rejection must not change
+    with_builder = _whole_search(*bases, seed)
+    with mock.patch.object(constructions, "_fixed_builder", return_value=None) as none:
+        from_scratch = _whole_search(*bases, seed)
+    assert from_scratch == with_builder
+    if len(with_builder) > 4:  # a step ran, so the patch was read
+        assert none.called
 
 
 class TestProductsAndPowers:
