@@ -35,7 +35,6 @@ from .polytopes import (
     NotAVertex,
     VPolytope,
     certify_vertices,
-    dual_graph,
     facet_enumeration,
     polar,
     vertex_graph,
@@ -138,11 +137,9 @@ def _cmd_plot_torus(args) -> int:
         ("minus", counterexample.base_minus, "#999999", "m"),
     ):
         if args.maps in (maps, "both"):
-            poly = base()
-            hull = facet_enumeration(poly)
-            graph = dual_graph(poly, hull)
-            layers.append((normalfans.facet_normals(hull), graph.edges, colour))
-            data_lines += normalfans.torus_plot_data(hull, graph, prefix)
+            hull = facet_enumeration(base())
+            layers.append((normalfans.facet_normals(hull), hull.dual_graph.edges, colour))
+            data_lines += normalfans.torus_plot_data(hull, prefix)
     _emit(torus_svg(layers, args.svg_size), args.out)
     if args.data:
         _emit("\n".join(data_lines) + "\n", args.data)

@@ -407,6 +407,10 @@ def blend_graph(p1: VPolytope, v1: int, p2: VPolytope, v2: int) -> BlendGraph:
     d = hull1.dim
     if hull2.dim != d:
         raise DegenerateInput("blend requires equal dimensions")
+    if d < 2:
+        # the facet count n1 + n2 - d needs d >= 2: a segment's facet
+        # through the glued vertex is that vertex, and goes with it
+        raise DegenerateInput("blend requires dimension at least 2")
     for poly, hull in ((p1, hull1), (p2, hull2)):
         if not all(m.bit_count() == d for m in hull.incidence.vertex_masks):
             raise DegenerateInput("blend requires simple polytopes")

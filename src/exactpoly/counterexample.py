@@ -8,10 +8,12 @@ whose polar is a 5-spindle of length 6 and whose bases have a Minkowski sum
 without the pair d-step property.
 
 `Certificate` derives each artifact the suite shares (family table, hull,
-labels, dual graph, groups, facet permutations and orbits, base hulls, base
-Minkowski sum) once, on first use; every `check_*` section takes it, and the section
-runner turns a section that raises into one FAIL line.  `FAST_SECTIONS`
-and `FULL_SECTIONS` name the sections of `verify --fast` and full `verify`.
+labels, groups, facet permutations and orbits, base hulls, base Minkowski
+sum) once, on first use; every `check_*` section takes it, and the section
+runner turns a section that raises into one FAIL line.  A graph is read off
+the hull that keeps it (`polytopes.Hull`), so q48's dual graph and the base
+sum's are each built once.  `FAST_SECTIONS` and `FULL_SECTIONS` name the
+sections of `verify --fast` and full `verify`.
 
 A symmetry group is its generators, their vertex permutations, and the set
 of permutations its elements induce on the vertices: those that products
@@ -28,7 +30,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Optional
 
-from .geometry import OrthMap, affine_rank, integer_points, smul, vadd, vsub
+from .geometry import OrthMap, integer_points, smul, vadd, vsub
 from .graphs import Graph
 from .linalg import matrix_rank, primitive
 from .normalfans import (
@@ -47,12 +49,12 @@ from .polytopes import (
     Hull,
     VPolytope,
     certify_vertices,
-    dual_graph,
+    face_ranks,
     facet_enumeration,
     iter_bits,
     polar,
 )
-from .prismatoids import is_spindle, make_prismatoid
+from .prismatoids import is_spindle, make_prismatoid, width
 from .rationals import Rat, format_rat, primitive_ints
 from .report import Report
 
@@ -415,8 +417,9 @@ class Certificate:
     read off the hull of `poly`, the bases' Cayley polytope: the sum's rows
     meet every pairwise sum of the bases once, in exact arithmetic, with
     ranks and repeated rows checked on the sum's vertices.  The face ranks
-    of `poly` are kept on it, so `bidims` and `base_sum` rank each face
-    once."""
+    of `poly` are kept on it, so `bidims`, `base_sum` and the
+    representative facets rank each face once.  The dual graphs of q48
+    and of the sum are kept on their hulls."""
 
     def __init__(self, poly: VPolytope):
         self.poly = poly
@@ -443,10 +446,6 @@ class Certificate:
     def pr(self):
         certify_vertices(self.poly)
         return make_prismatoid(self.poly, (self.by_label["A"], self.by_label["L"]))
-
-    @cached_property
-    def graph(self) -> Graph:
-        return dual_graph(self.poly, self.hull)
 
     @cached_property
     def bidims(self) -> dict:
@@ -505,7 +504,7 @@ def check_representative_facets(ctx: Certificate) -> Report:
     """Tight vertex sets of the five representative facets, their ranks, and
     the facet shapes (three simplices, one 6-vertex, one 7-vertex facet)."""
     rep = Report("representative facets")
-    poly, by_label = ctx.poly, ctx.by_label
+    poly, by_label, rank_of = ctx.poly, ctx.by_label, face_ranks(ctx.poly)
     rows, masks = ctx.hull.hrep.inequalities, ctx.hull.incidence.facet_masks
     for name, (tight_labels, row) in REPRESENTATIVE_FACETS.items():
         f = by_label[name]
@@ -513,7 +512,7 @@ def check_representative_facets(ctx: Certificate) -> Report:
         tight = list(iter_bits(masks[f]))
         got = tuple(sorted(poly.labels[v] for v in tight))
         rep.add(f"{name} tight set", got == tuple(sorted(tight_labels)), " ".join(got))
-        rank = affine_rank([poly.vertices[v] for v in tight])
+        rank = rank_of(masks[f])
         rep.add(f"{name} affine rank", rank == 4, str(rank))
     for name, (tight_labels, _) in REPRESENTATIVE_FACETS.items():
         count = len(tight_labels)
@@ -601,17 +600,17 @@ def check_neighbor_lists(ctx: Certificate) -> Report:
     labels = ctx.labels
     for name, wanted in REPRESENTATIVE_NEIGHBORS.items():
         f = ctx.by_label[name]
-        got = tuple(sorted(str(labels[g]) for g in ctx.graph.adj[f]))
+        got = tuple(sorted(str(labels[g]) for g in ctx.hull.dual_graph.adj[f]))
         rep.add(f"neighbors of {name}", got == tuple(sorted(wanted)), " ".join(got))
     return rep
 
 
 def check_width(ctx: Certificate) -> Report:
     rep = Report("width")
-    pr, graph = ctx.pr, ctx.graph
-    dist = graph.distance(pr.base_plus, pr.base_minus)
+    pr = ctx.pr
+    dist = width(pr)
     rep.add("dual distance between bases", dist == 6, str(dist))
-    path = graph.shortest_path(pr.base_plus, pr.base_minus)
+    path = pr.hull.dual_graph.shortest_path(pr.base_plus, pr.base_minus)
     rep.add("a six-step path exists", len(path) == 7, "->".join(str(i) for i in path))
     rep.add("no five-step path exists", dist > 5, f"BFS minimum is {dist}")
     rep.add("d-step property fails", dist > pr.dim, f"width {dist} > dim {pr.dim}")
@@ -632,7 +631,7 @@ def check_orbit_quotient(ctx: Certificate) -> Report:
     """Quotient adjacency by base-preserving orbits, its A-to-L distance, and
     the bi-dimension bands."""
     rep = Report("orbit quotient")
-    q, which = orbit_adjacency_graph(ctx.graph, ctx.orbits_plus)
+    q, which = orbit_adjacency_graph(ctx.hull.dual_graph, ctx.orbits_plus)
     dist = q.distance(which[ctx.by_label["A"]], which[ctx.by_label["L"]])
     rep.add("quotient distance A to L", dist == 6, str(dist))
     bad = _off_band(ctx.labels, ctx.bidims)
@@ -759,10 +758,10 @@ def check_minkowski_section(ctx: Certificate) -> Report:
     if ok:
         edges_q = {
             (min(mapping[a], mapping[b]), max(mapping[a], mapping[b]))
-            for a, b in ctx.graph.edges
+            for a, b in pr.hull.dual_graph.edges
             if a not in bases and b not in bases
         }
-        edges_s = set(ms.graph.edges)
+        edges_s = set(ms.hull.dual_graph.edges)
         rep.add(
             "dual graph of the sum equals the prismatoid's minus its bases",
             edges_q == edges_s,

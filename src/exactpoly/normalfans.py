@@ -48,7 +48,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
 from operator import add
 from typing import NamedTuple, Optional
 
@@ -60,7 +59,6 @@ from .polytopes import (
     Hull,
     VPolytope,
     affine_chart,
-    dual_graph,
     face_ranks,
     facet_enumeration,
     iter_bits,
@@ -121,11 +119,6 @@ class MinkowskiSum:
     @property
     def n_facets(self) -> int:
         return len(self.facets)
-
-    @cached_property
-    def graph(self):
-        """Dual graph of the sum, built on first use."""
-        return dual_graph(self.polytope, self.hull)
 
 
 class _Candidates(NamedTuple):
@@ -263,7 +256,7 @@ def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms: Minkows
     end = {f for f, mf in enumerate(ms.facets) if mf.face_minus.dim == dim_minus - 1}
     if not start or not end:
         raise DegenerateInput("no facet has the required bi-dimension")
-    dist = ms.graph.bfs_distances(*start)
+    dist = ms.hull.dual_graph.bfs_distances(*start)
     best = min((dist[f] for f in end if dist[f] >= 0), default=None)
     if best is None:
         raise DegenerateInput("no dual path between the base-adjacent facets")
@@ -380,16 +373,16 @@ def torus_membership_check(points) -> Report:
     return rep
 
 
-def torus_plot_data(hull: Hull, graph, prefix: str):
+def torus_plot_data(hull: Hull, prefix: str):
     """Plot-data lines: one TORUS line per facet normal, EDGE lines from the
-    dual graph (edges of the normal map)."""
+    dual graph `hull` keeps (edges of the normal map)."""
     normals = facet_normals(hull)
     names = [f"{prefix}{'_'.join(str(int(c)) for c in n)}" for n in normals]
     lines = []
     for name, n in zip(names, normals):
         a1, a2 = torus_project(n)
         lines.append(f"TORUS {name} {a1:.6f} {a2:.6f}")
-    for a, b in graph.edges:
+    for a, b in hull.dual_graph.edges:
         lines.append(f"EDGE {names[a]} {names[b]}")
     return lines
 

@@ -68,7 +68,9 @@ masks.  On the facet side a simplex facet is joined to every facet sharing
 k-1 of its points with no test; on the points' side a point on k facets
 proves no such thing, since a point that is no vertex may lie between
 two.  The incidence keeps its transpose and each point's smallest face
-once computed, so the vertex test and `polar` read them once per hull.
+once computed, so the vertex test and `polar` read them once per hull, and
+a `Hull` keeps its two graphs the same way: every caller of one hull's
+dual or vertex graph reads the one `_adjacency` built.
 
 A `VPolytope` keeps the verified hull that `facet_enumeration` built for
 it, and every later call on that object returns it; that call is how
@@ -87,8 +89,8 @@ once.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cache
+from dataclasses import dataclass, field, replace
+from functools import cache, cached_property
 from math import gcd
 from operator import mul, neg
 from typing import Callable, NamedTuple, Optional
@@ -206,10 +208,27 @@ class FacetIncidence:
         return tuple(iter_bits(self.vertex_masks[v]))
 
 
-class Hull(NamedTuple):
+@dataclass(frozen=True)
+class Hull:
+    """A verified hull: its rows `hrep`, their `incidence` and `dim`, the
+    dimension of the chart they were built on.  Its dual and vertex graphs
+    are built by `_adjacency` on first use and kept, as the incidence keeps
+    its transpose."""
+
     hrep: HPolytope
     incidence: FacetIncidence
     dim: int
+
+    @cached_property
+    def dual_graph(self) -> Graph:
+        """Facets sharing a ridge."""
+        return _adjacency(self.incidence.facet_masks, self.incidence.vertex_masks, self.dim, True)
+
+    @cached_property
+    def vertex_graph(self) -> Graph:
+        """Points joined by 1-faces: the smallest face containing both is
+        exactly those two."""
+        return _adjacency(self.incidence.vertex_masks, self.incidence.facet_masks, self.dim, False)
 
 
 def bits(indices) -> int:
@@ -331,8 +350,8 @@ def _verify(dim, pts, pairs, unchecked, empty) -> FacetIncidence:
     raises DegenerateInput naming the first check that fails.  The slots in
     `empty` hold the zero vector, which every row holds tightly, and the
     masks lack them.  The caller has verified the incidence of the
-    other pairs.  `HullBuilder.hull` checks its hulls here, and `Chart.hull`
-    the one `polar` derives; a Minkowski sum runs the two halves apart."""
+    other pairs.  `HullBuilder.hull` checks its hulls here, and `polar` the
+    one it derives; a Minkowski sum runs the two halves apart."""
     _check_incidence(pts, unchecked, empty)
     return _check_ranks(dim, pts, pairs, unchecked)
 
@@ -654,14 +673,6 @@ class Chart(NamedTuple):
     def project(self, p) -> tuple:
         return tuple(p[c] for c in self.cols)
 
-    def hull(self, vectors, pairs) -> Hull:
-        """The hull whose facets are the (row, mask) `pairs`, rows on the
-        chart's coordinates, after the full `_verify` against `vectors`,
-        the points' `_homogeneous` vectors there (up to a positive factor
-        each): sorted as `HullBuilder.hull` sorts them, then lifted."""
-        pairs = sorted(pairs)
-        return self._lifted(pairs, _verify(len(self.cols), vectors, pairs, pairs, 0))
-
     def vertex_hull(self, vectors, pairs):
         """(keep, hull) for `vectors`, points that may be no vertices, and
         (row, mask) `pairs` with masks over all of them: `keep`, the indices
@@ -675,12 +686,9 @@ class Chart(NamedTuple):
         _check_incidence(vectors, pairs, 0)
         new = {old: i for i, old in enumerate(keep)}
         pairs = sorted((h, bits(new[v] for v in iter_bits(m) if v in new)) for h, m in pairs)
-        incidence = _check_ranks(len(self.cols), [vectors[i] for i in keep], pairs, pairs)
-        return keep, self._lifted(pairs, incidence)
-
-    def _lifted(self, pairs, incidence) -> Hull:
         k = len(self.cols)
-        return self.lift(Hull(HPolytope(k, tuple(h for h, _ in pairs)), incidence, k))
+        incidence = _check_ranks(k, [vectors[i] for i in keep], pairs, pairs)
+        return keep, self.lift(Hull(HPolytope(k, tuple(h for h, _ in pairs)), incidence, k))
 
     def lift(self, hull: Hull) -> Hull:
         """A hull on the chart's coordinates as a hull in R^d: each facet
@@ -695,7 +703,7 @@ class Chart(NamedTuple):
             for c, a in zip(self.cols, row[:-1]):
                 lifted[c] = a
             facets.append(tuple(lifted))
-        return hull._replace(hrep=HPolytope(self.ambient_dim, tuple(facets), self.equalities))
+        return replace(hull, hrep=HPolytope(self.ambient_dim, tuple(facets), self.equalities))
 
 
 def affine_chart(pts):
@@ -853,14 +861,14 @@ def _adjacency(masks, tmasks, k, simplices: bool) -> Graph:
 
 
 def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
-    """Facets sharing a ridge."""
-    return _adjacency(hull.incidence.facet_masks, hull.incidence.vertex_masks, hull.dim, True)
+    """Facets sharing a ridge: the graph `hull` keeps (`Hull.dual_graph`)."""
+    return hull.dual_graph
 
 
 def vertex_graph(poly: VPolytope, hull: Hull) -> Graph:
-    """Points joined by 1-faces: the smallest face containing both is
-    exactly those two."""
-    return _adjacency(hull.incidence.vertex_masks, hull.incidence.facet_masks, hull.dim, False)
+    """Points joined by 1-faces: the graph `hull` keeps
+    (`Hull.vertex_graph`)."""
+    return hull.vertex_graph
 
 
 def _centroid(points):
@@ -893,9 +901,9 @@ def polar(poly: VPolytope) -> VPolytope:
     primitive row is that of (n L v - L s, n L) for any L > 0 that makes it
     integral, and which holds polar vertex j iff the input facet sorted j-th
     holds v; a point that is not a vertex gives no facet.  These rows and
-    masks pass `Chart.hull`, sorted and fully verified against the polar
-    vertices as the integer vectors (-a', b'), and the hull is kept on the
-    polar with `keep_hull`, so no hull is built.
+    masks, sorted, pass the full `_verify` against the polar vertices as
+    the integer vectors (-a', b'), and the hull is kept on the polar with
+    `keep_hull`, so no hull is built.
     """
     hull = facet_enumeration(poly)
     if hull.hrep.equalities:
@@ -914,13 +922,14 @@ def polar(poly: VPolytope) -> VPolytope:
     fmasks = hull.incidence.facet_masks
     masks = FacetIncidence([fmasks[f] for f in order], poly.n_vertices).vertex_masks
     shift = [scale * c for c in s]
-    pairs = [
+    pairs = sorted(
         (primitive((*[n * x - t for x, t in zip(ints[i], shift)], n * scale)), masks[i])
         for i in extreme_indices(hull)
-    ]
+    )
     pts = [(*map(neg, q[:-1]), q[-1]) for q in ineqs]
     _check_duplicates(pts)
-    keep_hull(pol, Chart(hull.dim, tuple(range(hull.dim)), ()).hull(pts, pairs))
+    incidence = _verify(hull.dim, pts, pairs, pairs, 0)
+    keep_hull(pol, Hull(HPolytope(hull.dim, tuple(h for h, _ in pairs)), incidence, hull.dim))
     return pol
 
 

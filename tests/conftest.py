@@ -47,7 +47,7 @@ def q48_labels(certificate):
 
 @pytest.fixture(scope="session")
 def q48_dual(certificate):
-    return certificate.graph
+    return certificate.hull.dual_graph
 
 
 @pytest.fixture(scope="session")

@@ -33,7 +33,9 @@ from exactpoly.normalfans import MinkowskiFacet, MinkowskiSum, facet_normals
 from exactpoly.polytopes import (
     Face,
     HPolytope,
+    Hull,
     VPolytope,
+    _verify,
     affine_chart,
     bits,
     certify_vertices,
@@ -602,9 +604,9 @@ def reference_two_pass_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     reference for the one-pass one: the chart of the affine hull of all
     |a| |b| pairwise sums, the rows derived from the hull of the summands'
     Cayley polytope, each sum tight on a row when the summands of one of
-    its pairs are, the full `Chart.hull` verification of the rows against
-    every pairwise sum and again against the vertices, and each face
-    ranked on its summand's own points."""
+    its pairs are, the full `_verify` of the rows against every pairwise
+    sum and again against the vertices, each on the chart and then lifted,
+    and each face ranked on its summand's own points."""
     n = a.n_vertices
     ints, scale = integer_points(a.vertices + b.vertices)
     sums = {}
@@ -633,11 +635,17 @@ def reference_two_pass_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     )
     vectors = [(*(-s[c] for c in chart.cols), scale) for s in points]
     pairs = [(h, m) for h, m, _ in rows]
-    hull_all = chart.hull(vectors, pairs)
+
+    def verified(vectors, pairs):
+        pairs = sorted(pairs)
+        incidence = _verify(k, vectors, pairs, pairs, 0)
+        return chart.lift(Hull(HPolytope(k, tuple(h for h, _ in pairs)), incidence, k))
+
+    hull_all = verified(vectors, pairs)
     keep = extreme_indices(hull_all)
     new = {o: i for i, o in enumerate(keep)}
     poly = VPolytope(tuple(tuple(Rat(v, scale) for v in points[o]) for o in keep))
-    keep_hull(poly, chart.hull(
+    keep_hull(poly, verified(
         [vectors[o] for o in keep],
         [(h, bits(new[v] for v in iter_bits(m) if v in new)) for h, m in pairs],
     ))

@@ -60,9 +60,16 @@ MUTANTS = (
     Mutant(
         "vertex-graph-takes-the-facet-shortcut",
         "polytopes.py",
-        "hull.incidence.facet_masks, hull.dim, False)",
-        "hull.incidence.facet_masks, hull.dim, True)",
+        "self.incidence.facet_masks, self.dim, False)",
+        "self.incidence.facet_masks, self.dim, True)",
         ("tests/test_hullbuilder.py::test_cube_with_an_edge_midpoint_keeps_the_edge_ends_apart",),
+    ),
+    Mutant(
+        "vertex-graph-reads-the-kept-dual-graph",
+        "polytopes.py",
+        "    return hull.vertex_graph\n",
+        "    return hull.dual_graph\n",
+        ("tests/test_hullbuilder.py::test_graphs_match_their_references",),
     ),
     Mutant(
         "halvings-skip-the-fixed-verification",

@@ -461,6 +461,7 @@ SQUARE_PYRAMID = "POLY 1\ndim 3\nvertices 5\n0 0 0\n2 0 0\n0 2 0\n2 2 0\n1 1 1\n
 SQUARE = "POLY 1\ndim 2\nvertices 4\n0 0\n1 0\n0 1\n1 1\n"
 SQUARE_WITH_REPEATED_POINT = "POLY 1\ndim 2\nvertices 5\n0 0\n1 0\n0 1\n1 1\n1 0\n"
 OCTAHEDRON = "POLY 1\ndim 3\nvertices 6\n1 0 0\n-1 0 0\n0 1 0\n0 -1 0\n0 0 1\n0 0 -1\n"
+SEGMENT = "POLY 1\ndim 1\nvertices 2\n0\n1\n"
 
 
 class TestExitCodes:
@@ -564,8 +565,11 @@ class TestExitCodes:
         [
             (OCTAHEDRON, OCTAHEDRON, "blend requires simple polytopes"),
             (SQUARE, OCTAHEDRON, "blend requires equal dimensions"),
+            # a segment is simple, but the blend's facet count n1 + n2 - d
+            # holds from d = 2 on
+            (SEGMENT, SEGMENT, "blend requires dimension at least 2"),
         ],
-        ids=["non-simple", "unequal-dimensions"],
+        ids=["non-simple", "unequal-dimensions", "segments"],
     )
     def test_blend_refusal_is_infeasible(self, tmp_path, first, second, message):
         # valid input that cannot be blended exits 3, not 2

@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from exactpoly import polytopes
 from exactpoly.counterexample import (
     EXPECTED_FACET_COUNT,
     Certificate,
@@ -151,6 +152,23 @@ def test_full_verify_builds_the_bases_apart_from_q48(hull_builds):
     # five vertex figures are all else that is built
     assert verify_counterexample(full=True).passed
     assert sorted(hull_builds) == [8] * 5 + [24, 24, 48]
+
+
+def test_full_verify_builds_each_graph_once(monkeypatch):
+    # a graph is kept on its hull: q48's dual graph serves the neighbor
+    # lists, the width, the orbit quotient and the sum section, the polar's
+    # vertex graph the spindle, and the base sum's dual graph the sum
+    # section and the pair d-step; (members, facet side) per build
+    calls = []
+    adjacency = polytopes._adjacency
+
+    def counting(masks, tmasks, k, simplices):
+        calls.append((len(masks), simplices))
+        return adjacency(masks, tmasks, k, simplices)
+
+    monkeypatch.setattr(polytopes, "_adjacency", counting)
+    assert verify_counterexample(full=True).passed
+    assert calls == [(322, True), (322, False), (320, True)]
 
 
 def test_full_verify_checks_one_vertex_figure_per_orbit(hull_builds):

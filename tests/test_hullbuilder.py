@@ -458,8 +458,15 @@ def test_builder_matches_oracle_and_reference_dual_graph(pts):
 
 
 def _assert_graphs_match_references(poly, hull):
-    assert vertex_graph(poly, hull).edges == reference_vertex_graph_edges(poly, hull)
-    assert dual_graph(poly, hull).edges == reference_dual_graph_edges(poly, hull)
+    """Both graphs equal their references, and each is kept on the hull:
+    a second call returns the same object."""
+    for graph, reference in (
+        (vertex_graph, reference_vertex_graph_edges),
+        (dual_graph, reference_dual_graph_edges),
+    ):
+        g = graph(poly, hull)
+        assert g.edges == reference(poly, hull)
+        assert graph(poly, hull) is g
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -467,15 +474,20 @@ def _assert_graphs_match_references(poly, hull):
     st.one_of(certify_inputs(), boxes(), lines().map(_line_points)),
     st.sampled_from((polytopes._PAIR_LOOP_MEMBERS, 0, 10**9)),
 )
+# a square on the plane z = x + y: on its chart its edges meet in k-1 = 1
+# point, where the ambient k-1 = 2 would join none of them
+@example([(0, 0, 0), (1, 0, 1), (0, 1, 1), (1, 1, 2)], polytopes._PAIR_LOOP_MEMBERS)
 def test_graphs_match_their_references(pts, members):
     """Random, grid and prism point sets with points inside faces or inside
     the polytope, some embedded one dimension up; lattice boxes; and
     segments with points inside them.  Few of their graphs have more than
     64 members, so each way of finding candidates is also forced: with
     `_PAIR_LOOP_MEMBERS` at 0 every member counts misses wherever that
-    costs less than the pass, and at 10**9 every member takes the pass."""
+    costs less than the pass, and at 10**9 every member takes the pass.
+    The graphs of a lifted hull use the dimension of its chart."""
     poly = VPolytope(tuple(pts))
     hull = facet_enumeration(poly)
+    assert hull.dim == poly.ambient_dim - len(hull.hrep.equalities)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(polytopes, "_PAIR_LOOP_MEMBERS", members)
         _assert_graphs_match_references(poly, hull)
@@ -557,10 +569,11 @@ def test_cross_polytope_graphs(dim, monkeypatch):
     poly = VPolytope(tuple(
         tuple(s if j == i else 0 for j in range(dim)) for i in range(dim) for s in (1, -1)
     ))
-    hull = facet_enumeration(poly)
-    rows = hull.hrep.inequalities
+    rows = facet_enumeration(poly).hrep.inequalities
     for members in (0, polytopes._PAIR_LOOP_MEMBERS):
         monkeypatch.setattr(polytopes, "_PAIR_LOOP_MEMBERS", members)
+        # a new object each time, so the graphs are built, not read
+        hull = facet_enumeration(VPolytope(poly.vertices))
         assert _counted(hull.incidence.vertex_masks, dim) == (
             2 * dim if dim == 2 and members == 0 else 0
         )
@@ -580,13 +593,14 @@ def test_cube_with_an_edge_midpoint_keeps_the_edge_ends_apart(monkeypatch):
     # on the vertex side they are no edge, since the midpoint lies between
     pts = [tuple(1 if m >> i & 1 else -1 for i in range(3)) for m in range(8)]
     poly = VPolytope(tuple(pts + [(0, -1, -1)]))
-    hull = facet_enumeration(poly)
-    vmasks = hull.incidence.vertex_masks
+    vmasks = facet_enumeration(poly).incidence.vertex_masks
     assert vmasks[0].bit_count() == vmasks[1].bit_count() == 3
     assert (vmasks[0] & vmasks[1]).bit_count() == 2
     cube_edges = {(a, b) for a, b in itertools.combinations(range(8), 2) if (a ^ b).bit_count() == 1}
     for members in (0, polytopes._PAIR_LOOP_MEMBERS):
         monkeypatch.setattr(polytopes, "_PAIR_LOOP_MEMBERS", members)
+        # a new object each time, so the graphs are built, not read
+        hull = facet_enumeration(VPolytope(poly.vertices))
         assert set(vertex_graph(poly, hull).edges) == cube_edges - {(0, 1)}
         _assert_graphs_match_references(poly, hull)
 

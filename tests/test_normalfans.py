@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 import random
@@ -281,7 +282,7 @@ def test_a_cayley_row_with_a_wrong_offset_is_refused():
     rows = list(hull.hrep.inequalities)
     f = next(f for f, row in enumerate(rows) if any(row[:2]))
     rows[f] = rows[f][:-1] + (rows[f][-1] + 1,)
-    keep_hull(cayley, hull._replace(hrep=HPolytope(3, tuple(rows))))
+    keep_hull(cayley, dataclasses.replace(hull, hrep=HPolytope(3, tuple(rows))))
     with pytest.raises(DegenerateInput, match="^hull verification failed: incidence mismatch$"):
         minkowski_sum_from_cayley(SQUARE, SQUARE, cayley)
 
@@ -530,7 +531,7 @@ class TestTorus:
 
     def test_plot_data_lines(self, qplus, qplus_hull):
         g = dual_graph(qplus, qplus_hull)
-        lines = torus_plot_data(qplus_hull, g, "p")
+        lines = torus_plot_data(qplus_hull, "p")
         torus_lines = [l for l in lines if l.startswith("TORUS ")]
         edge_lines = [l for l in lines if l.startswith("EDGE ")]
         assert len(torus_lines) == 32
