@@ -296,7 +296,7 @@ def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
 
 def base_swap_map() -> OrthMap:
     """The symmetry exchanging the bases, sending vertex i+ to i-."""
-    return OrthMap.from_rows(
+    return OrthMap(
         (
             (0, 0, 1, 0, 0),
             (0, 0, 0, 1, 0),
@@ -316,9 +316,9 @@ def symmetry_groups(poly: VPolytope):
     for axis in range(4):
         rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
         rows[axis][axis] = -1
-        gens_plus.append(OrthMap.from_rows(rows))
+        gens_plus.append(OrthMap(rows))
     gens_plus.append(
-        OrthMap.from_rows(
+        OrthMap(
             (
                 (0, 1, 0, 0, 0),
                 (1, 0, 0, 0, 0),
@@ -737,14 +737,15 @@ def check_minkowski_section(ctx: Certificate) -> Report:
     and the pinned differential `test_base_sum_matches_the_reference`."""
     rep = Report("base Minkowski sum")
     pr, ms = ctx.pr, ctx.base_sum
-    rep.add("sum facet count", ms.n_facets == 320, str(ms.n_facets))
+    n_facets = ms.hull.incidence.n_facets
+    rep.add("sum facet count", n_facets == 320, str(n_facets))
 
     # dual-graph identity under matching of normals restricted to x1..x4
-    sum_index = {primitive(mf.normal): f for f, mf in enumerate(ms.facets)}
+    sum_index = {primitive(normal): f for f, normal in enumerate(facet_normals(ms.hull))}
     inc = pr.hull.incidence
     bases = {pr.base_plus, pr.base_minus}
     mapping = {}
-    ok = len(sum_index) == ms.n_facets
+    ok = len(sum_index) == n_facets
     for f in range(inc.n_facets):
         if f in bases:
             continue
@@ -770,7 +771,7 @@ def check_minkowski_section(ctx: Certificate) -> Report:
         has_prop, min_facets = pair_dstep_property(ctx.qplus, ctx.qminus, pr.dim, ms=ms)
         rep.add("pair d-step property fails", not has_prop, "")
         rep.add("minimum facet sequence length", min_facets == 5, str(min_facets))
-        sum_bidims = {f: ms.facets[g].bi_dimension for f, g in mapping.items()}
+        sum_bidims = {f: ms.bidims[g] for f, g in mapping.items()}
         rep.add("sum bi-dimensions match the family bands", not _off_band(ctx.labels, sum_bidims), "")
     rep.merge(transversality_check(pr, ctx.bidims))
     orbit = (4, 5, 6, 7)  # vertices 5..8 of either base

@@ -71,22 +71,16 @@ def affine_rank(points) -> int:
 class OrthMap:
     """An orthogonal map with integer entries, stored row-wise (y = M x):
     a signed coordinate permutation, the only kind of symmetry the
-    certificate uses.  `from_rows` checks both.  `signed` holds each row's
-    one nonzero entry as (column, sign), so y_i = sign * x_column."""
+    certificate uses.  The constructor checks both and keeps the rows as
+    tuples; every entry must be an `int`, and a `Rat` is refused even when
+    integral.  `signed` holds each row's one nonzero entry as (column,
+    sign), so y_i = sign * x_column."""
 
     rows: tuple
     signed: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        signed = tuple(tuple((c, v) for c, v in enumerate(row) if v) for row in self.rows)
-        if any(len(nz) != 1 or nz[0][1] not in (1, -1) for nz in signed):
-            raise GeometryError("map is not a signed coordinate permutation")
-        object.__setattr__(self, "signed", tuple(nz[0] for nz in signed))
-
-    @classmethod
-    def from_rows(cls, rows) -> "OrthMap":
-        """Every entry must be an `int`; a `Rat` is refused even when integral."""
-        rows = tuple(tuple(row) for row in rows)
+        rows = tuple(tuple(row) for row in self.rows)
         n = len(rows)
         if any(len(r) != n for r in rows):
             raise DimensionMismatch("orthogonal map must be square")
@@ -97,7 +91,9 @@ class OrthMap:
         units = {tuple(int(i == j) for j in range(n)) for i in range(n)}
         if {tuple(map(abs, r)) for r in rows} != units:
             raise GeometryError("matrix is not orthogonal")
-        return cls(rows)
+        signed = tuple(next((c, v) for c, v in enumerate(r) if v) for r in rows)
+        object.__setattr__(self, "rows", rows)
+        object.__setattr__(self, "signed", signed)
 
     @property
     def ambient_dim(self) -> int:

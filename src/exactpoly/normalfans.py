@@ -1,4 +1,4 @@
-"""Normal cones, Minkowski sums with bi-dimension bookkeeping, the pair
+"""Normal cones, Minkowski sums with their facets' bi-dimensions, the pair
 d-step property, transversality, the interiority of two normal maps, cube
 vertex figures, and flat-torus coordinates for plotting.  These are general
 tools; the width-6 sections built from them live in `counterexample`.
@@ -14,17 +14,18 @@ C = conv(A x {1} u B x {-1}), whose slice at height 0 is (A + B)/2 (the
 two bases (the rows with a zero x-part) meets both ends, so a row
 (alpha, c, beta) of C, tight on the face F+ of A at height 1 and on F- of
 B at height -1, is the sum's facet alpha . x <= 2 beta, tight exactly at
-the sums of F+ and F-.  One derivation, `_sum_from_cayley`, turns a
-verified hull of C into the sum, and has two callers.  `minkowski_sum`
-builds C: one double-description build of |A| + |B| points one dimension
-up, not one of the |A| |B| pairwise sums.  `minkowski_sum_from_cayley`
-reads the hull a polytope already keeps, after checking by value that its
-points are those of C, in order: the paper's prismatoid puts its bases at
-x5 = 1 and x5 = -1, so it is C of its bases, and full verification reads
-the sum off the prismatoid's own hull.
+the sums of F+ and F-, with bi-dimension (dim F+, dim F-).  One
+derivation, `_sum_from_cayley`, turns a verified hull of C into the sum,
+and has two callers.  `minkowski_sum` builds C: one double-description
+build of |A| + |B| points one dimension up, not one of the |A| |B|
+pairwise sums.  `minkowski_sum_from_cayley` reads the hull a polytope
+already keeps, after checking by value that its points are those of C, in
+order: the paper's prismatoid puts its bases at x5 = 1 and x5 = -1, so it
+is C of its bases, and full verification reads the sum off the
+prismatoid's own hull.
 Each distinct face of C is ranked once: `polytopes.face_ranks` keeps the
 ranks on the Cayley polytope, so `bi_dimensions` of the prismatoid and the
-sum's decompositions (the two halves of each facet's mask of C) share them.
+sum's bi-dimensions (the two halves of each facet's mask of C) share them.
 
 The candidate sums are all |A| |B| pairwise sums, formed in integers, the
 summands scaled by one common denominator, and only the vertices become
@@ -55,7 +56,6 @@ from .geometry import DegenerateInput, affine_rank, integer_points
 from .linalg import primitive
 from .polytopes import (
     Chart,
-    Face,
     Hull,
     VPolytope,
     affine_chart,
@@ -93,37 +93,23 @@ def interior_owner(poly: VPolytope, direction) -> Optional[int]:
 
 
 @dataclass(frozen=True)
-class MinkowskiFacet:
-    """A facet of a sum with its unique decomposition into summand faces."""
-
-    normal: tuple
-    face_plus: Face
-    face_minus: Face
-
-    @property
-    def bi_dimension(self):
-        return (self.face_plus.dim, self.face_minus.dim)
-
-
-@dataclass(frozen=True)
 class MinkowskiSum:
+    """A sum's `polytope`, which keeps its verified hull, and `bidims`,
+    per facet of that hull in order, its bi-dimension (dim F+, dim F-): the
+    dimensions of the faces of the two summands whose sum it is."""
+
     polytope: VPolytope
-    facets: tuple
-    provenance: tuple  # per sum vertex: tuple of (i, j) summand index pairs
+    bidims: tuple
 
     @property
     def hull(self) -> Hull:
         """The hull `minkowski_sum` verified and kept on the polytope."""
         return facet_enumeration(self.polytope)
 
-    @property
-    def n_facets(self) -> int:
-        return len(self.facets)
-
 
 class _Candidates(NamedTuple):
     """Every pairwise sum of two summands' vertices: `sums`, each as an
-    integer point (the sum times `scale`) with its (i, j) pairs, `scale`,
+    integer point (the sum times `scale`) with its first (i, j) pair, `scale`,
     the lcm of the summands' denominators, and the `Chart` of the sums'
     affine hull."""
 
@@ -143,7 +129,7 @@ def _candidates(a: VPolytope, b: VPolytope) -> _Candidates:
     sums = {}
     for i, p in enumerate(ints_a):
         for j, q in enumerate(ints_b):
-            sums.setdefault(tuple(map(add, p, q)), []).append((i, j))
+            sums.setdefault(tuple(map(add, p, q)), (i, j))
     # a `Chart` depends on the affine hull alone, which the sums a_i + b_0
     # and a_0 + b_j span: |a| + |b| - 1 points, some maybe equal
     span = [tuple(map(add, p, ints_b[0])) for p in ints_a]
@@ -169,10 +155,10 @@ def _derived_rows(cand: _Candidates, n: int, cayley: Hull) -> list:
     holds tightly, and the facet's mask of C, whose first `n` bits are the
     summand `a`'s points; see the module docstring."""
     sums, k = cand.sums, len(cand.chart.cols)
-    # per summand vertex, the candidate sums whose first pair holds it: a
-    # sum is tight on a row iff the summands of any one of its pairs are
+    # per summand vertex, the candidate sums whose kept pair holds it: a
+    # sum is tight on a row iff the summands of any pair forming it are
     on_a, on_b = [0] * n, [0] * (cayley.incidence.n_vertices - n)
-    for c, ((i, j), *_) in enumerate(sums.values()):
+    for c, (i, j) in enumerate(sums.values()):
         on_a[i] |= 1 << c
         on_b[j] |= 1 << c
     derived = []
@@ -203,25 +189,17 @@ def _sum_from_cayley(cand: _Candidates, n: int, cayley: VPolytope) -> MinkowskiS
     keep, hull = chart.vertex_hull(vectors, pairs)
     poly = VPolytope(tuple(tuple(Rat(v, scale) for v in points[o]) for o in keep))
     keep_hull(poly, hull)
-    # F+ and F- are the halves of the facet's mask of C, ranked on C's
-    # points, where a's stand first: ranks kept on `cayley` are shared
+    # `derived` is sorted as the hull's rows are; F+ and F- are the halves
+    # of a facet's mask of C, ranked on C's points, where a's stand first:
+    # ranks kept on `cayley` are shared
     rank, low = face_ranks(cayley), (1 << n) - 1
-    facets = tuple(
-        MinkowskiFacet(
-            normal,
-            Face(tuple(iter_bits(mask & low)), rank(mask & low)),
-            Face(tuple(iter_bits(mask >> n)), rank(mask >> n << n)),
-        )
-        for normal, (_, _, mask) in zip(facet_normals(hull), derived)
-    )
-    provenance = tuple(tuple(sums[points[o]]) for o in keep)
-    return MinkowskiSum(poly, facets, provenance)
+    return MinkowskiSum(poly, tuple((rank(m & low), rank(m >> n << n)) for _, _, m in derived))
 
 
 def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     """Hull of the pairwise vertex sums, derived from the hull of the
-    summands' Cayley polytope and annotated facet by facet with the
-    decomposition F = F+ + F-; see the module docstring."""
+    summands' Cayley polytope, with each facet's bi-dimension; see the
+    module docstring."""
     cand = _candidates(a, b)
     return _sum_from_cayley(cand, a.n_vertices, VPolytope(_cayley_points(a, b, cand.chart)))
 
@@ -247,13 +225,13 @@ def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms: Minkows
     and their Minkowski sum `ms`.
 
     The sequence runs in the dual graph of the Minkowski sum from facets
-    whose first decomposition component is a facet of Q+ to those whose
-    second is a facet of Q-; the pair property asks for length <= d - 1.
+    whose face F+ is a facet of Q+ to those whose F- is a facet of Q-, read
+    from their bi-dimensions; the pair property asks for length <= d - 1.
     """
     dim_plus = affine_rank(qplus.vertices)
     dim_minus = affine_rank(qminus.vertices)
-    start = [f for f, mf in enumerate(ms.facets) if mf.face_plus.dim == dim_plus - 1]
-    end = {f for f, mf in enumerate(ms.facets) if mf.face_minus.dim == dim_minus - 1}
+    start = [f for f, (dp, _) in enumerate(ms.bidims) if dp == dim_plus - 1]
+    end = {f for f, (_, dm) in enumerate(ms.bidims) if dm == dim_minus - 1}
     if not start or not end:
         raise DegenerateInput("no facet has the required bi-dimension")
     dist = ms.hull.dual_graph.bfs_distances(*start)

@@ -1,91 +1,25 @@
-"""Convex-hull facet enumeration with exact incidence data, and the derived
-combinatorics: dual and vertex graphs, simplicity tests, polar duality, faces
-by linear functional.
+"""Convex-hull facet enumeration with exact incidence, and the derived
+combinatorics: vertex certification, dual and vertex graphs, polar
+duality and face ranks.  Each rule is stated once, where it is applied:
 
-The enumerator is `HullBuilder`, an incremental hull in exact integer
-arithmetic.  Non-full-dimensional input of affine dimension k is projected
-onto k of its coordinates, chosen to be one-to-one on its affine hull, whose
-equality constraints are reported separately.  Each point p is kept as the
-integer vector (-w p, w), w the lcm of its denominators, and each facet as
-its primitive `HPolytope` row (a, b) with the mask of its tight points, so
-a row meets a point in w times its slack b - a . p and the builder's rows
-are the hull's rows.
-A starting simplex is chosen greedily, and one fraction-free Gauss-Jordan
-pass over its points (Bareiss 1968) gives all d+1 of its facets.  The other
-points are inserted in input order, each by one double-description step
-(Fukuda & Prodon 1996, "Double description method revisited"): two facets
-meet in a ridge iff no third facet holds all their common points, and the
-new facet through a horizon ridge is a positive integer combination of the
-two facets there, so no elimination runs inside the loop.  The test is output-sensitive: a
-visible facet's partner and every possible third facet meet it in at least
-k-1 points, so one pass keeps the facets meeting the visible region (the
-union of the visible facets' points) in as many, every facet when k = 1,
-and each visible facet takes its candidates from those.  A facet with
-exactly k tight points is a simplex: any k-1 of them span one of its
-ridges, which lies in two facets only.  So a visible simplex's partners are
-the facets beyond the point that meet it in k-1 points, a simplex beyond
-the point is the partner of each visible facet meeting it so, and no third
-facet is tested for either.
-A point on existing facet hyperplanes extends those facets' incidence, and
-the insertion reports whether the point saw a facet: one that sees none
-lies in the hull of the points before it.  The points
-enter as integer vectors, for the duplicate check and for the greedy row
-reduction of `linalg` that picks the starting simplex.  The builder copies
-cheaply, so the perturbation searches build the hull of their fixed points
-once and insert one moved point per candidate.
-
-Every hull that is returned has passed `_verify`: no repeated facet, every
-point against every facet with exact incidence (`_check_incidence`), and the
-rank of every facet's tight points (`_check_ranks`).  The one exception is a
-row a copy carried from its verified base, which `HullBuilder.hull` checks
-at the inserted points alone, in its own slack loop.  `Chart.vertex_hull`
-runs the two halves apart, for points that may be no vertices: the incidence
-against all of them, the ranks on the vertices.  The points are packed into
-one big integer per coordinate, so each facet meets all of them in a few
-integer operations, and its mask of tight points is read off the bytes of
-one result.  The rank is proved from that incidence, as a certificate in the
-sense of McConnell, Mehlhorn, Naeher & Schweitzer 2011 ("Certifying
-algorithms"): dim tight points t_i and dim rows g_i of exactly verified
-incidence, g_i tight at t_1..t_(i-1) but not at t_i, make the matrix
-(g_i . t_j) triangular with a nonzero diagonal, so the tight points have
-rank at least dim, and a nonzero row tight at all of them bounds it by dim.
-An elimination runs only when no such certificate is found.  The same
-routine checks every row of the builder a copy came from, once, against
-that builder's points; a builder that fails makes every copy's hull raise,
-and a row the copy carried unchanged over the same point objects needs only
-the inserted points checked.  Output facets are sorted as rows, so every
-run is bit-reproducible.
-
-Vertices are certified by a face test, not by elimination: the facets
-through a point meet in the smallest face containing it (every face is the
-intersection of the facets that contain it), so the point is a vertex iff
-the AND of their masks is its own bit.  One routine, `_adjacency`, builds
-the dual graph from the facets' side of the incidence and the vertex graph
-from the points' side.  It tests a member only against those that share at
-least k-1 of its elements, found by one pass over the masks, or, in a graph
-of more than 64 members where it costs less, counted over the transposed
-masks.  On the facet side a simplex facet is joined to every facet sharing
-k-1 of its points with no test; on the points' side a point on k facets
-proves no such thing, since a point that is no vertex may lie between
-two.  The incidence keeps its transpose and each point's smallest face
-once computed, so the vertex test and `polar` read them once per hull, and
-a `Hull` keeps its two graphs the same way: every caller of one hull's
-dual or vertex graph reads the one `_adjacency` built.
-
-A `VPolytope` keeps the verified hull that `facet_enumeration` built for
-it, and every later call on that object returns it; that call is how
-`polar`, `prismatoids` and the searches get a polytope's hull, so a hull
-never travels apart from its points.  The hull belongs to the object, not
-to its value: a new `VPolytope` with the same points is enumerated again.
-An input that raises keeps nothing.  A perturbation search records the
-hull of each candidate it builds (`keep_hull`), and `polar` records on the
-polar the hull it derives by duality from the input's (its facets are the
-input's vertices, its incidence the input's transposed), so no
-double-description build runs for a polar; `normalfans` records a Minkowski
-sum's hull, derived from a Cayley polytope's, the same way.  Every kept hull
-has passed `_verify`, or its two halves.  A `VPolytope` keeps its face ranks
-too (`face_ranks`), so the callers that rank faces of one polytope rank each
-once.
+- `HullBuilder` is the one hull, over integer points (`_homogeneous`) and
+  primitive `HPolytope` rows with masks of tight points.  `_start` builds
+  the starting simplex (Bareiss 1968), `_add` inserts a point by one
+  double-description step (Fukuda & Prodon 1996), and `copy` and `insert`
+  serve the perturbation searches.
+- `affine_chart` and `Chart` put input of lower dimension on coordinates
+  of its affine hull; `_enumerate` builds there and `Chart.lift` lifts.
+- `_verify` is the check every returned hull passes: `_check_incidence`
+  meets every point with every row (`_tight_masks`), and `_check_ranks`
+  proves each facet's rank (`_triangular_certificate`, a certificate in
+  the sense of McConnell, Mehlhorn, Naeher & Schweitzer 2011).
+  `HullBuilder.hull` checks a copy's carried rows at the inserted points
+  alone; `Chart.vertex_hull` runs the two halves apart.
+- `_smallest_faces` is the vertex test of `certify_vertices` and
+  `extreme_indices`; `_adjacency` builds both graphs, which `Hull` keeps.
+- `facet_enumeration` and `keep_hull` keep one verified hull per
+  `VPolytope` object, and `face_ranks` its face ranks; `polar` derives
+  the polar's hull by duality, with no build.
 """
 from __future__ import annotations
 
@@ -623,7 +557,8 @@ def facet_enumeration(poly: VPolytope) -> Hull:
     reported in `hrep.equalities` and facets cut within it.
     The hull is built once per object: it is kept on `poly`, and a later
     call on the same object returns it.  A new `VPolytope` with the same
-    points, equal to `poly` as a value, is enumerated again.
+    points, equal to `poly` as a value, is enumerated again, and an input
+    that raises keeps nothing.
     """
     if poly._hull is None:
         keep_hull(poly, _enumerate(poly.vertices))
@@ -931,11 +866,6 @@ def polar(poly: VPolytope) -> VPolytope:
     incidence = _verify(hull.dim, pts, pairs, pairs, 0)
     keep_hull(pol, Hull(HPolytope(hull.dim, tuple(h for h, _ in pairs)), incidence, hull.dim))
     return pol
-
-
-class Face(NamedTuple):
-    vertex_indices: tuple
-    dim: int
 
 
 def maximizers(points, direction) -> tuple:

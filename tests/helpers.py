@@ -3,6 +3,7 @@ import math
 import random
 from fractions import Fraction
 from itertools import combinations
+from typing import NamedTuple
 
 from exactpoly.constructions import (
     MAX_HALVINGS,
@@ -28,10 +29,10 @@ from exactpoly.geometry import (
     integer_points,
     vadd,
 )
+from exactpoly.graphs import Graph
 from exactpoly.linalg import nullspace, primitive
-from exactpoly.normalfans import MinkowskiFacet, MinkowskiSum, facet_normals
+from exactpoly.normalfans import MinkowskiSum
 from exactpoly.polytopes import (
-    Face,
     HPolytope,
     Hull,
     VPolytope,
@@ -159,8 +160,8 @@ def transpose(rows):
 
 
 def reference_orth_map(rows) -> OrthMap:
-    """`OrthMap.from_rows` deciding orthogonality by the matrix product
-    M M^T = I, with its checks and messages in the same order."""
+    """The `OrthMap` constructor's checks, deciding orthogonality by the
+    matrix product M M^T = I, with their messages in the same order."""
     rows = tuple(tuple(row) for row in rows)
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -322,6 +323,12 @@ def reference_dual_graph_edges(poly, hull):
         if (affine_rank(common) if common else -1) == k - 2:
             edges.append((a, b))
     return tuple(edges)
+
+
+def reference_width(pr) -> int:
+    """`prismatoids.width` by BFS over `reference_dual_graph_edges`."""
+    edges = reference_dual_graph_edges(pr.polytope, pr.hull)
+    return Graph(pr.n_facets, edges).distance(pr.base_plus, pr.base_minus)
 
 
 def reference_vertex_graph_edges(poly, hull):
@@ -566,37 +573,36 @@ def reference_start(vectors, basis):
     return rows, masks
 
 
+class Face(NamedTuple):
+    vertex_indices: tuple
+    dim: int
+
+
 def face_maximizing(poly: VPolytope, direction) -> Face:
     """The face on which `direction` attains its maximum over the polytope:
-    the reference for the faces `normalfans.minkowski_sum` reads off its
-    masks."""
+    the reference for the bi-dimensions `normalfans.minkowski_sum` reads
+    off its masks."""
     idx = maximizers(poly.vertices, direction)
     return Face(idx, affine_rank([poly.vertices[i] for i in idx]))
 
 
 def reference_minkowski_sum(a: VPolytope, b: VPolytope):
     """The sum of `a` and `b` from the hull of every pairwise sum, with no
-    prefilter, and each facet's faces from `face_maximizing` on the rational
-    summands: (vertices, hrep, facet masks, faces, provenance), laid out as
-    `minkowski_sum` lays them out."""
-    sums = {}
-    for i, p in enumerate(a.vertices):
-        for j, q in enumerate(b.vertices):
-            sums.setdefault(vadd(p, q), []).append((i, j))
-    points = tuple(sums)
-    raw = VPolytope(points)
-    hull = facet_enumeration(raw)
+    prefilter, and each facet's bi-dimension from `face_maximizing` on the
+    rational summands: (vertices, hrep, facet masks, bi-dimensions), laid
+    out as `minkowski_sum` lays them out."""
+    points = tuple(dict.fromkeys(vadd(p, q) for p in a.vertices for q in b.vertices))
+    hull = facet_enumeration(VPolytope(points))
     keep = extreme_indices(hull)
     new = {o: n for n, o in enumerate(keep)}
     masks = tuple(
         bits(new[v] for v in iter_bits(m) if v in new) for m in hull.incidence.facet_masks
     )
-    faces = tuple(
-        (face_maximizing(a, row[:-1]), face_maximizing(b, row[:-1]))
+    bidims = tuple(
+        (face_maximizing(a, row[:-1]).dim, face_maximizing(b, row[:-1]).dim)
         for row in hull.hrep.inequalities
     )
-    provenance = tuple(tuple(sums[points[o]]) for o in keep)
-    return tuple(points[o] for o in keep), hull.hrep, masks, faces, provenance
+    return tuple(points[o] for o in keep), hull.hrep, masks, bidims
 
 
 def reference_two_pass_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
@@ -650,12 +656,8 @@ def reference_two_pass_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
         [(h, bits(new[v] for v in iter_bits(m) if v in new)) for h, m in pairs],
     ))
 
-    def face(summand, mask):
-        idx = tuple(iter_bits(mask))
-        return Face(idx, affine_rank([summand.vertices[i] for i in idx]))
+    def rank(summand, mask):
+        return affine_rank([summand.vertices[i] for i in iter_bits(mask)])
 
-    facets = tuple(
-        MinkowskiFacet(normal, face(a, mask & (1 << n) - 1), face(b, mask >> n))
-        for normal, (_, _, mask) in zip(facet_normals(hull_all), rows)
-    )
-    return MinkowskiSum(poly, facets, tuple(tuple(sums[points[o]]) for o in keep))
+    bidims = tuple((rank(a, mask & (1 << n) - 1), rank(b, mask >> n)) for _, _, mask in rows)
+    return MinkowskiSum(poly, bidims)

@@ -114,11 +114,14 @@ MUTANTS = (
         ("tests/test_polytopes.py::TestPolar::test_polar_hull_by_duality_is_the_built_one",),
     ),
     Mutant(
-        "from-rows-accepts-a-repeated-column",
+        "orth-map-accepts-a-repeated-column",
         "geometry.py",
         "if {tuple(map(abs, r)) for r in rows} != units:",
         "if not {tuple(map(abs, r)) for r in rows} <= units:",
-        ("tests/test_geometry.py::TestOrthMap::test_from_rows_refuses_as_the_matrix_product_does",),
+        (
+            "tests/test_geometry.py::TestOrthMap::test_rejects_a_map_that_is_no_signed_permutation",
+            "tests/test_geometry.py::TestOrthMap::test_from_rows_refuses_as_the_matrix_product_does",
+        ),
     ),
     Mutant(
         "verify-lets-a-mask-claim-an-empty-slot",
@@ -150,8 +153,8 @@ MUTANTS = (
     Mutant(
         "face-ranks-share-one-summand",
         "normalfans.py",
-        "rank(mask >> n << n)",
-        "rank(mask >> n)",
+        "rank(m >> n << n)",
+        "rank(m >> n)",
         (
             "tests/test_normalfans.py::test_minkowski_sum_is_the_hull_of_every_pairwise_sum",
             "tests/test_normalfans.py::test_minkowski_faces_match_face_maximizing",

@@ -45,6 +45,7 @@ from helpers import (
     push_into,
     random_polytope,
     reference_push,
+    reference_width,
     suspension_facet_map,
 )
 
@@ -495,6 +496,26 @@ def test_whole_search_is_the_same_without_a_fixed_builder(bases, seed):
     assert from_scratch == with_builder
     if len(with_builder) > 4:  # a step ran, so the patch was read
         assert none.called
+
+
+@settings(max_examples=8, deadline=None)
+@given(lattice_bases(), st.integers(0, 1 << 16))
+@example(  # reaches dim 6
+    (((0, -3, 4), (0, -4, 3), (-5, 0, 0), (0, 3, 4), (0, 4, 3)),
+     ((5, -1, 1), (-5, -1, 1), (-1, 5, -1), (-1, -1, 5), (-3, -3, 3))),
+    33461,
+)
+def test_whole_search_is_the_same_with_a_reference_width(bases, seed):
+    # every width the search reads, by BFS over the dual graph that
+    # elimination finds pair by pair, not over the graph `_adjacency`
+    # builds; at most 10 points, so the searches stop by dim 6, where the
+    # elimination over every facet pair stays cheap
+    assume(sum(map(len, bases)) <= 10)
+    by_adjacency = _whole_search(*bases, seed)
+    with mock.patch.object(constructions, "width", side_effect=reference_width) as ref:
+        by_reference = _whole_search(*bases, seed)
+    assert by_reference == by_adjacency
+    assert ref.called
 
 
 class TestProductsAndPowers:

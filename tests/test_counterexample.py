@@ -196,8 +196,8 @@ def _generators():
     for axis in range(4):
         rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
         rows[axis][axis] = -1
-        gens.append(OrthMap.from_rows(rows))
-    gens.append(OrthMap.from_rows((
+        gens.append(OrthMap(rows))
+    gens.append(OrthMap((
         (0, 1, 0, 0, 0), (1, 0, 0, 0, 0),
         (0, 0, 0, 1, 0), (0, 0, 1, 0, 0),
         (0, 0, 0, 0, 1))))
@@ -283,7 +283,7 @@ class TestSymmetry:
         # fixes every vertex, yet it is not the identity
         square = VPolytope(tuple(
             (Rat(x), Rat(y), Rat(0)) for x in (-1, 1) for y in (-1, 1)))
-        reflection = OrthMap.from_rows(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+        reflection = OrthMap(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
         with pytest.raises(ValueError, match="do not span the space"):
             _close_group([reflection], square)
 
@@ -315,7 +315,7 @@ class TestFacetPermutation:
         rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
         rows[0], rows[4] = rows[4], rows[0]
         with pytest.raises(ValueError, match="does not permute the facet set"):
-            facet_permutation(OrthMap.from_rows(rows), _facet_index(q48_hull))
+            facet_permutation(OrthMap(rows), _facet_index(q48_hull))
 
 
 class TestOrbits:

@@ -78,7 +78,7 @@ class TestAffineRank:
 
     def test_permutation_and_map_invariance(self):
         rng = random.Random(3)
-        flip = OrthMap.from_rows(((0, 1, 0), (1, 0, 0), (0, 0, -1)))
+        flip = OrthMap(((0, 1, 0), (1, 0, 0), (0, 0, -1)))
         for _ in range(20):
             pts = [pt(*(rng.randint(-5, 5) for _ in range(3))) for _ in range(6)]
             r = affine_rank(pts)
@@ -136,15 +136,15 @@ class TestHyperplaneThrough:
 class TestOrthMap:
     def test_rejects_non_orthogonal(self):
         with pytest.raises(GeometryError):
-            OrthMap.from_rows(((1, 1), (0, 1)))
+            OrthMap(((1, 1), (0, 1)))
 
     def test_rejects_rational_entries(self):
         # an orthogonal reflection, refused for its rational entries
         with pytest.raises(GeometryError, match="must be integers"):
-            OrthMap.from_rows(((Rat(3, 5), Rat(4, 5)), (Rat(4, 5), Rat(-3, 5))))
+            OrthMap(((Rat(3, 5), Rat(4, 5)), (Rat(4, 5), Rat(-3, 5))))
 
     def test_ineq_transform_preserves_tightness(self):
-        m = OrthMap.from_rows(((0, 1), (-1, 0)))
+        m = OrthMap(((0, 1), (-1, 0)))
         q = (2, 3, 6)
         image = apply_ineq(m, q)
         rng = random.Random(1)
@@ -159,7 +159,7 @@ class TestOrthMap:
         pts = [pt(1, -2, 3), (Rat(1, 2), Rat(0), Rat(-7, 3)), (4, 0, -1)]
         for order in itertools.permutations(range(3)):
             for signs in itertools.product((1, -1), repeat=3):
-                m = OrthMap.from_rows([[s if j == c else 0 for j in range(3)] for c, s in zip(order, signs)])
+                m = OrthMap([[s if j == c else 0 for j in range(3)] for c, s in zip(order, signs)])
                 assert m.signed == tuple(zip(order, signs))
                 for p in pts:
                     assert m.apply_point(p) == mat_apply(m, p)
@@ -198,30 +198,33 @@ class TestOrthMap:
         # the same exception type and message as M M^T = I decides them
         want = self._outcome(reference_orth_map, rows)
         assert isinstance(want, tuple) and isinstance(want[0], type)
-        assert self._outcome(OrthMap.from_rows, rows) == want
+        assert self._outcome(OrthMap, rows) == want
 
     def test_from_rows_accepts_every_signed_permutation(self):
         for n in range(1, 5):
             for order in itertools.permutations(range(n)):
                 for signs in itertools.product((1, -1), repeat=n):
                     rows = tuple(tuple(s if j == c else 0 for j in range(n)) for c, s in zip(order, signs))
-                    assert self._outcome(OrthMap.from_rows, rows) == rows
+                    assert self._outcome(OrthMap, rows) == rows
                     assert self._outcome(reference_orth_map, rows) == rows
 
     @given(st.integers(1, 4).flatmap(
         lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
     ))
     def test_from_rows_matches_the_matrix_product_on_integer_matrices(self, rows):
-        assert self._outcome(OrthMap.from_rows, rows) == self._outcome(reference_orth_map, rows)
+        assert self._outcome(OrthMap, rows) == self._outcome(reference_orth_map, rows)
 
     def test_rejects_a_map_that_is_no_signed_permutation(self):
-        with pytest.raises(GeometryError, match="signed coordinate permutation"):
-            OrthMap(((1, 1), (0, 1)))
-        with pytest.raises(GeometryError, match="signed coordinate permutation"):
-            OrthMap(((2, 0), (0, 1)))
+        # one signed unit per row is not enough: the units must be the
+        # distinct columns of a square matrix
+        for rows in (((1, 1), (0, 1)), ((2, 0), (0, 1)), ((1, 0), (1, 0))):
+            with pytest.raises(GeometryError, match="^matrix is not orthogonal$"):
+                OrthMap(rows)
+        with pytest.raises(DimensionMismatch, match="^orthogonal map must be square$"):
+            OrthMap(((1, 0, 0), (0, 1, 0)))
 
     def test_sign_flip_permutes_family_patterns(self):
-        flip = OrthMap.from_rows(((-1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
-                                  (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
+        flip = OrthMap(((-1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
+                        (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
         plus = (10, 2, 4, 2, 135, 315)
         assert apply_ineq(flip, plus) == (-10, 2, 4, 2, 135, 315)

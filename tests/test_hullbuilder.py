@@ -516,7 +516,7 @@ def test_signed_coordinate_permutation_images(pts, data):
     dim = len(pts[0])
     order = data.draw(st.permutations(range(dim)))
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
-    m = OrthMap.from_rows([[s if j == c else 0 for j in range(dim)] for c, s in zip(order, signs)])
+    m = OrthMap([[s if j == c else 0 for j in range(dim)] for c, s in zip(order, signs)])
     poly = VPolytope(tuple(pts))
     image = VPolytope(tuple(m.apply_point(p) for p in pts))
     hull, image_hull = facet_enumeration(poly), facet_enumeration(image)

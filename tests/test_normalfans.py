@@ -21,6 +21,7 @@ from exactpoly import normalfans
 from exactpoly.geometry import DegenerateInput, DimensionMismatch, affine_rank, vadd
 from exactpoly.normalfans import (
     bi_dimensions,
+    facet_normals,
     interior_owner,
     is_combinatorial_cube,
     minkowski_sum,
@@ -40,7 +41,6 @@ from exactpoly.polytopes import (
     affine_chart,
     dual_graph,
     facet_enumeration,
-    iter_bits,
     keep_hull,
 )
 from exactpoly.prismatoids import width
@@ -91,7 +91,7 @@ class TestNormalCones:
 
 
 # ---------------------------------------------------------------------------
-# the face work against `face_maximizing` on the rational summands
+# the bi-dimensions against `face_maximizing` on the rational summands
 
 SCALE = st.fractions(Fraction(1, 6), 4, max_denominator=6)
 
@@ -116,16 +116,18 @@ def summands(draw):
 @settings(max_examples=40, deadline=None)
 @given(summands(), summands() | st.none(), SCALE)
 def test_minkowski_faces_match_face_maximizing(a, b, c):
-    """Each facet's two faces, found on integer copies and ranked once per
-    distinct face, are `face_maximizing` of its normal on the rational
-    summands; with no second summand drawn, it is a scaled copy of the
-    first, whose faces are the first's."""
+    """Each facet's bi-dimension, found on integer copies and ranked once
+    per distinct face, is that of the faces `face_maximizing` finds for its
+    normal on the rational summands; with no second summand drawn, it is a
+    scaled copy of the first, whose faces are the first's."""
     if b is None:
         b = VPolytope(tuple(tuple(c * x for x in p) for p in a.vertices))
     ms = minkowski_sum(a, b)
-    for mf in ms.facets:
-        assert mf.face_plus == face_maximizing(a, mf.normal)
-        assert mf.face_minus == face_maximizing(b, mf.normal)
+    normals = facet_normals(ms.hull)
+    assert len(ms.bidims) == len(normals)
+    for normal, (dim_plus, dim_minus) in zip(normals, ms.bidims):
+        assert dim_plus == face_maximizing(a, normal).dim
+        assert dim_minus == face_maximizing(b, normal).dim
 
 
 def flattened(poly):
@@ -169,7 +171,7 @@ def shaped(a, b, c, shape):
 )
 def test_minkowski_sum_is_the_hull_of_every_pairwise_sum(a, b, c, shape):
     """The vertices and their order, the rows (equalities too), the
-    incidence, the faces and the provenance equal those of the hull of
+    incidence and the bi-dimensions equal those of the hull of
     every pairwise sum: for rational summands; for summands with parallel
     edges, where a_i + b_j lies strictly inside the segment from a_i + b_l
     to a_k + b_j (a scaled copy, where every edge has a parallel partner,
@@ -180,12 +182,11 @@ def test_minkowski_sum_is_the_hull_of_every_pairwise_sum(a, b, c, shape):
     when both lie in a plane)."""
     a, b = shaped(a, b, c, shape)
     ms = minkowski_sum(a, b)
-    vertices, hrep, masks, faces, provenance = reference_minkowski_sum(a, b)
+    vertices, hrep, masks, bidims = reference_minkowski_sum(a, b)
     assert ms.polytope.vertices == vertices
     assert ms.hull.hrep == hrep
     assert ms.hull.incidence.facet_masks == masks
-    assert tuple((mf.face_plus, mf.face_minus) for mf in ms.facets) == faces
-    assert ms.provenance == provenance
+    assert ms.bidims == bidims
 
 
 @settings(max_examples=40, deadline=None)
@@ -214,7 +215,7 @@ def test_sum_from_cayley_on_the_chart_is_the_direct_sum(a, b, shape):
 
 def assert_two_pass_sum(ms, a, b):
     """`ms`, the sum of `a` and `b` checked in one pass, equals the
-    two-pass reference in every part: vertices, faces, provenance, rows and
+    two-pass reference in every part: vertices, bi-dimensions, rows and
     masks."""
     reference = reference_two_pass_sum(a, b)
     assert ms == reference
@@ -365,25 +366,16 @@ class TestMinkowskiSum:
         b = VPolytope((pt(0, 0), pt(-1, 1)))
         ms = minkowski_sum(a, b)
         assert ms.polytope.n_vertices == 4
-        assert ms.n_facets == 4
-        assert sorted(mf.bi_dimension for mf in ms.facets) == [(0, 1), (0, 1), (1, 0), (1, 0)]
+        assert ms.hull.incidence.n_facets == 4
+        assert sorted(ms.bidims) == [(0, 1), (0, 1), (1, 0), (1, 0)]
 
     def test_sum_facet_count(self, base_sum):
-        assert base_sum.n_facets == 320
-
-    def test_decomposition_covers_facet_vertices(self, base_sum, qplus, qminus):
-        # every vertex of a sum facet splits as a vertex of F+ plus one of F-
-        inc = base_sum.hull.incidence
-        for f, mf in enumerate(base_sum.facets):
-            fp = set(mf.face_plus.vertex_indices)
-            fm = set(mf.face_minus.vertex_indices)
-            for v in iter_bits(inc.facet_masks[f]):
-                assert any(i in fp and j in fm for i, j in base_sum.provenance[v])
+        assert base_sum.hull.incidence.n_facets == len(base_sum.bidims) == 320
 
     def test_bidimension_bands(self, base_sum):
         from collections import Counter
 
-        bands = Counter(mf.bi_dimension for mf in base_sum.facets)
+        bands = Counter(base_sum.bidims)
         assert bands == {(3, 0): 32, (2, 1): 128, (1, 2): 128, (0, 3): 32}
 
     def test_minkowski_section_report(self, certificate):
@@ -394,12 +386,11 @@ class TestMinkowskiSum:
         # builder, and the faces maximized on the rational bases: the sum's
         # hull, derived from the Cayley polytope, must be the same in every
         # part, down to a dropped row, which `_verify` cannot see
-        vertices, hrep, masks, faces, provenance = reference_minkowski_sum(qplus, qminus)
+        vertices, hrep, masks, bidims = reference_minkowski_sum(qplus, qminus)
         assert base_sum.polytope.vertices == vertices
         assert base_sum.hull.hrep == hrep
         assert base_sum.hull.incidence.facet_masks == masks
-        assert tuple((mf.face_plus, mf.face_minus) for mf in base_sum.facets) == faces
-        assert base_sum.provenance == provenance
+        assert base_sum.bidims == bidims
 
     def test_base_sum_is_the_two_pass_sum(self, base_sum, qplus, qminus):
         # the one-pass check of q48's base sum against every pairwise sum
@@ -419,8 +410,7 @@ class TestMinkowskiSum:
         # `minkowski_sum`'s, built on the bases' own Cayley polytope
         direct = minkowski_sum(qplus, qminus)
         assert base_sum.polytope.vertices == direct.polytope.vertices
-        assert base_sum.provenance == direct.provenance
-        assert base_sum.facets == direct.facets  # normals, faces and their dimensions
+        assert base_sum.bidims == direct.bidims
         assert base_sum.hull.hrep == direct.hull.hrep
         assert base_sum.hull.incidence.facet_masks == direct.hull.incidence.facet_masks
 
