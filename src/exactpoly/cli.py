@@ -37,7 +37,6 @@ from .polytopes import (
     certify_vertices,
     facet_enumeration,
     polar,
-    vertex_graph,
 )
 from .prismatoids import NotAPrismatoid, make_prismatoid, width
 from .rationals import format_rat
@@ -86,7 +85,7 @@ def _cmd_width(args) -> int:
 
 def _cmd_diameter(args) -> int:
     poly = certify_vertices(_load(args.input))
-    print(vertex_graph(poly, facet_enumeration(poly)).diameter())
+    print(facet_enumeration(poly).vertex_graph.diameter())
     return 0
 
 

@@ -31,7 +31,6 @@ from .polytopes import (
     facet_enumeration,
     iter_bits,
     keep_hull,
-    vertex_graph,
 )
 from .prismatoids import NotAPrismatoid, Prismatoid, make_prismatoid, width
 from .rationals import Rat, ZERO
@@ -254,8 +253,8 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
         raise ConstructionFailed("both bases are simplices; nothing to gain")
     rng = random.Random(seed)
     d = pr.dim
-    plus_set = set(pr.base_plus_vertices())
-    minus_set = set(pr.base_minus_vertices())
+    plus_set = set(pr.hull.incidence.vertices_of(pr.base_plus))
+    minus_set = set(pr.hull.incidence.vertices_of(pr.base_minus))
     plus_facet = pr.base_plus
     if len(plus_set) == d:  # plus base is a simplex: swap roles
         plus_set, minus_set = minus_set, plus_set
@@ -411,13 +410,13 @@ def blend_graph(p1: VPolytope, v1: int, p2: VPolytope, v2: int) -> BlendGraph:
         # the facet count n1 + n2 - d needs d >= 2: a segment's facet
         # through the glued vertex is that vertex, and goes with it
         raise DegenerateInput("blend requires dimension at least 2")
-    for poly, hull in ((p1, hull1), (p2, hull2)):
+    for hull in (hull1, hull2):
         if not all(m.bit_count() == d for m in hull.incidence.vertex_masks):
             raise DegenerateInput("blend requires simple polytopes")
     matched = dict(zip(sorted(hull1.incidence.facets_of(v1)), sorted(hull2.incidence.facets_of(v2))))
 
-    g1 = vertex_graph(p1, hull1)
-    g2 = vertex_graph(p2, hull2)
+    g1 = hull1.vertex_graph
+    g2 = hull2.vertex_graph
     id1 = {i: n for n, i in enumerate(i for i in range(p1.n_vertices) if i != v1)}
     off = len(id1)
     id2 = {i: off + n for n, i in enumerate(i for i in range(p2.n_vertices) if i != v2)}
@@ -425,13 +424,11 @@ def blend_graph(p1: VPolytope, v1: int, p2: VPolytope, v2: int) -> BlendGraph:
         (id1[a], id1[b]) for a, b in g1.edges if a != v1 and b != v1
     ] + [(id2[a], id2[b]) for a, b in g2.edges if a != v2 and b != v2]
 
-    def leaving_facet(hull, vc, nbr):
-        at_v = set(hull.incidence.facets_of(vc))
-        at_n = set(hull.incidence.facets_of(nbr))
-        out = at_v - at_n
-        if len(out) != 1:
-            raise ValueError("edge does not leave exactly one facet (not simple?)")
-        return out.pop()
+    def leaving_facet(hull, v, n):
+        # the polytope is simple, so the edge vn lies in all facets through
+        # v but one, the facet it leaves
+        vmasks = hull.incidence.vertex_masks
+        return (vmasks[v] & ~vmasks[n]).bit_length() - 1
 
     by_facet2 = {leaving_facet(hull2, v2, n): n for n in g2.adj[v2]}
     for nbr in g1.adj[v1]:

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
-from typing import Optional
 
 from .geometry import OrthMap, integer_points, smul, vadd, vsub
 from .graphs import Graph
@@ -49,7 +48,6 @@ from .polytopes import (
     Hull,
     VPolytope,
     certify_vertices,
-    face_ranks,
     facet_enumeration,
     iter_bits,
     polar,
@@ -183,32 +181,18 @@ def gminus_vertices():
     return _signed((1, 2, 5, 1)) + _signed((2, 1, 1, 5))
 
 
-@dataclass(frozen=True)
-class FacetLabel:
-    letter: str
-    primed: bool = False
-    signs: Optional[tuple] = None
-
-    def __str__(self):
-        if self.signs is None:
-            return self.letter
-        marks = "".join("+" if s > 0 else "-" for s in self.signs)
-        return f"{self.letter}{chr(39) if self.primed else ''}{marks}"
-
-
 def expected_facets():
-    """All 322 facets as {facet row: FacetLabel}.  Each family's row is
-    made a primitive integer row once; a sign pattern flips its entries,
-    which keeps it primitive."""
-    out = {
-        (0, 0, 0, 0, 1, 1): FacetLabel("A"),
-        (0, 0, 0, 0, -1, 1): FacetLabel("L"),
-    }
+    """All 322 facets as {facet row: label}.  A label is "A", "L", or the
+    family letter, a prime for a primed family and one sign per sign slot,
+    as in "B'+-++".  Each family's row is made a primitive integer row
+    once; a sign pattern flips its entries, which keeps it primitive."""
+    out = {(0, 0, 0, 0, 1, 1): "A", (0, 0, 0, 0, -1, 1): "L"}
     for letter, primed, terms, x5, rhs in _FAMILIES:
         first = [Rat(0)] * 4 + [x5, rhs]
         for coef, axis in terms:
             first[axis] = coef
         first = primitive_ints(first)
+        family = letter + ("'" if primed else "")
         for signs in _SIGNS:
             row = list(first)
             for (_, axis), s in zip(terms, signs):
@@ -216,7 +200,7 @@ def expected_facets():
             row = tuple(row)
             if row in out:
                 raise AssertionError(f"duplicate expanded facet {row}")
-            out[row] = FacetLabel(letter, primed, signs)
+            out[row] = family + "".join("+" if s > 0 else "-" for s in signs)
     if len(out) != EXPECTED_FACET_COUNT:
         raise AssertionError(f"expanded {len(out)} facets, expected {EXPECTED_FACET_COUNT}")
     return out
@@ -338,7 +322,7 @@ def symmetry_groups(poly: VPolytope):
 
 
 def facet_labels(hull: Hull, table: dict):
-    """Index -> FacetLabel for the enumerated facets, looked up in the
+    """Index -> label for the enumerated facets, looked up in the
     `expected_facets()` table; fails on any mismatch."""
     labels = []
     for q in hull.hrep.inequalities:
@@ -439,8 +423,8 @@ class Certificate:
 
     @cached_property
     def by_label(self) -> dict:
-        """Facet label text -> facet index."""
-        return {str(lbl): i for i, lbl in enumerate(self.labels)}
+        """Facet label -> facet index."""
+        return {lbl: i for i, lbl in enumerate(self.labels)}
 
     @cached_property
     def pr(self):
@@ -504,7 +488,7 @@ def check_representative_facets(ctx: Certificate) -> Report:
     """Tight vertex sets of the five representative facets, their ranks, and
     the facet shapes (three simplices, one 6-vertex, one 7-vertex facet)."""
     rep = Report("representative facets")
-    poly, by_label, rank_of = ctx.poly, ctx.by_label, face_ranks(ctx.poly)
+    poly, by_label, rank_of = ctx.poly, ctx.by_label, ctx.poly.face_rank
     rows, masks = ctx.hull.hrep.inequalities, ctx.hull.incidence.facet_masks
     for name, (tight_labels, row) in REPRESENTATIVE_FACETS.items():
         f = by_label[name]
@@ -581,7 +565,7 @@ def check_orbits(ctx: Certificate) -> Report:
         sizes == [1, 1] + [32] * 10,
         str(sizes),
     )
-    letter_of = [lbl.letter for lbl in labels]
+    letter_of = [lbl[0] for lbl in labels]
     for orbit in orb_plus:
         letters = {letter_of[f] for f in orbit}
         rep.add(
@@ -600,7 +584,7 @@ def check_neighbor_lists(ctx: Certificate) -> Report:
     labels = ctx.labels
     for name, wanted in REPRESENTATIVE_NEIGHBORS.items():
         f = ctx.by_label[name]
-        got = tuple(sorted(str(labels[g]) for g in ctx.hull.dual_graph.adj[f]))
+        got = tuple(sorted(labels[g] for g in ctx.hull.dual_graph.adj[f]))
         rep.add(f"neighbors of {name}", got == tuple(sorted(wanted)), " ".join(got))
     return rep
 
@@ -623,7 +607,7 @@ def _off_band(labels, bidims) -> list:
     return [
         f"{labels[f]}:{dims}"
         for f, dims in bidims.items()
-        if dims != FAMILY_BIDIMENSION[labels[f].letter]
+        if dims != FAMILY_BIDIMENSION[labels[f][0]]
     ]
 
 

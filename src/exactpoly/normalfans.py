@@ -23,7 +23,7 @@ already keeps, after checking by value that its points are those of C, in
 order: the paper's prismatoid puts its bases at x5 = 1 and x5 = -1, so it
 is C of its bases, and full verification reads the sum off the
 prismatoid's own hull.
-Each distinct face of C is ranked once: `polytopes.face_ranks` keeps the
+Each distinct face of C is ranked once: `VPolytope.face_rank` keeps the
 ranks on the Cayley polytope, so `bi_dimensions` of the prismatoid and the
 sum's bi-dimensions (the two halves of each facet's mask of C) share them.
 
@@ -59,7 +59,6 @@ from .polytopes import (
     Hull,
     VPolytope,
     affine_chart,
-    face_ranks,
     facet_enumeration,
     iter_bits,
     keep_hull,
@@ -192,7 +191,7 @@ def _sum_from_cayley(cand: _Candidates, n: int, cayley: VPolytope) -> MinkowskiS
     # `derived` is sorted as the hull's rows are; F+ and F- are the halves
     # of a facet's mask of C, ranked on C's points, where a's stand first:
     # ranks kept on `cayley` are shared
-    rank, low = face_ranks(cayley), (1 << n) - 1
+    rank, low = cayley.face_rank, (1 << n) - 1
     return MinkowskiSum(poly, tuple((rank(m & low), rank(m >> n << n)) for _, _, m in derived))
 
 
@@ -250,7 +249,7 @@ def bi_dimensions(pr: Prismatoid) -> dict:
     """Non-base facet index -> (dim F ∩ Q+, dim F ∩ Q-); a non-base facet
     of a prismatoid meets both bases."""
     inc = pr.hull.incidence
-    rank = face_ranks(pr.polytope)
+    rank = pr.polytope.face_rank
     base_masks = (inc.facet_masks[pr.base_plus], inc.facet_masks[pr.base_minus])
     return {
         f: tuple(rank(m & b) for b in base_masks)

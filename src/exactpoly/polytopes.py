@@ -18,8 +18,11 @@ duality and face ranks.  Each rule is stated once, where it is applied:
 - `_smallest_faces` is the vertex test of `certify_vertices` and
   `extreme_indices`; `_adjacency` builds both graphs, which `Hull` keeps.
 - `facet_enumeration` and `keep_hull` keep one verified hull per
-  `VPolytope` object, and `face_ranks` its face ranks; `polar` derives
-  the polar's hull by duality, with no build.
+  `VPolytope` object; `polar` derives the polar's hull by duality, with no
+  build.
+- Each derived fact is a `cached_property` of the object that owns it:
+  `VPolytope.face_rank`, `FacetIncidence.vertex_masks` and
+  `.smallest_faces`, and `Hull.dual_graph` and `.vertex_graph`.
 """
 from __future__ import annotations
 
@@ -56,15 +59,14 @@ class VPolytope:
     """A polytope as an ordered list of points (tuples of rationals).
 
     `_hull` is the verified hull of this object's points, once
-    `facet_enumeration` or `keep_hull` has recorded it, and `_ranks` the
-    memo of `face_ranks`; neither takes part in construction, comparison or
-    hashing.  The object is frozen and its points are tuples, so a kept
-    hull stays the hull of its points."""
+    `facet_enumeration` or `keep_hull` has recorded it; it takes no part in
+    construction, comparison or hashing, and neither does `face_rank`.  The
+    object is frozen and its points are tuples, so a kept hull stays the
+    hull of its points."""
 
     vertices: tuple
     labels: Optional[tuple] = None
     _hull: Optional["Hull"] = field(default=None, init=False, repr=False, compare=False)
-    _ranks: Optional[Callable] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         check_same_dim(self.vertices)
@@ -79,8 +81,19 @@ class VPolytope:
     def n_vertices(self) -> int:
         return len(self.vertices)
 
-    def label_of(self, i: int) -> str:
-        return self.labels[i] if self.labels else str(i)
+    @cached_property
+    def face_rank(self) -> Callable:
+        """The function: mask of points -> the affine rank of those points.
+        It ranks each mask once, so every caller that ranks the faces of
+        one polytope object shares the ranks.  Ranks do not change under
+        positive scaling, so it ranks integer copies of the points."""
+        points = integer_points(self.vertices)[0]
+
+        @cache
+        def rank(mask):
+            return affine_rank([points[i] for i in iter_bits(mask)])
+
+        return rank
 
 
 @dataclass(frozen=True)
@@ -97,43 +110,36 @@ class HPolytope:
     equalities: tuple = ()
 
 
+@dataclass(frozen=True, eq=False)
 class FacetIncidence:
     """Facet-by-vertex tightness, stored as one bitmask per facet.  The
     transpose and each point's smallest face are computed on first use and
-    kept."""
+    kept.  Two incidences are equal only if they are one object."""
 
-    def __init__(self, facet_masks, n_vertices: int):
-        self.facet_masks = tuple(facet_masks)
-        self.n_vertices = n_vertices
-        self._vertex_masks = None
-        self._faces = None
+    facet_masks: tuple
+    n_vertices: int
 
     @property
     def n_facets(self) -> int:
         return len(self.facet_masks)
 
-    @property
+    @cached_property
     def vertex_masks(self):
         """One bitmask per vertex over facet indices (the transpose).  The
         facet masks, last facet first, are written as n-digit binary numbers
         into one string, so the digits of point j stand n apart in it, from
         facet m-1 down to facet 0: one slice and one `int` per point."""
-        if self._vertex_masks is None:
-            n = self.n_vertices
-            if self.facet_masks:
-                digits = "".join(format(fm, "b").zfill(n) for fm in reversed(self.facet_masks))
-                self._vertex_masks = tuple(int(digits[n - 1 - j::n], 2) for j in range(n))
-            else:
-                self._vertex_masks = (0,) * n
-        return self._vertex_masks
+        n = self.n_vertices
+        if not self.facet_masks:
+            return (0,) * n
+        digits = "".join(format(fm, "b").zfill(n) for fm in reversed(self.facet_masks))
+        return tuple(int(digits[n - 1 - j::n], 2) for j in range(n))
 
-    @property
+    @cached_property
     def smallest_faces(self):
         """Per point, the mask of the smallest face containing it (see
         `_smallest_faces`)."""
-        if self._faces is None:
-            self._faces = tuple(_smallest_faces(self))
-        return self._faces
+        return tuple(_smallest_faces(self))
 
     def vertices_of(self, f: int):
         return tuple(iter_bits(self.facet_masks[f]))
@@ -315,7 +321,7 @@ def _check_ranks(dim, pts, pairs, unchecked) -> FacetIncidence:
     without both does `matrix_rank` decide."""
     if len({h for h, _ in pairs}) != len(pairs):
         raise DegenerateInput("hull verification failed: repeated facet")
-    incidence = FacetIncidence([m for _, m in pairs], len(pts))
+    incidence = FacetIncidence(tuple(m for _, m in pairs), len(pts))
     everyone = (1 << len(pairs)) - 1
     for h, fmask in unchecked:
         if any(h) and _triangular_certificate(fmask, incidence.vertex_masks, everyone, dim):
@@ -577,23 +583,6 @@ def keep_hull(poly: VPolytope, hull: Hull) -> Hull:
     return hull
 
 
-def face_ranks(poly: VPolytope) -> Callable:
-    """The function: mask of points of `poly` -> the affine rank of those
-    points.  It is made once per object and kept on `poly`, as its hull
-    is, and ranks each mask once, so every caller that ranks the faces of
-    one polytope shares the ranks.  Ranks do not change under positive
-    scaling, so it ranks integer copies of the points."""
-    if poly._ranks is None:
-        points = integer_points(poly.vertices)[0]
-
-        @cache
-        def rank(mask):
-            return affine_rank([points[i] for i in iter_bits(mask)])
-
-        object.__setattr__(poly, "_ranks", rank)
-    return poly._ranks
-
-
 class Chart(NamedTuple):
     """Coordinates on the affine hull of points in R^d of affine dimension
     k: `cols`, the k pivot columns of its directions (all d when k = d), a
@@ -616,7 +605,7 @@ class Chart(NamedTuple):
         restricted to them.  One `_check_incidence` then meets every point
         with every row, so the test read exact incidence, and the rank half
         of `_verify` runs on the vertices alone."""
-        faces = FacetIncidence([m for _, m in pairs], len(vectors)).smallest_faces
+        faces = FacetIncidence(tuple(m for _, m in pairs), len(vectors)).smallest_faces
         keep = [i for i, face in enumerate(faces) if face == 1 << i]
         _check_incidence(vectors, pairs, 0)
         new = {old: i for i, old in enumerate(keep)}
@@ -708,7 +697,7 @@ def certify_vertices(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     for i, face in enumerate(hull.incidence.smallest_faces):
         if face != 1 << i:
             raise NotAVertex(
-                f"point {poly.label_of(i)} = ({', '.join(map(format_rat, poly.vertices[i]))}) "
+                f"point {poly.labels[i] if poly.labels else i} = ({', '.join(map(format_rat, poly.vertices[i]))}) "
                 f"is not a vertex "
                 f"({face.bit_count()} input points lie on the smallest face containing it)"
             )
@@ -796,13 +785,18 @@ def _adjacency(masks, tmasks, k, simplices: bool) -> Graph:
 
 
 def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
-    """Facets sharing a ridge: the graph `hull` keeps (`Hull.dual_graph`)."""
+    """Facets sharing a ridge: the graph `hull` keeps (`Hull.dual_graph`).
+    This is the public `(poly, hull)` API, which the package exports and
+    `perfbench` calls and traces by name; the engine reads the hull's
+    graph.  Dropping `poly` (ROADMAP item 10) waits for a change to the
+    benchmark harness."""
     return hull.dual_graph
 
 
 def vertex_graph(poly: VPolytope, hull: Hull) -> Graph:
     """Points joined by 1-faces: the graph `hull` keeps
-    (`Hull.vertex_graph`)."""
+    (`Hull.vertex_graph`); the public `(poly, hull)` API, kept as
+    `dual_graph` is."""
     return hull.vertex_graph
 
 
@@ -855,7 +849,7 @@ def polar(poly: VPolytope) -> VPolytope:
     pol = VPolytope(tuple(tuple(Rat(a, q[-1]) for a in q[:-1]) for q in ineqs))
     # per input point, the mask of the polar vertices whose facet holds it
     fmasks = hull.incidence.facet_masks
-    masks = FacetIncidence([fmasks[f] for f in order], poly.n_vertices).vertex_masks
+    masks = FacetIncidence(tuple(fmasks[f] for f in order), poly.n_vertices).vertex_masks
     shift = [scale * c for c in s]
     pairs = sorted(
         (primitive((*[n * x - t for x, t in zip(ints[i], shift)], n * scale)), masks[i])

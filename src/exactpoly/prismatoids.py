@@ -10,13 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
-from .polytopes import (
-    Hull,
-    VPolytope,
-    dual_graph,
-    facet_enumeration,
-    vertex_graph,
-)
+from .polytopes import Hull, VPolytope, facet_enumeration
 
 
 class NotAPrismatoid(ValueError):
@@ -69,12 +63,6 @@ class Prismatoid:
     def n_facets(self) -> int:
         return self.hull.incidence.n_facets
 
-    def base_plus_vertices(self):
-        return self.hull.incidence.vertices_of(self.base_plus)
-
-    def base_minus_vertices(self):
-        return self.hull.incidence.vertices_of(self.base_minus)
-
     @property
     def asimpliciality(self) -> int:
         return self.n_vertices - 2 * self.dim
@@ -118,7 +106,7 @@ def make_prismatoid(poly: VPolytope, bases: Optional[tuple] = None) -> Prismatoi
 
 def width(pr: Prismatoid) -> int:
     """Dual-graph distance between the two base facets."""
-    return dual_graph(pr.polytope, pr.hull).distance(pr.base_plus, pr.base_minus)
+    return pr.hull.dual_graph.distance(pr.base_plus, pr.base_minus)
 
 
 def is_spindle(poly: VPolytope):
@@ -130,4 +118,4 @@ def is_spindle(poly: VPolytope):
     if pair is None:
         return None
     u, v = pair
-    return u, v, vertex_graph(poly, hull).distance(u, v)
+    return u, v, hull.vertex_graph.distance(u, v)

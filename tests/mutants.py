@@ -161,11 +161,14 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "face-ranks-drop-a-point",
+        "face-rank-drops-a-point",
         "polytopes.py",
         "return affine_rank([points[i] for i in iter_bits(mask)])",
         "return affine_rank([points[i] for i in iter_bits(mask)][1:])",
-        ("tests/test_normalfans.py::TestTransversality::test_band_examples",),
+        (
+            "tests/test_normalfans.py::TestTransversality::test_band_examples",
+            "tests/test_hullbuilder.py::test_derived_facts_are_kept_on_their_owners",
+        ),
     ),
     Mutant(
         "sum-skips-the-non-vertex-incidence",
@@ -222,7 +225,7 @@ MUTANTS = (
     Mutant(
         "off-band-accepts-any-family-band",
         "counterexample.py",
-        "if dims != FAMILY_BIDIMENSION[labels[f].letter]",
+        "if dims != FAMILY_BIDIMENSION[labels[f][0]]",
         "if dims not in FAMILY_BIDIMENSION.values()",
         ("tests/test_counterexample.py::TestDualGraphStructure::test_quotient_report_names_a_facet_off_its_band",),
     ),
@@ -232,6 +235,16 @@ MUTANTS = (
         "((1 << S.n_vertices) - 1) ^ plus_mask",
         "((1 << S.n_vertices) - 1) | plus_mask",
         ("tests/test_constructions.py::TestStrongDStep::test_cube_single_step",),
+    ),
+    Mutant(
+        "blend-leaves-by-the-neighbors-facet",
+        "constructions.py",
+        "(vmasks[v] & ~vmasks[n])",
+        "(vmasks[n] & ~vmasks[v])",
+        (
+            "tests/test_constructions.py::TestBlend::test_two_cubes",
+            "tests/test_constructions.py::TestBlend::test_every_blend_of_two_cubes_reaches_five",
+        ),
     ),
     Mutant(
         "usage-error-exits-3",

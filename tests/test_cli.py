@@ -113,7 +113,7 @@ class TestFileFormats:
             ((-12, 0, 305, 7), (0, -1, 0, 0), (1000, -999, 1, -40)),
             ((0, 1, -20, 31),),
         )
-        incidence = polytopes.FacetIncidence([0b1011, 0, 1 << 12 | 1 << 10 | 1], 13)
+        incidence = polytopes.FacetIncidence((0b1011, 0, 1 << 12 | 1 << 10 | 1), 13)
         hull = polytopes.Hull(hrep, incidence, 2)
         hpoly, inc = self._hpoly_and_incidence_by_rationals(hull)
         assert write_hpoly(hrep) == hpoly
@@ -590,7 +590,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize(
         "command, engine",
-        [("hull", "facet_enumeration"), ("width", "width"), ("diameter", "vertex_graph"), ("polar", "polar")],
+        [("hull", "facet_enumeration"), ("width", "width"), ("diameter", "certify_vertices"), ("polar", "polar")],
     )
     def test_bare_value_error_is_usage_error(self, tmp_path, monkeypatch, capsys, command, engine):
         # a ValueError of no kind the table names falls through to exit 2

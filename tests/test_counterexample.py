@@ -10,7 +10,6 @@ from exactpoly.counterexample import (
     Certificate,
     REPRESENTATIVE_NEIGHBORS,
     _FAMILIES,
-    FacetLabel,
     _close_group,
     base_swap_map,
     check_facet_census,
@@ -76,24 +75,27 @@ class TestData:
         assert len(table) == EXPECTED_FACET_COUNT
         # each member's rational row made primitive on its own, as the
         # table was once expanded: the same keys in the same order, and
-        # the same labels
-        reference = {(0, 0, 0, 0, 1, 1): FacetLabel("A"), (0, 0, 0, 0, -1, 1): FacetLabel("L")}
+        # the same labels, the family letter, its prime and a sign per slot
+        reference = {(0, 0, 0, 0, 1, 1): "A", (0, 0, 0, 0, -1, 1): "L"}
         for letter, primed, terms, x5, rhs in _FAMILIES:
-            for signs in itertools.product((1, -1), repeat=4):
+            for signs in itertools.product("+-", repeat=4):
                 row = [Rat(0)] * 5 + [rhs]
                 for (coef, axis), s in zip(terms, signs):
-                    row[axis] = coef * s
+                    row[axis] = coef if s == "+" else -coef
                 row[4] = x5
-                reference[tuple(primitive_ints(row))] = FacetLabel(letter, primed, signs)
+                reference[tuple(primitive_ints(row))] = letter + "'" * primed + "".join(signs)
         assert list(table.items()) == list(reference.items())
-        assert table[(0, 0, 0, 0, 1, 1)].letter == "A"
-        assert table[(0, 0, 0, 0, -1, 1)].letter == "L"
-        assert str(table[(10, 2, 4, 2, 135, 315)]) == "B++++"
+        assert table[(10, 2, 4, 2, 135, 315)] == "B++++"
 
     def test_facet_label_format(self):
-        assert str(FacetLabel("A")) == "A"
-        assert str(FacetLabel("C", True, (1, -1, 1, -1))) == "C'+-+-"
-        assert str(FacetLabel("K", True, (-1, -1, -1, -1))) == "K'----"
+        # the letter is a label's first character, and a primed family's
+        # labels carry the prime before the signs
+        table = expected_facets()
+        assert table[(0, 0, 0, 0, 1, 1)] == "A"
+        assert table[(0, 0, 0, 0, -1, 1)] == "L"
+        assert table[(-8, 16, -5, 7, 180, 540)] == "C'+-+-"
+        assert table[(-4, -2, -2, -10, -135, 315)] == "K'----"
+        assert {label[0] for label in table.values()} == set("ABCDEFGHIJKL")
 
 
 class TestCensus:
@@ -105,12 +107,13 @@ class TestCensus:
 
     def test_labels_bijective(self, q48_hull, q48_labels):
         assert len(q48_labels) == 322
-        assert len({str(l) for l in q48_labels}) == 322
+        assert len(set(q48_labels)) == 322
 
     def test_base_vertex_sets(self, q48_pr):
-        plus = {q48_pr.polytope.labels[v] for v in q48_pr.base_plus_vertices()}
+        inc, labels = q48_pr.hull.incidence, q48_pr.polytope.labels
+        plus = {labels[v] for v in inc.vertices_of(q48_pr.base_plus)}
         assert plus == {f"{i}+" for i in range(1, 25)}
-        minus = {q48_pr.polytope.labels[v] for v in q48_pr.base_minus_vertices()}
+        minus = {labels[v] for v in inc.vertices_of(q48_pr.base_minus)}
         assert minus == {f"{i}-" for i in range(1, 25)}
 
     def test_not_simple_not_simplicial(self, q48_hull):
@@ -324,13 +327,12 @@ class TestOrbits:
 
     def test_orbit_of_representative_has_32(self, certificate, q48_labels):
         orbits = facet_orbits(certificate.facet_perms[:5])
-        by_label = {str(l): i for i, l in enumerate(q48_labels)}
-        b = by_label["B++++"]
+        b = q48_labels.index("B++++")
         orbit = next(o for o in orbits if b in o)
         assert len(orbit) == 32
-        letters = {q48_labels[f].letter for f in orbit}
+        letters = {q48_labels[f][0] for f in orbit}
         assert letters == {"B"}
-        assert {q48_labels[f].primed for f in orbit} == {True, False}
+        assert {"'" in q48_labels[f] for f in orbit} == {True, False}
 
     def test_generator_orbits_match_every_element(self, certificate, reference_groups):
         # the orbits of the generators' facet permutations are the orbits
@@ -350,9 +352,8 @@ class TestDualGraphStructure:
         assert_report(check_neighbor_lists(certificate))
 
     def test_neighbors_match_table(self, q48_labels, q48_dual):
-        by_label = {str(l): i for i, l in enumerate(q48_labels)}
         for name, wanted in REPRESENTATIVE_NEIGHBORS.items():
-            got = {str(q48_labels[g]) for g in q48_dual.adj[by_label[name]]}
+            got = {q48_labels[g] for g in q48_dual.adj[q48_labels.index(name)]}
             assert got == set(wanted)
 
     def test_width_is_six(self, q48_pr):
@@ -450,7 +451,7 @@ class TestSuspensionOfCounterexample:
         # suspend over a bottom-base vertex: the lifted bottom base stays at
         # dual distance >= 6 from both pyramids over the top base
         poly, hull = q48_pr.polytope, q48_pr.hull
-        v = q48_pr.base_minus_vertices()[4]  # the vertex labeled 5-
+        v = hull.incidence.vertices_of(q48_pr.base_minus)[4]  # the vertex labeled 5-
         S, hull_S, expected = suspension_facet_map(poly, hull, v)
         mask_to_new = {m: i for i, m in enumerate(hull_S.incidence.facet_masks)}
         lift = {}

@@ -376,7 +376,21 @@ def _per_bit_transpose(masks, n):
 @example((9, [0b111111111, 0, 0b100000001]))  # 9 points, all and none tight
 def test_vertex_masks_match_the_per_bit_transpose(data):
     n, masks = data
-    assert FacetIncidence(masks, n).vertex_masks == _per_bit_transpose(masks, n)
+    assert FacetIncidence(tuple(masks), n).vertex_masks == _per_bit_transpose(masks, n)
+
+
+def test_derived_facts_are_kept_on_their_owners():
+    """A second read of an incidence's transpose or smallest faces, or of a
+    polytope's face ranks, returns the same object, as the graphs do (see
+    `_assert_graphs_match_references`); an equal polytope that is another
+    object derives its own ranks."""
+    cube = VPolytope(tuple(tuple(map(Fraction, p)) for p in itertools.product((0, 1), repeat=3)))
+    inc = facet_enumeration(cube).incidence
+    vmasks, faces, rank = inc.vertex_masks, inc.smallest_faces, cube.face_rank
+    assert inc.vertex_masks is vmasks and inc.smallest_faces is faces and cube.face_rank is rank
+    assert [rank(m) for m in (inc.facet_masks[0], 0b11, 0b1, (1 << 8) - 1)] == [2, 1, 0, 3]
+    twin = VPolytope(cube.vertices)
+    assert twin == cube and twin.face_rank is not rank
 
 
 # ---------------------------------------------------------------------------
@@ -431,7 +445,7 @@ def test_face_test_matches_rank_reference(pts, data):
             tuple(hull.hrep.inequalities[f] for f in keep),
             hull.hrep.equalities,
         ),
-        FacetIncidence([hull.incidence.facet_masks[f] for f in keep], len(pts)),
+        FacetIncidence(tuple(hull.incidence.facet_masks[f] for f in keep), len(pts)),
         hull.dim,
     )
     assert set(extreme_indices(partial)) <= set(want)
@@ -903,7 +917,7 @@ def test_certificate_is_found_only_for_rank_dim(pts, data):
     ))
     masks = list(_tight_masks(builder.points, rows))
     assert None not in masks
-    vmasks = FacetIncidence(masks, n).vertex_masks
+    vmasks = FacetIncidence(tuple(masks), n).vertex_masks
     everyone = (1 << len(rows)) - 1
     facets = set(builder.rows)
     for h, m in zip(rows, masks):

@@ -1,4 +1,5 @@
-"""Every name a module imports is used in that module.
+"""Every name a module imports is used in that module, and no engine
+module imports the graph wrappers.
 
 The package's `__init__.py` is exempt: it imports names to re-export them.
 """
@@ -30,6 +31,22 @@ def unused_imports(source):
 def test_unused_imports_are_found():
     source = "import os.path\nfrom math import gcd, lcm\n\nprint(os.sep, lcm)\n"
     assert unused_imports(source) == [(2, "gcd")]
+
+
+def test_the_engine_reads_graphs_off_the_hull():
+    # `dual_graph(poly, hull)` and `vertex_graph(poly, hull)` are exported
+    # for outside callers; the engine reads `Hull.dual_graph` and
+    # `Hull.vertex_graph`
+    importers = [
+        f"{path.name}:{node.lineno} {a.name}"
+        for path in MODULES
+        if path.parent.name == "exactpoly"
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom)
+        for a in node.names
+        if a.name in ("dual_graph", "vertex_graph")
+    ]
+    assert importers == []
 
 
 def test_every_imported_name_is_used():

@@ -256,7 +256,7 @@ def test_a_non_vertex_sum_meets_every_row(certificate, monkeypatch, which):
 
     def flipping(cand, n, cayley):
         rows = derive(cand, n, cayley)
-        faces = FacetIncidence([m for _, m, _ in rows], len(cand.sums)).smallest_faces
+        faces = FacetIncidence(tuple(m for _, m, _ in rows), len(cand.sums)).smallest_faces
         f, c = next(
             (f, c) for c, face in enumerate(faces) if face != 1 << c
             for f, (_, m, _) in enumerate(rows) if not m >> c & 1 and face & m
@@ -476,11 +476,10 @@ class TestTransversality:
         assert_report(transversality_check(q48_pr, bi_dimensions(q48_pr)))
 
     def test_band_examples(self, q48_pr, q48_labels):
-        by_label = {str(l): i for i, l in enumerate(q48_labels)}
         table = bi_dimensions(q48_pr)
         for name, want in (("B++++", (3, 0)), ("C++++", (2, 1))):
             assert FAMILY_BIDIMENSION[name[0]] == want
-            assert table[by_label[name]] == want
+            assert table[q48_labels.index(name)] == want
 
 
 class TestInteriority:
