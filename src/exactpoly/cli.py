@@ -176,7 +176,7 @@ def _cmd_construct(args) -> int:
             f"BLEND dim={bg.dim} facets={bg.facet_count} nodes={bg.n_nodes} "
             f"diameter={bg.diameter()}"
         )
-    elif args.operation == "dstep-iterate":
+    else:  # dstep-iterate: argparse's `choices` admits no other operation
         poly = _load(args.input)
         certify_vertices(poly)
         pr = make_prismatoid(poly)
@@ -185,8 +185,6 @@ def _cmd_construct(args) -> int:
             print(rec.line(i))
         if args.out:
             _write_polytope(final.polytope, args)
-    else:  # pragma: no cover - argparse restricts choices
-        raise CliError(f"unknown operation {args.operation}")
     return 0
 
 

@@ -398,9 +398,9 @@ class Certificate:
     The hull of `poly` is built once, checked by `_verify` and compared
     with the family table by the census.  Each base's hull is built apart
     from it and kept on `qplus` or `qminus`.  The base Minkowski sum is
-    read off the hull of `poly`, the bases' Cayley polytope: the sum's rows
-    meet every pairwise sum of the bases once, in exact arithmetic, with
-    ranks and repeated rows checked on the sum's vertices.  The face ranks
+    read off the hull of `poly`, the bases' Cayley polytope: one `_verify`
+    meets the sum's rows with every pairwise sum of the bases once, in
+    exact arithmetic, and checks ranks and repeated rows on them.  The face ranks
     of `poly` are kept on it, so `bidims`, `base_sum` and the
     representative facets rank each face once.  The dual graphs of q48
     and of the sum are kept on their hulls."""
@@ -715,7 +715,7 @@ def check_minkowski_section(ctx: Certificate) -> Report:
     hulls compared here are one hull: a fault of the hull builder would
     reach both.  The sum's rows still meet all 576 pairwise sums, once, in
     one exact packed test, and pass the rank certificates and the
-    repeated-row test on the 208 vertices.  The independent
+    repeated-row test on those sums, whose 208 vertices the sum keeps.  The independent
     cross-checks are in the tests: the double-description build of all
     576 pairwise sums in `test_q48_polar_and_base_sum_steps_match_the_full_scan`,
     and the pinned differential `test_base_sum_matches_the_reference`."""

@@ -38,11 +38,12 @@ takes the same path on the coordinates of its `polytopes.affine_chart`,
 found from the |A| + |B| - 1 sums a_i + b_0 and a_0 + b_j, which span the
 affine hull of all the sums (a chart depends on the affine hull alone);
 its equality rows, found on the scaled sums, are rescaled to the sum.
-The sum is checked once (`Chart.vertex_hull`): the vertex test reads the
-derived incidence, one packed exact test meets every pairwise sum with
-every derived row, so that incidence is exact, and the rank certificates
-and the repeated-row test of `polytopes._verify` run on the vertices'
-hull, which their polytope keeps.
+The sum is checked once (`Chart.vertex_hull`): one `polytopes._verify`
+meets every pairwise sum with every derived row in one packed exact test
+and runs the rank certificates and the repeated-row test on them; the
+vertex test then reads that exact incidence, whose transpose the
+certificates have made, and the vertices' hull, each mask restricted to
+them, is kept on their polytope.
 The torus angles are floating point and feed the SVG plots only.
 """
 from __future__ import annotations

@@ -3,18 +3,21 @@ combinatorics: vertex certification, dual and vertex graphs, polar
 duality and face ranks.  Each rule is stated once, where it is applied:
 
 - `HullBuilder` is the one hull, over integer points (`_homogeneous`) and
-  primitive `HPolytope` rows with masks of tight points.  `_start` builds
-  the starting simplex (Bareiss 1968), `_add` inserts a point by one
-  double-description step (Fukuda & Prodon 1996), and `copy` and `insert`
-  serve the perturbation searches.
+  primitive `HPolytope` rows with masks of tight points.  `_start` takes
+  the starting simplex's facets from one `nullspace`, `_add` inserts a
+  point by one double-description step (Fukuda & Prodon 1996), and `copy`
+  and `insert` serve the perturbation searches.  Every elimination is a
+  `linalg` call.
 - `affine_chart` and `Chart` put input of lower dimension on coordinates
   of its affine hull; `_enumerate` builds there and `Chart.lift` lifts.
-- `_verify` is the check every returned hull passes: `_check_incidence`
-  meets every point with every row (`_tight_masks`), and `_check_ranks`
-  proves each facet's rank (`_triangular_certificate`, a certificate in
-  the sense of McConnell, Mehlhorn, Naeher & Schweitzer 2011).
-  `HullBuilder.hull` checks a copy's carried rows at the inserted points
-  alone; `Chart.vertex_hull` runs the two halves apart.
+- `_verify` is the check every returned hull passes, and the one place a
+  `Hull` is made from (row, mask) pairs: it meets every point with every
+  row (`_tight_masks`) and proves each facet's rank
+  (`_triangular_certificate`, a certificate in the sense of McConnell,
+  Mehlhorn, Naeher & Schweitzer 2011).  `HullBuilder.hull` checks a copy's
+  carried rows at the inserted points alone; `Chart.vertex_hull` verifies
+  a Minkowski sum's rows against every candidate sum and restricts the
+  hull to the vertices.
 - `_smallest_faces` is the vertex test of `certify_vertices` and
   `extreme_indices`; `_adjacency` builds both graphs, which `Hull` keeps.
 - `facet_enumeration` and `keep_hull` keep one verified hull per
@@ -282,44 +285,30 @@ def _triangular_certificate(fmask, vmasks, everyone, dim) -> bool:
     return True
 
 
-def _verify(dim, pts, pairs, unchecked, empty) -> FacetIncidence:
-    """The incidence of the (row, mask) `pairs`, after checking that each
-    pair of `unchecked` is exact against the homogeneous points `pts`
-    (`_check_incidence`), that the rows are distinct and that the tight
-    points of each pair of `unchecked` have rank `dim` (`_check_ranks`);
-    raises DegenerateInput naming the first check that fails.  The slots in
-    `empty` hold the zero vector, which every row holds tightly, and the
-    masks lack them.  The caller has verified the incidence of the
-    other pairs.  `HullBuilder.hull` checks its hulls here, and `polar` the
-    one it derives; a Minkowski sum runs the two halves apart."""
-    _check_incidence(pts, unchecked, empty)
-    return _check_ranks(dim, pts, pairs, unchecked)
+def _verify(dim, pts, pairs, unchecked, empty) -> Hull:
+    """The hull of the (row, mask) `pairs`, in their order, after checking
+    that each pair of `unchecked` is exact against the homogeneous points
+    `pts` (every point inside the row, exactly the points of the mask
+    tight), that the rows are distinct and that the tight points of each
+    pair of `unchecked` have rank `dim`; raises DegenerateInput naming the
+    first check that fails.  The slots in `empty` hold the zero vector,
+    which every row holds tightly, and the masks lack them.  The caller has
+    verified the incidence of the other pairs.
 
-
-def _check_incidence(pts, pairs, empty):
-    """Raise DegenerateInput unless each (row, mask) pair is exact against
-    the homogeneous points `pts`: every point inside the row, and exactly
-    the points of the mask tight, the `empty` slots aside (see `_verify`).
-    One `_tight_masks` pass meets every point with every row."""
-    # zip stops at the end of `pairs` before it asks `_tight_masks`, which
-    # needs a row, for more
-    for (_, fmask), tight in zip(pairs, _tight_masks(pts, [h for h, _ in pairs])):
+    One `_tight_masks` pass meets every point with every unchecked row.
+    Every pair's incidence is then exact, so every row is a witness of the
+    triangular certificates (see `_triangular_certificate`), which bound
+    the rank from below; a nonzero row bounds it by `dim` from above.  Only
+    without both does `matrix_rank` decide."""
+    # zip stops at the end of `unchecked` before it asks `_tight_masks`,
+    # which needs a row, for more
+    for (_, fmask), tight in zip(unchecked, _tight_masks(pts, [h for h, _ in unchecked])):
         if tight is None:
             raise DegenerateInput("hull verification failed: point outside facet")
         if tight != fmask | empty or fmask & empty:
             raise DegenerateInput("hull verification failed: incidence mismatch")
-
-
-def _check_ranks(dim, pts, pairs, unchecked) -> FacetIncidence:
-    """The incidence of the (row, mask) `pairs`, after checking that their
-    rows are distinct and that the tight points of each pair of `unchecked`
-    have rank `dim`; the caller has checked the incidence of every pair.
-
-    Every pair's incidence is exact, so every row is a witness of the
-    triangular certificates (see `_triangular_certificate`), which bound
-    the rank from below; a nonzero row bounds it by `dim` from above.  Only
-    without both does `matrix_rank` decide."""
-    if len({h for h, _ in pairs}) != len(pairs):
+    rows = tuple(h for h, _ in pairs)
+    if len(set(rows)) != len(rows):
         raise DegenerateInput("hull verification failed: repeated facet")
     incidence = FacetIncidence(tuple(m for _, m in pairs), len(pts))
     everyone = (1 << len(pairs)) - 1
@@ -328,7 +317,7 @@ def _check_ranks(dim, pts, pairs, unchecked) -> FacetIncidence:
             continue
         if matrix_rank([pts[j] for j in iter_bits(fmask)]) != dim:
             raise DegenerateInput("hull verification failed: facet rank")
-    return incidence
+    return Hull(HPolytope(dim, rows), incidence, dim)
 
 
 class HullBuilder:
@@ -375,32 +364,18 @@ class HullBuilder:
         `_homogeneous` `vectors` (None: an empty slot); insert the rest in order.
 
         With M the basis points as rows, the facet opposite basis point i
-        meets it positively and the others in 0: it is column i of M^-1 up
-        to a positive factor.  One fraction-free Gauss-Jordan pass over
-        [M | I] (Bareiss 1968), each step dividing exactly by the previous
-        pivot, ends at [D I | D M^-1] with D = +-det M the last pivot, so
-        each facet is a column of the right block times the sign of D, made
-        primitive.  A left column is dropped once its pivot is used."""
+        meets it positively and the others in 0: it is M^-1 e_i up to a
+        positive factor.  The kernel of [M | -I] is {(y, M y)}, and M is
+        invertible, so its free columns are those of -I; `nullspace` gives
+        one vector (y, z) per free column, positive there and zero at the
+        others, so z is a positive multiple of e_i and y the facet."""
         self.points = vectors
         n = len(basis)
         self.dim = n - 1
         self.base = None
         self.verified = None
-        block = [list(vectors[i]) + [0] * n for i in basis]
-        for i, row in enumerate(block):
-            row[n + i] = 1
-        prev = 1
-        for k in range(n):
-            if not block[k][0]:
-                r = next(r for r in range(k + 1, n) if block[r][0])
-                block[k], block[r] = block[r], block[k]
-            p, *rest = block[k]
-            for i, row in enumerate(block):
-                f = row[0]
-                block[i] = rest if i == k else [(p * x - f * y) // prev for x, y in zip(row[1:], rest)]
-            prev = p
-        sign = 1 if prev > 0 else -1
-        self.rows = [primitive(tuple(sign * v for v in column)) for column in zip(*block)]
+        block = [vectors[i] + tuple(-(i == j) for j in basis) for i in basis]
+        self.rows = [primitive(x[:n]) for x in nullspace(block)]
         everyone = bits(basis)
         self.masks = [everyone ^ 1 << i for i in basis]
         in_basis = set(basis)
@@ -514,7 +489,7 @@ class HullBuilder:
         return self.verified
 
     def hull(self) -> Hull:
-        """The hull, after `_verify`: no repeated facet, every point inside
+        """The hull `_verify` returns: no repeated facet, every point inside
         every facet with exactly the recorded incidence, and the tight
         points of every facet spanning a hyperplane.  The builder's rows are
         the hull's rows, sorted with their masks.
@@ -542,7 +517,7 @@ class HullBuilder:
                         unchecked.append((h, fmask))
                         continue
                     # a carried row is checked here at the inserted points,
-                    # usually one, not by `_check_incidence`: its packed test
+                    # usually one, not by `_tight_masks`: its packed test
                     # costs more per row than this loop on so few points, and
                     # a search carries thousands of rows per candidate
                     for i, q in added:
@@ -551,8 +526,7 @@ class HullBuilder:
                             raise DegenerateInput("hull verification failed: point outside facet")
                         if (s == 0) != bool(fmask >> i & 1):
                             raise DegenerateInput("hull verification failed: incidence mismatch")
-        incidence = _verify(self.dim, pts, pairs, unchecked, 0)
-        return Hull(HPolytope(self.dim, tuple(h for h, _ in pairs)), incidence, self.dim)
+        return _verify(self.dim, pts, pairs, unchecked, 0)
 
 
 def facet_enumeration(poly: VPolytope) -> Hull:
@@ -573,10 +547,10 @@ def facet_enumeration(poly: VPolytope) -> Hull:
 
 def keep_hull(poly: VPolytope, hull: Hull) -> Hull:
     """Record `hull` on `poly` as its `facet_enumeration` and return it.
-    `hull` must be the hull of poly's points in their order that passed
-    `_verify`, as a `HullBuilder` over exactly those points returns it (a
-    search's candidate), as `polar` derives it by duality or as
-    `Chart.vertex_hull` checks a Minkowski sum's.  Later code
+    `hull` must be the hull of poly's points in their order that came out
+    of `_verify`, as a `HullBuilder` over exactly those points returns it
+    (a search's candidate), as `polar` derives it by duality or as
+    `Chart.vertex_hull` restricts a Minkowski sum's to its vertices.  Later code
     reads it back with `facet_enumeration(poly)`, never from a second
     variable."""
     object.__setattr__(poly, "_hull", hull)
@@ -598,21 +572,19 @@ class Chart(NamedTuple):
         return tuple(p[c] for c in self.cols)
 
     def vertex_hull(self, vectors, pairs):
-        """(keep, hull) for `vectors`, points that may be no vertices, and
-        (row, mask) `pairs` with masks over all of them: `keep`, the indices
-        of the vertices, by the face test of `_smallest_faces` on the
-        masks, and `hull`, theirs, whose facets are the rows with the masks
-        restricted to them.  One `_check_incidence` then meets every point
-        with every row, so the test read exact incidence, and the rank half
-        of `_verify` runs on the vertices alone."""
-        faces = FacetIncidence(tuple(m for _, m in pairs), len(vectors)).smallest_faces
-        keep = [i for i, face in enumerate(faces) if face == 1 << i]
-        _check_incidence(vectors, pairs, 0)
+        """(keep, hull) for `vectors`, points on the chart that may be no
+        vertices, and sorted (row, mask) `pairs` with masks over all of
+        them: `keep`, the indices of the vertices, and `hull`, theirs,
+        lifted.  One `_verify` checks every pair against every point; the
+        vertices are read off its incidence by the face test of
+        `_smallest_faces`, and each mask is restricted to them.  A point on
+        a facet that is no vertex lies in the affine span of the facet's
+        vertices, so the restriction keeps each facet's rank."""
+        everything = _verify(len(self.cols), vectors, pairs, pairs, 0)
+        keep = extreme_indices(everything)
         new = {old: i for i, old in enumerate(keep)}
-        pairs = sorted((h, bits(new[v] for v in iter_bits(m) if v in new)) for h, m in pairs)
-        k = len(self.cols)
-        incidence = _check_ranks(k, [vectors[i] for i in keep], pairs, pairs)
-        return keep, self.lift(Hull(HPolytope(k, tuple(h for h, _ in pairs)), incidence, k))
+        masks = tuple(bits(new[v] for v in iter_bits(m) if v in new) for _, m in pairs)
+        return keep, self.lift(replace(everything, incidence=FacetIncidence(masks, len(keep))))
 
     def lift(self, hull: Hull) -> Hull:
         """A hull on the chart's coordinates as a hull in R^d: each facet
@@ -857,8 +829,7 @@ def polar(poly: VPolytope) -> VPolytope:
     )
     pts = [(*map(neg, q[:-1]), q[-1]) for q in ineqs]
     _check_duplicates(pts)
-    incidence = _verify(hull.dim, pts, pairs, pairs, 0)
-    keep_hull(pol, Hull(HPolytope(hull.dim, tuple(h for h, _ in pairs)), incidence, hull.dim))
+    keep_hull(pol, _verify(hull.dim, pts, pairs, pairs, 0))
     return pol
 
 

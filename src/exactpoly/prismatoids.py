@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional
 
+from .linalg import matrix_rank
 from .polytopes import Hull, VPolytope, facet_enumeration
 
 
@@ -18,12 +19,9 @@ class NotAPrismatoid(ValueError):
 
 
 def _parallel(q1, q2) -> bool:
-    """Do two facet rows have proportional coefficient vectors?"""
-    c1, c2 = q1[:-1], q2[:-1]
-    i = next(j for j, v in enumerate(c1) if v != 0)
-    if c2[i] == 0:
-        return False
-    return all(c2[j] * c1[i] == c1[j] * c2[i] for j in range(len(c1)))
+    """Do two facet rows, whose coefficient vectors are not zero, have
+    proportional coefficient vectors?"""
+    return matrix_rank([q1[:-1], q2[:-1]]) == 1
 
 
 def _complementary_pairs(masks, full):

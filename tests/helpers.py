@@ -34,7 +34,6 @@ from exactpoly.linalg import nullspace, primitive
 from exactpoly.normalfans import MinkowskiSum
 from exactpoly.polytopes import (
     HPolytope,
-    Hull,
     VPolytope,
     _verify,
     affine_chart,
@@ -573,6 +572,14 @@ def reference_start(vectors, basis):
     return rows, masks
 
 
+def reference_parallel(c1, c2) -> bool:
+    """Whether the nonzero vector c2 is c1 times a `Fraction`: the
+    reference for `prismatoids._parallel` on the rows' coefficients."""
+    i = next(j for j, v in enumerate(c1) if v)
+    ratio = Fraction(c2[i], c1[i])
+    return ratio != 0 and all(y == ratio * x for x, y in zip(c1, c2))
+
+
 class Face(NamedTuple):
     vertex_indices: tuple
     dim: int
@@ -644,8 +651,7 @@ def reference_two_pass_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
 
     def verified(vectors, pairs):
         pairs = sorted(pairs)
-        incidence = _verify(k, vectors, pairs, pairs, 0)
-        return chart.lift(Hull(HPolytope(k, tuple(h for h, _ in pairs)), incidence, k))
+        return chart.lift(_verify(k, vectors, pairs, pairs, 0))
 
     hull_all = verified(vectors, pairs)
     keep = extreme_indices(hull_all)

@@ -81,9 +81,12 @@ MUTANTS = (
     Mutant(
         "start-drops-the-determinant-sign",
         "polytopes.py",
-        "sign = 1 if prev > 0 else -1",
-        "sign = 1",
-        ("tests/test_hullbuilder.py::test_start_rows_need_a_row_swap_under_either_sign",),
+        "tuple(-(i == j) for j in basis)",
+        "tuple(+(i == j) for j in basis)",
+        (
+            "tests/test_hullbuilder.py::test_start_rows_need_a_row_swap_under_either_sign",
+            "tests/test_hullbuilder.py::test_start_rows_match_the_nullspace_reference",
+        ),
     ),
     Mutant(
         "tight-masks-byte-width-rounded-down",
@@ -173,10 +176,19 @@ MUTANTS = (
     Mutant(
         "sum-skips-the-non-vertex-incidence",
         "polytopes.py",
-        "_check_incidence(vectors, pairs, 0)",
-        "_check_incidence([vectors[i] for i in keep], "
-        "[(h, bits(keep.index(v) for v in iter_bits(m) if v in keep)) for h, m in pairs], 0)",
+        "_verify(len(self.cols), vectors, pairs, pairs, 0)",
+        "_verify(len(self.cols), vectors, pairs, [], 0)",
         ("tests/test_normalfans.py::test_a_non_vertex_sum_meets_every_row",),
+    ),
+    Mutant(
+        "parallel-ranks-the-offsets",
+        "prismatoids.py",
+        "matrix_rank([q1[:-1], q2[:-1]]) == 1",
+        "matrix_rank([q1, q2]) == 1",
+        (
+            "tests/test_counterexample.py::TestSmallPrismatoids::test_parallel_matches_a_fraction_ratio",
+            "tests/test_counterexample.py::TestSmallPrismatoids::test_triangular_prism_width_two",
+        ),
     ),
     Mutant(
         "base-structure-reads-the-top-hull-twice",

@@ -495,6 +495,14 @@ class TestExitCodes:
         assert done.stderr.startswith("error: ")
         assert done.stderr.count("\n") == 1
 
+    def test_unknown_construct_operation_is_usage_error(self, tmp_path):
+        # argparse's `choices` refuses it before `_cmd_construct` runs
+        done = run_cli(tmp_path, "construct bogus", SQUARE)
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert "invalid choice: 'bogus'" in done.stderr
+        assert done.stdout == ""
+
     def test_push_names_the_point_that_is_not_a_vertex(self, tmp_path):
         # the input is certified before the search, so the error names the
         # inner point at once, not the pushed vertex after every candidate

@@ -3,6 +3,7 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from exactpoly import polytopes
 from exactpoly.counterexample import (
@@ -37,13 +38,14 @@ from exactpoly.polytopes import (
     facet_enumeration,
     vertex_graph,
 )
-from exactpoly.prismatoids import NotAPrismatoid, make_prismatoid, width
+from exactpoly.prismatoids import NotAPrismatoid, _parallel, make_prismatoid, width
 from exactpoly.rationals import Rat, primitive_ints
 from helpers import (
     apply_ineq,
     identity,
     mat_mul,
     reference_close_group,
+    reference_parallel,
     relabeled,
     suspension_facet_map,
     verify_quick,
@@ -444,6 +446,33 @@ class TestSmallPrismatoids:
         rows = facet_enumeration(poly).hrep.inequalities
         with pytest.raises(NotAPrismatoid, match="do not contain all vertices"):
             make_prismatoid(poly, (rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))))
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_parallel_matches_a_fraction_ratio(self, data):
+        """Rows with nonzero coefficients and any offsets: scaled and
+        negated copies (a prismatoid's bases have negated normals), copies
+        with one entry zeroed or the entries rotated, so that zeros stand in
+        different positions, and unrelated rows."""
+        dim = data.draw(st.integers(1, 5))
+        entry = st.integers(-4, 4)
+        c1 = data.draw(st.lists(entry, min_size=dim, max_size=dim).filter(any))
+        p = data.draw(st.integers(-5, 5).filter(bool))
+        q = data.draw(st.integers(1, 5))
+        kind = data.draw(st.sampled_from(("scaled", "zeroed", "rotated", "unrelated")))
+        c2 = [p * x for x in c1]
+        c1 = [q * x for x in c1]
+        if kind == "zeroed":
+            c2[data.draw(st.sampled_from([j for j, x in enumerate(c1) if x]))] = 0
+        elif kind == "rotated":
+            c2 = c2[1:] + c2[:1]
+        elif kind == "unrelated":
+            c2 = data.draw(st.lists(entry, min_size=dim, max_size=dim))
+        if not any(c2):
+            return  # a facet's coefficients are never all zero
+        q1 = (*c1, data.draw(entry))
+        q2 = (*c2, data.draw(entry))
+        assert _parallel(q1, q2) == _parallel(q2, q1) == reference_parallel(c1, c2)
 
 
 class TestSuspensionOfCounterexample:

@@ -862,12 +862,11 @@ def test_push_verifies_every_candidate(monkeypatch):
 @contextlib.contextmanager
 def _eliminations():
     """The sizes of the eliminations the rank check falls back to while the
-    block runs: the calls of `matrix_rank` made by `_check_ranks`, the
-    rank half of `_verify`, counted by wrapping the name the engine looks
-    up."""
+    block runs: the calls of `matrix_rank` made by `_verify`, counted by
+    wrapping the name the engine looks up."""
     calls = []
     rank = polytopes.matrix_rank
-    spans = polytopes._check_ranks.__code__
+    spans = polytopes._verify.__code__
 
     def counting(rows):
         if sys._getframe(1).f_code is spans:
@@ -1155,9 +1154,9 @@ def test_duplicate_is_named_as_the_rationals_name_it(pts, scale, data):
 def simplex_bases(draw):
     """(slots, basis): the homogeneous vectors of d+1 affinely independent
     points in dims 1-5, in ascending slots among empty ones.  Coordinates
-    are often 0, so a pivot is often 0 and the elimination must swap rows,
-    some are large or have denominators, and the points come in any order,
-    so the basis matrix takes either sign of determinant."""
+    are often 0, so a row's first entry is often 0, some are large or have
+    denominators, and the points come in any order, so the basis matrix
+    takes either sign of determinant."""
     dim = draw(st.integers(1, 5))
     coord = st.one_of(
         st.just(0), st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5),
@@ -1195,15 +1194,19 @@ def _det(rows):
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
 @given(simplex_bases())
 def test_start_rows_match_the_nullspace_reference(data):
+    # one kernel of [M | -I] against d+1 kernels, one per facet
     slots, basis = data
     assert _started(slots, basis) == reference_start(slots, basis)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4])
 def test_start_rows_need_a_row_swap_under_either_sign(dim):
-    """The origin and the unit points, led by the origin or by e_2, whose
-    homogeneous vectors are 0 at the first pivot, so the elimination must
-    swap rows; trading the first two points flips the determinant's sign."""
+    """The origin and the unit points, led by the origin or by e_2: the
+    first point's homogeneous vector is 0 in the first column, so the row
+    reduction in `_start` takes its first pivot from a later row.  Trading
+    the first two points flips the determinant's sign; under either sign
+    each row must meet its opposite point positively, as the reference's
+    do."""
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     signs = set()
     for lead in ([(0,) * dim, units[1]], [units[1], (0,) * dim]):
