@@ -21,6 +21,7 @@ from typing import Optional
 
 from .geometry import DegenerateInput, dot, integer_points, smul, vadd, vsub
 from .graphs import Graph
+from .linalg import nullspace
 from .polytopes import (
     DuplicatePoints,
     HullBuilder,
@@ -242,6 +243,7 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
 
     Suspends over a vertex of one base, then pulls one apex of the other
     (non-simplex) base out of its hyperplane by a seeded rational step,
+    parallel to the bases and inside the affine hull of the suspension,
     halving up to STEP_HALVINGS times until the result verifies as a
     prismatoid of larger width.
     The apexes are tried in a seeded order.  The suspension's hull is one
@@ -286,8 +288,11 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
         at_apex = {m for m in h.incidence.facet_masks if m >> a & 1 and m.bit_count() != h.dim}
         return at_apex == pyramid_masks
 
-    base_normal = pr.hull.hrep.inequalities[plus_facet][:-1] + (ZERO,)
-    nn = dot(base_normal, base_normal)
+    # the apex moves parallel to the bases inside S's affine hull: off the
+    # rows of A, the equality normals of S's hull and the base normal
+    A = [e[:-1] for e in facet_enumeration(S).hrep.equalities]
+    A.append(pr.hull.hrep.inequalities[plus_facet][:-1] + (ZERO,))
+    gram = [[dot(a, b) for b in A] for a in A]
     amb = S.ambient_dim
     minus_mask = ((1 << S.n_vertices) - 1) ^ plus_mask  # every other point of S
 
@@ -299,8 +304,10 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
         # halving the step until the prismatoid verifies with larger width
         for _ in range(APEX_REDRAWS):
             raw = [Rat(rng.randrange(-8, 9), 32) for _ in range(amb - 1)] + [Rat(1)]
-            proj = Rat(dot(base_normal, raw), nn)
-            direction = tuple(raw[j] - proj * base_normal[j] for j in range(amb))
+            # raw minus its projection A^T y onto the rows of A, where
+            # (A A^T) y = A raw: the kernel vector (t y, t) of [A A^T | -A raw]
+            *ty, t = nullspace([g + [-dot(a, raw)] for g, a in zip(gram, A)])[-1]
+            direction = vsub(raw, [sum(Rat(c, t) * a[j] for c, a in zip(ty, A)) for j in range(amb)])
             for cand in _halvings(poly, apex, fixed, direction, STEP_HALVINGS, rejected):
                 masks = facet_enumeration(cand).incidence.facet_masks
                 if plus_mask not in masks or minus_mask not in masks:

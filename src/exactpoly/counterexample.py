@@ -15,21 +15,24 @@ the hull that keeps it (`polytopes.Hull`), so q48's dual graph and the base
 sum's are each built once.  `FAST_SECTIONS` and `FULL_SECTIONS` name the
 sections of `verify --fast` and full `verify`.
 
-A symmetry group is its generators, their vertex permutations, and the set
-of permutations its elements induce on the vertices: those that products
-of the generators' permutations reach from the identity.  One breadth-first
-walk, `_reachable`, closes a group and finds a facet orbit.  The vertices
-span R^5, so each element is fixed by its permutation.  The permutations
-are found once, for the full group: the base-preserving subgroup and the
-base-swap check read them.  Only the six generators are applied to the
-facet rows: the orbits of a group are the orbits of its generators.
+A symmetry is a signed coordinate permutation, written as its (column,
+sign) pairs, and `induced_permutation` is the one function that maps it
+over vertices or facet rows.  A symmetry group is its generators, their
+vertex permutations, and the set of permutations its elements induce on the
+vertices: those that products of the generators' permutations reach from
+the identity.  One breadth-first walk, `_reachable`, closes a group and
+finds a facet orbit.  The vertices span R^5, so each element is fixed by
+its permutation.  The permutations are found once, for the full group: the
+base-preserving subgroup and the base-swap check read them.  Only the six
+generators are applied to the facet rows: the orbits of a group are the
+orbits of its generators.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .geometry import OrthMap, integer_points, smul, vadd, vsub
+from .geometry import integer_points, smul, vadd, vsub
 from .graphs import Graph
 from .linalg import matrix_rank, primitive
 from .normalfans import (
@@ -212,9 +215,10 @@ def expected_facets():
 
 @dataclass(frozen=True)
 class SymmetryGroup:
-    """A group of linear maps that permute a vertex set: its `generators`
-    (`OrthMap`s), `generator_perms`, the permutation each induces on the
-    vertices, and `perms`, the set of permutations its elements induce."""
+    """A group of signed coordinate permutations that permute a vertex set:
+    its `generators` ((column, sign) tuples), `generator_perms`, the
+    permutation each induces on the vertices, and `perms`, the set of
+    permutations its elements induce."""
 
     generators: tuple
     generator_perms: tuple
@@ -230,16 +234,28 @@ def _compose(h, g):
     return tuple(map(h.__getitem__, g))
 
 
-def _vertex_permutation(m: OrthMap, pts, index):
-    """The permutation of the integer points `pts` (with `index`, point ->
-    position) that the linear map m induces; a linear map commutes with
-    scaling, so it can act on integer copies of the vertices."""
-    perm = []
-    for p in pts:
-        q = m.apply_point(p)
-        if q not in index:
-            raise ValueError("map does not permute the vertex set")
-        perm.append(index[q])
+def induced_permutation(m, index):
+    """The permutation that the symmetry m, the (column, sign) pairs with
+    y_i = sign * x_column, induces on the keys of `index`, each key mapped
+    to its position 0..n-1.  Entries past len(m) are kept: a vertex goes to
+    its image point and a facet row (a, b) to (m a, b).  Raises `ValueError`
+    when an image is no key or two keys share one.
+
+    A (column, sign) map that permutes a set spanning R^len(m) is a signed
+    permutation: a linear map that permutes a finite spanning set is
+    invertible and of finite order, so its columns are distinct and its
+    signs are 1 or -1.  It is then orthogonal, and (m a, b) is the true
+    image of the facet (a, b); a signed permutation also sends a primitive
+    row to a primitive row, so an image is looked up as it stands."""
+    k = len(m)
+    perm = [None] * len(index)
+    for q, i in index.items():
+        img = tuple([s * q[c] for c, s in m]) + q[k:]
+        if img not in index:
+            raise ValueError("map does not permute the set")
+        perm[i] = index[img]
+    if len(set(perm)) != len(perm):
+        raise ValueError("map is not one-to-one on the set")
     return tuple(perm)
 
 
@@ -267,52 +283,32 @@ def _closure(generators, gen_perms) -> SymmetryGroup:
 
 
 def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
-    """The group the orthogonal `generators` generate on the vertices of
+    """The group the symmetries `generators` generate on the vertices of
     `poly`.  A linear map is fixed by its permutation only when the vertices
     span R^d, so that is checked first: otherwise two maps with the same
-    permutation would be taken for one."""
+    permutation would be taken for one, and a map that is no signed
+    permutation could pass `induced_permutation`.  A linear map commutes
+    with scaling, so it acts on integer copies of the vertices."""
     pts = integer_points(poly.vertices)[0]
-    index = {p: i for i, p in enumerate(pts)}
     if matrix_rank(pts) != poly.ambient_dim:
         raise ValueError("the vertices do not span the space")
-    return _closure(generators, [_vertex_permutation(m, pts, index) for m in generators])
+    index = {p: i for i, p in enumerate(pts)}
+    return _closure(generators, [induced_permutation(m, index) for m in generators])
 
 
-def base_swap_map() -> OrthMap:
-    """The symmetry exchanging the bases, sending vertex i+ to i-."""
-    return OrthMap(
-        (
-            (0, 0, 1, 0, 0),
-            (0, 0, 0, 1, 0),
-            (0, 1, 0, 0, 0),
-            (1, 0, 0, 0, 0),
-            (0, 0, 0, 0, -1),
-        )
-    )
+# the symmetry exchanging the bases, sending vertex i+ to i-
+BASE_SWAP = ((2, 1), (3, 1), (1, 1), (0, 1), (4, -1))
 
 
 def symmetry_groups(poly: VPolytope):
     """(full group of order 64, base-preserving subgroup of order 32) of
-    `poly`, the vertices of `vertices48()`; the subgroup is closed from the
-    permutations of its generators found for the full group, the first five
-    of its six, the base swap last."""
-    gens_plus = []
-    for axis in range(4):
-        rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-        rows[axis][axis] = -1
-        gens_plus.append(OrthMap(rows))
-    gens_plus.append(
-        OrthMap(
-            (
-                (0, 1, 0, 0, 0),
-                (1, 0, 0, 0, 0),
-                (0, 0, 0, 1, 0),
-                (0, 0, 1, 0, 0),
-                (0, 0, 0, 0, 1),
-            )
-        )
-    )
-    sigma = _close_group(gens_plus + [base_swap_map()], poly)
+    `poly`, the vertices of `vertices48()`.  The generators are the sign
+    changes of x1..x4, the swap (x1 x2)(x3 x4) and `BASE_SWAP`, last; the
+    subgroup is closed from the permutations of the first five found for
+    the full group."""
+    gens_plus = [tuple((i, -1 if i == axis else 1) for i in range(5)) for axis in range(4)]
+    gens_plus.append(((1, 1), (0, 1), (3, 1), (2, 1), (4, 1)))
+    sigma = _close_group(gens_plus + [BASE_SWAP], poly)
     k = len(gens_plus)
     return sigma, _closure(sigma.generators[:k], sigma.generator_perms[:k])
 
@@ -333,27 +329,6 @@ def facet_labels(hull: Hull, table: dict):
     if len(labels) != len(table):
         raise ValueError("facet count differs from the expected 322")
     return tuple(labels)
-
-
-def facet_permutation(m: OrthMap, index: dict):
-    """The permutation a symmetry induces on the facets; `index` maps each
-    facet row (a, b) to its position.  The image of a row is (M a, b): M is
-    a signed coordinate permutation, so it sends a primitive row to a
-    primitive row, and the image is looked up as it stands: entry i of
-    M a is entry c of a times s, for the (c, s) of `OrthMap.signed`.
-
-    `Certificate.facet_perms` calls this on the six generators only.  That
-    proves as much as calling it on every element: maps that permute the
-    facets compose to a map that does, and a group's orbits are the orbits
-    of its generators."""
-    signed = m.signed
-    perm = [None] * len(index)
-    for q, f in index.items():
-        img = tuple([s * q[c] for c, s in signed]) + (q[-1],)
-        if img not in index:
-            raise ValueError("map does not permute the facet set")
-        perm[f] = index[img]
-    return tuple(perm)
 
 
 def facet_orbits(perms):
@@ -444,9 +419,12 @@ class Certificate:
     @cached_property
     def facet_perms(self) -> tuple:
         """The facet permutation of each generator of the full group, in
-        order; the base-preserving subgroup's generators come first."""
+        order; the base-preserving subgroup's generators come first.  That
+        proves as much as the permutation of every element: maps that
+        permute the facets compose to a map that does, and a group's orbits
+        are the orbits of its generators."""
         index = {q: i for i, q in enumerate(self.hull.hrep.inequalities)}
-        return tuple(facet_permutation(m, index) for m in self.groups[0].generators)
+        return tuple(induced_permutation(m, index) for m in self.groups[0].generators)
 
     @cached_property
     def orbits(self):
@@ -532,8 +510,8 @@ def check_prism_collinearities(ctx: Certificate) -> Report:
 
 def check_symmetries(ctx: Certificate) -> Report:
     """Group orders, the base swap, and that every element permutes the
-    facets: each generator passes the exact image-row test of
-    `facet_permutation`, so every product of generators does too."""
+    facets: each generator's image rows pass `induced_permutation`, so every
+    product of generators does too."""
     rep = Report("symmetry groups")
     sigma, sigma_plus = ctx.groups
     rep.add("order of full group", sigma.order == 64, str(sigma.order))
@@ -646,7 +624,7 @@ def top_base_figures(ctx: Certificate) -> tuple:
     """One top-base vertex per orbit of the base-preserving group, the
     smallest: a vertex figure of each is checked, since a symmetry carries
     the figure at v onto the figure at its image.  Each generator is a
-    signed coordinate permutation fixing x5 that permutes q48's vertices,
+    (column, sign) map fixing x5 that permutes q48's vertices,
     so it permutes those at x5 = 1, which are the top base's vertices at
     the same indices, and maps each facet normal there by itself; its
     permutation on them is read from `Certificate.groups`.  Every vertex

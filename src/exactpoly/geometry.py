@@ -1,13 +1,14 @@
-"""Points, affine ranks and orthogonal maps, all exact.
+"""Points and affine ranks, all exact.
 
 Points are plain tuples of rationals or ints; the ambient dimension is the
 tuple length.  An inequality is no object of its own: it is the primitive
-integer row of `polytopes.HPolytope`.  An affine rank is the rank of the
-difference rows, taken by the integer row reduction of `linalg`.
+integer row of `polytopes.HPolytope`, and a symmetry is its tuple of
+(column, sign) pairs (`counterexample.induced_permutation`).  An affine rank
+is the rank of the difference rows, taken by the integer row reduction of
+`linalg`.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from operator import mul
 
 from .linalg import matrix_rank
@@ -65,41 +66,3 @@ def affine_rank(points) -> int:
     check_same_dim(points)
     base = points[0]
     return matrix_rank([vsub(p, base) for p in points[1:]])
-
-
-@dataclass(frozen=True)
-class OrthMap:
-    """An orthogonal map with integer entries, stored row-wise (y = M x):
-    a signed coordinate permutation, the only kind of symmetry the
-    certificate uses.  The constructor checks both and keeps the rows as
-    tuples; every entry must be an `int`, and a `Rat` is refused even when
-    integral.  `signed` holds each row's one nonzero entry as (column,
-    sign), so y_i = sign * x_column."""
-
-    rows: tuple
-    signed: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        rows = tuple(tuple(row) for row in self.rows)
-        n = len(rows)
-        if any(len(r) != n for r in rows):
-            raise DimensionMismatch("orthogonal map must be square")
-        if not all(isinstance(v, int) for r in rows for v in r):
-            raise GeometryError("orthogonal map entries must be integers")
-        # an integer matrix is orthogonal iff it is a signed permutation:
-        # the rows' absolute values are the n unit vectors, each once
-        units = {tuple(int(i == j) for j in range(n)) for i in range(n)}
-        if {tuple(map(abs, r)) for r in rows} != units:
-            raise GeometryError("matrix is not orthogonal")
-        signed = tuple(next((c, v) for c, v in enumerate(r) if v) for r in rows)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "signed", signed)
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.rows)
-
-    def apply_point(self, p):
-        if len(p) != self.ambient_dim:
-            raise DimensionMismatch("point/map dimension mismatch")
-        return tuple([s * p[c] for c, s in self.signed])

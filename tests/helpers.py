@@ -22,9 +22,6 @@ from exactpoly.counterexample import (
 from exactpoly.fileformats import FormatError, _expect, _rats, _reader
 from exactpoly.geometry import (
     DegenerateInput,
-    DimensionMismatch,
-    GeometryError,
-    OrthMap,
     affine_rank,
     integer_points,
     vadd,
@@ -158,18 +155,16 @@ def transpose(rows):
     return tuple(tuple(row[j] for row in rows) for j in range(len(rows[0])))
 
 
-def reference_orth_map(rows) -> OrthMap:
-    """The `OrthMap` constructor's checks, deciding orthogonality by the
-    matrix product M M^T = I, with their messages in the same order."""
-    rows = tuple(tuple(row) for row in rows)
-    n = len(rows)
-    if any(len(r) != n for r in rows):
-        raise DimensionMismatch("orthogonal map must be square")
-    if not all(isinstance(v, int) for r in rows for v in r):
-        raise GeometryError("orthogonal map entries must be integers")
-    if mat_mul(rows, transpose(rows)) != identity(n):
-        raise GeometryError("matrix is not orthogonal")
-    return OrthMap(rows)
+def signed_matrix(m) -> tuple:
+    """The matrix, row-wise, of the (column, sign) map m: row i holds sign
+    at column c for the pair (c, sign) at i, so y = M x has y_i = sign * x_c."""
+    return tuple(tuple(s if j == c else 0 for j in range(len(m))) for c, s in m)
+
+
+def signed_pairs(rows) -> tuple:
+    """The (column, sign) pairs of a signed permutation matrix, the inverse
+    of `signed_matrix`."""
+    return tuple(next((c, v) for c, v in enumerate(row) if v) for row in rows)
 
 
 def _expect_count(line, keyword):
@@ -221,13 +216,13 @@ def read_hpoly(text: str) -> HPolytope:
 
 
 def mat_apply(m, p) -> tuple:
-    """M p for the orthogonal map m, by the matrix-vector product."""
-    return tuple(sum(row[j] * p[j] for j in range(len(p))) for row in m.rows)
+    """M p for the matrix m, given row-wise, by the matrix-vector product."""
+    return tuple(sum(row[j] * p[j] for j in range(len(p))) for row in m)
 
 
 def apply_ineq(m, row) -> tuple:
-    """Image of the row (a, b), a.x <= b, under the orthogonal map m: with
-    x = M^T y it is (M a).y <= b, returned as a primitive row."""
+    """Image of the row (a, b), a.x <= b, under the orthogonal matrix m:
+    with x = M^T y it is (M a).y <= b, returned as a primitive row."""
     return tuple(primitive_ints(mat_apply(m, row[:-1]) + (row[-1],)))
 
 
@@ -353,9 +348,10 @@ def reference_vertex_graph_edges(poly, hull):
 
 
 def reference_close_group(generators, poly):
-    """(maps sorted by rows, their vertex permutations) of the group the
-    orthogonal `generators` generate, closed by multiplying matrices: every
-    product of an element and a generator is formed and compared by rows."""
+    """(matrices sorted by rows, their vertex permutations) of the group the
+    orthogonal matrices `generators` generate, closed by multiplying
+    matrices: every product of an element and a generator is formed and
+    compared by rows."""
     start = identity(poly.ambient_dim)
     seen = {start}
     frontier = [start]
@@ -363,12 +359,12 @@ def reference_close_group(generators, poly):
         nxt = []
         for g in frontier:
             for h in generators:
-                prod = mat_mul(h.rows, g)
+                prod = mat_mul(h, g)
                 if prod not in seen:
                     seen.add(prod)
                     nxt.append(prod)
         frontier = nxt
-    maps = tuple(OrthMap(rows) for rows in sorted(seen))
+    maps = tuple(sorted(seen))
     index = {p: i for i, p in enumerate(poly.vertices)}
     return maps, tuple(tuple(index[mat_apply(m, p)] for p in poly.vertices) for m in maps)
 

@@ -117,14 +117,28 @@ MUTANTS = (
         ("tests/test_polytopes.py::TestPolar::test_polar_hull_by_duality_is_the_built_one",),
     ),
     Mutant(
-        "orth-map-accepts-a-repeated-column",
-        "geometry.py",
-        "if {tuple(map(abs, r)) for r in rows} != units:",
-        "if not {tuple(map(abs, r)) for r in rows} <= units:",
+        "induced-permutation-skips-the-one-to-one-check",
+        "counterexample.py",
+        "    if len(set(perm)) != len(perm):\n",
+        "    if None in perm:\n",
+        ("tests/test_geometry.py::TestOrthMap::test_refuses_a_map_that_is_not_one_to_one",),
+    ),
+    Mutant(
+        "induced-permutation-drops-the-row-offset",
+        "counterexample.py",
+        "for c, s in m]) + q[k:]",
+        "for c, s in m]) + q[k:] * 0",
         (
-            "tests/test_geometry.py::TestOrthMap::test_rejects_a_map_that_is_no_signed_permutation",
-            "tests/test_geometry.py::TestOrthMap::test_from_rows_refuses_as_the_matrix_product_does",
+            "tests/test_counterexample.py::TestSymmetry::test_symmetry_report",
+            "tests/test_counterexample.py::TestFacetPermutation::test_integer_maps_match_apply_ineq",
         ),
+    ),
+    Mutant(
+        "dstep-step-projected-off-the-base-normal-only",
+        "constructions.py",
+        "A = [e[:-1] for e in facet_enumeration(S).hrep.equalities]",
+        "A = []",
+        ("tests/test_constructions.py::TestStrongDStep::test_flat_cube_candidates_stay_in_the_affine_hull",),
     ),
     Mutant(
         "verify-lets-a-mask-claim-an-empty-slot",

@@ -267,6 +267,23 @@ class TestStrongDStep:
         assert int(m[1]) == sum(map(int, counts.values())) == 4 * 4 * 2
         assert int(counts["width not increased"]) > 0
 
+    def test_flat_cube_candidates_stay_in_the_affine_hull(self, monkeypatch):
+        # the cube at x4 = 0 in R^4: every apex step lies in the affine hull
+        # of the suspension, so each candidate hull has its dimension
+        flat = VPolytope(tuple(p + (Rat(0),) for p in cube().vertices))
+        dims = []
+
+        def moved(poly, v, point, fixed):
+            new_poly = _moved(poly, v, point, fixed)
+            if new_poly is not None:
+                dims.append((affine_rank(poly.vertices), facet_enumeration(new_poly).dim))
+            return new_poly
+
+        monkeypatch.setattr(constructions, "_moved", moved)
+        _, trace = strong_dstep_iterate(make_prismatoid(flat), 2, seed=0)
+        assert [r.dim for r in trace] == [3, 4, 5]
+        assert dims and all(want == got for want, got in dims), dims
+
     def test_simplex_bases_rejected(self):
         pr = triangular_prism()
         with pytest.raises(ConstructionFailed):

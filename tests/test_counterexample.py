@@ -11,8 +11,8 @@ from exactpoly.counterexample import (
     Certificate,
     REPRESENTATIVE_NEIGHBORS,
     _FAMILIES,
+    BASE_SWAP,
     _close_group,
-    base_swap_map,
     check_facet_census,
     check_neighbor_lists,
     check_orbit_quotient,
@@ -23,14 +23,13 @@ from exactpoly.counterexample import (
     check_width,
     expected_facets,
     facet_orbits,
-    facet_permutation,
+    induced_permutation,
     symmetry_groups,
     top_base_figures,
     verify_counterexample,
     vertices48,
 )
 from exactpoly.fileformats import write_hpoly, write_incidence
-from exactpoly.geometry import OrthMap
 from exactpoly.linalg import matrix_rank
 from exactpoly.polytopes import (
     VPolytope,
@@ -43,10 +42,13 @@ from exactpoly.rationals import Rat, primitive_ints
 from helpers import (
     apply_ineq,
     identity,
+    mat_apply,
     mat_mul,
     reference_close_group,
     reference_parallel,
     relabeled,
+    signed_matrix,
+    signed_pairs,
     suspension_facet_map,
     verify_quick,
 )
@@ -201,20 +203,20 @@ def _generators():
     for axis in range(4):
         rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
         rows[axis][axis] = -1
-        gens.append(OrthMap(rows))
-    gens.append(OrthMap((
+        gens.append(signed_pairs(rows))
+    gens.append(signed_pairs((
         (0, 1, 0, 0, 0), (1, 0, 0, 0, 0),
         (0, 0, 0, 1, 0), (0, 0, 1, 0, 0),
         (0, 0, 0, 0, 1))))
-    gens.append(base_swap_map())
+    gens.append(BASE_SWAP)
     return gens
 
 
 @pytest.fixture(scope="module")
 def reference_groups(q48):
-    """(maps, vertex permutations) of the full group and of the
+    """(matrices, vertex permutations) of the full group and of the
     base-preserving subgroup, closed by multiplying matrices."""
-    gens = _generators()
+    gens = [signed_matrix(m) for m in _generators()]
     return reference_close_group(gens, q48), reference_close_group(gens[:5], q48)
 
 
@@ -225,13 +227,18 @@ class TestSymmetry:
         assert sigma_plus.order == 32
 
     def test_base_swap_label_action(self, q48):
-        swap = base_swap_map()
+        swap = signed_matrix(BASE_SWAP)
+        assert swap == (
+            (0, 0, 1, 0, 0), (0, 0, 0, 1, 0),
+            (0, 1, 0, 0, 0), (1, 0, 0, 0, 0),
+            (0, 0, 0, 0, -1))
         idx = {p: i for i, p in enumerate(q48.vertices)}
         for i in range(24):
-            assert idx[swap.apply_point(q48.vertices[i])] == i + 24
+            assert idx[mat_apply(swap, q48.vertices[i])] == i + 24
+        assert induced_permutation(BASE_SWAP, idx)[:24] == tuple(range(24, 48))
 
     def test_swap_square_is_double_transposition(self, q48):
-        swap = base_swap_map().rows
+        swap = signed_matrix(BASE_SWAP)
         sq = mat_mul(swap, swap)
         assert sq == (
             (0, 1, 0, 0, 0), (1, 0, 0, 0, 0),
@@ -240,7 +247,7 @@ class TestSymmetry:
         assert sq != identity(5)
         # as a vertex permutation it is a nontrivial base-preserving element
         idx = {p: i for i, p in enumerate(q48.vertices)}
-        perm = tuple(idx[OrthMap(sq).apply_point(p)] for p in q48.vertices)
+        perm = tuple(idx[mat_apply(sq, p)] for p in q48.vertices)
         assert perm != tuple(range(48))
         assert perm in symmetry_groups(q48)[1].perms
 
@@ -256,9 +263,9 @@ class TestSymmetry:
         ):
             assert len(set(vertex_perms)) == len(maps) == group.order
             assert group.perms == set(vertex_perms)
-            assert [g.rows for g in group.generators] == [g.rows for g in gens[:n_gens]]
-            perm_of = {m.rows: p for m, p in zip(maps, vertex_perms)}
-            assert group.generator_perms == tuple(perm_of[g.rows] for g in gens[:n_gens])
+            assert group.generators == tuple(gens[:n_gens])
+            perm_of = dict(zip(maps, vertex_perms))
+            assert group.generator_perms == tuple(perm_of[signed_matrix(g)] for g in gens[:n_gens])
 
     def test_hull_and_graphs_of_every_symmetry_image(self, certificate, reference_groups):
         # the hull of m(P), its points in P's order, has exactly the mapped
@@ -274,7 +281,7 @@ class TestSymmetry:
         maps, vertex_perms = reference_groups[0]
         assert len(maps) == 64
         for m, sigma in zip(maps, vertex_perms):
-            image = VPolytope(tuple(m.apply_point(p) for p in q48.vertices))
+            image = VPolytope(tuple(mat_apply(m, p) for p in q48.vertices))
             image_hull = facet_enumeration(image)
             assert image_hull.hrep.inequalities == tuple(sorted(apply_ineq(m, q) for q in rows))
             index = {q: i for i, q in enumerate(image_hull.hrep.inequalities)}
@@ -288,7 +295,7 @@ class TestSymmetry:
         # fixes every vertex, yet it is not the identity
         square = VPolytope(tuple(
             (Rat(x), Rat(y), Rat(0)) for x in (-1, 1) for y in (-1, 1)))
-        reflection = OrthMap(((1, 0, 0), (0, 1, 0), (0, 0, -1)))
+        reflection = ((0, 1), (1, 1), (2, -1))
         with pytest.raises(ValueError, match="do not span the space"):
             _close_group([reflection], square)
 
@@ -301,8 +308,9 @@ class TestFacetPermutation:
     """The image rows computed in integers against `helpers.apply_ineq`."""
 
     def test_integer_maps_match_apply_ineq(self, certificate, reference_groups):
-        # every one of the 64 maps gives the image of every facet under the
-        # matrix, and the certificate holds the six generators' images
+        # every one of the 64 maps, as (column, sign) pairs, gives the image
+        # of every facet under its matrix, and the certificate holds the six
+        # generators' images
         hull = certificate.hull
         index = _facet_index(hull)
         maps = reference_groups[0][0]
@@ -312,15 +320,14 @@ class TestFacetPermutation:
             return tuple(index[apply_ineq(m, q)] for q in hull.hrep.inequalities)
 
         for m in maps:
-            assert facet_permutation(m, index) == images(m)
-        assert certificate.facet_perms == tuple(images(m) for m in _generators())
+            assert induced_permutation(signed_pairs(m), index) == images(m)
+        assert certificate.facet_perms == tuple(images(signed_matrix(m)) for m in _generators())
 
     def test_non_symmetry_refused(self, q48_hull):
         # swapping x1 and x5 sends the base facet x5 <= 1 to x1 <= 1
-        rows = [[1 if i == j else 0 for j in range(5)] for i in range(5)]
-        rows[0], rows[4] = rows[4], rows[0]
-        with pytest.raises(ValueError, match="does not permute the facet set"):
-            facet_permutation(OrthMap(rows), _facet_index(q48_hull))
+        swap = ((4, 1), (1, 1), (2, 1), (3, 1), (0, 1))
+        with pytest.raises(ValueError, match="^map does not permute the set$"):
+            induced_permutation(swap, _facet_index(q48_hull))
 
 
 class TestOrbits:
@@ -390,7 +397,7 @@ class TestTables:
 class TestWidthInvariance:
     def test_under_symmetry(self, q48, reference_groups):
         m = reference_groups[0][0][17]
-        moved = VPolytope(tuple(m.apply_point(p) for p in q48.vertices))
+        moved = VPolytope(tuple(mat_apply(m, p) for p in q48.vertices))
         hull = facet_enumeration(moved)
         pr = make_prismatoid(moved)
         assert width(pr) == 6

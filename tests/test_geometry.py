@@ -4,15 +4,19 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from exactpoly.geometry import (
-    DegenerateInput,
-    DimensionMismatch,
-    GeometryError,
-    OrthMap,
-    affine_rank,
-)
+from exactpoly.counterexample import induced_permutation
+from exactpoly.geometry import DegenerateInput, DimensionMismatch, affine_rank
 from exactpoly.rationals import Rat, format_rat, parse_rat, primitive_ints
-from helpers import apply_ineq, hyperplane_through, mat_apply, reference_orth_map, slack
+from helpers import (
+    apply_ineq,
+    hyperplane_through,
+    identity,
+    mat_apply,
+    mat_mul,
+    signed_matrix,
+    slack,
+    transpose,
+)
 
 
 def pt(*coords):
@@ -78,14 +82,14 @@ class TestAffineRank:
 
     def test_permutation_and_map_invariance(self):
         rng = random.Random(3)
-        flip = OrthMap(((0, 1, 0), (1, 0, 0), (0, 0, -1)))
+        flip = signed_matrix(((1, 1), (0, 1), (2, -1)))
         for _ in range(20):
             pts = [pt(*(rng.randint(-5, 5) for _ in range(3))) for _ in range(6)]
             r = affine_rank(pts)
             shuffled = pts[:]
             rng.shuffle(shuffled)
             assert affine_rank(shuffled) == r
-            assert affine_rank([flip.apply_point(p) for p in pts]) == r
+            assert affine_rank([mat_apply(flip, p) for p in pts]) == r
 
 
 class TestHyperplaneThrough:
@@ -133,98 +137,126 @@ class TestHyperplaneThrough:
             hyperplane_through([pt(0, 0), pt(1, 0), pt(0, 1)])  # too high
 
 
-class TestOrthMap:
-    def test_rejects_non_orthogonal(self):
-        with pytest.raises(GeometryError):
-            OrthMap(((1, 1), (0, 1)))
+def _cross_polytope(n):
+    """{p: position} over the 2n points +-e_i of R^n."""
+    units = [tuple(s * int(i == j) for j in range(n)) for i in range(n) for s in (1, -1)]
+    return {p: k for k, p in enumerate(units)}
 
-    def test_rejects_rational_entries(self):
-        # an orthogonal reflection, refused for its rational entries
-        with pytest.raises(GeometryError, match="must be integers"):
-            OrthMap(((Rat(3, 5), Rat(4, 5)), (Rat(4, 5), Rat(-3, 5))))
+
+def _orbit(keys):
+    """{q: position} over the images of `keys` under every signed
+    permutation of their first three entries, in sorted order."""
+    images = {
+        tuple(s * q[c] for c, s in zip(order, signs)) + q[3:]
+        for q in keys
+        for order in itertools.permutations(range(3))
+        for signs in itertools.product((1, -1), repeat=3)
+    }
+    return {q: k for k, q in enumerate(sorted(images))}
+
+
+def _refused(m, index) -> bool:
+    """Whether `induced_permutation` refuses m on `index`."""
+    try:
+        induced_permutation(m, index)
+    except ValueError:
+        return True
+    return False
+
+
+def _is_orthogonal(m) -> bool:
+    M = signed_matrix(m)
+    return mat_mul(M, transpose(M)) == identity(len(m))
+
+
+class TestOrthMap:
+    """Orthogonal maps as (column, sign) pairs: the permutations that
+    `counterexample.induced_permutation` gives against the matrix products
+    of `helpers.signed_matrix`, and its refusals on the cross-polytope,
+    which spans R^n, against the test M M^T = I."""
+
+    def test_rejects_non_orthogonal(self):
+        with pytest.raises(ValueError, match="^map does not permute the set$"):
+            induced_permutation(((0, 1), (1, 2)), _cross_polytope(2))
 
     def test_ineq_transform_preserves_tightness(self):
-        m = OrthMap(((0, 1), (-1, 0)))
+        m = signed_matrix(((1, 1), (0, -1)))
         q = (2, 3, 6)
         image = apply_ineq(m, q)
         rng = random.Random(1)
         for _ in range(20):
             p = pt(rng.randint(-5, 5), rng.randint(-5, 5))
-            s, t = slack(q, p), slack(image, m.apply_point(p))
+            s, t = slack(q, p), slack(image, mat_apply(m, p))
             assert (s > 0) - (s < 0) == (t > 0) - (t < 0)
 
     def test_apply_point_is_the_matrix_product(self):
-        # every signed permutation of R^3, read as (column, sign) pairs,
-        # against the matrix-vector product
-        pts = [pt(1, -2, 3), (Rat(1, 2), Rat(0), Rat(-7, 3)), (4, 0, -1)]
+        # every signed permutation of R^3, on points and on facet rows
+        # (a, b), whose offset b is kept, against the matrix products
+        points = _orbit([pt(1, -2, 3), (Rat(1, 2), Rat(0), Rat(-7, 3)), (4, 0, -1)])
+        rows = _orbit([(1, -2, 3, 5), (2, 0, -7, 1), (0, 0, 1, -4)])
         for order in itertools.permutations(range(3)):
             for signs in itertools.product((1, -1), repeat=3):
-                m = OrthMap([[s if j == c else 0 for j in range(3)] for c, s in zip(order, signs)])
-                assert m.signed == tuple(zip(order, signs))
-                for p in pts:
-                    assert m.apply_point(p) == mat_apply(m, p)
-
-    @staticmethod
-    def _outcome(make, rows):
-        """The map's rows, or the type and message of what `make` raised."""
-        try:
-            return make(rows).rows
-        except Exception as exc:  # the exception is the outcome compared
-            return type(exc), str(exc)
+                m = tuple(zip(order, signs))
+                M = signed_matrix(m)
+                for index, image in ((points, mat_apply), (rows, apply_ineq)):
+                    keys = sorted(index, key=index.get)
+                    perm = induced_permutation(m, index)
+                    assert [keys[j] for j in perm] == [image(M, q) for q in keys]
 
     @pytest.mark.parametrize(
-        "rows",
+        "m",
         [
-            ((1, 0), (1, 0)),
-            ((0, 1, 0), (1, 0, 0), (0, -1, 0)),
-            ((2, 0), (0, 1)),
-            ((0, 0, 1), (1, 0, 0), (0, -2, 0)),
-            ((1, 0), (0, 0)),
-            ((0, 0, 0), (0, 1, 0), (0, 0, -1)),
-            ((1, 0, 0), (0, 1, 0)),
-            ((1, 0), (0, 1, 0)),
-            ((1,), (0,)),
-            ((Rat(1), 0), (0, 1)),
-            ((0, Rat(-1)), (1, 0)),
-            ((1, 1), (1, -1)),
+            ((0, 1), (0, 1)),
+            ((1, 1), (0, 1), (1, -1)),
+            ((0, 2), (1, 1)),
+            ((2, 1), (0, 1), (1, -2)),
+            ((0, 1), (1, 0)),
+            ((0, 0), (1, 1), (2, -1)),
+            ((0, Rat(1)), (1, 1)),
+            ((1, Rat(-1)), (0, 1)),
         ],
         ids=[
             "repeated-column", "repeated-column-signed", "entry-2", "entry-minus-2",
-            "zero-row", "zero-first-row", "non-square", "ragged", "column",
-            "rat-one", "rat-minus-one", "scaled-orthogonal",
+            "zero-row", "zero-first-row", "rat-one", "rat-minus-one",
         ],
     )
-    def test_from_rows_refuses_as_the_matrix_product_does(self, rows):
-        # the same exception type and message as M M^T = I decides them
-        want = self._outcome(reference_orth_map, rows)
-        assert isinstance(want, tuple) and isinstance(want[0], type)
-        assert self._outcome(OrthMap, rows) == want
+    def test_from_rows_refuses_as_the_matrix_product_does(self, m):
+        # refused on the cross-polytope exactly when M M^T != I; a sign
+        # Rat(1) or Rat(-1) is 1 or -1, and the image is a key as it stands
+        assert _refused(m, _cross_polytope(len(m))) == (not _is_orthogonal(m))
 
     def test_from_rows_accepts_every_signed_permutation(self):
         for n in range(1, 5):
+            index = _cross_polytope(n)
+            keys = sorted(index, key=index.get)
             for order in itertools.permutations(range(n)):
                 for signs in itertools.product((1, -1), repeat=n):
-                    rows = tuple(tuple(s if j == c else 0 for j in range(n)) for c, s in zip(order, signs))
-                    assert self._outcome(OrthMap, rows) == rows
-                    assert self._outcome(reference_orth_map, rows) == rows
+                    m = tuple(zip(order, signs))
+                    assert _is_orthogonal(m)
+                    perm = induced_permutation(m, index)
+                    assert [keys[j] for j in perm] == [mat_apply(signed_matrix(m), q) for q in keys]
 
     @given(st.integers(1, 4).flatmap(
-        lambda n: st.lists(st.lists(st.integers(-2, 2), min_size=n, max_size=n), min_size=n, max_size=n)
+        lambda n: st.lists(st.tuples(st.integers(0, n - 1), st.integers(-2, 2)), min_size=n, max_size=n)
     ))
-    def test_from_rows_matches_the_matrix_product_on_integer_matrices(self, rows):
-        assert self._outcome(OrthMap, rows) == self._outcome(reference_orth_map, rows)
+    def test_from_rows_matches_the_matrix_product_on_integer_matrices(self, m):
+        m = tuple(m)
+        assert _refused(m, _cross_polytope(len(m))) == (not _is_orthogonal(m))
 
     def test_rejects_a_map_that_is_no_signed_permutation(self):
         # one signed unit per row is not enough: the units must be the
         # distinct columns of a square matrix
-        for rows in (((1, 1), (0, 1)), ((2, 0), (0, 1)), ((1, 0), (1, 0))):
-            with pytest.raises(GeometryError, match="^matrix is not orthogonal$"):
-                OrthMap(rows)
-        with pytest.raises(DimensionMismatch, match="^orthogonal map must be square$"):
-            OrthMap(((1, 0, 0), (0, 1, 0)))
+        for m in (((0, 1), (1, 2)), ((0, 2), (1, 1)), ((0, 1), (0, 1))):
+            with pytest.raises(ValueError, match="^map does not permute the set$"):
+                induced_permutation(m, _cross_polytope(2))
+
+    def test_refuses_a_map_that_is_not_one_to_one(self):
+        # every image is a point of the set, yet (1, 1) and (1, -1) share one
+        index = {(1, 1): 0, (-1, -1): 1, (1, -1): 2}
+        with pytest.raises(ValueError, match="^map is not one-to-one on the set$"):
+            induced_permutation(((0, 1), (0, 1)), index)
 
     def test_sign_flip_permutes_family_patterns(self):
-        flip = OrthMap(((-1, 0, 0, 0, 0), (0, 1, 0, 0, 0), (0, 0, 1, 0, 0),
-                        (0, 0, 0, 1, 0), (0, 0, 0, 0, 1)))
+        flip = signed_matrix(((0, -1), (1, 1), (2, 1), (3, 1), (4, 1)))
         plus = (10, 2, 4, 2, 135, 315)
         assert apply_ineq(flip, plus) == (-10, 2, 4, 2, 135, 315)

@@ -53,7 +53,7 @@ from exactpoly import constructions, polytopes
 from exactpoly.cli import main
 from exactpoly.constructions import one_point_suspension, push_vertex, strong_dstep_iterate
 from exactpoly.counterexample import base_minus, base_plus, vertices48
-from exactpoly.geometry import DegenerateInput, DimensionMismatch, OrthMap, vadd
+from exactpoly.geometry import DegenerateInput, DimensionMismatch, vadd
 from exactpoly.linalg import matrix_rank, reduce_rows
 from exactpoly.normalfans import minkowski_sum
 from exactpoly.polytopes import (
@@ -79,6 +79,7 @@ from exactpoly.rationals import primitive_ints
 from helpers import (
     apply_ineq,
     check_hull_against_oracle,
+    mat_apply,
     reference_add,
     reference_affine_basis,
     reference_dual_graph_edges,
@@ -87,6 +88,7 @@ from helpers import (
     reference_start,
     reference_vertex_graph_edges,
     relabeled,
+    signed_matrix,
     slack,
 )
 
@@ -530,9 +532,9 @@ def test_signed_coordinate_permutation_images(pts, data):
     dim = len(pts[0])
     order = data.draw(st.permutations(range(dim)))
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
-    m = OrthMap([[s if j == c else 0 for j in range(dim)] for c, s in zip(order, signs)])
+    m = signed_matrix(tuple(zip(order, signs)))
     poly = VPolytope(tuple(pts))
-    image = VPolytope(tuple(m.apply_point(p) for p in pts))
+    image = VPolytope(tuple(mat_apply(m, p) for p in pts))
     hull, image_hull = facet_enumeration(poly), facet_enumeration(image)
     rows = hull.hrep.inequalities
     if hull.dim == dim:
