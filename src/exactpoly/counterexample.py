@@ -373,9 +373,10 @@ class Certificate:
     The hull of `poly` is built once, checked by `_verify` and compared
     with the family table by the census.  Each base's hull is built apart
     from it and kept on `qplus` or `qminus`.  The base Minkowski sum is
-    read off the hull of `poly`, the bases' Cayley polytope: one `_verify`
-    meets the sum's rows with every pairwise sum of the bases once, in
-    exact arithmetic, and checks ranks and repeated rows on them.  The face ranks
+    read off the hull of `poly`, the bases' Cayley polytope: its vertices
+    are the mixed edges of `poly`'s vertex graph, and one `_verify` meets
+    the sum's rows with them in exact arithmetic and checks ranks and
+    repeated rows on them before the vertex test.  The face ranks
     of `poly` are kept on it, so `bidims`, `base_sum` and the
     representative facets rank each face once.  The dual graphs of q48
     and of the sum are kept on their hulls."""
@@ -691,12 +692,15 @@ def check_minkowski_section(ctx: Certificate) -> Report:
     -1, so `Certificate.base_sum` reads the sum off the prismatoid's own
     verified hull (`normalfans.minkowski_sum_from_cayley`), and the two
     hulls compared here are one hull: a fault of the hull builder would
-    reach both.  The sum's rows still meet all 576 pairwise sums, once, in
-    one exact packed test, and pass the rank certificates and the
-    repeated-row test on those sums, whose 208 vertices the sum keeps.  The independent
-    cross-checks are in the tests: the double-description build of all
-    576 pairwise sums in `test_q48_polar_and_base_sum_steps_match_the_full_scan`,
-    and the pinned differential `test_base_sum_matches_the_reference`."""
+    reach both.  The sum's 208 vertices are the sums a + b over q48's
+    edges from a vertex a of Q+ to a vertex b of Q-; the sum's rows meet
+    them in one exact packed test and pass the rank certificates, the
+    repeated-row test and the vertex test on them.  The other 368 pairwise
+    sums lie inside every row, since q48's verified rows bound both of
+    their summands.  The independent cross-checks are in the tests: the
+    double-description build of all 576 pairwise sums in
+    `test_q48_polar_and_base_sum_steps_match_the_full_scan`, and the
+    pinned differential `test_base_sum_matches_the_reference`."""
     rep = Report("base Minkowski sum")
     pr, ms = ctx.pr, ctx.base_sum
     n_facets = ms.hull.incidence.n_facets

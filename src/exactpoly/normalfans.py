@@ -27,23 +27,29 @@ Each distinct face of C is ranked once: `VPolytope.face_rank` keeps the
 ranks on the Cayley polytope, so `bi_dimensions` of the prismatoid and the
 sum's bi-dimensions (the two halves of each facet's mask of C) share them.
 
-The candidate sums are all |A| |B| pairwise sums, formed in integers, the
-summands scaled by one common denominator, and only the vertices become
-rationals.  No pair is filtered out: a sum strictly inside the segment
-between two others (a_k - a_i a positive multiple of b_j - b_l) is no
-vertex, but dropping such sums changes no output and saves no time, since
-no hull is built on the candidates; each costs only its digit in the
-packed check against the rows derived from C.  A sum of lower dimension
-takes the same path on the coordinates of its `polytopes.affine_chart`,
-found from the |A| + |B| - 1 sums a_i + b_0 and a_0 + b_j, which span the
-affine hull of all the sums (a chart depends on the affine hull alone);
-its equality rows, found on the scaled sums, are rescaled to the sum.
+The sum's vertices are read off C's vertex graph, which the verified hull
+keeps: the slice of C at height 0 meets no vertex of C, so its vertices
+are where C's edges cross it, the midpoints of the *mixed edges*
+(i, n + j) from a_i at height 1 to b_j at height -1.  Two edges meet at
+most in a vertex of C, so distinct edges give distinct vertices, each the
+sum of one pair (i, j), listed in (i, j) order; a point of a summand that
+is no vertex of C lies on no edge.  The vertex a_i + b_j lies on a derived
+facet iff both ends of its edge lie in that facet of C.  Every pairwise
+sum, vertex or not, lies inside every derived row with no test: C's row
+(alpha, c, beta) at a_i x {1} plus the same row at b_j x {-1} is
+alpha . (a_i + b_j) <= 2 beta, so the verified rows of C bound all |A| |B|
+sums, and only the vertices are listed.  They are formed in integers, the
+summands scaled by one common denominator, and then become rationals.
+A sum of lower dimension takes the same path on the coordinates of its
+`polytopes.affine_chart`, found from the |A| + |B| - 1 sums a_i + b_0 and
+a_0 + b_j, which span the affine hull of all the sums (a chart depends on
+the affine hull alone); its equality rows, found on the scaled sums, are
+rescaled to the sum.
 The sum is checked once (`Chart.vertex_hull`): one `polytopes._verify`
-meets every pairwise sum with every derived row in one packed exact test
-and runs the rank certificates and the repeated-row test on them; the
-vertex test then reads that exact incidence, whose transpose the
-certificates have made, and the vertices' hull, each mask restricted to
-them, is kept on their polytope.
+meets every listed vertex with every derived row in one packed exact test
+and runs the rank certificates and the repeated-row test on them, and the
+vertex test then reads that exact incidence, so a listed sum that is no
+vertex is refused.
 The torus angles are floating point and feed the SVG plots only.
 """
 from __future__ import annotations
@@ -51,12 +57,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from operator import add
-from typing import NamedTuple, Optional
+from typing import Optional
 
 from .geometry import DegenerateInput, affine_rank, integer_points
 from .linalg import primitive
 from .polytopes import (
     Chart,
+    FacetIncidence,
     Hull,
     VPolytope,
     affine_chart,
@@ -107,29 +114,15 @@ class MinkowskiSum:
         return facet_enumeration(self.polytope)
 
 
-class _Candidates(NamedTuple):
-    """Every pairwise sum of two summands' vertices: `sums`, each as an
-    integer point (the sum times `scale`) with its first (i, j) pair, `scale`,
-    the lcm of the summands' denominators, and the `Chart` of the sums'
-    affine hull."""
-
-    sums: dict
-    scale: int
-    chart: Chart
-
-
-def _candidates(a: VPolytope, b: VPolytope) -> _Candidates:
-    """The candidate sums of `a` and `b`, formed in integers; only the
-    sum's vertices ever become rationals.  Every pair is a candidate; see
-    the module docstring for why no pair is skipped."""
+def _sum_chart(a: VPolytope, b: VPolytope) -> tuple:
+    """(ints, scale, chart): the points of `a`, then those of `b`, as
+    integer points, scaled by `scale`, the lcm of their denominators, and
+    the `Chart` of the affine hull of the pairwise sums, with its equality
+    rows rescaled from the scaled sums to the sums."""
     if a.ambient_dim != b.ambient_dim:
         raise DegenerateInput("summands must share the ambient dimension")
     ints, scale = integer_points(a.vertices + b.vertices)
     ints_a, ints_b = ints[: a.n_vertices], ints[a.n_vertices :]
-    sums = {}
-    for i, p in enumerate(ints_a):
-        for j, q in enumerate(ints_b):
-            sums.setdefault(tuple(map(add, p, q)), (i, j))
     # a `Chart` depends on the affine hull alone, which the sums a_i + b_0
     # and a_0 + b_j span: |a| + |b| - 1 points, some maybe equal
     span = [tuple(map(add, p, ints_b[0])) for p in ints_a]
@@ -138,7 +131,7 @@ def _candidates(a: VPolytope, b: VPolytope) -> _Candidates:
     # a . s = c on the scaled sums s is (scale a) . (s / scale) = c on the
     # sums; a positive factor keeps each row's sign
     equalities = sorted(primitive(tuple(scale * v for v in r[:-1]) + r[-1:]) for r in chart.equalities)
-    return _Candidates(sums, scale, chart._replace(equalities=tuple(equalities)))
+    return ints, scale, chart._replace(equalities=tuple(equalities))
 
 
 def _cayley_points(a: VPolytope, b: VPolytope, chart: Chart) -> tuple:
@@ -149,46 +142,31 @@ def _cayley_points(a: VPolytope, b: VPolytope, chart: Chart) -> tuple:
     )
 
 
-def _derived_rows(cand: _Candidates, n: int, cayley: Hull) -> list:
-    """Per facet of `cayley` but its two bases, sorted: the sum's row
-    alpha . x <= 2 beta on the chart, the mask of the candidate sums it
-    holds tightly, and the facet's mask of C, whose first `n` bits are the
-    summand `a`'s points; see the module docstring."""
-    sums, k = cand.sums, len(cand.chart.cols)
-    # per summand vertex, the candidate sums whose kept pair holds it: a
-    # sum is tight on a row iff the summands of any pair forming it are
-    on_a, on_b = [0] * n, [0] * (cayley.incidence.n_vertices - n)
-    for c, (i, j) in enumerate(sums.values()):
-        on_a[i] |= 1 << c
-        on_b[j] |= 1 << c
-    derived = []
-    for row, mask in zip(cayley.hrep.inequalities, cayley.incidence.facet_masks):
-        if any(row[:k]):  # the bases have a zero x-part
-            tight_a = tight_b = 0
-            for i in iter_bits(mask & (1 << n) - 1):
-                tight_a |= on_a[i]
-            for j in iter_bits(mask >> n):
-                tight_b |= on_b[j]
-            derived.append((primitive(row[:k] + (2 * row[-1],)), tight_a & tight_b, mask))
-    derived.sort()
-    return derived
-
-
-def _sum_from_cayley(cand: _Candidates, n: int, cayley: VPolytope) -> MinkowskiSum:
-    """The sum of the summands a and b of `cand`, read off the verified
-    hull `facet_enumeration` keeps on `cayley`, whose points are
-    `_cayley_points(a, b, cand.chart)`, the `n` points of a first; see the
-    module docstring."""
-    sums, scale, chart = cand
-    points = tuple(sums)
-    derived = _derived_rows(cand, n, facet_enumeration(cayley))
-    pairs = [(h, m) for h, m, _ in derived]
+def _sum_from_cayley(ints, scale, chart: Chart, n: int, cayley: VPolytope) -> MinkowskiSum:
+    """The sum of the summands a and b of `_sum_chart`'s (ints, scale,
+    chart), read off the verified hull `facet_enumeration` keeps on
+    `cayley`, whose points are `_cayley_points(a, b, chart)`, the `n`
+    points of a first; see the module docstring."""
+    hull = facet_enumeration(cayley)
+    k = len(chart.cols)
+    # the mixed edges (i, n + j), in (i, j) order, are the sum's vertices
+    edges = [(i, v) for i, v in hull.vertex_graph.edges if i < n <= v]
+    inc = hull.incidence
+    vm = inc.vertex_masks
+    # per facet of C, the mask of the edges with both ends on it: the
+    # transpose of each edge's mask of the facets through both its ends
+    tight = FacetIncidence(tuple(vm[i] & vm[v] for i, v in edges), inc.n_facets).vertex_masks
+    derived = sorted(
+        (primitive(row[:k] + (2 * row[-1],)), t, mask)
+        for row, mask, t in zip(hull.hrep.inequalities, inc.facet_masks, tight)
+        if any(row[:k])  # the bases have a zero x-part
+    )
+    points = [tuple(map(add, ints[i], ints[v])) for i, v in edges]
     # the homogeneous vector of the sum s / scale on the chart, up to a
     # positive factor, which the verification does not see
     vectors = [(*(-s[c] for c in chart.cols), scale) for s in points]
-    keep, hull = chart.vertex_hull(vectors, pairs)
-    poly = VPolytope(tuple(tuple(Rat(v, scale) for v in points[o]) for o in keep))
-    keep_hull(poly, hull)
+    poly = VPolytope(tuple(tuple(Rat(v, scale) for v in s) for s in points))
+    keep_hull(poly, chart.vertex_hull(vectors, [(h, m) for h, m, _ in derived]))
     # `derived` is sorted as the hull's rows are; F+ and F- are the halves
     # of a facet's mask of C, ranked on C's points, where a's stand first:
     # ranks kept on `cayley` are shared
@@ -200,8 +178,8 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     """Hull of the pairwise vertex sums, derived from the hull of the
     summands' Cayley polytope, with each facet's bi-dimension; see the
     module docstring."""
-    cand = _candidates(a, b)
-    return _sum_from_cayley(cand, a.n_vertices, VPolytope(_cayley_points(a, b, cand.chart)))
+    ints, scale, chart = _sum_chart(a, b)
+    return _sum_from_cayley(ints, scale, chart, a.n_vertices, VPolytope(_cayley_points(a, b, chart)))
 
 
 def minkowski_sum_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope) -> MinkowskiSum:
@@ -210,10 +188,10 @@ def minkowski_sum_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope) -> 
     those of `a` on the chart of the sum's affine hull at height 1, then
     those of `b` at height -1, in order.  Raises DegenerateInput when they
     are not, so no other polytope's hull is read as a sum."""
-    cand = _candidates(a, b)
-    if cayley.vertices != _cayley_points(a, b, cand.chart):
+    ints, scale, chart = _sum_chart(a, b)
+    if cayley.vertices != _cayley_points(a, b, chart):
         raise DegenerateInput("not the Cayley polytope of the summands")
-    return _sum_from_cayley(cand, a.n_vertices, cayley)
+    return _sum_from_cayley(ints, scale, chart, a.n_vertices, cayley)
 
 
 # ---------------------------------------------------------------------------

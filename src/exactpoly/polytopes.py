@@ -16,8 +16,8 @@ duality and face ranks.  Each rule is stated once, where it is applied:
   (`_triangular_certificate`, a certificate in the sense of McConnell,
   Mehlhorn, Naeher & Schweitzer 2011).  `HullBuilder.hull` checks a copy's
   carried rows at the inserted points alone; `Chart.vertex_hull` verifies
-  a Minkowski sum's rows against every candidate sum and restricts the
-  hull to the vertices.
+  a Minkowski sum's rows against its listed vertices and refuses a listed
+  point that is no vertex.
 - `_smallest_faces` is the vertex test of `certify_vertices` and
   `extreme_indices`; `_adjacency` builds both graphs, which `Hull` keeps.
 - `facet_enumeration` and `keep_hull` keep one verified hull per
@@ -221,8 +221,8 @@ def _tight_masks(points, rows):
     bit of its high byte and every other bit of that byte is clear in the
     zero test.  Its big-endian bytes, sliced to one high byte per digit,
     spell the mask from point n-1 down to point 0, and `translate` makes
-    them the binary digits `int` reads: a few calls per row, where reading
-    the bits one by one took a step per tight point."""
+    them the binary digits `int` reads: a few calls per row, however many
+    points are tight."""
     n = len(points)
     w = (
         max(max(map(abs, q)) for q in points).bit_length()
@@ -550,8 +550,8 @@ def keep_hull(poly: VPolytope, hull: Hull) -> Hull:
     `hull` must be the hull of poly's points in their order that came out
     of `_verify`, as a `HullBuilder` over exactly those points returns it
     (a search's candidate), as `polar` derives it by duality or as
-    `Chart.vertex_hull` restricts a Minkowski sum's to its vertices.  Later code
-    reads it back with `facet_enumeration(poly)`, never from a second
+    `Chart.vertex_hull` verifies a Minkowski sum's on its vertices.  Later
+    code reads it back with `facet_enumeration(poly)`, never from a second
     variable."""
     object.__setattr__(poly, "_hull", hull)
     return hull
@@ -571,20 +571,18 @@ class Chart(NamedTuple):
     def project(self, p) -> tuple:
         return tuple(p[c] for c in self.cols)
 
-    def vertex_hull(self, vectors, pairs):
-        """(keep, hull) for `vectors`, points on the chart that may be no
-        vertices, and sorted (row, mask) `pairs` with masks over all of
-        them: `keep`, the indices of the vertices, and `hull`, theirs,
-        lifted.  One `_verify` checks every pair against every point; the
-        vertices are read off its incidence by the face test of
-        `_smallest_faces`, and each mask is restricted to them.  A point on
-        a facet that is no vertex lies in the affine span of the facet's
-        vertices, so the restriction keeps each facet's rank."""
-        everything = _verify(len(self.cols), vectors, pairs, pairs, 0)
-        keep = extreme_indices(everything)
-        new = {old: i for i, old in enumerate(keep)}
-        masks = tuple(bits(new[v] for v in iter_bits(m) if v in new) for _, m in pairs)
-        return keep, self.lift(replace(everything, incidence=FacetIncidence(masks, len(keep))))
+    def vertex_hull(self, vectors, pairs) -> Hull:
+        """The hull of `vectors`, points on the chart listed as vertices, and
+        of the sorted (row, mask) `pairs`, lifted.  One `_verify` checks
+        every pair against every point, and the face test of
+        `_smallest_faces` reads its incidence: raises DegenerateInput when a
+        listed point is no vertex.  Points left unlisted are not met with
+        the rows; for a Minkowski sum, the rows derived from its Cayley
+        polytope bound every pairwise sum (see `normalfans`)."""
+        hull = _verify(len(self.cols), vectors, pairs, pairs, 0)
+        if len(extreme_indices(hull)) != len(vectors):
+            raise DegenerateInput("hull verification failed: a listed point is no vertex")
+        return self.lift(hull)
 
     def lift(self, hull: Hull) -> Hull:
         """A hull on the chart's coordinates as a hull in R^d: each facet
@@ -661,9 +659,8 @@ def _smallest_faces(inc: FacetIncidence):
 
 def certify_vertices(poly: VPolytope, hull: Optional[Hull] = None) -> VPolytope:
     """Confirm every listed point is an extreme point; raises NotAVertex.
-    Without `hull`, the one `facet_enumeration` keeps on `poly` is read.
-    The package's own callers pass no hull; `perfbench` still passes the
-    one it holds, which is that same kept hull."""
+    Without `hull`, the one `facet_enumeration` keeps on `poly` is read;
+    a passed `hull` must be that kept hull."""
     if hull is None:
         hull = facet_enumeration(poly)
     for i, face in enumerate(hull.incidence.smallest_faces):
@@ -758,17 +755,13 @@ def _adjacency(masks, tmasks, k, simplices: bool) -> Graph:
 
 def dual_graph(poly: VPolytope, hull: Hull) -> Graph:
     """Facets sharing a ridge: the graph `hull` keeps (`Hull.dual_graph`).
-    This is the public `(poly, hull)` API, which the package exports and
-    `perfbench` calls and traces by name; the engine reads the hull's
-    graph.  Dropping `poly` (ROADMAP item 10) waits for a change to the
-    benchmark harness."""
+    `poly` is the polytope whose hull `hull` is; it is not read."""
     return hull.dual_graph
 
 
 def vertex_graph(poly: VPolytope, hull: Hull) -> Graph:
     """Points joined by 1-faces: the graph `hull` keeps
-    (`Hull.vertex_graph`); the public `(poly, hull)` API, kept as
-    `dual_graph` is."""
+    (`Hull.vertex_graph`); `poly` is not read, as in `dual_graph`."""
     return hull.vertex_graph
 
 

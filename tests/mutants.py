@@ -160,8 +160,8 @@ MUTANTS = (
     Mutant(
         "cayley-row-tight-at-either-summand",
         "normalfans.py",
-        "tight_a & tight_b",
-        "tight_a | tight_b",
+        "vm[i] & vm[v]",
+        "vm[i] | vm[v]",
         (
             "tests/test_normalfans.py::TestMinkowskiSum::test_sum_hull_is_kept_on_its_polytope",
             "tests/test_normalfans.py::test_minkowski_sum_is_the_hull_of_every_pairwise_sum",
@@ -188,11 +188,18 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "sum-skips-the-non-vertex-incidence",
+        "sum-skips-the-incidence-check",
         "polytopes.py",
         "_verify(len(self.cols), vectors, pairs, pairs, 0)",
         "_verify(len(self.cols), vectors, pairs, [], 0)",
-        ("tests/test_normalfans.py::test_a_non_vertex_sum_meets_every_row",),
+        ("tests/test_normalfans.py::test_a_derived_mask_claiming_a_slack_vertex_is_refused",),
+    ),
+    Mutant(
+        "sum-drops-the-vertex-test",
+        "polytopes.py",
+        "if len(extreme_indices(hull)) != len(vectors):",
+        "if False:",
+        ("tests/test_normalfans.py::test_a_mixed_pair_that_is_no_edge_is_refused",),
     ),
     Mutant(
         "parallel-ranks-the-offsets",

@@ -164,8 +164,9 @@ def test_full_verify_builds_the_bases_apart_from_q48(hull_builds):
 def test_full_verify_builds_each_graph_once(monkeypatch):
     # a graph is kept on its hull: q48's dual graph serves the neighbor
     # lists, the width, the orbit quotient and the sum section, the polar's
-    # vertex graph the spindle, and the base sum's dual graph the sum
-    # section and the pair d-step; (members, facet side) per build
+    # vertex graph the spindle, q48's vertex graph the base sum's vertices
+    # (its mixed edges), and the base sum's dual graph the sum section and
+    # the pair d-step; (members, facet side) per build
     calls = []
     adjacency = polytopes._adjacency
 
@@ -175,7 +176,7 @@ def test_full_verify_builds_each_graph_once(monkeypatch):
 
     monkeypatch.setattr(polytopes, "_adjacency", counting)
     assert verify_counterexample(full=True).passed
-    assert calls == [(322, True), (322, False), (320, True)]
+    assert calls == [(322, True), (322, False), (48, False), (320, True)]
 
 
 def test_full_verify_checks_one_vertex_figure_per_orbit(hull_builds):

@@ -1084,8 +1084,9 @@ def test_simplex_and_larger_visible_facets_match_the_full_scan(point, shapes):
 def test_q48_polar_and_base_sum_steps_match_the_full_scan(certificate):
     # the polar's points in a fresh object, so that its hull is built
     # rather than read from the one `polar` derived; all 576 pairwise sums
-    # of the bases, every one a candidate of `minkowski_sum`, built by the
-    # double-description steps rather than read off q48's hull
+    # of the bases, of which `minkowski_sum` lists only the 208 vertices,
+    # the mixed edges of q48, built by the double-description steps rather
+    # than read off q48's hull
     pol = VPolytope(polar(certificate.poly).vertices)
     sums = VPolytope(tuple(vadd(p, q) for p in base_plus().vertices for q in base_minus().vertices))
     with _steps_checked_against_the_full_scan() as steps:

@@ -17,8 +17,9 @@ from exactpoly.counterexample import (
     gplus_vertices,
     vertices48,
 )
-from exactpoly import normalfans
+from exactpoly import normalfans, polytopes
 from exactpoly.geometry import DegenerateInput, DimensionMismatch, affine_rank, vadd
+from exactpoly.graphs import Graph
 from exactpoly.normalfans import (
     bi_dimensions,
     facet_normals,
@@ -35,7 +36,6 @@ from exactpoly.normalfans import (
     transversality_check,
 )
 from exactpoly.polytopes import (
-    FacetIncidence,
     HPolytope,
     VPolytope,
     affine_chart,
@@ -137,7 +137,8 @@ def flattened(poly):
 
 
 SHAPES = (
-    "drawn", "scaled", "one flat", "both flat", "point", "segment", "flat segment", "parallel segment"
+    "drawn", "scaled", "one flat", "both flat", "point", "segment", "flat segment", "parallel segment",
+    "midpoint",
 )
 
 
@@ -155,20 +156,38 @@ def shaped(a, b, c, shape):
         a0, a1 = a.vertices[:2]
         start = tuple(c * x for x in b.vertices[0])
         b = VPolytope((start, tuple(s + c * (y - x) for s, x, y in zip(start, a0, a1))))
+    elif shape == "midpoint":
+        # first, the midpoint of a_0 and a_1, which lies inside an edge, a
+        # facet or the interior of a: a point of a that is no vertex
+        a0, a1 = a.vertices[:2]
+        a = VPolytope((tuple((x + y) / 2 for x, y in zip(a0, a1)),) + a.vertices)
     elif shape != "drawn":
         a = flattened(a) if shape == "flat segment" else a
         b = VPolytope(tuple(tuple(c * x for x in p) for p in flattened(b).vertices[:2]))
     return a, b
 
 
+def cube_from(p, q):
+    """The cube [0, 2]^3 with its vertices p and q first."""
+    rest = [v for v in itertools.product((Rat(0), Rat(2)), repeat=3) if v not in (p, q)]
+    return VPolytope((p, q, *rest))
+
+
+TETRAHEDRON = VPolytope((pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1)))
+
+
 @settings(max_examples=80, deadline=None)
 @given(summands(), summands(), SCALE, st.sampled_from(SHAPES))
 @example(  # a tetrahedron and a square: a small failing case needs no shrinking
-    VPolytope((pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0), pt(0, 0, 1))),
+    TETRAHEDRON,
     VPolytope((pt(0, 0, 0), pt(2, 0, 0), pt(0, 2, 0), pt(2, 2, 0))),
     Fraction(1),
     "drawn",
 )
+# a cube with a point that is no vertex inside an edge, a facet or itself
+@example(cube_from(pt(0, 0, 0), pt(0, 0, 2)), TETRAHEDRON, Fraction(1), "midpoint")
+@example(cube_from(pt(0, 0, 0), pt(0, 2, 2)), TETRAHEDRON, Fraction(1), "midpoint")
+@example(cube_from(pt(0, 0, 0), pt(2, 2, 2)), TETRAHEDRON, Fraction(1), "midpoint")
 def test_minkowski_sum_is_the_hull_of_every_pairwise_sum(a, b, c, shape):
     """The vertices and their order, the rows (equalities too), the
     incidence and the bi-dimensions equal those of the hull of
@@ -178,8 +197,9 @@ def test_minkowski_sum_is_the_hull_of_every_pairwise_sum(a, b, c, shape):
     two boxes, and a segment parallel to a_1 - a_0); for summands in a
     plane (a full or a lower-dimensional sum); for a one-point summand (the
     sum is a translate; the Cayley polytope is a pyramid, one base no
-    facet); and for a segment summand (a prism over the other, or a polygon
-    when both lie in a plane)."""
+    facet); for a segment summand (a prism over the other, or a polygon
+    when both lie in a plane); and for a summand with a point that is no
+    vertex, a point of the Cayley polytope on no edge."""
     a, b = shaped(a, b, c, shape)
     ms = minkowski_sum(a, b)
     vertices, hrep, masks, bidims = reference_minkowski_sum(a, b)
@@ -190,16 +210,13 @@ def test_minkowski_sum_is_the_hull_of_every_pairwise_sum(a, b, c, shape):
 
 
 @settings(max_examples=40, deadline=None)
-@given(summands(), summands(), st.sampled_from(SHAPES[:4]))
+@given(summands(), summands(), st.sampled_from(SHAPES[:4] + ("midpoint",)))
 def test_sum_from_cayley_on_the_chart_is_the_direct_sum(a, b, shape):
     """The sum read off a Cayley polytope the caller built, `a` at height 1
     and `b` at height -1, is `minkowski_sum`'s in every part, for full and
-    lower-dimensional sums (on the chart of the sum's affine hull)."""
-    if shape == "scaled":
-        b = VPolytope(tuple(tuple(2 * x for x in p) for p in a.vertices))
-    elif shape in ("one flat", "both flat"):
-        a = flattened(a)
-        b = flattened(b) if shape == "both flat" else b
+    lower-dimensional sums (on the chart of the sum's affine hull) and for
+    a summand with a point that is no vertex."""
+    a, b = shaped(a, b, 2, shape)
     direct = minkowski_sum(a, b)
     cols = affine_chart(direct.polytope.vertices)[2].cols
     cayley = VPolytope(
@@ -232,47 +249,64 @@ def assert_two_pass_sum(ms, a, b):
     "drawn",
 )
 def test_summands_chart_is_the_chart_of_every_sum(a, b, c, shape):
-    """The chart `_candidates` finds from the |a| + |b| - 1 sums a_i + b_0
+    """The chart `_sum_chart` finds from the |a| + |b| - 1 sums a_i + b_0
     and a_0 + b_j is `affine_chart` of all the pairwise sums: its columns
     and its equality rows, for full and lower-dimensional sums."""
     a, b = shaped(a, b, c, shape)
     sums = tuple(dict.fromkeys(vadd(p, q) for p in a.vertices for q in b.vertices))
-    assert normalfans._candidates(a, b).chart == affine_chart(sums)[2]
+    assert normalfans._sum_chart(a, b)[2] == affine_chart(sums)[2]
 
 
 SQUARE = VPolytope((pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)))
 
 
 @pytest.mark.parametrize("which", ["squares", "q48 bases"])
-def test_a_non_vertex_sum_meets_every_row(certificate, monkeypatch, which):
-    # a row's derived mask gains a sum that is no vertex and is not tight
-    # there (on the squares' sum, an edge midpoint; on q48's base sum,
-    # where every non-vertex sum is interior, one of those); its smallest
-    # face keeps a point of the row besides it, so the vertex test still
-    # drops it, and only the check of every sum against every row sees the
-    # false bit
-    derive = normalfans._derived_rows
+def test_a_derived_mask_claiming_a_slack_vertex_is_refused(certificate, monkeypatch, which):
+    # the first row's derived mask gains the first listed vertex sum that
+    # is not tight there: the exact incidence test of `_verify` refuses it
+    vertex_hull = polytopes.Chart.vertex_hull
     flipped = []
 
-    def flipping(cand, n, cayley):
-        rows = derive(cand, n, cayley)
-        faces = FacetIncidence(tuple(m for _, m, _ in rows), len(cand.sums)).smallest_faces
-        f, c = next(
-            (f, c) for c, face in enumerate(faces) if face != 1 << c
-            for f, (_, m, _) in enumerate(rows) if not m >> c & 1 and face & m
-        )
-        h, m, mask = rows[f]
-        rows[f] = (h, m | 1 << c, mask)
+    def flipping(chart, vectors, pairs):
+        h, m = pairs[0]
+        c = next(c for c in range(len(vectors)) if not m >> c & 1)
         flipped.append(c)
-        return rows
+        return vertex_hull(chart, vectors, [(h, m | 1 << c)] + pairs[1:])
 
-    monkeypatch.setattr(normalfans, "_derived_rows", flipping)
+    monkeypatch.setattr(polytopes.Chart, "vertex_hull", flipping)
     with pytest.raises(DegenerateInput, match="^hull verification failed: incidence mismatch$"):
         if which == "squares":
             minkowski_sum(SQUARE, SQUARE)
         else:
             minkowski_sum_from_cayley(certificate.qplus, certificate.qminus, certificate.poly)
     assert len(flipped) == 1
+
+
+@pytest.mark.parametrize("which", ["squares", "q48 bases"])
+def test_a_mixed_pair_that_is_no_edge_is_refused(certificate, monkeypatch, which):
+    # the vertex graph of the Cayley polytope gains its first mixed pair
+    # that is no edge (both summands have as many points): on two unit
+    # squares (0, 5), whose sum (1, 0) is the midpoint of an edge of the
+    # sum, on q48 a sum of the bases that is no vertex.  Its derived
+    # incidence is exact, and only the vertex test refuses it
+    graph = polytopes.Hull.vertex_graph.func
+    added = []
+
+    def with_a_chord(hull):
+        g = graph(hull)
+        n = g.n // 2
+        pair = next((i, v) for i in range(n) for v in range(n, g.n) if v not in g.adj[i])
+        added.append(pair)
+        return Graph(g.n, g.edges + (pair,))
+
+    monkeypatch.setattr(polytopes.Hull, "vertex_graph", property(with_a_chord))
+    with pytest.raises(DegenerateInput, match="^hull verification failed: a listed point is no vertex$"):
+        if which == "squares":
+            minkowski_sum(SQUARE, SQUARE)
+        else:
+            minkowski_sum_from_cayley(certificate.qplus, certificate.qminus, certificate.poly)
+    assert len(added) == 1
+    assert which != "squares" or added == [(0, 5)]
 
 
 def test_a_cayley_row_with_a_wrong_offset_is_refused():
