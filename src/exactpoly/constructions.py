@@ -291,7 +291,7 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
     # the apex moves parallel to the bases inside S's affine hull: off the
     # rows of A, the equality normals of S's hull and the base normal
     A = [e[:-1] for e in facet_enumeration(S).hrep.equalities]
-    A.append(pr.hull.hrep.inequalities[plus_facet][:-1] + (ZERO,))
+    A.append(pr.hull.hrep.inequalities[plus_facet][:-1] + (0,))
     gram = [[dot(a, b) for b in A] for a in A]
     amb = S.ambient_dim
     minus_mask = ((1 << S.n_vertices) - 1) ^ plus_mask  # every other point of S
@@ -303,11 +303,13 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
         # pull the apex out of the base hyperplane, parallel to the bases,
         # halving the step until the prismatoid verifies with larger width
         for _ in range(APEX_REDRAWS):
-            raw = [Rat(rng.randrange(-8, 9), 32) for _ in range(amb - 1)] + [Rat(1)]
-            # raw minus its projection A^T y onto the rows of A, where
-            # (A A^T) y = A raw: the kernel vector (t y, t) of [A A^T | -A raw]
+            # the step is raw / 32, with raw drawn in integers and ending in 32
+            raw = [rng.randrange(-8, 9) for _ in range(amb - 1)] + [32]
+            # the direction is raw minus its projection A^T y onto the rows
+            # of A, over 32, where (A A^T) y = A raw: the kernel vector
+            # (t y, t) of [A A^T | -A raw]
             *ty, t = nullspace([g + [-dot(a, raw)] for g, a in zip(gram, A)])[-1]
-            direction = vsub(raw, [sum(Rat(c, t) * a[j] for c, a in zip(ty, A)) for j in range(amb)])
+            direction = tuple(Rat(t * x - dot(ty, col), 32 * t) for x, col in zip(raw, zip(*A)))
             for cand in _halvings(poly, apex, fixed, direction, STEP_HALVINGS, rejected):
                 masks = facet_enumeration(cand).incidence.facet_masks
                 if plus_mask not in masks or minus_mask not in masks:

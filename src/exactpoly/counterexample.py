@@ -32,7 +32,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .geometry import integer_points, smul, vadd, vsub
+from .geometry import homogeneous, integer_points, smul, vadd, vsub
 from .graphs import Graph
 from .linalg import matrix_rank, primitive
 from .normalfans import (
@@ -56,7 +56,7 @@ from .polytopes import (
     polar,
 )
 from .prismatoids import is_spindle, make_prismatoid, width
-from .rationals import Rat, format_rat, primitive_ints
+from .rationals import Rat, format_rat
 from .report import Report
 
 # vertex coordinates: (x1..x4) at height x5 = +1 and x5 = -1
@@ -187,14 +187,17 @@ def gminus_vertices():
 def expected_facets():
     """All 322 facets as {facet row: label}.  A label is "A", "L", or the
     family letter, a prime for a primed family and one sign per sign slot,
-    as in "B'+-++".  Each family's row is made a primitive integer row
-    once; a sign pattern flips its entries, which keeps it primitive."""
+    as in "B'+-++".  Each family's row a . x <= b, b > 0, is made a
+    primitive integer row once, from the `homogeneous` vector (-w a / b, w)
+    of the polar vertex a / b; a sign pattern flips its entries, which keeps
+    it primitive."""
     out = {(0, 0, 0, 0, 1, 1): "A", (0, 0, 0, 0, -1, 1): "L"}
     for letter, primed, terms, x5, rhs in _FAMILIES:
-        first = [Rat(0)] * 4 + [x5, rhs]
+        vertex = [Rat(0)] * 4 + [x5 / rhs]
         for coef, axis in terms:
-            first[axis] = coef
-        first = primitive_ints(first)
+            vertex[axis] = coef / rhs
+        *q, w = homogeneous(vertex)
+        first = [-v for v in q] + [w]
         family = letter + ("'" if primed else "")
         for signs in _SIGNS:
             row = list(first)

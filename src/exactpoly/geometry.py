@@ -3,9 +3,15 @@
 Points are plain tuples of rationals or ints; the ambient dimension is the
 tuple length.  An inequality is no object of its own: it is the primitive
 integer row of `polytopes.HPolytope`, and a symmetry is its tuple of
-(column, sign) pairs (`counterexample.induced_permutation`).  An affine rank
-is the rank of the difference rows, taken by the integer row reduction of
-`linalg`.
+(column, sign) pairs (`counterexample.induced_permutation`).
+
+Here a rational point becomes integers, in one of two ways: `homogeneous`
+takes one point to its homogeneous vector, at the point's own scale, and
+`integer_points` scales a point set by the lcm of all its denominators.
+The affine rank of points is the rank of their homogeneous vectors minus
+one, taken by the integer row reduction of `linalg`; `affine_rank`,
+`polytopes.VPolytope.face_rank` and the rank check of `polytopes._verify`
+all rank so.
 """
 from __future__ import annotations
 
@@ -43,6 +49,13 @@ def smul(c, a):
     return tuple(c * x for x in a)
 
 
+def homogeneous(p):
+    """(-w p_1, ..., -w p_k, w) in `int`, w the lcm of the denominators of p,
+    so that a row (a, b) meets it in w (b - a . p)."""
+    w = common_denominator(p)
+    return tuple(-v.numerator * (w // v.denominator) for v in p) + (w,)
+
+
 def integer_points(points):
     """(ints, scale): the points times `scale`, the lcm of all their
     denominators, as int tuples.  Affine ranks, incidences and facet
@@ -64,5 +77,4 @@ def check_same_dim(points):
 def affine_rank(points) -> int:
     """Dimension of the affine hull (0 for a single point)."""
     check_same_dim(points)
-    base = points[0]
-    return matrix_rank([vsub(p, base) for p in points[1:]])
+    return matrix_rank([homogeneous(p) for p in points]) - 1

@@ -1,16 +1,17 @@
 """Exact linear algebra by one greedy row reduction over `int`.
 
-`reduce_rows` takes the rows in order.  Each is first scaled to integers, a
-row of `int`s as it is and any other by the lcm of its denominators, which
-leaves the row space, the rank, the pivot columns and the kernel unchanged.
-It is then reduced by each row kept before it, r_c v - v_c r for a kept row
-r with pivot column c, and kept, divided by the gcd of its entries, when it
-does not vanish.  No rational ever forms.  A kept row is zero at the pivots
-of the rows kept before it, so the kept rows have distinct pivots (a pivot
-is a row's first nonzero column) and one per unit of rank: their pivots are
-the leading columns of the row space, which are the pivot columns of its
-reduced row echelon form.  Kernel vectors come from the kept rows by
-back-substitution in descending pivot order.
+`reduce_rows` takes rows of `int`s, in order: a caller with rational
+points makes them integers first, one point at a time by
+`geometry.homogeneous` or a point set at one scale by
+`geometry.integer_points`.  Each row is reduced by each row kept before
+it, r_c v - v_c r for a kept row r with pivot column c, and kept, divided
+by the gcd of its entries, when it does not vanish.  No rational ever
+forms.  A kept row is zero at the pivots of the rows kept before it, so
+the kept rows have distinct pivots (a pivot is a row's first nonzero
+column) and one per unit of rank: their pivots are the leading columns of
+the row space, which are the pivot columns of its reduced row echelon
+form.  Kernel vectors come from the kept rows by back-substitution in
+descending pivot order.
 
 Every step is deterministic, so every derived quantity (ranks, pivots,
 hyperplanes, kernels) is bit-reproducible.
@@ -19,10 +20,6 @@ from __future__ import annotations
 
 import math
 from operator import mul
-
-from .rationals import clear_denominators
-
-_INT = frozenset((int,))
 
 
 def primitive(row):
@@ -38,8 +35,7 @@ def reduce_rows(rows):
     indices are the greedy basis of the row space.  The caller's rows are
     never mutated, and every kept row is a tuple."""
     idx, kept = [], []
-    for i, row in enumerate(rows):
-        v = row if _INT.issuperset(map(type, row)) else clear_denominators(row)
+    for i, v in enumerate(rows):
         for c, r in kept:
             f = v[c]
             if f:

@@ -1,8 +1,13 @@
 """Convex-hull facet enumeration with exact incidence, and the derived
 combinatorics: vertex certification, dual and vertex graphs, polar
-duality and face ranks.  Each rule is stated once, where it is applied:
+duality and face ranks.  A rational point becomes integers here as its
+`geometry.homogeneous` vector (-w p, w): the hull's points, the chart's
+directions and equalities and the face ranks all start from these; only
+`polar`'s centroid shift scales the points at one scale
+(`geometry.integer_points`).  Each rule is stated once, where it is
+applied:
 
-- `HullBuilder` is the one hull, over integer points (`_homogeneous`) and
+- `HullBuilder` is the one hull, over homogeneous integer points and
   primitive `HPolytope` rows with masks of tight points.  `_start` takes
   the starting simplex's facets from one `nullspace`, `_add` inserts a
   point by one double-description step (Fukuda & Prodon 1996), and `copy`
@@ -38,15 +43,14 @@ from typing import Callable, NamedTuple, Optional
 from .geometry import (
     DegenerateInput,
     DimensionMismatch,
-    affine_rank,
     check_same_dim,
     dot,
+    homogeneous,
     integer_points,
-    vsub,
 )
 from .graphs import Graph
 from .linalg import matrix_rank, nullspace, pivot_columns, primitive, reduce_rows
-from .rationals import Rat, common_denominator, format_rat, primitive_ints
+from .rationals import Rat, format_rat
 
 
 class DuplicatePoints(DegenerateInput):
@@ -86,15 +90,15 @@ class VPolytope:
 
     @cached_property
     def face_rank(self) -> Callable:
-        """The function: mask of points -> the affine rank of those points.
-        It ranks each mask once, so every caller that ranks the faces of
-        one polytope object shares the ranks.  Ranks do not change under
-        positive scaling, so it ranks integer copies of the points."""
-        points = integer_points(self.vertices)[0]
+        """The function: mask of points -> the affine rank of those points
+        (-1 for none), the rank of their `homogeneous` vectors less one.  It
+        ranks each mask once, so every caller that ranks the faces of one
+        polytope object shares the ranks."""
+        vectors = [homogeneous(p) for p in self.vertices]
 
         @cache
         def rank(mask):
-            return affine_rank([points[i] for i in iter_bits(mask)])
+            return matrix_rank([vectors[i] for i in iter_bits(mask)]) - 1
 
         return rank
 
@@ -196,13 +200,6 @@ def _check_duplicates(points):
         seen[p] = i
 
 
-def _homogeneous(p):
-    """(-w p_1, ..., -w p_k, w) in `int`, w the lcm of the denominators of p,
-    so that a row (a, b) meets it in w (b - a . p)."""
-    w = common_denominator(p)
-    return tuple(-v.numerator * (w // v.denominator) for v in p) + (w,)
-
-
 # the high byte of a digit of `_tight_masks`'s zero test, 0x80 or 0x00, as
 # the binary digit "1" or "0"
 _TOP_BIT_DIGITS = bytes.maketrans(b"\x00\x80", b"01")
@@ -299,7 +296,8 @@ def _verify(dim, pts, pairs, unchecked, empty) -> Hull:
     Every pair's incidence is then exact, so every row is a witness of the
     triangular certificates (see `_triangular_certificate`), which bound
     the rank from below; a nonzero row bounds it by `dim` from above.  Only
-    without both does `matrix_rank` decide."""
+    without both does `matrix_rank` decide: the tight points' homogeneous
+    vectors have rank `dim` when the points have affine rank dim - 1."""
     # zip stops at the end of `unchecked` before it asks `_tight_masks`,
     # which needs a row, for more
     for (_, fmask), tight in zip(unchecked, _tight_masks(pts, [h for h, _ in unchecked])):
@@ -350,7 +348,7 @@ class HullBuilder:
         """Hull of the non-None `points`, started from the simplex on a
         greedy affine basis and then inserted in index order.  Raises
         DegenerateInput when they are not full-dimensional."""
-        vectors = [None if p is None else _homogeneous(p) for p in points]
+        vectors = [None if p is None else homogeneous(p) for p in points]
         present = [i for i, q in enumerate(vectors) if q is not None]
         if not present:
             raise DegenerateInput("a hull needs points")
@@ -361,7 +359,7 @@ class HullBuilder:
 
     def _start(self, vectors, basis):
         """Start from the simplex on the spanning indices `basis` of the
-        `_homogeneous` `vectors` (None: an empty slot); insert the rest in order.
+        `homogeneous` `vectors` (None: an empty slot); insert the rest in order.
 
         With M the basis points as rows, the facet opposite basis point i
         meets it positively and the others in 0: it is M^-1 e_i up to a
@@ -402,7 +400,7 @@ class HullBuilder:
             raise DimensionMismatch(f"point of dimension {len(point)}, hull of {self.dim}")
         if self.points[i] is not None:
             raise ValueError(f"hull slot {i} is already filled")
-        self.points[i] = _homogeneous(point)
+        self.points[i] = homogeneous(point)
         return self._add(i)
 
     def _add(self, i) -> bool:
@@ -602,10 +600,10 @@ class Chart(NamedTuple):
 
 def affine_chart(pts):
     """(basis, vectors, chart): the indices of the greedy affine basis of
-    the points, their `_homogeneous` vectors on the `Chart` of their affine
+    the points, their `homogeneous` vectors on the `Chart` of their affine
     hull, and that chart.  Raises DuplicatePoints on a repeated point and
     DegenerateInput when the affine rank is below 1."""
-    vectors = [_homogeneous(p) for p in pts]
+    vectors = [homogeneous(p) for p in pts]
     _check_duplicates(vectors)
     basis = reduce_rows(vectors)[0]
     k = len(basis) - 1
@@ -614,16 +612,19 @@ def affine_chart(pts):
     d = len(pts[0])
     if k == d:
         return basis, vectors, Chart(d, tuple(range(d)), ())
-    base = pts[basis[0]]
-    dirs = [vsub(pts[i], base) for i in basis[1:]]
+    # with q_i = (-w_i p_i, w_i), w_i q_0 - w_0 q_i is w_0 w_i (p_i - p_0) in
+    # its first d entries, and a kernel vector v of these directions gives
+    # the equality v . x = v . p_0, a positive multiple of (w_0 v, -v . q_0)
+    *q0, w0 = vectors[basis[0]]
+    dirs = [[w * a - w0 * b for a, b in zip(q0, q)] for *q, w in map(vectors.__getitem__, basis[1:])]
     equalities = []
     for vec in nullspace(dirs):
-        row = primitive_ints(tuple(vec) + (dot(vec, base),))
+        row = primitive((*[w0 * a for a in vec], -dot(vec, q0)))
         # vec is not zero, so the first nonzero entry is a coefficient
         sign = 1 if next(a for a in row if a) > 0 else -1
         equalities.append(tuple(sign * a for a in row))
     chart = Chart(d, tuple(pivot_columns(dirs)), tuple(sorted(equalities)))
-    return basis, [_homogeneous(chart.project(p)) for p in pts], chart
+    return basis, [homogeneous(chart.project(p)) for p in pts], chart
 
 
 def _enumerate(pts) -> Hull:

@@ -3,11 +3,11 @@
 `Rat` is `fractions.Fraction`: arbitrary precision, lowest terms, positive
 denominator.  Rationals are what the file formats read and write, what
 points and the excess arithmetic hold, and what a polar produces.
-Inside the engine the hot arithmetic is on Python `int`: a point set is
-scaled to integers once (`common_denominator`), and every facet and equality
-is a primitive integer row.  Rationals become such rows with
-`primitive_ints` at two edges only: the facet family table of the
-counterexample and the equalities of an affine hull.
+Inside the engine the arithmetic is on Python `int`, and a rational
+becomes integers in one of two places only: `geometry.homogeneous` takes
+one point to its homogeneous integer vector, and `geometry.integer_points`
+scales a point set by one common denominator.  Every facet and equality
+is a primitive integer row, and `linalg` eliminates over `int` rows only.
 Code that divides values which may both be `int` writes `Rat(a, b)`, never
 `a / b`, which would give a float.
 """
@@ -45,18 +45,3 @@ def format_rat(q) -> str:
 def common_denominator(values) -> int:
     """The lcm of the denominators of ints and rationals (1 for ints)."""
     return math.lcm(*(v.denominator for v in values))
-
-
-def clear_denominators(values):
-    """Scale a rational sequence by the lcm of denominators; returns ints."""
-    lcm = common_denominator(values)
-    return [v.numerator * (lcm // v.denominator) for v in values]
-
-
-def primitive_ints(values):
-    """Clear denominators and divide by the gcd (sign preserved)."""
-    ints = clear_denominators(values)
-    g = math.gcd(*ints)
-    if g <= 1:
-        return ints
-    return [v // g for v in ints]

@@ -44,7 +44,7 @@ from exactpoly.polytopes import (
     maximizers,
 )
 from exactpoly.prismatoids import make_prismatoid
-from exactpoly.rationals import Rat, primitive_ints
+from exactpoly.rationals import Rat
 
 
 def centroid(points):
@@ -510,6 +510,26 @@ def lifted_distance_dominates(poly, v, f1, f2, choice=("u", "u")):
 # ---------------------------------------------------------------------------
 # reference elimination: textbook Gauss-Jordan over Fraction, kept independent
 # of the engine's integer row reduction
+
+
+def clear_denominators(values):
+    """The rational sequence times the lcm of its denominators, as a list of
+    ints.  Each row of a matrix scaled so, the matrix keeps its row space,
+    rank, pivot columns and kernel, in the `int` rows `linalg` takes."""
+    scale = math.lcm(*(Fraction(v).denominator for v in values))
+    return [int(v * scale) for v in values]
+
+
+def primitive_ints(values):
+    """The rational sequence scaled to the coprime ints with the same
+    ratios and signs, as a list."""
+    ints = clear_denominators(values)
+    g = math.gcd(*ints)
+    return ints if g <= 1 else [v // g for v in ints]
+
+
+def reference_rank(rows):
+    return len(reference_rref(rows)[0])
 
 
 def reference_rref(rows):

@@ -180,11 +180,31 @@ MUTANTS = (
     Mutant(
         "face-rank-drops-a-point",
         "polytopes.py",
-        "return affine_rank([points[i] for i in iter_bits(mask)])",
-        "return affine_rank([points[i] for i in iter_bits(mask)][1:])",
+        "return matrix_rank([vectors[i] for i in iter_bits(mask)]) - 1",
+        "return matrix_rank([vectors[i] for i in iter_bits(mask)][1:]) - 1",
         (
             "tests/test_normalfans.py::TestTransversality::test_band_examples",
             "tests/test_hullbuilder.py::test_derived_facts_are_kept_on_their_owners",
+        ),
+    ),
+    Mutant(
+        "chart-equality-row-drops-the-base-scale",
+        "polytopes.py",
+        "row = primitive((*[w0 * a for a in vec], -dot(vec, q0)))",
+        "row = primitive((*vec, -dot(vec, q0)))",
+        (
+            "tests/test_embedded_hulls.py::test_embedded_corpus_output_is_pinned",
+            "tests/test_embedded_hulls.py::test_chart_matches_the_fraction_reference",
+        ),
+    ),
+    Mutant(
+        "affine-rank-keeps-the-homogeneous-rank",
+        "geometry.py",
+        "return matrix_rank([homogeneous(p) for p in points]) - 1",
+        "return matrix_rank([homogeneous(p) for p in points])",
+        (
+            "tests/test_geometry.py::TestAffineRank::test_coordinate_plane",
+            "tests/test_linalg.py::test_affine_rank_matches_reference",
         ),
     ),
     Mutant(
@@ -261,6 +281,16 @@ MUTANTS = (
         "if dims != FAMILY_BIDIMENSION[labels[f][0]]",
         "if dims not in FAMILY_BIDIMENSION.values()",
         ("tests/test_counterexample.py::TestDualGraphStructure::test_quotient_report_names_a_facet_off_its_band",),
+    ),
+    Mutant(
+        "apex-step-over-t-not-32-t",
+        "constructions.py",
+        "Rat(t * x - dot(ty, col), 32 * t)",
+        "Rat(t * x - dot(ty, col), t)",
+        (
+            "tests/test_constructions.py::TestStrongDStep::test_apex_steps_are_the_drawn_steps_off_the_base_normal",
+            "tests/test_constructions.py::TestStrongDStep::test_flat_cube_candidates_stay_in_the_affine_hull",
+        ),
     ),
     Mutant(
         "dstep-minus-base-holds-every-point",

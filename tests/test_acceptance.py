@@ -22,11 +22,12 @@ from exactpoly.counterexample import (
 from exactpoly.normalfans import minkowski_sum, pair_dstep_property
 from exactpoly.polytopes import VPolytope, certify_vertices, polar
 from exactpoly.prismatoids import width
-from exactpoly.rationals import Rat, primitive_ints
+from exactpoly.rationals import Rat
 from helpers import (
     centroid,
     check_hull_against_oracle,
     check_suspension_distances,
+    primitive_ints,
     random_polytope,
     random_prismatoid,
 )

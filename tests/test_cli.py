@@ -16,10 +16,9 @@ from exactpoly import cli, counterexample, polytopes
 from exactpoly.cli import main
 from exactpoly.fileformats import FormatError, read_poly, write_hpoly, write_incidence, write_poly
 from exactpoly.geometry import affine_rank
-from exactpoly.linalg import matrix_rank
 from exactpoly.polytopes import VPolytope, facet_enumeration
 from exactpoly.rationals import Rat, format_rat
-from helpers import read_hpoly
+from helpers import read_hpoly, reference_rank
 from northstar import PINS, sha256
 
 
@@ -44,7 +43,7 @@ def hull_inputs(draw):
     if d > k:
         matrix = draw(
             st.lists(st.tuples(*[COORD] * k), min_size=d, max_size=d).filter(
-                lambda rows: matrix_rank(rows) == k
+                lambda rows: reference_rank(rows) == k
             )
         )
         shift = draw(st.tuples(*[COORD] * d))

@@ -2,6 +2,7 @@ import itertools
 import math
 import random
 import re
+import sys
 from unittest import mock
 
 import pytest
@@ -266,6 +267,26 @@ class TestStrongDStep:
         # 4 apexes, 4 redraws each, 2 step lengths per redraw
         assert int(m[1]) == sum(map(int, counts.values())) == 4 * 4 * 2
         assert int(counts["width not increased"]) > 0
+
+    def test_apex_steps_are_the_drawn_steps_off_the_base_normal(self, monkeypatch):
+        # the cube's suspension spans R^4, so the apex moves off the base
+        # normal (0, 0, 1, 0) alone: each step is the drawn (r / 32, 1), r
+        # in [-8, 8]^3, with its third entry set to 0
+        steps = []
+        halvings = constructions._halvings
+
+        def recording(poly, v, fixed, step, max_halvings, rejected):
+            if sys._getframe(1).f_code.co_name == "move_apex":
+                steps.append(step)
+            return halvings(poly, v, fixed, step, max_halvings, rejected)
+
+        monkeypatch.setattr(constructions, "_halvings", recording)
+        pr = cube_prismatoid()
+        strong_dstep_step(pr, width(pr), seed=3)
+        assert steps
+        for step in steps:
+            assert step[2:] == (0, 1)
+            assert all(abs(32 * c) <= 8 and (32 * c).denominator == 1 for c in step[:2]), step
 
     def test_flat_cube_candidates_stay_in_the_affine_hull(self, monkeypatch):
         # the cube at x4 = 0 in R^4: every apex step lies in the affine hull

@@ -30,7 +30,6 @@ from exactpoly.counterexample import (
     vertices48,
 )
 from exactpoly.fileformats import write_hpoly, write_incidence
-from exactpoly.linalg import matrix_rank
 from exactpoly.polytopes import (
     VPolytope,
     dual_graph,
@@ -38,14 +37,16 @@ from exactpoly.polytopes import (
     vertex_graph,
 )
 from exactpoly.prismatoids import NotAPrismatoid, _parallel, make_prismatoid, width
-from exactpoly.rationals import Rat, primitive_ints
+from exactpoly.rationals import Rat
 from helpers import (
     apply_ineq,
     identity,
     mat_apply,
     mat_mul,
+    primitive_ints,
     reference_close_group,
     reference_parallel,
+    reference_rank,
     relabeled,
     signed_matrix,
     signed_pairs,
@@ -70,9 +71,10 @@ class TestData:
         assert len(set(q48.labels)) == 48
 
     def test_affine_rank_five_by_homogenized_elimination(self, q48):
-        # independent oracle: rank of the homogenized 48 x 6 matrix
+        # independent oracle: the Fraction rank of the homogenized 48 x 6
+        # matrix
         rows = [list(p) + [Rat(1)] for p in q48.vertices]
-        assert matrix_rank(rows) == 6
+        assert reference_rank(rows) == 6
 
     def test_expected_facets_table(self):
         table = expected_facets()

@@ -6,19 +6,25 @@ the un-embedded hull, equalities that vanish on every point, and facets that
 are tight exactly on their masks.  A seeded corpus of such inputs, and the
 q48 prismatoid embedded in 6-space, pin the HPOLY and INC text, so the way
 the hull charts the affine hull may change only if the output stays
-byte-identical.
+byte-identical.  The chart itself, its pivot columns and its equality
+rows, is checked against a Fraction reference.
 """
 import random
 from fractions import Fraction
 
-from hypothesis import HealthCheck, given, settings, strategies as st
+from hypothesis import HealthCheck, assume, given, settings, strategies as st
 
 from exactpoly.counterexample import vertices48
 from exactpoly.fileformats import write_hpoly, write_incidence
 from exactpoly.geometry import affine_rank
-from exactpoly.linalg import matrix_rank
-from exactpoly.polytopes import VPolytope, facet_enumeration, iter_bits
-from helpers import slack
+from exactpoly.polytopes import VPolytope, affine_chart, facet_enumeration, iter_bits
+from helpers import (
+    primitive_ints,
+    reference_nullspace,
+    reference_rank,
+    reference_rref,
+    slack,
+)
 from northstar import EMBEDDED_CORPUS, EMBEDDED_Q48, sha256
 
 
@@ -48,7 +54,7 @@ def embedded_inputs(draw):
     entry = st.one_of(st.just(Fraction(0)), ENTRY)
     matrix = draw(
         st.lists(st.tuples(*[entry] * k), min_size=d, max_size=d).filter(
-            lambda rows: matrix_rank(rows) == k
+            lambda rows: reference_rank(rows) == k
         )
     )
     shift = draw(st.tuples(*[ENTRY] * d))
@@ -81,6 +87,39 @@ def test_embedded_hull_matches_the_flat_hull(data):
         assert [i for i, s in enumerate(slacks) if s == 0] == list(iter_bits(mask))
 
 
+@st.composite
+def rational_images(draw):
+    """Distinct images of 2-8 lattice points in k-space, 1 <= k <= 4, under
+    a rational affine map into d-space, d > k, with denominators up to 6:
+    their affine rank is at least 1 and below d."""
+    k = draw(st.integers(1, 4))
+    d = draw(st.integers(k + 1, 6))
+    lattice = draw(st.lists(st.tuples(*[st.integers(-3, 3)] * k), min_size=2, max_size=8, unique=True))
+    entry = st.one_of(st.just(0), st.fractions(-3, 3, max_denominator=6))
+    matrix = draw(st.lists(st.tuples(*[entry] * k), min_size=d, max_size=d))
+    shift = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=6)] * d))
+    points = embed(lattice, matrix, shift)
+    assume(len(set(points)) == len(points) and reference_rank([p + (1,) for p in points]) > 1)
+    return points
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.filter_too_much])
+@given(rational_images())
+def test_chart_matches_the_fraction_reference(points):
+    """The pivot columns of the directions p_i - p_0 and one equality
+    v . x = v . p_0 per kernel vector v of theirs, each as its primitive
+    row with a positive leading coefficient, sorted."""
+    dirs = [[Fraction(a) - b for a, b in zip(p, points[0])] for p in points[1:]]
+    equalities = []
+    for vec in reference_nullspace(dirs):
+        row = primitive_ints(list(vec) + [sum(a * x for a, x in zip(vec, points[0]))])
+        sign = 1 if next(a for a in row if a) > 0 else -1
+        equalities.append(tuple(sign * a for a in row))
+    chart = affine_chart(points)[2]
+    assert chart.cols == tuple(reference_rref(dirs)[0])
+    assert chart.equalities == tuple(sorted(equalities))
+
+
 def embedded_corpus(seed, count):
     """`count` seeded inputs like `embedded_inputs`, as point tuples in
     d-space."""
@@ -104,7 +143,7 @@ def embedded_corpus(seed, count):
             tuple(Fraction(0) if rng.random() < 0.4 else rat(3, 2) for _ in range(k))
             for _ in range(d)
         ]
-        if matrix_rank(matrix) != k:
+        if reference_rank(matrix) != k:
             continue
         shift = tuple(rat(3, 4) for _ in range(d))
         corpus.append(embed(points, matrix, shift))

@@ -5,14 +5,15 @@ import pytest
 from hypothesis import given, strategies as st
 
 from exactpoly.counterexample import induced_permutation
-from exactpoly.geometry import DegenerateInput, DimensionMismatch, affine_rank
-from exactpoly.rationals import Rat, format_rat, parse_rat, primitive_ints
+from exactpoly.geometry import DegenerateInput, DimensionMismatch, affine_rank, homogeneous
+from exactpoly.rationals import Rat, format_rat, parse_rat
 from helpers import (
     apply_ineq,
     hyperplane_through,
     identity,
     mat_apply,
     mat_mul,
+    primitive_ints,
     signed_matrix,
     slack,
     transpose,
@@ -63,6 +64,14 @@ class TestPrimitiveRows:
             prim = primitive_ints(row)
             assert primitive_ints([lam * v for v in row]) == prim
             assert primitive_ints(prim) == prim
+
+    @given(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12)),
+                    min_size=1, max_size=6))
+    def test_homogeneous_is_the_primitive_row_of_the_point(self, p):
+        # (-w p, w) is the primitive int multiple of (-p, 1) with w > 0
+        q = homogeneous(p)
+        assert all(type(v) is int for v in q) and q[-1] > 0
+        assert list(q) == primitive_ints([-Rat(v) for v in p] + [1])
 
 
 class TestAffineRank:

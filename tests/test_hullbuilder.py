@@ -53,7 +53,7 @@ from exactpoly import constructions, polytopes
 from exactpoly.cli import main
 from exactpoly.constructions import one_point_suspension, push_vertex, strong_dstep_iterate
 from exactpoly.counterexample import base_minus, base_plus, vertices48
-from exactpoly.geometry import DegenerateInput, DimensionMismatch, vadd
+from exactpoly.geometry import DegenerateInput, DimensionMismatch, homogeneous, vadd
 from exactpoly.linalg import matrix_rank, reduce_rows
 from exactpoly.normalfans import minkowski_sum
 from exactpoly.polytopes import (
@@ -75,11 +75,11 @@ from exactpoly.polytopes import (
     polar,
     vertex_graph,
 )
-from exactpoly.rationals import primitive_ints
 from helpers import (
     apply_ineq,
     check_hull_against_oracle,
     mat_apply,
+    primitive_ints,
     reference_add,
     reference_affine_basis,
     reference_dual_graph_edges,
@@ -1045,7 +1045,7 @@ def test_steps_on_copies_match_the_full_scan(pts, data):
 
 def _visible_shapes(builder, point):
     """The tight-point counts of the facets `point` sees."""
-    q = polytopes._homogeneous(point)
+    q = homogeneous(point)
     return sorted(
         m.bit_count() for h, m in zip(builder.rows, builder.masks)
         if sum(a * b for a, b in zip(h, q)) < 0
@@ -1120,7 +1120,7 @@ def basis_inputs(draw):
 @settings(max_examples=200, deadline=None)
 @given(st.one_of(basis_inputs(), certify_inputs(), lines().map(_line_points)))
 def test_integer_affine_basis_matches_the_fraction_reference(pts):
-    vectors = [polytopes._homogeneous(p) for p in pts]
+    vectors = [homogeneous(p) for p in pts]
     assert reduce_rows(vectors)[0] == reference_affine_basis(pts)
 
 
@@ -1166,7 +1166,7 @@ def simplex_bases(draw):
         st.integers(-(2**40), 2**40),
     )
     pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 1))
-    vectors = [polytopes._homogeneous(p) for p in pts]
+    vectors = [homogeneous(p) for p in pts]
     assume(matrix_rank(vectors) == dim + 1)
     n_slots = draw(st.integers(dim + 1, dim + 4))
     basis = sorted(draw(st.lists(
@@ -1213,7 +1213,7 @@ def test_start_rows_need_a_row_swap_under_either_sign(dim):
     units = [tuple(int(i == j) for j in range(dim)) for i in range(dim)]
     signs = set()
     for lead in ([(0,) * dim, units[1]], [units[1], (0,) * dim]):
-        vectors = [polytopes._homogeneous(p) for p in lead + units[:1] + units[2:]]
+        vectors = [homogeneous(p) for p in lead + units[:1] + units[2:]]
         assert vectors[0][0] == 0
         signs.add(_det(vectors) > 0)
         basis = list(range(dim + 1))

@@ -22,13 +22,15 @@ from exactpoly.polytopes import (
 from exactpoly.geometry import DimensionMismatch, affine_rank, dot
 from exactpoly.graphs import Graph
 from exactpoly.prismatoids import make_prismatoid
-from exactpoly.rationals import Rat, clear_denominators, common_denominator
+from exactpoly.rationals import Rat, common_denominator
 from helpers import (
     centroid,
     check_hull_against_oracle,
+    clear_denominators,
     face_maximizing,
     incidence_matrix,
     is_connected,
+    primitive_ints,
     random_polytope,
     slack,
 )
@@ -424,8 +426,6 @@ class TestPolar:
     def test_double_polar_round_trip(self):
         # each vertex returns on its own ray: the second centroid shift makes
         # the round trip exact only up to a positive per-vertex scaling
-        from exactpoly.rationals import primitive_ints
-
         rng = random.Random(21)
         for dim in (2, 3):
             poly, _ = random_polytope(rng, dim, 8)
