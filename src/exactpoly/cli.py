@@ -173,8 +173,8 @@ def _cmd_construct(args) -> int:
         p2 = certify_vertices(_load(args.second))
         bg = blend_graph(p1, args.v1, p2, args.v2)
         print(
-            f"BLEND dim={bg.dim} facets={bg.facet_count} nodes={bg.n_nodes} "
-            f"diameter={bg.diameter()}"
+            f"BLEND dim={bg.dim} facets={bg.facet_count} nodes={bg.graph.n} "
+            f"diameter={bg.graph.diameter()}"
         )
     else:  # dstep-iterate: argparse's `choices` admits no other operation
         poly = _load(args.input)

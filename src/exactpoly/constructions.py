@@ -19,7 +19,7 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .geometry import DegenerateInput, dot, integer_points, smul, vadd, vsub
+from .geometry import DegenerateInput, dot, homogeneous, integer_points, smul, vadd, vsub
 from .graphs import Graph
 from .linalg import nullspace
 from .polytopes import (
@@ -140,12 +140,12 @@ def push_vertex(poly: VPolytope, v: int, seed: int) -> VPolytope:
 
 
 def _fixed_builder(poly: VPolytope, v: int) -> Optional[HullBuilder]:
-    """The hull builder of every vertex but v, or None when those vertices
-    are not full-dimensional."""
-    pts = list(poly.vertices)
-    pts[v] = None
+    """The hull builder of the `homogeneous` vectors of every vertex but v,
+    or None when those vertices are not full-dimensional."""
+    vectors = [homogeneous(p) for p in poly.vertices]
+    vectors[v] = None
     try:
-        return HullBuilder(pts)
+        return HullBuilder(vectors)
     except DegenerateInput:
         return None
 
@@ -160,7 +160,7 @@ def _moved(poly: VPolytope, v: int, point, fixed: Optional[HullBuilder]) -> Opti
     builder = None
     if fixed is not None:
         builder = fixed.copy()
-        if not builder.insert(v, point):
+        if not builder.insert(v, homogeneous(point)):
             return None
     verts = list(poly.vertices)
     verts[v] = point
@@ -392,13 +392,6 @@ class BlendGraph:
     facet_count: int
     dim: int
 
-    @property
-    def n_nodes(self) -> int:
-        return self.graph.n
-
-    def diameter(self) -> int:
-        return self.graph.diameter()
-
 
 def blend_graph(p1: VPolytope, v1: int, p2: VPolytope, v2: int) -> BlendGraph:
     """Glue the vertex graphs at v1/v2: drop both vertices and join each
@@ -422,7 +415,8 @@ def blend_graph(p1: VPolytope, v1: int, p2: VPolytope, v2: int) -> BlendGraph:
     for hull in (hull1, hull2):
         if not all(m.bit_count() == d for m in hull.incidence.vertex_masks):
             raise DegenerateInput("blend requires simple polytopes")
-    matched = dict(zip(sorted(hull1.incidence.facets_of(v1)), sorted(hull2.incidence.facets_of(v2))))
+    vm1, vm2 = hull1.incidence.vertex_masks, hull2.incidence.vertex_masks
+    matched = dict(zip(iter_bits(vm1[v1]), iter_bits(vm2[v2])))
 
     g1 = hull1.vertex_graph
     g2 = hull2.vertex_graph

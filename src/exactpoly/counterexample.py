@@ -7,6 +7,12 @@ the polytope is a prismatoid of width 6 — i.e. without the d-step property —
 whose polar is a 5-spindle of length 6 and whose bases have a Minkowski sum
 without the pair d-step property.
 
+The family table, the base facet normals (`gplus_vertices`,
+`gminus_vertices`) and the constants the checks compare with are integer
+rows, as the hull's are: a family holds its first member's primitive row,
+and a sign pattern only flips entries.  Only points are rationals: the
+vertices and the points of the collinearity check.
+
 `Certificate` derives each artifact the suite shares (family table, hull,
 labels, groups, facet permutations and orbits, base hulls, base Minkowski
 sum) once, on first use; every `check_*` section takes it, and the section
@@ -32,7 +38,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, partial
 
-from .geometry import homogeneous, integer_points, smul, vadd, vsub
+from .geometry import integer_points, smul, vadd, vsub
 from .graphs import Graph
 from .linalg import matrix_rank, primitive
 from .normalfans import (
@@ -80,30 +86,30 @@ _MINUS = (
 EXPECTED_FACET_COUNT = 322
 
 # facet families: (letter, primed, ((coef, axis), ...) in sign-slot order,
-# x5 coefficient, right-hand side).  The sign subscript e = (e1..e4) of a
-# family member multiplies the listed terms in order.
-_Q = Rat
+# x5 coefficient, right-hand side), the primitive integer row of the
+# family's first member.  The sign subscript e = (e1..e4) of a family
+# member multiplies the listed terms in order.
 _FAMILIES = (
-    ("B", False, ((_Q(5), 0), (_Q(1), 1), (_Q(2), 2), (_Q(1), 3)), _Q(135, 2), _Q(315, 2)),
-    ("B", True, ((_Q(5), 1), (_Q(1), 0), (_Q(2), 3), (_Q(1), 2)), _Q(135, 2), _Q(315, 2)),
-    ("C", False, ((_Q(4), 0), (_Q(2), 1), (_Q(7, 4), 2), (_Q(5, 4), 3)), _Q(45), _Q(135)),
-    ("C", True, ((_Q(4), 1), (_Q(2), 0), (_Q(7, 4), 3), (_Q(5, 4), 2)), _Q(45), _Q(135)),
-    ("D", False, ((_Q(4), 0), (_Q(1), 1), (_Q(2), 2), (_Q(1), 3)), _Q(45), _Q(135)),
-    ("D", True, ((_Q(4), 1), (_Q(1), 0), (_Q(2), 3), (_Q(1), 2)), _Q(45), _Q(135)),
-    ("E", False, ((_Q(3), 0), (_Q(3, 2), 1), (_Q(3, 2), 2), (_Q(1), 3)), _Q(30), _Q(105)),
-    ("E", True, ((_Q(3), 1), (_Q(3, 2), 0), (_Q(3, 2), 3), (_Q(1), 2)), _Q(30), _Q(105)),
-    ("F", False, ((_Q(2), 0), (_Q(1), 1), (_Q(1), 2), (_Q(1), 3)), _Q(15), _Q(75)),
-    ("F", True, ((_Q(2), 1), (_Q(1), 0), (_Q(1), 3), (_Q(1), 2)), _Q(15), _Q(75)),
-    ("G", False, ((_Q(2), 2), (_Q(1), 3), (_Q(1), 1), (_Q(1), 0)), _Q(-15), _Q(75)),
-    ("G", True, ((_Q(2), 3), (_Q(1), 2), (_Q(1), 0), (_Q(1), 1)), _Q(-15), _Q(75)),
-    ("H", False, ((_Q(3), 2), (_Q(3, 2), 3), (_Q(3, 2), 1), (_Q(1), 0)), _Q(-30), _Q(105)),
-    ("H", True, ((_Q(3), 3), (_Q(3, 2), 2), (_Q(3, 2), 0), (_Q(1), 1)), _Q(-30), _Q(105)),
-    ("I", False, ((_Q(4), 2), (_Q(1), 3), (_Q(2), 1), (_Q(1), 0)), _Q(-45), _Q(135)),
-    ("I", True, ((_Q(4), 3), (_Q(1), 2), (_Q(2), 0), (_Q(1), 1)), _Q(-45), _Q(135)),
-    ("J", False, ((_Q(4), 2), (_Q(2), 3), (_Q(7, 4), 1), (_Q(5, 4), 0)), _Q(-45), _Q(135)),
-    ("J", True, ((_Q(4), 3), (_Q(2), 2), (_Q(7, 4), 0), (_Q(5, 4), 1)), _Q(-45), _Q(135)),
-    ("K", False, ((_Q(5), 2), (_Q(1), 3), (_Q(2), 1), (_Q(1), 0)), _Q(-135, 2), _Q(315, 2)),
-    ("K", True, ((_Q(5), 3), (_Q(1), 2), (_Q(2), 0), (_Q(1), 1)), _Q(-135, 2), _Q(315, 2)),
+    ("B", False, ((10, 0), (2, 1), (4, 2), (2, 3)), 135, 315),
+    ("B", True, ((10, 1), (2, 0), (4, 3), (2, 2)), 135, 315),
+    ("C", False, ((16, 0), (8, 1), (7, 2), (5, 3)), 180, 540),
+    ("C", True, ((16, 1), (8, 0), (7, 3), (5, 2)), 180, 540),
+    ("D", False, ((4, 0), (1, 1), (2, 2), (1, 3)), 45, 135),
+    ("D", True, ((4, 1), (1, 0), (2, 3), (1, 2)), 45, 135),
+    ("E", False, ((6, 0), (3, 1), (3, 2), (2, 3)), 60, 210),
+    ("E", True, ((6, 1), (3, 0), (3, 3), (2, 2)), 60, 210),
+    ("F", False, ((2, 0), (1, 1), (1, 2), (1, 3)), 15, 75),
+    ("F", True, ((2, 1), (1, 0), (1, 3), (1, 2)), 15, 75),
+    ("G", False, ((2, 2), (1, 3), (1, 1), (1, 0)), -15, 75),
+    ("G", True, ((2, 3), (1, 2), (1, 0), (1, 1)), -15, 75),
+    ("H", False, ((6, 2), (3, 3), (3, 1), (2, 0)), -60, 210),
+    ("H", True, ((6, 3), (3, 2), (3, 0), (2, 1)), -60, 210),
+    ("I", False, ((4, 2), (1, 3), (2, 1), (1, 0)), -45, 135),
+    ("I", True, ((4, 3), (1, 2), (2, 0), (1, 1)), -45, 135),
+    ("J", False, ((16, 2), (8, 3), (7, 1), (5, 0)), -180, 540),
+    ("J", True, ((16, 3), (8, 2), (7, 0), (5, 1)), -180, 540),
+    ("K", False, ((10, 2), (2, 3), (4, 1), (2, 0)), -135, 315),
+    ("K", True, ((10, 3), (2, 2), (4, 0), (2, 1)), -135, 315),
 )
 
 _SIGNS = tuple(
@@ -171,7 +177,7 @@ def vertices48() -> VPolytope:
 
 def _signed(coefs):
     """The 16 sign patterns of `coefs`, in `_SIGNS` order."""
-    return tuple(tuple(Rat(c * s) for c, s in zip(coefs, signs)) for signs in _SIGNS)
+    return tuple(tuple(c * s for c, s in zip(coefs, signs)) for signs in _SIGNS)
 
 
 def gplus_vertices():
@@ -187,22 +193,15 @@ def gminus_vertices():
 def expected_facets():
     """All 322 facets as {facet row: label}.  A label is "A", "L", or the
     family letter, a prime for a primed family and one sign per sign slot,
-    as in "B'+-++".  Each family's row a . x <= b, b > 0, is made a
-    primitive integer row once, from the `homogeneous` vector (-w a / b, w)
-    of the polar vertex a / b; a sign pattern flips its entries, which keeps
-    it primitive."""
+    as in "B'+-++".  A sign pattern flips the entries of the family's
+    primitive row, which keeps it primitive."""
     out = {(0, 0, 0, 0, 1, 1): "A", (0, 0, 0, 0, -1, 1): "L"}
     for letter, primed, terms, x5, rhs in _FAMILIES:
-        vertex = [Rat(0)] * 4 + [x5 / rhs]
-        for coef, axis in terms:
-            vertex[axis] = coef / rhs
-        *q, w = homogeneous(vertex)
-        first = [-v for v in q] + [w]
         family = letter + ("'" if primed else "")
         for signs in _SIGNS:
-            row = list(first)
-            for (_, axis), s in zip(terms, signs):
-                row[axis] *= s
+            row = [0, 0, 0, 0, x5, rhs]
+            for (coef, axis), s in zip(terms, signs):
+                row[axis] = s * coef
             row = tuple(row)
             if row in out:
                 raise AssertionError(f"duplicate expanded facet {row}")
@@ -635,7 +634,7 @@ def top_base_figures(ctx: Certificate) -> tuple:
     stands alone when the vertices do not line up so."""
     n = ctx.qplus.n_vertices
     top = [perm[:n] for perm in ctx.groups[1].generator_perms]
-    lifted = tuple(p + (Rat(1),) for p in ctx.qplus.vertices)
+    lifted = tuple(p + (1,) for p in ctx.qplus.vertices)
     if ctx.poly.vertices[:n] != lifted or any(max(perm) >= n for perm in top):
         return tuple(range(n))
     return tuple(orbit[0] for orbit in facet_orbits(top))
@@ -651,7 +650,7 @@ def check_base_structure(ctx: Certificate) -> Report:
     rep = Report("base structure")
     qm, hull_p, hull_m = ctx.qminus, facet_enumeration(ctx.qplus), facet_enumeration(ctx.qminus)
     rep.add("top base has 32 facets", hull_p.incidence.n_facets == 32, str(hull_p.incidence.n_facets))
-    want_p = {(q + (Rat(90),)) for q in gplus_vertices()}
+    want_p = {q + (90,) for q in gplus_vertices()}
     got_p = set(hull_p.hrep.inequalities)
     rep.add("top base facets match the two families", got_p == want_p, "")
     rep.add(
@@ -662,26 +661,21 @@ def check_base_structure(ctx: Certificate) -> Report:
     cube_ok = all(is_combinatorial_cube(normal_cone(hull_p, v)) for v in top_base_figures(ctx))
     rep.add("vertex figures of the top base are 3-cubes", cube_ok, "24 vertices")
     rep.merge(torus_membership_check(facet_normals(hull_p)))
-    want_m = {(q + (Rat(90),)) for q in gminus_vertices()}
+    want_m = {q + (90,) for q in gminus_vertices()}
     got_m = set(hull_m.hrep.inequalities)
     rep.add("bottom base facets match the swapped families", got_m == want_m, "")
 
     # the worked example: (5,1,2,1) sits strictly inside the cone of the
     # bottom-base vertex at (45,0,0,0), whose generators are (2,±1,±1,±5)
-    v_dir = (Rat(5), Rat(1), Rat(2), Rat(1))
-    c_idx = qm.vertices.index((Rat(45), Rat(0), Rat(0), Rat(0)))
+    v_dir = (5, 1, 2, 1)
+    c_idx = qm.vertices.index((45, 0, 0, 0))
     rep.add(
         "(5,1,2,1) strictly inside the cone of (45,0,0,0)",
         interior_owner(qm, v_dir) == c_idx,
         "",
     )
     gens = set(normal_cone(hull_m, c_idx))
-    want_gens = {
-        (Rat(2), Rat(a), Rat(b), Rat(5 * c))
-        for a in (1, -1)
-        for b in (1, -1)
-        for c in (1, -1)
-    }
+    want_gens = {(2, a, b, 5 * c) for a in (1, -1) for b in (1, -1) for c in (1, -1)}
     rep.add("cone of (45,0,0,0) generated by (2,±1,±1,±5)", gens == want_gens, "")
     return rep
 

@@ -8,6 +8,9 @@ integer row of `polytopes.HPolytope`, and a symmetry is its tuple of
 Here a rational point becomes integers, in one of two ways: `homogeneous`
 takes one point to its homogeneous vector, at the point's own scale, and
 `integer_points` scales a point set by the lcm of all its denominators.
+Both are called at the engine's edge, where points come in:
+`polytopes.HullBuilder` takes `homogeneous` vectors only, which
+`polytopes.affine_chart` and the searches of `constructions` make.
 The affine rank of points is the rank of their homogeneous vectors minus
 one, taken by the integer row reduction of `linalg`; `affine_rank`,
 `polytopes.VPolytope.face_rank` and the rank check of `polytopes._verify`

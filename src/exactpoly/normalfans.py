@@ -127,7 +127,7 @@ def _sum_chart(a: VPolytope, b: VPolytope) -> tuple:
     # and a_0 + b_j span: |a| + |b| - 1 points, some maybe equal
     span = [tuple(map(add, p, ints_b[0])) for p in ints_a]
     span += [tuple(map(add, ints_a[0], q)) for q in ints_b[1:]]
-    chart = affine_chart(tuple(dict.fromkeys(span)))[2]
+    chart = affine_chart(tuple(dict.fromkeys(span)))[1]
     # a . s = c on the scaled sums s is (scale a) . (s / scale) = c on the
     # sums; a positive factor keeps each row's sign
     equalities = sorted(primitive(tuple(scale * v for v in r[:-1]) + r[-1:]) for r in chart.equalities)

@@ -1,18 +1,20 @@
 """Convex-hull facet enumeration with exact incidence, and the derived
 combinatorics: vertex certification, dual and vertex graphs, polar
 duality and face ranks.  A rational point becomes integers here as its
-`geometry.homogeneous` vector (-w p, w): the hull's points, the chart's
-directions and equalities and the face ranks all start from these; only
-`polar`'s centroid shift scales the points at one scale
-(`geometry.integer_points`).  Each rule is stated once, where it is
-applied:
+`geometry.homogeneous` vector (-w p, w), once, at the edge: `affine_chart`
+converts a point set, `VPolytope.face_rank` a polytope's points, and the
+searches of `constructions` their fixed and moved points.  The hull
+builder takes only such vectors, and the chart's directions and
+equalities and the face ranks are computed from them; only `polar`'s
+centroid shift scales the points at one scale (`geometry.integer_points`).
+Each rule is stated once, where it is applied:
 
-- `HullBuilder` is the one hull, over homogeneous integer points and
-  primitive `HPolytope` rows with masks of tight points.  `_start` takes
-  the starting simplex's facets from one `nullspace`, `_add` inserts a
-  point by one double-description step (Fukuda & Prodon 1996), and `copy`
-  and `insert` serve the perturbation searches.  Every elimination is a
-  `linalg` call.
+- `HullBuilder` is the one hull, over homogeneous integer vectors and
+  primitive `HPolytope` rows with masks of tight points.  Its one
+  constructor takes the starting simplex's facets from one `nullspace`,
+  `_add` inserts a point by one double-description step (Fukuda & Prodon
+  1996), and `copy` and `insert` serve the perturbation searches.  Every
+  elimination is a `linalg` call.
 - `affine_chart` and `Chart` put input of lower dimension on coordinates
   of its affine hull; `_enumerate` builds there and `Chart.lift` lifts.
 - `_verify` is the check every returned hull passes, and the one place a
@@ -150,9 +152,6 @@ class FacetIncidence:
 
     def vertices_of(self, f: int):
         return tuple(iter_bits(self.facet_masks[f]))
-
-    def facets_of(self, v: int):
-        return tuple(iter_bits(self.vertex_masks[v]))
 
 
 @dataclass(frozen=True)
@@ -322,10 +321,11 @@ class HullBuilder:
     """Incremental hull of full-dimensional points, one double-description
     step per inserted point.
 
-    Slot i holds point i as q = (-w p, w) with w > 0 the lcm of its
-    denominators, or None until `insert(i, p)` fills it; bit i of a facet
-    mask means point i is tight.  A facet is its `HPolytope` row h = (a, b),
-    which meets q in h . q = w (b - a . p), w times the slack of p: each point
+    Slot i holds point i as its `homogeneous` vector q = (-w p, w), w > 0
+    the lcm of its denominators, or None until `insert(i, q)` fills it; the
+    caller converts its points at the edge.  Bit i of a facet mask means
+    point i is tight.  A facet is its `HPolytope` row h = (a, b), which
+    meets q in h . q = w (b - a . p), w times the slack of p: each point
     keeps its own denominator, and a point with new denominators inserts
     without rescaling the rest.  `copy()` is cheap, so a search can build the
     hull of its fixed points once and insert one moved point per candidate.
@@ -344,22 +344,11 @@ class HullBuilder:
 
     __slots__ = ("dim", "points", "rows", "masks", "base", "verified")
 
-    def __init__(self, points):
-        """Hull of the non-None `points`, started from the simplex on a
-        greedy affine basis and then inserted in index order.  Raises
-        DegenerateInput when they are not full-dimensional."""
-        vectors = [None if p is None else homogeneous(p) for p in points]
-        present = [i for i, q in enumerate(vectors) if q is not None]
-        if not present:
-            raise DegenerateInput("a hull needs points")
-        basis = [present[j] for j in reduce_rows([vectors[i] for i in present])[0]]
-        if len(basis) != len(vectors[present[0]]):
-            raise DegenerateInput("hull points are not full-dimensional")
-        self._start(vectors, basis)
-
-    def _start(self, vectors, basis):
-        """Start from the simplex on the spanning indices `basis` of the
-        `homogeneous` `vectors` (None: an empty slot); insert the rest in order.
+    def __init__(self, vectors):
+        """Hull of the non-None `vectors`, `geometry.homogeneous` integer
+        vectors (None marks an empty slot), started from the simplex on
+        their greedy basis and then inserted in index order.  Raises
+        DegenerateInput when they are not full-dimensional.
 
         With M the basis points as rows, the facet opposite basis point i
         meets it positively and the others in 0: it is M^-1 e_i up to a
@@ -367,8 +356,14 @@ class HullBuilder:
         invertible, so its free columns are those of -I; `nullspace` gives
         one vector (y, z) per free column, positive there and zero at the
         others, so z is a positive multiple of e_i and y the facet."""
-        self.points = vectors
+        present = [i for i, q in enumerate(vectors) if q is not None]
+        if not present:
+            raise DegenerateInput("a hull needs points")
+        basis = [present[j] for j in reduce_rows([vectors[i] for i in present])[0]]
         n = len(basis)
+        if n != len(vectors[present[0]]):
+            raise DegenerateInput("hull points are not full-dimensional")
+        self.points = list(vectors)
         self.dim = n - 1
         self.base = None
         self.verified = None
@@ -391,16 +386,16 @@ class HullBuilder:
         twin.verified = None
         return twin
 
-    def insert(self, i: int, point) -> bool:
-        """Fill the empty slot i with `point` and update the facets; whether
-        the point saw a facet.  One that sees none lies in the hull of the
-        points before it, and only the incidence of the facets through it
-        changes."""
-        if len(point) != self.dim:
-            raise DimensionMismatch(f"point of dimension {len(point)}, hull of {self.dim}")
+    def insert(self, i: int, q) -> bool:
+        """Fill the empty slot i with the `homogeneous` vector q and update
+        the facets; whether the point saw a facet.  One that sees none lies
+        in the hull of the points before it, and only the incidence of the
+        facets through it changes."""
+        if len(q) != self.dim + 1:
+            raise DimensionMismatch(f"point of dimension {len(q) - 1}, hull of {self.dim}")
         if self.points[i] is not None:
             raise ValueError(f"hull slot {i} is already filled")
-        self.points[i] = homogeneous(point)
+        self.points[i] = q
         return self._add(i)
 
     def _add(self, i) -> bool:
@@ -599,10 +594,10 @@ class Chart(NamedTuple):
 
 
 def affine_chart(pts):
-    """(basis, vectors, chart): the indices of the greedy affine basis of
-    the points, their `homogeneous` vectors on the `Chart` of their affine
-    hull, and that chart.  Raises DuplicatePoints on a repeated point and
-    DegenerateInput when the affine rank is below 1."""
+    """(vectors, chart): the `homogeneous` vectors of the points on the
+    `Chart` of their affine hull, and that chart.  Raises DuplicatePoints
+    on a repeated point and DegenerateInput when the affine rank is below
+    1."""
     vectors = [homogeneous(p) for p in pts]
     _check_duplicates(vectors)
     basis = reduce_rows(vectors)[0]
@@ -611,7 +606,7 @@ def affine_chart(pts):
         raise DegenerateInput("affine rank < 1: a single point has no facets")
     d = len(pts[0])
     if k == d:
-        return basis, vectors, Chart(d, tuple(range(d)), ())
+        return vectors, Chart(d, tuple(range(d)), ())
     # with q_i = (-w_i p_i, w_i), w_i q_0 - w_0 q_i is w_0 w_i (p_i - p_0) in
     # its first d entries, and a kernel vector v of these directions gives
     # the equality v . x = v . p_0, a positive multiple of (w_0 v, -v . q_0)
@@ -624,16 +619,14 @@ def affine_chart(pts):
         sign = 1 if next(a for a in row if a) > 0 else -1
         equalities.append(tuple(sign * a for a in row))
     chart = Chart(d, tuple(pivot_columns(dirs)), tuple(sorted(equalities)))
-    return basis, [homogeneous(chart.project(p)) for p in pts], chart
+    return [homogeneous(chart.project(p)) for p in pts], chart
 
 
 def _enumerate(pts) -> Hull:
     """`HullBuilder` run over the points in input order, on the coordinates
     of their `affine_chart`, and lifted from there."""
-    basis, vectors, chart = affine_chart(pts)
-    builder = HullBuilder.__new__(HullBuilder)
-    builder._start(vectors, basis)
-    return chart.lift(builder.hull())
+    vectors, chart = affine_chart(pts)
+    return chart.lift(HullBuilder(vectors).hull())
 
 
 def _smallest_faces(inc: FacetIncidence):

@@ -7,7 +7,9 @@ Inside the engine the arithmetic is on Python `int`, and a rational
 becomes integers in one of two places only: `geometry.homogeneous` takes
 one point to its homogeneous integer vector, and `geometry.integer_points`
 scales a point set by one common denominator.  Every facet and equality
-is a primitive integer row, and `linalg` eliminates over `int` rows only.
+is a primitive integer row, the hull builder takes homogeneous vectors,
+and `linalg` eliminates over `int` rows only.  Data that is integral is
+written as `int`s, such as q48's facet families and base normals.
 Code that divides values which may both be `int` writes `Rat(a, b)`, never
 `a / b`, which would give a float.
 """

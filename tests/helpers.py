@@ -643,7 +643,7 @@ def reference_two_pass_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
         for j, q in enumerate(ints[n:]):
             sums.setdefault(vadd(p, q), []).append((i, j))
     points = tuple(sums)
-    chart = affine_chart(points)[2]
+    chart = affine_chart(points)[1]
     chart = chart._replace(equalities=tuple(sorted(
         primitive(tuple(scale * v for v in r[:-1]) + r[-1:]) for r in chart.equalities
     )))

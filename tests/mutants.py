@@ -198,6 +198,36 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "moved-inserts-the-original-vector",
+        "constructions.py",
+        "builder.insert(v, homogeneous(point))",
+        "builder.insert(v, homogeneous(poly.vertices[v]))",
+        (
+            "tests/test_constructions.py::test_whole_search_is_the_same_without_a_fixed_builder",
+            "tests/test_northstar.py::test_row_output_is_pinned[push-q48]",
+        ),
+    ),
+    Mutant(
+        "chart-keeps-the-ambient-vectors",
+        "polytopes.py",
+        "    return [homogeneous(chart.project(p)) for p in pts], chart\n",
+        "    return vectors, chart\n",
+        (
+            "tests/test_embedded_hulls.py::test_embedded_q48_output_is_pinned",
+            "tests/test_embedded_hulls.py::test_embedded_corpus_output_is_pinned",
+        ),
+    ),
+    Mutant(
+        "family-c-coefficient-7-becomes-8",
+        "counterexample.py",
+        '("C", False, ((16, 0), (8, 1), (7, 2), (5, 3)), 180, 540)',
+        '("C", False, ((16, 0), (8, 1), (8, 2), (5, 3)), 180, 540)',
+        (
+            "tests/test_counterexample.py::TestData::test_expected_facets_table",
+            "tests/test_northstar.py::test_row_output_is_pinned[verify]",
+        ),
+    ),
+    Mutant(
         "affine-rank-keeps-the-homogeneous-rank",
         "geometry.py",
         "return matrix_rank([homogeneous(p) for p in points]) - 1",

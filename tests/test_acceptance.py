@@ -182,5 +182,5 @@ def test_10_family_arithmetic():
     ))
     bg = blend_graph(cube, 0, cube, 7)
     assert bg.facet_count == 9
-    assert bg.diameter() >= 5
+    assert bg.graph.diameter() >= 5
     _announce(10, "excess 1/43, family formulas, cube blend 9 facets diam >= 5")

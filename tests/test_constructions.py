@@ -589,14 +589,14 @@ class TestBlend:
         bg = blend_graph(cube(), 0, cube(), 7)
         assert isinstance(bg, BlendGraph)
         assert bg.facet_count == 9
-        assert bg.n_nodes == 14
-        assert bg.diameter() >= 5
+        assert bg.graph.n == 14
+        assert bg.graph.diameter() >= 5
 
     def test_two_simplices(self):
         s = VPolytope((pt(0, 0, 0), pt(2, 0, 0), pt(0, 2, 0), pt(0, 0, 2)))
         bg = blend_graph(s, 0, s, 3)
         assert bg.facet_count == 3 + 2  # d + 2
-        assert bg.n_nodes == 6  # 2d
+        assert bg.graph.n == 6  # 2d
 
     def test_cube_with_simplex(self):
         s = VPolytope((pt(0, 0, 0), pt(2, 0, 0), pt(0, 2, 0), pt(0, 0, 2)))
@@ -615,7 +615,7 @@ class TestBlend:
         c = cube()
         for v1 in range(8):
             for v2 in range(8):
-                assert blend_graph(c, v1, c, v2).diameter() >= 5
+                assert blend_graph(c, v1, c, v2).graph.diameter() >= 5
 
 
 class TestHirschArithmetic:

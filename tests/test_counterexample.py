@@ -60,6 +60,33 @@ def assert_report(rep):
     assert rep.passed, "\n".join(c.line() for c in rep.failures())
 
 
+# the paper's facet families, rational as printed: (letter, primed,
+# ((coef, axis), ...) in sign-slot order, x5 coefficient, right-hand side),
+# the independent reference of the integer rows of `_FAMILIES`
+PAPER_FAMILIES = (
+    ("B", False, ((5, 0), (1, 1), (2, 2), (1, 3)), Rat(135, 2), Rat(315, 2)),
+    ("B", True, ((5, 1), (1, 0), (2, 3), (1, 2)), Rat(135, 2), Rat(315, 2)),
+    ("C", False, ((4, 0), (2, 1), (Rat(7, 4), 2), (Rat(5, 4), 3)), 45, 135),
+    ("C", True, ((4, 1), (2, 0), (Rat(7, 4), 3), (Rat(5, 4), 2)), 45, 135),
+    ("D", False, ((4, 0), (1, 1), (2, 2), (1, 3)), 45, 135),
+    ("D", True, ((4, 1), (1, 0), (2, 3), (1, 2)), 45, 135),
+    ("E", False, ((3, 0), (Rat(3, 2), 1), (Rat(3, 2), 2), (1, 3)), 30, 105),
+    ("E", True, ((3, 1), (Rat(3, 2), 0), (Rat(3, 2), 3), (1, 2)), 30, 105),
+    ("F", False, ((2, 0), (1, 1), (1, 2), (1, 3)), 15, 75),
+    ("F", True, ((2, 1), (1, 0), (1, 3), (1, 2)), 15, 75),
+    ("G", False, ((2, 2), (1, 3), (1, 1), (1, 0)), -15, 75),
+    ("G", True, ((2, 3), (1, 2), (1, 0), (1, 1)), -15, 75),
+    ("H", False, ((3, 2), (Rat(3, 2), 3), (Rat(3, 2), 1), (1, 0)), -30, 105),
+    ("H", True, ((3, 3), (Rat(3, 2), 2), (Rat(3, 2), 0), (1, 1)), -30, 105),
+    ("I", False, ((4, 2), (1, 3), (2, 1), (1, 0)), -45, 135),
+    ("I", True, ((4, 3), (1, 2), (2, 0), (1, 1)), -45, 135),
+    ("J", False, ((4, 2), (2, 3), (Rat(7, 4), 1), (Rat(5, 4), 0)), -45, 135),
+    ("J", True, ((4, 3), (2, 2), (Rat(7, 4), 0), (Rat(5, 4), 1)), -45, 135),
+    ("K", False, ((5, 2), (1, 3), (2, 1), (1, 0)), Rat(-135, 2), Rat(315, 2)),
+    ("K", True, ((5, 3), (1, 2), (2, 0), (1, 1)), Rat(-135, 2), Rat(315, 2)),
+)
+
+
 class TestData:
     def test_vertex_5_plus(self, q48):
         i = q48.labels.index("5+")
@@ -79,11 +106,12 @@ class TestData:
     def test_expected_facets_table(self):
         table = expected_facets()
         assert len(table) == EXPECTED_FACET_COUNT
-        # each member's rational row made primitive on its own, as the
-        # table was once expanded: the same keys in the same order, and
-        # the same labels, the family letter, its prime and a sign per slot
+        # each member's rational row from the paper's table, made primitive
+        # on its own: the same keys in the same order as the expansion of
+        # the integer `_FAMILIES`, and the same labels, the family letter,
+        # its prime and a sign per slot
         reference = {(0, 0, 0, 0, 1, 1): "A", (0, 0, 0, 0, -1, 1): "L"}
-        for letter, primed, terms, x5, rhs in _FAMILIES:
+        for letter, primed, terms, x5, rhs in PAPER_FAMILIES:
             for signs in itertools.product("+-", repeat=4):
                 row = [Rat(0)] * 5 + [rhs]
                 for (coef, axis), s in zip(terms, signs):
@@ -92,6 +120,14 @@ class TestData:
                 reference[tuple(primitive_ints(row))] = letter + "'" * primed + "".join(signs)
         assert list(table.items()) == list(reference.items())
         assert table[(10, 2, 4, 2, 135, 315)] == "B++++"
+        # each integer family is its paper family's primitive row, with the
+        # same letter, prime and axes
+        assert len(_FAMILIES) == len(PAPER_FAMILIES)
+        for family, paper in zip(_FAMILIES, PAPER_FAMILIES):
+            (letter, primed, terms, x5, rhs), (*key, paper_terms, paper_x5, paper_rhs) = family, paper
+            assert [letter, primed, [a for _, a in terms]] == key + [[a for _, a in paper_terms]]
+            want = primitive_ints([c for c, _ in paper_terms] + [paper_x5, paper_rhs])
+            assert [c for c, _ in terms] + [x5, rhs] == want
 
     def test_facet_label_format(self):
         # the letter is a label's first character, and a primed family's

@@ -118,6 +118,12 @@ def point_sets(draw):
     return pts
 
 
+def _vectors(slots):
+    """The `homogeneous` vectors of the points in `slots`, a builder's
+    input; None marks an empty slot."""
+    return [None if p is None else homogeneous(p) for p in slots]
+
+
 def _same_hull(got, want):
     assert got.dim == want.dim
     assert got.hrep == want.hrep
@@ -161,7 +167,7 @@ def test_insert_into_fixed_builder_matches_facet_enumeration(pts, data):
     slots = list(pts)
     slots[v] = None
     try:
-        fixed = HullBuilder(slots)
+        fixed = HullBuilder(_vectors(slots))
     except DegenerateInput:
         # the others are not full-dimensional: the searches fall back to
         # facet_enumeration there
@@ -172,7 +178,7 @@ def test_insert_into_fixed_builder_matches_facet_enumeration(pts, data):
         moved[v] = point
         poly = VPolytope(tuple(moved))
         builder = fixed.copy()
-        builder.insert(v, point)
+        builder.insert(v, homogeneous(point))
         try:
             want = facet_enumeration(poly)
         except DuplicatePoints:
@@ -271,10 +277,10 @@ def test_builder_rows_are_the_hull_rows(pts, data):
     slots = list(pts)
     slots[v] = None
     try:
-        builder = HullBuilder(slots).copy()
+        builder = HullBuilder(_vectors(slots)).copy()
     except DegenerateInput:
         return
-    builder.insert(v, pts[v])
+    builder.insert(v, homogeneous(pts[v]))
     hull = builder.hull()
     assert set(builder.rows) == set(hull.hrep.inequalities)
     for p, q in zip(pts, builder.points):
@@ -287,15 +293,17 @@ def test_builder_rows_are_the_hull_rows(pts, data):
 def test_builder_refuses_bad_use():
     square = [(0, 0), (1, 0), (0, 1), None]
     with pytest.raises(DegenerateInput, match="not full-dimensional"):
-        HullBuilder([(0, 0), (1, 1), (2, 2), None])
-    builder = HullBuilder(square)
+        HullBuilder(_vectors([(0, 0), (1, 1), (2, 2), None]))
+    with pytest.raises(DegenerateInput, match="needs points"):
+        HullBuilder([None, None])
+    builder = HullBuilder(_vectors(square))
     with pytest.raises(ValueError, match="empty"):
         builder.hull()
     with pytest.raises(DimensionMismatch):
-        builder.insert(3, (1, 1, 1))
+        builder.insert(3, homogeneous((1, 1, 1)))
     with pytest.raises(ValueError, match="already filled"):
-        builder.insert(0, (1, 1))
-    builder.insert(3, (1, 1))
+        builder.insert(0, homogeneous((1, 1)))
+    builder.insert(3, homogeneous((1, 1)))
     assert builder.hull().incidence.n_facets == 4
 
 
@@ -634,7 +642,7 @@ def test_graphs_of_the_base_sum_and_a_lift_match_their_references(certificate):
 
 def _cube_builder():
     pts = [tuple(1 if m >> i & 1 else -1 for i in range(3)) for m in range(8)]
-    return pts, HullBuilder(pts)
+    return pts, HullBuilder(_vectors(pts))
 
 
 @settings(max_examples=60, deadline=None)
@@ -700,9 +708,9 @@ def _cube_insertion(v):
     pts, _ = _cube_builder()
     slots = list(pts)
     slots[v] = None
-    fixed = HullBuilder(slots)
+    fixed = HullBuilder(_vectors(slots))
     twin = fixed.copy()
-    twin.insert(v, pts[v])
+    twin.insert(v, homogeneous(pts[v]))
     return pts, fixed, twin
 
 
@@ -777,7 +785,7 @@ def test_corrupted_fixed_builder_is_never_vouched_for(v, f, how):
         fixed.rows[f] = h[:-1] + (h[-1] + (1 if how == "offset+" else -1),)
     for point in (pts[v], tuple(2 * c for c in pts[v])):
         twin = fixed.copy()
-        twin.insert(v, point)
+        twin.insert(v, homogeneous(point))
         with pytest.raises(DegenerateInput, match="hull verification failed"):
             twin.hull()
 
@@ -799,14 +807,14 @@ def test_rank_proofs_are_keyed_by_points_not_slots():
     # same three slots are collinear, so the same row and mask, supporting
     # but no facet, must fail the rank test although the slots were proved
     pts, _ = _cube_builder()
-    fixed = HullBuilder(pts + [None])
+    fixed = HullBuilder(_vectors(pts + [None]))
     above = fixed.copy()
-    above.insert(8, (0, 0, 2))
+    above.insert(8, homogeneous((0, 0, 2)))
     row = (0, 1, 1, 2)
     assert row in above.rows and above.masks[above.rows.index(row)] == bits([6, 7, 8])
     above.hull()
     on_edge = fixed.copy()
-    on_edge.insert(8, (0, 1, 1))
+    on_edge.insert(8, homogeneous((0, 1, 1)))
     on_edge.rows.append(row)
     on_edge.masks.append(bits([6, 7, 8]))
     with pytest.raises(DegenerateInput, match="facet rank"):
@@ -843,9 +851,9 @@ def test_push_verifies_every_candidate(monkeypatch):
     insert = HullBuilder.insert
     saw = []
 
-    def corrupting_insert(self, i, point):
-        seen = insert(self, i, point)
-        if point != pts[i]:
+    def corrupting_insert(self, i, q):
+        seen = insert(self, i, q)
+        if q != homogeneous(pts[i]):
             self.masks[0] ^= 1 << i
             saw.append(seen)
         return seen
@@ -905,7 +913,7 @@ def test_certificate_is_found_only_for_rank_dim(pts, data):
     `dim`, every simplicial facet has one, and every row of lower rank makes
     `hull()` fail."""
     try:
-        builder = HullBuilder(pts)
+        builder = HullBuilder(_vectors(pts))
     except DegenerateInput:
         return  # embedded inputs need the projection of facet_enumeration
     dim, n = builder.dim, len(pts)
@@ -1033,13 +1041,13 @@ def test_steps_on_copies_match_the_full_scan(pts, data):
     slots[v] = None
     with _steps_checked_against_the_full_scan() as scratch:
         try:
-            fixed = HullBuilder(slots)
+            fixed = HullBuilder(_vectors(slots))
         except DegenerateInput:
             return
     moved = _moved_point(data, pts, v)
     with _steps_checked_against_the_full_scan() as copied:
         for point in (pts[v], moved):
-            fixed.copy().insert(v, point)
+            fixed.copy().insert(v, homogeneous(point))
     assert len(scratch) == len(pts) - fixed.dim - 2 and copied == [v, v]
 
 
@@ -1074,10 +1082,10 @@ def test_simplex_and_larger_visible_facets_match_the_full_scan(point, shapes):
     prism = [(x, y, z) for z in (-1, 1) for x, y in ((0, 0), (2, 0), (0, 2))]
     cube = [(x, y, z) for x in (0, 2) for y in (0, 2) for z in (-1, 1)]
     base = prism if 3 in shapes else cube
-    builder = HullBuilder(base + [None])
+    builder = HullBuilder(_vectors(base + [None]))
     assert _visible_shapes(builder, point) == shapes
     with _steps_checked_against_the_full_scan() as steps:
-        assert builder.copy().insert(len(base), point)
+        assert builder.copy().insert(len(base), homogeneous(point))
     assert steps == [len(base)]
 
 
@@ -1141,10 +1149,10 @@ def test_duplicate_is_named_as_the_rationals_name_it(pts, scale, data):
     slots = list(pts)
     slots[j] = None
     try:
-        builder = HullBuilder(slots)
+        builder = HullBuilder(_vectors(slots))
     except DegenerateInput:
         return
-    builder.insert(j, twin)
+    builder.insert(j, homogeneous(twin))
     with pytest.raises(DuplicatePoints, match=f"^points {i} and {j} coincide$"):
         builder.hull()
 
@@ -1179,8 +1187,11 @@ def simplex_bases(draw):
 
 
 def _started(slots, basis):
-    builder = HullBuilder.__new__(HullBuilder)
-    builder._start(list(slots), basis)
+    """The rows and masks of the builder of `slots`, which hold the vectors
+    of the points of `basis` alone: the greedy basis is then `basis`, in
+    its order, and no point is inserted after the simplex."""
+    builder = HullBuilder(slots)
+    assert sorted(i for i, q in enumerate(slots) if q is not None) == basis
     return builder.rows, builder.masks
 
 
@@ -1206,7 +1217,7 @@ def test_start_rows_match_the_nullspace_reference(data):
 def test_start_rows_need_a_row_swap_under_either_sign(dim):
     """The origin and the unit points, led by the origin or by e_2: the
     first point's homogeneous vector is 0 in the first column, so the row
-    reduction in `_start` takes its first pivot from a later row.  Trading
+    reduction of the builder's start takes its first pivot from a later row.  Trading
     the first two points flips the determinant's sign; under either sign
     each row must meet its opposite point positively, as the reference's
     do."""

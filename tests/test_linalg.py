@@ -7,8 +7,9 @@ scaled to integers here, row by row, and the reference reduces the drawn
 rows themselves.  The brute-force hull oracle takes its hyperplanes from
 the Fraction reference, but it still shares `affine_rank` with the engine,
 so `affine_rank` is checked against the reference here.  A guard runs the
-engine on rational input and fails on any row entry it hands to
-`reduce_rows` that is not an `int`.
+engine on rational input and fails on any entry it hands to `reduce_rows`,
+to the hull builder's constructor or to its `insert` that is not an
+`int`.
 """
 import math
 import sys
@@ -22,7 +23,7 @@ from exactpoly.counterexample import verify_counterexample
 from exactpoly.geometry import affine_rank
 from exactpoly.linalg import matrix_rank, nullspace, pivot_columns, reduce_rows
 from exactpoly.normalfans import minkowski_sum
-from exactpoly.polytopes import VPolytope, facet_enumeration
+from exactpoly.polytopes import HullBuilder, VPolytope, facet_enumeration
 from exactpoly.prismatoids import make_prismatoid
 from helpers import clear_denominators, reference_nullspace, reference_rank, reference_rref
 
@@ -150,27 +151,46 @@ def test_affine_rank_matches_reference(pts):
 
 
 def test_the_engine_hands_reduce_rows_int_rows_only(monkeypatch):
-    """`reduce_rows`, wrapped in every module that holds it, refuses and
-    records each row entry that is not an `int` while the engine runs on
-    rationals: full verify, a two-step lift of the 4-cube as a prismatoid,
-    the Minkowski sum of two summands with denominators, the hull of a flat
-    rational pentagon in R^3, and `affine_rank` of rational points.  Each
-    run must reduce some rows, and none may hold anything but `int`s (full
-    verify reports a section that raises as a FAIL line, so the record is
-    read after each run)."""
+    """`reduce_rows`, wrapped in every module that holds it, and the hull
+    builder's constructor and `insert` refuse and record each entry that is
+    not an `int` while the engine runs on rationals: full verify, a
+    two-step lift of the 4-cube as a prismatoid, the Minkowski sum of two
+    summands with denominators, the hull of a flat rational pentagon in
+    R^3, and `affine_rank` of rational points.  Each run must reduce some
+    rows, the runs together must start builders and insert points, and
+    nothing may hold anything but `int`s (full verify reports a section
+    that raises as a FAIL line, so the record is read after each run)."""
     calls, bad = [], []
+    counts = {"HullBuilder": 0, "insert": 0}
+
+    def refuse(name, entries):
+        bad.extend(v for v in entries if type(v) is not int)
+        assert not bad, f"{name} handed {bad[:3]}"
 
     def ints_only(rows):
         calls.append(len(rows))
-        bad.extend(v for row in rows for v in row if type(v) is not int)
-        assert not bad, f"reduce_rows handed {bad[:3]}"
+        refuse("reduce_rows", [v for row in rows for v in row])
         return reduce_rows(rows)
+
+    start, insert = HullBuilder.__init__, HullBuilder.insert
+
+    def checked_start(self, vectors):
+        counts["HullBuilder"] += 1
+        refuse("HullBuilder", [v for q in vectors if q is not None for v in q])
+        start(self, vectors)
+
+    def checked_insert(self, i, q):
+        counts["insert"] += 1
+        refuse("insert", q)
+        return insert(self, i, q)
 
     patched = [name for name, module in sys.modules.items()
                if name.startswith("exactpoly") and getattr(module, "reduce_rows", None) is reduce_rows]
     assert {"exactpoly.linalg", "exactpoly.polytopes"} <= set(patched)
     for name in patched:
         monkeypatch.setattr(sys.modules[name], "reduce_rows", ints_only)
+    monkeypatch.setattr(HullBuilder, "__init__", checked_start)
+    monkeypatch.setattr(HullBuilder, "insert", checked_insert)
 
     cube4 = VPolytope(tuple(tuple(Fraction(c) for c in p) for p in product((-1, 1), repeat=4)))
     rows = facet_enumeration(cube4).hrep.inequalities
@@ -190,5 +210,6 @@ def test_the_engine_hands_reduce_rows_int_rows_only(monkeypatch):
     for name, run in runs.items():
         before = len(calls)
         ok = run()
-        assert not bad, f"{name} handed reduce_rows {bad[:3]}"
+        assert not bad, f"{name} handed {bad[:3]}"
         assert ok and len(calls) > before, name
+    assert min(counts.values()) > 0, counts

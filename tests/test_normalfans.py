@@ -218,7 +218,7 @@ def test_sum_from_cayley_on_the_chart_is_the_direct_sum(a, b, shape):
     a summand with a point that is no vertex."""
     a, b = shaped(a, b, 2, shape)
     direct = minkowski_sum(a, b)
-    cols = affine_chart(direct.polytope.vertices)[2].cols
+    cols = affine_chart(direct.polytope.vertices)[1].cols
     cayley = VPolytope(
         tuple(tuple(p[c] for c in cols) + (1,) for p in a.vertices)
         + tuple(tuple(q[c] for c in cols) + (-1,) for q in b.vertices)
@@ -254,7 +254,7 @@ def test_summands_chart_is_the_chart_of_every_sum(a, b, c, shape):
     and its equality rows, for full and lower-dimensional sums."""
     a, b = shaped(a, b, c, shape)
     sums = tuple(dict.fromkeys(vadd(p, q) for p in a.vertices for q in b.vertices))
-    assert normalfans._sum_chart(a, b)[2] == affine_chart(sums)[2]
+    assert normalfans._sum_chart(a, b)[2] == affine_chart(sums)[1]
 
 
 SQUARE = VPolytope((pt(0, 0), pt(1, 0), pt(0, 1), pt(1, 1)))
