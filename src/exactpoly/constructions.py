@@ -11,6 +11,9 @@ pass `_verify` before any candidate is counted, so a moved point that sees
 none of them lies in the hull of the fixed points: it is counted "not a
 vertex" with no hull built, verified or certified, and the search makes the
 same draws, in the same order, with the same counts, as if it had built one.
+Points move in integers: a step is the vector (-e, D) of the displacement
+e / D, added to the moved vertex's vector by `geometry.plus`, and each
+halving doubles D, so no search forms a rational.
 """
 from __future__ import annotations
 
@@ -19,9 +22,9 @@ from dataclasses import dataclass
 from operator import mul
 from typing import Optional
 
-from .geometry import DegenerateInput, dot, homogeneous, integer_points, smul, vadd, vsub
+from .geometry import DegenerateInput, dot, integer_points, lift, plus
 from .graphs import Graph
-from .linalg import nullspace
+from .linalg import nullspace, primitive
 from .polytopes import (
     DuplicatePoints,
     HullBuilder,
@@ -34,7 +37,7 @@ from .polytopes import (
     keep_hull,
 )
 from .prismatoids import NotAPrismatoid, Prismatoid, make_prismatoid, width
-from .rationals import Rat, ZERO
+from .rationals import Rat
 
 # the most halvings of one step: `push_vertex`'s, and `strong_dstep_step`'s
 # per push and per apex direction
@@ -71,7 +74,8 @@ class VacuousFamily(ValueError):
 
 def one_point_suspension(poly: VPolytope, v: int) -> VPolytope:
     """Replace vertex v by two new vertices u = (v, 1) and w = (v, -1) one
-    dimension up, embedding the polytope at last coordinate 0.
+    dimension up, embedding the polytope at last coordinate 0
+    (`geometry.lift`).
 
     Index layout: old vertex i != v becomes vertex i - (i > v), and u and w
     are the last two vertices.
@@ -79,8 +83,8 @@ def one_point_suspension(poly: VPolytope, v: int) -> VPolytope:
     if not 0 <= v < poly.n_vertices:
         raise ValueError(f"vertex index {v} out of range")
     rest = [i for i in range(poly.n_vertices) if i != v]
-    vp = poly.vertices[v]
-    verts = [poly.vertices[i] + (ZERO,) for i in rest] + [vp + (Rat(1),), vp + (Rat(-1),)]
+    q = poly.vectors[v]
+    verts = [lift(poly.vectors[i], 0) for i in rest] + [lift(q, 1), lift(q, -1)]
     labels = None
     if poly.labels:
         lbl = poly.labels[v]
@@ -93,13 +97,13 @@ def one_point_suspension(poly: VPolytope, v: int) -> VPolytope:
 
 
 def _relative_interior_point(poly: VPolytope, region, rng):
-    """A random strictly positive rational combination of the region's
-    vertices, summed in integers: the vertices scaled by the lcm L of their
-    denominators, the sum divided by L times the total weight."""
+    """The `homogeneous` vector of a random strictly positive combination
+    of the region's vertices, summed in integers: the vertices scaled by the
+    lcm L of their denominators, the sum over L times the total weight."""
     weights = [rng.randrange(1, 64) for _ in region]
-    ints, scale = integer_points([poly.vertices[i] for i in region])
-    total = sum(weights) * scale
-    return tuple(Rat(sum(map(mul, weights, column)), total) for column in zip(*ints))
+    ints, scale = integer_points([poly.vectors[i] for i in region])
+    sums = [-sum(map(mul, weights, column)) for column in zip(*ints)]
+    return primitive((*sums, sum(weights) * scale))
 
 
 def _facet_merge_ok(old_hull, new_hull) -> bool:
@@ -135,14 +139,14 @@ def push_vertex(poly: VPolytope, v: int, seed: int) -> VPolytope:
     fixed = _fixed_builder(poly, v)
     # v sees no facet of the others' hull only when it is no vertex; then
     # poly's own hull names the first point that is none
-    start = certify_vertices(_moved(poly, v, poly.vertices[v], fixed) or poly)
+    start = certify_vertices(_moved(poly, v, poly.vectors[v], fixed) or poly)
     return _push(start, v, fixed, range(poly.n_vertices), seed, None, MAX_HALVINGS)
 
 
 def _fixed_builder(poly: VPolytope, v: int) -> Optional[HullBuilder]:
-    """The hull builder of the `homogeneous` vectors of every vertex but v,
-    or None when those vertices are not full-dimensional."""
-    vectors = [homogeneous(p) for p in poly.vertices]
+    """The hull builder of the vectors of every vertex but v, or None when
+    those vertices are not full-dimensional."""
+    vectors = list(poly.vectors)
     vectors[v] = None
     try:
         return HullBuilder(vectors)
@@ -150,20 +154,21 @@ def _fixed_builder(poly: VPolytope, v: int) -> Optional[HullBuilder]:
         return None
 
 
-def _moved(poly: VPolytope, v: int, point, fixed: Optional[HullBuilder]) -> Optional[VPolytope]:
-    """Poly with vertex v at `point`, keeping its verified hull: one
-    insertion into a copy of `fixed`, or a facet enumeration when there is
-    no builder.  None, with no hull built, when `point` sees no facet of
-    `fixed`: it then lies in the hull of the fixed points, so it is no
-    vertex.  Moved to its own position, a vertex v gives a copy of poly with
-    the same points and labels whose hull is kept."""
+def _moved(poly: VPolytope, v: int, q, fixed: Optional[HullBuilder]) -> Optional[VPolytope]:
+    """Poly with vertex v at the point of the `homogeneous` vector q,
+    keeping its verified hull: one insertion into a copy of `fixed`, or a
+    facet enumeration when there is no builder.  None, with no hull built,
+    when the point sees no facet of `fixed`: it then lies in the hull of
+    the fixed points, so it is no vertex.  Moved to its own position, a
+    vertex v gives a copy of poly with the same points and labels whose
+    hull is kept."""
     builder = None
     if fixed is not None:
         builder = fixed.copy()
-        if not builder.insert(v, homogeneous(point)):
+        if not builder.insert(v, q):
             return None
-    verts = list(poly.vertices)
-    verts[v] = point
+    verts = list(poly.vectors)
+    verts[v] = q
     new_poly = VPolytope(tuple(verts), poly.labels)
     if builder is None:
         facet_enumeration(new_poly)
@@ -173,21 +178,20 @@ def _moved(poly: VPolytope, v: int, point, fixed: Optional[HullBuilder]) -> Opti
 
 
 def _halvings(poly, v, fixed, step, max_halvings, rejected):
-    """Move vertex v by step, step/2, ..., step/2^max_halvings; yield each
-    candidate polytope, which keeps its verified hull, at which the moved
-    point is a vertex, and count every other one (a coincident point
-    included) under rejected["not a vertex"].
+    """Move vertex v by e/D, e/2D, ..., e/(2^max_halvings D) for the step
+    vector (-e, D), D > 0; yield each candidate polytope, which keeps its
+    verified hull, at which the moved point is a vertex, and count every
+    other one (a coincident point included) under rejected["not a vertex"].
 
     The rows of `fixed` pass `_verify` first, so a candidate whose point
     sees none of them lies in the hull of the fixed points: it is counted
     with no hull built, and a builder that fails raises before any count."""
     if fixed is not None:
         fixed._verified_pairs()
-    base = poly.vertices[v]
-    scale = Rat(1)
+    q = poly.vectors[v]
     for _ in range(max_halvings + 1):
         try:
-            new_poly = _moved(poly, v, vadd(base, smul(scale, step)), fixed)
+            new_poly = _moved(poly, v, plus(q, step), fixed)
             if new_poly is not None:
                 certify_vertices(new_poly)
         except (NotAVertex, DuplicatePoints):
@@ -196,7 +200,7 @@ def _halvings(poly, v, fixed, step, max_halvings, rejected):
             rejected["not a vertex"] += 1
         else:
             yield new_poly
-        scale /= 2
+        step = step[:-1] + (2 * step[-1],)
 
 
 def _push(poly, v, fixed, region, seed, genericity, max_halvings):
@@ -206,8 +210,10 @@ def _push(poly, v, fixed, region, seed, genericity, max_halvings):
     are `region`, and a candidate must also pass the predicate
     genericity(new_poly, v) unless that is None."""
     target = _relative_interior_point(poly, region, random.Random(seed))
+    *x, w = poly.vectors[v]
     rejected = dict.fromkeys(PUSH_REJECTION_CAUSES, 0)
-    step = vsub(target, poly.vertices[v])
+    # the step target - vertex: the sum of the target and minus the vertex
+    step = plus(target, (*(-a for a in x), w))
     old_hull = facet_enumeration(poly)
     for new_poly in _halvings(poly, v, fixed, step, max_halvings, rejected):
         if not _facet_merge_ok(old_hull, facet_enumeration(new_poly)):
@@ -275,7 +281,7 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
     # copy of S that keeps that hull replaces S (an apex that is no vertex
     # of S gives no copy, and S's hull is enumerated)
     first_fixed = _fixed_builder(S, apex_order[0])
-    S = _moved(S, apex_order[0], S.vertices[apex_order[0]], first_fixed) or S
+    S = _moved(S, apex_order[0], S.vectors[apex_order[0]], first_fixed) or S
     plus_mask = bits(new_plus)
     pyramid_masks = {plus_mask | 1 << u_idx, plus_mask | 1 << w_idx}
     if not pyramid_masks <= set(facet_enumeration(S).incidence.facet_masks):
@@ -307,9 +313,10 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
             raw = [rng.randrange(-8, 9) for _ in range(amb - 1)] + [32]
             # the direction is raw minus its projection A^T y onto the rows
             # of A, over 32, where (A A^T) y = A raw: the kernel vector
-            # (t y, t) of [A A^T | -A raw]
+            # (t y, t), t > 0, of [A A^T | -A raw] gives the step vector
+            # (A^T t y - t raw, 32 t)
             *ty, t = nullspace([g + [-dot(a, raw)] for g, a in zip(gram, A)])[-1]
-            direction = tuple(Rat(t * x - dot(ty, col), 32 * t) for x, col in zip(raw, zip(*A)))
+            direction = (*(dot(ty, col) - t * x for x, col in zip(raw, zip(*A))), 32 * t)
             for cand in _halvings(poly, apex, fixed, direction, STEP_HALVINGS, rejected):
                 masks = facet_enumeration(cand).incidence.facet_masks
                 if plus_mask not in masks or minus_mask not in masks:
@@ -375,9 +382,12 @@ def strong_dstep_iterate(pr: Prismatoid, max_steps: int, seed: int):
 
 
 def product(p1: VPolytope, p2: VPolytope) -> VPolytope:
-    """All coordinate concatenations; facets are the lifted factor facets."""
-    verts = tuple(a + b for a in p1.vertices for b in p2.vertices)
-    return VPolytope(verts)
+    """All coordinate concatenations; facets are the lifted factor facets.
+    The point (p, s) is the sum of (p, 0) and (0, s)."""
+    zeros1, zeros2 = (0,) * p1.ambient_dim, (0,) * p2.ambient_dim
+    return VPolytope(tuple(
+        plus(a[:-1] + zeros2 + a[-1:], zeros1 + b) for a in p1.vectors for b in p2.vectors
+    ))
 
 
 # ---------------------------------------------------------------------------

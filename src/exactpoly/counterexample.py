@@ -10,8 +10,10 @@ without the pair d-step property.
 The family table, the base facet normals (`gplus_vertices`,
 `gminus_vertices`) and the constants the checks compare with are integer
 rows, as the hull's are: a family holds its first member's primitive row,
-and a sign pattern only flips entries.  Only points are rationals: the
-vertices and the points of the collinearity check.
+and a sign pattern only flips entries.  The vertices are integer points,
+held as their homogeneous vectors (-p, 1) like every `VPolytope`'s, and
+the symmetries act on those vectors.  Only the collinearity check reads
+them as rationals, since its identities have rational coefficients.
 
 `Certificate` derives each artifact the suite shares (family table, hull,
 labels, groups, facet permutations and orbits, base hulls, base Minkowski
@@ -37,8 +39,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, partial
+from operator import neg
 
-from .geometry import integer_points, smul, vadd, vsub
+from .geometry import lift, smul, vadd, vsub
 from .graphs import Graph
 from .linalg import matrix_rank, primitive
 from .normalfans import (
@@ -151,7 +154,7 @@ SIGMA_ORBIT_PAIRS = (("A", "L"), ("B", "K"), ("C", "J"), ("D", "I"), ("E", "H"),
 
 def _base(rows, sign) -> VPolytope:
     return VPolytope(
-        tuple(tuple(Rat(c) for c in p) for p in rows),
+        tuple((*map(neg, p), 1) for p in rows),
         tuple(f"{i + 1}{sign}" for i in range(len(rows))),
     )
 
@@ -167,10 +170,10 @@ def base_minus() -> VPolytope:
 
 def vertices48() -> VPolytope:
     """The 48 labeled vertices: the top base at x5 = 1, then the bottom base
-    at x5 = -1."""
-    bases = ((base_plus(), Rat(1)), (base_minus(), Rat(-1)))
+    at x5 = -1, the point (p, x5) as the vector (-p, -x5, 1)."""
+    bases = ((base_plus(), 1), (base_minus(), -1))
     return VPolytope(
-        tuple(p + (x5,) for base, x5 in bases for p in base.vertices),
+        tuple(lift(q, x5) for base, x5 in bases for q in base.vectors),
         tuple(label for base, _ in bases for label in base.labels),
     )
 
@@ -290,11 +293,11 @@ def _close_group(generators, poly: VPolytope) -> SymmetryGroup:
     span R^d, so that is checked first: otherwise two maps with the same
     permutation would be taken for one, and a map that is no signed
     permutation could pass `induced_permutation`.  A linear map commutes
-    with scaling, so it acts on integer copies of the vertices."""
-    pts = integer_points(poly.vertices)[0]
-    if matrix_rank(pts) != poly.ambient_dim:
+    with scaling, so it acts on the vertices' vectors (-w p, w), keeping
+    their last entries."""
+    if matrix_rank([q[:-1] for q in poly.vectors]) != poly.ambient_dim:
         raise ValueError("the vertices do not span the space")
-    index = {p: i for i, p in enumerate(pts)}
+    index = {q: i for i, q in enumerate(poly.vectors)}
     return _closure(generators, [induced_permutation(m, index) for m in generators])
 
 
@@ -490,10 +493,7 @@ def check_prism_collinearities(ctx: Certificate) -> Report:
     quadrilateral identity 2 v9+ + 4 v13+ = 3 v17+ + 3 v21+ holds."""
     poly = ctx.poly
     rep = Report("prism structure")
-    idx = {lbl: i for i, lbl in enumerate(poly.labels)}
-
-    def v(lbl):
-        return poly.vertices[idx[lbl]]
+    v = dict(zip(poly.labels, poly.vertices)).__getitem__
 
     def fmt(p):
         return "(" + ",".join(format_rat(c) for c in p) + ")"
@@ -634,8 +634,8 @@ def top_base_figures(ctx: Certificate) -> tuple:
     stands alone when the vertices do not line up so."""
     n = ctx.qplus.n_vertices
     top = [perm[:n] for perm in ctx.groups[1].generator_perms]
-    lifted = tuple(p + (1,) for p in ctx.qplus.vertices)
-    if ctx.poly.vertices[:n] != lifted or any(max(perm) >= n for perm in top):
+    lifted = tuple(lift(q, 1) for q in ctx.qplus.vectors)
+    if ctx.poly.vectors[:n] != lifted or any(max(perm) >= n for perm in top):
         return tuple(range(n))
     return tuple(orbit[0] for orbit in facet_orbits(top))
 
@@ -668,7 +668,7 @@ def check_base_structure(ctx: Certificate) -> Report:
     # the worked example: (5,1,2,1) sits strictly inside the cone of the
     # bottom-base vertex at (45,0,0,0), whose generators are (2,±1,±1,±5)
     v_dir = (5, 1, 2, 1)
-    c_idx = qm.vertices.index((45, 0, 0, 0))
+    c_idx = qm.vectors.index((-45, 0, 0, 0, 1))
     rep.add(
         "(5,1,2,1) strictly inside the cone of (45,0,0,0)",
         interior_owner(qm, v_dir) == c_idx,

@@ -9,9 +9,14 @@ HPOLY:  "HPOLY 1" / "dim <d>" / "inequalities <m>" / m rows of d+1 integers
         `HPolytope`.
 INC:    "INC 1" / "facets <m>" / "vertices <n>" / per facet, the indices of
         its tight points, ascending.
+
+Rationals are made only here: `read_poly` turns each row into its
+`geometry.homogeneous` vector once, and `write_poly` prints the
+`VPolytope.vertices` view.
 """
 from __future__ import annotations
 
+from .geometry import homogeneous
 from .polytopes import HPolytope, VPolytope, iter_bits
 from .rationals import format_rat, parse_rat
 
@@ -71,7 +76,7 @@ def read_poly(text: str) -> VPolytope:
         row = ln.split()
         if len(row) != d:
             raise FormatError(f"vertex row has {len(row)} entries, expected {d}")
-        verts.append(tuple(_rats(row, ln)))
+        verts.append(homogeneous(_rats(row, ln)))
     labels = None
     rest = lines[3 + n :]
     if rest:

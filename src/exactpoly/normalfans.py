@@ -38,13 +38,12 @@ facet iff both ends of its edge lie in that facet of C.  Every pairwise
 sum, vertex or not, lies inside every derived row with no test: C's row
 (alpha, c, beta) at a_i x {1} plus the same row at b_j x {-1} is
 alpha . (a_i + b_j) <= 2 beta, so the verified rows of C bound all |A| |B|
-sums, and only the vertices are listed.  They are formed in integers, the
-summands scaled by one common denominator, and then become rationals.
+sums, and only the vertices are listed.  Each is formed as the primitive
+homogeneous vector of its sum (`geometry.plus`), as the Cayley points are.
 A sum of lower dimension takes the same path on the coordinates of its
 `polytopes.affine_chart`, found from the |A| + |B| - 1 sums a_i + b_0 and
 a_0 + b_j, which span the affine hull of all the sums (a chart depends on
-the affine hull alone); its equality rows, found on the scaled sums, are
-rescaled to the sum.
+the affine hull alone).
 The sum is checked once (`Chart.vertex_hull`): one `polytopes._verify`
 meets every listed vertex with every derived row in one packed exact test
 and runs the rank certificates and the repeated-row test on them, and the
@@ -56,10 +55,9 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from operator import add
 from typing import Optional
 
-from .geometry import DegenerateInput, affine_rank, integer_points
+from .geometry import DegenerateInput, affine_rank, homogeneous, lift, plus
 from .linalg import primitive
 from .polytopes import (
     Chart,
@@ -73,7 +71,6 @@ from .polytopes import (
     maximizers,
 )
 from .prismatoids import Prismatoid
-from .rationals import Rat
 from .report import Report
 
 
@@ -91,7 +88,7 @@ def normal_cone(hull: Hull, v: int) -> tuple:
 def interior_owner(poly: VPolytope, direction) -> Optional[int]:
     """The vertex whose normal cone strictly contains `direction`: the
     unique maximizer, if there is one."""
-    idx = maximizers(poly.vertices, direction)
+    idx = maximizers(poly.vectors, direction)
     return idx[0] if len(idx) == 1 else None
 
 
@@ -114,41 +111,33 @@ class MinkowskiSum:
         return facet_enumeration(self.polytope)
 
 
-def _sum_chart(a: VPolytope, b: VPolytope) -> tuple:
-    """(ints, scale, chart): the points of `a`, then those of `b`, as
-    integer points, scaled by `scale`, the lcm of their denominators, and
-    the `Chart` of the affine hull of the pairwise sums, with its equality
-    rows rescaled from the scaled sums to the sums."""
+def _sum_chart(a: VPolytope, b: VPolytope) -> Chart:
+    """The `Chart` of the affine hull of the pairwise sums of the points of
+    `a` and `b`."""
     if a.ambient_dim != b.ambient_dim:
         raise DegenerateInput("summands must share the ambient dimension")
-    ints, scale = integer_points(a.vertices + b.vertices)
-    ints_a, ints_b = ints[: a.n_vertices], ints[a.n_vertices :]
     # a `Chart` depends on the affine hull alone, which the sums a_i + b_0
     # and a_0 + b_j span: |a| + |b| - 1 points, some maybe equal
-    span = [tuple(map(add, p, ints_b[0])) for p in ints_a]
-    span += [tuple(map(add, ints_a[0], q)) for q in ints_b[1:]]
-    chart = affine_chart(tuple(dict.fromkeys(span)))[1]
-    # a . s = c on the scaled sums s is (scale a) . (s / scale) = c on the
-    # sums; a positive factor keeps each row's sign
-    equalities = sorted(primitive(tuple(scale * v for v in r[:-1]) + r[-1:]) for r in chart.equalities)
-    return ints, scale, chart._replace(equalities=tuple(equalities))
+    span = [plus(q, b.vectors[0]) for q in a.vectors]
+    span += [plus(a.vectors[0], r) for r in b.vectors[1:]]
+    return affine_chart(tuple(dict.fromkeys(span)))[1]
 
 
 def _cayley_points(a: VPolytope, b: VPolytope, chart: Chart) -> tuple:
-    """The points of the summands' Cayley polytope on the chart: those of
-    `a` at height 1, then those of `b` at height -1."""
-    return tuple(chart.project(p) + (1,) for p in a.vertices) + tuple(
-        chart.project(q) + (-1,) for q in b.vertices
+    """The vectors of the summands' Cayley polytope on the chart: the
+    points of `a` lifted to height 1, then those of `b` to height -1."""
+    return tuple(
+        lift(chart.project(q), h) for h, poly in ((1, a), (-1, b)) for q in poly.vectors
     )
 
 
-def _sum_from_cayley(ints, scale, chart: Chart, n: int, cayley: VPolytope) -> MinkowskiSum:
-    """The sum of the summands a and b of `_sum_chart`'s (ints, scale,
-    chart), read off the verified hull `facet_enumeration` keeps on
-    `cayley`, whose points are `_cayley_points(a, b, chart)`, the `n`
-    points of a first; see the module docstring."""
+def _sum_from_cayley(a: VPolytope, b: VPolytope, chart: Chart, cayley: VPolytope) -> MinkowskiSum:
+    """The sum of `a` and `b`, whose pairwise sums `chart` charts (see
+    `_sum_chart`), read off the verified hull `facet_enumeration` keeps on
+    `cayley`, whose points are `_cayley_points(a, b, chart)`; see the module
+    docstring."""
     hull = facet_enumeration(cayley)
-    k = len(chart.cols)
+    n, k = a.n_vertices, len(chart.cols)
     # the mixed edges (i, n + j), in (i, j) order, are the sum's vertices
     edges = [(i, v) for i, v in hull.vertex_graph.edges if i < n <= v]
     inc = hull.incidence
@@ -161,11 +150,8 @@ def _sum_from_cayley(ints, scale, chart: Chart, n: int, cayley: VPolytope) -> Mi
         for row, mask, t in zip(hull.hrep.inequalities, inc.facet_masks, tight)
         if any(row[:k])  # the bases have a zero x-part
     )
-    points = [tuple(map(add, ints[i], ints[v])) for i, v in edges]
-    # the homogeneous vector of the sum s / scale on the chart, up to a
-    # positive factor, which the verification does not see
-    vectors = [(*(-s[c] for c in chart.cols), scale) for s in points]
-    poly = VPolytope(tuple(tuple(Rat(v, scale) for v in s) for s in points))
+    poly = VPolytope(tuple(plus(a.vectors[i], b.vectors[v - n]) for i, v in edges))
+    vectors = [chart.project(q) for q in poly.vectors]
     keep_hull(poly, chart.vertex_hull(vectors, [(h, m) for h, m, _ in derived]))
     # `derived` is sorted as the hull's rows are; F+ and F- are the halves
     # of a facet's mask of C, ranked on C's points, where a's stand first:
@@ -178,8 +164,8 @@ def minkowski_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     """Hull of the pairwise vertex sums, derived from the hull of the
     summands' Cayley polytope, with each facet's bi-dimension; see the
     module docstring."""
-    ints, scale, chart = _sum_chart(a, b)
-    return _sum_from_cayley(ints, scale, chart, a.n_vertices, VPolytope(_cayley_points(a, b, chart)))
+    chart = _sum_chart(a, b)
+    return _sum_from_cayley(a, b, chart, VPolytope(_cayley_points(a, b, chart)))
 
 
 def minkowski_sum_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope) -> MinkowskiSum:
@@ -188,10 +174,10 @@ def minkowski_sum_from_cayley(a: VPolytope, b: VPolytope, cayley: VPolytope) -> 
     those of `a` on the chart of the sum's affine hull at height 1, then
     those of `b` at height -1, in order.  Raises DegenerateInput when they
     are not, so no other polytope's hull is read as a sum."""
-    ints, scale, chart = _sum_chart(a, b)
-    if cayley.vertices != _cayley_points(a, b, chart):
+    chart = _sum_chart(a, b)
+    if cayley.vectors != _cayley_points(a, b, chart):
         raise DegenerateInput("not the Cayley polytope of the summands")
-    return _sum_from_cayley(ints, scale, chart, a.n_vertices, cayley)
+    return _sum_from_cayley(a, b, chart, cayley)
 
 
 # ---------------------------------------------------------------------------
@@ -206,8 +192,8 @@ def pair_dstep_property(qplus: VPolytope, qminus: VPolytope, d: int, ms: Minkows
     whose face F+ is a facet of Q+ to those whose F- is a facet of Q-, read
     from their bi-dimensions; the pair property asks for length <= d - 1.
     """
-    dim_plus = affine_rank(qplus.vertices)
-    dim_minus = affine_rank(qminus.vertices)
+    dim_plus = qplus.face_rank((1 << qplus.n_vertices) - 1)
+    dim_minus = qminus.face_rank((1 << qminus.n_vertices) - 1)
     start = [f for f, (dp, _) in enumerate(ms.bidims) if dp == dim_plus - 1]
     end = {f for f, (_, dm) in enumerate(ms.bidims) if dm == dim_minus - 1}
     if not start or not end:
@@ -272,8 +258,6 @@ def normal_map_interiority_check(
     """
     rep = Report("normal map interiority")
     hull_plus, hull_minus = facet_enumeration(qplus), facet_enumeration(qminus)
-    # the owners do not change under positive scaling
-    qplus, qminus = (VPolytope(tuple(integer_points(q.vertices)[0])) for q in (qplus, qminus))
     normals_p = facet_normals(hull_plus)
     normals_m = facet_normals(hull_minus)
     # the owner of each facet normal of one base in the other; None, no
@@ -351,7 +335,7 @@ def is_combinatorial_cube(points) -> bool:
     """Eight points whose hull has the face structure of a 3-cube."""
     if len(points) != 8 or affine_rank(points) != 3:
         return False
-    hull = facet_enumeration(VPolytope(tuple(points)))
+    hull = facet_enumeration(VPolytope(tuple(homogeneous(p) for p in points)))
     inc = hull.incidence
     return (
         inc.n_facets == 6

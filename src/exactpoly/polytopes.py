@@ -1,12 +1,11 @@
 """Convex-hull facet enumeration with exact incidence, and the derived
 combinatorics: vertex certification, dual and vertex graphs, polar
-duality and face ranks.  A rational point becomes integers here as its
-`geometry.homogeneous` vector (-w p, w), once, at the edge: `affine_chart`
-converts a point set, `VPolytope.face_rank` a polytope's points, and the
-searches of `constructions` their fixed and moved points.  The hull
-builder takes only such vectors, and the chart's directions and
-equalities and the face ranks are computed from them; only `polar`'s
-centroid shift scales the points at one scale (`geometry.integer_points`).
+duality and face ranks.  A `VPolytope` holds each point as its
+`geometry.homogeneous` vector (-w p, w), primitive with w > 0, and every
+layer here reads those vectors: the chart's directions and equalities,
+the hull builder, the face ranks and `polar`, whose points are the
+vectors it verifies.  Its `vertices`, the rational points, are computed
+on read, for output and for the message of `certify_vertices`.
 Each rule is stated once, where it is applied:
 
 - `HullBuilder` is the one hull, over homogeneous integer vectors and
@@ -42,14 +41,7 @@ from math import gcd
 from operator import mul, neg
 from typing import Callable, NamedTuple, Optional
 
-from .geometry import (
-    DegenerateInput,
-    DimensionMismatch,
-    check_same_dim,
-    dot,
-    homogeneous,
-    integer_points,
-)
+from .geometry import DegenerateInput, DimensionMismatch, check_same_dim, dot, integer_points
 from .graphs import Graph
 from .linalg import matrix_rank, nullspace, pivot_columns, primitive, reduce_rows
 from .rationals import Rat, format_rat
@@ -65,42 +57,49 @@ class NotAVertex(ValueError):
 
 @dataclass(frozen=True)
 class VPolytope:
-    """A polytope as an ordered list of points (tuples of rationals).
+    """A polytope as an ordered list of points, each held as its
+    `geometry.homogeneous` vector (-w p, w): a tuple of coprime ints with
+    w > 0, so two vectors are equal exactly when their points are.
 
     `_hull` is the verified hull of this object's points, once
     `facet_enumeration` or `keep_hull` has recorded it; it takes no part in
     construction, comparison or hashing, and neither does `face_rank`.  The
-    object is frozen and its points are tuples, so a kept hull stays the
+    object is frozen and its vectors are tuples, so a kept hull stays the
     hull of its points."""
 
-    vertices: tuple
+    vectors: tuple
     labels: Optional[tuple] = None
     _hull: Optional["Hull"] = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        check_same_dim(self.vertices)
-        if self.labels is not None and len(self.labels) != len(self.vertices):
+        check_same_dim(self.vectors)
+        if self.labels is not None and len(self.labels) != len(self.vectors):
             raise ValueError("labels/vertices length mismatch")
 
     @property
+    def vertices(self) -> tuple:
+        """The points as tuples of rationals, computed on each read and not
+        kept: the view that text output and messages print."""
+        return tuple(tuple(Rat(-a, q[-1]) for a in q[:-1]) for q in self.vectors)
+
+    @property
     def ambient_dim(self) -> int:
-        return len(self.vertices[0])
+        return len(self.vectors[0]) - 1
 
     @property
     def n_vertices(self) -> int:
-        return len(self.vertices)
+        return len(self.vectors)
 
     @cached_property
     def face_rank(self) -> Callable:
         """The function: mask of points -> the affine rank of those points
-        (-1 for none), the rank of their `homogeneous` vectors less one.  It
-        ranks each mask once, so every caller that ranks the faces of one
-        polytope object shares the ranks."""
-        vectors = [homogeneous(p) for p in self.vertices]
+        (-1 for none), the rank of their vectors less one.  It ranks each
+        mask once, so every caller that ranks the faces of one polytope
+        object shares the ranks."""
 
         @cache
         def rank(mask):
-            return matrix_rank([vectors[i] for i in iter_bits(mask)]) - 1
+            return matrix_rank([self.vectors[i] for i in iter_bits(mask)]) - 1
 
         return rank
 
@@ -321,10 +320,9 @@ class HullBuilder:
     """Incremental hull of full-dimensional points, one double-description
     step per inserted point.
 
-    Slot i holds point i as its `homogeneous` vector q = (-w p, w), w > 0
-    the lcm of its denominators, or None until `insert(i, q)` fills it; the
-    caller converts its points at the edge.  Bit i of a facet mask means
-    point i is tight.  A facet is its `HPolytope` row h = (a, b), which
+    Slot i holds point i as its `homogeneous` vector q = (-w p, w), w > 0,
+    as a `VPolytope` holds it, or None until `insert(i, q)` fills it.
+    Bit i of a facet mask means point i is tight.  A facet is its `HPolytope` row h = (a, b), which
     meets q in h . q = w (b - a . p), w times the slack of p: each point
     keeps its own denominator, and a point with new denominators inserts
     without rescaling the rest.  `copy()` is cheap, so a search can build the
@@ -534,7 +532,7 @@ def facet_enumeration(poly: VPolytope) -> Hull:
     that raises keeps nothing.
     """
     if poly._hull is None:
-        keep_hull(poly, _enumerate(poly.vertices))
+        keep_hull(poly, _enumerate(poly.vectors))
     return poly._hull
 
 
@@ -561,8 +559,9 @@ class Chart(NamedTuple):
     cols: tuple
     equalities: tuple
 
-    def project(self, p) -> tuple:
-        return tuple(p[c] for c in self.cols)
+    def project(self, q) -> tuple:
+        """The `homogeneous` vector of the point of vector q on the chart."""
+        return primitive(tuple(q[c] for c in self.cols) + q[-1:])
 
     def vertex_hull(self, vectors, pairs) -> Hull:
         """The hull of `vectors`, points on the chart listed as vertices, and
@@ -593,18 +592,17 @@ class Chart(NamedTuple):
         return replace(hull, hrep=HPolytope(self.ambient_dim, tuple(facets), self.equalities))
 
 
-def affine_chart(pts):
-    """(vectors, chart): the `homogeneous` vectors of the points on the
-    `Chart` of their affine hull, and that chart.  Raises DuplicatePoints
-    on a repeated point and DegenerateInput when the affine rank is below
-    1."""
-    vectors = [homogeneous(p) for p in pts]
+def affine_chart(vectors):
+    """(vectors on the chart, chart): the `homogeneous` vectors of points
+    projected to the `Chart` of their affine hull, and that chart.  Raises
+    DuplicatePoints on a repeated point and DegenerateInput when the affine
+    rank is below 1."""
     _check_duplicates(vectors)
     basis = reduce_rows(vectors)[0]
     k = len(basis) - 1
     if k < 1:
         raise DegenerateInput("affine rank < 1: a single point has no facets")
-    d = len(pts[0])
+    d = len(vectors[0]) - 1
     if k == d:
         return vectors, Chart(d, tuple(range(d)), ())
     # with q_i = (-w_i p_i, w_i), w_i q_0 - w_0 q_i is w_0 w_i (p_i - p_0) in
@@ -619,13 +617,13 @@ def affine_chart(pts):
         sign = 1 if next(a for a in row if a) > 0 else -1
         equalities.append(tuple(sign * a for a in row))
     chart = Chart(d, tuple(pivot_columns(dirs)), tuple(sorted(equalities)))
-    return [homogeneous(chart.project(p)) for p in pts], chart
+    return [chart.project(q) for q in vectors], chart
 
 
-def _enumerate(pts) -> Hull:
-    """`HullBuilder` run over the points in input order, on the coordinates
-    of their `affine_chart`, and lifted from there."""
-    vectors, chart = affine_chart(pts)
+def _enumerate(vectors) -> Hull:
+    """`HullBuilder` run over the points' vectors in input order, on the
+    coordinates of their `affine_chart`, and lifted from there."""
+    vectors, chart = affine_chart(vectors)
     return chart.lift(HullBuilder(vectors).hull())
 
 
@@ -759,16 +757,16 @@ def vertex_graph(poly: VPolytope, hull: Hull) -> Graph:
     return hull.vertex_graph
 
 
-def _centroid(points):
+def _centroid(vectors):
     """(n, s, L, ints) with n > 0, s an integer vector and gcd(n, s) = 1,
-    such that s / n is the centroid of `points`, found without rational
-    sums: with L the lcm of their denominators and `ints` the points scaled
-    by L (`integer_points`), the centroid is S / N for S the column sums of
-    `ints` and N = (point count) L, so n = N / G and s = S / G for
-    G = gcd(N, S)."""
-    ints, scale = integer_points(points)
+    such that s / n is the centroid of the points of `vectors`, found
+    without rational sums: with L the lcm of their last entries and `ints`
+    the points scaled by L (`integer_points`), the centroid is S / N for S
+    the column sums of `ints` and N = (point count) L, so n = N / G and
+    s = S / G for G = gcd(N, S)."""
+    ints, scale = integer_points(vectors)
     sums = [sum(col) for col in zip(*ints)]
-    total = len(points) * scale
+    total = len(vectors) * scale
     g = gcd(total, *sums)
     return total // g, [v // g for v in sums], scale, ints
 
@@ -790,13 +788,13 @@ def polar(poly: VPolytope) -> VPolytope:
     integral, and which holds polar vertex j iff the input facet sorted j-th
     holds v; a point that is not a vertex gives no facet.  These rows and
     masks, sorted, pass the full `_verify` against the polar vertices as
-    the integer vectors (-a', b'), and the hull is kept on the polar with
-    `keep_hull`, so no hull is built.
+    the integer vectors (-a', b'), which the polar holds as its points, and
+    the hull is kept on it with `keep_hull`, so no hull is built.
     """
     hull = facet_enumeration(poly)
     if hull.hrep.equalities:
         raise DegenerateInput("polar requires a full-dimensional polytope")
-    n, s, scale, ints = _centroid(poly.vertices)
+    n, s, scale, ints = _centroid(poly.vectors)
     shifted = [
         primitive(tuple(n * a for a in row[:-1]) + (n * row[-1] - sum(map(mul, row[:-1], s)),))
         for row in hull.hrep.inequalities
@@ -805,7 +803,6 @@ def polar(poly: VPolytope) -> VPolytope:
     ineqs = [shifted[f] for f in order]
     if any(q[-1] <= 0 for q in ineqs):
         raise DegenerateInput("origin not interior after centroid shift")
-    pol = VPolytope(tuple(tuple(Rat(a, q[-1]) for a in q[:-1]) for q in ineqs))
     # per input point, the mask of the polar vertices whose facet holds it
     fmasks = hull.incidence.facet_masks
     masks = FacetIncidence(tuple(fmasks[f] for f in order), poly.n_vertices).vertex_masks
@@ -814,18 +811,21 @@ def polar(poly: VPolytope) -> VPolytope:
         (primitive((*[n * x - t for x, t in zip(ints[i], shift)], n * scale)), masks[i])
         for i in extreme_indices(hull)
     )
-    pts = [(*map(neg, q[:-1]), q[-1]) for q in ineqs]
-    _check_duplicates(pts)
-    keep_hull(pol, _verify(hull.dim, pts, pairs, pairs, 0))
+    pol = VPolytope(tuple((*map(neg, q[:-1]), q[-1]) for q in ineqs))
+    _check_duplicates(pol.vectors)
+    keep_hull(pol, _verify(hull.dim, pol.vectors, pairs, pairs, 0))
     return pol
 
 
-def maximizers(points, direction) -> tuple:
-    """Indices of the points at which `direction` attains its maximum."""
-    if len(direction) != len(points[0]):
-        raise DimensionMismatch(f"direction of dimension {len(direction)}, not {len(points[0])}")
+def maximizers(vectors, direction) -> tuple:
+    """Indices of the points, given by their `homogeneous` vectors, at which
+    `direction` attains its maximum: compared on the points scaled to one
+    common denominator (`integer_points`)."""
+    d = len(vectors[0]) - 1
+    if len(direction) != d:
+        raise DimensionMismatch(f"direction of dimension {len(direction)}, not {d}")
     if not any(direction):
         raise DegenerateInput("zero direction")
-    values = [dot(direction, p) for p in points]
+    values = [dot(direction, p) for p in integer_points(vectors)[0]]
     best = max(values)
     return tuple(i for i, v in enumerate(values) if v == best)

@@ -1,25 +1,22 @@
 """Exact rational scalars at the edges of the engine.
 
 `Rat` is `fractions.Fraction`: arbitrary precision, lowest terms, positive
-denominator.  Rationals are what the file formats read and write, what
-points and the excess arithmetic hold, and what a polar produces.
-Inside the engine the arithmetic is on Python `int`, and a rational
-becomes integers in one of two places only: `geometry.homogeneous` takes
-one point to its homogeneous integer vector, and `geometry.integer_points`
-scales a point set by one common denominator.  Every facet and equality
-is a primitive integer row, the hull builder takes homogeneous vectors,
-and `linalg` eliminates over `int` rows only.  Data that is integral is
-written as `int`s, such as q48's facet families and base normals.
-Code that divides values which may both be `int` writes `Rat(a, b)`, never
-`a / b`, which would give a float.
+denominator.  Rationals are what the file formats read and write and what
+the excess arithmetic holds.  Inside the engine the arithmetic is on
+Python `int`: a point is its homogeneous integer vector, which
+`geometry.homogeneous` makes once, where `fileformats.read_poly` reads a
+row, and `polytopes.VPolytope.vertices` reads back as rationals for
+output.  Every facet and equality is a primitive integer row, the hull
+builder takes the vectors, and `linalg` eliminates over `int` rows only.
+Data that is integral is written as `int`s, such as q48's vertices, facet
+families and base normals.  Code that divides values which may both be
+`int` writes `Rat(a, b)`, never `a / b`, which would give a float.
 """
 from __future__ import annotations
 
 import math
 import re
 from fractions import Fraction as Rat
-
-ZERO = Rat(0)
 
 _LITERAL = re.compile(r"[+-]?\d+(?:/\d+)?\Z")
 

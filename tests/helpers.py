@@ -5,6 +5,8 @@ from fractions import Fraction
 from itertools import combinations
 from typing import NamedTuple
 
+from hypothesis import strategies as st
+
 from exactpoly.constructions import (
     MAX_HALVINGS,
     ConstructionFailed,
@@ -23,7 +25,7 @@ from exactpoly.fileformats import FormatError, _expect, _rats, _reader
 from exactpoly.geometry import (
     DegenerateInput,
     affine_rank,
-    integer_points,
+    homogeneous,
     vadd,
 )
 from exactpoly.graphs import Graph
@@ -47,6 +49,23 @@ from exactpoly.prismatoids import make_prismatoid
 from exactpoly.rationals import Rat
 
 
+@st.composite
+def fractions(draw, lo, hi, max_denominator):
+    """The rationals in [lo, hi] with denominators up to `max_denominator`,
+    the values `st.fractions(lo, hi, max_denominator=...)` draws, drawn as
+    a denominator q and then a numerator in [lo q, hi q]: two integer
+    draws, which hypothesis makes and shrinks several times faster."""
+    q = draw(st.integers(1, max_denominator))
+    return Fraction(draw(st.integers(math.ceil(lo * q), math.floor(hi * q))), q)
+
+
+def vpoly(points, labels=None) -> VPolytope:
+    """The `VPolytope` of points given as tuples of rationals or ints: each
+    point held as its `homogeneous` vector, as `fileformats.read_poly`
+    makes it."""
+    return VPolytope(tuple(homogeneous(p) for p in points), labels)
+
+
 def centroid(points):
     """The vertex centroid as `Fraction` sums, the reference for the integer
     shift inside `polytopes.polar`."""
@@ -62,7 +81,7 @@ def random_full_dim_points(rng, dim, n_points, spread=6):
             pts.add(tuple(Rat(rng.randint(-spread, spread)) for _ in range(dim)))
         pts = tuple(sorted(pts, key=lambda p: tuple(int(c) for c in p)))
         try:
-            hull = facet_enumeration(VPolytope(pts))
+            hull = facet_enumeration(vpoly(pts))
         except ValueError:
             continue
         if hull.dim == dim:
@@ -73,7 +92,7 @@ def random_polytope(rng, dim, max_points):
     """A certified random polytope: the extreme points of a random set."""
     pts, hull = random_full_dim_points(rng, dim, rng.randint(dim + 1, max_points))
     keep = extreme_indices(hull)
-    poly = certify_vertices(VPolytope(tuple(pts[i] for i in keep)))
+    poly = certify_vertices(vpoly(pts[i] for i in keep))
     return poly, facet_enumeration(poly)
 
 
@@ -85,7 +104,7 @@ def random_prismatoid(rng, dim, max_base_points):
         verts = tuple(p + (Rat(1),) for p in top.vertices) + tuple(
             p + (Rat(-1),) for p in bot.vertices
         )
-        poly = VPolytope(verts)
+        poly = vpoly(verts)
         hull = facet_enumeration(poly)
         rows = hull.hrep.inequalities
         plus_row = (0,) * (dim - 1) + (1, 1)
@@ -254,7 +273,7 @@ def push_into(poly, v, region, seed, genericity=None, max_halvings=MAX_HALVINGS)
     of the face with vertex indices `region`, under the caller's genericity
     predicate and halving budget: the face push `strong_dstep_step` runs."""
     fixed = _fixed_builder(poly, v)
-    start = certify_vertices(_moved(poly, v, poly.vertices[v], fixed))
+    start = certify_vertices(_moved(poly, v, poly.vectors[v], fixed))
     return _push(start, v, fixed, region, seed, genericity, max_halvings)
 
 
@@ -267,21 +286,22 @@ def reference_push(poly, v, target_region=None, seed=0, max_halvings=64):
     rng = random.Random(seed)
     region = tuple(range(poly.n_vertices)) if target_region is None else tuple(target_region)
     weights = [Fraction(rng.randrange(1, 64)) for _ in region]
+    pts = poly.vertices
     target = tuple(
-        sum(w * poly.vertices[i][j] for w, i in zip(weights, region)) / sum(weights)
+        sum(w * pts[i][j] for w, i in zip(weights, region)) / sum(weights)
         for j in range(poly.ambient_dim)
     )
-    base = poly.vertices[v]
+    base = pts[v]
     if target == base:
         return poly
     old_masks = facet_enumeration(poly).incidence.facet_masks
     for n in range(max_halvings + 1):
         cand = tuple(b + Fraction(1, 2**n) * (t - b) for b, t in zip(base, target))
-        if cand in poly.vertices:
+        if cand in pts:
             continue
-        verts = list(poly.vertices)
+        verts = list(pts)
         verts[v] = cand
-        new_poly = VPolytope(tuple(verts), poly.labels)
+        new_poly = vpoly(verts, poly.labels)
         try:
             hull = facet_enumeration(new_poly)
             certify_vertices(new_poly, hull)
@@ -311,9 +331,10 @@ def reference_dual_graph_edges(poly, hull):
     segment meet in the empty face)."""
     k = hull.dim
     masks = hull.incidence.facet_masks
+    pts = poly.vertices
     edges = []
     for a, b in combinations(range(len(masks)), 2):
-        common = [poly.vertices[j] for j in iter_bits(masks[a] & masks[b])]
+        common = [pts[j] for j in iter_bits(masks[a] & masks[b])]
         if (affine_rank(common) if common else -1) == k - 2:
             edges.append((a, b))
     return tuple(edges)
@@ -605,8 +626,9 @@ def face_maximizing(poly: VPolytope, direction) -> Face:
     """The face on which `direction` attains its maximum over the polytope:
     the reference for the bi-dimensions `normalfans.minkowski_sum` reads
     off its masks."""
-    idx = maximizers(poly.vertices, direction)
-    return Face(idx, affine_rank([poly.vertices[i] for i in idx]))
+    idx = maximizers(poly.vectors, direction)
+    pts = poly.vertices
+    return Face(idx, affine_rank([pts[i] for i in idx]))
 
 
 def reference_minkowski_sum(a: VPolytope, b: VPolytope):
@@ -615,7 +637,7 @@ def reference_minkowski_sum(a: VPolytope, b: VPolytope):
     rational summands: (vertices, hrep, facet masks, bi-dimensions), laid
     out as `minkowski_sum` lays them out."""
     points = tuple(dict.fromkeys(vadd(p, q) for p in a.vertices for q in b.vertices))
-    hull = facet_enumeration(VPolytope(points))
+    hull = facet_enumeration(vpoly(points))
     keep = extreme_indices(hull)
     new = {o: n for n, o in enumerate(keep)}
     masks = tuple(
@@ -637,20 +659,16 @@ def reference_two_pass_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     sum and again against the vertices, each on the chart and then lifted,
     and each face ranked on its summand's own points."""
     n = a.n_vertices
-    ints, scale = integer_points(a.vertices + b.vertices)
     sums = {}
-    for i, p in enumerate(ints[:n]):
-        for j, q in enumerate(ints[n:]):
+    for i, p in enumerate(a.vertices):
+        for j, q in enumerate(b.vertices):
             sums.setdefault(vadd(p, q), []).append((i, j))
     points = tuple(sums)
-    chart = affine_chart(points)[1]
-    chart = chart._replace(equalities=tuple(sorted(
-        primitive(tuple(scale * v for v in r[:-1]) + r[-1:]) for r in chart.equalities
-    )))
+    chart = affine_chart([homogeneous(p) for p in points])[1]
     k = len(chart.cols)
-    cayley = facet_enumeration(VPolytope(
-        tuple(chart.project(p) + (1,) for p in a.vertices)
-        + tuple(chart.project(q) + (-1,) for q in b.vertices)
+    cayley = facet_enumeration(vpoly(
+        tuple(p[c] for c in chart.cols) + (h,)
+        for summand, h in ((a, 1), (b, -1)) for p in summand.vertices
     ))
     rows = sorted(
         (
@@ -662,7 +680,7 @@ def reference_two_pass_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
         for row, mask in zip(cayley.hrep.inequalities, cayley.incidence.facet_masks)
         if any(row[:k])
     )
-    vectors = [(*(-s[c] for c in chart.cols), scale) for s in points]
+    vectors = [tuple(primitive_ints([-s[c] for c in chart.cols] + [1])) for s in points]
     pairs = [(h, m) for h, m, _ in rows]
 
     def verified(vectors, pairs):
@@ -672,14 +690,15 @@ def reference_two_pass_sum(a: VPolytope, b: VPolytope) -> MinkowskiSum:
     hull_all = verified(vectors, pairs)
     keep = extreme_indices(hull_all)
     new = {o: i for i, o in enumerate(keep)}
-    poly = VPolytope(tuple(tuple(Rat(v, scale) for v in points[o]) for o in keep))
+    poly = vpoly(points[o] for o in keep)
     keep_hull(poly, verified(
         [vectors[o] for o in keep],
         [(h, bits(new[v] for v in iter_bits(m) if v in new)) for h, m in pairs],
     ))
 
     def rank(summand, mask):
-        return affine_rank([summand.vertices[i] for i in iter_bits(mask)])
+        pts = summand.vertices
+        return affine_rank([pts[i] for i in iter_bits(mask)])
 
     bidims = tuple((rank(a, mask & (1 << n) - 1), rank(b, mask >> n)) for _, _, mask in rows)
     return MinkowskiSum(poly, bidims)

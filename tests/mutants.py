@@ -180,11 +180,12 @@ MUTANTS = (
     Mutant(
         "face-rank-drops-a-point",
         "polytopes.py",
-        "return matrix_rank([vectors[i] for i in iter_bits(mask)]) - 1",
-        "return matrix_rank([vectors[i] for i in iter_bits(mask)][1:]) - 1",
+        "return matrix_rank([self.vectors[i] for i in iter_bits(mask)]) - 1",
+        "return matrix_rank([self.vectors[i] for i in iter_bits(mask)][1:]) - 1",
         (
             "tests/test_normalfans.py::TestTransversality::test_band_examples",
             "tests/test_hullbuilder.py::test_derived_facts_are_kept_on_their_owners",
+            "tests/test_normalfans.py::test_minkowski_faces_match_face_maximizing",
         ),
     ),
     Mutant(
@@ -200,8 +201,8 @@ MUTANTS = (
     Mutant(
         "moved-inserts-the-original-vector",
         "constructions.py",
-        "builder.insert(v, homogeneous(point))",
-        "builder.insert(v, homogeneous(poly.vertices[v]))",
+        "builder.insert(v, q)",
+        "builder.insert(v, poly.vectors[v])",
         (
             "tests/test_constructions.py::test_whole_search_is_the_same_without_a_fixed_builder",
             "tests/test_northstar.py::test_row_output_is_pinned[push-q48]",
@@ -210,7 +211,7 @@ MUTANTS = (
     Mutant(
         "chart-keeps-the-ambient-vectors",
         "polytopes.py",
-        "    return [homogeneous(chart.project(p)) for p in pts], chart\n",
+        "    return [chart.project(q) for q in vectors], chart\n",
         "    return vectors, chart\n",
         (
             "tests/test_embedded_hulls.py::test_embedded_q48_output_is_pinned",
@@ -271,7 +272,7 @@ MUTANTS = (
     Mutant(
         "sum-chart-spanned-by-one-summand",
         "normalfans.py",
-        "    span += [tuple(map(add, ints_a[0], q)) for q in ints_b[1:]]\n",
+        "    span += [plus(a.vectors[0], r) for r in b.vectors[1:]]\n",
         "",
         ("tests/test_normalfans.py::test_summands_chart_is_the_chart_of_every_sum",),
     ),
@@ -298,8 +299,8 @@ MUTANTS = (
     Mutant(
         "vertices48-swaps-the-heights",
         "counterexample.py",
-        "bases = ((base_plus(), Rat(1)), (base_minus(), Rat(-1)))",
-        "bases = ((base_plus(), Rat(-1)), (base_minus(), Rat(1)))",
+        "bases = ((base_plus(), 1), (base_minus(), -1))",
+        "bases = ((base_plus(), -1), (base_minus(), 1))",
         (
             "tests/test_counterexample.py::TestData::test_vertex_5_plus",
             "tests/test_northstar.py::test_row_output_is_pinned[verify]",
@@ -315,12 +316,33 @@ MUTANTS = (
     Mutant(
         "apex-step-over-t-not-32-t",
         "constructions.py",
-        "Rat(t * x - dot(ty, col), 32 * t)",
-        "Rat(t * x - dot(ty, col), t)",
+        "zip(raw, zip(*A))), 32 * t",
+        "zip(raw, zip(*A))), t",
         (
             "tests/test_constructions.py::TestStrongDStep::test_apex_steps_are_the_drawn_steps_off_the_base_normal",
             "tests/test_constructions.py::TestStrongDStep::test_flat_cube_candidates_stay_in_the_affine_hull",
         ),
+    ),
+    Mutant(
+        "halvings-double-d-before-the-first-candidate",
+        "constructions.py",
+        "    q = poly.vectors[v]\n    for _ in range(max_halvings + 1):\n",
+        "    q, step = poly.vectors[v], step[:-1] + (2 * step[-1],)\n    for _ in range(max_halvings + 1):\n",
+        ("tests/test_constructions.py::test_push_matches_reference",),
+    ),
+    Mutant(
+        "suspension-puts-both-new-points-at-height-plus-w",
+        "constructions.py",
+        "[lift(q, 1), lift(q, -1)]",
+        "[lift(q, -1), lift(q, -1)]",
+        ("tests/test_constructions.py::TestOnePointSuspension::test_pentagon_gives_six_vertices_eight_facets",),
+    ),
+    Mutant(
+        "vertices-view-drops-the-sign",
+        "polytopes.py",
+        "Rat(-a, q[-1])",
+        "Rat(a, q[-1])",
+        ("tests/test_counterexample.py::TestData::test_vertex_5_plus",),
     ),
     Mutant(
         "dstep-minus-base-holds-every-point",

@@ -20,7 +20,7 @@ from exactpoly.counterexample import (
     symmetry_groups,
 )
 from exactpoly.normalfans import minkowski_sum, pair_dstep_property
-from exactpoly.polytopes import VPolytope, certify_vertices, polar
+from exactpoly.polytopes import certify_vertices, polar
 from exactpoly.prismatoids import width
 from exactpoly.rationals import Rat
 from helpers import (
@@ -30,6 +30,7 @@ from helpers import (
     primitive_ints,
     random_polytope,
     random_prismatoid,
+    vpoly,
 )
 from northstar import STEP2_POLY, sha256
 
@@ -129,7 +130,7 @@ def test_09b_hull_oracle_equivalence():
         pts = set()
         while len(pts) < n:
             pts.add(tuple(Rat(rng.randint(-5, 5)) for _ in range(dim)))
-        poly = VPolytope(tuple(sorted(pts, key=lambda p: tuple(int(c) for c in p))))
+        poly = vpoly(tuple(sorted(pts, key=lambda p: tuple(int(c) for c in p))))
         if affine_rank(poly.vertices) != dim:
             continue
         check_hull_against_oracle(poly)
@@ -143,7 +144,7 @@ def test_09c_polar_involution():
         dim = rng.choice((2, 3))
         poly, _ = random_polytope(rng, dim, 8)
         c = centroid(poly.vertices)
-        centered = VPolytope(tuple(vsub(v, c) for v in poly.vertices))
+        centered = vpoly(tuple(vsub(v, c) for v in poly.vertices))
         back = certify_vertices(polar(polar(centered)))
         rays = {tuple(primitive_ints(list(v))) for v in back.vertices}
         want = {tuple(primitive_ints(list(v))) for v in centered.vertices}
@@ -177,7 +178,7 @@ def test_10_family_arithmetic():
             eps = Rat(1, 43)
             assert f.excess_lb == eps - Rat(j - 1, j * k * 43)
             assert f.excess_lb > f.excess_limit >= f.theorem_bound
-    cube = VPolytope(tuple(
+    cube = vpoly(tuple(
         tuple(Rat(1 if m >> i & 1 else -1) for i in range(3)) for m in range(8)
     ))
     bg = blend_graph(cube, 0, cube, 7)

@@ -16,9 +16,9 @@ from exactpoly import cli, counterexample, polytopes
 from exactpoly.cli import main
 from exactpoly.fileformats import FormatError, read_poly, write_hpoly, write_incidence, write_poly
 from exactpoly.geometry import affine_rank
-from exactpoly.polytopes import VPolytope, facet_enumeration
+from exactpoly.polytopes import facet_enumeration
 from exactpoly.rationals import Rat, format_rat
-from helpers import read_hpoly, reference_rank
+from helpers import fractions, read_hpoly, reference_rank, vpoly
 from northstar import PINS, sha256
 
 
@@ -26,7 +26,7 @@ def pt(*coords):
     return tuple(Rat(c) for c in coords)
 
 
-COORD = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+COORD = fractions(-4, 4, 3)
 
 
 @st.composite
@@ -51,12 +51,12 @@ def hull_inputs(draw):
             tuple(t + sum(a * x for a, x in zip(row, p)) for row, t in zip(matrix, shift))
             for p in points
         ]
-    return VPolytope(tuple(points))
+    return vpoly(tuple(points))
 
 
 def cube_text():
     pts = tuple(pt(*(1 if m >> i & 1 else -1 for i in range(3))) for m in range(8))
-    return write_poly(VPolytope(pts))
+    return write_poly(vpoly(pts))
 
 
 class TestFileFormats:
@@ -66,13 +66,13 @@ class TestFileFormats:
             tuple(Rat(rng.randint(-99, 99), rng.randint(1, 9)) for _ in range(3))
             for _ in range(6)
         )
-        poly = VPolytope(pts, tuple(f"v{i}" for i in range(6)))
+        poly = vpoly(pts, tuple(f"v{i}" for i in range(6)))
         back = read_poly(write_poly(poly))
         assert back.vertices == poly.vertices
         assert back.labels == poly.labels
 
     def test_hpoly_round_trip_exact(self):
-        tri = VPolytope((pt(0, 0, 1), pt(2, 0, 1), pt(0, 2, 1)))
+        tri = vpoly((pt(0, 0, 1), pt(2, 0, 1), pt(0, 2, 1)))
         hull = facet_enumeration(tri)
         back = read_hpoly(write_hpoly(hull.hrep))
         assert back.inequalities == hull.hrep.inequalities
@@ -122,11 +122,11 @@ class TestFileFormats:
     @given(st.data())
     def test_poly_round_trip_of_random_points(self, data):
         d = data.draw(st.integers(1, 4))
-        coord = st.fractions(min_value=-10**6, max_value=10**6, max_denominator=10**4)
+        coord = fractions(-10**6, 10**6, 10**4)
         pts = tuple(data.draw(st.lists(st.tuples(*[coord] * d), min_size=1, max_size=8)))
         label = st.text(alphabet="abxyz019+-'", min_size=1, max_size=5)
         labels = data.draw(st.none() | st.tuples(*[label] * len(pts)))
-        back = read_poly(write_poly(VPolytope(pts, labels)))
+        back = read_poly(write_poly(vpoly(pts, labels)))
         assert back.vertices == pts
         assert back.labels == labels
 
@@ -287,7 +287,7 @@ class TestCommands:
 
     def test_construct_ops(self, tmp_path, capsys):
         src = tmp_path / "pent.poly"
-        src.write_text(write_poly(VPolytope((pt(0, 0), pt(4, 0), pt(6, 3), pt(3, 6), pt(-1, 3)))))
+        src.write_text(write_poly(vpoly((pt(0, 0), pt(4, 0), pt(6, 3), pt(3, 6), pt(-1, 3)))))
         out = tmp_path / "ops.poly"
         assert main(["construct", "ops", str(src), "--vertex", "1", "--out", str(out)]) == 0
         sus = read_poly(out.read_text())
@@ -327,7 +327,7 @@ class TestCommands:
 
     def test_construct_product(self, tmp_path):
         a = tmp_path / "a.poly"
-        a.write_text(write_poly(VPolytope((pt(-1,), pt(1,)))))
+        a.write_text(write_poly(vpoly((pt(-1,), pt(1,)))))
         out = tmp_path / "sq.poly"
         assert main(["construct", "product", str(a), str(a), "--out", str(out)]) == 0
         assert read_poly(out.read_text()).n_vertices == 4
@@ -424,7 +424,7 @@ class TestVerifyReport:
     def test_failed_census_skips_the_sum(self, capsys, monkeypatch):
         q48 = counterexample.vertices48()
         monkeypatch.setattr(
-            counterexample, "vertices48", lambda: VPolytope(q48.vertices[1:], q48.labels[1:])
+            counterexample, "vertices48", lambda: vpoly(q48.vertices[1:], q48.labels[1:])
         )
         sums = []
         monkeypatch.setattr(counterexample, "minkowski_sum_from_cayley", lambda *args: sums.append(1))

@@ -29,10 +29,9 @@ from exactpoly.constructions import (
     strong_dstep_step,
 )
 from exactpoly.fileformats import write_hpoly, write_incidence, write_poly
-from exactpoly.geometry import DegenerateInput, affine_rank
+from exactpoly.geometry import DegenerateInput, affine_rank, homogeneous
 from exactpoly.polytopes import (
     HullBuilder,
-    VPolytope,
     dual_graph,
     facet_enumeration,
     iter_bits,
@@ -42,12 +41,14 @@ from exactpoly.prismatoids import make_prismatoid, width
 from exactpoly.rationals import Rat
 from helpers import (
     check_suspension_distances,
+    fractions,
     lifted_distance_dominates,
     push_into,
     random_polytope,
     reference_push,
     reference_width,
     suspension_facet_map,
+    vpoly,
 )
 
 
@@ -56,13 +57,13 @@ def pt(*coords):
 
 
 def cube(dim=3):
-    return VPolytope(tuple(
+    return vpoly(tuple(
         pt(*(1 if m >> i & 1 else -1 for i in range(dim))) for m in range(2**dim)
     ))
 
 
 def pentagon():
-    return VPolytope((pt(0, 0), pt(4, 0), pt(6, 3), pt(3, 6), pt(-1, 3)))
+    return vpoly((pt(0, 0), pt(4, 0), pt(6, 3), pt(3, 6), pt(-1, 3)))
 
 
 def cube_prismatoid():
@@ -72,7 +73,7 @@ def cube_prismatoid():
 
 
 def triangular_prism():
-    p = VPolytope(tuple(
+    p = vpoly(tuple(
         pt(x, y, z) for (x, y) in ((0, 0), (3, 0), (0, 3)) for z in (-1, 1)
     ))
     rows = facet_enumeration(p).hrep.inequalities
@@ -90,7 +91,7 @@ class TestOnePointSuspension:
         assert all(m.bit_count() == 3 for m in hull.incidence.facet_masks)
 
     def test_segment_endpoint_gives_triangle(self):
-        seg = VPolytope((pt(0,), pt(4,)))
+        seg = vpoly((pt(0,), pt(4,)))
         s = one_point_suspension(seg, 1)
         hull = facet_enumeration(s)
         assert s.n_vertices == 3
@@ -98,7 +99,7 @@ class TestOnePointSuspension:
         assert hull.incidence.n_facets == 3
 
     def test_square_gives_bipyramid(self):
-        sq = VPolytope((pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)))
+        sq = vpoly((pt(0, 0), pt(2, 0), pt(2, 2), pt(0, 2)))
         s = one_point_suspension(sq, 0)
         hull = facet_enumeration(s)
         assert s.n_vertices == 5
@@ -148,7 +149,7 @@ class TestSuspensionDistances:
 
 class TestPushVertex:
     def test_push_simplex_vertex_keeps_simplex(self):
-        s = VPolytope((pt(0, 0, 0), pt(4, 0, 0), pt(0, 4, 0), pt(0, 0, 4)))
+        s = vpoly((pt(0, 0, 0), pt(4, 0, 0), pt(0, 4, 0), pt(0, 0, 4)))
         pushed = push_vertex(s, 0, seed=5)
         hull = facet_enumeration(pushed)
         assert hull.incidence.n_facets == 4
@@ -176,7 +177,7 @@ class TestPushVertex:
         # starts from was verified fails every candidate's verification;
         # that is a fault to raise, not 17 candidates that are not vertices
         fixed = _fixed_builder(q48, 3)
-        start = _moved(q48, 3, q48.vertices[3], fixed)
+        start = _moved(q48, 3, q48.vectors[3], fixed)
         h = fixed.rows[0]
         fixed.rows[0] = h[:-1] + (h[-1] + 1,)
         with pytest.raises(DegenerateInput, match="hull verification failed"):
@@ -270,8 +271,8 @@ class TestStrongDStep:
 
     def test_apex_steps_are_the_drawn_steps_off_the_base_normal(self, monkeypatch):
         # the cube's suspension spans R^4, so the apex moves off the base
-        # normal (0, 0, 1, 0) alone: each step is the drawn (r / 32, 1), r
-        # in [-8, 8]^3, with its third entry set to 0
+        # normal (0, 0, 1, 0) alone: each step vector (-e, D) is that of
+        # e / D = the drawn (r / 32, 1), r in [-8, 8]^3, its third entry 0
         steps = []
         halvings = constructions._halvings
 
@@ -284,14 +285,15 @@ class TestStrongDStep:
         pr = cube_prismatoid()
         strong_dstep_step(pr, width(pr), seed=3)
         assert steps
-        for step in steps:
+        for *e, D in steps:
+            step = tuple(Rat(-c, D) for c in e)
             assert step[2:] == (0, 1)
             assert all(abs(32 * c) <= 8 and (32 * c).denominator == 1 for c in step[:2]), step
 
     def test_flat_cube_candidates_stay_in_the_affine_hull(self, monkeypatch):
         # the cube at x4 = 0 in R^4: every apex step lies in the affine hull
         # of the suspension, so each candidate hull has its dimension
-        flat = VPolytope(tuple(p + (Rat(0),) for p in cube().vertices))
+        flat = vpoly(tuple(p + (Rat(0),) for p in cube().vertices))
         dims = []
 
         def moved(poly, v, point, fixed):
@@ -371,7 +373,8 @@ class TestHullBuilds:
 def pushes(draw):
     """(poly, v, step): distinct lattice points in dims 2-4, random or from
     the {-1,0,1} grid, some of them no vertices, a point v and a step from
-    it toward a seeded interior point or along a drawn rational direction."""
+    it toward a seeded interior point or along a drawn rational direction,
+    as the vector `_halvings` takes for the step."""
     dim = draw(st.integers(2, 4))
     if draw(st.booleans()):
         pool = list(itertools.product((-1, 0, 1), repeat=dim))
@@ -379,33 +382,33 @@ def pushes(draw):
     else:
         coord = st.integers(-3, 3)
         pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 2, max_size=10, unique=True))
-    poly = VPolytope(tuple(tuple(Rat(c) for c in p) for p in pts))
+    poly = vpoly(tuple(tuple(Rat(c) for c in p) for p in pts))
     v = draw(st.integers(0, len(pts) - 1))
     if draw(st.booleans()):
-        target = _relative_interior_point(poly, range(len(pts)), random.Random(draw(st.integers())))
-        step = tuple(t - c for t, c in zip(target, poly.vertices[v]))
+        *t, w = _relative_interior_point(poly, range(len(pts)), random.Random(draw(st.integers())))
+        step = tuple(Rat(-a, w) - c for a, c in zip(t, poly.vertices[v]))
     else:
-        step = draw(st.tuples(*[st.fractions(-4, 4, max_denominator=6)] * dim).filter(any))
-    return poly, v, step
+        step = draw(st.tuples(*[fractions(-4, 4, 6)] * dim).filter(any))
+    return poly, v, homogeneous(step)
 
 
 @settings(max_examples=100, deadline=None)
 @given(
     st.integers(1, 5).flatmap(lambda d: st.lists(
-        st.tuples(*[st.fractions(-9, 9, max_denominator=12)] * d), min_size=1, max_size=8
+        st.tuples(*[fractions(-9, 9, 12)] * d), min_size=1, max_size=8
     )),
     st.integers(),
 )
 def test_relative_interior_point_is_the_weighted_mean(pts, seed):
     # the same draws, and the mean the rationals give, with ints mixed in
-    poly = VPolytope(tuple(tuple(c.numerator if c.denominator == 1 else c for c in p) for p in pts))
+    poly = vpoly(tuple(tuple(c.numerator if c.denominator == 1 else c for c in p) for p in pts))
     region = range(len(pts))
     rng = random.Random(seed)
     weights = [rng.randrange(1, 64) for _ in region]
     want = tuple(
         sum(w * Rat(p[j]) for w, p in zip(weights, pts)) / sum(weights) for j in range(len(pts[0]))
     )
-    assert _relative_interior_point(poly, region, random.Random(seed)) == want
+    assert _relative_interior_point(poly, region, random.Random(seed)) == homogeneous(want)
 
 
 def _halving_run(poly, v, fixed, step):
@@ -434,11 +437,12 @@ def test_halvings_count_inside_points_as_building_them_would(push):
 
 
 def _cube_without_vertex_0():
-    """(cube, the builder of its other vertices, a step from vertex 0 whose
-    two candidates, (1/2, 1/2, 1/2) and (-1/4, -1/4, -1/4), lie inside the
-    hull of the others)."""
+    """(cube, the builder of its other vertices, the vector of the step
+    from vertex 0 by (3/2, 3/2, 3/2), whose two candidates,
+    (1/2, 1/2, 1/2) and (-1/4, -1/4, -1/4), lie inside the hull of the
+    others)."""
     c = cube()
-    return c, _fixed_builder(c, 0), (Rat(3, 2),) * 3
+    return c, _fixed_builder(c, 0), (-3, -3, -3, 2)
 
 
 def test_candidates_inside_the_fixed_hull_build_no_hull(hull_builds):
@@ -488,7 +492,7 @@ def _whole_search(top, bottom, seed):
     last prismatoid, and the message of one step asked for a width no
     candidate reaches, with its candidates counted by cause.  Checks each
     step's invariants on the way."""
-    pr = make_prismatoid(VPolytope(tuple(pt(*p, 1) for p in top) + tuple(pt(*p, -1) for p in bottom)))
+    pr = make_prismatoid(vpoly(tuple(pt(*p, 1) for p in top) + tuple(pt(*p, -1) for p in bottom)))
     final, trace = strong_dstep_iterate(pr, 9, seed=seed)
     # the asimpliciality, vertices - 2 dim, falls by one a step, to 0
     assert len(trace) - 1 == pr.asimpliciality - final.asimpliciality == min(pr.asimpliciality, 9)
@@ -558,7 +562,7 @@ def test_whole_search_is_the_same_with_a_reference_width(bases, seed):
 
 class TestProductsAndPowers:
     def test_cube_as_segment_power(self):
-        seg = VPolytope((pt(-1,), pt(1,)))
+        seg = vpoly((pt(-1,), pt(1,)))
         c = product(product(seg, seg), seg)
         hull = facet_enumeration(c)
         assert hull.incidence.n_facets == 6
@@ -593,18 +597,18 @@ class TestBlend:
         assert bg.graph.diameter() >= 5
 
     def test_two_simplices(self):
-        s = VPolytope((pt(0, 0, 0), pt(2, 0, 0), pt(0, 2, 0), pt(0, 0, 2)))
+        s = vpoly((pt(0, 0, 0), pt(2, 0, 0), pt(0, 2, 0), pt(0, 0, 2)))
         bg = blend_graph(s, 0, s, 3)
         assert bg.facet_count == 3 + 2  # d + 2
         assert bg.graph.n == 6  # 2d
 
     def test_cube_with_simplex(self):
-        s = VPolytope((pt(0, 0, 0), pt(2, 0, 0), pt(0, 2, 0), pt(0, 0, 2)))
+        s = vpoly((pt(0, 0, 0), pt(2, 0, 0), pt(0, 2, 0), pt(0, 0, 2)))
         bg = blend_graph(cube(), 2, s, 0)
         assert bg.facet_count == 6 + 1
 
     def test_non_simple_rejected(self):
-        octa = VPolytope(tuple(pt(*(s if j == i else 0 for j in range(3)))
+        octa = vpoly(tuple(pt(*(s if j == i else 0 for j in range(3)))
                                for i in range(3) for s in (1, -1)))
         with pytest.raises(ValueError):
             blend_graph(octa, 0, octa, 1)

@@ -31,7 +31,6 @@ from exactpoly.counterexample import (
 )
 from exactpoly.fileformats import write_hpoly, write_incidence
 from exactpoly.polytopes import (
-    VPolytope,
     dual_graph,
     facet_enumeration,
     vertex_graph,
@@ -52,6 +51,7 @@ from helpers import (
     signed_pairs,
     suspension_facet_map,
     verify_quick,
+    vpoly,
 )
 from northstar import HULL_TEXT, sha256
 
@@ -232,7 +232,7 @@ def test_top_base_figures_are_one_per_orbit(q48, reference_groups):
     orbits = {frozenset(perm[i] for perm in perms) for i in range(24)}
     assert sorted(len(o) for o in orbits) == [4, 4, 4, 4, 8]
     assert top_base_figures(Certificate(vertices48())) == tuple(sorted(min(o) for o in orbits))
-    shuffled = VPolytope(q48.vertices[23::-1] + q48.vertices[24:], q48.labels[23::-1] + q48.labels[24:])
+    shuffled = vpoly(q48.vertices[23::-1] + q48.vertices[24:], q48.labels[23::-1] + q48.labels[24:])
     assert top_base_figures(Certificate(shuffled)) == tuple(range(24))
 
 
@@ -320,7 +320,7 @@ class TestSymmetry:
         maps, vertex_perms = reference_groups[0]
         assert len(maps) == 64
         for m, sigma in zip(maps, vertex_perms):
-            image = VPolytope(tuple(mat_apply(m, p) for p in q48.vertices))
+            image = vpoly(tuple(mat_apply(m, p) for p in q48.vertices))
             image_hull = facet_enumeration(image)
             assert image_hull.hrep.inequalities == tuple(sorted(apply_ineq(m, q) for q in rows))
             index = {q: i for i, q in enumerate(image_hull.hrep.inequalities)}
@@ -332,7 +332,7 @@ class TestSymmetry:
     def test_vertices_must_span_the_space(self):
         # on the square in the plane z = 0 the reflection in that plane
         # fixes every vertex, yet it is not the identity
-        square = VPolytope(tuple(
+        square = vpoly(tuple(
             (Rat(x), Rat(y), Rat(0)) for x in (-1, 1) for y in (-1, 1)))
         reflection = ((0, 1), (1, 1), (2, -1))
         with pytest.raises(ValueError, match="do not span the space"):
@@ -436,7 +436,7 @@ class TestTables:
 class TestWidthInvariance:
     def test_under_symmetry(self, q48, reference_groups):
         m = reference_groups[0][0][17]
-        moved = VPolytope(tuple(mat_apply(m, p) for p in q48.vertices))
+        moved = vpoly(tuple(mat_apply(m, p) for p in q48.vertices))
         hull = facet_enumeration(moved)
         pr = make_prismatoid(moved)
         assert width(pr) == 6
@@ -445,7 +445,7 @@ class TestWidthInvariance:
         rng = random.Random(6)
         order = list(range(48))
         rng.shuffle(order)
-        moved = VPolytope(tuple(q48.vertices[i] for i in order))
+        moved = vpoly(tuple(q48.vertices[i] for i in order))
         pr = make_prismatoid(moved)
         assert width(pr) == 6
 
@@ -456,7 +456,7 @@ class TestSmallPrismatoids:
             tuple(Rat(c) for c in (x, y, z))
             for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)
         )
-        pr = make_prismatoid(VPolytope(pts))
+        pr = make_prismatoid(vpoly(pts))
         assert width(pr) == 2
         assert width(pr) <= pr.dim
 
@@ -465,7 +465,7 @@ class TestSmallPrismatoids:
             tuple(Rat(c) for c in (x, y, z))
             for (x, y) in ((0, 0), (3, 0), (0, 3)) for z in (-1, 1)
         )
-        poly = VPolytope(pts)
+        poly = vpoly(pts)
         rows = facet_enumeration(poly).hrep.inequalities
         pr = make_prismatoid(poly, (rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))))
         assert width(pr) == 2
@@ -476,7 +476,7 @@ class TestSmallPrismatoids:
             tuple(Rat(c) for c in (x, y, z))
             for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)
         )
-        poly = VPolytope(pts)
+        poly = vpoly(pts)
         rows = facet_enumeration(poly).hrep.inequalities
         with pytest.raises(NotAPrismatoid, match="not parallel"):
             make_prismatoid(poly, (rows.index((0, 0, 1, 1)), rows.index((1, 0, 0, 1))))
@@ -488,7 +488,7 @@ class TestSmallPrismatoids:
             tuple(Rat(c) for c in (x, y, z))
             for x in (-1, 1) for y in (-1, 1) for z in (-1, 1)
         ) + ((Rat(2), Rat(0), Rat(0)),)
-        poly = VPolytope(pts)
+        poly = vpoly(pts)
         rows = facet_enumeration(poly).hrep.inequalities
         with pytest.raises(NotAPrismatoid, match="do not contain all vertices"):
             make_prismatoid(poly, (rows.index((0, 0, 1, 1)), rows.index((0, 0, -1, 1))))
@@ -551,7 +551,7 @@ class TestMutation:
         q48 = vertices48()
         (i, j), rows = cell, list(q48.vertices)
         rows[i] = rows[i][:j] + (rows[i][j] + delta,) + rows[i][j + 1:]
-        mutated = VPolytope(tuple(rows), q48.labels)
+        mutated = vpoly(tuple(rows), q48.labels)
         rep = verify_quick(mutated)
         assert not rep.passed
 

@@ -16,14 +16,16 @@ from hypothesis import HealthCheck, Phase, given, settings, strategies as st
 
 from exactpoly.counterexample import vertices48
 from exactpoly.fileformats import write_hpoly, write_incidence
-from exactpoly.geometry import affine_rank
-from exactpoly.polytopes import VPolytope, affine_chart, facet_enumeration, iter_bits
+from exactpoly.geometry import affine_rank, homogeneous
+from exactpoly.polytopes import affine_chart, facet_enumeration, iter_bits
 from helpers import (
+    fractions,
     primitive_ints,
     reference_nullspace,
     reference_rank,
     reference_rref,
     slack,
+    vpoly,
 )
 from northstar import EMBEDDED_CORPUS, EMBEDDED_Q48, sha256
 
@@ -36,7 +38,7 @@ def embed(points, matrix, shift):
     ]
 
 
-ENTRY = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+ENTRY = fractions(-3, 3, 4)
 
 
 @st.composite
@@ -46,7 +48,7 @@ def embedded_inputs(draw):
     affine hull is often parallel to some coordinate axes."""
     k = draw(st.integers(1, 4))
     d = draw(st.integers(k + 1, 6))
-    coord = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    coord = fractions(-4, 4, 3)
     points = draw(
         st.lists(st.tuples(*[coord] * k), min_size=k + 1, max_size=k + 7, unique=True)
         .filter(lambda ps: affine_rank(ps) == k)
@@ -69,9 +71,9 @@ def embedded_inputs(draw):
 @given(embedded_inputs())
 def test_embedded_hull_matches_the_flat_hull(data):
     points, matrix, shift = data
-    flat = VPolytope(tuple(points))
+    flat = vpoly(tuple(points))
     k = len(points[0])
-    emb = VPolytope(tuple(embed(points, matrix, shift)))
+    emb = vpoly(tuple(embed(points, matrix, shift)))
     hull = facet_enumeration(emb)
     assert hull.dim == k
     assert hull.hrep.ambient_dim == len(matrix)
@@ -140,7 +142,7 @@ def test_chart_matches_the_fraction_reference(points):
         row = primitive_ints(list(vec) + [sum(a * x for a, x in zip(vec, points[0]))])
         sign = 1 if next(a for a in row if a) > 0 else -1
         equalities.append(tuple(sign * a for a in row))
-    chart = affine_chart(points)[1]
+    chart = affine_chart([homogeneous(p) for p in points])[1]
     assert chart.cols == tuple(reference_rref(dirs)[0])
     assert chart.equalities == tuple(sorted(equalities))
 
@@ -178,7 +180,7 @@ def embedded_corpus(seed, count):
 def test_embedded_corpus_output_is_pinned():
     text = []
     for points in embedded_corpus(seed=6, count=320):
-        hull = facet_enumeration(VPolytope(tuple(points)))
+        hull = facet_enumeration(vpoly(tuple(points)))
         text.append(f"dim {hull.dim}\n{write_hpoly(hull.hrep)}{write_incidence(hull)}")
     assert sha256("".join(text).encode()) == EMBEDDED_CORPUS
 
@@ -191,7 +193,7 @@ def test_embedded_q48_output_is_pinned():
         (x[0], x[1], x[0] + Fraction(x[2], 2) - 3, x[2], x[3], x[4])
         for x in vertices48().vertices
     )
-    hull = facet_enumeration(VPolytope(pts))
+    hull = facet_enumeration(vpoly(pts))
     assert (hull.dim, hull.incidence.n_facets) == (5, 322)
     assert hull.hrep.equalities == ((2, 0, -2, 1, 0, 0, 6),)
     text = write_hpoly(hull.hrep) + write_incidence(hull)

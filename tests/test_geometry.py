@@ -9,6 +9,7 @@ from exactpoly.geometry import DegenerateInput, DimensionMismatch, affine_rank, 
 from exactpoly.rationals import Rat, format_rat, parse_rat
 from helpers import (
     apply_ineq,
+    fractions,
     hyperplane_through,
     identity,
     mat_apply,
@@ -65,7 +66,7 @@ class TestPrimitiveRows:
             assert primitive_ints([lam * v for v in row]) == prim
             assert primitive_ints(prim) == prim
 
-    @given(st.lists(st.one_of(st.integers(-9, 9), st.fractions(-9, 9, max_denominator=12)),
+    @given(st.lists(st.one_of(st.integers(-9, 9), fractions(-9, 9, 12)),
                     min_size=1, max_size=6))
     def test_homogeneous_is_the_primitive_row_of_the_point(self, p):
         # (-w p, w) is the primitive int multiple of (-p, 1) with w > 0

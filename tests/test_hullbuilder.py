@@ -63,7 +63,6 @@ from exactpoly.polytopes import (
     Hull,
     HullBuilder,
     NotAVertex,
-    VPolytope,
     _tight_masks,
     _triangular_certificate,
     bits,
@@ -78,6 +77,7 @@ from exactpoly.polytopes import (
 from helpers import (
     apply_ineq,
     check_hull_against_oracle,
+    fractions,
     mat_apply,
     primitive_ints,
     reference_add,
@@ -90,10 +90,11 @@ from helpers import (
     relabeled,
     signed_matrix,
     slack,
+    vpoly,
 )
 
 COORD = st.integers(-3, 3)
-WEIGHT = st.fractions(min_value=Fraction(1, 7), max_value=3, max_denominator=7)
+WEIGHT = fractions(Fraction(1, 7), 3, 7)
 
 
 @st.composite
@@ -133,7 +134,7 @@ def _same_hull(got, want):
 def _moved_point(data, pts, v):
     """A new position for point v, relative to the hull of the others."""
     others = pts[:v] + pts[v + 1:]
-    fixed_hull = facet_enumeration(VPolytope(tuple(others)))
+    fixed_hull = facet_enumeration(vpoly(tuple(others)))
     ineqs = fixed_hull.hrep.inequalities
     f = data.draw(st.integers(0, len(ineqs) - 1))
     tight = [others[j] for j in iter_bits(fixed_hull.incidence.facet_masks[f])]
@@ -151,12 +152,12 @@ def _moved_point(data, pts, v):
     if kind == "on facet":
         # an affine combination of the facet's tight points, inside the facet
         # or out on its hyperplane
-        weights = [data.draw(st.fractions(-2, 2, max_denominator=5)) for _ in tight[1:]]
+        weights = [data.draw(fractions(-2, 2, 5)) for _ in tight[1:]]
         first = 1 - sum(weights, Fraction(0))
         combo = [first] + weights
         return tuple(sum(w * p[j] for w, p in zip(combo, tight)) for j in range(dim))
     return tuple(
-        data.draw(st.fractions(-4, 4, max_denominator=7)) for _ in range(dim)
+        data.draw(fractions(-4, 4, 7)) for _ in range(dim)
     )
 
 
@@ -176,7 +177,7 @@ def test_insert_into_fixed_builder_matches_facet_enumeration(pts, data):
     for point in (pts[v], _moved_point(data, pts, v)):
         moved = list(pts)
         moved[v] = point
-        poly = VPolytope(tuple(moved))
+        poly = vpoly(tuple(moved))
         builder = fixed.copy()
         builder.insert(v, homogeneous(point))
         try:
@@ -193,7 +194,7 @@ def test_insert_into_fixed_builder_matches_facet_enumeration(pts, data):
 
 
 def test_segment_dual_graph_is_one_edge():
-    seg = VPolytope(((Fraction(-2),), (Fraction(5),)))
+    seg = vpoly(((Fraction(-2),), (Fraction(5),)))
     hull = facet_enumeration(seg)
     assert dual_graph(seg, hull).edges == ((0, 1),) == reference_dual_graph_edges(seg, hull)
 
@@ -202,11 +203,11 @@ def test_segment_dual_graph_is_one_edge():
 def lines(draw):
     """(distinct rationals t, a map t -> base + t dir into d-space, d = 1-4)."""
     values = draw(st.lists(
-        st.fractions(-9, 9, max_denominator=5), min_size=2, max_size=9, unique=True
+        fractions(-9, 9, 5), min_size=2, max_size=9, unique=True
     ))
     d = draw(st.integers(1, 4))
     direction = draw(st.tuples(*[WEIGHT | WEIGHT.map(lambda w: -w) | st.just(0)] * d).filter(any))
-    base = draw(st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * d))
+    base = draw(st.tuples(*[fractions(-3, 3, 4)] * d))
     return values, base, direction
 
 
@@ -224,7 +225,7 @@ def test_one_dimensional_hull_keeps_both_ends(data):
     ridge candidate when k = 1: a point beyond one end replaces that end,
     and an interior point changes nothing."""
     values, base, _ = data
-    poly = VPolytope(tuple(_line_points(data)))
+    poly = vpoly(tuple(_line_points(data)))
     hull = facet_enumeration(poly)
     ends = {values.index(min(values)), values.index(max(values))}
     assert hull.dim == 1
@@ -251,7 +252,7 @@ def boxes(draw, max_points=256):
 @settings(max_examples=40, deadline=None)
 @given(boxes())
 def test_dual_graph_matches_reference_on_grids(pts):
-    poly = VPolytope(tuple(pts))
+    poly = vpoly(tuple(pts))
     hull = facet_enumeration(poly)
     assert dual_graph(poly, hull).edges == reference_dual_graph_edges(poly, hull)
 
@@ -261,7 +262,7 @@ def test_dual_graph_matches_reference_on_grids(pts):
 def test_dual_graph_matches_reference_on_suspensions(pts, data):
     """The two new points of a one-point suspension lie on nearly every
     facet."""
-    poly = VPolytope(tuple(pts))
+    poly = vpoly(tuple(pts))
     v = data.draw(st.integers(0, len(pts) - 1))
     susp = one_point_suspension(poly, v)
     hull = facet_enumeration(susp)
@@ -394,12 +395,12 @@ def test_derived_facts_are_kept_on_their_owners():
     polytope's face ranks, returns the same object, as the graphs do (see
     `_assert_graphs_match_references`); an equal polytope that is another
     object derives its own ranks."""
-    cube = VPolytope(tuple(tuple(map(Fraction, p)) for p in itertools.product((0, 1), repeat=3)))
+    cube = vpoly(tuple(tuple(map(Fraction, p)) for p in itertools.product((0, 1), repeat=3)))
     inc = facet_enumeration(cube).incidence
     vmasks, faces, rank = inc.vertex_masks, inc.smallest_faces, cube.face_rank
     assert inc.vertex_masks is vmasks and inc.smallest_faces is faces and cube.face_rank is rank
     assert [rank(m) for m in (inc.facet_masks[0], 0b11, 0b1, (1 << 8) - 1)] == [2, 1, 0, 3]
-    twin = VPolytope(cube.vertices)
+    twin = vpoly(cube.vertices)
     assert twin == cube and twin.face_rank is not rank
 
 
@@ -425,7 +426,7 @@ def certify_inputs(draw):
     if draw(st.booleans()):
         # the graph of an affine function, as a new coordinate at position c
         c = draw(st.integers(0, dim))
-        coeffs = [draw(st.fractions(-2, 2, max_denominator=3)) for _ in range(dim + 1)]
+        coeffs = [draw(fractions(-2, 2, 3)) for _ in range(dim + 1)]
         pts = [
             p[:c] + (coeffs[0] + sum(a * x for a, x in zip(coeffs[1:], p)),) + p[c:]
             for p in pts
@@ -436,7 +437,7 @@ def certify_inputs(draw):
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
 @given(certify_inputs(), st.data())
 def test_face_test_matches_rank_reference(pts, data):
-    poly = VPolytope(tuple(pts))
+    poly = vpoly(tuple(pts))
     hull = facet_enumeration(poly)
     want = reference_extreme_indices(poly, hull)
     assert extreme_indices(hull) == want
@@ -470,7 +471,7 @@ def test_builder_matches_oracle_and_reference_dual_graph(pts):
     inside faces or inside the polytope, and lattice boxes, whose facets
     hold many points: at most 12 points, because the oracle tries every
     dim-subset."""
-    poly = VPolytope(tuple(pts))
+    poly = vpoly(tuple(pts))
     hull = facet_enumeration(poly)
     if hull.dim == poly.ambient_dim:
         check_hull_against_oracle(poly)
@@ -509,7 +510,7 @@ def test_graphs_match_their_references(pts, members):
     `_PAIR_LOOP_MEMBERS` at 0 every member counts misses wherever that
     costs less than the pass, and at 10**9 every member takes the pass.
     The graphs of a lifted hull use the dimension of its chart."""
-    poly = VPolytope(tuple(pts))
+    poly = vpoly(tuple(pts))
     hull = facet_enumeration(poly)
     assert hull.dim == poly.ambient_dim - len(hull.hrep.equalities)
     with pytest.MonkeyPatch.context() as mp:
@@ -541,8 +542,8 @@ def test_signed_coordinate_permutation_images(pts, data):
     order = data.draw(st.permutations(range(dim)))
     signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=dim, max_size=dim))
     m = signed_matrix(tuple(zip(order, signs)))
-    poly = VPolytope(tuple(pts))
-    image = VPolytope(tuple(mat_apply(m, p) for p in pts))
+    poly = vpoly(tuple(pts))
+    image = vpoly(tuple(mat_apply(m, p) for p in pts))
     hull, image_hull = facet_enumeration(poly), facet_enumeration(image)
     rows = hull.hrep.inequalities
     if hull.dim == dim:
@@ -576,7 +577,7 @@ def test_q48_graphs_take_both_candidate_branches(certificate):
     # derived and kept
     q48, hull = certificate.poly, certificate.hull
     pol = polar(q48)
-    pol_hull = facet_enumeration(VPolytope(pol.vertices))
+    pol_hull = facet_enumeration(vpoly(pol.vertices))
     assert _counted(hull.incidence.vertex_masks, hull.dim) < 48 // 2
     assert _counted(hull.incidence.facet_masks, hull.dim) > 322 // 2
     assert _counted(pol_hull.incidence.vertex_masks, pol_hull.dim) > 322 // 2
@@ -590,14 +591,14 @@ def test_cross_polytope_graphs(dim, monkeypatch):
     # masks even where misses may be counted (`_PAIR_LOOP_MEMBERS` 0), and
     # each edge lies in exactly k-1 = 2 facets; its vertex graph joins all
     # but antipodal points, its dual graph is the cube's
-    poly = VPolytope(tuple(
+    poly = vpoly(tuple(
         tuple(s if j == i else 0 for j in range(dim)) for i in range(dim) for s in (1, -1)
     ))
     rows = facet_enumeration(poly).hrep.inequalities
     for members in (0, polytopes._PAIR_LOOP_MEMBERS):
         monkeypatch.setattr(polytopes, "_PAIR_LOOP_MEMBERS", members)
         # a new object each time, so the graphs are built, not read
-        hull = facet_enumeration(VPolytope(poly.vertices))
+        hull = facet_enumeration(vpoly(poly.vertices))
         assert _counted(hull.incidence.vertex_masks, dim) == (
             2 * dim if dim == 2 and members == 0 else 0
         )
@@ -616,7 +617,7 @@ def test_cube_with_an_edge_midpoint_keeps_the_edge_ends_apart(monkeypatch):
     # of them, which makes two simplex facets adjacent on the facet side;
     # on the vertex side they are no edge, since the midpoint lies between
     pts = [tuple(1 if m >> i & 1 else -1 for i in range(3)) for m in range(8)]
-    poly = VPolytope(tuple(pts + [(0, -1, -1)]))
+    poly = vpoly(tuple(pts + [(0, -1, -1)]))
     vmasks = facet_enumeration(poly).incidence.vertex_masks
     assert vmasks[0].bit_count() == vmasks[1].bit_count() == 3
     assert (vmasks[0] & vmasks[1]).bit_count() == 2
@@ -624,7 +625,7 @@ def test_cube_with_an_edge_midpoint_keeps_the_edge_ends_apart(monkeypatch):
     for members in (0, polytopes._PAIR_LOOP_MEMBERS):
         monkeypatch.setattr(polytopes, "_PAIR_LOOP_MEMBERS", members)
         # a new object each time, so the graphs are built, not read
-        hull = facet_enumeration(VPolytope(poly.vertices))
+        hull = facet_enumeration(vpoly(poly.vertices))
         assert set(vertex_graph(poly, hull).edges) == cube_edges - {(0, 1)}
         _assert_graphs_match_references(poly, hull)
 
@@ -658,7 +659,7 @@ def test_corrupted_copy_raises(f, point, how):
     with pytest.raises(DegenerateInput, match="hull verification failed"):
         twin.hull()
     # the original is untouched by the corruption of its copy
-    _same_hull(builder.hull(), facet_enumeration(VPolytope(tuple(pts))))
+    _same_hull(builder.hull(), facet_enumeration(vpoly(tuple(pts))))
 
 
 def _supporting_row(pts, point, axis, how):
@@ -698,7 +699,7 @@ def test_rank_proofs_of_a_twin_never_vouch_for_a_corrupted_copy(f, point, how):
         bad.masks.append(tight)
     with pytest.raises(DegenerateInput, match="hull verification failed"):
         bad.hull()
-    _same_hull(twin.hull(), facet_enumeration(VPolytope(tuple(pts))))
+    _same_hull(twin.hull(), facet_enumeration(vpoly(tuple(pts))))
 
 
 def _cube_insertion(v):
@@ -716,7 +717,7 @@ def _cube_insertion(v):
 
 def test_copy_of_the_fixed_builder_checks_only_the_inserted_point():
     pts, fixed, twin = _cube_insertion(0)
-    _same_hull(twin.hull(), facet_enumeration(VPolytope(tuple(pts))))
+    _same_hull(twin.hull(), facet_enumeration(vpoly(tuple(pts))))
     points, passed = fixed.verified
     assert points == tuple(fixed.points) and len(passed) == 7
     carried = {(h, m & ~1) for h, m in zip(twin.rows, twin.masks)}
@@ -766,7 +767,7 @@ def test_copy_whose_fixed_point_was_replaced_gets_the_full_check(v, j, k, how):
         twin.points[j], twin.points[k] = tuple(list(twin.points[k])), tuple(list(twin.points[j]))
     else:
         twin.points[j] = tuple(list(twin.points[j]))
-        _same_hull(twin.hull(), facet_enumeration(VPolytope(tuple(pts))))
+        _same_hull(twin.hull(), facet_enumeration(vpoly(tuple(pts))))
         return
     with pytest.raises(DegenerateInput, match="hull verification failed"):
         twin.hull()
@@ -847,7 +848,7 @@ def test_push_verifies_every_candidate(monkeypatch):
     # no hull, and the first one that sees a facet ends the search with the
     # verification failure, which is no rejected candidate
     pts, _ = _cube_builder()
-    cube = VPolytope(tuple(pts))
+    cube = vpoly(tuple(pts))
     insert = HullBuilder.insert
     saw = []
 
@@ -975,7 +976,7 @@ def test_q48_artifacts_need_no_elimination(tmp_path, capsys):
         try:
             hull = facet_enumeration(q48)
             assert hull.incidence.n_facets == 322
-            assert facet_enumeration(VPolytope(polar(q48).vertices)).incidence.n_facets == 48
+            assert facet_enumeration(vpoly(polar(q48).vertices)).incidence.n_facets == 48
             minkowski_sum(base_plus(), base_minus())
             assert main(["builtin", "--out", str(src)]) == 0
             assert main(["construct", "dstep-iterate", str(src), "--steps", "2", "--seed", "0"]) == 0
@@ -1024,7 +1025,7 @@ def test_ridge_candidates_from_the_visible_region_match_the_full_scan(pts):
     dimension up; lattice boxes, whose facets hold many points; segments
     (k = 1, where every facet is a candidate), embedded when d > 1."""
     with _steps_checked_against_the_full_scan() as steps:
-        hull = facet_enumeration(VPolytope(tuple(pts)))
+        hull = facet_enumeration(vpoly(tuple(pts)))
     assert len(steps) == len(pts) - hull.dim - 1
 
 
@@ -1095,8 +1096,8 @@ def test_q48_polar_and_base_sum_steps_match_the_full_scan(certificate):
     # of the bases, of which `minkowski_sum` lists only the 208 vertices,
     # the mixed edges of q48, built by the double-description steps rather
     # than read off q48's hull
-    pol = VPolytope(polar(certificate.poly).vertices)
-    sums = VPolytope(tuple(vadd(p, q) for p in base_plus().vertices for q in base_minus().vertices))
+    pol = vpoly(polar(certificate.poly).vertices)
+    sums = vpoly(tuple(vadd(p, q) for p in base_plus().vertices for q in base_minus().vertices))
     with _steps_checked_against_the_full_scan() as steps:
         pol_hull = facet_enumeration(pol)
         sum_hull = facet_enumeration(sums)
@@ -1115,11 +1116,11 @@ def basis_inputs(draw):
     may be followed by affine combinations of them: an affinely dependent
     prefix the greedy basis must skip."""
     dim = draw(st.integers(1, 4))
-    coord = st.fractions(-4, 4, max_denominator=7)
+    coord = fractions(-4, 4, 7)
     pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=1, max_size=8))
     span = pts[: draw(st.integers(1, len(pts)))]
     for _ in range(draw(st.integers(0, 4))):
-        weights = [draw(st.fractions(-2, 2, max_denominator=5)) for _ in span[1:]]
+        weights = [draw(fractions(-2, 2, 5)) for _ in span[1:]]
         combo = [1 - sum(weights, Fraction(0))] + weights
         pts.insert(len(span), tuple(sum(w * p[j] for w, p in zip(combo, span)) for j in range(dim)))
     return pts
@@ -1145,7 +1146,7 @@ def test_duplicate_is_named_as_the_rationals_name_it(pts, scale, data):
                  for c in pts[i])
     pts.insert(j, twin)
     with pytest.raises(DuplicatePoints, match=f"^points {i} and {j} coincide$"):
-        facet_enumeration(VPolytope(tuple(pts)))
+        facet_enumeration(vpoly(tuple(pts)))
     slots = list(pts)
     slots[j] = None
     try:
@@ -1170,7 +1171,7 @@ def simplex_bases(draw):
     takes either sign of determinant."""
     dim = draw(st.integers(1, 5))
     coord = st.one_of(
-        st.just(0), st.integers(-4, 4), st.fractions(-3, 3, max_denominator=5),
+        st.just(0), st.integers(-4, 4), fractions(-3, 3, 5),
         st.integers(-(2**40), 2**40),
     )
     pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=dim + 1))

@@ -9,7 +9,8 @@ the Fraction reference, but it still shares `affine_rank` with the engine,
 so `affine_rank` is checked against the reference here.  A guard runs the
 engine on rational input and fails on any entry it hands to `reduce_rows`,
 to the hull builder's constructor or to its `insert` that is not an
-`int`.
+`int`, and a second guard fails on any read of `VPolytope.vertices` outside
+the collinearity check and on any polytope whose vectors are not canonical.
 """
 import math
 import sys
@@ -18,19 +19,26 @@ from itertools import product
 
 from hypothesis import given, settings, strategies as st
 
-from exactpoly.constructions import strong_dstep_iterate
-from exactpoly.counterexample import verify_counterexample
+from exactpoly.constructions import push_vertex, strong_dstep_iterate
+from exactpoly.counterexample import verify_counterexample, vertices48
 from exactpoly.geometry import affine_rank
 from exactpoly.linalg import matrix_rank, nullspace, pivot_columns, reduce_rows
 from exactpoly.normalfans import minkowski_sum
-from exactpoly.polytopes import HullBuilder, VPolytope, facet_enumeration
+from exactpoly.polytopes import HullBuilder, VPolytope, facet_enumeration, polar
 from exactpoly.prismatoids import make_prismatoid
-from helpers import clear_denominators, reference_nullspace, reference_rank, reference_rref
+from helpers import (
+    clear_denominators,
+    fractions,
+    reference_nullspace,
+    reference_rank,
+    reference_rref,
+    vpoly,
+)
 
 SMALL = st.integers(-6, 6)
 HUGE = st.builds(lambda sign, v: sign * v, st.sampled_from((-1, 1)),
                  st.integers(10**40 + 1, 10**45))
-RATIONAL = st.fractions(min_value=-20, max_value=20, max_denominator=12)
+RATIONAL = fractions(-20, 20, 12)
 ENTRY = st.one_of(SMALL, RATIONAL, HUGE)
 
 
@@ -125,7 +133,7 @@ def test_caller_rows_never_mutated(int_rows, mixed_rows):
         assert all(type(r) is tuple for _, r in kept)
 
 
-COORD = st.one_of(st.integers(-5, 5), st.fractions(-5, 5, max_denominator=9))
+COORD = st.one_of(st.integers(-5, 5), fractions(-5, 5, 9))
 
 
 @st.composite
@@ -136,7 +144,7 @@ def affine_point_sets(draw):
     dim = draw(st.integers(1, 5))
     pts = draw(st.lists(st.tuples(*[COORD] * dim), min_size=1, max_size=dim + 1))
     for _ in range(draw(st.integers(0, 4))):
-        weights = [draw(st.fractions(-2, 2, max_denominator=5)) for _ in pts[1:]]
+        weights = [draw(fractions(-2, 2, 5)) for _ in pts[1:]]
         combo = [1 - sum(weights, Fraction(0))] + weights
         at = draw(st.integers(0, len(pts)))
         pts.insert(at, tuple(sum(w * p[j] for w, p in zip(combo, pts)) for j in range(dim)))
@@ -148,6 +156,18 @@ def affine_point_sets(draw):
 def test_affine_rank_matches_reference(pts):
     diffs = [[Fraction(a) - b for a, b in zip(p, pts[0])] for p in pts[1:]]
     assert affine_rank(pts) == reference_rank(diffs)
+
+
+def _guard_inputs():
+    """(the 4-cube as a prismatoid over its last coordinate, a tetrahedron
+    and a cube with denominators): the inputs the engine guards run on."""
+    cube4 = vpoly(tuple(tuple(Fraction(c) for c in p) for p in product((-1, 1), repeat=4)))
+    rows = facet_enumeration(cube4).hrep.inequalities
+    cube4_prismatoid = make_prismatoid(cube4, (rows.index((0, 0, 0, 1, 1)), rows.index((0, 0, 0, -1, 1))))
+    third = Fraction(1, 3)
+    tetrahedron = vpoly(((Fraction(1, 2), 0, 0), (0, third, 0), (0, 0, Fraction(2, 5)), (0, 0, 0)))
+    small_cube = vpoly(tuple(tuple(third * c for c in p) for p in product((-1, 1), repeat=3)))
+    return cube4_prismatoid, tetrahedron, small_cube
 
 
 def test_the_engine_hands_reduce_rows_int_rows_only(monkeypatch):
@@ -192,14 +212,10 @@ def test_the_engine_hands_reduce_rows_int_rows_only(monkeypatch):
     monkeypatch.setattr(HullBuilder, "__init__", checked_start)
     monkeypatch.setattr(HullBuilder, "insert", checked_insert)
 
-    cube4 = VPolytope(tuple(tuple(Fraction(c) for c in p) for p in product((-1, 1), repeat=4)))
-    rows = facet_enumeration(cube4).hrep.inequalities
-    cube4_prismatoid = make_prismatoid(cube4, (rows.index((0, 0, 0, 1, 1)), rows.index((0, 0, 0, -1, 1))))
+    cube4_prismatoid, tetrahedron, small_cube = _guard_inputs()
     third = Fraction(1, 3)
-    tetrahedron = VPolytope(((Fraction(1, 2), 0, 0), (0, third, 0), (0, 0, Fraction(2, 5)), (0, 0, 0)))
-    small_cube = VPolytope(tuple(tuple(third * c for c in p) for p in product((-1, 1), repeat=3)))
     pentagon = [(0, 0), (4, 0), (6, 3), (3, 6), (-1, 3)]
-    flat = VPolytope(tuple((x, Fraction(y, 7), Fraction(x, 2) - Fraction(y, 3) + third) for x, y in pentagon))
+    flat = vpoly(tuple((x, Fraction(y, 7), Fraction(x, 2) - Fraction(y, 3) + third) for x, y in pentagon))
     runs = {
         "verify": lambda: verify_counterexample(True).passed,
         "lift": lambda: [r.dim for r in strong_dstep_iterate(cube4_prismatoid, 2, seed=0)[1]] == [4, 5, 6],
@@ -213,3 +229,53 @@ def test_the_engine_hands_reduce_rows_int_rows_only(monkeypatch):
         assert not bad, f"{name} handed {bad[:3]}"
         assert ok and len(calls) > before, name
     assert min(counts.values()) > 0, counts
+
+
+def _canonical(q) -> bool:
+    """q is a point's one vector: `int` entries, coprime, last entry > 0."""
+    return all(type(v) is int for v in q) and math.gcd(*q) == 1 and q[-1] > 0
+
+
+def test_the_engine_reads_canonical_vectors_only(monkeypatch):
+    """With `VPolytope.vertices` patched to refuse and record every read but
+    those of `check_prism_collinearities`, which checks rational identities
+    on purpose, and every `VPolytope` made checked for vectors that are not
+    canonical (an entry that is not an `int`, a common factor above 1, a
+    last entry of 0 or less): full verify, the q48 push, a two-step lift of
+    the 4-cube to dim 6, the Minkowski sum of two summands with
+    denominators and a polar read no rational point and make no other
+    vector.  Full verify reports a section that raises as a FAIL line, so
+    the record is read after each run."""
+    assert not any(map(_canonical, [(2, 4, 2), (1, 0), (-1, -1), (Fraction(1), 1), (True, 1)]))
+    reads, bad = [], []
+    made = [0]
+    view, post_init = VPolytope.vertices, VPolytope.__post_init__
+
+    def refusing_view(self):
+        caller = sys._getframe(1).f_code.co_name
+        if caller != "check_prism_collinearities":
+            reads.append(caller)
+            raise AssertionError(f"{caller} read VPolytope.vertices")
+        return view.fget(self)
+
+    def checked_post_init(self):
+        made[0] += 1
+        bad.extend(q for q in self.vectors if not _canonical(q))
+        post_init(self)
+
+    cube4_prismatoid, tetrahedron, small_cube = _guard_inputs()
+    monkeypatch.setattr(VPolytope, "vertices", property(refusing_view))
+    monkeypatch.setattr(VPolytope, "__post_init__", checked_post_init)
+    runs = {
+        "verify": lambda: verify_counterexample(True).passed,
+        "push": lambda: push_vertex(vertices48(), 3, seed=1).n_vertices == 48,
+        "lift": lambda: [r.dim for r in strong_dstep_iterate(cube4_prismatoid, 2, seed=0)[1]] == [4, 5, 6],
+        "sum": lambda: minkowski_sum(tetrahedron, small_cube).polytope.n_vertices == 13,
+        "polar": lambda: polar(tetrahedron).n_vertices == 4,
+    }
+    for name, run in runs.items():
+        before = made[0]
+        ok = run()
+        assert not reads, f"{name}: {reads[:3]} read VPolytope.vertices"
+        assert not bad, f"{name} made the vectors {bad[:3]}"
+        assert ok and made[0] > before, name

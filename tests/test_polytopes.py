@@ -9,7 +9,6 @@ from exactpoly.polytopes import (
     DuplicatePoints,
     DegenerateInput,
     NotAVertex,
-    VPolytope,
     _centroid,
     certify_vertices,
     dual_graph,
@@ -19,7 +18,7 @@ from exactpoly.polytopes import (
     polar,
     vertex_graph,
 )
-from exactpoly.geometry import DimensionMismatch, affine_rank, dot
+from exactpoly.geometry import DimensionMismatch, affine_rank, dot, homogeneous
 from exactpoly.graphs import Graph
 from exactpoly.prismatoids import make_prismatoid
 from exactpoly.rationals import Rat, common_denominator
@@ -28,11 +27,13 @@ from helpers import (
     check_hull_against_oracle,
     clear_denominators,
     face_maximizing,
+    fractions,
     incidence_matrix,
     is_connected,
     primitive_ints,
     random_polytope,
     slack,
+    vpoly,
 )
 
 from exactpoly.geometry import vsub
@@ -46,24 +47,24 @@ def cube(dim=3):
     pts = []
     for m in range(2**dim):
         pts.append(pt(*(1 if m >> i & 1 else -1 for i in range(dim))))
-    return VPolytope(tuple(pts))
+    return vpoly(tuple(pts))
 
 
 def simplex(dim):
     pts = [pt(*(0,) * dim)]
     for i in range(dim):
         pts.append(pt(*(1 if j == i else 0 for j in range(dim))))
-    return VPolytope(tuple(pts))
+    return vpoly(tuple(pts))
 
 
 def pentagon():
     # integral pentagon (convex, 5 vertices)
-    return VPolytope((pt(0, 0), pt(4, 0), pt(6, 3), pt(3, 6), pt(-1, 3)))
+    return vpoly((pt(0, 0), pt(4, 0), pt(6, 3), pt(3, 6), pt(-1, 3)))
 
 
 class TestFacetEnumeration:
     def test_unit_square(self):
-        sq = VPolytope((pt(1, 1), pt(1, -1), pt(-1, 1), pt(-1, -1)))
+        sq = vpoly((pt(1, 1), pt(1, -1), pt(-1, 1), pt(-1, -1)))
         hull = facet_enumeration(sq)
         assert set(hull.hrep.inequalities) == {(1, 0, 1), (-1, 0, 1), (0, 1, 1), (0, -1, 1)}
 
@@ -77,26 +78,26 @@ class TestFacetEnumeration:
         # call on `poly` itself would return the kept hull
         poly, _ = random_polytope(random.Random(2), 3, 9)
         h1 = facet_enumeration(poly)
-        h2 = facet_enumeration(VPolytope(poly.vertices))
+        h2 = facet_enumeration(vpoly(poly.vertices))
         assert h1 is not h2
         assert h1.hrep.inequalities == h2.hrep.inequalities
         assert h1.incidence.facet_masks == h2.incidence.facet_masks
 
     def test_duplicate_points_reported(self):
         with pytest.raises(DuplicatePoints):
-            facet_enumeration(VPolytope((pt(0, 0), pt(1, 0), pt(0, 0))))
+            facet_enumeration(vpoly((pt(0, 0), pt(1, 0), pt(0, 0))))
 
     def test_single_point_rejected(self):
         with pytest.raises(DegenerateInput):
-            facet_enumeration(VPolytope((pt(2, 2),)))
+            facet_enumeration(vpoly((pt(2, 2),)))
 
     def test_segment(self):
-        hull = facet_enumeration(VPolytope((pt(-2,), pt(5,))))
+        hull = facet_enumeration(vpoly((pt(-2,), pt(5,))))
         assert set(hull.hrep.inequalities) == {(1, 5), (-1, 2)}
 
     def test_lower_dimensional_input(self):
         # a triangle embedded in 3-space: facets cut inside the plane
-        tri = VPolytope((pt(0, 0, 1), pt(2, 0, 1), pt(0, 2, 1)))
+        tri = vpoly((pt(0, 0, 1), pt(2, 0, 1), pt(0, 2, 1)))
         hull = facet_enumeration(tri)
         assert hull.dim == 2
         assert len(hull.hrep.equalities) == 1
@@ -138,7 +139,7 @@ class TestOracleEquivalence:
             pts = set()
             while len(pts) < n:
                 pts.add(pt(*(rng.randint(-5, 5) for _ in range(dim))))
-            poly = VPolytope(tuple(sorted(pts, key=lambda p: tuple(int(c) for c in p))))
+            poly = vpoly(tuple(sorted(pts, key=lambda p: tuple(int(c) for c in p))))
             if affine_rank(poly.vertices) != dim:
                 continue
             check_hull_against_oracle(poly)
@@ -155,7 +156,7 @@ class TestOracleEquivalence:
             pts = set()
             while len(pts) < n:
                 pts.add(tuple(Rat(rng.randint(-12, 12), rng.randint(1, 6)) for _ in range(dim)))
-            poly = VPolytope(tuple(sorted(pts)))
+            poly = vpoly(tuple(sorted(pts)))
             if affine_rank(poly.vertices) != dim:
                 continue
             check_hull_against_oracle(poly)
@@ -179,7 +180,7 @@ class TestIntegerTypedInput:
 
     def test_full_dimensional(self):
         pts = ((0, 0, 0), (4, 0, 0), (0, 3, 0), (0, 0, 5), (3, 3, 3))
-        poly = VPolytope(pts)
+        poly = vpoly(pts)
         hull = facet_enumeration(poly)
         assert _no_floats(_hrep_values(hull))
         assert certify_vertices(poly, hull) is poly
@@ -193,7 +194,7 @@ class TestIntegerTypedInput:
     def test_lower_dimensional_needs_a_chart(self):
         # a quadrilateral in the plane x + y + z = 6 of 3-space
         pts = ((6, 0, 0), (0, 6, 0), (0, 0, 6), (4, 4, -2))
-        poly = VPolytope(pts)
+        poly = vpoly(pts)
         hull = facet_enumeration(poly)
         assert hull.dim == 2
         assert hull.hrep.equalities == ((1, 1, 1, 6),)
@@ -206,9 +207,9 @@ class TestRationalChart:
     def test_rational_polygon_lifted_to_a_plane(self):
         # the copy at x3 = 1/3 of a rational polygon has the polygon's
         # incidence and its facets extended by a zero coefficient
-        polygon = VPolytope((pt(0, 0), pt(Rat(7, 2), 0), pt(Rat(9, 2), Rat(5, 3)),
+        polygon = vpoly((pt(0, 0), pt(Rat(7, 2), 0), pt(Rat(9, 2), Rat(5, 3)),
                              pt(2, Rat(11, 3)), pt(Rat(-1, 4), Rat(3, 2))))
-        flat = VPolytope(tuple(p + (Rat(1, 3),) for p in polygon.vertices))
+        flat = vpoly(tuple(p + (Rat(1, 3),) for p in polygon.vertices))
         hull2 = facet_enumeration(polygon)
         hull3 = facet_enumeration(flat)
         assert hull3.dim == 2
@@ -232,7 +233,7 @@ class TestHullReuse:
         # the kept hull takes no part in comparison, hashing or repr
         poly = pentagon()
         hull = facet_enumeration(poly)
-        twin = VPolytope(poly.vertices)
+        twin = vpoly(poly.vertices)
         assert twin == poly and hash(twin) == hash(poly) and repr(twin) == repr(poly)
         other = facet_enumeration(twin)
         assert other is not hull
@@ -240,7 +241,7 @@ class TestHullReuse:
         assert other.incidence.facet_masks == hull.incidence.facet_masks
 
     def test_input_that_raises_keeps_nothing(self, monkeypatch):
-        dup = VPolytope((pt(0, 0), pt(1, 0), pt(0, 0)))
+        dup = vpoly((pt(0, 0), pt(1, 0), pt(0, 0)))
         for _ in range(2):
             with pytest.raises(DuplicatePoints):
                 facet_enumeration(dup)
@@ -275,12 +276,12 @@ class TestHullReuse:
 
 class TestCertifyVertices:
     def test_center_of_square_rejected(self):
-        sq = VPolytope((pt(1, 1), pt(1, -1), pt(-1, 1), pt(-1, -1), pt(0, 0)))
+        sq = vpoly((pt(1, 1), pt(1, -1), pt(-1, 1), pt(-1, -1), pt(0, 0)))
         with pytest.raises(NotAVertex):
             certify_vertices(sq)
 
     def test_boundary_non_vertex_rejected(self):
-        seg = VPolytope((pt(0, 0), pt(2, 0), pt(1, 0), pt(0, 2)))
+        seg = vpoly((pt(0, 0), pt(2, 0), pt(1, 0), pt(0, 2)))
         with pytest.raises(NotAVertex):
             certify_vertices(seg)
 
@@ -362,7 +363,7 @@ class TestSimplicity:
         assert not all(m.bit_count() == 3 for m in inc.facet_masks)
 
     def test_octahedron(self):
-        o = VPolytope(tuple(pt(*(s if j == i else 0 for j in range(3)))
+        o = vpoly(tuple(pt(*(s if j == i else 0 for j in range(3)))
                             for i in range(3) for s in (1, -1)))
         inc = facet_enumeration(o).incidence
         assert not all(m.bit_count() == 3 for m in inc.vertex_masks)
@@ -382,10 +383,10 @@ def polar_inputs(draw):
     (interior), the midpoint of an edge and the centroid of a facet's
     points."""
     dim = draw(st.integers(2, 5))
-    coord = st.fractions(-3, 3, max_denominator=4)
+    coord = fractions(-3, 3, 4)
     pts = draw(st.lists(st.tuples(*[coord] * dim), min_size=dim + 1, max_size=9, unique=True))
     assume(affine_rank(pts) == dim)
-    poly = VPolytope(tuple(pts))
+    poly = vpoly(tuple(pts))
     hull = facet_enumeration(poly)
     edges = vertex_graph(poly, hull).edges
     extra = []
@@ -412,11 +413,11 @@ class TestPolar:
         # the hull `polar` derives from the input's and keeps, against the
         # double-description build over a fresh object with the same
         # points; a point that is not a vertex gives no polar facet
-        poly = VPolytope(tuple(pts))
+        poly = vpoly(tuple(pts))
         pol = polar(poly)
         kept = facet_enumeration(pol)
         assert kept.incidence.n_facets == len(extreme_indices(facet_enumeration(poly)))
-        _same_hull(kept, facet_enumeration(VPolytope(pol.vertices)))
+        _same_hull(kept, facet_enumeration(vpoly(pol.vertices)))
 
     def test_cube_polar_is_cross_polytope(self):
         p = polar(cube())
@@ -430,7 +431,7 @@ class TestPolar:
         for dim in (2, 3):
             poly, _ = random_polytope(rng, dim, 8)
             c = centroid(poly.vertices)
-            centered = VPolytope(tuple(vsub(v, c) for v in poly.vertices))
+            centered = vpoly(tuple(vsub(v, c) for v in poly.vertices))
             back = certify_vertices(polar(polar(centered)))
             rays = {tuple(primitive_ints(list(v))) for v in back.vertices}
             want = {tuple(primitive_ints(list(v))) for v in centered.vertices}
@@ -438,27 +439,27 @@ class TestPolar:
 
     @settings(max_examples=80, deadline=None)
     @given(st.integers(2, 4).flatmap(lambda dim: st.lists(
-        st.tuples(*[st.fractions(-3, 3, max_denominator=4)] * dim),
+        st.tuples(*[fractions(-3, 3, 4)] * dim),
         min_size=dim + 1, max_size=9, unique=True,
     ).filter(lambda pts: affine_rank(pts) == dim)))
     def test_polar_from_the_given_hull(self, pts):
         # the rows of the hull kept on the input, translated by the
         # centroid, against the enumeration of the translated points
-        poly = VPolytope(tuple(pts))
+        poly = vpoly(tuple(pts))
         c = centroid(poly.vertices)
         assume(any(c))
-        shifted = facet_enumeration(VPolytope(tuple(vsub(p, c) for p in poly.vertices)))
+        shifted = facet_enumeration(vpoly(tuple(vsub(p, c) for p in poly.vertices)))
         want = tuple(tuple(Rat(a, q[-1]) for a in q[:-1]) for q in shifted.hrep.inequalities)
-        assert polar(poly) == VPolytope(want)
+        assert polar(poly) == vpoly(want)
 
     @settings(max_examples=150, deadline=None)
     @given(st.integers(1, 5).flatmap(lambda dim: st.lists(
-        st.tuples(*[st.fractions(-40, 40, max_denominator=12)] * dim), min_size=1, max_size=12,
+        st.tuples(*[fractions(-40, 40, 12)] * dim), min_size=1, max_size=12,
     )))
     def test_integer_shift_is_the_centroid(self, pts):
         # the integer shift (n, s) of `polar` against the centroid taken
         # with `Fraction` sums: s / n is that centroid in lowest terms
-        n, s, _, _ = _centroid(pts)
+        n, s, _, _ = _centroid([homogeneous(p) for p in pts])
         c = centroid(pts)
         assert n == common_denominator(c) and s == clear_denominators(c)
         assert n > 0 and tuple(Rat(v, n) for v in s) == c
@@ -484,7 +485,7 @@ class TestPolar:
             for f, q in enumerate(hull.hrep.inequalities):
                 facet_of[index[tuple(Rat(a) / (q[-1] - dot(q[:-1], c)) for a in q[:-1])]] = f
             mat = incidence_matrix(hull.incidence)
-            kept, built = facet_enumeration(p), facet_enumeration(VPolytope(p.vertices))
+            kept, built = facet_enumeration(p), facet_enumeration(vpoly(p.vertices))
             _same_hull(kept, built)
             for hull_p in (kept, built):
                 assert hull_p.incidence.n_facets == poly.n_vertices
@@ -497,7 +498,7 @@ class TestPolar:
     def test_interior_origin_required(self):
         # all points in a halfspace far from the centroid-shifted origin: fine
         # after shift, so build a genuinely degenerate (flat) input instead
-        flat = VPolytope((pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0)))
+        flat = vpoly((pt(0, 0, 0), pt(1, 0, 0), pt(0, 1, 0)))
         with pytest.raises(DegenerateInput):
             polar(flat)
 
