@@ -5,12 +5,13 @@ d-step inductive step and its bounded iteration, products,
 combinatorial blending, and Hirsch-excess arithmetic.  Every randomized
 operation takes an explicit seed and is deterministic given (inputs, seed).
 
-A perturbation search builds the hull of its fixed points once and inserts
-one moved point per candidate into a copy of that builder.  The fixed rows
-pass `_verify` before any candidate is counted, so a moved point that sees
-none of them lies in the hull of the fixed points: it is counted "not a
-vertex" with no hull built, verified or certified, and the search makes the
-same draws, in the same order, with the same counts, as if it had built one.
+A perturbation search builds the hull of its fixed points once and
+extends it by one moved point per candidate (`HullBuilder.extend`).  The
+fixed rows pass `_verify` before any candidate is counted, so a moved point
+that sees none of them lies in the hull of the fixed points: it is counted
+"not a vertex" with no hull built, verified or certified, and the search
+makes the same draws, in the same order, with the same counts, as if it
+had built one.
 Points move in integers: a step is the vector (-e, D) of the displacement
 e / D, added to the moved vertex's vector by `geometry.plus`, and each
 halving doubles D, so no search forms a rational.
@@ -156,24 +157,20 @@ def _fixed_builder(poly: VPolytope, v: int) -> Optional[HullBuilder]:
 
 def _moved(poly: VPolytope, v: int, q, fixed: Optional[HullBuilder]) -> Optional[VPolytope]:
     """Poly with vertex v at the point of the `homogeneous` vector q,
-    keeping its verified hull: one insertion into a copy of `fixed`, or a
-    facet enumeration when there is no builder.  None, with no hull built,
-    when the point sees no facet of `fixed`: it then lies in the hull of
-    the fixed points, so it is no vertex.  Moved to its own position, a
-    vertex v gives a copy of poly with the same points and labels whose
-    hull is kept."""
-    builder = None
-    if fixed is not None:
-        builder = fixed.copy()
-        if not builder.insert(v, q):
-            return None
-    verts = list(poly.vectors)
-    verts[v] = q
-    new_poly = VPolytope(tuple(verts), poly.labels)
-    if builder is None:
+    keeping its verified hull: `fixed` extended by q in slot v, or a facet
+    enumeration when there is no builder.  None, with no hull built, when
+    the point sees no facet of `fixed`: it then lies in the hull of the
+    fixed points, so it is no vertex.  Moved to its own position, a vertex
+    v gives a copy of poly with the same points and labels whose hull is
+    kept."""
+    hull = None if fixed is None else fixed.extend(v, q)
+    if fixed is not None and hull is None:
+        return None
+    new_poly = VPolytope(poly.vectors[:v] + (q,) + poly.vectors[v + 1:], poly.labels)
+    if hull is None:
         facet_enumeration(new_poly)
     else:
-        keep_hull(new_poly, builder.hull())
+        keep_hull(new_poly, hull)
     return new_poly
 
 
@@ -183,11 +180,10 @@ def _halvings(poly, v, fixed, step, max_halvings, rejected):
     verified hull, at which the moved point is a vertex, and count every
     other one (a coincident point included) under rejected["not a vertex"].
 
-    The rows of `fixed` pass `_verify` first, so a candidate whose point
-    sees none of them lies in the hull of the fixed points: it is counted
-    with no hull built, and a builder that fails raises before any count."""
-    if fixed is not None:
-        fixed._verified_pairs()
+    Each candidate extends `fixed`, whose rows pass `_verify` at its first
+    `extend`, so a candidate whose point sees none of them lies in the hull
+    of the fixed points: it is counted with no hull built, and a builder
+    that fails raises before any count."""
     q = poly.vectors[v]
     for _ in range(max_halvings + 1):
         try:
@@ -252,10 +248,9 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
     parallel to the bases and inside the affine hull of the suspension,
     halving up to STEP_HALVINGS times until the result verifies as a
     prismatoid of larger width.
-    The apexes are tried in a seeded order.  The suspension's hull is one
-    insertion of the first apex, at its own position, into the builder of
-    the other vertices, and that builder then serves the first apex's
-    search.  Returns (prismatoid, StepRecord).
+    The apexes are tried in a seeded order.  The suspension's hull is the
+    builder of the other vertices extended by the first apex at its own
+    position, and that builder then serves the first apex's search.  Returns (prismatoid, StepRecord).
     """
     if pr.asimpliciality <= 0:
         raise ConstructionFailed("both bases are simplices; nothing to gain")
@@ -276,8 +271,8 @@ def strong_dstep_step(pr: Prismatoid, old_width: int, seed: int):
     new_plus = sorted(i - (i > v) for i in plus_set)
     apex_order = list(new_plus)
     rng.shuffle(apex_order)
-    # the suspension's hull is one insertion of the first apex into the
-    # builder of the other vertices, which its search then starts from; the
+    # the suspension's hull is the builder of the other vertices extended
+    # by the first apex, and its search then starts from that builder; the
     # copy of S that keeps that hull replaces S (an apex that is no vertex
     # of S gives no copy, and S's hull is enumerated)
     first_fixed = _fixed_builder(S, apex_order[0])

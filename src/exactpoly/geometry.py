@@ -22,7 +22,6 @@ import math
 from operator import mul
 
 from .linalg import matrix_rank, primitive
-from .rationals import common_denominator
 
 
 class GeometryError(ValueError):
@@ -57,7 +56,7 @@ def homogeneous(p):
     """(-w p_1, ..., -w p_k, w) in `int`, w the lcm of the denominators of
     the rationals or ints p, so that a row (a, b) meets it in w (b - a . p):
     the one vector of the point, since its entries are coprime."""
-    w = common_denominator(p)
+    w = math.lcm(*(v.denominator for v in p))
     return tuple(-v.numerator * (w // v.denominator) for v in p) + (w,)
 
 

@@ -11,19 +11,20 @@ Each rule is stated once, where it is applied:
 - `HullBuilder` is the one hull, over homogeneous integer vectors and
   primitive `HPolytope` rows with masks of tight points.  Its one
   constructor takes the starting simplex's facets from one `nullspace`,
-  `_add` inserts a point by one double-description step (Fukuda & Prodon
-  1996), and `copy` and `insert` serve the perturbation searches.  Every
-  elimination is a `linalg` call.
+  `_add` steps a point in by one double-description step (Fukuda & Prodon
+  1996), and the builder is never changed after it: `extend` gives the
+  perturbation searches each candidate's hull.  Every elimination is a
+  `linalg` call.
 - `affine_chart` and `Chart` put input of lower dimension on coordinates
   of its affine hull; `_enumerate` builds there and `Chart.lift` lifts.
 - `_verify` is the check every returned hull passes, and the one place a
   `Hull` is made from (row, mask) pairs: it meets every point with every
   row (`_tight_masks`) and proves each facet's rank
   (`_triangular_certificate`, a certificate in the sense of McConnell,
-  Mehlhorn, Naeher & Schweitzer 2011).  `HullBuilder.hull` checks a copy's
-  carried rows at the inserted points alone; `Chart.vertex_hull` verifies
-  a Minkowski sum's rows against its listed vertices and refuses a listed
-  point that is no vertex.
+  Mehlhorn, Naeher & Schweitzer 2011).  `HullBuilder.extend` checks the
+  rows a candidate carried from its verified builder at the new point
+  alone; `Chart.vertex_hull` verifies a Minkowski sum's rows against its
+  listed vertices and refuses a listed point that is no vertex.
 - `_smallest_faces` is the vertex test of `certify_vertices` and
   `extreme_indices`; `_adjacency` builds both graphs, which `Hull` keeps.
 - `facet_enumeration` and `keep_hull` keep one verified hull per
@@ -316,36 +317,105 @@ def _verify(dim, pts, pairs, unchecked, empty) -> Hull:
     return Hull(HPolytope(dim, rows), incidence, dim)
 
 
+def _add(dim, rows, masks, i, q) -> bool:
+    """The double-description step for the `homogeneous` vector q in the
+    empty slot i, on the lists `rows` and `masks` of a hull of dimension
+    `dim`, which it changes in place; whether the point saw a facet.
+
+    A facet with negative slack is visible and goes; one with zero slack
+    extends to the point.  A visible facet fa and a facet fk with positive
+    slack share a ridge iff no third facet holds all their common points
+    (Fukuda & Prodon 1996, "Double description method revisited"); the
+    new facet through that ridge and the point is s_k fa - s_a fk, a
+    positive combination, so it is oriented, and its tight points are the
+    common ones plus the point.  A facet with exactly k tight points is
+    a simplex: any k-1 of them span one of its ridges, which lies in it
+    and one other facet only.  So when fa is a simplex, every fk meeting
+    it in k-1 points is its partner, and when fk is one, it is fa's; in
+    either case no third facet is tested.
+
+    The candidates are output-sensitive: the partner fk and every third
+    facet that could hold the common points meet fa in at least k-1
+    points, so in as many of the visible region U, the union of the
+    visible facets' points.  One pass keeps the facets meeting U so
+    (every facet for k = 1: the ends of a segment share no point), and
+    each visible facet scans only the kept ones meeting it so.  A
+    visible facet leaves by trading places with the last; the hull
+    sorts."""
+    bit = 1 << i
+    slacks = [sum(map(mul, h, q)) for h in rows]
+    visible = [f for f, s in enumerate(slacks) if s < 0]
+    for f in [f for f, s in enumerate(slacks) if s == 0]:
+        masks[f] |= bit
+    if not visible:
+        return False
+    k1 = dim - 1
+    region = 0
+    for a in visible:
+        region |= masks[a]
+    kept = [(f, m) for f, m in enumerate(masks) if (region & m).bit_count() >= k1]
+    beyond = [(f, m) for f, m in kept if slacks[f] > 0]
+    new_rows, new_masks = [], []
+    for a in visible:
+        ha, ma, sa = rows[a], masks[a], slacks[a]
+        if ma.bit_count() == dim:
+            # a simplex: every facet beyond the point meeting it in k-1
+            # points is a partner
+            partners = [(b, c) for b, m in beyond if (c := ma & m).bit_count() >= k1]
+        else:
+            near = [(f, c) for f, m in kept if (c := ma & m).bit_count() >= k1 and f != a]
+            # a simplex b holds a ridge in any k-1 of its points; else b
+            # itself is in `near`, and a third holder of `common` is a veto
+            partners = [
+                (b, common) for b, common in near
+                if slacks[b] > 0 and (
+                    masks[b].bit_count() == dim
+                    or sum(c & common == common for _, c in near) == 1
+                )
+            ]
+        for b, common in partners:
+            sb = slacks[b]
+            new_rows.append(primitive(tuple(sb * x - sa * y for x, y in zip(ha, rows[b]))))
+            new_masks.append(common | bit)
+    for a in reversed(visible):  # every higher visible facet has left
+        rows[a], masks[a] = rows[-1], masks[-1]
+        del rows[-1], masks[-1]
+    rows += new_rows
+    masks += new_masks
+    return True
+
+
+def _verify_filled(dim, pts, pairs, unchecked) -> Hull:
+    """`_verify` of the sorted (row, mask) `pairs` against the points of
+    every slot, after checking that no slot is empty and no point repeats."""
+    if None in pts:
+        raise ValueError(f"hull slot {pts.index(None)} is empty")
+    _check_duplicates(pts)
+    return _verify(dim, pts, pairs, unchecked, 0)
+
+
 class HullBuilder:
-    """Incremental hull of full-dimensional points, one double-description
-    step per inserted point.
+    """The hull of full-dimensional points, one double-description step
+    (`_add`) per point, fixed once its constructor returns.
 
     Slot i holds point i as its `homogeneous` vector q = (-w p, w), w > 0,
-    as a `VPolytope` holds it, or None until `insert(i, q)` fills it.
-    Bit i of a facet mask means point i is tight.  A facet is its `HPolytope` row h = (a, b), which
+    as a `VPolytope` holds it, or None when it is empty.  Bit i of a facet
+    mask means point i is tight.  A facet is its `HPolytope` row h = (a, b), which
     meets q in h . q = w (b - a . p), w times the slack of p: each point
-    keeps its own denominator, and a point with new denominators inserts
-    without rescaling the rest.  `copy()` is cheap, so a search can build the
-    hull of its fixed points once and insert one moved point per candidate.
-
-    `hull()` checks every row by `_verify`, except a row a copy carried from
-    its base, which its own loop checks at the inserted points.  A copy
-    records the builder it came from, its base.  The first `hull()` of a
-    copy verifies every row of the base against the base's own points, and
-    keeps them with the base's (row, mask) pairs in the base's `verified`; a
-    base that fails makes the `hull()` of each of its copies raise.  A row
-    of a copy whose pair, less the bits of the slots filled since, is one of
-    the base's needs only the points in those slots checked, provided every
-    other slot holds the very point object the base held; every other row
-    gets the full check.
+    keeps its own denominator, and a point with new denominators enters
+    without rescaling the rest.  `points`, `rows` and `masks` are tuples
+    that no method changes: `hull()` verifies them, and `extend(i, q)`
+    gives the hull with one empty slot filled, so a search builds the hull
+    of its fixed points once and extends it by one moved point per
+    candidate.
     """
 
-    __slots__ = ("dim", "points", "rows", "masks", "base", "verified")
+    __slots__ = ("dim", "points", "rows", "masks", "snapshot")
 
     def __init__(self, vectors):
         """Hull of the non-None `vectors`, `geometry.homogeneous` integer
         vectors (None marks an empty slot), started from the simplex on
-        their greedy basis and then inserted in index order.  Raises
+        their greedy basis and then stepped in index order.  Raises
         DegenerateInput when they are not full-dimensional.
 
         With M the basis points as rows, the facet opposite basis point i
@@ -361,163 +431,74 @@ class HullBuilder:
         n = len(basis)
         if n != len(vectors[present[0]]):
             raise DegenerateInput("hull points are not full-dimensional")
-        self.points = list(vectors)
         self.dim = n - 1
-        self.base = None
-        self.verified = None
         block = [vectors[i] + tuple(-(i == j) for j in basis) for i in basis]
-        self.rows = [primitive(x[:n]) for x in nullspace(block)]
+        rows = [primitive(x[:n]) for x in nullspace(block)]
         everyone = bits(basis)
-        self.masks = [everyone ^ 1 << i for i in basis]
+        masks = [everyone ^ 1 << i for i in basis]
         in_basis = set(basis)
         for i, q in enumerate(vectors):
             if q is not None and i not in in_basis:
-                self._add(i)
-
-    def copy(self) -> "HullBuilder":
-        twin = HullBuilder.__new__(HullBuilder)
-        twin.dim = self.dim
-        twin.points = list(self.points)
-        twin.rows = list(self.rows)
-        twin.masks = list(self.masks)
-        twin.base = self
-        twin.verified = None
-        return twin
-
-    def insert(self, i: int, q) -> bool:
-        """Fill the empty slot i with the `homogeneous` vector q and update
-        the facets; whether the point saw a facet.  One that sees none lies
-        in the hull of the points before it, and only the incidence of the
-        facets through it changes."""
-        if len(q) != self.dim + 1:
-            raise DimensionMismatch(f"point of dimension {len(q) - 1}, hull of {self.dim}")
-        if self.points[i] is not None:
-            raise ValueError(f"hull slot {i} is already filled")
-        self.points[i] = q
-        return self._add(i)
-
-    def _add(self, i) -> bool:
-        """The double-description step for the point in slot i; whether it
-        saw a facet.
-
-        A facet with negative slack is visible and goes; one with zero slack
-        extends to the point.  A visible facet fa and a facet fk with positive
-        slack share a ridge iff no third facet holds all their common points
-        (Fukuda & Prodon 1996, "Double description method revisited"); the
-        new facet through that ridge and the point is s_k fa - s_a fk, a
-        positive combination, so it is oriented, and its tight points are the
-        common ones plus the point.  A facet with exactly k tight points is
-        a simplex: any k-1 of them span one of its ridges, which lies in it
-        and one other facet only.  So when fa is a simplex, every fk meeting
-        it in k-1 points is its partner, and when fk is one, it is fa's; in
-        either case no third facet is tested.
-
-        The candidates are output-sensitive: the partner fk and every third
-        facet that could hold the common points meet fa in at least k-1
-        points, so in as many of the visible region U, the union of the
-        visible facets' points.  One pass keeps the facets meeting U so
-        (every facet for k = 1: the ends of a segment share no point), and
-        each visible facet scans only the kept ones meeting it so.  A
-        visible facet leaves by trading places with the last; `hull()`
-        sorts."""
-        q = self.points[i]
-        bit = 1 << i
-        rows, masks = self.rows, self.masks
-        slacks = [sum(map(mul, h, q)) for h in rows]
-        visible = [f for f, s in enumerate(slacks) if s < 0]
-        for f in [f for f, s in enumerate(slacks) if s == 0]:
-            masks[f] |= bit
-        if not visible:
-            return False
-        k1 = self.dim - 1
-        region = 0
-        for a in visible:
-            region |= masks[a]
-        kept = [(f, m) for f, m in enumerate(masks) if (region & m).bit_count() >= k1]
-        beyond = [(f, m) for f, m in kept if slacks[f] > 0]
-        new_rows, new_masks = [], []
-        for a in visible:
-            ha, ma, sa = rows[a], masks[a], slacks[a]
-            if ma.bit_count() == self.dim:
-                # a simplex: every facet beyond the point meeting it in k-1
-                # points is a partner
-                partners = [(b, c) for b, m in beyond if (c := ma & m).bit_count() >= k1]
-            else:
-                near = [(f, c) for f, m in kept if (c := ma & m).bit_count() >= k1 and f != a]
-                # a simplex b holds a ridge in any k-1 of its points; else b
-                # itself is in `near`, and a third holder of `common` is a veto
-                partners = [
-                    (b, common) for b, common in near
-                    if slacks[b] > 0 and (
-                        masks[b].bit_count() == self.dim
-                        or sum(c & common == common for _, c in near) == 1
-                    )
-                ]
-            for b, common in partners:
-                sb = slacks[b]
-                new_rows.append(primitive(tuple(sb * x - sa * y for x, y in zip(ha, rows[b]))))
-                new_masks.append(common | bit)
-        for a in reversed(visible):  # every higher visible facet has left
-            rows[a], masks[a] = rows[-1], masks[-1]
-            del rows[-1], masks[-1]
-        rows += new_rows
-        masks += new_masks
-        return True
-
-    def _verified_pairs(self):
-        """(points, the set of (row, mask) pairs), after `_verify` has
-        passed every pair against the points, an empty slot packed as the
-        zero vector.  Computed on the first call and kept: the facts stay
-        true when this builder changes later, since they name the points
-        they hold for.  A builder that fails raises on every call."""
-        if self.verified is None:
-            pts = tuple(self.points)
-            zero = (0,) * (self.dim + 1)
-            empty = bits(i for i, q in enumerate(pts) if q is None)
-            pairs = list(zip(self.rows, self.masks))
-            _verify(self.dim, [zero if q is None else q for q in pts], pairs, pairs, empty)
-            self.verified = (pts, set(pairs))
-        return self.verified
+                _add(self.dim, rows, masks, i, q)
+        self.points, self.rows, self.masks = tuple(vectors), tuple(rows), tuple(masks)
+        self.snapshot = None
 
     def hull(self) -> Hull:
         """The hull `_verify` returns: no repeated facet, every point inside
         every facet with exactly the recorded incidence, and the tight
         points of every facet spanning a hyperplane.  The builder's rows are
-        the hull's rows, sorted with their masks.
-
-        In a copy, a row that passed on the base with the same mask outside
-        the slots filled since needs only those slots' points checked: the
-        slack at each is >= 0, and 0 iff its bit is set.  Tight points added
-        to a set of rank `dim` on the row's hyperplane keep that rank.  The
-        returned incidence's `vertex_masks`, which the rank certificates
-        read, are reused by the vertex test."""
-        pts = self.points
-        if None in pts:
-            raise ValueError(f"hull slot {pts.index(None)} is empty")
-        _check_duplicates(pts)
+        the hull's rows, sorted with their masks.  The returned incidence's
+        `vertex_masks`, which the rank certificates read, are reused by the
+        vertex test."""
         pairs = sorted(zip(self.rows, self.masks))
-        unchecked = pairs
-        if self.base is not None:
-            fixed, passed = self.base._verified_pairs()
-            if all(p is None or p is q for p, q in zip(fixed, pts)):
-                added = [(i, pts[i]) for i, p in enumerate(fixed) if p is None]
-                new = bits(i for i, _ in added)
-                unchecked = []
-                for h, fmask in pairs:
-                    if (h, fmask & ~new) not in passed:
-                        unchecked.append((h, fmask))
-                        continue
-                    # a carried row is checked here at the inserted points,
-                    # usually one, not by `_tight_masks`: its packed test
-                    # costs more per row than this loop on so few points, and
-                    # a search carries thousands of rows per candidate
-                    for i, q in added:
-                        s = sum(map(mul, h, q))
-                        if s < 0:
-                            raise DegenerateInput("hull verification failed: point outside facet")
-                        if (s == 0) != bool(fmask >> i & 1):
-                            raise DegenerateInput("hull verification failed: incidence mismatch")
-        return _verify(self.dim, pts, pairs, unchecked, 0)
+        return _verify_filled(self.dim, self.points, pairs, pairs)
+
+    def extend(self, i: int, q) -> Optional[Hull]:
+        """The hull of the builder's points with the empty slot i filled by
+        the `homogeneous` vector q, as `hull()` verifies it, or None when
+        the point sees no facet: it then lies in the hull of the others.
+
+        The first call verifies every row against the builder's points, an
+        empty slot packed as the zero vector, which every row holds
+        tightly, and keeps those tuples with the set of verified (row, mask)
+        pairs; a builder that fails raises on every call.  Each call steps
+        from that snapshot, so nothing assigned to the builder later
+        reaches a candidate.  A row whose pair, less bit i, was verified
+        needs only q checked, by a dot product: the slack there is >= 0, and
+        0 iff bit i is set, and tight points added to a set of rank `dim` on
+        the row's hyperplane keep that rank.  Every other row goes through
+        `_verify`."""
+        if len(q) != self.dim + 1:
+            raise DimensionMismatch(f"point of dimension {len(q) - 1}, hull of {self.dim}")
+        if self.snapshot is None:
+            pts, rows, masks = self.points, self.rows, self.masks
+            zero = (0,) * (self.dim + 1)
+            empty = bits(j for j, p in enumerate(pts) if p is None)
+            pairs = list(zip(rows, masks))
+            _verify(self.dim, [zero if p is None else p for p in pts], pairs, pairs, empty)
+            self.snapshot = (pts, rows, masks, set(pairs))
+        pts, rows, masks, passed = self.snapshot
+        if pts[i] is not None:
+            raise ValueError(f"hull slot {i} is already filled")
+        rows, masks = list(rows), list(masks)
+        if not _add(self.dim, rows, masks, i, q):
+            return None
+        bit = 1 << i
+        pairs = sorted(zip(rows, masks))
+        unchecked = []
+        for h, fmask in pairs:
+            if (h, fmask & ~bit) not in passed:
+                unchecked.append((h, fmask))
+                continue
+            # a carried row is checked here at q, not by `_tight_masks`: its
+            # packed test costs more per row than one dot product, and a
+            # search carries thousands of rows per candidate
+            s = sum(map(mul, h, q))
+            if s < 0:
+                raise DegenerateInput("hull verification failed: point outside facet")
+            if (s == 0) != bool(fmask & bit):
+                raise DegenerateInput("hull verification failed: incidence mismatch")
+        return _verify_filled(self.dim, pts[:i] + (q,) + pts[i + 1:], pairs, unchecked)
 
 
 def facet_enumeration(poly: VPolytope) -> Hull:
@@ -539,8 +520,8 @@ def facet_enumeration(poly: VPolytope) -> Hull:
 def keep_hull(poly: VPolytope, hull: Hull) -> Hull:
     """Record `hull` on `poly` as its `facet_enumeration` and return it.
     `hull` must be the hull of poly's points in their order that came out
-    of `_verify`, as a `HullBuilder` over exactly those points returns it
-    (a search's candidate), as `polar` derives it by duality or as
+    of `_verify`, as `HullBuilder.hull` or `HullBuilder.extend` over
+    exactly those points returns it (a search's candidate), as `polar` derives it by duality or as
     `Chart.vertex_hull` verifies a Minkowski sum's on its vertices.  Later
     code reads it back with `facet_enumeration(poly)`, never from a second
     variable."""

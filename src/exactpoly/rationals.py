@@ -14,7 +14,6 @@ families and base normals.  Code that divides values which may both be
 """
 from __future__ import annotations
 
-import math
 import re
 from fractions import Fraction as Rat
 
@@ -39,8 +38,3 @@ def format_rat(q) -> str:
     """Canonical literal: `n` or `n/d` with d > 1."""
     n, d = q.numerator, q.denominator
     return f"{n}" if d == 1 else f"{n}/{d}"
-
-
-def common_denominator(values) -> int:
-    """The lcm of the denominators of ints and rationals (1 for ints)."""
-    return math.lcm(*(v.denominator for v in values))

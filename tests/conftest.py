@@ -7,16 +7,25 @@ from exactpoly.polytopes import HullBuilder, facet_enumeration
 @pytest.fixture
 def hull_builds(monkeypatch):
     """The point counts of the verified hulls built while the test runs, in
-    order: every hull, enumerated or from a search's builder, is one
-    `HullBuilder.hull()`.  A hull kept on a polytope adds nothing."""
+    order: every enumerated hull is one `HullBuilder.hull()`, and every
+    search candidate's one hull that `HullBuilder.extend` returns.  A hull
+    kept on a polytope adds nothing, and so does an `extend` that returns
+    None."""
     counts = []
-    build = HullBuilder.hull
+    build, extend = HullBuilder.hull, HullBuilder.extend
 
     def counting(builder):
         counts.append(len(builder.points))
         return build(builder)
 
+    def counting_extend(builder, i, q):
+        hull = extend(builder, i, q)
+        if hull is not None:
+            counts.append(len(builder.points))
+        return hull
+
     monkeypatch.setattr(HullBuilder, "hull", counting)
+    monkeypatch.setattr(HullBuilder, "extend", counting_extend)
     return counts
 
 

@@ -394,8 +394,10 @@ def reference_add(rows, masks, q, i, dim):
     """(rows, masks) after the double-description step for the homogeneous
     point q in slot i, with each visible facet's ridge candidates found by a
     full scan of every facet: those meeting it in at least dim-1 points.
-    This is `HullBuilder._add` before its candidates came from the visible
-    region, kept as the reference for the set of (row, mask) pairs."""
+    This is `polytopes._add`, the step of a `HullBuilder`'s constructor and
+    of each `extend`, before its candidates came from the visible region,
+    kept as the reference for the set of (row, mask) pairs.  It changes
+    neither of the lists it is given."""
     bit = 1 << i
     masks = list(masks)
     slacks = [sum(a * b for a, b in zip(h, q)) for h in rows]

@@ -50,8 +50,8 @@ MUTANTS = (
     Mutant(
         "add-simplex-test-widened",
         "polytopes.py",
-        "if ma.bit_count() == self.dim:",
-        "if ma.bit_count() >= self.dim:",
+        "if ma.bit_count() == dim:",
+        "if ma.bit_count() >= dim:",
         (
             "tests/test_hullbuilder.py::test_ridge_candidates_from_the_visible_region_match_the_full_scan",
             "tests/test_hullbuilder.py::test_q48_polar_and_base_sum_steps_match_the_full_scan",
@@ -73,10 +73,13 @@ MUTANTS = (
     ),
     Mutant(
         "halvings-skip-the-fixed-verification",
-        "constructions.py",
-        "        fixed._verified_pairs()\n",
-        "        pass\n",
-        ("tests/test_constructions.py::test_corrupted_fixed_builder_raises_before_inside_candidates_count",),
+        "polytopes.py",
+        "            _verify(self.dim, [zero if p is None else p for p in pts], pairs, pairs, empty)\n",
+        "            pass\n",
+        (
+            "tests/test_constructions.py::test_corrupted_fixed_builder_raises_before_inside_candidates_count",
+            "tests/test_hullbuilder.py::test_corrupted_fixed_builder_is_never_vouched_for",
+        ),
     ),
     Mutant(
         "start-drops-the-determinant-sign",
@@ -103,11 +106,21 @@ MUTANTS = (
         ("tests/test_hullbuilder.py::test_ridge_candidates_from_the_visible_region_match_the_full_scan",),
     ),
     Mutant(
-        "copy-shares-its-base-masks",
+        "extend-steps-from-the-builders-current-attributes",
         "polytopes.py",
-        "twin.masks = list(self.masks)",
-        "twin.masks = self.masks",
-        ("tests/test_constructions.py::test_whole_search_is_the_same_without_a_fixed_builder",),
+        "        pts, rows, masks, passed = self.snapshot\n",
+        "        pts, rows, masks, passed = self.points, self.rows, self.masks, self.snapshot[3]\n",
+        ("tests/test_hullbuilder.py::test_reassigned_builder_changes_no_later_candidate",),
+    ),
+    Mutant(
+        "extend-treats-new-rows-as-carried",
+        "polytopes.py",
+        "            if (h, fmask & ~bit) not in passed:\n",
+        "            if False:\n",
+        (
+            "tests/test_hullbuilder.py::test_corrupted_copy_raises",
+            "tests/test_hullbuilder.py::test_rank_proofs_of_a_twin_never_vouch_for_a_corrupted_copy",
+        ),
     ),
     Mutant(
         "polar-keeps-points-that-are-no-vertex",
@@ -201,8 +214,8 @@ MUTANTS = (
     Mutant(
         "moved-inserts-the-original-vector",
         "constructions.py",
-        "builder.insert(v, q)",
-        "builder.insert(v, poly.vectors[v])",
+        "fixed.extend(v, q)",
+        "fixed.extend(v, poly.vectors[v])",
         (
             "tests/test_constructions.py::test_whole_search_is_the_same_without_a_fixed_builder",
             "tests/test_northstar.py::test_row_output_is_pinned[push-q48]",

@@ -118,6 +118,21 @@ PINS = {row.name: row for row in ROWS}
 # and adjacency tests took their candidates from the incidence
 STEP2_POLY = "e62f23e7669de94e293711d546c279c15c5909d6f813e89ad3557b872b1adec0"
 
+# the searches of perfbench's dstep workload: per prismatoid of its
+# `DSTEP_POOL`, built by `perfbench/workloads.dstep_rows` at shift (0, 0, 0),
+# the sha256 of the STEP lines of strong_dstep_iterate(pr, 2, seed=0), as
+# `perfbench/golden.json` keeps them in `dstep_steps`, and of the final POLY
+# text; recorded when each candidate was an insertion into a copy of the
+# fixed builder
+DSTEP_POOL_PINS = (
+    ("402aebc06c6339b0c53cf2d07d939c5937f3f13650718d8b01f46d9c1b65ed45",
+     "596e7a818a5bfda04228f587305bac07035d097797f36eda285652491b83f65f"),
+    ("82a1cca85b9cb59ea1a71a470fe8fabaf648be30590acb7f23ec2be536f4f47d",
+     "b65e7b62adfb183f25cfedbe1eeee692f2ac8a190d42683988ec1e20f9d1dd2d"),
+    ("c4c1e75dc8279418e95e4e8ef435b7639c900b79097b23bcc571cb28ee40f52f",
+     "005725b348199d8a4c0f38fe31fa83513e82c017b54bd4df144c2e4ecc5a1fc5"),
+)
+
 # write_hpoly + write_incidence of q48's hull, recorded when elimination
 # still ran over Fraction
 HULL_TEXT = "723d730b3c71b042281d78384f0b8818891b0b2cddccea4008d937240313ece1"

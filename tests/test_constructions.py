@@ -31,7 +31,6 @@ from exactpoly.constructions import (
 from exactpoly.fileformats import write_hpoly, write_incidence, write_poly
 from exactpoly.geometry import DegenerateInput, affine_rank, homogeneous
 from exactpoly.polytopes import (
-    HullBuilder,
     dual_graph,
     facet_enumeration,
     iter_bits,
@@ -172,14 +171,21 @@ class TestPushVertex:
             "not a vertex 1, facet merge violated 0, not generic 3"
         )
 
-    def test_verification_failure_ends_the_search(self, q48):
-        # a fixed row of the q48 builder corrupted after the hull the push
-        # starts from was verified fails every candidate's verification;
-        # that is a fault to raise, not 17 candidates that are not vertices
+    def test_verification_failure_ends_the_search(self, q48, monkeypatch):
+        # once the hull the push starts from is verified, every step of a
+        # candidate comes back with its first row's offset shifted, which
+        # fails that candidate's verification; that is a fault to raise, not
+        # 17 candidates that are not vertices
         fixed = _fixed_builder(q48, 3)
         start = _moved(q48, 3, q48.vectors[3], fixed)
-        h = fixed.rows[0]
-        fixed.rows[0] = h[:-1] + (h[-1] + 1,)
+        add = polytopes._add
+
+        def shifting(dim, rows, masks, i, q):
+            seen = add(dim, rows, masks, i, q)
+            rows[0] = rows[0][:-1] + (rows[0][-1] + 1,)
+            return seen
+
+        monkeypatch.setattr(polytopes, "_add", shifting)
         with pytest.raises(DegenerateInput, match="hull verification failed"):
             _push(start, 3, fixed, range(q48.n_vertices), 1, None, 16)
 
@@ -338,8 +344,8 @@ class TestStrongDStep:
 
 
 class TestHullBuilds:
-    """The searches build each candidate's hull by one insertion into a copy
-    of a fixed builder, and read every hull they hold from the polytope that
+    """The searches build each candidate's hull by one `extend` of a fixed
+    builder, and read every hull they hold from the polytope that
     keeps it; pairing a polytope with a hull rebuilt from scratch would add
     a build and a call of `polytopes._enumerate`.  A candidate whose moved
     point sees no facet of the fixed builder lies in the hull of the fixed
@@ -425,13 +431,13 @@ def _halving_run(poly, v, fixed, step):
 @settings(max_examples=80, deadline=None)
 @given(pushes())
 def test_halvings_count_inside_points_as_building_them_would(push):
-    # the other way: every insertion claims to have seen a facet, so every
+    # the other way: every step claims to have seen a facet, so every
     # candidate gets its hull built, verified and its vertices certified
     poly, v, step = push
     fixed = _fixed_builder(poly, v)
     got = _halving_run(poly, v, fixed, step)
-    insert = HullBuilder.insert
-    with mock.patch.object(HullBuilder, "insert", lambda self, i, p: insert(self, i, p) or True):
+    add = polytopes._add
+    with mock.patch.object(polytopes, "_add", lambda *args: add(*args) or True):
         want = _halving_run(poly, v, fixed, step)
     assert got == want
 
@@ -455,7 +461,7 @@ def test_candidates_inside_the_fixed_hull_build_no_hull(hull_builds):
 
 def test_corrupted_fixed_builder_raises_before_inside_candidates_count():
     c, fixed, step = _cube_without_vertex_0()
-    fixed.masks[0] ^= 1 << 1
+    fixed.masks = (fixed.masks[0] ^ 1 << 1,) + fixed.masks[1:]
     rejected = {"not a vertex": 0}
     with pytest.raises(DegenerateInput, match="hull verification failed"):
         list(_halvings(c, 0, fixed, step, 1, rejected))
@@ -529,9 +535,10 @@ def _whole_search(top, bottom, seed):
 )
 def test_whole_search_is_the_same_without_a_fixed_builder(bases, seed):
     # with no fixed builder every candidate is enumerated from scratch,
-    # with no copy, no verification of a base and no count of a candidate
-    # inside the fixed hull before its hull is built: the draws, the order
-    # of the candidates and the causes of rejection must not change
+    # with no `extend`, no verification of a fixed builder and no count of
+    # a candidate inside the fixed hull before its hull is built: the
+    # draws, the order of the candidates and the causes of rejection must
+    # not change
     with_builder = _whole_search(*bases, seed)
     with mock.patch.object(constructions, "_fixed_builder", return_value=None) as none:
         from_scratch = _whole_search(*bases, seed)

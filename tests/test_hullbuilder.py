@@ -2,22 +2,25 @@
 packed slack check against plain dot products, and the face test for
 vertices against a rank reference.
 
-A builder of the fixed points plus one inserted point must give exactly the
+A builder of the fixed points extended by one point must give exactly the
 hull that `facet_enumeration` gives for the whole set, whether the point
-lands outside the hull, inside it, on a facet hyperplane, or brings
-denominators the fixed points do not have.  The inputs lean toward the cases
-that are not in general position: {-1,0,1} grids, where many points share
-each facet hyperplane, and prisms, whose side facets are not simplices.
+lands outside the hull, on a facet hyperplane, or brings denominators the
+fixed points do not have, and no hull when it lands inside.  The inputs
+lean toward the cases that are not in general position: {-1,0,1} grids,
+where many points share each facet hyperplane, and prisms, whose side
+facets are not simplices.
 The rank of a facet's tight points is proved by a triangular certificate
 read off exactly verified incidence, with an elimination only when none is
 found: a differential test checks that a certificate is found only for
 points of rank `dim`, and that every rank-deficient row still fails, and a
 guard checks that the q48 artifacts need no elimination at all.  The
-corruption tests check that what one copy verified never vouches for a
-different facet in another.  A copy checks the rows it carried from its
-builder only at the inserted point, so they also flip such a row's bit,
-move the inserted point off it, replace a fixed point, and corrupt the
-builder itself: each must fail verification.
+corruption tests corrupt one candidate's step (`polytopes._add`) or the
+builder itself, and check that what one candidate verified never vouches
+for a different facet in another.  A candidate checks the rows it carried
+from its verified builder only at its new point, so they also flip such a
+row's bit and step with another point than the one checked: each must fail
+verification.  A builder corrupted before its first `extend` makes every
+`extend` raise, and one reassigned after it changes no later candidate.
 
 The ridge and adjacency tests take their candidates from the incidence, so
 they are also checked where that is easiest to get wrong: segments, whose
@@ -173,24 +176,23 @@ def test_insert_into_fixed_builder_matches_facet_enumeration(pts, data):
         # the others are not full-dimensional: the searches fall back to
         # facet_enumeration there
         return
-    # the original point first, then a moved one, each into its own copy
+    before = fixed.points, fixed.rows, fixed.masks
+    # the original point first, then a moved one, each its own candidate
     for point in (pts[v], _moved_point(data, pts, v)):
         moved = list(pts)
         moved[v] = point
         poly = vpoly(tuple(moved))
-        builder = fixed.copy()
-        builder.insert(v, homogeneous(point))
-        try:
-            want = facet_enumeration(poly)
-        except DuplicatePoints:
-            with pytest.raises(DuplicatePoints):
-                builder.hull()
+        got = fixed.extend(v, homogeneous(point))
+        if got is None:
+            # the point sees no facet: it lies in the hull of the others,
+            # a copy of one of them included
+            with contextlib.suppress(DuplicatePoints):
+                assert v not in extreme_indices(facet_enumeration(poly))
             continue
-        got = builder.hull()
-        _same_hull(got, want)
+        _same_hull(got, facet_enumeration(poly))
         _assert_graphs_match_references(poly, got)
-    # the copies left the fixed builder as it was
-    assert fixed.points[v] is None
+    # the candidates left the fixed builder as it was
+    assert (fixed.points, fixed.rows, fixed.masks) == before and fixed.points[v] is None
 
 
 def test_segment_dual_graph_is_one_edge():
@@ -273,17 +275,21 @@ def test_dual_graph_matches_reference_on_suspensions(pts, data):
 @given(point_sets(), st.data())
 def test_builder_rows_are_the_hull_rows(pts, data):
     """A builder keeps each facet as its HPOLY row (a, b), and point p as
-    (-w p, w) with w > 0, so a row meets it in w (b - a . p)."""
+    (-w p, w) with w > 0, so a row meets it in w (b - a . p); the builder
+    of all points but v extended by v has the same rows, unless v is no
+    vertex."""
     v = data.draw(st.integers(0, len(pts) - 1))
     slots = list(pts)
     slots[v] = None
     try:
-        builder = HullBuilder(_vectors(slots)).copy()
+        fixed = HullBuilder(_vectors(slots))
     except DegenerateInput:
         return
-    builder.insert(v, homogeneous(pts[v]))
+    builder = HullBuilder(_vectors(pts))
     hull = builder.hull()
     assert set(builder.rows) == set(hull.hrep.inequalities)
+    extended = fixed.extend(v, homogeneous(pts[v]))
+    assert extended is None or extended.hrep == hull.hrep
     for p, q in zip(pts, builder.points):
         w = q[-1]
         assert w > 0 and all(Fraction(-c, w) == x for c, x in zip(q, p))
@@ -298,14 +304,17 @@ def test_builder_refuses_bad_use():
     with pytest.raises(DegenerateInput, match="needs points"):
         HullBuilder([None, None])
     builder = HullBuilder(_vectors(square))
+    assert all(type(x) is tuple for x in (builder.points, builder.rows, builder.masks))
     with pytest.raises(ValueError, match="empty"):
         builder.hull()
     with pytest.raises(DimensionMismatch):
-        builder.insert(3, homogeneous((1, 1, 1)))
+        builder.extend(3, homogeneous((1, 1, 1)))
     with pytest.raises(ValueError, match="already filled"):
-        builder.insert(0, homogeneous((1, 1)))
-    builder.insert(3, homogeneous((1, 1)))
-    assert builder.hull().incidence.n_facets == 4
+        builder.extend(0, homogeneous((1, 1)))
+    assert builder.extend(3, homogeneous((1, 1))).incidence.n_facets == 4
+    # a candidate that leaves another slot empty has no hull
+    with pytest.raises(ValueError, match="hull slot 4 is empty"):
+        HullBuilder(_vectors(square + [None])).extend(3, homogeneous((1, 1)))
 
 
 @st.composite
@@ -335,7 +344,7 @@ def packed_slack_inputs(draw):
 @st.composite
 def empty_slot_inputs(draw):
     """`packed_slack_inputs` with the zero vector in some slots, as
-    `_verified_pairs` packs a builder's empty slots, and, half the time, one
+    `HullBuilder.extend` packs a builder's empty slots, and, half the time, one
     more row (2^(b-1), 0, ..., 0) that makes the digit width a whole number
     of bytes, so `_tight_masks` pads nothing."""
     pts, rows = draw(packed_slack_inputs())
@@ -638,7 +647,7 @@ def test_graphs_of_the_base_sum_and_a_lift_match_their_references(certificate):
 
 
 # ---------------------------------------------------------------------------
-# the verification pass refuses a corrupted builder
+# the verification pass refuses a corrupted builder or candidate
 
 
 def _cube_builder():
@@ -646,20 +655,53 @@ def _cube_builder():
     return pts, HullBuilder(_vectors(pts))
 
 
+def _corrupt(rows, masks, f, how, point):
+    """Corrupt facet f of the lists `rows` and `masks` in place: flip the
+    bit of `point` in its mask, or shift its row's offset by +1 or -1."""
+    if how == "mask":
+        masks[f] ^= 1 << point
+    else:
+        rows[f] = rows[f][:-1] + (rows[f][-1] + (1 if how == "offset+" else -1),)
+
+
+def _corrupted(builder, f, how, point):
+    """Corrupt facet f of `builder` by `_corrupt`, reassigning its tuples,
+    as nothing in the engine does."""
+    rows, masks = list(builder.rows), list(builder.masks)
+    _corrupt(rows, masks, f, how, point)
+    builder.rows, builder.masks = tuple(rows), tuple(masks)
+
+
+@contextlib.contextmanager
+def _steps_then(change):
+    """Every `polytopes._add` made while the block runs, the real step
+    followed by change(rows, masks) on the lists it stepped: a candidate
+    of `HullBuilder.extend` with a corrupted step."""
+    add = polytopes._add
+
+    def changed(dim, rows, masks, i, q):
+        saw = add(dim, rows, masks, i, q)
+        change(rows, masks)
+        return saw
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytopes, "_add", changed)
+        yield
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 5), st.integers(0, 7), st.sampled_from(("mask", "offset+", "offset-")))
 def test_corrupted_copy_raises(f, point, how):
-    pts, builder = _cube_builder()
-    twin = builder.copy()
-    if how == "mask":
-        twin.masks[f] ^= 1 << point
-    else:
-        h = twin.rows[f]
-        twin.rows[f] = h[:-1] + (h[-1] + (1 if how == "offset+" else -1),)
-    with pytest.raises(DegenerateInput, match="hull verification failed"):
-        twin.hull()
-    # the original is untouched by the corruption of its copy
-    _same_hull(builder.hull(), facet_enumeration(vpoly(tuple(pts))))
+    # a candidate, the cube's builder extended by a point above its top
+    # face, whose step comes back with facet f corrupted, raises; the
+    # builder's next candidate, stepped as it should be, gets its hull
+    pts, _ = _cube_builder()
+    fixed = HullBuilder(_vectors(pts + [None]))
+    apex = homogeneous((0, 0, 2))
+    with _steps_then(lambda rows, masks: _corrupt(rows, masks, f, how, point)):
+        with pytest.raises(DegenerateInput, match="hull verification failed"):
+            fixed.extend(8, apex)
+    _same_hull(fixed.extend(8, apex), facet_enumeration(vpoly(tuple(pts + [(0, 0, 2)]))))
 
 
 def _supporting_row(pts, point, axis, how):
@@ -674,6 +716,16 @@ def _supporting_row(pts, point, axis, how):
     return tuple(a) + (b,), tight
 
 
+def _cube_without(v):
+    """(cube vertices, the builder of all but vertex v).  Extended by v at
+    its own position, it carries all six of its rows into the cube's hull:
+    the triangle cut off at v goes, and the three faces at v gain it."""
+    pts, _ = _cube_builder()
+    slots = list(pts)
+    slots[v] = None
+    return pts, HullBuilder(_vectors(slots))
+
+
 @settings(max_examples=80, deadline=None)
 @given(
     st.integers(0, 5),
@@ -681,114 +733,93 @@ def _supporting_row(pts, point, axis, how):
     st.sampled_from(("mask", "offset+", "offset-", "vertex", "edge")),
 )
 def test_rank_proofs_of_a_twin_never_vouch_for_a_corrupted_copy(f, point, how):
-    pts, builder = _cube_builder()
-    twin = builder.copy()
+    # three candidates of one builder, each the cube's vertex 0 stepped back
+    # in: the first proves the rank of the builder's seven rows and of the
+    # cube's six facets without elimination, the second's step corrupts
+    # facet f or adds a valid row that is no facet and must fail, and the
+    # third is the first again
+    pts, fixed = _cube_without(0)
+    q = homogeneous(pts[0])
     with _eliminations() as calls:
-        twin.hull()
-    # the twin proved the rank of all six cube facets without elimination
+        twin = fixed.extend(0, q)
     assert calls == []
-    bad = builder.copy()
-    if how == "mask":
-        bad.masks[f] ^= 1 << point
-    elif how.startswith("offset"):
-        h = bad.rows[f]
-        bad.rows[f] = h[:-1] + (h[-1] + (1 if how == "offset+" else -1),)
-    else:
-        row, tight = _supporting_row(pts, point, f % 3, how)
-        bad.rows.append(row)
-        bad.masks.append(tight)
-    with pytest.raises(DegenerateInput, match="hull verification failed"):
-        bad.hull()
-    _same_hull(twin.hull(), facet_enumeration(vpoly(tuple(pts))))
 
+    def corrupt(rows, masks):
+        if how in ("vertex", "edge"):
+            row, tight = _supporting_row(pts, point, f % 3, how)
+            rows.append(row)
+            masks.append(tight)
+        else:
+            _corrupt(rows, masks, f, how, point)
 
-def _cube_insertion(v):
-    """(cube vertices, the builder of all but vertex v, a copy with v
-    inserted back).  The copy carries all six of its rows from the builder:
-    the triangle cut off at v goes, and the three faces at v gain it."""
-    pts, _ = _cube_builder()
-    slots = list(pts)
-    slots[v] = None
-    fixed = HullBuilder(_vectors(slots))
-    twin = fixed.copy()
-    twin.insert(v, homogeneous(pts[v]))
-    return pts, fixed, twin
+    with _steps_then(corrupt), pytest.raises(DegenerateInput, match="hull verification failed"):
+        fixed.extend(0, q)
+    _same_hull(twin, facet_enumeration(vpoly(tuple(pts))))
+    _same_hull(fixed.extend(0, q), twin)
 
 
 def test_copy_of_the_fixed_builder_checks_only_the_inserted_point():
-    pts, fixed, twin = _cube_insertion(0)
-    _same_hull(twin.hull(), facet_enumeration(vpoly(tuple(pts))))
-    points, passed = fixed.verified
-    assert points == tuple(fixed.points) and len(passed) == 7
-    carried = {(h, m & ~1) for h, m in zip(twin.rows, twin.masks)}
+    # the first `extend` verifies the builder's seven rows, and no other
+    # does; the candidate carries all six of its rows, so `_verify` checks
+    # none of them
+    pts, fixed = _cube_without(0)
+    unchecked = []
+    verify = polytopes._verify
+
+    def recording(dim, points, pairs, rows, empty):
+        unchecked.append(len(rows))
+        return verify(dim, points, pairs, rows, empty)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytopes, "_verify", recording)
+        hulls = [fixed.extend(0, homogeneous(pts[0])) for _ in range(2)]
+    assert unchecked == [7, 0, 0]
+    for hull in hulls:
+        _same_hull(hull, facet_enumeration(vpoly(tuple(pts))))
+    points, rows, masks, passed = fixed.snapshot
+    assert (points, rows, masks) == (fixed.points, fixed.rows, fixed.masks)
+    assert passed == set(zip(rows, masks)) and len(passed) == 7
+    carried = {(h, m & ~1) for h, m in zip(hulls[0].hrep.inequalities, hulls[0].incidence.facet_masks)}
     assert len(carried) == 6 and carried <= passed
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 5))
 def test_carried_row_with_the_inserted_bit_flipped_raises(v, f):
-    _, _, twin = _cube_insertion(v)
-    twin.masks[f] ^= 1 << v
-    with pytest.raises(DegenerateInput, match="hull verification failed: incidence mismatch"):
-        twin.hull()
+    pts, fixed = _cube_without(v)
+    with _steps_then(lambda rows, masks: _corrupt(rows, masks, f, "mask", v)):
+        with pytest.raises(DegenerateInput, match="hull verification failed: incidence mismatch"):
+            fixed.extend(v, homogeneous(pts[v]))
 
 
 @settings(max_examples=30, deadline=None)
 @given(st.integers(0, 7), st.sampled_from(("inside", "outside")))
 def test_carried_row_with_wrong_slack_at_the_inserted_point_raises(v, where):
-    # the inserted point moves off the three facets whose masks say it is
-    # tight: to half its position (slack > 0) or to twice it (slack < 0)
-    pts, _, twin = _cube_insertion(v)
+    # the step is that of vertex v at its own position, but the point
+    # checked is moved off the three facets whose masks say it is tight: to
+    # half its position (slack > 0) or to twice it (slack < 0)
+    pts, fixed = _cube_without(v)
+    add, own = polytopes._add, homogeneous(pts[v])
     scale, w = (1, 2) if where == "inside" else (2, 1)
-    twin.points[v] = tuple(-scale * c for c in pts[v]) + (w,)
+    moved = tuple(-scale * c for c in pts[v]) + (w,)
     failure = "incidence mismatch" if where == "inside" else "point outside facet"
-    with pytest.raises(DegenerateInput, match=f"hull verification failed: {failure}"):
-        twin.hull()
-
-
-@settings(max_examples=30, deadline=None)
-@given(
-    st.integers(0, 7),
-    st.integers(0, 6),
-    st.integers(0, 5),
-    st.sampled_from(("moved", "swapped", "equal")),
-)
-def test_copy_whose_fixed_point_was_replaced_gets_the_full_check(v, j, k, how):
-    # j and k index the fixed slots; "swapped" puts equal-valued but
-    # distinct objects of points j and k into each other's slots, and
-    # "equal" puts an equal-valued distinct object of point j into its own
-    pts, _, twin = _cube_insertion(v)
-    others = [i for i in range(8) if i != v]
-    j = others[j]
-    k = [i for i in others if i != j][k]
-    if how == "moved":
-        twin.points[j] = tuple(-c for c in pts[j]) + (2,)
-    elif how == "swapped":
-        twin.points[j], twin.points[k] = tuple(list(twin.points[k])), tuple(list(twin.points[j]))
-    else:
-        twin.points[j] = tuple(list(twin.points[j]))
-        _same_hull(twin.hull(), facet_enumeration(vpoly(tuple(pts))))
-        return
-    with pytest.raises(DegenerateInput, match="hull verification failed"):
-        twin.hull()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytopes, "_add", lambda dim, rows, masks, i, q: add(dim, rows, masks, i, own))
+        with pytest.raises(DegenerateInput, match=f"hull verification failed: {failure}"):
+            fixed.extend(v, moved)
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 7), st.integers(0, 6), st.sampled_from(("mask", "offset+", "offset-")))
 def test_corrupted_fixed_builder_is_never_vouched_for(v, f, how):
-    # the builder's own rows are corrupted before any copy is verified:
-    # every copy raises, also one whose insertion removed the corrupted row
-    pts, fixed, _ = _cube_insertion(v)
-    if how == "mask":
-        fixed.masks[f] ^= 1 << (v + 1 + f) % 8
-    else:
-        h = fixed.rows[f]
-        fixed.rows[f] = h[:-1] + (h[-1] + (1 if how == "offset+" else -1),)
-    for point in (pts[v], tuple(2 * c for c in pts[v])):
-        twin = fixed.copy()
-        twin.insert(v, homogeneous(point))
+    # the builder's own rows are corrupted before its first `extend`: every
+    # candidate raises, also one whose step removes the corrupted row and
+    # the centre, which sees no facet
+    pts, fixed = _cube_without(v)
+    _corrupted(fixed, f, how, (v + 1 + f) % 8)
+    for point in (pts[v], tuple(2 * c for c in pts[v]), (0, 0, 0)):
         with pytest.raises(DegenerateInput, match="hull verification failed"):
-            twin.hull()
+            fixed.extend(v, homogeneous(point))
 
 
 def test_fixed_builder_claiming_an_empty_slot_raises():
@@ -796,70 +827,103 @@ def test_fixed_builder_claiming_an_empty_slot_raises():
     # tightly, so only the mask test sees a mask that claims the slot
     for v in range(8):
         for f in range(7):
-            _, fixed, _ = _cube_insertion(v)
-            fixed.masks[f] |= 1 << v
+            pts, fixed = _cube_without(v)
+            _corrupted(fixed, f, "mask", v)
             with pytest.raises(DegenerateInput, match="hull verification failed: incidence mismatch"):
-                fixed._verified_pairs()
+                fixed.extend(v, homogeneous(pts[v]))
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(point_sets(), st.data(), st.sampled_from(("points", "rows", "masks")))
+def test_reassigned_builder_changes_no_later_candidate(pts, data, name):
+    """After the first `extend`, the builder's points moved, its rows'
+    offsets shifted or its masks emptied reach no later candidate: each
+    gets the hull it got before, `facet_enumeration`'s, or None again."""
+    v = data.draw(st.integers(0, len(pts) - 1))
+    slots = list(pts)
+    slots[v] = None
+    try:
+        fixed = HullBuilder(_vectors(slots))
+    except DegenerateInput:
+        return
+    points = [pts[v], _moved_point(data, pts, v)]
+    before = [fixed.extend(v, homogeneous(p)) for p in points]
+    changed = {
+        "points": tuple(None if q is None else q[:-1] + (2 * q[-1],) for q in fixed.points),
+        "rows": tuple(h[:-1] + (h[-1] + 1,) for h in fixed.rows),
+        "masks": (0,) * len(fixed.masks),
+    }
+    setattr(fixed, name, changed[name])
+    for p, hull in zip(points, before):
+        after = fixed.extend(v, homogeneous(p))
+        assert (after is None) == (hull is None)
+        if hull is not None:
+            moved = list(pts)
+            moved[v] = p
+            _same_hull(after, hull)
+            _same_hull(after, facet_enumeration(vpoly(tuple(moved))))
 
 
 def test_rank_proofs_are_keyed_by_points_not_slots():
     # slot 8 above the top face makes y + z <= 2 a triangle facet through
-    # slots 6, 7 and 8; at the midpoint of the edge from slot 6 to slot 7 the
+    # slots 6, 7 and 8; on the line of the edge from slot 6 to slot 7 the
     # same three slots are collinear, so the same row and mask, supporting
-    # but no facet, must fail the rank test although the slots were proved
+    # but no facet, added to that candidate's step must fail the rank test
+    # although another candidate proved it for the same slots
     pts, _ = _cube_builder()
     fixed = HullBuilder(_vectors(pts + [None]))
-    above = fixed.copy()
-    above.insert(8, homogeneous((0, 0, 2)))
-    row = (0, 1, 1, 2)
-    assert row in above.rows and above.masks[above.rows.index(row)] == bits([6, 7, 8])
-    above.hull()
-    on_edge = fixed.copy()
-    on_edge.insert(8, homogeneous((0, 1, 1)))
-    on_edge.rows.append(row)
-    on_edge.masks.append(bits([6, 7, 8]))
-    with pytest.raises(DegenerateInput, match="facet rank"):
-        on_edge.hull()
+    above = fixed.extend(8, homogeneous((0, 0, 2)))
+    row, tight = (0, 1, 1, 2), bits([6, 7, 8])
+    rows = above.hrep.inequalities
+    assert row in rows and above.incidence.facet_masks[rows.index(row)] == tight
+
+    def add_row(rows, masks):
+        rows.append(row)
+        masks.append(tight)
+
+    with _steps_then(add_row), pytest.raises(DegenerateInput, match="facet rank"):
+        fixed.extend(8, homogeneous((3, 1, 1)))
 
 
 def test_supporting_hyperplane_of_a_vertex_fails_facet_rank():
     # x + y + z <= 3 touches the cube in one vertex: valid and incidence
     # exact, but not a facet
     pts, builder = _cube_builder()
-    builder.rows.append((1, 1, 1, 3))
-    builder.masks.append(bits([pts.index((1, 1, 1))]))
+    builder.rows += ((1, 1, 1, 3),)
+    builder.masks += (bits([pts.index((1, 1, 1))]),)
     with pytest.raises(DegenerateInput, match="facet rank"):
         builder.hull()
 
 
 def test_repeated_facet_refused():
     _, builder = _cube_builder()
-    builder.rows.append(builder.rows[0])
-    builder.masks.append(builder.masks[0])
+    builder.rows += builder.rows[:1]
+    builder.masks += builder.masks[:1]
     with pytest.raises(DegenerateInput, match="repeated facet"):
         builder.hull()
 
 
 def test_push_verifies_every_candidate(monkeypatch):
-    # every inserted candidate comes back with a corrupted facet mask (the
+    # every candidate's step comes back with a corrupted facet mask (the
     # vertex at its original position, which gives the hull the push starts
-    # from, is spared), and the wrapper passes on whether it saw a facet:
-    # the first moved point lies inside the hull of the others and builds
-    # no hull, and the first one that sees a facet ends the search with the
-    # verification failure, which is no rejected candidate
+    # from, is spared, as are the fixed builder's own steps), and the step
+    # still says whether it saw a facet: the first moved point lies inside
+    # the hull of the others and builds no hull, and the first one that
+    # sees a facet ends the search with the verification failure, which is
+    # no rejected candidate
     pts, _ = _cube_builder()
     cube = vpoly(tuple(pts))
-    insert = HullBuilder.insert
+    add = polytopes._add
     saw = []
 
-    def corrupting_insert(self, i, q):
-        seen = insert(self, i, q)
+    def corrupting_add(dim, rows, masks, i, q):
+        seen = add(dim, rows, masks, i, q)
         if q != homogeneous(pts[i]):
-            self.masks[0] ^= 1 << i
+            masks[0] ^= 1 << i
             saw.append(seen)
         return seen
 
-    monkeypatch.setattr(HullBuilder, "insert", corrupting_insert)
+    monkeypatch.setattr(polytopes, "_add", corrupting_add)
     monkeypatch.setattr(constructions, "MAX_HALVINGS", 3)
     with pytest.raises(DegenerateInput, match="hull verification failed: incidence mismatch"):
         push_vertex(cube, 0, seed=1)
@@ -920,7 +984,7 @@ def test_certificate_is_found_only_for_rank_dim(pts, data):
     dim, n = builder.dim, len(pts)
     pairs = data.draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=6))
     rows = list(dict.fromkeys(
-        builder.rows
+        [*builder.rows]
         + [_face_row(builder, [i]) for i in range(n)]
         + [_face_row(builder, pair) for pair in pairs]
         + [(0,) * (dim + 1)]
@@ -929,7 +993,7 @@ def test_certificate_is_found_only_for_rank_dim(pts, data):
     assert None not in masks
     vmasks = FacetIncidence(tuple(masks), n).vertex_masks
     everyone = (1 << len(rows)) - 1
-    facets = set(builder.rows)
+    facets, facet_masks = builder.rows, builder.masks
     for h, m in zip(rows, masks):
         rank = matrix_rank([builder.points[j] for j in iter_bits(m)])
         if any(h) and _triangular_certificate(m, vmasks, everyone, dim):
@@ -937,11 +1001,9 @@ def test_certificate_is_found_only_for_rank_dim(pts, data):
         elif h in facets:
             assert m.bit_count() > dim
         if rank != dim:
-            bad = builder.copy()
-            bad.rows.append(h)
-            bad.masks.append(m)
+            builder.rows, builder.masks = facets + (h,), facet_masks + (m,)
             with pytest.raises(DegenerateInput, match="hull verification failed: facet rank"):
-                bad.hull()
+                builder.hull()
 
 
 def test_elimination_decides_only_without_a_certificate():
@@ -951,8 +1013,8 @@ def test_elimination_decides_only_without_a_certificate():
     with _eliminations() as calls:
         builder.hull()
     assert calls == []
-    builder.rows.append((1, 1, 1, 3))
-    builder.masks.append(bits([pts.index((1, 1, 1))]))
+    builder.rows += ((1, 1, 1, 3),)
+    builder.masks += (bits([pts.index((1, 1, 1))]),)
     with _eliminations() as calls, pytest.raises(DegenerateInput, match="facet rank"):
         builder.hull()
     assert calls == [1]
@@ -993,29 +1055,26 @@ def test_q48_artifacts_need_no_elimination(tmp_path, capsys):
 
 @contextlib.contextmanager
 def _steps_checked_against_the_full_scan():
-    """Check every `HullBuilder._add` made while the block runs: the facets
+    """Check every `polytopes._add` made while the block runs: the facets
     after it, as a set of (row, mask) pairs with none repeated, are those
     `reference_add` gives from the facets before it, and it says whether
     the point had negative slack at a facet.  Yields the list of the slots
-    inserted."""
+    stepped."""
     steps = []
-    add = HullBuilder._add
+    add = polytopes._add
 
-    def checked(self, i):
-        q = self.points[i]
-        saw = any(slack < 0 for slack in (sum(a * b for a, b in zip(h, q)) for h in self.rows))
-        rows, masks = reference_add(self.rows, self.masks, q, i, self.dim)
-        assert add(self, i) is saw
-        assert len(self.rows) == len(rows)
-        assert set(zip(self.rows, self.masks)) == set(zip(rows, masks))
+    def checked(dim, rows, masks, i, q):
+        saw = any(slack < 0 for slack in (sum(a * b for a, b in zip(h, q)) for h in rows))
+        want_rows, want_masks = reference_add(rows, masks, q, i, dim)
+        assert add(dim, rows, masks, i, q) is saw
+        assert len(rows) == len(want_rows)
+        assert set(zip(rows, masks)) == set(zip(want_rows, want_masks))
         steps.append(i)
         return saw
 
-    HullBuilder._add = checked
-    try:
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(polytopes, "_add", checked)
         yield steps
-    finally:
-        HullBuilder._add = add
 
 
 @settings(max_examples=150, deadline=None, suppress_health_check=[HealthCheck.too_slow])
@@ -1034,7 +1093,7 @@ def test_ridge_candidates_from_the_visible_region_match_the_full_scan(pts):
 def test_steps_on_copies_match_the_full_scan(pts, data):
     """The builder of all points but v, from scratch, and then the point v
     and a moved point (outside, inside, on a facet hyperplane or with new
-    denominators) each inserted into a copy of it: random, grid and prism
+    denominators) each a candidate extending it: random, grid and prism
     point sets, where simplex facets lie next to larger ones, with points
     inside faces, and lattice boxes."""
     v = data.draw(st.integers(0, len(pts) - 1))
@@ -1046,10 +1105,10 @@ def test_steps_on_copies_match_the_full_scan(pts, data):
         except DegenerateInput:
             return
     moved = _moved_point(data, pts, v)
-    with _steps_checked_against_the_full_scan() as copied:
+    with _steps_checked_against_the_full_scan() as extended:
         for point in (pts[v], moved):
-            fixed.copy().insert(v, homogeneous(point))
-    assert len(scratch) == len(pts) - fixed.dim - 2 and copied == [v, v]
+            fixed.extend(v, homogeneous(point))
+    assert len(scratch) == len(pts) - fixed.dim - 2 and extended == [v, v]
 
 
 def _visible_shapes(builder, point):
@@ -1086,7 +1145,7 @@ def test_simplex_and_larger_visible_facets_match_the_full_scan(point, shapes):
     builder = HullBuilder(_vectors(base + [None]))
     assert _visible_shapes(builder, point) == shapes
     with _steps_checked_against_the_full_scan() as steps:
-        assert builder.copy().insert(len(base), homogeneous(point))
+        assert builder.extend(len(base), homogeneous(point)) is not None
     assert steps == [len(base)]
 
 
@@ -1138,7 +1197,9 @@ def test_integer_affine_basis_matches_the_fraction_reference(pts):
 def test_duplicate_is_named_as_the_rationals_name_it(pts, scale, data):
     """A copy of point i at index j > i, written as other numbers of the
     same value (an int for an integral Fraction and back), is named as the
-    pair (i, j), by `facet_enumeration` and by a builder's `hull()`."""
+    pair (i, j), by `facet_enumeration` and by a builder's `hull()`; as a
+    candidate it sees no facet of the builder of the others, so it gets no
+    hull."""
     pts = [tuple(Fraction(c, scale) for c in p) for p in pts]
     i = data.draw(st.integers(0, len(pts) - 1))
     j = data.draw(st.integers(i + 1, len(pts)))
@@ -1150,12 +1211,12 @@ def test_duplicate_is_named_as_the_rationals_name_it(pts, scale, data):
     slots = list(pts)
     slots[j] = None
     try:
-        builder = HullBuilder(_vectors(slots))
+        fixed = HullBuilder(_vectors(slots))
     except DegenerateInput:
         return
-    builder.insert(j, homogeneous(twin))
+    assert fixed.extend(j, homogeneous(twin)) is None
     with pytest.raises(DuplicatePoints, match=f"^points {i} and {j} coincide$"):
-        builder.hull()
+        HullBuilder(_vectors(pts)).hull()
 
 
 # ---------------------------------------------------------------------------
@@ -1193,7 +1254,7 @@ def _started(slots, basis):
     its order, and no point is inserted after the simplex."""
     builder = HullBuilder(slots)
     assert sorted(i for i, q in enumerate(slots) if q is not None) == basis
-    return builder.rows, builder.masks
+    return list(builder.rows), list(builder.masks)
 
 
 def _det(rows):

@@ -8,7 +8,7 @@ rows themselves.  The brute-force hull oracle takes its hyperplanes from
 the Fraction reference, but it still shares `affine_rank` with the engine,
 so `affine_rank` is checked against the reference here.  A guard runs the
 engine on rational input and fails on any entry it hands to `reduce_rows`,
-to the hull builder's constructor or to its `insert` that is not an
+to the hull builder's constructor or to its `extend` that is not an
 `int`, and a second guard fails on any read of `VPolytope.vertices` outside
 the collinearity check and on any polytope whose vectors are not canonical.
 """
@@ -172,16 +172,16 @@ def _guard_inputs():
 
 def test_the_engine_hands_reduce_rows_int_rows_only(monkeypatch):
     """`reduce_rows`, wrapped in every module that holds it, and the hull
-    builder's constructor and `insert` refuse and record each entry that is
+    builder's constructor and `extend` refuse and record each entry that is
     not an `int` while the engine runs on rationals: full verify, a
     two-step lift of the 4-cube as a prismatoid, the Minkowski sum of two
     summands with denominators, the hull of a flat rational pentagon in
     R^3, and `affine_rank` of rational points.  Each run must reduce some
-    rows, the runs together must start builders and insert points, and
+    rows, the runs together must start builders and extend them, and
     nothing may hold anything but `int`s (full verify reports a section
     that raises as a FAIL line, so the record is read after each run)."""
     calls, bad = [], []
-    counts = {"HullBuilder": 0, "insert": 0}
+    counts = {"HullBuilder": 0, "extend": 0}
 
     def refuse(name, entries):
         bad.extend(v for v in entries if type(v) is not int)
@@ -192,17 +192,17 @@ def test_the_engine_hands_reduce_rows_int_rows_only(monkeypatch):
         refuse("reduce_rows", [v for row in rows for v in row])
         return reduce_rows(rows)
 
-    start, insert = HullBuilder.__init__, HullBuilder.insert
+    start, extend = HullBuilder.__init__, HullBuilder.extend
 
     def checked_start(self, vectors):
         counts["HullBuilder"] += 1
         refuse("HullBuilder", [v for q in vectors if q is not None for v in q])
         start(self, vectors)
 
-    def checked_insert(self, i, q):
-        counts["insert"] += 1
-        refuse("insert", q)
-        return insert(self, i, q)
+    def checked_extend(self, i, q):
+        counts["extend"] += 1
+        refuse("extend", q)
+        return extend(self, i, q)
 
     patched = [name for name, module in sys.modules.items()
                if name.startswith("exactpoly") and getattr(module, "reduce_rows", None) is reduce_rows]
@@ -210,7 +210,7 @@ def test_the_engine_hands_reduce_rows_int_rows_only(monkeypatch):
     for name in patched:
         monkeypatch.setattr(sys.modules[name], "reduce_rows", ints_only)
     monkeypatch.setattr(HullBuilder, "__init__", checked_start)
-    monkeypatch.setattr(HullBuilder, "insert", checked_insert)
+    monkeypatch.setattr(HullBuilder, "extend", checked_extend)
 
     cube4_prismatoid, tetrahedron, small_cube = _guard_inputs()
     third = Fraction(1, 3)

@@ -1,3 +1,4 @@
+import math
 import random
 
 import pytest
@@ -21,7 +22,7 @@ from exactpoly.polytopes import (
 from exactpoly.geometry import DimensionMismatch, affine_rank, dot, homogeneous
 from exactpoly.graphs import Graph
 from exactpoly.prismatoids import make_prismatoid
-from exactpoly.rationals import Rat, common_denominator
+from exactpoly.rationals import Rat
 from helpers import (
     centroid,
     check_hull_against_oracle,
@@ -461,7 +462,7 @@ class TestPolar:
         # with `Fraction` sums: s / n is that centroid in lowest terms
         n, s, _, _ = _centroid([homogeneous(p) for p in pts])
         c = centroid(pts)
-        assert n == common_denominator(c) and s == clear_denominators(c)
+        assert n == math.lcm(*(v.denominator for v in c)) and s == clear_denominators(c)
         assert n > 0 and tuple(Rat(v, n) for v in s) == c
 
     def test_double_polar_exact_on_cube(self):
